@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diffJSON := fs.String("diffjson", "", "write machine-readable incremental re-explanation measurements (cold vs incremental wall time, dirty sets, cache hit rates) to this file and exit")
 	scaleJSON := fs.String("scalejson", "", "write machine-readable whole-network streaming-report measurements (wall time, peak heap, streamed bytes, scoped-encode stats) to this file and exit; -quick trims the sweep")
 	serveJSON := fs.String("servejson", "", "write machine-readable serving-layer measurements (throughput, latency percentiles, response-cache hit rate, CLI byte-identity) to this file and exit")
-	satWorkers := fs.Int("satworkers", 1, "SAT portfolio width: diversified search workers racing per solve with clause sharing (1 = plain single search; affects -table sat and -benchjson)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -90,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *benchJSON != "" {
-		if err := bench.WritePerfJSON(ctx, *benchJSON, *satWorkers); err != nil {
+		if err := bench.WritePerfJSON(ctx, *benchJSON); err != nil {
 			fmt.Fprintln(stderr, "netbench:", err)
 			return 1
 		}
@@ -173,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "rewrite":
 		return one(bench.RewriteTable(ctx))
 	case "sat":
-		return one(bench.SatTable(ctx, *satWorkers))
+		return one(bench.SatTable(ctx))
 	case "scale":
 		return one(bench.ScaleTable(ctx, *quick))
 	case "diff":

@@ -26,6 +26,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Connection timeouts of the serving http.Server: a client that never
+// finishes its request headers, or leaves a keep-alive connection idle,
+// is disconnected instead of holding the connection forever. Request
+// handling itself is bounded by the per-request deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // testOnListen, when set by a test, is called with the bound address
 // and the serving *http.Server once the listener is up.
 var testOnListen func(addr string, srv *http.Server)
@@ -42,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	poolSize := fs.Int("poolsize", 16, "warm session pool entries (LRU-evicted)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "default per-request deadline when the request sets none")
 	maxTimeout := fs.Duration("maxtimeout", 0, "clamp for requested deadlines (0 = same as -timeout)")
-	maxSatWorkers := fs.Int("maxsatworkers", 8, "clamp for per-request sat_workers")
 	maxLiftWorkers := fs.Int("maxliftworkers", 8, "clamp for per-request lift_workers")
 	proof := fs.Bool("proof", false, "verify every Unsat verdict with the independent proof checker")
 	if err := fs.Parse(args); err != nil {
@@ -52,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "netexplaind: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if *maxInflight < 1 || *poolSize < 1 || *maxSatWorkers < 1 || *maxLiftWorkers < 1 {
-		fmt.Fprintln(stderr, "netexplaind: -maxinflight, -poolsize, -maxsatworkers, and -maxliftworkers must be at least 1")
+	if *maxInflight < 1 || *poolSize < 1 || *maxLiftWorkers < 1 {
+		fmt.Fprintln(stderr, "netexplaind: -maxinflight, -poolsize, and -maxliftworkers must be at least 1")
 		return 2
 	}
 	if *timeout <= 0 {
@@ -67,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PoolSize:          *poolSize,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		MaxSatWorkers:     *maxSatWorkers,
 		MaxLiftWorkers:    *maxLiftWorkers,
 		VerifyProofs:      *proof,
 	})
@@ -78,7 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "netexplaind: listening on %s\n", l.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	if testOnListen != nil {
 		go testOnListen(l.Addr().String(), httpSrv)
 	}

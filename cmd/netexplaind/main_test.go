@@ -20,7 +20,6 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-maxinflight", "0"},
 		{"-poolsize", "-3"},
 		{"-timeout", "-1s"},
-		{"-maxsatworkers", "0"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder
@@ -42,6 +41,26 @@ func TestRunListenFailure(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "netexplaind:") {
 		t.Fatalf("stderr missing error: %q", errOut.String())
+	}
+}
+
+// TestRunSetsServerTimeouts checks that the serving *http.Server bounds
+// header reads and idle keep-alive connections, so a client that never
+// finishes its headers cannot hold a connection forever.
+func TestRunSetsServerTimeouts(t *testing.T) {
+	got := make(chan [2]time.Duration, 1)
+	testOnListen = func(_ string, srv *http.Server) {
+		got <- [2]time.Duration{srv.ReadHeaderTimeout, srv.IdleTimeout}
+		srv.Close()
+	}
+	defer func() { testOnListen = nil }()
+
+	var out, errOut strings.Builder
+	if code := run([]string{"-addr", "127.0.0.1:0"}, &out, &errOut); code != 0 {
+		t.Fatalf("run: exit %d, want 0 (stderr: %s)", code, errOut.String())
+	}
+	if d := <-got; d[0] <= 0 || d[1] <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, IdleTimeout = %v; want both positive", d[0], d[1])
 	}
 }
 

@@ -42,23 +42,6 @@ type PerfEntry struct {
 	SATTierCore  int `json:"sat_tier_core"`
 	SATTierMid   int `json:"sat_tier_mid"`
 	SATTierLocal int `json:"sat_tier_local"`
-	// SATWorkers is the portfolio width the run was configured with;
-	// SATRaces counts portfolio races that reached a verdict, and the
-	// shared counters total clause-sharing traffic between workers
-	// (exported to the pool / admitted by an importer / refused). All
-	// zero at width 1. The random-3SAT microbenchmark seeds referenced
-	// by methodology notes are the named constants in
-	// internal/sat/bench_test.go (benchSeedHard3SAT, benchSeedSat3SAT).
-	SATWorkers        int    `json:"sat_workers"`
-	SATRaces          uint64 `json:"sat_races"`
-	SATSharedExported uint64 `json:"sat_shared_exported"`
-	SATSharedImported uint64 `json:"sat_shared_imported"`
-	SATSharedRejected uint64 `json:"sat_shared_rejected"`
-	// SATInprocessRounds and SATInprocessDeleted total inprocessing
-	// activity (vivification, subsumption, bounded variable
-	// elimination) across the report's solvers.
-	SATInprocessRounds  uint64 `json:"sat_inprocess_rounds"`
-	SATInprocessDeleted uint64 `json:"sat_inprocess_deleted"`
 	// LiftQueries counts individual lift-stage SMT queries; LiftP50MS
 	// and LiftP95MS are their latency percentiles in milliseconds.
 	LiftQueries int     `json:"lift_queries"`
@@ -98,9 +81,8 @@ type PerfReport struct {
 }
 
 // Perf measures the end-to-end explanation pipeline on every seed
-// scenario. satWorkers sets the portfolio width of every solver (1 =
-// plain single search).
-func Perf(ctx context.Context, satWorkers int) (*PerfReport, error) {
+// scenario.
+func Perf(ctx context.Context) (*PerfReport, error) {
 	rep := &PerfReport{Name: "explain-pipeline"}
 	for _, sc := range scenarios.All() {
 		synthStart := time.Now()
@@ -110,9 +92,7 @@ func Perf(ctx context.Context, satWorkers int) (*PerfReport, error) {
 		}
 		synthMS := float64(time.Since(synthStart).Microseconds()) / 1000
 
-		copts := core.DefaultOptions()
-		copts.Budget.SatWorkers = satWorkers
-		ex, err := core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, copts)
+		ex, err := core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, core.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -131,40 +111,33 @@ func Perf(ctx context.Context, satWorkers int) (*PerfReport, error) {
 			avgLBD = float64(st.LBDSum) / float64(st.Learnt)
 		}
 		rep.Entries = append(rep.Entries, PerfEntry{
-			Scenario:            sc.Name,
-			WallMS:              wallMS,
-			SynthMS:             synthMS,
-			SATConflicts:        st.Conflicts,
-			SATSolves:           st.Solves,
-			SATPropagations:     st.Propagations,
-			SATBinPropagations:  st.BinPropagations,
-			SATRestarts:         st.Restarts,
-			SATMinimizedLits:    st.MinimizedLits,
-			SATAvgLBD:           avgLBD,
-			SATTierCore:         st.CoreLearnts,
-			SATTierMid:          st.MidLearnts,
-			SATTierLocal:        st.LocalLearnts,
-			SATWorkers:          ex.Opts.Budget.SatWorkerCount(),
-			SATRaces:            st.SatRaces,
-			SATSharedExported:   st.SharedExported,
-			SATSharedImported:   st.SharedImported,
-			SATSharedRejected:   st.SharedRejected,
-			SATInprocessRounds:  st.InprocessRounds,
-			SATInprocessDeleted: st.InprocessDeleted,
-			LiftQueries:         st.LiftQueries,
-			LiftP50MS:           float64(st.LiftP50.Microseconds()) / 1000,
-			LiftP95MS:           float64(st.LiftP95.Microseconds()) / 1000,
-			WarmSolverHits:      st.WarmSolverHits,
-			WarmSolverMisses:    st.WarmSolverMisses,
-			CacheHits:           st.CacheHits,
-			Encodes:             st.Encodes,
-			ReusedCandidates:    st.ReusedCandidates,
-			NormCacheHits:       st.NormCacheHits,
-			NormCacheMisses:     st.NormCacheMisses,
-			NormCacheEntries:    st.NormCacheEntries,
-			InternedTerms:       logic.Default().Size(),
-			PeakHeapBytes:       peakHeap,
-			StreamedBytes:       cw.n,
+			Scenario:           sc.Name,
+			WallMS:             wallMS,
+			SynthMS:            synthMS,
+			SATConflicts:       st.Conflicts,
+			SATSolves:          st.Solves,
+			SATPropagations:    st.Propagations,
+			SATBinPropagations: st.BinPropagations,
+			SATRestarts:        st.Restarts,
+			SATMinimizedLits:   st.MinimizedLits,
+			SATAvgLBD:          avgLBD,
+			SATTierCore:        st.CoreLearnts,
+			SATTierMid:         st.MidLearnts,
+			SATTierLocal:       st.LocalLearnts,
+			LiftQueries:        st.LiftQueries,
+			LiftP50MS:          float64(st.LiftP50.Microseconds()) / 1000,
+			LiftP95MS:          float64(st.LiftP95.Microseconds()) / 1000,
+			WarmSolverHits:     st.WarmSolverHits,
+			WarmSolverMisses:   st.WarmSolverMisses,
+			CacheHits:          st.CacheHits,
+			Encodes:            st.Encodes,
+			ReusedCandidates:   st.ReusedCandidates,
+			NormCacheHits:      st.NormCacheHits,
+			NormCacheMisses:    st.NormCacheMisses,
+			NormCacheEntries:   st.NormCacheEntries,
+			InternedTerms:      logic.Default().Size(),
+			PeakHeapBytes:      peakHeap,
+			StreamedBytes:      cw.n,
 		})
 	}
 	return rep, nil
@@ -172,8 +145,8 @@ func Perf(ctx context.Context, satWorkers int) (*PerfReport, error) {
 
 // WritePerfJSON runs Perf and writes the report to path, indented for
 // committing alongside benchmark baselines (BENCH_*.json).
-func WritePerfJSON(ctx context.Context, path string, satWorkers int) error {
-	rep, err := Perf(ctx, satWorkers)
+func WritePerfJSON(ctx context.Context, path string) error {
+	rep, err := Perf(ctx)
 	if err != nil {
 		return err
 	}

@@ -19,14 +19,11 @@ import (
 // counters — binary propagations, learnt-clause glue, minimized
 // literals, restart behavior, tier sizes — are the observability half
 // of BENCH_satcore.json; the wall-clock columns are the speed half.
-// satWorkers sets the portfolio width of every solver the pipeline
-// builds (1 = plain single search); the races and shared columns stay
-// zero at width 1.
-func SatTable(ctx context.Context, satWorkers int) (*Table, error) {
+func SatTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "satcore (extension Ext-3)",
-		Caption: fmt.Sprintf("CDCL core behavior across seed scenarios and netgen workloads (lift on, satworkers=%d). explain-ms covers every configured router through one session; bin-props is the share of propagations served by the binary implication lists; min-lits the learnt literals removed by minimization; avg-lbd the mean glue; tiers the peak core/mid/local learnt-database split; races the portfolio races run; shared the clause-sharing traffic as exported/imported/rejected.", satWorkers),
-		Columns: []string{"workload", "synth-ms", "explain-ms", "solves", "conflicts", "props", "bin-props", "restarts", "blocked", "learnts", "min-lits", "avg-lbd", "tiers", "races", "shared"},
+		Caption: "CDCL core behavior across seed scenarios and netgen workloads (lift on). explain-ms covers every configured router through one session; bin-props is the share of propagations served by the binary implication lists; min-lits the learnt literals removed by minimization; avg-lbd the mean glue; tiers the peak core/mid/local learnt-database split.",
+		Columns: []string{"workload", "synth-ms", "explain-ms", "solves", "conflicts", "props", "bin-props", "restarts", "blocked", "learnts", "min-lits", "avg-lbd", "tiers"},
 	}
 
 	type job struct {
@@ -43,9 +40,7 @@ func SatTable(ctx context.Context, satWorkers int) (*Table, error) {
 				return nil, 0, err
 			}
 			synthMS := float64(time.Since(start).Microseconds()) / 1000
-			copts := core.DefaultOptions()
-			copts.Budget.SatWorkers = satWorkers
-			ex, err := core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, copts)
+			ex, err := core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, core.DefaultOptions())
 			return ex, synthMS, err
 		}})
 	}
@@ -66,7 +61,6 @@ func SatTable(ctx context.Context, satWorkers int) (*Table, error) {
 			}
 			copts := core.DefaultOptions()
 			copts.Synth = opts
-			copts.Budget.SatWorkers = satWorkers
 			ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, copts)
 			return ex, synthMS, err
 		}})
@@ -92,9 +86,7 @@ func SatTable(ctx context.Context, satWorkers int) (*Table, error) {
 			st.Solves, st.Conflicts, st.Propagations, st.BinPropagations,
 			st.Restarts, st.BlockedRestarts, st.Learnt, st.MinimizedLits,
 			fmt.Sprintf("%.2f", avgLBD),
-			fmt.Sprintf("%d/%d/%d", st.CoreLearnts, st.MidLearnts, st.LocalLearnts),
-			st.SatRaces,
-			fmt.Sprintf("%d/%d/%d", st.SharedExported, st.SharedImported, st.SharedRejected))
+			fmt.Sprintf("%d/%d/%d", st.CoreLearnts, st.MidLearnts, st.LocalLearnts))
 	}
 	return t, nil
 }

@@ -61,10 +61,10 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestScaleByteIdentity pins cold-vs-scoped byte-identity on the
-// netgen preset shapes, with proof verification on and across the
-// SatWorkers x LiftWorkers matrix on the lifted workload. The seed
-// scenarios have the same pin in internal/core (golden worker-matrix
-// reports run through the streaming path).
+// netgen preset shapes, with proof verification on and across lift
+// worker counts on the lifted workload. The seed scenarios have the
+// same pin in internal/core (golden worker-count reports run through
+// the streaming path).
 func TestScaleByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -93,12 +93,11 @@ func TestScaleByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			report := func(satWorkers, liftWorkers int, scoped bool) string {
+			report := func(liftWorkers int, scoped bool) string {
 				opts := core.DefaultOptions()
 				opts.Synth = sopts
 				opts.Lift = tc.lift
 				opts.VerifyProofs = true
-				opts.Budget.SatWorkers = satWorkers
 				opts.LiftWorkers = liftWorkers
 				ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, opts)
 				if err != nil {
@@ -119,14 +118,14 @@ func TestScaleByteIdentity(t *testing.T) {
 				return sb.String()
 			}
 
-			want := report(1, 1, false)
-			configs := [][2]int{{1, 1}}
+			want := report(1, false)
+			workers := []int{1}
 			if tc.matrix {
-				configs = [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}}
+				workers = []int{1, 2}
 			}
-			for _, c := range configs {
-				if got := report(c[0], c[1], true); got != want {
-					t.Errorf("satWorkers=%d liftWorkers=%d: scoped report differs from cold report", c[0], c[1])
+			for _, w := range workers {
+				if got := report(w, true); got != want {
+					t.Errorf("liftWorkers=%d: scoped report differs from cold report", w)
 				}
 			}
 		})

@@ -35,9 +35,6 @@ func (e *Explainer) newSolver() *smt.Solver {
 	if e.Opts.VerifyProofs {
 		opts = append(opts, smt.WithProof())
 	}
-	if n := e.Opts.Budget.SatWorkerCount(); n > 1 {
-		opts = append(opts, smt.WithSatWorkers(n))
-	}
 	s := smt.NewSolver(opts...)
 	if e.Session != nil {
 		s.UseInterner(e.Session.Interner())

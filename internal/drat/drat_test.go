@@ -297,48 +297,3 @@ func TestCloneTraceChecks(t *testing.T) {
 		t.Fatalf("original trace after clone solve: %v", err)
 	}
 }
-
-// TestPortfolioWorkerTracesCheck races a clause-sharing team on an
-// unsatisfiable instance and replays EVERY worker's trace — winner and
-// cancelled losers alike — through the independent checker. Shared
-// imports are logged as the importer's own RUP-gated learnts, so each
-// trace must stand alone; a loser's trace simply checks without
-// reaching a root conflict.
-func TestPortfolioWorkerTracesCheck(t *testing.T) {
-	base, _, _ := tracedSolver(t, 0)
-	// PHP(7,6): pigeon i gets hole j is variable p[i][j].
-	const pigeons, holes = 7, 6
-	p := make([][]sat.Lit, pigeons)
-	for i := range p {
-		p[i] = make([]sat.Lit, holes)
-		for j := range p[i] {
-			p[i][j] = sat.MkLit(base.NewVar(), true)
-		}
-	}
-	team := sat.NewPortfolio(base, 3)
-	for i := 0; i < pigeons; i++ {
-		team.AddClause(p[i]...)
-		for j := 0; j < holes; j++ {
-			for k := i + 1; k < pigeons; k++ {
-				team.AddClause(p[i][j].Neg(), p[k][j].Neg())
-			}
-		}
-	}
-	if st := team.Solve(); st != sat.Unsat {
-		t.Fatalf("PHP(7,6) = %v, want Unsat", st)
-	}
-	winner := team.Winner()
-	for i := 0; i < team.Workers(); i++ {
-		wtr, ok := team.WorkerProof(i).(*sat.Trace)
-		if !ok {
-			t.Fatalf("worker %d has no trace", i)
-		}
-		c, err := drat.Check(traceOps(wtr))
-		if err != nil {
-			t.Fatalf("worker %d trace rejected: %v", i, err)
-		}
-		if i == winner && !c.RootConflict() {
-			t.Fatalf("winner %d's trace has no root conflict", i)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -354,6 +355,72 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if a.LiftP50 != 0 || a.LiftP95 != 0 {
 		t.Fatal("percentiles must zero on Add (recomputed by aggregators)")
+	}
+}
+
+// fillLeaves gives every numeric leaf of v (array elements included) a
+// distinct value: scale times its position, counting from 1.
+func fillLeaves(t *testing.T, v reflect.Value, scale int64) {
+	t.Helper()
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Int, reflect.Int64:
+			n++
+			v.SetInt(scale * n)
+		case reflect.Uint64:
+			n++
+			v.SetUint(uint64(scale * n))
+		default:
+			t.Fatalf("fillLeaves: unhandled field kind %v", v.Kind())
+		}
+	}
+	fill(v)
+}
+
+// TestStatsAddFoldsEveryField adds a fully populated Stats whose every
+// leaf exceeds the receiver's, so both a sum and a max change each
+// field. A field added to Stats without a line in Add keeps the
+// receiver's value and fails here instead of silently dropping out of
+// the aggregated /metrics snapshot. The lift percentiles are the
+// exception: Add zeroes them by design.
+func TestStatsAddFoldsEveryField(t *testing.T) {
+	var a, b engine.Stats
+	fillLeaves(t, reflect.ValueOf(&a).Elem(), 1)
+	fillLeaves(t, reflect.ValueOf(&b).Elem(), 2)
+	before := a
+	a.Add(b)
+	got, old := reflect.ValueOf(a), reflect.ValueOf(before)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		g, o := got.Field(i).Interface(), old.Field(i).Interface()
+		switch name {
+		case "LiftP50", "LiftP95":
+			if !got.Field(i).IsZero() {
+				t.Errorf("Add: %s = %v, want 0", name, g)
+			}
+			continue
+		}
+		if got.Field(i).Kind() == reflect.Array {
+			for j := 0; j < got.Field(i).Len(); j++ {
+				if got.Field(i).Index(j).Interface() == old.Field(i).Index(j).Interface() {
+					t.Errorf("Add: %s[%d] not folded", name, j)
+				}
+			}
+			continue
+		}
+		if g == o {
+			t.Errorf("Add: %s = %v unchanged, want the other Stats folded in", name, g)
+		}
 	}
 }
 

@@ -38,19 +38,6 @@ type Budget struct {
 	// MaxModels bounds model enumeration during sufficiency checking.
 	// Zero means DefaultMaxModels.
 	MaxModels int
-	// SatWorkers is the number of diversified SAT search workers each
-	// solver races per query (smt.WithSatWorkers). Zero or one means a
-	// single plain search; reports are byte-identical at any value
-	// because the pipeline consumes verdicts, never search traces.
-	SatWorkers int
-}
-
-// SatWorkerCount returns the effective worker count (at least 1).
-func (b Budget) SatWorkerCount() int {
-	if b.SatWorkers > 1 {
-		return b.SatWorkers
-	}
-	return 1
 }
 
 // Apply derives a context carrying the budget's deadline. The returned
@@ -130,24 +117,6 @@ type Stats struct {
 	CoreLearnts  int
 	MidLearnts   int
 	LocalLearnts int
-	// SatRaces counts portfolio races that reached a verdict; SatWins
-	// histograms them by winning worker index (the last bucket absorbs
-	// overflow). Both stay zero at SatWorkers <= 1.
-	SatRaces uint64
-	SatWins  [8]uint64
-	// SharedExported, SharedImported, and SharedRejected total the
-	// clause-sharing traffic between portfolio workers: learnts
-	// published to the pool, peer clauses admitted at restart
-	// boundaries (after the importer's own RUP re-check), and peer
-	// clauses refused (elimination conflicts or failed checks).
-	SharedExported uint64
-	SharedImported uint64
-	SharedRejected uint64
-	// InprocessRounds and InprocessDeleted total inprocessing activity
-	// (vivification, subsumption, bounded variable elimination) across
-	// every harvested solver.
-	InprocessRounds  uint64
-	InprocessDeleted uint64
 	// WarmSolverHits and WarmSolverMisses count solver checkouts
 	// answered from the session's warm pool versus built cold.
 	// WarmSolverDropped counts checkins refused because the solver was
@@ -243,15 +212,6 @@ func (s *Stats) Add(o Stats) {
 	if o.LocalLearnts > s.LocalLearnts {
 		s.LocalLearnts = o.LocalLearnts
 	}
-	s.SatRaces += o.SatRaces
-	for i := range o.SatWins {
-		s.SatWins[i] += o.SatWins[i]
-	}
-	s.SharedExported += o.SharedExported
-	s.SharedImported += o.SharedImported
-	s.SharedRejected += o.SharedRejected
-	s.InprocessRounds += o.InprocessRounds
-	s.InprocessDeleted += o.InprocessDeleted
 	s.WarmSolverHits += o.WarmSolverHits
 	s.WarmSolverMisses += o.WarmSolverMisses
 	s.WarmSolverDropped += o.WarmSolverDropped

@@ -798,15 +798,6 @@ func (s *Session) AddSolverStats(st sat.Stats) {
 	for i := range st.LBDHist {
 		s.stats.LBDHist[i] += st.LBDHist[i]
 	}
-	s.stats.SatRaces += st.PortfolioRaces
-	for i := range st.PortfolioWins {
-		s.stats.SatWins[i] += st.PortfolioWins[i]
-	}
-	s.stats.SharedExported += st.SharedExported
-	s.stats.SharedImported += st.SharedImported
-	s.stats.SharedRejected += st.SharedRejected
-	s.stats.InprocessRounds += st.InprocessRounds
-	s.stats.InprocessDeleted += st.InprocessDeleted
 	if st.CoreLearnts > s.stats.CoreLearnts {
 		s.stats.CoreLearnts = st.CoreLearnts
 	}

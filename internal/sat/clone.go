@@ -38,16 +38,7 @@ func (s *Solver) Clone() *Solver {
 		qhead:          s.qhead,
 		ConflictBudget: s.ConflictBudget,
 		emptyLogged:    s.emptyLogged,
-		pol:            s.pol,
-		Inprocess:      s.Inprocess,
-		inprocConfl:    s.inprocConfl,
 	}
-	c.eliminable = append([]bool(nil), s.eliminable...)
-	c.elimed = append([]bool(nil), s.elimed...)
-	// Elimination records are immutable once pushed, so the inner
-	// clause copies may be shared; only the stack spine is copied (with
-	// exact length, so appends on either side never alias).
-	c.elimStack = append(make([]elimRecord, 0, len(s.elimStack)), s.elimStack...)
 	// A clone inherits the original's learnt clauses, so its proof
 	// trace must replay their derivations: fork the writer when it
 	// supports forking, otherwise the clone runs without logging (a
@@ -145,7 +136,8 @@ func (s *Solver) Clone() *Solver {
 
 // Sub returns the counter-wise difference a - b: the work performed
 // between the snapshot b and the later snapshot a of the same solver's
-// Stats. The structural gauges (MaxVars, Clauses) are taken from a.
+// Stats. The gauges (MaxVars, Clauses and the learnt-tier sizes) are
+// taken from a.
 // Use it to harvest the effort of a solver that outlives one query —
 // a warm solver checked out of a pool — without double-counting work
 // already merged by an earlier harvest.
@@ -160,41 +152,27 @@ func (s *Solver) Clone() *Solver {
 // downstream counter.
 func (a Stats) Sub(b Stats) Stats {
 	out := Stats{
-		Solves:              satSub(a.Solves, b.Solves),
-		Decisions:           satSub(a.Decisions, b.Decisions),
-		Propagations:        satSub(a.Propagations, b.Propagations),
-		BinPropagations:     satSub(a.BinPropagations, b.BinPropagations),
-		Conflicts:           satSub(a.Conflicts, b.Conflicts),
-		Restarts:            satSub(a.Restarts, b.Restarts),
-		BlockedRestarts:     satSub(a.BlockedRestarts, b.BlockedRestarts),
-		Learnt:              satSub(a.Learnt, b.Learnt),
-		MinimizedLits:       satSub(a.MinimizedLits, b.MinimizedLits),
-		LBDSum:              satSub(a.LBDSum, b.LBDSum),
-		Reductions:          satSub(a.Reductions, b.Reductions),
-		RemovedClauses:      satSub(a.RemovedClauses, b.RemovedClauses),
-		ModeSwitches:        satSub(a.ModeSwitches, b.ModeSwitches),
-		InprocessRounds:     satSub(a.InprocessRounds, b.InprocessRounds),
-		VivifiedClauses:     satSub(a.VivifiedClauses, b.VivifiedClauses),
-		VivifiedLits:        satSub(a.VivifiedLits, b.VivifiedLits),
-		SubsumedClauses:     satSub(a.SubsumedClauses, b.SubsumedClauses),
-		StrengthenedClauses: satSub(a.StrengthenedClauses, b.StrengthenedClauses),
-		ElimVars:            satSub(a.ElimVars, b.ElimVars),
-		InprocessDeleted:    satSub(a.InprocessDeleted, b.InprocessDeleted),
-		SharedExported:      satSub(a.SharedExported, b.SharedExported),
-		SharedImported:      satSub(a.SharedImported, b.SharedImported),
-		SharedRejected:      satSub(a.SharedRejected, b.SharedRejected),
-		PortfolioRaces:      satSub(a.PortfolioRaces, b.PortfolioRaces),
-		MaxVars:             a.MaxVars,
-		Clauses:             a.Clauses,
-		CoreLearnts:         a.CoreLearnts,
-		MidLearnts:          a.MidLearnts,
-		LocalLearnts:        a.LocalLearnts,
+		Solves:          satSub(a.Solves, b.Solves),
+		Decisions:       satSub(a.Decisions, b.Decisions),
+		Propagations:    satSub(a.Propagations, b.Propagations),
+		BinPropagations: satSub(a.BinPropagations, b.BinPropagations),
+		Conflicts:       satSub(a.Conflicts, b.Conflicts),
+		Restarts:        satSub(a.Restarts, b.Restarts),
+		BlockedRestarts: satSub(a.BlockedRestarts, b.BlockedRestarts),
+		Learnt:          satSub(a.Learnt, b.Learnt),
+		MinimizedLits:   satSub(a.MinimizedLits, b.MinimizedLits),
+		LBDSum:          satSub(a.LBDSum, b.LBDSum),
+		Reductions:      satSub(a.Reductions, b.Reductions),
+		RemovedClauses:  satSub(a.RemovedClauses, b.RemovedClauses),
+		ModeSwitches:    satSub(a.ModeSwitches, b.ModeSwitches),
+		MaxVars:         a.MaxVars,
+		Clauses:         a.Clauses,
+		CoreLearnts:     a.CoreLearnts,
+		MidLearnts:      a.MidLearnts,
+		LocalLearnts:    a.LocalLearnts,
 	}
 	for i := range out.LBDHist {
 		out.LBDHist[i] = satSub(a.LBDHist[i], b.LBDHist[i])
-	}
-	for i := range out.PortfolioWins {
-		out.PortfolioWins[i] = satSub(a.PortfolioWins[i], b.PortfolioWins[i])
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -125,12 +127,99 @@ func TestCloneCarriesLearnts(t *testing.T) {
 	}
 }
 
+// TestConcurrentCloneWithProof clones one proof-logging solver from
+// several goroutines at once — the checkout pattern of the lift worker
+// pool — and lets every clone finish an Unsat search whose forked
+// trace must check independently.
+func TestConcurrentCloneWithProof(t *testing.T) {
+	base := NewSolver()
+	tr := NewTrace()
+	if err := base.SetProof(tr); err != nil {
+		t.Fatal(err)
+	}
+	addRandom3SAT(base, 140, 600, 5) // unsat family instance
+	base.ConflictBudget = 40
+	if st := base.Solve(); st != Unknown {
+		t.Fatalf("warmup solve = %v, want Unknown (budgeted)", st)
+	}
+	base.ConflictBudget = 0
+
+	const clones = 4
+	var wg sync.WaitGroup
+	traces := make([]*Trace, clones)
+	for i := 0; i < clones; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := base.Clone()
+			if st := c.Solve(); st != Unsat {
+				t.Errorf("clone %d: Solve = %v, want Unsat", i, st)
+				return
+			}
+			ctr, ok := c.Proof().(*Trace)
+			if !ok {
+				t.Errorf("clone %d: proof writer not forked", i)
+				return
+			}
+			traces[i] = ctr
+		}(i)
+	}
+	wg.Wait()
+	for i, ctr := range traces {
+		if ctr == nil {
+			continue // an earlier Errorf already failed the test
+		}
+		c := mustCheckTrace(t, ctr)
+		if !c.RootConflict() {
+			t.Fatalf("clone %d: checked trace has no root conflict", i)
+		}
+	}
+}
+
+// fillStats gives every numeric leaf of *st (array elements included)
+// a distinct value: scale times its position, counting from 1.
+func fillStats(t *testing.T, st *Stats, scale uint64) {
+	t.Helper()
+	n := uint64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Uint64:
+			n++
+			v.SetUint(scale * n)
+		case reflect.Int:
+			n++
+			v.SetInt(int64(scale * n))
+		default:
+			t.Fatalf("fillStats: unhandled field kind %v", v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(st).Elem())
+}
+
+// TestStatsSub checks Sub field by field on fully populated snapshots:
+// every counter is subtracted and every gauge is taken from a. A field
+// added to Stats without a line in Sub fails here instead of silently
+// reading zero in every harvested delta.
 func TestStatsSub(t *testing.T) {
-	a := Stats{Solves: 10, Decisions: 20, Propagations: 30, Conflicts: 5, Restarts: 2, Learnt: 4, MaxVars: 9, Clauses: 13}
-	b := Stats{Solves: 4, Decisions: 8, Propagations: 12, Conflicts: 2, Restarts: 1, Learnt: 1, MaxVars: 7, Clauses: 11}
-	d := a.Sub(b)
-	want := Stats{Solves: 6, Decisions: 12, Propagations: 18, Conflicts: 3, Restarts: 1, Learnt: 3, MaxVars: 9, Clauses: 13}
-	if d != want {
-		t.Fatalf("Sub = %+v, want %+v", d, want)
+	var a, b, want Stats
+	fillStats(t, &a, 3)
+	fillStats(t, &b, 1)
+	fillStats(t, &want, 2)
+	want.MaxVars, want.Clauses = a.MaxVars, a.Clauses
+	want.CoreLearnts, want.MidLearnts, want.LocalLearnts = a.CoreLearnts, a.MidLearnts, a.LocalLearnts
+	got, wv := reflect.ValueOf(a.Sub(b)), reflect.ValueOf(want)
+	for i := 0; i < got.NumField(); i++ {
+		if g, w := got.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("Sub: %s = %v, want %v", got.Type().Field(i).Name, g, w)
+		}
 	}
 }

@@ -191,96 +191,6 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// FuzzPortfolioDifferential cross-checks a racing portfolio against a
-// brute-force enumerator on small formulas: the team's verdict must
-// match brute force regardless of which worker wins, every Unsat
-// winner's trace — shared-clause imports included — must pass the
-// independent RUP checker, and every Sat winner's model must satisfy
-// the formula. The worker count cycles with the input so one corpus
-// exercises the single-worker fast path and real races alike.
-func FuzzPortfolioDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{2, 0, 1, 0, 1, 1})
-	f.Add([]byte{4, 2, 2, 0, 3, 2, 1, 2, 2, 4, 5, 1, 7, 0, 5})
-	f.Add([]byte{7, 0, 1, 1, 2, 1, 3, 4, 1, 5, 6, 1, 7, 8, 0, 0, 0, 9})
-	f.Add([]byte{6, 1, 2, 0, 2, 4, 2, 1, 6, 8, 2, 3, 10, 12, 2, 5, 9, 13, 2, 7, 11, 0, 2, 8, 12, 1, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		nVars, clauses, assume := decodeDiff(data)
-		if nVars == 0 {
-			return
-		}
-		nWorkers := len(data)%4 + 1
-		base := NewSolver()
-		tr := NewTrace()
-		if err := base.SetProof(tr); err != nil {
-			t.Fatal(err)
-		}
-		vars := make([]Var, nVars)
-		for i := range vars {
-			vars[i] = base.NewVar()
-		}
-		toLit := func(l int) Lit {
-			v := vars[abs(l)-1]
-			return MkLit(v, l > 0)
-		}
-		p := NewPortfolio(base, nWorkers)
-		for _, cl := range clauses {
-			ls := make([]Lit, len(cl))
-			for i, l := range cl {
-				ls[i] = toLit(l)
-			}
-			p.AddClause(ls...)
-		}
-		as := make([]Lit, len(assume))
-		for i, l := range assume {
-			as[i] = toLit(l)
-		}
-		st := p.Solve(as...)
-		want := bruteSat(nVars, clauses, assume)
-		switch st {
-		case Sat:
-			if !want {
-				t.Fatalf("portfolio(%d) Sat, brute force unsat: %v under %v", nWorkers, clauses, assume)
-			}
-			m := p.Model()
-			for _, cl := range clauses {
-				ok := false
-				for _, l := range cl {
-					if m[abs(l)-1] == (l > 0) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("portfolio(%d) model %v violates clause %v", nWorkers, m, cl)
-				}
-			}
-		case Unsat:
-			if want {
-				t.Fatalf("portfolio(%d) Unsat, brute force sat: %v under %v", nWorkers, clauses, assume)
-			}
-			wtr, ok := p.Proof().(*Trace)
-			if !ok {
-				t.Fatalf("portfolio(%d) winner %d has no trace", nWorkers, p.Winner())
-			}
-			mustCheckTrace(t, wtr)
-			if len(assume) > 0 {
-				allowed := map[Lit]bool{}
-				for _, l := range as {
-					allowed[l] = true
-				}
-				for _, l := range p.Core() {
-					if !allowed[l] {
-						t.Fatalf("portfolio(%d) core literal %d not among assumptions", nWorkers, l)
-					}
-				}
-			}
-		default:
-			t.Fatalf("portfolio(%d): unexpected status %v without a budget", nWorkers, st)
-		}
-	})
-}
-
 // decodeDiff turns fuzz bytes into a small CNF: byte 0 picks the
 // variable count (1..8), byte 1 the assumption count (0..2, drawn from
 // the tail), and the rest encode clauses as a length byte (1..4 lits)

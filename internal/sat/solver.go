@@ -35,42 +35,10 @@ type Stats struct {
 	Reductions     uint64
 	RemovedClauses uint64
 	// ModeSwitches counts restart-mode window flips (focused <->
-	// stable) under the alternating restart policy.
+	// stable) of the alternating restart schedule.
 	ModeSwitches uint64
-	// Inprocessing counters: rounds run, literals removed by
-	// vivification and clauses it shortened, clauses deleted by
-	// subsumption, clauses shortened by self-subsuming strengthening,
-	// and variables resolved away by bounded elimination.
-	InprocessRounds     uint64
-	VivifiedClauses     uint64
-	VivifiedLits        uint64
-	SubsumedClauses     uint64
-	StrengthenedClauses uint64
-	ElimVars            uint64
-	// InprocessDeleted counts every clause deletion inprocessing logged
-	// to the proof trace (satisfied, subsumed, strengthened-and-replaced,
-	// or eliminated), so trace deletions stay reconcilable with stats:
-	// trace deletes == RemovedClauses + InprocessDeleted.
-	InprocessDeleted uint64
-	// Clause-sharing counters (portfolio mode, see portfolio.go):
-	// SharedExported counts low-glue learnts this solver published to
-	// the portfolio pool, SharedImported the peer clauses it admitted
-	// through the RUP gate, SharedRejected the candidates the gate
-	// refused (redundant at this worker's root, not propagation-
-	// checkable against its database, or touching one of its
-	// eliminated variables).
-	SharedExported uint64
-	SharedImported uint64
-	SharedRejected uint64
-	// PortfolioRaces counts multi-worker portfolio solves; the
-	// portfolio books its race-level counters on worker 0 so they flow
-	// through the ordinary Stats harvesting (Sub, session merging).
-	// PortfolioWins buckets race wins by worker index, the last bucket
-	// collecting every higher index.
-	PortfolioRaces uint64
-	PortfolioWins  [8]uint64
-	MaxVars        int
-	Clauses        int
+	MaxVars      int
+	Clauses      int
 	// CoreLearnts, MidLearnts, and LocalLearnts gauge the tiered
 	// learnt-clause database (glue<=2 / glue<=6 / rest) as of the last
 	// reduction or solve.
@@ -92,10 +60,6 @@ type clause struct {
 	// of grace in reduceDB; it is set whenever the clause participates
 	// in conflict analysis and cleared by the reduction that honors it.
 	protect bool
-	// dead marks a clause removed by inprocessing; compactDB drops it
-	// from the database slices at the end of the round. Never set
-	// outside an inprocessing round.
-	dead bool
 }
 
 // Clause-management tiers, following Glucose: glue clauses
@@ -162,7 +126,7 @@ const (
 	lubyRestartBase = 1024
 )
 
-// Mode alternation (RestartAlternating). A solve opens
+// Restart-mode alternation. A solve opens
 // in a focused window (aggressive Luby restarts — the policy that
 // predates the adaptive one, and the faster choice on uniformly
 // hard, typically overconstrained-unsat instances), then flips to a
@@ -181,81 +145,16 @@ const (
 // Alternation instead bounds the loss on either family by the window
 // overhead, without guessing the family up front.
 //
-// focusedWindowInit is the first focused window's conflict budget
-// (a var only so the tuning tests can sweep it).
-var focusedWindowInit = int64(512)
-
-// RestartMode selects a solver's restart schedule.
-type RestartMode uint8
-
+// focusedWindowInit is the first focused window's conflict budget, and
+// focusedLubyBase scales the Luby schedule of focused windows.
 const (
-	// RestartAlternating is the default: alternate focused windows
-	// (aggressive Luby) and stable windows (glue-adaptive, trail
-	// blocking) on a doubling conflict budget, opening focused.
-	RestartAlternating RestartMode = iota
-	// RestartAdaptive runs only the Glucose-style glue-driven policy
-	// with its long Luby fallback cap — the stable half of
-	// RestartAlternating, on its own.
-	RestartAdaptive
-	// RestartLuby runs only the plain aggressive Luby schedule — the
-	// focused half of RestartAlternating, on its own.
-	RestartLuby
+	focusedWindowInit = 512
+	focusedLubyBase   = 100
 )
 
-// DefaultLubyBase is the phase-length scale for RestartLuby and for
-// focused windows.
-const DefaultLubyBase = 100
-
-// Policy bundles the search heuristics a portfolio diversifies across
-// workers. The zero value is not meaningful; start from DefaultPolicy.
-type Policy struct {
-	// Restart selects the restart schedule.
-	Restart RestartMode
-	// LubyBase scales RestartLuby phases and focused windows' Luby
-	// schedule. Zero means DefaultLubyBase.
-	LubyBase float64
-	// VarDecay is the VSIDS activity decay factor in (0,1); smaller
-	// decays faster (more reactive branching). Zero means 0.95.
-	VarDecay float64
-	// InvertPhase branches unsaved variables toward true instead of
-	// false, steering a worker into the complementary half of the
-	// search space.
-	InvertPhase bool
-	// NoTargetPhase disables target-phase saving: branching follows
-	// plain saved phases only, never the deepest-trail snapshot.
-	NoTargetPhase bool
-}
-
-// DefaultPolicy returns the solver's standard profile: alternating
-// restart modes, 0.95 VSIDS decay, negative default phase.
-func DefaultPolicy() Policy {
-	return Policy{Restart: RestartAlternating, LubyBase: DefaultLubyBase, VarDecay: 0.95}
-}
-
-// SetPolicy installs a search policy. Call it between solves (it
-// flips the saved phase of every unassigned variable to the policy's
-// default polarity, so a freshly cloned portfolio worker actually
-// explores the opposite half). Zero-valued numeric fields fall back to
-// their defaults.
-func (s *Solver) SetPolicy(p Policy) {
-	if p.LubyBase == 0 {
-		p.LubyBase = DefaultLubyBase
-	}
-	if p.VarDecay == 0 {
-		p.VarDecay = 0.95
-	}
-	if p.InvertPhase != s.pol.InvertPhase {
-		for v := range s.phase {
-			if s.assigns[v] == LUndef {
-				s.phase[v] = p.InvertPhase
-			}
-		}
-	}
-	s.pol = p
-}
-
-// CurrentPolicy returns the policy the solver is running.
-func (s *Solver) CurrentPolicy() Policy { return s.pol }
+// varDecay is the VSIDS activity decay factor: smaller decays faster
+// (more reactive branching).
+const varDecay = 0.95
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // solvers with NewSolver. A Solver is not safe for concurrent use.
@@ -314,19 +213,12 @@ type Solver struct {
 	emaConfl   uint64
 	restartIdx uint64
 
-	// pol is the installed search policy (see SetPolicy).
-	//
-	// Mode-alternation state (RestartAlternating), re-armed per solve:
-	// modeFocused is the active window kind, modeBudget the conflicts
-	// left in it, modeWindow the current window length.
-	pol         Policy
+	// Mode-alternation state, re-armed per solve: modeFocused is the
+	// active window kind, modeBudget the conflicts left in it,
+	// modeWindow the current window length.
 	modeFocused bool
 	modeBudget  int64
 	modeWindow  int64
-
-	// debugHook, when non-nil, is called after each conflict is folded
-	// into the EMAs (test instrumentation only).
-	debugHook func()
 
 	claInc float64
 
@@ -344,37 +236,12 @@ type Solver struct {
 	// spend before returning Unknown. Zero or negative means no bound.
 	ConflictBudget int64
 
-	// Inprocess tunes the between-restart simplification pass (see
-	// inprocess.go). The zero value enables it with default gates.
-	Inprocess InprocessConfig
-	// inprocConfl is Stats.Conflicts as of the last inprocessing round.
-	inprocConfl uint64
-	// eliminable marks variables the caller surrendered to bounded
-	// variable elimination (MarkEliminable); elimed the ones actually
-	// resolved away; elimStack their deleted clauses, for model
-	// extension.
-	eliminable []bool
-	elimed     []bool
-	elimStack  []elimRecord
-	// vivScratch and phaseScratch are vivification's reusable buffers.
-	vivScratch   []Lit
-	phaseScratch []phaseSave
-
-	// share connects the solver to a portfolio's clause pool (nil
-	// outside portfolio mode): shareID is this worker's index there and
-	// shareCursor the pool position it has consumed up to. Wired by
-	// NewPortfolio; deliberately not carried by Clone — a clone starts
-	// detached from any pool.
-	share       *sharePool
-	shareID     int
-	shareCursor int
-
 	Stats Stats
 }
 
 // NewSolver creates an empty solver.
 func NewSolver() *Solver {
-	s := &Solver{ok: true, varInc: 1.0, claInc: 1.0, pol: DefaultPolicy()}
+	s := &Solver{ok: true, varInc: 1.0, claInc: 1.0}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
@@ -387,10 +254,8 @@ func (s *Solver) NewVar() Var {
 	s.level = append(s.level, -1)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, s.pol.InvertPhase)
+	s.phase = append(s.phase, false)
 	s.targetPhase = append(s.targetPhase, LUndef)
-	s.eliminable = append(s.eliminable, false)
-	s.elimed = append(s.elimed, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.bins = append(s.bins, nil, nil)
@@ -461,19 +326,14 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.logProof(ProofInput, lits)
 	// Sort-free simplification over a small scratch copy.
 	out := make([]Lit, 0, len(lits))
-	dropped := false
 	for _, l := range lits {
 		if int(l.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: clause references unknown variable %d", l.Var()))
-		}
-		if s.elimed[l.Var()] {
-			panic(fmt.Sprintf("sat: clause references eliminated variable %d", l.Var()))
 		}
 		switch s.value(l) {
 		case LTrue:
 			return true // satisfied at level 0
 		case LFalse:
-			dropped = true
 			continue // cannot help
 		}
 		dup, taut := false, false
@@ -506,16 +366,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			s.logEmptyClause()
 		}
 		return s.ok
-	}
-	// When simplification dropped a root-false literal the stored
-	// clause differs (as a set) from the logged input, and a later
-	// inprocessing deletion would log a clause the checker never saw.
-	// Log the stored form as a lemma — it is RUP from the input plus
-	// the root units — so deletions always match a logged clause.
-	// (Reordering and duplicate removal need no such bridge: deletion
-	// matching is by sorted deduplicated literal set.)
-	if dropped {
-		s.logProof(ProofLearn, out)
 	}
 	c := &clause{lits: out}
 	s.clauses = append(s.clauses, c)
@@ -955,7 +805,7 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) decayVar() { s.varInc *= 1.0 / s.pol.VarDecay }
+func (s *Solver) decayVar() { s.varInc *= 1.0 / varDecay }
 
 func (s *Solver) bumpClause(c *clause) {
 	c.activity += s.claInc
@@ -993,12 +843,12 @@ func (s *Solver) cancelUntil(level int) {
 func (s *Solver) pickBranchLit() Lit {
 	for !s.order.empty() {
 		v := s.order.removeMax()
-		if s.assigns[v] == LUndef && !s.elimed[v] {
+		if s.assigns[v] == LUndef {
 			// Target phase saving: prefer the polarity the variable had
 			// on the deepest trail seen during *this* solve — the
 			// closest the current search has been to a model — over the
 			// last-backtracked polarity.
-			if tp := s.targetPhase[v]; tp != LUndef && !s.pol.NoTargetPhase {
+			if tp := s.targetPhase[v]; tp != LUndef {
 				return MkLit(v, tp == LTrue)
 			}
 			return MkLit(v, s.phase[v])
@@ -1038,13 +888,7 @@ func (s *Solver) noteConflict(lbd int32) {
 	ema(&s.lbdEmaFast, float64(lbd), lbdEmaFastAlpha)
 	ema(&s.lbdEmaSlow, float64(lbd), lbdEmaSlowAlpha)
 	ema(&s.trailEma, float64(len(s.trail)), trailEmaAlpha)
-
-	if s.pol.Restart == RestartAlternating {
-		s.modeBudget--
-	}
-	if s.debugHook != nil {
-		s.debugHook()
-	}
+	s.modeBudget--
 }
 
 // flipMode ends the current restart-mode window: the other mode takes
@@ -1076,16 +920,15 @@ func (s *Solver) restartNow(conflicts int64) bool {
 	if conflicts <= 0 {
 		return false
 	}
-	alternating := s.pol.Restart == RestartAlternating
-	if alternating && s.modeBudget <= 0 {
+	if s.modeBudget <= 0 {
 		// Window spent: mode boundaries are restart points.
 		s.flipMode()
 		return true
 	}
-	if s.pol.Restart == RestartLuby || (alternating && s.modeFocused) {
+	if s.modeFocused {
 		// Focused: plain aggressive Luby, no adaptive signal, no
 		// blocking.
-		return conflicts >= int64(luby(s.pol.LubyBase, s.restartIdx))
+		return conflicts >= int64(luby(focusedLubyBase, s.restartIdx))
 	}
 	// Stable: the glue-adaptive policy.
 	if conflicts >= int64(luby(lubyRestartBase, s.restartIdx)) {
@@ -1239,11 +1082,6 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 	if !s.ok {
 		return Unsat, nil
 	}
-	for _, a := range assumptions {
-		if s.elimed[a.Var()] {
-			panic(fmt.Sprintf("sat: assumption references eliminated variable %d", a.Var()))
-		}
-	}
 	s.assumptions = assumptions
 	defer s.cancelUntil(0)
 	defer s.updateTierGauges()
@@ -1257,23 +1095,11 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 	s.bestTrail = 0
 	s.restartIdx = 0
 	// Re-arm restart-mode alternation: every solve opens focused.
-	s.modeFocused = s.pol.Restart == RestartAlternating
+	s.modeFocused = true
 	s.modeWindow = focusedWindowInit
 	s.modeBudget = focusedWindowInit
 	for i := range s.targetPhase {
 		s.targetPhase[i] = LUndef
-	}
-
-	// Solve start, decision level 0: admit peer clauses from the
-	// portfolio pool before the caller's context can end the race.
-	// Short queries — won by a peer before this worker's first restart,
-	// often before its first decision — used to import nothing, because
-	// the only import point was the restart boundary below; draining the
-	// pool up front means every worker adopts what peers published
-	// during earlier solves, even when it contributes no search time to
-	// this one.
-	if s.share != nil && !s.importShared() {
-		return Unsat, nil
 	}
 
 	maxLearnts := float64(len(s.clauses))/3 + 100
@@ -1301,7 +1127,6 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 			}
 			s.model = s.model[:len(s.assigns)]
 			copy(s.model, s.assigns)
-			s.extendModel()
 			return Sat, nil
 		}
 		if st == Unsat {
@@ -1314,18 +1139,6 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 		s.Stats.Restarts++
 		if s.ConflictBudget > 0 && int64(s.Stats.Conflicts-conflictsAtStart) >= s.ConflictBudget {
 			return Unknown, nil
-		}
-		// Restart boundary, decision level 0, propagation at fixpoint:
-		// first admit peer clauses from the portfolio pool (the cadence
-		// poll in search() forces an early restart onto this import when
-		// peers publish mid-search), then let inprocessing rewrite the
-		// database (imports are ordinary learnts by the time a round
-		// sees them).
-		if s.share != nil && !s.importShared() {
-			return Unsat, nil
-		}
-		if s.inprocessDue() && !s.inprocess() {
-			return Unsat, nil
 		}
 	}
 }
@@ -1340,20 +1153,12 @@ func (s *Solver) Core() []Lit { return s.core }
 // latency well below a restart interval.
 const ctxCheckInterval = 64
 
-// shareImportCadence is how many conflicts pass between a portfolio
-// worker's polls of the shared-clause pool from inside search. A poll
-// that finds pending entries ends the phase (an early restart), whose
-// import then runs at the top of the solve loop. Without the poll,
-// short queries — the explanation pipeline's bread and butter — finish
-// before their first scheduled restart and never import at all.
-const shareImportCadence = 256
-
 // search runs CDCL until a result, a restart (decided adaptively, or
 // forced by the conflict budget via remaining >= 0), a cancelled
 // context (both surface as Unknown; the caller re-checks the context
 // and the budget), or unsat.
 func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float64) Status {
-	var conflicts, iter, lastSharePoll int64
+	var conflicts, iter int64
 	for {
 		if iter%ctxCheckInterval == 0 && ctx.Err() != nil {
 			s.cancelUntil(0)
@@ -1372,7 +1177,7 @@ func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float6
 			// Target phase saving: a conflict trail is a local maximum
 			// of the search's progress; remember the deepest one as the
 			// branching target.
-			if !s.pol.NoTargetPhase && len(s.trail) > s.bestTrail {
+			if len(s.trail) > s.bestTrail {
 				s.bestTrail = len(s.trail)
 				for _, l := range s.trail {
 					s.targetPhase[l.Var()] = boolToLBool(l.IsPos())
@@ -1383,12 +1188,6 @@ func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float6
 			// checker needs units too, because the solver keeps them
 			// only as trail assignments, never as clauses.
 			s.logProof(ProofLearn, learnt)
-			// Portfolio clause sharing: units and glue clauses are the
-			// lemmas cheap enough to ship and strong enough to matter.
-			if s.share != nil && (len(learnt) == 1 || lbd <= shareMaxGlue) {
-				s.share.publish(s.shareID, learnt, lbd)
-				s.Stats.SharedExported++
-			}
 			s.noteConflict(lbd)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
@@ -1423,17 +1222,6 @@ func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float6
 		if s.restartNow(conflicts) {
 			s.cancelUntil(0)
 			return Unknown
-		}
-		// Portfolio import poll: every shareImportCadence conflicts,
-		// peek (lock-free) for peer clauses and force an early restart
-		// to import them. Restart counters tick as for any restart; a
-		// width-1 solver (share == nil) never polls.
-		if s.share != nil && conflicts-lastSharePoll >= shareImportCadence {
-			lastSharePoll = conflicts
-			if s.share.pending(s.shareCursor) {
-				s.cancelUntil(0)
-				return Unknown
-			}
 		}
 		if float64(len(s.learnts)) >= *maxLearnts {
 			s.reduceDB()

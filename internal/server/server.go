@@ -15,7 +15,7 @@
 // (topology.Parse, config.ParseDeployment, spec.Parse), and a served
 // report is byte-identical to `netexplain -all` over the same inputs:
 // the response cache can therefore ignore resource knobs (timeout,
-// sat_workers, lift_workers) — they never change a report byte.
+// lift_workers) — they never change a report byte.
 package server
 
 import (
@@ -56,10 +56,9 @@ type Options struct {
 	// (default: DefaultTimeout).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSatWorkers and MaxLiftWorkers clamp the per-request resource
-	// knobs (defaults 8). Requests asking for more are clamped, not
-	// rejected — the knobs never change response bytes.
-	MaxSatWorkers  int
+	// MaxLiftWorkers clamps the per-request lift_workers knob (default
+	// 8). Requests asking for more are clamped, not rejected — the knob
+	// never changes response bytes.
 	MaxLiftWorkers int
 	// VerifyProofs turns on proof verification for every served query.
 	VerifyProofs bool
@@ -87,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = o.DefaultTimeout
-	}
-	if o.MaxSatWorkers == 0 {
-		o.MaxSatWorkers = 8
 	}
 	if o.MaxLiftWorkers == 0 {
 		o.MaxLiftWorkers = 8
@@ -205,10 +201,8 @@ type request struct {
 	// TimeoutMS bounds the request's wall clock (0 = server default,
 	// clamped to the server max).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// SatWorkers and LiftWorkers tune the per-request solver portfolio
-	// width and lift worker pool (0 = default, clamped to the server
-	// maxima). They never change response bytes.
-	SatWorkers  int `json:"sat_workers,omitempty"`
+	// LiftWorkers tunes the per-request lift worker pool (0 = default,
+	// clamped to the server maximum). It never changes response bytes.
 	LiftWorkers int `json:"lift_workers,omitempty"`
 	// NoLift skips subspecification lifting (reports show sizes only).
 	NoLift bool `json:"nolift,omitempty"`
@@ -346,13 +340,6 @@ func (s *Server) budgetFor(req *request) (engine.Budget, int, time.Duration) {
 	if d > s.opts.MaxTimeout {
 		d = s.opts.MaxTimeout
 	}
-	sat := req.SatWorkers
-	if sat < 1 {
-		sat = 1
-	}
-	if sat > s.opts.MaxSatWorkers {
-		sat = s.opts.MaxSatWorkers
-	}
 	lift := req.LiftWorkers
 	if lift < 0 {
 		lift = 0 // GOMAXPROCS
@@ -360,7 +347,7 @@ func (s *Server) budgetFor(req *request) (engine.Budget, int, time.Duration) {
 	if lift > s.opts.MaxLiftWorkers {
 		lift = s.opts.MaxLiftWorkers
 	}
-	return engine.Budget{Deadline: time.Now().Add(d), SatWorkers: sat}, lift, d
+	return engine.Budget{Deadline: time.Now().Add(d)}, lift, d
 }
 
 // parseProblem parses the three problem texts.

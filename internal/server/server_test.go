@@ -120,7 +120,7 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	// Resource knobs are excluded from the cache key: same problem at a
 	// different worker setting is still a hit (reports are
 	// byte-identical across knobs).
-	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, SatWorkers: 2, LiftWorkers: 2})
+	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, LiftWorkers: 2})
 	if hc := w3.Header().Get("X-Cache"); hc != "hit" {
 		t.Fatalf("knob-varied request X-Cache = %q, want hit", hc)
 	}
@@ -144,6 +144,41 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	}
 	if m.Engine.Encodes == 0 || m.Engine.Solves == 0 {
 		t.Fatalf("engine stats empty after serving: %+v", m.Engine)
+	}
+}
+
+// TestServerIgnoresRetiredSatWorkers pins compatibility with clients
+// that still send the retired sat_workers knob: the decoder ignores
+// unknown fields, so such a request is served like the plain one and
+// shares its response-cache entry.
+func TestServerIgnoresRetiredSatWorkers(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	want := wantReport(t, topo, configs, spc)
+	h := New(Options{}).Handler()
+	legacy, err := json.Marshal(map[string]any{"topology": topo, "configs": configs, "spec": spc, "sat_workers": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postLegacy := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(legacy)))
+		return w
+	}
+
+	w1 := postLegacy()
+	if got := decodeExplain(t, w1).Report; got != want {
+		t.Fatalf("report for a request carrying sat_workers diverges\n-- served --\n%s\n-- want --\n%s", got, want)
+	}
+	w2 := postLegacy()
+	if hc := w2.Header().Get("X-Cache"); hc != "hit" {
+		t.Fatalf("repeated sat_workers request X-Cache = %q, want hit", hc)
+	}
+	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+		t.Fatal("cached body differs from the original response")
+	}
+	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc})
+	if hc := w3.Header().Get("X-Cache"); hc != "hit" || !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
+		t.Fatalf("plain request X-Cache = %q or body differs; want a hit on the same bytes", hc)
 	}
 }
 

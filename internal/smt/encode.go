@@ -136,14 +136,14 @@ func (s *Solver) andLit(lits []sat.Lit) sat.Lit {
 	case 1:
 		return lits[0]
 	}
-	a := sat.PosLit(s.newSatVar())
+	a := sat.PosLit(s.sat.NewVar())
 	long := make([]sat.Lit, 0, len(lits)+1)
 	long = append(long, a)
 	for _, l := range lits {
-		s.addSatClause(a.Neg(), l) // a -> l
+		s.sat.AddClause(a.Neg(), l) // a -> l
 		long = append(long, l.Neg())
 	}
-	s.addSatClause(long...) // (l1 & ... & ln) -> a
+	s.sat.AddClause(long...) // (l1 & ... & ln) -> a
 	return a
 }
 
@@ -155,24 +155,24 @@ func (s *Solver) orLit(lits []sat.Lit) sat.Lit {
 	case 1:
 		return lits[0]
 	}
-	a := sat.PosLit(s.newSatVar())
+	a := sat.PosLit(s.sat.NewVar())
 	long := make([]sat.Lit, 0, len(lits)+1)
 	long = append(long, a.Neg())
 	for _, l := range lits {
-		s.addSatClause(a, l.Neg()) // l -> a
+		s.sat.AddClause(a, l.Neg()) // l -> a
 		long = append(long, l)
 	}
-	s.addSatClause(long...) // a -> (l1 | ... | ln)
+	s.sat.AddClause(long...) // a -> (l1 | ... | ln)
 	return a
 }
 
 // iffLit returns a literal equivalent to l <-> r.
 func (s *Solver) iffLit(l, r sat.Lit) sat.Lit {
-	a := sat.PosLit(s.newSatVar())
-	s.addSatClause(a.Neg(), l.Neg(), r)
-	s.addSatClause(a.Neg(), l, r.Neg())
-	s.addSatClause(a, l, r)
-	s.addSatClause(a, l.Neg(), r.Neg())
+	a := sat.PosLit(s.sat.NewVar())
+	s.sat.AddClause(a.Neg(), l.Neg(), r)
+	s.sat.AddClause(a.Neg(), l, r.Neg())
+	s.sat.AddClause(a, l, r)
+	s.sat.AddClause(a, l.Neg(), r.Neg())
 	return a
 }
 

@@ -37,7 +37,7 @@ func (s *Solver) EnumerateModelsContext(ctx context.Context, vars []*logic.Var, 
 // later queries. Clauses learnt during the walk stay sound after the
 // retraction (see AssertGuarded).
 func (s *Solver) EnumerateModelsRetractableContext(ctx context.Context, vars []*logic.Var, max int, f func(logic.Assignment) bool) (int, bool, error) {
-	g := sat.PosLit(s.newSatVar())
+	g := sat.PosLit(s.sat.NewVar())
 	s.guards = append(s.guards, g)
 	defer s.Retract(Guard{lit: g})
 	return s.enumerate(ctx, vars, max, []sat.Lit{g.Neg()}, f)
@@ -99,7 +99,7 @@ func (s *Solver) enumerate(ctx context.Context, vars []*logic.Var, max int, pref
 		// no per-model Tseitin encoding. The clause is equivalent to
 		// asserting Or(Ne(v, value)...) over the projection: each
 		// selector literal is exactly "v takes its model value".
-		s.addSatClause(blocking...)
+		s.sat.AddClause(blocking...)
 	}
 	return count, false, nil
 }
@@ -114,13 +114,13 @@ func (s *Solver) modelLit(v *logic.Var) (sat.Lit, error) {
 		return 0, fmt.Errorf("smt: variable %q not declared", v.Name)
 	}
 	if v.S.IsBool() {
-		if s.satValueLit(e.boolLit) == sat.LTrue {
+		if s.sat.ValueLit(e.boolLit) == sat.LTrue {
 			return e.boolLit, nil
 		}
 		return e.boolLit.Neg(), nil
 	}
 	for _, l := range e.vl.lits {
-		if s.satValueLit(l) == sat.LTrue {
+		if s.sat.ValueLit(l) == sat.LTrue {
 			return l, nil
 		}
 	}

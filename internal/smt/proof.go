@@ -44,15 +44,14 @@ type ProofReport struct {
 
 // ProofEnabled reports whether the solver records a proof trace.
 func (s *Solver) ProofEnabled() bool {
-	_, _, ok := s.activeProofWorker()
+	_, ok := s.sat.Proof().(*sat.Trace)
 	return ok
 }
 
-// ProofOps converts the recorded trace — the race winner's, in
-// portfolio mode — into checker operations (1-based DIMACS literals).
-// It returns nil when proof logging is off.
+// ProofOps converts the recorded trace into checker operations
+// (1-based DIMACS literals). It returns nil when proof logging is off.
 func (s *Solver) ProofOps() []drat.Op {
-	_, tr, ok := s.activeProofWorker()
+	tr, ok := s.sat.Proof().(*sat.Trace)
 	if !ok {
 		return nil
 	}
@@ -107,7 +106,7 @@ func (s *Solver) VerifyLastUnsat() (ProofReport, error) {
 // shrunk core clause (DIMACS literals) for CheckedCore.
 func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 	var rep ProofReport
-	w, tr, ok := s.activeProofWorker()
+	tr, ok := s.sat.Proof().(*sat.Trace)
 	if !ok {
 		return rep, nil, fmt.Errorf("smt: proof logging is off (construct the solver with WithProof)")
 	}
@@ -115,26 +114,15 @@ func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 		return rep, nil, fmt.Errorf("smt: last solve was %v, nothing to verify", s.lastStatus)
 	}
 	start := time.Now()
-	// One incremental checker per worker: in portfolio mode any worker
-	// can win a verdict, and each worker's trace is its own independent
-	// derivation (shared imports are re-logged by the importer), so a
-	// cursor into one trace says nothing about another.
-	if s.chks == nil {
-		s.chks = make(map[int]*drat.Checker)
-		s.chkCursors = make(map[int]int)
+	if s.chk == nil {
+		s.chk = drat.NewChecker()
 	}
-	chk := s.chks[w]
-	if chk == nil {
-		chk = drat.NewChecker()
-		s.chks[w] = chk
-		s.chkCursors[w] = 0
-	}
-	for cur := s.chkCursors[w]; cur < tr.Len(); cur++ {
-		op := opFromTrace(tr.Op(cur))
+	chk := s.chk
+	for ; s.chkCursor < tr.Len(); s.chkCursor++ {
+		op := opFromTrace(tr.Op(s.chkCursor))
 		if err := chk.Apply(op); err != nil {
-			return rep, nil, fmt.Errorf("smt: proof rejected at op %d: %w", cur, err)
+			return rep, nil, fmt.Errorf("smt: proof rejected at op %d: %w", s.chkCursor, err)
 		}
-		s.chkCursors[w] = cur + 1
 		rep.Ops++
 		if op.Kind == drat.Learn {
 			rep.Lemmas++
@@ -142,7 +130,7 @@ func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 	}
 	rep.TraceLen = tr.Len()
 
-	core := s.satCore()
+	core := s.sat.Core()
 	var shrunk []int
 	if len(core) == 0 {
 		// Unconditional Unsat: the checker must have derived the empty

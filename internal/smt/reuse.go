@@ -46,8 +46,8 @@ func (s *Solver) AssertGuarded(t logic.Term) (Guard, error) {
 	if err != nil {
 		return Guard{}, err
 	}
-	g := sat.PosLit(s.newSatVar())
-	s.addSatClause(g.Neg(), l)
+	g := sat.PosLit(s.sat.NewVar())
+	s.sat.AddClause(g.Neg(), l)
 	s.guards = append(s.guards, g)
 	return Guard{lit: g}, nil
 }
@@ -57,7 +57,7 @@ func (s *Solver) AssertGuarded(t logic.Term) (Guard, error) {
 // guard stops being assumed. Retracting a guard that is not active is
 // a no-op beyond the unit assertion, so retracting twice is harmless.
 func (s *Solver) Retract(g Guard) {
-	s.addSatClause(g.lit.Neg())
+	s.sat.AddClause(g.lit.Neg())
 	for i, l := range s.guards {
 		if l == g.lit {
 			s.guards = append(s.guards[:i], s.guards[i+1:]...)
@@ -83,22 +83,18 @@ func (s *Solver) ActiveGuards() int { return len(s.guards) }
 // Everything mutable is copied, so original and clone may afterwards
 // be driven by different goroutines — each individually still being
 // non-concurrency-safe.
-// A clone carries the portfolio configuration but not the team itself:
-// it snapshots worker 0 (the base, which holds every problem clause)
-// and rebuilds its own diversified team lazily at its first solve.
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
-		sat:        s.sat.Clone(),
-		satWorkers: s.satWorkers,
-		in:         s.in,
-		vars:       make(map[string]*logic.Var, len(s.vars)),
-		enc:        make(map[string]*varEncoding, len(s.enc)),
-		boolMemo:   make(map[logic.Term]sat.Lit, len(s.boolMemo)),
-		valMemo:    make(map[logic.Term]*valueList, len(s.valMemo)),
-		litTrue:    s.litTrue,
-		litFalse:   s.litFalse,
-		asserted:   append([]logic.Term(nil), s.asserted...),
-		guards:     append([]sat.Lit(nil), s.guards...),
+		sat:      s.sat.Clone(),
+		in:       s.in,
+		vars:     make(map[string]*logic.Var, len(s.vars)),
+		enc:      make(map[string]*varEncoding, len(s.enc)),
+		boolMemo: make(map[logic.Term]sat.Lit, len(s.boolMemo)),
+		valMemo:  make(map[logic.Term]*valueList, len(s.valMemo)),
+		litTrue:  s.litTrue,
+		litFalse: s.litFalse,
+		asserted: append([]logic.Term(nil), s.asserted...),
+		guards:   append([]sat.Lit(nil), s.guards...),
 	}
 	for k, v := range s.vars {
 		c.vars[k] = v

@@ -39,18 +39,9 @@ const MaxValueListSize = 1 << 14
 
 // Solver encodes and decides logic terms.
 type Solver struct {
-	// sat is the base SAT solver every clause is encoded into. With
-	// portfolio mode off it runs every search; with it on it becomes
-	// worker 0 of the team below.
+	// sat is the SAT solver every clause is encoded into and every
+	// search runs on.
 	sat *sat.Solver
-
-	// satWorkers is the configured team size (WithSatWorkers); team is
-	// the racing portfolio, built lazily at the first solve so the seed
-	// encoding is cloned once instead of fanned out clause by clause.
-	// All reads and writes go through the backend helpers in
-	// portfolio.go, never through sat/team directly past this point.
-	satWorkers int
-	team       *sat.Portfolio
 
 	// in canonicalizes every term entering the solver, so the memo
 	// tables below can key directly on the canonical pointer.
@@ -84,14 +75,12 @@ type Solver struct {
 	// proof layer can refuse to "verify" a verdict that never happened.
 	lastStatus sat.Status
 
-	// chks incrementally re-validates proof traces (see proof.go), one
-	// checker per portfolio worker keyed by worker index (0 without a
-	// team): each worker's trace is self-contained, so each needs its
-	// own cursor into it. Lazily (re)built, and deliberately not
-	// carried by Clone — a clone re-replays its forked trace from the
-	// start on first verification.
-	chks       map[int]*drat.Checker
-	chkCursors map[int]int
+	// chk incrementally re-validates the proof trace (see proof.go);
+	// chkCursor is the trace position it has consumed up to. Lazily
+	// built, and deliberately not carried by Clone — a clone re-replays
+	// its forked trace from the start on first verification.
+	chk       *drat.Checker
+	chkCursor int
 
 	// busy guards against overlapping SolveContext calls: a Solver is
 	// not safe for concurrent use, and the per-worker-clone discipline
@@ -159,16 +148,8 @@ func NewSolver(opts ...Option) *Solver {
 	return s
 }
 
-// Stats exposes the underlying SAT solver statistics. In portfolio
-// mode this is the team-wide sum (every worker's search effort), in
-// the single-solver Stats shape so harvest arithmetic (Stats.Sub
-// checkpoints) keeps working unchanged.
-func (s *Solver) Stats() sat.Stats {
-	if s.team != nil {
-		return s.team.StatsSum()
-	}
-	return s.sat.Stats
-}
+// Stats exposes the underlying SAT solver statistics.
+func (s *Solver) Stats() sat.Stats { return s.sat.Stats }
 
 // UseInterner directs the solver to canonicalize incoming terms
 // through in instead of the package-default interner. Call before the
@@ -182,14 +163,8 @@ func (s *Solver) UseInterner(in *logic.Interner) {
 
 // SetConflictBudget bounds the number of conflicts any single Solve
 // call may spend before coming back Unknown. Zero or negative removes
-// the bound. This is the SAT-level half of an engine.Budget. In
-// portfolio mode every worker gets the budget (each search is bounded
-// individually; the race returns Unknown when all workers exhaust it).
+// the bound. This is the SAT-level half of an engine.Budget.
 func (s *Solver) SetConflictBudget(n int64) {
-	if s.team != nil {
-		s.team.SetConflictBudget(n)
-		return
-	}
 	s.sat.ConflictBudget = n
 }
 
@@ -216,7 +191,7 @@ func (s *Solver) Declare(v *logic.Var) error {
 	e := &varEncoding{v: v}
 	switch {
 	case v.S.IsBool():
-		e.boolLit = sat.PosLit(s.newSatVar())
+		e.boolLit = sat.PosLit(s.sat.NewVar())
 	case v.S.IsInt():
 		n := v.Hi - v.Lo + 1
 		if n > MaxValueListSize {
@@ -245,7 +220,7 @@ func (s *Solver) Declare(v *logic.Var) error {
 func (s *Solver) freshValueList(sort *logic.Sort, vals []int64) *valueList {
 	lits := make([]sat.Lit, len(vals))
 	for i := range lits {
-		lits[i] = sat.PosLit(s.newSatVar())
+		lits[i] = sat.PosLit(s.sat.NewVar())
 	}
 	s.exactlyOne(lits)
 	return &valueList{sort: sort, vals: vals, lits: lits}
@@ -255,7 +230,7 @@ func (s *Solver) freshValueList(sort *logic.Sort, vals []int64) *valueList {
 // the pairwise encoding below 6 literals and the sequential (ladder)
 // encoding above, which stays linear in clauses and auxiliaries.
 func (s *Solver) exactlyOne(lits []sat.Lit) {
-	s.addSatClause(lits...)
+	s.sat.AddClause(lits...)
 	s.atMostOne(lits)
 }
 
@@ -266,29 +241,23 @@ func (s *Solver) atMostOne(lits []sat.Lit) {
 	if len(lits) <= 6 {
 		for i := 0; i < len(lits); i++ {
 			for j := i + 1; j < len(lits); j++ {
-				s.addSatClause(lits[i].Neg(), lits[j].Neg())
+				s.sat.AddClause(lits[i].Neg(), lits[j].Neg())
 			}
 		}
 		return
 	}
 	// Sequential encoding: aux[i] means "some lit among 0..i is true".
-	// The ladder auxiliaries are pure plumbing — the encoder never
-	// refers to them again (unlike Tseitin literals, which are memoized
-	// and reused) — so they are fair game for bounded variable
-	// elimination during inprocessing.
 	aux := make([]sat.Lit, len(lits)-1)
 	for i := range aux {
-		v := s.newSatVar()
-		aux[i] = sat.PosLit(v)
-		s.markSatEliminable(v)
+		aux[i] = sat.PosLit(s.sat.NewVar())
 	}
-	s.addSatClause(lits[0].Neg(), aux[0])
+	s.sat.AddClause(lits[0].Neg(), aux[0])
 	for i := 1; i < len(lits)-1; i++ {
-		s.addSatClause(lits[i].Neg(), aux[i])
-		s.addSatClause(aux[i-1].Neg(), aux[i])
-		s.addSatClause(lits[i].Neg(), aux[i-1].Neg())
+		s.sat.AddClause(lits[i].Neg(), aux[i])
+		s.sat.AddClause(aux[i-1].Neg(), aux[i])
+		s.sat.AddClause(lits[i].Neg(), aux[i-1].Neg())
 	}
-	s.addSatClause(lits[len(lits)-1].Neg(), aux[len(lits)-2].Neg())
+	s.sat.AddClause(lits[len(lits)-1].Neg(), aux[len(lits)-2].Neg())
 }
 
 // Assert adds a Bool-sorted constraint to the solver.
@@ -300,7 +269,7 @@ func (s *Solver) Assert(t logic.Term) error {
 	if err != nil {
 		return err
 	}
-	s.addSatClause(l)
+	s.sat.AddClause(l)
 	s.asserted = append(s.asserted, t)
 	return nil
 }
@@ -358,12 +327,12 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (s
 	var st sat.Status
 	var err error
 	if len(s.guards) == 0 {
-		st, err = s.satSolveContext(ctx, s.lastLits...)
+		st, err = s.sat.SolveContext(ctx, s.lastLits...)
 	} else {
 		all := make([]sat.Lit, 0, len(s.guards)+len(s.lastLits))
 		all = append(all, s.guards...)
 		all = append(all, s.lastLits...)
-		st, err = s.satSolveContext(ctx, all...)
+		st, err = s.sat.SolveContext(ctx, all...)
 	}
 	s.lastStatus = st
 	return st, err
@@ -376,7 +345,7 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (s
 // distinct assumption terms may encode to one literal), and a core
 // should name each culprit once.
 func (s *Solver) Core() []logic.Term {
-	core := s.satCore()
+	core := s.sat.Core()
 	inCore := make(map[sat.Lit]bool, len(core))
 	for _, c := range core {
 		inCore[c] = true
@@ -400,11 +369,11 @@ func (s *Solver) Model() (logic.Assignment, error) {
 		v := e.v
 		switch {
 		case v.S.IsBool():
-			m[name] = logic.BoolValue(s.satValueLit(e.boolLit) == sat.LTrue)
+			m[name] = logic.BoolValue(s.sat.ValueLit(e.boolLit) == sat.LTrue)
 		default:
 			found := false
 			for i, l := range e.vl.lits {
-				if s.satValueLit(l) == sat.LTrue {
+				if s.sat.ValueLit(l) == sat.LTrue {
 					if v.S.IsInt() {
 						m[name] = logic.IntValue(e.vl.vals[i])
 					} else {
