@@ -5,11 +5,16 @@
 //	netexplaind -addr :8080
 //	netexplaind -addr :8080 -maxinflight 32 -timeout 30s -proof
 //
+// SIGTERM or SIGINT shuts the server down gracefully: it stops
+// accepting connections, lets requests in flight finish (for at most
+// 30 s), and exits 0. A second signal during the drain kills it.
+//
 // Request and response shapes are documented in internal/server and
 // the README's netexplaind section.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -17,6 +22,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/server"
@@ -29,10 +36,12 @@ func main() {
 // Connection timeouts of the serving http.Server: a client that never
 // finishes its request headers, or leaves a keep-alive connection idle,
 // is disconnected instead of holding the connection forever. Request
-// handling itself is bounded by the per-request deadline.
+// handling itself is bounded by the per-request deadline. A shutdown
+// waits at most shutdownTimeout for requests in flight to finish.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 30 * time.Second
 )
 
 // testOnListen, when set by a test, is called with the bound address
@@ -43,6 +52,9 @@ var testOnListen func(addr string, srv *http.Server)
 // the shared cmd convention: 0 success (clean shutdown), 1 operational
 // failure, 2 usage error.
 func run(args []string, stdout, stderr io.Writer) int {
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	fs := flag.NewFlagSet("netexplaind", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -90,11 +102,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(l) }()
 	if testOnListen != nil {
 		go testOnListen(l.Addr().String(), httpSrv)
 	}
-	if err := httpSrv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(stderr, "netexplaind:", err)
+	select {
+	case err := <-served:
+		if !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(stderr, "netexplaind:", err)
+			return 1
+		}
+		return 0
+	case <-sig.Done():
+	}
+	stop() // a second signal kills the process
+	fmt.Fprintln(stdout, "netexplaind: shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		httpSrv.Close()
+		fmt.Fprintln(stderr, "netexplaind: shutdown:", err)
 		return 1
 	}
 	return 0

@@ -1,13 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/config"
+	"repro/internal/scenarios"
+	"repro/internal/spec"
+	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
 // TestRunUsageErrors pins the shared cmd convention: bad flags and
@@ -109,5 +119,98 @@ func TestRunServesUntilClosed(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "listening on") {
 		t.Fatalf("stdout missing listen line: %q", out.String())
+	}
+}
+
+// TestRunDrainsOnSignal sends the process SIGTERM while an /explain
+// request is in flight: the daemon must stop accepting connections,
+// still answer that request with a 200, and return 0.
+func TestRunDrainsOnSignal(t *testing.T) {
+	sc := scenarios.Scenario1()
+	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]string{
+		"topology": topology.Print(sc.Net),
+		"configs":  config.PrintDeployment(res.Deployment),
+		"spec":     spec.Print(sc.Spec),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hookErr := make(chan error, 1)
+	testOnListen = func(addr string, _ *http.Server) {
+		signalled := false
+		defer func() {
+			if !signalled { // a setup failure must still end run
+				syscall.Kill(os.Getpid(), syscall.SIGTERM)
+			}
+		}()
+		hookErr <- func() error {
+			// The request in flight: headers and half its body sent, so
+			// its handler is running and blocked on the rest.
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			half := len(body) / 2
+			fmt.Fprintf(conn, "POST /explain HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+			if _, err := conn.Write(body[:half]); err != nil {
+				return err
+			}
+			// Connections are accepted in order, so a request served on
+			// a later connection proves the first one was accepted.
+			client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
+			resp, err := client.Get("http://" + addr + "/healthz")
+			if err != nil {
+				return err
+			}
+			resp.Body.Close()
+
+			signalled = true
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				return err
+			}
+			// The drain has begun once the listener refuses connections.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					break
+				}
+				c.Close()
+				if time.Now().After(deadline) {
+					return fmt.Errorf("listener still accepting after SIGTERM")
+				}
+			}
+
+			if _, err := conn.Write(body[half:]); err != nil {
+				return err
+			}
+			resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				return fmt.Errorf("in-flight request: %w", err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(got), `"report"`) {
+				return fmt.Errorf("in-flight request: status %d body %.200q", resp.StatusCode, got)
+			}
+			return nil
+		}()
+	}
+	defer func() { testOnListen = nil }()
+
+	var out, errOut strings.Builder
+	if code := run([]string{"-addr", "127.0.0.1:0"}, &out, &errOut); code != 0 {
+		t.Fatalf("run: exit %d, want 0 (stderr: %s)", code, errOut.String())
+	}
+	if err := <-hookErr; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "shutting down") {
+		t.Fatalf("stdout missing shutdown line: %q", out.String())
 	}
 }

@@ -23,8 +23,7 @@ type PerfEntry struct {
 	// SynthMS is the wall-clock time of synthesizing the scenario.
 	SynthMS float64 `json:"synth_ms"`
 	// SATConflicts, SATSolves, and SATPropagations total the SAT effort
-	// of every solver the report ran — including per-worker clones and
-	// pooled warm solvers, whose deltas are harvested at checkin.
+	// of every solver the report ran, per-worker clones included.
 	SATConflicts    uint64 `json:"sat_conflicts"`
 	SATSolves       uint64 `json:"sat_solves"`
 	SATPropagations uint64 `json:"sat_propagations"`
@@ -47,10 +46,6 @@ type PerfEntry struct {
 	LiftQueries int     `json:"lift_queries"`
 	LiftP50MS   float64 `json:"lift_p50_ms"`
 	LiftP95MS   float64 `json:"lift_p95_ms"`
-	// WarmSolverHits and WarmSolverMisses count solver checkouts
-	// answered from the session's warm pool versus built cold.
-	WarmSolverHits   int `json:"warm_solver_hits"`
-	WarmSolverMisses int `json:"warm_solver_misses"`
 	// CacheHits counts queries answered from the session's encoding
 	// cache; Encodes counts derived encodes actually performed.
 	CacheHits int `json:"cache_hits"`
@@ -127,8 +122,6 @@ func Perf(ctx context.Context) (*PerfReport, error) {
 			LiftQueries:        st.LiftQueries,
 			LiftP50MS:          float64(st.LiftP50.Microseconds()) / 1000,
 			LiftP95MS:          float64(st.LiftP95.Microseconds()) / 1000,
-			WarmSolverHits:     st.WarmSolverHits,
-			WarmSolverMisses:   st.WarmSolverMisses,
 			CacheHits:          st.CacheHits,
 			Encodes:            st.Encodes,
 			ReusedCandidates:   st.ReusedCandidates,

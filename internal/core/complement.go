@@ -98,10 +98,8 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 		}
 	}
 
-	// Consistency of the assume side, decided on the pooled warm solver
-	// for this encoding (repeat complement queries — one per focus
-	// router is common — reuse the solver's clause database).
-	seedSolver, release, err := e.checkoutSolver("seed|complement|"+router, seedSolverBuild(enc))
+	// Consistency of the assume side.
+	seedSolver, release, err := e.buildSolver(seedSolverBuild(enc))
 	if err != nil {
 		return nil, err
 	}

@@ -78,11 +78,11 @@ func (e *Explainer) ReExplain(delta Delta) (*DiffReport, error) {
 //     candidate terms make this a pointer walk). An edit that changes
 //     no modeled term, no vocabulary contribution, and no requirement
 //     is answered with the previous report verbatim.
-//  2. Otherwise sweep every router through the normal pipeline with
-//     splicing enabled: encode and simplify run against warm shared
-//     caches, and a router whose lift inputs are pointer-identical to
-//     its cached generation splices the cached subspecification
-//     instead of re-running the lift solvers.
+//  2. Otherwise sweep every router through the normal pipeline:
+//     encode and simplify run against warm shared caches, and a router
+//     whose lift inputs are pointer-identical to its cached generation
+//     splices the cached subspecification instead of re-running the
+//     lift solvers.
 //
 // The report is byte-identical to a cold Report over the edited
 // deployment: the sweep recomputes every reported figure, and splices
@@ -90,8 +90,8 @@ func (e *Explainer) ReExplain(delta Delta) (*DiffReport, error) {
 func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffReport, error) {
 	// ReExplain retargets the explainer (Deployment, Reqs, Session are
 	// swapped in place), so it excludes every concurrent query for its
-	// whole duration — including the sweep, whose splice flags are
-	// per-explainer state ordinary queries must not observe.
+	// whole duration — including the sweep, whose delta diagnostics
+	// are per-explainer state ordinary queries must not observe.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	newDep := delta.Deployment
@@ -169,12 +169,8 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 		// router's derived encode splices its out-of-cone constraints.
 		newSess.PrepareScoped(ctx)
 	}
-	e.spliceLift = true
 	e.diffInfo = make(map[string]*routerDelta, len(routers))
-	defer func() {
-		e.spliceLift = false
-		e.diffInfo = nil
-	}()
+	defer func() { e.diffInfo = nil }()
 
 	exs, err := e.explainSweep(ctx, routers)
 	if err != nil {

@@ -101,14 +101,14 @@ type Explanation struct {
 	// the independent checker accepted. (A failing proof aborts the
 	// explanation with an error, so a returned explanation under
 	// Options.VerifyProofs is always Verified. A spliced explanation
-	// — see Explainer.ReExplain — carries the verdicts, and proofs,
-	// of the run that first computed it; the splice gate only accepts
-	// entries produced under the same VerifyProofs setting.)
+	// — a repeat query, or a router Explainer.ReExplain found clean —
+	// carries the verdicts, and proofs, of the run that first computed
+	// it; the splice gate only accepts entries produced under the same
+	// VerifyProofs setting.)
 	Verified bool
 
 	// liftSpliced marks an explanation whose lift stage was served from
-	// the cross-deployment report cache instead of recomputed (only
-	// possible during ReExplain).
+	// the cross-deployment report cache instead of recomputed.
 	liftSpliced bool
 }
 
@@ -153,14 +153,6 @@ type Explainer struct {
 	lastReportKey string
 	lastReportSum [32]byte
 	lastReportLen int64
-
-	// spliceLift, set only for the duration of a ReExplain sweep,
-	// lets explain() serve a router's lift stage from the report cache
-	// when the cached entry validates against the live encoding.
-	// Ordinary queries always recompute (and refresh the cache), which
-	// keeps repeat-query semantics — warm solver reuse included —
-	// unchanged.
-	spliceLift bool
 
 	// diffInfo collects per-router delta diagnostics during a ReExplain
 	// sweep (nil outside one); diffMu guards it against the parallel
@@ -375,8 +367,9 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	}
 
 	// Step 4: lifting — spliced from the cross-deployment report cache
-	// during a ReExplain sweep when the cached entry still matches the
-	// live encoding, recomputed (and cached) otherwise.
+	// when the cached entry was computed from the live encoding's exact
+	// lift inputs (a repeat query, or a router an edit left alone),
+	// recomputed (and cached) otherwise.
 	if e.Opts.Lift {
 		liftKey := "lift|" + key
 		var cache *engine.ReportCache
@@ -384,7 +377,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 			cache = e.Session.ReportCache()
 		}
 		spliced := false
-		if e.spliceLift && cache != nil {
+		if cache != nil {
 			if v, ok := cache.Get(liftKey); ok {
 				if ent, ok := v.(*liftEntry); ok {
 					if e.liftEntryValid(ent, ex, enc) {
@@ -400,7 +393,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 			}
 		}
 		if !spliced {
-			block, complete, err := e.lift(ctx, router, key, enc, ex)
+			block, complete, err := e.lift(ctx, router, enc, ex)
 			if err != nil {
 				return nil, err
 			}

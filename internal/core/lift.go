@@ -51,11 +51,10 @@ type liftCandidate struct {
 // set MaxModels.
 const MaxSufficiencyModels = engine.DefaultMaxModels
 
-// lift runs the lifting pipeline for the router's explanation. key is
-// the encoding's session cache key; the solvers lift uses are pooled
-// under it, so a repeat query against the same encoding starts from
-// warm solvers instead of re-encoding and re-learning from scratch.
-func (e *Explainer) lift(ctx context.Context, router, key string, enc *synth.Encoding, ex *Explanation) (*spec.Block, bool, error) {
+// lift runs the lifting pipeline for the router's explanation. Its
+// solvers live for this call only; explain answers a repeat query
+// against the same inputs from the report cache instead.
+func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding, ex *Explanation) (*spec.Block, bool, error) {
 	block := &spec.Block{Name: router}
 	if len(ex.HoleVars) == 0 {
 		// Nothing symbolic: the device is unconstrained by
@@ -73,10 +72,8 @@ func (e *Explainer) lift(ctx context.Context, router, key string, enc *synth.Enc
 		return nil, false, err
 	}
 
-	// Seed solver for necessity and extendability checks, checked out
-	// warm from the session pool when a previous query against the same
-	// encoding left one behind.
-	seedSolver, seedRelease, err := e.checkoutSolver("seed|"+key, seedSolverBuild(enc))
+	// Seed solver for necessity and extendability checks.
+	seedSolver, seedRelease, err := e.buildSolver(seedSolverBuild(enc))
 	if err != nil {
 		return nil, false, err
 	}
@@ -89,10 +86,8 @@ func (e *Explainer) lift(ctx context.Context, router, key string, enc *synth.Enc
 	}
 
 	// Domain solver (hole domains only) for vacuity checks and the
-	// sufficiency enumeration, pooled like the seed solver; temporary
-	// constraints go through guarded asserts, so it survives between
-	// query families without accumulating stale assertions.
-	domSolver, domRelease, err := e.checkoutSolver("domain|"+key, func(s *smt.Solver) error {
+	// sufficiency enumeration.
+	domSolver, domRelease, err := e.buildSolver(func(s *smt.Solver) error {
 		for _, v := range holeVars {
 			if err := s.Declare(v); err != nil {
 				return err
@@ -297,10 +292,10 @@ func commonScope(router string, block *spec.Block) string {
 // seed. Returns false (without error) when the enumeration exceeds its
 // budget.
 //
-// The subspecification clauses are asserted under guards on the warm
-// domain solver, and the enumeration's blocking clauses are scoped to
-// the walk, so the solver emerges unconstrained again (plus learnt
-// clauses, which stay sound) and goes back to the pool.
+// The subspecification clauses are asserted under guards on the domain
+// solver, and the enumeration's blocking clauses are scoped to the
+// walk, so the solver emerges unconstrained again (plus learnt clauses,
+// which stay sound).
 func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var, final []liftCandidate, seedSolver, domSolver *smt.Solver) (bool, error) {
 	guards := make([]smt.Guard, 0, len(final))
 	defer func() {

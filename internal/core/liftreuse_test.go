@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -44,43 +45,80 @@ func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestWarmSolverReuseAcrossQueries checks that repeat queries against
-// one encoding hit the session's warm-solver pool and still produce
-// identical explanations.
-func TestWarmSolverReuseAcrossQueries(t *testing.T) {
-	sc := scenarios.All()[0]
+// TestRepeatQuerySplicesLift checks that a repeat report through one
+// explainer is answered by lift splices: the bytes still match the
+// golden, no lift query or SAT solve runs, and every router's lift is
+// one report-cache hit.
+func TestRepeatQuerySplicesLift(t *testing.T) {
+	for _, sc := range scenarios.All() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			dep := synthScenario(t, sc)
+			want, err := os.ReadFile(filepath.Join("testdata", "report_"+sc.Name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newExplainer(t, sc, dep, nil)
+			ctx := context.Background()
+			if got, err := e.ReportContext(ctx); err != nil || got != string(want) {
+				t.Fatalf("first report: err %v, matches golden %t", err, got == string(want))
+			}
+			before := e.Stats()
+			got, err := e.ReportContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("repeat report differs from golden")
+			}
+			after := e.Stats()
+			if after.LiftQueries != before.LiftQueries || after.Solves != before.Solves {
+				t.Errorf("repeat report re-ran the lift: lift queries %d -> %d, solves %d -> %d",
+					before.LiftQueries, after.LiftQueries, before.Solves, after.Solves)
+			}
+			if d, n := after.ReportCacheHits-before.ReportCacheHits, len(e.reportRouters()); d != n {
+				t.Errorf("repeat report: %d report-cache hits, want one per router (%d)", d, n)
+			}
+			if after.SimplifyHits <= before.SimplifyHits {
+				t.Error("repeat report did not hit the simplification cache")
+			}
+		})
+	}
+}
+
+// TestRepeatQuerySplicesLiftConcurrent runs whole-network reports from
+// several goroutines on one explainer, first cold (every goroutine may
+// compute and store the same lift entries) and then warm (every lift
+// is spliced): all reports are byte-identical to the golden.
+func TestRepeatQuerySplicesLiftConcurrent(t *testing.T) {
+	sc := scenarios.All()[1]
 	dep := synthScenario(t, sc)
+	want, err := os.ReadFile(filepath.Join("testdata", "report_"+sc.Name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := newExplainer(t, sc, dep, nil)
-	router := firstConfiguredRouter(dep)
-	first, err := e.ExplainAll(router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if misses := e.Stats().WarmSolverMisses; misses == 0 {
-		t.Fatal("first explanation built no solvers")
-	}
-	second, err := e.ExplainAll(router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.WarmSolverHits == 0 {
-		t.Errorf("repeat explanation hit no warm solvers (hits=%d misses=%d)", st.WarmSolverHits, st.WarmSolverMisses)
-	}
-	if !reflect.DeepEqual(subspecStrings(first.Subspec), subspecStrings(second.Subspec)) {
-		t.Errorf("warm repeat changed the subspec:\nfirst:  %v\nsecond: %v", subspecStrings(first.Subspec), subspecStrings(second.Subspec))
-	}
-	if first.SubspecComplete != second.SubspecComplete {
-		t.Errorf("warm repeat changed completeness: %v vs %v", first.SubspecComplete, second.SubspecComplete)
-	}
-	if st.LiftQueries == 0 {
-		t.Error("no lift query latencies recorded")
-	}
-	if st.SimplifyHits == 0 {
-		t.Error("repeat explanation did not hit the simplification cache")
-	}
-	if st.LiftQueries > 0 && (st.LiftP50 < 0 || st.LiftP95 < st.LiftP50) {
-		t.Errorf("implausible latency percentiles: p50=%v p95=%v", st.LiftP50, st.LiftP95)
+	for _, phase := range []string{"cold", "warm"} {
+		const clients = 4
+		got := make([]string, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = e.ReportContext(context.Background())
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s client %d: %v", phase, i, errs[i])
+			}
+			if got[i] != string(want) {
+				t.Errorf("%s client %d: report differs from golden", phase, i)
+			}
+		}
 	}
 }
 

@@ -17,33 +17,13 @@ import (
 
 // Solver lifecycle plumbing for the explanation pipeline.
 //
-// Every solver the pipeline runs goes through checkoutSolver: queries
-// against the same encoding reuse one warm solver from the session
-// pool (clause database, learnt clauses, saved phases, branching
-// activity all retained), and independent query batches fan out across
-// runChecks workers that each own warm clones of the prototypes.
-// Solver work is always harvested into the session statistics — as the
-// full Stats of a clone (which starts zeroed), or as a delta for a
-// pooled solver that lives on.
-
-// newSolver builds an SMT solver with the explainer's conflict budget
-// applied, the session's shared term table adopted, and — under
-// VerifyProofs — a proof trace attached (logging must start before the
-// first clause, so this is the only place it can be turned on).
-func (e *Explainer) newSolver() *smt.Solver {
-	var opts []smt.Option
-	if e.Opts.VerifyProofs {
-		opts = append(opts, smt.WithProof())
-	}
-	s := smt.NewSolver(opts...)
-	if e.Session != nil {
-		s.UseInterner(e.Session.Interner())
-	}
-	if e.Opts.Budget.MaxConflicts > 0 {
-		s.SetConflictBudget(e.Opts.Budget.MaxConflicts)
-	}
-	return s
-}
+// Solvers are query-scoped: every solver the pipeline runs is built by
+// buildSolver for one query family and dropped when the query returns.
+// Independent query batches fan out across runChecks workers that each
+// own warm clones of the prototypes. Each solver's work is harvested
+// into the session statistics exactly once: a built solver's when it is
+// released, a clone's (whose counters start zeroed) when its worker
+// finishes.
 
 // verifyUnsat re-validates the solver's most recent Unsat verdict with
 // the independent DRAT checker when proof verification is on, folding
@@ -65,35 +45,32 @@ func (e *Explainer) verifyUnsat(s *smt.Solver) error {
 	return nil
 }
 
-// checkoutSolver returns a solver for key — warm from the session pool
-// when a previous query against the same encoding checked one in, cold
-// via build otherwise. The caller owns the solver exclusively until it
-// calls release, which folds the work the solver did while checked out
-// into the session statistics (as a delta, so a pooled solver's counts
-// are never double-harvested) and parks it for the next query.
-func (e *Explainer) checkoutSolver(key string, build func(*smt.Solver) error) (*smt.Solver, func(), error) {
-	var sv *smt.Solver
+// buildSolver builds an SMT solver with the explainer's conflict budget
+// applied, the session's shared term table adopted, and — under
+// VerifyProofs — a proof trace attached (logging must start before the
+// first clause, so this is the only place it can be turned on), then
+// applies build to it. The caller owns the solver for the rest of its
+// query and calls release when done, which folds the solver's work into
+// the session statistics; the solver is garbage afterwards. A repeat
+// query does not need it: the report cache answers a repeat lift with a
+// splice instead.
+func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, func(), error) {
+	var opts []smt.Option
+	if e.Opts.VerifyProofs {
+		opts = append(opts, smt.WithProof())
+	}
+	sv := smt.NewSolver(opts...)
 	if e.Session != nil {
-		sv = e.Session.CheckoutSolver(key)
+		sv.UseInterner(e.Session.Interner())
 	}
-	var before sat.Stats
-	if sv == nil {
-		sv = e.newSolver()
-		if err := build(sv); err != nil {
-			e.addSolverStats(sv.Stats())
-			return nil, nil, err
-		}
-	} else {
-		before = sv.Stats()
+	if e.Opts.Budget.MaxConflicts > 0 {
+		sv.SetConflictBudget(e.Opts.Budget.MaxConflicts)
 	}
-	s := sv
-	release := func() {
-		e.addSolverStats(s.Stats().Sub(before))
-		if e.Session != nil {
-			e.Session.CheckinSolver(key, s)
-		}
+	if err := build(sv); err != nil {
+		e.addSolverStats(sv.Stats())
+		return nil, nil, err
 	}
-	return sv, release, nil
+	return sv, func() { e.addSolverStats(sv.Stats()) }, nil
 }
 
 // seedSolverBuild declares the encoding's hole variables (in sorted

@@ -138,7 +138,7 @@ func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router str
 	if err != nil {
 		return nil, err
 	}
-	seedSolver, release, err := e.checkoutSolver("seed|"+key, seedSolverBuild(enc))
+	seedSolver, release, err := e.buildSolver(seedSolverBuild(enc))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,152 +8,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/logic"
-	"repro/internal/sat"
 	"repro/internal/scenarios"
-	"repro/internal/smt"
 	"repro/internal/synth"
 )
-
-// TestSessionCheckinDropsGuardedSolver is the regression test for the
-// stale-warm-solver bug: a query that checks out a solver, asserts a
-// temporary guarded constraint, is cancelled mid-solve, and checks the
-// solver back in without retracting. Before the fix the poisoned
-// solver was pooled and its leftover constraint silently flipped the
-// verdicts of every later query under the key.
-func TestSessionCheckinDropsGuardedSolver(t *testing.T) {
-	s := newSession(t)
-	p := logic.NewBoolVar("p")
-
-	// The warm solver for the key asserts the base constraint p.
-	sv := smt.NewSolver()
-	if err := sv.Assert(p); err != nil {
-		t.Fatal(err)
-	}
-	s.CheckinSolver("k", sv)
-
-	// A query checks it out, asserts a temporary !p under a guard, and
-	// is cancelled mid-solve — before the retraction runs.
-	got := s.CheckoutSolver("k")
-	if got != sv {
-		t.Fatal("warm checkout did not return the pooled solver")
-	}
-	if _, err := got.AssertGuarded(logic.Not(p)); err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := got.SolveContext(cancelled); err == nil {
-		t.Fatal("cancelled solve returned no error")
-	}
-
-	// Checkin must refuse the non-pristine solver.
-	s.CheckinSolver("k", got)
-	if st := s.Stats(); st.WarmSolverDropped != 1 {
-		t.Fatalf("WarmSolverDropped = %d, want 1", st.WarmSolverDropped)
-	}
-	if s.CheckoutSolver("k") != nil {
-		t.Fatal("poisoned solver was pooled")
-	}
-
-	// The next query builds cold and gets the right verdict. (The
-	// poisoned solver would answer Unsat: p and the unretracted !p.)
-	fresh := smt.NewSolver()
-	if err := fresh.Assert(p); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := fresh.SolveContext(context.Background()); err != nil || st != sat.Sat {
-		t.Fatalf("fresh solve = %v, %v; want Sat", st, err)
-	}
-	s.CheckinSolver("k", fresh)
-	if s.CheckoutSolver("k") != fresh {
-		t.Fatal("pristine solver was not pooled")
-	}
-}
-
-// TestSessionCheckinPoolsRetractedSolver pins the complement: a solver
-// whose guarded constraint WAS retracted is pristine and must pool.
-func TestSessionCheckinPoolsRetractedSolver(t *testing.T) {
-	s := newSession(t)
-	p := logic.NewBoolVar("p")
-	sv := smt.NewSolver()
-	if err := sv.Assert(p); err != nil {
-		t.Fatal(err)
-	}
-	g, err := sv.AssertGuarded(logic.Not(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.Retract(g)
-	s.CheckinSolver("k", sv)
-	if st := s.Stats(); st.WarmSolverDropped != 0 {
-		t.Fatalf("WarmSolverDropped = %d, want 0", st.WarmSolverDropped)
-	}
-	got := s.CheckoutSolver("k")
-	if got != sv {
-		t.Fatal("retracted solver was not pooled")
-	}
-	// And it still answers the base problem correctly.
-	if st, err := got.SolveContext(context.Background()); err != nil || st != sat.Sat {
-		t.Fatalf("solve after retract = %v, %v; want Sat", st, err)
-	}
-}
-
-func TestSessionSolverPoolCap(t *testing.T) {
-	s := newSession(t)
-	s.SetCacheLimits(engine.CacheLimits{Solvers: 2})
-	s.CheckinSolver("a", smt.NewSolver())
-	s.CheckinSolver("b", smt.NewSolver())
-	s.CheckinSolver("c", smt.NewSolver()) // evicts a (least recent)
-	if got := s.PooledSolvers(); got != 2 {
-		t.Fatalf("PooledSolvers = %d, want 2", got)
-	}
-	if st := s.Stats(); st.WarmSolverEvicted != 1 {
-		t.Fatalf("WarmSolverEvicted = %d, want 1", st.WarmSolverEvicted)
-	}
-	if s.CheckoutSolver("a") != nil {
-		t.Fatal("evicted key still pooled")
-	}
-	if s.CheckoutSolver("b") == nil || s.CheckoutSolver("c") == nil {
-		t.Fatal("retained keys missing")
-	}
-
-	// Recency order matters: touching a key protects it.
-	s.CheckinSolver("x", smt.NewSolver())
-	s.CheckinSolver("y", smt.NewSolver())
-	sv := s.CheckoutSolver("x") // x becomes most recent at checkin below
-	s.CheckinSolver("x", sv)
-	s.CheckinSolver("z", smt.NewSolver()) // must evict y, not x
-	if s.CheckoutSolver("x") == nil {
-		t.Fatal("recently used key was evicted")
-	}
-	if s.CheckoutSolver("y") != nil {
-		t.Fatal("least recently used key survived")
-	}
-}
-
-func TestSessionTrim(t *testing.T) {
-	s := newSession(t)
-	s.CheckinSolver("a", smt.NewSolver())
-	s.CheckinSolver("b", smt.NewSolver())
-	s.AddLiftQueries([]time.Duration{time.Millisecond, 2 * time.Millisecond})
-	s.Trim()
-	if got := s.PooledSolvers(); got != 0 {
-		t.Fatalf("PooledSolvers after Trim = %d, want 0", got)
-	}
-	st := s.Stats()
-	if st.WarmSolverEvicted != 2 {
-		t.Fatalf("WarmSolverEvicted = %d, want 2", st.WarmSolverEvicted)
-	}
-	// Lift totals survive trimming.
-	if st.LiftQueries != 2 {
-		t.Fatalf("LiftQueries = %d, want 2", st.LiftQueries)
-	}
-	// The session still answers queries (pool rebuilds lazily).
-	s.CheckinSolver("a", smt.NewSolver())
-	if s.CheckoutSolver("a") == nil {
-		t.Fatal("trimmed session refuses new checkins")
-	}
-}
 
 func TestReportCacheLRU(t *testing.T) {
 	rc := engine.NewReportCache()
@@ -431,14 +287,8 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300, Simplify: 3, Solvers: 1, LiftSamples: 5})
+	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300, Simplify: 3, LiftSamples: 5})
 	succ := engine.NewSessionFrom(s, sc.Requirements(), res.Deployment)
-	// Solver limit traveled: a second checkin evicts.
-	succ.CheckinSolver("a", smt.NewSolver())
-	succ.CheckinSolver("b", smt.NewSolver())
-	if got := succ.PooledSolvers(); got != 1 {
-		t.Fatalf("successor PooledSolvers = %d, want 1 (limit inherited)", got)
-	}
 	// Lift window limit traveled.
 	var ds []time.Duration
 	for i := 1; i <= 20; i++ {

@@ -91,8 +91,8 @@ type Stats struct {
 	ScopedGroupsEncoded int
 	// Solves, Conflicts, Propagations, Decisions, and Learnt total the
 	// SAT-level effort reported via AddSolverStats. Every solver the
-	// pipeline runs — including per-worker clones and pooled warm
-	// solvers — is harvested into these, so no path drops its counts.
+	// pipeline runs — including per-worker clones — is harvested into
+	// these, so no path drops its counts.
 	Solves       uint64
 	Conflicts    uint64
 	Propagations uint64
@@ -117,16 +117,6 @@ type Stats struct {
 	CoreLearnts  int
 	MidLearnts   int
 	LocalLearnts int
-	// WarmSolverHits and WarmSolverMisses count solver checkouts
-	// answered from the session's warm pool versus built cold.
-	// WarmSolverDropped counts checkins refused because the solver was
-	// not pristine (active guarded assertions left by a cancelled or
-	// errored query); WarmSolverEvicted counts pooled solvers displaced
-	// by the pool's size cap or a Trim.
-	WarmSolverHits    int
-	WarmSolverMisses  int
-	WarmSolverDropped int
-	WarmSolverEvicted int
 	// SimplifyHits counts seed simplifications answered from the
 	// session's per-seed outcome cache without touching the normalizer;
 	// SimplifyEntries is the cache's current size and SimplifyEvictions
@@ -135,11 +125,12 @@ type Stats struct {
 	SimplifyEntries   int
 	SimplifyEvictions int
 	// ReportCacheHits and ReportCacheMisses count lookups in the
-	// cross-deployment report cache (per-router lift artifacts reused
-	// by delta re-explanation). Cumulative across the session chain:
-	// successor sessions share one cache. ReportCacheEvictions counts
-	// entries displaced by the cache's byte cap; ReportCacheBytes is
-	// the cache's current accounted size (a gauge).
+	// cross-deployment report cache (per-router lift artifacts spliced
+	// into repeat and delta explanations). Cumulative across the
+	// session chain: successor sessions share one cache.
+	// ReportCacheEvictions counts entries displaced by the cache's byte
+	// cap; ReportCacheBytes is the cache's current accounted size (a
+	// gauge).
 	ReportCacheHits      int
 	ReportCacheMisses    int
 	ReportCacheEvictions int
@@ -212,10 +203,6 @@ func (s *Stats) Add(o Stats) {
 	if o.LocalLearnts > s.LocalLearnts {
 		s.LocalLearnts = o.LocalLearnts
 	}
-	s.WarmSolverHits += o.WarmSolverHits
-	s.WarmSolverMisses += o.WarmSolverMisses
-	s.WarmSolverDropped += o.WarmSolverDropped
-	s.WarmSolverEvicted += o.WarmSolverEvicted
 	s.SimplifyHits += o.SimplifyHits
 	if o.SimplifyEntries > s.SimplifyEntries {
 		s.SimplifyEntries = o.SimplifyEntries

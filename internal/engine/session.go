@@ -40,8 +40,6 @@ type CacheLimits struct {
 	// Simplify caps the per-seed simplification outcome cache, evicted
 	// least-recently-used.
 	Simplify int
-	// Solvers caps the warm-solver pool, evicted least-recently-used.
-	Solvers int
 	// LiftSamples caps the lift-latency sample window the percentile
 	// stats are computed over (most recent samples are kept).
 	LiftSamples int
@@ -96,24 +94,14 @@ type Session struct {
 	scopedDead bool
 	scopedOff  bool
 
-	mu sync.Mutex
-	entries  map[string]*entry
-	stats    Stats
+	mu      sync.Mutex
+	entries map[string]*entry
+	stats   Stats
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
 	liftCap int     // sample-window cap (0 = DefaultLiftSampleCap)
 	// streamWin is CacheLimits.StreamWindow (0 = derive from workers).
 	streamWin int
-
-	// solvMu guards the warm-solver pool: idle solvers keyed by the
-	// encoding key they were built for. Checkout removes the solver
-	// (exclusive use — smt.Solver is not concurrency-safe), checkin
-	// returns it warm for the next query against the same encoding.
-	// The pool is LRU-ordered so a size cap evicts the coldest key.
-	solvMu    sync.Mutex
-	solvers   map[string]*list.Element
-	solvLRU   *list.List // of solvEntry, front = most recent
-	solvLimit int        // 0 = unlimited
 
 	// simps is the per-seed outcome cache, keyed by the canonical
 	// (interned) seed term. Simplification is a pure function of the
@@ -143,12 +131,6 @@ type Session struct {
 	// NewSessionFrom): ensureBase derives this session's base from it,
 	// sharing every candidate whose path avoids the edited routers.
 	prevBase *synth.Base
-}
-
-// solvEntry is one pooled warm solver with its encoding key.
-type solvEntry struct {
-	key string
-	sv  *smt.Solver
 }
 
 // simpCache is the sharable per-seed simplification cache (see
@@ -378,8 +360,6 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		opts:    opts,
 		in:      logic.Default(),
 		entries: make(map[string]*entry),
-		solvers: make(map[string]*list.Element),
-		solvLRU: list.New(),
 		simps:   newSimpCache(),
 		nf:      rewrite.NewCache(),
 		reports: NewReportCache(),
@@ -393,8 +373,8 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // per-seed simplification cache, and the report cache — and derives
 // its base encoding from prev's (candidates on paths avoiding the
 // edited routers are pointer-shared). Deployment-specific state is NOT
-// shared: encoding entries and the warm-solver pool start empty, since
-// their contents assert the predecessor deployment's constraints.
+// shared: encoding entries start empty, since they assert the
+// predecessor deployment's constraints.
 // Budget, VerifyProofs, and the cache limits are copied from prev
 // (shared-cache limits travel with the shared caches themselves).
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
@@ -407,15 +387,10 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 		Budget:       prev.Budget,
 		VerifyProofs: prev.VerifyProofs,
 		entries:      make(map[string]*entry),
-		solvers:      make(map[string]*list.Element),
-		solvLRU:      list.New(),
 		simps:        prev.simps,
 		nf:           prev.nf,
 		reports:      prev.reports,
 	}
-	prev.solvMu.Lock()
-	s.solvLimit = prev.solvLimit
-	prev.solvMu.Unlock()
 	prev.mu.Lock()
 	s.liftCap = prev.liftCap
 	s.streamWin = prev.streamWin
@@ -438,10 +413,6 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 func (s *Session) SetCacheLimits(l CacheLimits) {
 	s.reports.SetMaxBytes(l.ReportBytes)
 	s.simps.setLimit(l.Simplify)
-	s.solvMu.Lock()
-	s.solvLimit = l.Solvers
-	s.shedSolversLocked()
-	s.solvMu.Unlock()
 	s.mu.Lock()
 	s.liftCap = l.LiftSamples
 	s.streamWin = l.StreamWindow
@@ -456,24 +427,6 @@ func (s *Session) StreamWindow() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.streamWin
-}
-
-// Trim sheds the session's rebuildable warm state: the warm-solver
-// pool is emptied (pooled solvers are pure accelerators — the next
-// query rebuilds one cold) and the lift-latency window is compacted.
-// The report and simplify caches stay, already bounded by their
-// limits. A serving layer calls this on idle or memory pressure; a
-// trimmed session keeps answering every query correctly.
-func (s *Session) Trim() {
-	s.solvMu.Lock()
-	dropped := s.solvLRU.Len()
-	s.solvers = make(map[string]*list.Element)
-	s.solvLRU.Init()
-	s.solvMu.Unlock()
-	s.mu.Lock()
-	s.stats.WarmSolverEvicted += dropped
-	s.trimLiftLocked()
-	s.mu.Unlock()
 }
 
 // trimLiftLocked keeps only the most recent liftCap samples. Caller
@@ -693,96 +646,10 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 	return out
 }
 
-// CheckoutSolver removes and returns the idle warm solver held for
-// key, or nil when none is pooled (build one, use it, and CheckinSolver
-// it when done). The caller owns the returned solver exclusively until
-// checkin. Every call is counted as a warm hit or miss.
-func (s *Session) CheckoutSolver(key string) *smt.Solver {
-	s.solvMu.Lock()
-	var sv *smt.Solver
-	if el, ok := s.solvers[key]; ok {
-		sv = el.Value.(solvEntry).sv
-		s.solvLRU.Remove(el)
-		delete(s.solvers, key)
-	}
-	s.solvMu.Unlock()
-	s.mu.Lock()
-	if sv != nil {
-		s.stats.WarmSolverHits++
-	} else {
-		s.stats.WarmSolverMisses++
-	}
-	s.mu.Unlock()
-	return sv
-}
-
-// CheckinSolver parks a solver for later reuse under key. The solver
-// must be in the state the key promises: exactly the constraints the
-// keyed encoding asserts (learnt clauses and retracted guards on top
-// are fine — they are consequences, not new constraints). Checkin
-// verifies the promise where it can: a solver that still holds active
-// guarded assertions — the signature of a query that was cancelled or
-// errored out between asserting a temporary constraint and retracting
-// it — is dropped instead of pooled, because its extra constraints
-// would silently change the verdicts of every later query under the
-// key. A solver already pooled under the key is displaced (kept: the
-// newer one, which has seen more queries and is warmer), and a full
-// pool evicts its least-recently-used key.
-func (s *Session) CheckinSolver(key string, sv *smt.Solver) {
-	if sv == nil {
-		return
-	}
-	if sv.ActiveGuards() > 0 {
-		// Not pristine: temporary constraints are still in force. The
-		// guard handles are gone, so the state cannot be restored —
-		// drop the solver rather than let it poison later queries.
-		s.mu.Lock()
-		s.stats.WarmSolverDropped++
-		s.mu.Unlock()
-		return
-	}
-	evicted := 0
-	s.solvMu.Lock()
-	if el, ok := s.solvers[key]; ok {
-		s.solvLRU.Remove(el)
-	}
-	s.solvers[key] = s.solvLRU.PushFront(solvEntry{key: key, sv: sv})
-	evicted = s.shedSolversLocked()
-	s.solvMu.Unlock()
-	if evicted > 0 {
-		s.mu.Lock()
-		s.stats.WarmSolverEvicted += evicted
-		s.mu.Unlock()
-	}
-}
-
-// shedSolversLocked evicts least-recently-used pooled solvers until
-// the pool respects its limit, returning how many were dropped. Caller
-// holds s.solvMu.
-func (s *Session) shedSolversLocked() int {
-	if s.solvLimit <= 0 {
-		return 0
-	}
-	n := 0
-	for s.solvLRU.Len() > s.solvLimit {
-		el := s.solvLRU.Back()
-		s.solvLRU.Remove(el)
-		delete(s.solvers, el.Value.(solvEntry).key)
-		n++
-	}
-	return n
-}
-
-// PooledSolvers reports how many idle solvers the warm pool holds.
-func (s *Session) PooledSolvers() int {
-	s.solvMu.Lock()
-	defer s.solvMu.Unlock()
-	return s.solvLRU.Len()
-}
-
-// AddSolverStats folds SAT-level effort (from a solver that has
-// finished its work, or the Stats().Sub(checkpoint) delta of one that
-// lives on in the pool) into the session's merged statistics.
+// AddSolverStats folds the SAT-level effort of a solver that has
+// finished its work into the session's merged statistics. Solvers are
+// query-scoped, so each one is folded exactly once, when its query
+// releases it.
 func (s *Session) AddSolverStats(st sat.Stats) {
 	s.mu.Lock()
 	s.stats.Solves += st.Solves

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/sat"
 	"repro/internal/scenarios"
-	"repro/internal/smt"
 	"repro/internal/synth"
 )
 
@@ -213,65 +211,6 @@ func TestBudgetApply(t *testing.T) {
 	if got := (engine.Budget{MaxModels: 7}).ModelCap(); got != 7 {
 		t.Errorf("ModelCap = %d, want 7", got)
 	}
-}
-
-func TestSessionSolverPool(t *testing.T) {
-	s := newSession(t)
-
-	if sv := s.CheckoutSolver("a"); sv != nil {
-		t.Fatal("empty pool returned a solver")
-	}
-	built := smt.NewSolver()
-	s.CheckinSolver("a", built)
-	got := s.CheckoutSolver("a")
-	if got != built {
-		t.Fatalf("checkout returned %p, want the checked-in solver %p", got, built)
-	}
-	// Checkout is exclusive: the slot is empty until checkin.
-	if sv := s.CheckoutSolver("a"); sv != nil {
-		t.Fatal("second checkout of the same key returned a solver")
-	}
-	s.CheckinSolver("a", got)
-	// Keys are independent.
-	if sv := s.CheckoutSolver("b"); sv != nil {
-		t.Fatal("foreign key hit the pool")
-	}
-
-	st := s.Stats()
-	if st.WarmSolverHits != 1 {
-		t.Errorf("WarmSolverHits = %d, want 1", st.WarmSolverHits)
-	}
-	if st.WarmSolverMisses != 3 {
-		t.Errorf("WarmSolverMisses = %d, want 3", st.WarmSolverMisses)
-	}
-}
-
-func TestSessionSolverPoolConcurrent(t *testing.T) {
-	s := newSession(t)
-	// Hammer one key from many goroutines: every checkout must be
-	// exclusive (no solver handed to two goroutines at once).
-	s.CheckinSolver("k", smt.NewSolver())
-	var wg sync.WaitGroup
-	var inUse int32
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sv := s.CheckoutSolver("k")
-				if sv == nil {
-					continue
-				}
-				if !atomic.CompareAndSwapInt32(&inUse, 0, 1) {
-					t.Error("two goroutines hold the same pooled solver")
-					return
-				}
-				atomic.StoreInt32(&inUse, 0)
-				s.CheckinSolver("k", sv)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestSessionLiftQueryStats(t *testing.T) {

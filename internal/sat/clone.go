@@ -133,54 +133,3 @@ func (s *Solver) Clone() *Solver {
 	c.Stats = Stats{MaxVars: s.Stats.MaxVars, Clauses: s.Stats.Clauses}
 	return c
 }
-
-// Sub returns the counter-wise difference a - b: the work performed
-// between the snapshot b and the later snapshot a of the same solver's
-// Stats. The gauges (MaxVars, Clauses and the learnt-tier sizes) are
-// taken from a.
-// Use it to harvest the effort of a solver that outlives one query —
-// a warm solver checked out of a pool — without double-counting work
-// already merged by an earlier harvest.
-//
-// The subtraction saturates at zero: if a counter in a is behind its
-// checkpoint in b — the solver behind a checkpoint was replaced by a
-// fresh clone (whose counters start at zero) after a failed or
-// cancelled solve, or the snapshots were taken from different solvers
-// — the unsigned difference would wrap to an astronomically large
-// value and be merged into session statistics as garbage. Saturating
-// under-reports that pathological harvest instead of corrupting every
-// downstream counter.
-func (a Stats) Sub(b Stats) Stats {
-	out := Stats{
-		Solves:          satSub(a.Solves, b.Solves),
-		Decisions:       satSub(a.Decisions, b.Decisions),
-		Propagations:    satSub(a.Propagations, b.Propagations),
-		BinPropagations: satSub(a.BinPropagations, b.BinPropagations),
-		Conflicts:       satSub(a.Conflicts, b.Conflicts),
-		Restarts:        satSub(a.Restarts, b.Restarts),
-		BlockedRestarts: satSub(a.BlockedRestarts, b.BlockedRestarts),
-		Learnt:          satSub(a.Learnt, b.Learnt),
-		MinimizedLits:   satSub(a.MinimizedLits, b.MinimizedLits),
-		LBDSum:          satSub(a.LBDSum, b.LBDSum),
-		Reductions:      satSub(a.Reductions, b.Reductions),
-		RemovedClauses:  satSub(a.RemovedClauses, b.RemovedClauses),
-		ModeSwitches:    satSub(a.ModeSwitches, b.ModeSwitches),
-		MaxVars:         a.MaxVars,
-		Clauses:         a.Clauses,
-		CoreLearnts:     a.CoreLearnts,
-		MidLearnts:      a.MidLearnts,
-		LocalLearnts:    a.LocalLearnts,
-	}
-	for i := range out.LBDHist {
-		out.LBDHist[i] = satSub(a.LBDHist[i], b.LBDHist[i])
-	}
-	return out
-}
-
-// satSub is a - b saturating at zero instead of wrapping.
-func satSub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}

@@ -2,7 +2,6 @@ package sat
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -172,54 +171,6 @@ func TestConcurrentCloneWithProof(t *testing.T) {
 		c := mustCheckTrace(t, ctr)
 		if !c.RootConflict() {
 			t.Fatalf("clone %d: checked trace has no root conflict", i)
-		}
-	}
-}
-
-// fillStats gives every numeric leaf of *st (array elements included)
-// a distinct value: scale times its position, counting from 1.
-func fillStats(t *testing.T, st *Stats, scale uint64) {
-	t.Helper()
-	n := uint64(0)
-	var fill func(v reflect.Value)
-	fill = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				fill(v.Field(i))
-			}
-		case reflect.Array:
-			for i := 0; i < v.Len(); i++ {
-				fill(v.Index(i))
-			}
-		case reflect.Uint64:
-			n++
-			v.SetUint(scale * n)
-		case reflect.Int:
-			n++
-			v.SetInt(int64(scale * n))
-		default:
-			t.Fatalf("fillStats: unhandled field kind %v", v.Kind())
-		}
-	}
-	fill(reflect.ValueOf(st).Elem())
-}
-
-// TestStatsSub checks Sub field by field on fully populated snapshots:
-// every counter is subtracted and every gauge is taken from a. A field
-// added to Stats without a line in Sub fails here instead of silently
-// reading zero in every harvested delta.
-func TestStatsSub(t *testing.T) {
-	var a, b, want Stats
-	fillStats(t, &a, 3)
-	fillStats(t, &b, 1)
-	fillStats(t, &want, 2)
-	want.MaxVars, want.Clauses = a.MaxVars, a.Clauses
-	want.CoreLearnts, want.MidLearnts, want.LocalLearnts = a.CoreLearnts, a.MidLearnts, a.LocalLearnts
-	got, wv := reflect.ValueOf(a.Sub(b)), reflect.ValueOf(want)
-	for i := 0; i < got.NumField(); i++ {
-		if g, w := got.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
-			t.Errorf("Sub: %s = %v, want %v", got.Type().Field(i).Name, g, w)
 		}
 	}
 }

@@ -2,25 +2,6 @@ package sat
 
 import "testing"
 
-// TestStatsSubSaturates pins the harvest-delta arithmetic: a counter
-// that fell behind its checkpoint (the solver behind the checkpoint
-// was swapped for a fresh clone) must clamp to zero, not wrap to a
-// huge unsigned value that would poison every downstream total.
-func TestStatsSubSaturates(t *testing.T) {
-	a := Stats{Solves: 7, Conflicts: 2, Propagations: 100, Decisions: 5, Learnt: 1, MaxVars: 40, Clauses: 60}
-	b := Stats{Solves: 3, Conflicts: 9, Propagations: 40, Decisions: 5, Learnt: 4, MaxVars: 10, Clauses: 20}
-	d := a.Sub(b)
-	if d.Solves != 4 || d.Propagations != 60 || d.Decisions != 0 {
-		t.Fatalf("plain delta wrong: %+v", d)
-	}
-	if d.Conflicts != 0 || d.Learnt != 0 {
-		t.Fatalf("regressed counters must saturate at zero, got %+v", d)
-	}
-	if d.MaxVars != 40 || d.Clauses != 60 {
-		t.Fatalf("structural gauges must come from the later snapshot, got %+v", d)
-	}
-}
-
 // TestCloneStatsStartZeroed pins the merging contract Clone documents:
 // a clone's work counters start at zero (so they merge additively into
 // session totals) while the structural gauges carry over.

@@ -64,9 +64,9 @@ type Options struct {
 	VerifyProofs bool
 	// CacheLimits bounds each pooled session's internal caches. The
 	// zero value applies serving defaults (report bytes 64 MiB,
-	// simplify 4096, solvers 32, lift samples DefaultLiftSampleCap,
-	// stream window 4x workers) rather than the CLI's unlimited ones;
-	// set a field negative to make it unlimited.
+	// simplify 4096, lift samples DefaultLiftSampleCap, stream window
+	// 4x workers) rather than the CLI's unlimited ones; set a field
+	// negative to make it unlimited.
 	CacheLimits engine.CacheLimits
 }
 
@@ -118,7 +118,6 @@ func resolveLimits(l engine.CacheLimits) engine.CacheLimits {
 	return engine.CacheLimits{
 		ReportBytes:  def64(l.ReportBytes, 64<<20),
 		Simplify:     def(l.Simplify, 4096),
-		Solvers:      def(l.Solvers, 32),
 		LiftSamples:  def(l.LiftSamples, engine.DefaultLiftSampleCap),
 		StreamWindow: l.StreamWindow,
 	}
@@ -529,8 +528,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	if diff {
 		dr, derr := s.runDiff(ctx, e, edited)
 		if derr != nil {
-			// The session survives failed queries (failed encodes are not
-			// cached; non-pristine solvers are dropped at checkin) — but
+			// The session survives failed queries (failed encodes and
+			// lifts are not cached; solvers die with their query) — but
 			// ReExplain may have retargeted the explainer, so re-key.
 			s.checkinCurrent(item, e, sp, lift)
 			s.failRequest(w, statusFor(derr), derr)

@@ -337,9 +337,7 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 		t.Fatal("no response-cache hits under repeated identical traffic")
 	}
 
-	// Zero leaked pooled solvers: every idle session's warm pool is
-	// consistent — nothing is leased mid-air, so every pooled solver is
-	// checked in. Metrics scrapes at quiescence are byte-stable.
+	// Metrics scrapes at quiescence are byte-stable.
 	m1 := get(h, "/metrics").Body.String()
 	m2 := get(h, "/metrics").Body.String()
 	if m1 != m2 {

@@ -32,10 +32,8 @@ func (s *Solver) EnumerateModelsContext(ctx context.Context, vars []*logic.Var, 
 // EnumerateModelsRetractableContext is EnumerateModelsContext with the
 // blocking clauses scoped to the walk: every blocking clause is emitted
 // under one fresh guard that is retracted when the walk returns, so the
-// solver remains fully usable afterwards — the warm-solver path of the
-// lift stage enumerates sufficiency models on a solver it keeps for
-// later queries. Clauses learnt during the walk stay sound after the
-// retraction (see AssertGuarded).
+// solver remains fully usable afterwards. Clauses learnt during the
+// walk stay sound after the retraction (see AssertGuarded).
 func (s *Solver) EnumerateModelsRetractableContext(ctx context.Context, vars []*logic.Var, max int, f func(logic.Assignment) bool) (int, bool, error) {
 	g := sat.PosLit(s.sat.NewVar())
 	s.guards = append(s.guards, g)
