@@ -64,6 +64,16 @@ func TestRepeatQuerySplicesLift(t *testing.T) {
 				t.Fatalf("first report: err %v, matches golden %t", err, got == string(want))
 			}
 			before := e.Stats()
+			// The cold report must have run (and recorded) real lift
+			// queries, or the unchanged counters below prove nothing.
+			if before.LiftQueries == 0 || before.Solves == 0 {
+				t.Fatalf("cold report recorded %d lift queries, %d solves; want both > 0",
+					before.LiftQueries, before.Solves)
+			}
+			if before.LiftP50 <= 0 || before.LiftP50 > before.LiftP95 {
+				t.Fatalf("cold report lift latency p50 %v, p95 %v; want 0 < p50 <= p95",
+					before.LiftP50, before.LiftP95)
+			}
 			got, err := e.ReportContext(ctx)
 			if err != nil {
 				t.Fatal(err)

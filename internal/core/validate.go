@@ -108,10 +108,10 @@ func (e *Explainer) CheckSubspecNecessary(router string, block *spec.Block) ([]N
 
 // CheckSubspecNecessaryContext is CheckSubspecNecessary with
 // cancellation and the budget's deadline applied. It encodes the same
-// sketch as ExplainAll and runs on the session's pooled warm seed
-// solver, so after an explanation of the router each clause costs one
-// assumption-driven solve on the solver that answered the lift
-// queries — no re-encoding and no fresh Tseitin translation.
+// sketch as ExplainAll, so after an explanation of the router the
+// encoding comes from the session cache, and builds a query-scoped
+// seed solver from it (a fresh Tseitin translation) on which each
+// clause costs one assumption-driven solve.
 func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router string, block *spec.Block) ([]NecessityCheck, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

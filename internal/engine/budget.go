@@ -117,6 +117,14 @@ type Stats struct {
 	CoreLearnts  int
 	MidLearnts   int
 	LocalLearnts int
+	// WarmSolverHits and WarmSolverMisses are retired and always zero:
+	// solvers are query-scoped, so there is no warm pool to hit or
+	// miss. They stay in the stats schema because the netperf benchmark
+	// reads them by name and nulls every engine-derived metric when one
+	// is missing; delete them once netperf drops
+	// engine.warm_solver_hit_share.
+	WarmSolverHits   int
+	WarmSolverMisses int
 	// SimplifyHits counts seed simplifications answered from the
 	// session's per-seed outcome cache without touching the normalizer;
 	// SimplifyEntries is the cache's current size and SimplifyEvictions
@@ -203,6 +211,8 @@ func (s *Stats) Add(o Stats) {
 	if o.LocalLearnts > s.LocalLearnts {
 		s.LocalLearnts = o.LocalLearnts
 	}
+	s.WarmSolverHits += o.WarmSolverHits
+	s.WarmSolverMisses += o.WarmSolverMisses
 	s.SimplifyHits += o.SimplifyHits
 	if o.SimplifyEntries > s.SimplifyEntries {
 		s.SimplifyEntries = o.SimplifyEntries
