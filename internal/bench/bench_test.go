@@ -35,11 +35,17 @@ func TestSimplifyTable(t *testing.T) {
 	if len(tbl.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(tbl.Rows))
 	}
+	// The passes column, pinned: the pass depth is memoized per
+	// normal-form entry, and must equal the closure walk it replaced.
+	wantPasses := map[string]string{"scenario1": "7", "scenario2": "6", "scenario3": "5"}
 	for _, row := range tbl.Rows {
 		seed, _ := strconv.Atoi(row[2])
 		simplified, _ := strconv.Atoi(row[3])
 		if simplified >= seed {
 			t.Errorf("%s/%s: no reduction (%d -> %d)", row[0], row[1], seed, simplified)
+		}
+		if row[6] != wantPasses[row[0]] {
+			t.Errorf("%s/%s: passes = %s, want %s", row[0], row[1], row[6], wantPasses[row[0]])
 		}
 	}
 }
@@ -128,15 +134,28 @@ func TestAblationTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := map[string]int{}
+	passes := map[string]string{}
 	for _, row := range tbl.Rows {
 		n, _ := strconv.Atoi(row[1])
 		sizes[row[0]] = n
+		passes[row[0]] = row[2]
 	}
 	full := sizes["full (15 rules, fixpoint)"]
 	noEq := sizes["without S14 eq-propagation"]
 	seed := sizes["unsimplified seed"]
 	if !(full < noEq && noEq < seed) {
 		t.Errorf("ablation ordering broken: full=%d noEq=%d seed=%d", full, noEq, seed)
+	}
+	want := map[string]string{
+		"full (15 rules, fixpoint)":  "5",
+		"without S14 eq-propagation": "1",
+		"single pass":                "2",
+		"unsimplified seed":          "0",
+	}
+	for name, w := range want {
+		if passes[name] != w {
+			t.Errorf("%s: passes = %q, want %s", name, passes[name], w)
+		}
 	}
 }
 
@@ -145,18 +164,63 @@ func TestRuleFireTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 15 {
-		t.Fatalf("rows = %d, want 15", len(tbl.Rows))
+	// All 45 counts, pinned: they are recounted on demand from the
+	// normal-form cache and must match the per-seed walk they replaced.
+	want := map[string][3]string{
+		"S1:const-fold":      {"2", "8", "12"},
+		"S2:double-negation": {"0", "0", "0"},
+		"S3:neg-const":       {"2", "2", "2"},
+		"S4:and-identity":    {"224", "243", "302"},
+		"S5:or-identity":     {"51", "57", "55"},
+		"S6:complement":      {"0", "0", "0"},
+		"S7:implies":         {"161", "169", "153"},
+		"S8:iff":             {"0", "0", "0"},
+		"S9:ite":             {"0", "5", "7"},
+		"S10:eq-reflexive":   {"0", "2", "2"},
+		"S11:eq-const":       {"0", "1", "1"},
+		"S12:domain-fold":    {"0", "1", "0"},
+		"S13:absorption":     {"6", "5", "4"},
+		"S14:eq-propagation": {"6", "6", "4"},
+		"S15:neg-normal":     {"3", "1", "3"},
 	}
-	total := 0
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(want))
+	}
 	for _, row := range tbl.Rows {
-		for _, cell := range row[1:] {
-			n, _ := strconv.Atoi(cell)
-			total += n
+		w, ok := want[row[0]]
+		if !ok {
+			t.Errorf("unexpected rule row %q", row[0])
+			continue
+		}
+		if got := [3]string{row[1], row[2], row[3]}; got != w {
+			t.Errorf("%s: fires = %v, want %v", row[0], got, w)
 		}
 	}
-	if total == 0 {
-		t.Fatal("no rules fired at all")
+}
+
+// TestRewriteTable pins the rewrite table's max-passes and rule-fires
+// columns: the memoized pass depth and the on-demand recount must
+// reproduce the per-seed closure walks they replaced.
+func TestRewriteTable(t *testing.T) {
+	tbl, err := RewriteTable(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]string{ // workload -> {max-passes, rule-fires}
+		"scenario1":   {"7", "1344"},
+		"scenario2":   {"6", "1424"},
+		"scenario3":   {"5", "1530"},
+		"grid_4x4":    {"11", "9262"},
+		"fattree_4":   {"10", "14771"},
+		"rand_24_s42": {"11", "14364"},
+	}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(want))
+	}
+	for _, row := range tbl.Rows {
+		if got := [2]string{row[4], row[5]}; got != want[row[0]] {
+			t.Errorf("%s: {max-passes, rule-fires} = %v, want %v", row[0], got, want[row[0]])
+		}
 	}
 }
 

@@ -292,7 +292,9 @@ func AblationTable(ctx context.Context) (*Table, error) {
 }
 
 // RuleFireTable reports which of the fifteen rules carry the
-// simplification (per scenario, explaining R1 fully).
+// simplification (per scenario, explaining R1 fully). The counts are
+// recounted on demand from the session's normal-form cache: the report
+// path keeps only the memoized pass depth.
 func RuleFireTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "rules (15 rewrite rules)",
@@ -315,7 +317,8 @@ func RuleFireTable(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts = append(counts, e.RuleStats)
+		fires, _ := ex.Session.NormCache().Recount(e.Seed)
+		counts = append(counts, fires)
 	}
 	for _, r := range rewrite.AllRules {
 		t.AddRow(string(r), counts[0][r], counts[1][r], counts[2][r])

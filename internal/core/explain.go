@@ -90,9 +90,9 @@ type Explanation struct {
 	SeedSize        int // seed term nodes
 	SimplifiedSize  int // simplified term nodes
 	ResidualSize    int // nodes over conjuncts mentioning device vars
-	// RuleStats counts rewrite-rule firings; Passes the fixpoint
-	// rounds; SimplifyTrace the term size after each pass.
-	RuleStats     map[rewrite.RuleName]int
+	// Passes counts the fixpoint rounds; SimplifyTrace the term size
+	// after each pass. Per-rule fire counts are recounted on demand
+	// from the session's normal-form cache (rewrite.Cache.Recount).
 	Passes        int
 	SimplifyTrace []int
 
@@ -237,7 +237,6 @@ func (e *Explainer) simplify(seed logic.Term) *engine.SimplifyOutcome {
 		Simplified: simp.Simplify(seed),
 		Passes:     simp.Passes,
 		Trace:      append([]int(nil), simp.Trace...),
-		Stats:      simp.Stats,
 	}
 }
 
@@ -305,10 +304,9 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
 	ex := &Explanation{
-		Router:    router,
-		Targets:   targets,
-		Replaced:  map[string]string{},
-		RuleStats: map[rewrite.RuleName]int{},
+		Router:   router,
+		Targets:  targets,
+		Replaced: map[string]string{},
 	}
 
 	// Step 1: partial symbolization.
@@ -349,9 +347,6 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	ex.SimplifiedSize = logic.Size(ex.Simplified)
 	ex.Passes = sout.Passes
 	ex.SimplifyTrace = append([]int(nil), sout.Trace...)
-	for r, n := range sout.Stats {
-		ex.RuleStats[r] = n
-	}
 
 	// Residual: the conjuncts that still constrain the device's
 	// variables (the rest is auxiliary routing structure).

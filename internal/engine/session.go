@@ -333,13 +333,14 @@ func (rc *ReportCache) Evictions() int {
 }
 
 // SimplifyOutcome is one seed's cached simplification: the simplified
-// term plus the simplifier's diagnostics, which explanations report.
-// Outcomes are shared across queries and must be treated as immutable.
+// term plus the diagnostics explanations report. Outcomes are shared
+// across queries and must be treated as immutable. Per-rule fire counts
+// are not part of it: the rule tables recount them on demand from the
+// session's normal-form cache (rewrite.Cache.Recount).
 type SimplifyOutcome struct {
 	Simplified logic.Term
 	Passes     int
 	Trace      []int
-	Stats      map[rewrite.RuleName]int
 }
 
 type entry struct {
@@ -624,9 +625,10 @@ func (s *Session) EnsureBase(ctx context.Context) *synth.Base {
 // simplification is answered by one map lookup. A miss still reuses
 // every subterm normal form earlier seeds left in the shared cache.
 // Concurrent misses on the same term may compute it twice; the
-// function is pure and deterministic (outcome diagnostics are
-// reconstructed from the cache's dependency graph, not from the order
-// work happened to be done in), so either result is the same.
+// function is pure and deterministic (Passes is the seed entry's pass
+// depth, memoized when each cache entry is published, not a product of
+// the order work happened to be done in), so either result is the
+// same.
 func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 	seed = s.in.Intern(seed)
 	if out, ok := s.simps.get(seed); ok {
@@ -640,7 +642,6 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 		Simplified: simp.Simplify(seed),
 		Passes:     simp.Passes,
 		Trace:      append([]int(nil), simp.Trace...),
-		Stats:      simp.Stats,
 	}
 	s.simps.put(seed, out)
 	return out

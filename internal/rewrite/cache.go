@@ -32,13 +32,19 @@ type fireCounts [numRules]uint32
 // fires count only the rules fired at this term's own node; the work
 // done inside subterms (and inside terms derived while rewriting this
 // node) is reachable through deps, so a deterministic walk of the
-// dependency closure reconstructs a whole seed's rule statistics
-// regardless of how warm the cache was or which goroutine filled it.
-// Entries are immutable once published.
+// dependency closure (Cache.Recount) reconstructs a whole seed's rule
+// statistics regardless of how warm the cache was or which goroutine
+// filled it. passes needs no walk: it is memoized when the entry is
+// published, as the maximum of the entry's own rounds and its
+// dependencies' passes — every dependency is published before the
+// entry that records it, and max is idempotent, so neither DAG sharing
+// nor a first-wins race can change it. Entries are immutable once
+// published.
 type nfEntry struct {
 	out    logic.Term
 	fires  fireCounts
 	rounds uint32 // equality-propagation rounds taken at this node
+	passes uint32 // max rounds over the dependency closure
 	deps   []logic.Term
 }
 
@@ -73,15 +79,18 @@ func (c *Cache) get(t logic.Term) (*nfEntry, bool) {
 	return e, ok
 }
 
-// put publishes the entry for t. First writer wins; a concurrent
-// duplicate (same term raced by two goroutines) is discarded, keeping
-// the dependency graph stable for readers that already saw the first.
-func (c *Cache) put(t logic.Term, e *nfEntry) {
+// put publishes the entry for t and returns the published entry. First
+// writer wins; a concurrent duplicate (same term raced by two
+// goroutines) is discarded, keeping the dependency graph stable for
+// readers that already saw the first.
+func (c *Cache) put(t logic.Term, e *nfEntry) *nfEntry {
 	c.mu.Lock()
-	if _, dup := c.m[t]; !dup {
-		c.m[t] = e
+	defer c.mu.Unlock()
+	if won, dup := c.m[t]; dup {
+		return won
 	}
-	c.mu.Unlock()
+	c.m[t] = e
+	return e
 }
 
 // Hits returns the number of cache lookups answered from the table.
@@ -98,17 +107,22 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// collectFrom walks the dependency closure of t's entry and returns
-// the aggregate per-rule fire counts and the maximum propagation round
-// count over the closure. Each distinct term is counted once, which is
-// what makes a seed's reported statistics deterministic: they depend
-// only on the set of distinct subterms normalized for it, not on cache
-// warmth or scheduling.
-func (c *Cache) collectFrom(t logic.Term) (fires fireCounts, maxRounds uint32) {
+// Recount walks the dependency closure of t's entry and returns the
+// per-rule fire counts summed over it (rules that never fired are
+// absent) and 1 + the maximum propagation-round count over it — the
+// Passes that Simplify reports from the memoized entry. Each distinct
+// term is counted once, which is what makes the counts deterministic:
+// they depend only on the set of distinct subterms normalized for t,
+// not on cache warmth or scheduling. The walk visits the whole closure
+// with a fresh visited set, so it is an on-demand diagnostic (the rule
+// tables); the report path never calls it.
+func (c *Cache) Recount(t logic.Term) (fires map[RuleName]int, passes int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	var sum fireCounts
+	var maxRounds uint32
 	visited := make(map[logic.Term]struct{})
-	stack := []logic.Term{t}
+	stack := []logic.Term{logic.Intern(t)}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -121,12 +135,18 @@ func (c *Cache) collectFrom(t logic.Term) (fires fireCounts, maxRounds uint32) {
 			continue
 		}
 		for i := range e.fires {
-			fires[i] += e.fires[i]
+			sum[i] += e.fires[i]
 		}
 		if e.rounds > maxRounds {
 			maxRounds = e.rounds
 		}
 		stack = append(stack, e.deps...)
 	}
-	return fires, maxRounds
+	fires = make(map[RuleName]int)
+	for i, n := range sum {
+		if n > 0 {
+			fires[AllRules[i]] = int(n)
+		}
+	}
+	return fires, int(maxRounds) + 1
 }

@@ -570,10 +570,12 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestSharedCacheDeterministicDiagnostics checks that Passes and Stats
-// for a term do not depend on cache warmth: a simplifier that computed
-// everything itself and one answering entirely from a warm shared
-// cache must report identical diagnostics.
+// TestSharedCacheDeterministicDiagnostics checks that Passes and the
+// on-demand rule counts for a term do not depend on cache warmth: a
+// simplifier that computed everything itself, one answering entirely
+// from a warm shared cache, and a private cache that saw only this
+// term must report identical diagnostics, and the memoized Passes must
+// equal the closure walk's.
 func TestSharedCacheDeterministicDiagnostics(t *testing.T) {
 	cache := NewCache()
 	for seed := int64(0); seed < 50; seed++ {
@@ -582,20 +584,29 @@ func TestSharedCacheDeterministicDiagnostics(t *testing.T) {
 
 		cold := NewShared(cache)
 		out1 := cold.Simplify(in)
+		coldFires, coldPasses := cache.Recount(in)
 
 		warm := NewShared(cache)
 		out2 := warm.Simplify(in)
+		warmFires, warmPasses := cache.Recount(in)
+
+		priv := New()
+		priv.Simplify(in)
+		privFires, privPasses := priv.cache.Recount(in)
 
 		if out1 != out2 {
 			t.Fatalf("seed %d: warm result differs: %s vs %s", seed, out1, out2)
 		}
-		if cold.Passes != warm.Passes {
-			t.Fatalf("seed %d: Passes differ cold=%d warm=%d", seed, cold.Passes, warm.Passes)
+		for _, p := range []int{warm.Passes, coldPasses, warmPasses, priv.Passes, privPasses} {
+			if p != cold.Passes {
+				t.Fatalf("seed %d: Passes differ: cold=%d warm=%d recounts=%d,%d private=%d,%d",
+					seed, cold.Passes, warm.Passes, coldPasses, warmPasses, priv.Passes, privPasses)
+			}
 		}
 		for _, rule := range AllRules {
-			if cold.Stats[rule] != warm.Stats[rule] {
-				t.Fatalf("seed %d: %s fires differ cold=%d warm=%d",
-					seed, rule, cold.Stats[rule], warm.Stats[rule])
+			if coldFires[rule] != warmFires[rule] || coldFires[rule] != privFires[rule] {
+				t.Fatalf("seed %d: %s fires differ cold=%d warm=%d private=%d",
+					seed, rule, coldFires[rule], warmFires[rule], privFires[rule])
 			}
 		}
 	}
@@ -608,17 +619,24 @@ func TestPrivateCachePerConfig(t *testing.T) {
 	x := logic.NewIntVar("x", 0, 9)
 	in := logic.And(logic.Eq(x, logic.NewInt(3)), logic.Lt(x, logic.NewInt(5)))
 
-	s := NewShared(NewCache())
+	shared := NewCache()
+	s := NewShared(shared)
 	if got := s.Simplify(in); got.String() != "x = 3" {
 		t.Fatalf("default config: got %s", got)
+	}
+	if fires, _ := shared.Recount(in); fires[RuleEqPropagation] != 1 {
+		t.Fatalf("default config: expected exactly one S14 fire, got %d", fires[RuleEqPropagation])
 	}
 	s.DisableEqPropagation = true
 	got := s.Simplify(in)
 	if got.String() != "x = 3 & x < 5" {
 		t.Fatalf("ablated config answered from default-config cache: %s", got)
 	}
-	if s.Stats[RuleEqPropagation] != 1 {
-		t.Fatalf("expected exactly the default-config run's S14 fire, got %d", s.Stats[RuleEqPropagation])
+	if s.cache == shared {
+		t.Fatal("ablated config ran on the shared default-config cache")
+	}
+	if fires, _ := s.cache.Recount(in); fires[RuleEqPropagation] != 0 {
+		t.Fatalf("ablated config recorded %d S14 fires", fires[RuleEqPropagation])
 	}
 	// And back: the shared cache still answers the default config.
 	s.DisableEqPropagation = false

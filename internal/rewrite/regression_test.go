@@ -72,7 +72,7 @@ func TestDisableEqPropagation(t *testing.T) {
 	if !strings.Contains(got.String(), "x < 5") {
 		t.Fatalf("S14 disabled but propagation still happened: %s", got)
 	}
-	if s.Stats[RuleEqPropagation] != 0 {
+	if fires, _ := s.cache.Recount(in); fires[RuleEqPropagation] != 0 {
 		t.Fatal("S14 fired despite being disabled")
 	}
 }
@@ -134,13 +134,19 @@ func TestAbsorptionNested(t *testing.T) {
 	}
 }
 
-func TestSimplifierReuseAccumulatesStats(t *testing.T) {
+func TestSimplifierReuseKeepsCache(t *testing.T) {
 	s := New()
 	x := logic.NewBoolVar("x")
-	s.Simplify(logic.Or(x, logic.Not(x)))
-	first := s.Stats[RuleComplement]
-	s.Simplify(logic.Or(x, logic.Not(x)))
-	if s.Stats[RuleComplement] <= first {
-		t.Fatal("stats should accumulate across Simplify calls")
+	in := logic.Or(x, logic.Not(x))
+	s.Simplify(in)
+	first, _ := s.cache.Recount(in)
+	misses := s.cache.Misses()
+	s.Simplify(in)
+	if s.cache.Misses() != misses {
+		t.Fatal("a reused simplifier should answer a repeat term from its cache")
+	}
+	again, _ := s.cache.Recount(in)
+	if first[RuleComplement] == 0 || again[RuleComplement] != first[RuleComplement] {
+		t.Fatalf("complement fires: first %d, after repeat %d", first[RuleComplement], again[RuleComplement])
 	}
 }

@@ -16,10 +16,12 @@ const DefaultMaxPasses = 64
 // pointer-keyed lookup. This replaces the earlier pass-until-fixpoint
 // driver, which re-walked the whole term every global pass.
 //
-// A Simplifier records per-rule fire counts in Stats; it may be reused
-// across terms (counts accumulate until Reset). Because rewriting is
-// memoized per distinct subterm, fire counts are per distinct subterm
-// normalized for the input's dependency closure, not per occurrence.
+// A Simplifier may be reused across terms; its normal-form cache
+// persists. Each Simplify call reports Passes, read in one lookup from
+// the root entry's memoized closure depth (see nfEntry). Per-rule fire
+// counts are not collected on the way: they cost a walk of the input's
+// whole dependency closure, so they are recounted on demand from the
+// cache (Cache.Recount) by the diagnostics that print them.
 type Simplifier struct {
 	// MaxPasses bounds the number of equality-propagation rounds run
 	// at any single conjunction (each round substitutes the unit
@@ -29,15 +31,11 @@ type Simplifier struct {
 	// non-terminating rule interaction degrades to a sound non-minimal
 	// result instead of a hang.
 	MaxPasses int
-	// Stats counts how many times each rule fired, accumulated across
-	// Simplify calls. Counts are per distinct subterm in the input's
-	// normalization closure and are reconstructed deterministically
-	// from the cache, so they do not depend on cache warmth.
-	Stats map[RuleName]int
 	// Passes reports 1 + the maximum number of equality-propagation
 	// rounds any conjunction in the last input needed — the depth of
 	// iterative work the old fixpoint driver would have spread over
-	// global passes.
+	// global passes. It is memoized per cache entry, so it does not
+	// depend on cache warmth.
 	Passes int
 	// DisableEqPropagation turns off rule S14 (equality propagation),
 	// the ablation knob for the experiment that measures how much of
@@ -58,9 +56,9 @@ type Simplifier struct {
 	privCfg     simpConfig
 
 	// Per-run state: the cache in use, the stack of entries collecting
-	// rule fires and dependency edges (top receives both), and the set
-	// of terms currently being normalized (cycle guard for derived
-	// terms).
+	// rule fires, rounds and dependency edges (top receives them), and
+	// the set of terms currently being normalized (cycle guard for
+	// derived terms).
 	cache    *Cache
 	stack    []*nfEntry
 	inflight map[logic.Term]struct{}
@@ -78,7 +76,7 @@ var defaultConfig = simpConfig{maxPasses: DefaultMaxPasses}
 // New creates a Simplifier with default settings and a private
 // normal-form cache that persists across its Simplify calls.
 func New() *Simplifier {
-	return &Simplifier{MaxPasses: DefaultMaxPasses, Stats: make(map[RuleName]int)}
+	return &Simplifier{MaxPasses: DefaultMaxPasses}
 }
 
 // NewShared creates a Simplifier whose default-configuration normal
@@ -87,13 +85,12 @@ func New() *Simplifier {
 // NewShared simplifiers may run in parallel over it; each Simplifier
 // itself is single-goroutine state and must not be shared.
 func NewShared(c *Cache) *Simplifier {
-	return &Simplifier{MaxPasses: DefaultMaxPasses, Stats: make(map[RuleName]int), sharedCache: c}
+	return &Simplifier{MaxPasses: DefaultMaxPasses, sharedCache: c}
 }
 
-// Reset clears accumulated statistics (the normal-form caches are
+// Reset clears the last run's diagnostics (the normal-form caches are
 // kept: they hold facts about terms, not about runs).
 func (s *Simplifier) Reset() {
-	s.Stats = make(map[RuleName]int)
 	s.Passes = 0
 	s.Trace = nil
 }
@@ -118,17 +115,12 @@ func (s *Simplifier) Simplify(t logic.Term) logic.Term {
 	}
 	t = logic.Intern(t)
 	s.inflight = make(map[logic.Term]struct{})
-	s.stack = append(s.stack[:0], &nfEntry{}) // root collector; discarded
+	root := &nfEntry{} // collects t's entry as its one dependency
+	s.stack = append(s.stack[:0], root)
 	out := s.norm(t)
 	s.stack, s.inflight = s.stack[:0], nil
 
-	fires, rounds := s.cache.collectFrom(t)
-	for i, n := range fires {
-		if n > 0 {
-			s.Stats[AllRules[i]] += int(n)
-		}
-	}
-	s.Passes = int(rounds) + 1
+	s.Passes = int(root.passes) + 1
 	s.Trace = append(s.Trace[:0], logic.Size(out))
 	return out
 }
@@ -143,11 +135,15 @@ func (s *Simplifier) firedN(r RuleName, n int) {
 	s.stack[len(s.stack)-1].fires[ruleIndex[r]] += uint32(n)
 }
 
-// dep records a dependency edge from the entry being computed to t, so
-// diagnostics collected for an input reach the entries of its
-// subterms and derived terms.
-func (s *Simplifier) dep(t logic.Term) {
+// dep records a dependency edge from the entry being computed to t,
+// whose published entry is e, so diagnostics collected for an input
+// reach the entries of its subterms and derived terms, and folds e's
+// closure depth into the computing entry's.
+func (s *Simplifier) dep(t logic.Term, e *nfEntry) {
 	top := s.stack[len(s.stack)-1]
+	if e.passes > top.passes {
+		top.passes = e.passes
+	}
 	if n := len(top.deps); n > 0 && top.deps[n-1] == t {
 		return
 	}
@@ -162,7 +158,7 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 		return t
 	}
 	if e, ok := s.cache.get(t); ok {
-		s.dep(t)
+		s.dep(t, e)
 		return e.out
 	}
 	if _, busy := s.inflight[t]; busy {
@@ -177,8 +173,10 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 	e.out = s.rewriteNode(a)
 	s.stack = s.stack[:len(s.stack)-1]
 	delete(s.inflight, t)
-	s.cache.put(t, e)
-	s.dep(t)
+	if e.rounds > e.passes {
+		e.passes = e.rounds
+	}
+	s.dep(t, s.cache.put(t, e))
 	return e.out
 }
 

@@ -201,15 +201,16 @@ func TestNegNormal(t *testing.T) {
 func TestStatsAndPasses(t *testing.T) {
 	s := New()
 	a := logic.NewBoolVar("a")
-	s.Simplify(logic.Or(a, logic.Not(a)))
-	if s.Stats[RuleComplement] == 0 {
-		t.Fatalf("complement rule did not fire: %v", s.Stats)
+	in := logic.Or(a, logic.Not(a))
+	s.Simplify(in)
+	if fires, _ := s.cache.Recount(in); fires[RuleComplement] == 0 {
+		t.Fatalf("complement rule did not fire: %v", fires)
 	}
 	if s.Passes < 1 {
 		t.Fatal("Passes not recorded")
 	}
 	s.Reset()
-	if len(s.Stats) != 0 || s.Passes != 0 {
+	if s.Passes != 0 || s.Trace != nil {
 		t.Fatal("Reset did not clear stats")
 	}
 }

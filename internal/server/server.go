@@ -380,6 +380,11 @@ func depMatchesNet(net *topology.Network, dep config.Deployment) error {
 	return nil
 }
 
+// testAfterLease, when set by a test, is called on the handler
+// goroutine right after a query has leased its explainer (the point a
+// handler panic must not leak the lease from).
+var testAfterLease func()
+
 // explainerFor checks out (or builds) the explainer for the problem.
 // The returned item is leased exclusively; exactly one of
 // pool.Checkin/pool.Drop must follow.
@@ -489,6 +494,33 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		s.failRequest(w, http.StatusBadRequest, err)
 		return
 	}
+	// Until the lease is checked in (leased set to nil), a panic on this
+	// goroutine must still close it. The interrupted session is dropped,
+	// never re-pooled: the query may have left it half updated. The
+	// client gets a 500 when nothing has been written yet; once a stream
+	// has started, the connection is aborted.
+	leased := item
+	var sr *streamRecorder
+	defer func() {
+		if leased == nil {
+			return
+		}
+		p := recover()
+		if p == nil {
+			return
+		}
+		s.pool.Drop(leased)
+		if sr != nil && sr.wrote {
+			s.ctrMu.Lock()
+			s.ctr.Errors++
+			s.ctrMu.Unlock()
+			panic(http.ErrAbortHandler)
+		}
+		s.failRequest(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
+	}()
+	if testAfterLease != nil {
+		testAfterLease()
+	}
 	// The lease is exclusive: the per-request knobs can be set directly.
 	// MaxConflicts/MaxModels stay zero so the lift splice signature is
 	// constant across requests (see budgetFor).
@@ -498,12 +530,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	e.Session.Budget = budget
 
 	if stream {
-		sr := &streamRecorder{w: w, cap: streamCacheCap, contentType: contentType}
+		sr = &streamRecorder{w: w, cap: streamCacheCap, contentType: contentType}
 		if f, ok := w.(http.Flusher); ok {
 			sr.f = f
 		}
 		_, rerr := e.WriteReport(ctx, sr)
 		s.pool.Checkin(item)
+		leased = nil
 		if rerr != nil {
 			if !sr.wrote {
 				s.failRequest(w, statusFor(rerr), rerr)
@@ -527,24 +560,24 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	var body []byte
 	if diff {
 		dr, derr := s.runDiff(ctx, e, edited)
+		// The session survives failed queries (failed encodes and lifts
+		// are not cached; solvers die with their query) — but ReExplain
+		// may have retargeted the explainer, so re-key.
+		s.checkinCurrent(item, e, sp, lift)
+		leased = nil
 		if derr != nil {
-			// The session survives failed queries (failed encodes and
-			// lifts are not cached; solvers die with their query) — but
-			// ReExplain may have retargeted the explainer, so re-key.
-			s.checkinCurrent(item, e, sp, lift)
 			s.failRequest(w, statusFor(derr), derr)
 			return
 		}
-		s.checkinCurrent(item, e, sp, lift)
 		body = mustJSON(diffResponse{Report: dr.Report, Summary: dr.Summary, Stats: dr.Stats})
 	} else {
 		report, rerr := e.ReportContext(ctx)
+		s.pool.Checkin(item)
+		leased = nil
 		if rerr != nil {
-			s.pool.Checkin(item)
 			s.failRequest(w, statusFor(rerr), rerr)
 			return
 		}
-		s.pool.Checkin(item)
 		body = mustJSON(explainResponse{Report: report})
 	}
 

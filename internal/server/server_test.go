@@ -257,6 +257,58 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerHandlerPanicReleasesLease injects a panic on the handler
+// goroutine after the query has leased its explainer. The client must
+// get a 500, the lease must be closed (leased back at 0 in /metrics)
+// without re-pooling the interrupted session, and the next request must
+// be served normally.
+func TestServerHandlerPanicReleasesLease(t *testing.T) {
+	topo, configs, spc, edited := problemTexts(t)
+	want := wantReport(t, topo, configs, spc)
+	s := New(Options{})
+	h := s.Handler()
+	t.Cleanup(func() { testAfterLease = nil })
+
+	cases := []struct {
+		name string
+		path string
+		req  request
+	}{
+		{"explain", "/explain", request{Topology: topo, Configs: configs, Spec: spc}},
+		{"stream", "/explain", request{Topology: topo, Configs: configs, Spec: spc, Stream: true}},
+		{"diff", "/diff", request{Topology: topo, Configs: configs, Spec: spc, EditedConfigs: edited}},
+	}
+	for i, tc := range cases {
+		testAfterLease = func() { panic("injected handler panic") }
+		w := post(t, h, tc.path, tc.req)
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, want 500 (body: %s)", tc.name, w.Code, w.Body.String())
+		}
+		if !strings.Contains(w.Body.String(), "injected handler panic") {
+			t.Errorf("%s: error body %q does not name the panic", tc.name, w.Body.String())
+		}
+		var m Metrics
+		if err := json.Unmarshal(get(h, "/metrics").Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Server.Pool.Leased != 0 || m.Server.Pool.Idle != 0 {
+			t.Fatalf("%s: after the panic leased = %d, idle = %d; want 0, 0",
+				tc.name, m.Server.Pool.Leased, m.Server.Pool.Idle)
+		}
+		if m.Server.Errors != i+1 {
+			t.Errorf("%s: errors = %d, want %d", tc.name, m.Server.Errors, i+1)
+		}
+	}
+
+	testAfterLease = nil
+	if got := decodeExplain(t, post(t, h, "/explain", cases[0].req)); got.Report != want {
+		t.Fatal("request after the panics: report differs from the cold ground truth")
+	}
+	if g := s.Pool().Gauges(); g.Leased != 0 || g.Idle != 1 {
+		t.Fatalf("after a served request leased = %d, idle = %d; want 0, 1", g.Leased, g.Idle)
+	}
+}
+
 // TestServerConcurrentMixedTraffic is the -race pin for the serving
 // layer: goroutines hammer one server with mixed explain, diff,
 // repeat (cache-hitting), and pre-cancelled requests. Every 200

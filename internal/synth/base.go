@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bgp"
 	"repro/internal/config"
 	"repro/internal/logic"
 	"repro/internal/topology"
@@ -28,6 +29,11 @@ type Base struct {
 	opts Options
 	// cands[prefix][pathKey] indexes the base candidates.
 	cands map[string]map[string]*candidate
+	// vocab is the deployment's vocabulary and tags its per-tag config
+	// counts, from which every encoder with the base attached derives
+	// its own vocabulary (deriveVocab).
+	vocab *vocab
+	tags  tagCounts
 }
 
 // NewBase enumerates the candidate structure of a concrete deployment.
@@ -64,6 +70,8 @@ func newBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		dep:   dep,
 		opts:  e.opts,
 		cands: make(map[string]map[string]*candidate, len(e.cands)),
+		vocab: e.voc(),
+		tags:  countTags(dep),
 	}
 	for prefix, byNode := range e.cands {
 		m := map[string]*candidate{}
@@ -75,6 +83,38 @@ func newBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		b.cands[prefix] = m
 	}
 	return b, nil
+}
+
+// deriveVocab returns the vocabulary of a sketch that differs from the
+// base deployment only at the dirty routers. The result equals
+// buildVocab(net, sketch), but only the dirty routers' old and new
+// configs are walked: their contributions adjust the base's per-tag
+// counts, and a tag set is rebuilt only when some count crosses zero.
+// Otherwise — always, unless the dirty routers added a new tag or held
+// the last mention of one — the base's sort objects are reused.
+func (b *Base) deriveVocab(sketch config.Deployment, dirty map[string]bool) *vocab {
+	delta := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
+	for name := range dirty {
+		if c, ok := b.dep[name]; ok {
+			delta.add(c, -1)
+		}
+		if c, ok := sketch[name]; ok {
+			delta.add(c, 1)
+		}
+	}
+	commsMoved := crossesZero(b.tags.comms, delta.comms)
+	ipsMoved := crossesZero(b.tags.ips, delta.ips)
+	if !commsMoved && !ipsMoved {
+		return b.vocab
+	}
+	v := *b.vocab
+	if commsMoved {
+		v.setCommunities(positive(b.tags.comms, delta.comms))
+	}
+	if ipsMoved {
+		v.setIPs(positive(b.tags.ips, delta.ips))
+	}
+	return &v
 }
 
 // NumCandidates reports how many candidate paths the base holds.

@@ -118,8 +118,10 @@ type Encoder struct {
 	net    *topology.Network
 	sketch config.Deployment
 	opts   Options
-	vocab  *vocab
 	in     *logic.Interner
+	// vocab is settled on first use (see voc), once WithBase has had
+	// its chance to attach a base to derive it from.
+	vocab *vocab
 
 	holeVars map[string]*logic.Var
 	// cands[prefix][node] lists candidates in discovery (BFS) order.
@@ -151,11 +153,24 @@ func NewEncoder(net *topology.Network, sketch config.Deployment, opts Options) *
 		net:      net,
 		sketch:   sketch,
 		opts:     opts.withDefaults(),
-		vocab:    buildVocab(net, sketch),
 		in:       logic.Default(),
 		holeVars: make(map[string]*logic.Var),
 		cands:    make(map[string]map[string][]*candidate),
 	}
+}
+
+// voc returns the encoder's vocabulary: derived from the attached base
+// when there is one (Base.deriveVocab walks only the dirty routers),
+// built from the whole sketch otherwise. Both yield the same sorts.
+func (e *Encoder) voc() *vocab {
+	if e.vocab == nil {
+		if e.base != nil {
+			e.vocab = e.base.deriveVocab(e.sketch, e.dirty)
+		} else {
+			e.vocab = buildVocab(e.net, e.sketch)
+		}
+	}
+	return e.vocab
 }
 
 // WithInterner directs the encoder to canonicalize every emitted
@@ -177,11 +192,13 @@ func (e *Encoder) assert(t logic.Term) {
 // WithBase attaches a cached base encoding (see NewBase): candidates
 // whose propagation path avoids every router that differs between the
 // sketch and the base deployment reuse the base's symbolic edge
-// conditions and route states instead of re-deriving them. The base is
-// ignored (silently, falling back to a full encode) when it was built
-// over a different topology or with different candidate-enumeration
-// options, so attaching a base never changes the encoding — only the
-// work done to produce it. Returns the encoder for chaining.
+// conditions and route states instead of re-deriving them, and the
+// encoder derives its vocabulary from the base's by looking at those
+// differing routers only (Base.deriveVocab). Call before encoding. The
+// base is ignored (silently, falling back to a full encode) when it was
+// built over a different topology or with different candidate-
+// enumeration options, so attaching a base never changes the encoding —
+// only the work done to produce it. Returns the encoder for chaining.
 func (e *Encoder) WithBase(b *Base) *Encoder {
 	if b == nil || b.net != e.net || b.opts != e.opts {
 		return e
@@ -324,7 +341,7 @@ func (e *Encoder) declareHolesOf(routers []string) error {
 			for _, cl := range c.RouteMaps[name].Clauses {
 				if cl.ActionHole != "" {
 					if _, err := e.holeVar(cl.ActionHole, func() *logic.Var {
-						return logic.NewEnumVar(cl.ActionHole, e.vocab.actionSort)
+						return logic.NewEnumVar(cl.ActionHole, e.voc().actionSort)
 					}); err != nil {
 						return err
 					}
@@ -362,11 +379,11 @@ func (e *Encoder) declareHolesOf(routers []string) error {
 func (e *Encoder) matchHoleMaker(m *config.Match) (func() *logic.Var, error) {
 	switch m.Kind {
 	case config.MatchPrefixList:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.prefixSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.voc().prefixSort) }, nil
 	case config.MatchCommunity:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.commSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.voc().commSort) }, nil
 	case config.MatchNextHopIs:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.nbrSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.voc().nbrSort) }, nil
 	}
 	return nil, fmt.Errorf("synth: unsupported match kind %v", m.Kind)
 }
@@ -376,9 +393,9 @@ func (e *Encoder) setHoleMaker(s *config.Set) (func() *logic.Var, error) {
 	case config.SetLocalPref, config.SetMED:
 		return func() *logic.Var { return logic.NewIntVar(s.ParamHole, 0, LPRankHi) }, nil
 	case config.SetCommunity:
-		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab.commSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.voc().commSort) }, nil
 	case config.SetNextHopIP:
-		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab.ipSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.voc().ipSort) }, nil
 	}
 	return nil, fmt.Errorf("synth: unsupported set kind %v", s.Kind)
 }
@@ -510,7 +527,7 @@ func (e *Encoder) encodeSelection() {
 // scoped splice derive their constraint layout from this walk, which is
 // what makes span-copying sound (see ScopedBase).
 func (e *Encoder) forEachSelectionGroup(f func(prefix, node string, cands []*candidate)) {
-	for _, prefix := range e.vocab.prefixes {
+	for _, prefix := range e.voc().prefixes {
 		byNode := e.cands[prefix]
 		for _, node := range sortedNodes(byNode) {
 			cands := byNode[node]
@@ -596,7 +613,7 @@ func asPathLen(path []string, net *topology.Network) int {
 // whose traffic path contains the pattern.
 func (e *Encoder) encodeForbid(f *spec.Forbid) error {
 	hit := false
-	for _, prefix := range e.vocab.prefixes {
+	for _, prefix := range e.voc().prefixes {
 		for _, node := range sortedNodes(e.cands[prefix]) {
 			for _, c := range e.cands[prefix][node] {
 				if !matchesTraffic(f.Path, c.path) {

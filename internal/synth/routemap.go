@@ -62,26 +62,26 @@ func (e *Encoder) clauseMatchCond(c *config.Config, cl *config.Clause, st *route
 				this = logic.NewBool(permitsPrefix(pl, st.prefix))
 			} else {
 				v, err := e.holeVar(m.ValueHole, func() *logic.Var {
-					return logic.NewEnumVar(m.ValueHole, e.vocab.prefixSort)
+					return logic.NewEnumVar(m.ValueHole, e.voc().prefixSort)
 				})
 				if err != nil {
 					return nil, err
 				}
-				this = logic.Eq(v, e.vocab.prefixConst(st.prefix))
+				this = logic.Eq(v, e.voc().prefixConst(st.prefix))
 			}
 		case config.MatchCommunity:
 			if m.ValueHole == "" {
 				this = st.hasComm(m.Community)
 			} else {
 				v, err := e.holeVar(m.ValueHole, func() *logic.Var {
-					return logic.NewEnumVar(m.ValueHole, e.vocab.commSort)
+					return logic.NewEnumVar(m.ValueHole, e.voc().commSort)
 				})
 				if err != nil {
 					return nil, err
 				}
 				var alts []logic.Term
-				for _, comm := range e.vocab.communities {
-					alts = append(alts, logic.And(logic.Eq(v, e.vocab.commConst(comm)), st.hasComm(comm)))
+				for _, comm := range e.voc().communities {
+					alts = append(alts, logic.And(logic.Eq(v, e.voc().commConst(comm)), st.hasComm(comm)))
 				}
 				this = logic.Or(alts...)
 			}
@@ -92,12 +92,12 @@ func (e *Encoder) clauseMatchCond(c *config.Config, cl *config.Clause, st *route
 				this = logic.NewBool(st.nextHop == m.NextHop)
 			} else {
 				v, err := e.holeVar(m.ValueHole, func() *logic.Var {
-					return logic.NewEnumVar(m.ValueHole, e.vocab.nbrSort)
+					return logic.NewEnumVar(m.ValueHole, e.voc().nbrSort)
 				})
 				if err != nil {
 					return nil, err
 				}
-				this = logic.Eq(v, logic.NewEnum(e.vocab.nbrSort, st.nextHop))
+				this = logic.Eq(v, logic.NewEnum(e.voc().nbrSort, st.nextHop))
 			}
 		default:
 			return nil, fmt.Errorf("synth: unsupported match kind %v", m.Kind)
@@ -114,12 +114,12 @@ func (e *Encoder) clausePermitCond(cl *config.Clause) (logic.Term, error) {
 		return logic.NewBool(cl.Action == config.Permit), nil
 	}
 	v, err := e.holeVar(cl.ActionHole, func() *logic.Var {
-		return logic.NewEnumVar(cl.ActionHole, e.vocab.actionSort)
+		return logic.NewEnumVar(cl.ActionHole, e.voc().actionSort)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return logic.Eq(v, logic.NewEnum(e.vocab.actionSort, actionPermit)), nil
+	return logic.Eq(v, logic.NewEnum(e.voc().actionSort, actionPermit)), nil
 }
 
 // applySetsSymbolic folds the clause's set lines into the state under
@@ -151,14 +151,14 @@ func (e *Encoder) applySetsSymbolic(cl *config.Clause, takes logic.Term, st *rou
 				st.comms[s.Community] = logic.Or(st.hasComm(s.Community), takes)
 			} else {
 				v, err := e.holeVar(s.ParamHole, func() *logic.Var {
-					return logic.NewEnumVar(s.ParamHole, e.vocab.commSort)
+					return logic.NewEnumVar(s.ParamHole, e.voc().commSort)
 				})
 				if err != nil {
 					return err
 				}
-				for _, comm := range e.vocab.communities {
+				for _, comm := range e.voc().communities {
 					st.comms[comm] = logic.Or(st.hasComm(comm),
-						logic.And(takes, logic.Eq(v, e.vocab.commConst(comm))))
+						logic.And(takes, logic.Eq(v, e.voc().commConst(comm))))
 				}
 			}
 
@@ -183,7 +183,7 @@ func (e *Encoder) applySetsSymbolic(cl *config.Clause, takes logic.Term, st *rou
 			// so the explanation pipeline reports it as free.
 			if s.ParamHole != "" {
 				if _, err := e.holeVar(s.ParamHole, func() *logic.Var {
-					return logic.NewEnumVar(s.ParamHole, e.vocab.ipSort)
+					return logic.NewEnumVar(s.ParamHole, e.voc().ipSort)
 				}); err != nil {
 					return err
 				}
@@ -243,4 +243,4 @@ func (e *Encoder) edgePass(u, v string, st *routeState) (logic.Term, *routeState
 
 // communityVocabulary exposes the encoder's community vocabulary (for
 // tests).
-func (e *Encoder) communityVocabulary() []bgp.Community { return e.vocab.communities }
+func (e *Encoder) communityVocabulary() []bgp.Community { return e.voc().communities }

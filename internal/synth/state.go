@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bgp"
@@ -12,7 +13,13 @@ import (
 
 // vocab holds the finite sorts the encoding ranges over: route-map
 // actions, the network's prefixes, the community vocabulary, and the
-// neighbor names usable in next-hop matches.
+// neighbor names usable in next-hop matches. A vocab is immutable once
+// built, so encoders share one freely. An encoder with a base attached
+// derives its vocabulary from the base's (Base.deriveVocab), looking
+// only at its dirty routers and reusing the base's sort objects
+// whenever its tag sets come out unchanged; only an encoder without a
+// base (synthesis, and building a base from scratch) walks the whole
+// sketch (buildVocab).
 type vocab struct {
 	actionSort *logic.Sort
 	prefixSort *logic.Sort
@@ -32,6 +39,15 @@ const (
 	actionDeny   = "deny"
 )
 
+// The always-present tags: community and next-hop holes have room to
+// choose even in a deployment that mentions no concrete tag.
+var (
+	alwaysCommunities = []bgp.Community{bgp.MustCommunity("100:1"), bgp.MustCommunity("100:2")}
+	alwaysNextHopIPs  = []string{"10.0.0.1", "10.0.0.2"}
+)
+
+// buildVocab builds a sketch's vocabulary from scratch: the topology's
+// prefixes and router names, and the tags of every config.
 func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 	v := &vocab{}
 	v.actionSort = logic.NewEnumSort("RMAction", actionPermit, actionDeny)
@@ -47,63 +63,132 @@ func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 	}
 	sort.Strings(v.prefixes)
 	v.prefixSort = logic.NewEnumSort("Prefix", v.prefixes...)
-
-	// The base vocabulary is always available so community holes have
-	// room to choose, and — critically for the explainer — so the
-	// vocabulary does not shrink when a concrete tag is symbolized
-	// away (the encoding must stay comparable across symbolizations).
-	seenC := map[bgp.Community]bool{
-		bgp.MustCommunity("100:1"): true,
-		bgp.MustCommunity("100:2"): true,
-	}
-	for _, c := range sketch {
-		for _, name := range c.RouteMapNames() {
-			for _, cl := range c.RouteMaps[name].Clauses {
-				for _, m := range cl.Matches {
-					if m.Kind == config.MatchCommunity && m.ValueHole == "" {
-						seenC[m.Community] = true
-					}
-				}
-				for _, s := range cl.Sets {
-					if s.Kind == config.SetCommunity && s.ParamHole == "" {
-						seenC[s.Community] = true
-					}
-				}
-			}
-		}
-	}
-	for c := range seenC {
-		v.communities = append(v.communities, c)
-	}
-	sort.Slice(v.communities, func(i, j int) bool {
-		return v.communities[i].String() < v.communities[j].String()
-	})
-	commNames := make([]string, len(v.communities))
-	for i, c := range v.communities {
-		commNames[i] = "c" + c.String()
-	}
-	v.commSort = logic.NewEnumSort("Community", commNames...)
-
 	v.nbrSort = logic.NewEnumSort("Neighbor", net.RouterNames()...)
 
-	seenIP := map[string]bool{"10.0.0.1": true, "10.0.0.2": true}
-	for _, c := range sketch {
-		for _, name := range c.RouteMapNames() {
-			for _, cl := range c.RouteMaps[name].Clauses {
-				for _, s := range cl.Sets {
-					if s.Kind == config.SetNextHopIP && s.ParamHole == "" && s.NextHopIP != "" {
-						seenIP[s.NextHopIP] = true
-					}
+	tags := countTags(sketch)
+	v.setCommunities(positive(tags.comms, nil))
+	v.setIPs(positive(tags.ips, nil))
+	return v
+}
+
+// setCommunities installs the community vocabulary, sorted by printed
+// form, and its enum sort.
+func (v *vocab) setCommunities(comms []bgp.Community) {
+	sort.Slice(comms, func(i, j int) bool { return comms[i].String() < comms[j].String() })
+	names := make([]string, len(comms))
+	for i, c := range comms {
+		names[i] = "c" + c.String()
+	}
+	v.communities = comms
+	v.commSort = logic.NewEnumSort("Community", names...)
+}
+
+// setIPs installs the next-hop IP vocabulary, sorted, and its enum
+// sort.
+func (v *vocab) setIPs(ips []string) {
+	sort.Strings(ips)
+	v.ips = ips
+	v.ipSort = logic.NewEnumSort("NextHopIP", ips...)
+}
+
+// vocabContrib returns one configuration's contribution to the
+// deployment-dependent vocabulary: the concrete community tags and
+// next-hop IPs its route-maps mention, each listed once, in no
+// particular order. A hole contributes nothing (its value is the
+// model's to choose). This is the one walk behind buildVocab, the
+// base's per-tag counts (countTags) and VocabContribFingerprint.
+func vocabContrib(c *config.Config) (comms []bgp.Community, ips []string) {
+	addComm := func(x bgp.Community) {
+		if !slices.Contains(comms, x) {
+			comms = append(comms, x)
+		}
+	}
+	for _, rm := range c.RouteMaps {
+		for _, cl := range rm.Clauses {
+			for _, m := range cl.Matches {
+				if m.Kind == config.MatchCommunity && m.ValueHole == "" {
+					addComm(m.Community)
+				}
+			}
+			for _, s := range cl.Sets {
+				if s.ParamHole != "" {
+					continue
+				}
+				switch {
+				case s.Kind == config.SetCommunity:
+					addComm(s.Community)
+				case s.Kind == config.SetNextHopIP && s.NextHopIP != "" && !slices.Contains(ips, s.NextHopIP):
+					ips = append(ips, s.NextHopIP)
 				}
 			}
 		}
 	}
-	for ip := range seenIP {
-		v.ips = append(v.ips, ip)
+	return comms, ips
+}
+
+// tagCounts counts, for each concrete community tag and next-hop IP,
+// how many configs of a deployment mention it. Each always-present tag
+// carries one extra standing count, so no config edit removes it. The
+// vocabulary is exactly the set of tags with a positive count.
+type tagCounts struct {
+	comms map[bgp.Community]int
+	ips   map[string]int
+}
+
+// countTags counts the tags of every config of the deployment.
+func countTags(dep config.Deployment) tagCounts {
+	tc := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
+	for _, c := range alwaysCommunities {
+		tc.comms[c] = 1
 	}
-	sort.Strings(v.ips)
-	v.ipSort = logic.NewEnumSort("NextHopIP", v.ips...)
-	return v
+	for _, ip := range alwaysNextHopIPs {
+		tc.ips[ip] = 1
+	}
+	for _, c := range dep {
+		tc.add(c, 1)
+	}
+	return tc
+}
+
+// add adjusts the counts by one config's contribution: by is +1 for a
+// config entering the deployment, -1 for one leaving it.
+func (tc tagCounts) add(c *config.Config, by int) {
+	comms, ips := vocabContrib(c)
+	for _, x := range comms {
+		tc.comms[x] += by
+	}
+	for _, ip := range ips {
+		tc.ips[ip] += by
+	}
+}
+
+// crossesZero reports whether adjusting counts by delta moves some
+// tag's count across zero: exactly when the set of tags with a positive
+// count changes.
+func crossesZero[K comparable](counts, delta map[K]int) bool {
+	for k, d := range delta {
+		if (counts[k] > 0) != (counts[k]+d > 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// positive returns, unordered, the tags whose count adjusted by delta
+// (nil for none) is positive.
+func positive[K comparable](counts, delta map[K]int) []K {
+	var out []K
+	for k, n := range counts {
+		if n+delta[k] > 0 {
+			out = append(out, k)
+		}
+	}
+	for k, d := range delta {
+		if _, ok := counts[k]; !ok && d > 0 {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // VocabContribFingerprint hashes one configuration's contribution to
@@ -117,34 +202,19 @@ func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 // encoding's sorts are unchanged too. Prefixes and neighbor names come
 // from the topology and need no fingerprinting.
 func VocabContribFingerprint(c *config.Config) uint64 {
-	var items []string
-	for _, name := range c.RouteMapNames() {
-		for _, cl := range c.RouteMaps[name].Clauses {
-			for _, m := range cl.Matches {
-				if m.Kind == config.MatchCommunity && m.ValueHole == "" {
-					items = append(items, "c"+m.Community.String())
-				}
-			}
-			for _, s := range cl.Sets {
-				if s.Kind == config.SetCommunity && s.ParamHole == "" {
-					items = append(items, "c"+s.Community.String())
-				}
-				if s.Kind == config.SetNextHopIP && s.ParamHole == "" && s.NextHopIP != "" {
-					items = append(items, "ip"+s.NextHopIP)
-				}
-			}
-		}
+	comms, ips := vocabContrib(c)
+	// The contribution is a set: each item is hashed once, in sorted
+	// order, so repeating a tag is not a contribution change.
+	items := make([]string, 0, len(comms)+len(ips))
+	for _, x := range comms {
+		items = append(items, "c"+x.String())
+	}
+	for _, ip := range ips {
+		items = append(items, "ip"+ip)
 	}
 	sort.Strings(items)
-	// Deduplicate: the vocabulary is a set, so repeating a tag is not a
-	// contribution change.
 	h := uint64(14695981039346656037)
-	prev := ""
 	for _, it := range items {
-		if it == prev {
-			continue
-		}
-		prev = it
 		for i := 0; i < len(it); i++ {
 			h = (h ^ uint64(it[i])) * 1099511628211
 		}

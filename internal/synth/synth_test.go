@@ -77,7 +77,7 @@ func TestCandidateCapTruncates(t *testing.T) {
 	if e.stats.TruncatedPaths == 0 {
 		t.Fatal("cap of 1 must truncate on the paper topology")
 	}
-	for _, prefix := range e.vocab.prefixes {
+	for _, prefix := range e.voc().prefixes {
 		for node, cands := range e.cands[prefix] {
 			limit := 1
 			if node == prefixOrigin(net, prefix) {
