@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	poolSize := fs.Int("poolsize", 16, "warm session pool entries (LRU-evicted)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "default per-request deadline when the request sets none")
 	maxTimeout := fs.Duration("maxtimeout", 0, "clamp for requested deadlines (0 = same as -timeout)")
-	maxLiftWorkers := fs.Int("maxliftworkers", 8, "clamp for per-request lift_workers")
 	proof := fs.Bool("proof", false, "verify every Unsat verdict with the independent proof checker")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "netexplaind: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if *maxInflight < 1 || *poolSize < 1 || *maxLiftWorkers < 1 {
-		fmt.Fprintln(stderr, "netexplaind: -maxinflight, -poolsize, and -maxliftworkers must be at least 1")
+	if *maxInflight < 1 || *poolSize < 1 {
+		fmt.Fprintln(stderr, "netexplaind: -maxinflight and -poolsize must be at least 1")
 		return 2
 	}
 	if *timeout <= 0 {
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PoolSize:          *poolSize,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		MaxLiftWorkers:    *maxLiftWorkers,
 		VerifyProofs:      *proof,
 	})
 

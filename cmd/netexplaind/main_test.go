@@ -26,6 +26,7 @@ import (
 func TestRunUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
+		{"-maxliftworkers", "4"}, // retired with the lift worker pool
 		{"stray-arg"},
 		{"-maxinflight", "0"},
 		{"-poolsize", "-3"},

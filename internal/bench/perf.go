@@ -23,7 +23,7 @@ type PerfEntry struct {
 	// SynthMS is the wall-clock time of synthesizing the scenario.
 	SynthMS float64 `json:"synth_ms"`
 	// SATConflicts, SATSolves, and SATPropagations total the SAT effort
-	// of every solver the report ran, per-worker clones included.
+	// of every solver the report ran.
 	SATConflicts    uint64 `json:"sat_conflicts"`
 	SATSolves       uint64 `json:"sat_solves"`
 	SATPropagations uint64 `json:"sat_propagations"`

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,10 +62,11 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestScaleByteIdentity pins cold-vs-scoped byte-identity on the
-// netgen preset shapes, with proof verification on and across lift
-// worker counts on the lifted workload. The seed scenarios have the
-// same pin in internal/core (golden worker-count reports run through
-// the streaming path).
+// netgen preset shapes, with proof verification on and, on the lifted
+// workload, across the report stream's router-pool width (GOMAXPROCS,
+// restored on exit, so the test must not call t.Parallel). The seed
+// scenarios have the same pin in internal/core (golden worker-count
+// reports run through the streaming path).
 func TestScaleByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -93,12 +95,11 @@ func TestScaleByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			report := func(liftWorkers int, scoped bool) string {
+			report := func(scoped bool) string {
 				opts := core.DefaultOptions()
 				opts.Synth = sopts
 				opts.Lift = tc.lift
 				opts.VerifyProofs = true
-				opts.LiftWorkers = liftWorkers
 				ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -118,14 +119,16 @@ func TestScaleByteIdentity(t *testing.T) {
 				return sb.String()
 			}
 
-			want := report(1, false)
-			workers := []int{1}
+			want := report(false)
+			widths := []int{runtime.GOMAXPROCS(0)}
 			if tc.matrix {
-				workers = []int{1, 2}
+				widths = []int{1, 2, 8}
 			}
-			for _, w := range workers {
-				if got := report(w, true); got != want {
-					t.Errorf("liftWorkers=%d: scoped report differs from cold report", w)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range widths {
+				runtime.GOMAXPROCS(procs)
+				if got := report(true); got != want {
+					t.Errorf("GOMAXPROCS=%d: scoped report differs from cold report", procs)
 				}
 			}
 		})

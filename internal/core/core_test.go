@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"repro/internal/spec"
 	"repro/internal/synth"
 )
+
+// setGOMAXPROCS sets GOMAXPROCS, which sizes the report stream's router
+// pool, for the rest of the test and restores the previous value when
+// the test ends. GOMAXPROCS is process-wide, so only tests that do not
+// call t.Parallel may use it.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // synthScenario synthesizes a scenario once per test binary run.
 func synthScenario(t *testing.T, sc *scenarios.Scenario) config.Deployment {

@@ -78,11 +78,11 @@ func (e *Explainer) ReExplain(delta Delta) (*DiffReport, error) {
 //     candidate terms make this a pointer walk). An edit that changes
 //     no modeled term, no vocabulary contribution, and no requirement
 //     is answered with the previous report verbatim.
-//  2. Otherwise sweep every router through the normal pipeline:
-//     encode and simplify run against warm shared caches, and a router
-//     whose lift inputs are pointer-identical to its cached generation
-//     splices the cached subspecification instead of re-running the
-//     lift solvers.
+//  2. Otherwise sweep every router through the report stream's
+//     pipeline: encode and simplify run against warm shared caches, and
+//     a router whose lift inputs are pointer-identical to its cached
+//     generation splices the cached subspecification instead of
+//     re-running the lift solvers.
 //
 // The report is byte-identical to a cold Report over the edited
 // deployment: the sweep recomputes every reported figure, and splices
@@ -156,36 +156,32 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 	// previous report stands verbatim.
 	if !reqsChanged && modeledSame && bd.Comparable && bd.Identical && prior != "" {
 		// The successor session shares the report cache, so the retained
-		// identity still resolves; re-store to refresh its LRU position.
-		e.storeLastReport(prior)
+		// identity still resolves (loadLastReport's lookup refreshed the
+		// entry's LRU position).
 		st.FastPath = true
 		st.Spliced = len(newDep)
 		return &DiffReport{Report: prior, Summary: renderDiffSummary(st), Stats: st}, nil
 	}
 
+	// The sweep is the report stream itself, rendered into memory; it
+	// retains the report for the next fast path on success.
 	routers := e.reportRouters()
-	if len(routers) > 1 {
-		// Whole-network sweep ahead: record the scoped encode so each
-		// router's derived encode splices its out-of-cone constraints.
-		newSess.PrepareScoped(ctx)
-	}
 	e.diffInfo = make(map[string]*routerDelta, len(routers))
 	defer func() { e.diffInfo = nil }()
-
-	exs, err := e.explainSweep(ctx, routers)
-	if err != nil {
+	var sb strings.Builder
+	if _, err := e.writeReportLocked(ctx, &sb); err != nil {
 		return nil, err
 	}
-	out := e.renderReport(routers, exs)
-	e.storeLastReport(out)
+	out := sb.String()
 
-	for i, r := range routers {
-		if exs[i].liftSpliced {
+	for _, r := range routers {
+		d := e.diffInfo[r]
+		if d != nil && d.spliced {
 			st.Spliced++
 		} else {
 			st.Recomputed++
 		}
-		if d := e.diffInfo[r]; d != nil && d.seedDelta != 0 {
+		if d != nil && d.seedDelta != 0 {
 			st.PredictedDirty = append(st.PredictedDirty, r)
 			st.ConeAtoms += d.coneAtoms
 		}

@@ -72,9 +72,9 @@ func TestReExplainByteIdentity(t *testing.T) {
 	}
 }
 
-// TestReExplainWorkerMatrix pins byte-identity across the lift worker
-// pool size: it must never change a single byte of the incremental
-// report.
+// TestReExplainWorkerMatrix pins byte-identity across the router
+// pool's width (GOMAXPROCS): it must never change a single byte of the
+// incremental report.
 func TestReExplainWorkerMatrix(t *testing.T) {
 	sc := scenarios.Scenario2()
 	dep := synthScenario(t, sc)
@@ -83,22 +83,18 @@ func TestReExplainWorkerMatrix(t *testing.T) {
 	if coldErr != nil {
 		t.Fatalf("cold report on edited network: %v", coldErr)
 	}
-	for _, liftW := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.LiftWorkers = liftW
-		e, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, procs := range []int{1, 2, 8} {
+		setGOMAXPROCS(t, procs)
+		e := newExplainer(t, sc, dep, nil)
 		if _, err := e.Report(); err != nil {
 			t.Fatal(err)
 		}
 		dr, err := e.ReExplain(Delta{Deployment: edited})
 		if err != nil {
-			t.Fatalf("lift=%d: %v", liftW, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if dr.Report != want {
-			t.Fatalf("lift=%d: incremental report diverges from cold report", liftW)
+			t.Fatalf("GOMAXPROCS=%d: incremental report diverges from cold report", procs)
 		}
 	}
 }

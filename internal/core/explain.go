@@ -28,13 +28,6 @@ type Options struct {
 	// MaxPatternNodes bounds the length of candidate subspecification
 	// path patterns during lifting.
 	MaxPatternNodes int
-	// LiftWorkers bounds the worker pool that checks lift candidates in
-	// parallel (each worker owns warm clones of the seed and domain
-	// solvers). Zero means GOMAXPROCS; 1 forces the sequential path.
-	// The explanation output is identical for every value — verdicts
-	// are merged in candidate order — so this is purely a resource
-	// knob.
-	LiftWorkers int
 	// Budget bounds the resources explanation queries may spend: a
 	// wall-clock deadline, a per-solve conflict cap, and the model
 	// cap of the sufficiency check. The zero value means unlimited.
@@ -106,10 +99,6 @@ type Explanation struct {
 	// it; the splice gate only accepts entries produced under the same
 	// VerifyProofs setting.)
 	Verified bool
-
-	// liftSpliced marks an explanation whose lift stage was served from
-	// the cross-deployment report cache instead of recomputed.
-	liftSpliced bool
 }
 
 // Explainer explains devices of one synthesized deployment.
@@ -378,7 +367,6 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 					if e.liftEntryValid(ent, ex, enc) {
 						ex.Subspec = ent.block
 						ex.SubspecComplete = ent.complete
-						ex.liftSpliced = true
 						spliced = true
 					}
 					e.noteDelta(router, ent, enc, spliced)

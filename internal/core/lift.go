@@ -100,48 +100,37 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	}
 	defer domRelease()
 
-	// Decide NOT VACUOUS and NECESSARY for every candidate across the
-	// worker pool. Verdicts land in candidate order, so the accepted
-	// list — and everything downstream — is byte-identical for every
-	// worker count.
-	verdicts := make([]bool, len(cands))
-	err = e.runChecks(ctx, len(cands), []*smt.Solver{seedSolver, domSolver},
-		func(ctx context.Context, solvers []*smt.Solver, i int, lats *[]time.Duration) error {
-			seed, dom := solvers[0], solvers[1]
-			// Vacuous: no completion violates it.
-			st, err := timedSolve(ctx, dom, lats, logic.Not(cands[i].term))
-			if err != nil {
-				return err
-			}
-			if st != sat.Sat {
-				if st == sat.Unsat {
-					// The drop verdict rests on an Unsat: check it.
-					if err := e.verifyUnsat(dom); err != nil {
-						return err
-					}
-				}
-				return nil // tautological over the hole space: says nothing
-			}
-			// Necessary: seed forces it.
-			st, err = timedSolve(ctx, seed, lats, logic.Not(cands[i].term))
-			if err != nil {
-				return err
-			}
-			if st == sat.Unsat {
-				if err := e.verifyUnsat(seed); err != nil {
-					return err
-				}
-			}
-			verdicts[i] = st == sat.Unsat
-			return nil
-		})
-	if err != nil {
-		return nil, false, err
-	}
+	// Decide NOT VACUOUS and NECESSARY for every candidate, in
+	// candidate order. The latencies of every query this lift runs are
+	// recorded once it returns.
+	var lats []time.Duration
+	defer func() { e.addLiftQueries(lats) }()
 	var accepted []liftCandidate
-	for i, ok := range verdicts {
-		if ok {
-			accepted = append(accepted, cands[i])
+	for _, c := range cands {
+		// Vacuous: no completion violates it.
+		st, err := timedSolve(ctx, domSolver, &lats, logic.Not(c.term))
+		if err != nil {
+			return nil, false, err
+		}
+		if st != sat.Sat {
+			if st == sat.Unsat {
+				// The drop verdict rests on an Unsat: check it.
+				if err := e.verifyUnsat(domSolver); err != nil {
+					return nil, false, err
+				}
+			}
+			continue // tautological over the hole space: says nothing
+		}
+		// Necessary: seed forces it.
+		st, err = timedSolve(ctx, seedSolver, &lats, logic.Not(c.term))
+		if err != nil {
+			return nil, false, err
+		}
+		if st == sat.Unsat {
+			if err := e.verifyUnsat(seedSolver); err != nil {
+				return nil, false, err
+			}
+			accepted = append(accepted, c)
 		}
 	}
 
@@ -200,9 +189,9 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 		// vocabulary exists, so it suffices to check per-variable
 		// extendability: every value of every variable participates
 		// in some valid completion.
-		complete, err = e.checkUnconstrained(ctx, holeVars, seedSolver)
+		complete, err = e.checkUnconstrained(ctx, holeVars, seedSolver, &lats)
 	} else {
-		complete, err = e.checkSufficiency(ctx, holeVars, final, seedSolver, domSolver)
+		complete, err = e.checkSufficiency(ctx, holeVars, final, seedSolver, domSolver, &lats)
 	}
 	if err != nil {
 		return nil, false, err
@@ -211,9 +200,9 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 }
 
 // checkUnconstrained verifies that each value of each symbolic
-// variable extends to a model of the seed. The probes are independent
-// assumption queries and fan out across the lift worker pool.
-func (e *Explainer) checkUnconstrained(ctx context.Context, holeVars []*logic.Var, seedSolver *smt.Solver) (bool, error) {
+// variable extends to a model of the seed. It probes every value, also
+// after one has failed.
+func (e *Explainer) checkUnconstrained(ctx context.Context, holeVars []*logic.Var, seedSolver *smt.Solver, lats *[]time.Duration) (bool, error) {
 	type probe struct {
 		v   *logic.Var
 		val logic.Term
@@ -233,31 +222,23 @@ func (e *Explainer) checkUnconstrained(ctx context.Context, holeVars []*logic.Va
 			}
 		}
 	}
-	verdicts := make([]bool, len(probes))
-	err := e.runChecks(ctx, len(probes), []*smt.Solver{seedSolver},
-		func(ctx context.Context, solvers []*smt.Solver, i int, lats *[]time.Duration) error {
-			st, err := timedSolve(ctx, solvers[0], lats, logic.Eq(probes[i].v, probes[i].val))
-			if err != nil {
-				return err
+	complete := true
+	for _, p := range probes {
+		st, err := timedSolve(ctx, seedSolver, lats, logic.Eq(p.v, p.val))
+		if err != nil {
+			return false, err
+		}
+		if st == sat.Unsat {
+			// "This value never extends" is an Unsat claim: check it.
+			if err := e.verifyUnsat(seedSolver); err != nil {
+				return false, err
 			}
-			if st == sat.Unsat {
-				// "This value never extends" is an Unsat claim: check it.
-				if err := e.verifyUnsat(solvers[0]); err != nil {
-					return err
-				}
-			}
-			verdicts[i] = st == sat.Sat
-			return nil
-		})
-	if err != nil {
-		return false, err
-	}
-	for _, ok := range verdicts {
-		if !ok {
-			return false, nil
+		}
+		if st != sat.Sat {
+			complete = false
 		}
 	}
-	return true, nil
+	return complete, nil
 }
 
 // commonScope detects the Figure 5 situation — every clause of the
@@ -292,35 +273,24 @@ func commonScope(router string, block *spec.Block) string {
 // seed. Returns false (without error) when the enumeration exceeds its
 // budget.
 //
-// The subspecification clauses are asserted under guards on the domain
-// solver, and the enumeration's blocking clauses are scoped to the
-// walk, so the solver emerges unconstrained again (plus learnt clauses,
-// which stay sound).
-func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var, final []liftCandidate, seedSolver, domSolver *smt.Solver) (bool, error) {
-	guards := make([]smt.Guard, 0, len(final))
-	defer func() {
-		for _, g := range guards {
-			domSolver.Retract(g)
-		}
-	}()
+// This is the domain solver's last use: the subspecification clauses
+// and the enumeration's blocking clauses are asserted plainly, and the
+// solver is dropped when the lift returns.
+func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var, final []liftCandidate, seedSolver, domSolver *smt.Solver, lats *[]time.Duration) (bool, error) {
 	for _, c := range final {
-		g, err := domSolver.AssertGuarded(c.term)
-		if err != nil {
+		if err := domSolver.Assert(c.term); err != nil {
 			return false, err
 		}
-		guards = append(guards, g)
 	}
-	var lats []time.Duration
-	defer func() { e.addLiftQueries(lats) }()
 	sufficient := true
 	var checkErr error
-	_, exhausted, err := domSolver.EnumerateModelsRetractableContext(ctx, holeVars, e.Opts.Budget.ModelCap(), func(m logic.Assignment) bool {
+	_, exhausted, err := domSolver.EnumerateModelsContext(ctx, holeVars, e.Opts.Budget.ModelCap(), func(m logic.Assignment) bool {
 		// Does this device behavior extend to a full seed model?
 		var assume []logic.Term
 		for _, v := range holeVars {
 			assume = append(assume, logic.Eq(v, m[v.Name].Term()))
 		}
-		st, err := timedSolve(ctx, seedSolver, &lats, assume...)
+		st, err := timedSolve(ctx, seedSolver, lats, assume...)
 		if err != nil {
 			checkErr = err
 			return false

@@ -13,10 +13,10 @@ import (
 )
 
 // TestReportIdenticalAcrossWorkerCounts pins the determinism contract
-// of the parallel lift: the whole-network report is byte-identical to
-// the committed golden for every worker count, because candidate
-// verdicts are merged in candidate order and the remaining checks are
-// verdict-equal regardless of solver warmth or schedule.
+// of the report stream: the whole-network report is byte-identical to
+// the committed golden for every router-pool width, because sections
+// are flushed in router order and each router's lift runs on its own
+// solvers.
 func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		sc := sc
@@ -26,19 +26,49 @@ func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run TestReportMatchesGolden -update): %v", err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				opts := DefaultOptions()
-				opts.LiftWorkers = workers
-				e, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
+			for _, procs := range []int{1, 2, 8} {
+				setGOMAXPROCS(t, procs)
+				got, err := newExplainer(t, sc, dep, nil).Report()
 				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.Report()
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if got != string(want) {
-					t.Errorf("workers=%d: report differs from golden", workers)
+					t.Errorf("GOMAXPROCS=%d: report differs from golden", procs)
+				}
+			}
+		})
+	}
+}
+
+// TestSolverWorkIndependentOfGOMAXPROCS pins that a cold report's
+// solver work depends on the problem alone, not on the host's CPU
+// count: each router's lift runs its checks in order on its own
+// solvers, so the router pool's width cannot change a counter.
+func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, sc := range scenarios.All() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			dep := synthScenario(t, sc)
+			type work struct {
+				solves, conflicts, props uint64
+				liftQueries              int
+			}
+			var base work
+			for _, procs := range []int{1, 4} {
+				setGOMAXPROCS(t, procs)
+				e := newExplainer(t, sc, dep, nil)
+				if _, err := e.Report(); err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
+				st := e.Stats()
+				got := work{st.Solves, st.Conflicts, st.Propagations, st.LiftQueries}
+				if procs == 1 {
+					base = got
+					continue
+				}
+				if got != base {
+					t.Errorf("GOMAXPROCS=%d: solves/conflicts/props/lift queries = %+v, want %+v as at GOMAXPROCS=1",
+						procs, got, base)
 				}
 			}
 		})

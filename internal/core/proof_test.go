@@ -93,10 +93,9 @@ func TestExplanationVerifiedFlag(t *testing.T) {
 
 // TestReportWithProofsIdenticalAcrossWorkerCounts combines the two
 // contracts above: with proof verification on, the report stays
-// byte-identical to the committed golden at every lift worker count.
-// Parallel lift hands warm solver clones to workers, and a clone forks
-// the proof trace — this pins that the forked traces all check and
-// that neither scheduling nor verification perturbs the output.
+// byte-identical to the committed golden at every router-pool width
+// (GOMAXPROCS). It pins that neither scheduling nor verification
+// perturbs the output.
 func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		sc := sc
@@ -106,23 +105,23 @@ func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden: %v", err)
 			}
-			for _, workers := range []int{1, 2, 8} {
+			for _, procs := range []int{1, 2, 8} {
+				setGOMAXPROCS(t, procs)
 				opts := DefaultOptions()
 				opts.VerifyProofs = true
-				opts.LiftWorkers = workers
 				e, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := e.Report()
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if got != string(want) {
-					t.Errorf("workers=%d: verified report differs from golden", workers)
+					t.Errorf("GOMAXPROCS=%d: verified report differs from golden", procs)
 				}
 				if e.Stats().ProofChecks == 0 {
-					t.Fatalf("workers=%d: no proofs were checked", workers)
+					t.Fatalf("GOMAXPROCS=%d: no proofs were checked", procs)
 				}
 			}
 		})

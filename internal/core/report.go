@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,13 @@ func (e *Explainer) ReportContext(ctx context.Context) (string, error) {
 // The error is the lowest-indexed router's non-context failure when
 // one exists (independent of worker scheduling), otherwise the
 // context's own error.
+//
+// A panic in a worker stops the stream the same way, and once every
+// worker has exited it is re-raised on the caller's goroutine, naming
+// the router and carrying the worker's stack. It is not turned into an
+// error: the panic may have left the session half updated (an encode
+// that never finished, say), so the caller must drop the explainer
+// rather than reuse it.
 func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err // dead on arrival: fail before the first byte
@@ -114,9 +122,10 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	}
 
 	type done struct {
-		i       int
-		section string
-		err     error
+		i        int
+		section  string
+		err      error
+		panicked *workerPanic
 	}
 	// tokens bounds the routers issued but not yet flushed (in flight
 	// in a worker, or rendered and parked out of order). results has
@@ -131,11 +140,22 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				ex, err := e.explainAll(ctx, routers[i])
-				d := done{i: i, err: err}
-				if err == nil {
-					d.section = renderSection(routers[i], ex)
-				}
+				d := done{i: i}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							d.panicked = &workerPanic{router: routers[i], value: r, stack: debug.Stack()}
+						}
+					}()
+					if testBeforeSection != nil {
+						testBeforeSection(routers[i])
+					}
+					ex, err := e.explainAll(ctx, routers[i])
+					d.err = err
+					if err == nil {
+						d.section = renderSection(routers[i], ex)
+					}
+				}()
 				results <- d
 			}
 		}()
@@ -168,6 +188,8 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	next := 0
 	failIdx := -1
 	var failErr error
+	var panicked *workerPanic // the lowest-indexed worker panic
+	panicIdx := -1
 	fail := func(i int, err error) {
 		// A context error is cancellation fallout, not the cause: note
 		// it by cancelling, but keep the lowest-indexed slot open for a
@@ -178,9 +200,15 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 		cancel()
 	}
 	for d := range results {
-		if d.err != nil {
+		switch {
+		case d.panicked != nil:
+			if panicked == nil || d.i < panicIdx {
+				panicked, panicIdx = d.panicked, d.i
+			}
+			cancel()
+		case d.err != nil:
 			fail(d.i, d.err)
-		} else {
+		default:
 			parked[d.i] = d.section
 		}
 		for {
@@ -199,6 +227,9 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 			}
 		}
 	}
+	if panicked != nil {
+		panic(panicked)
+	}
 	if failIdx >= 0 {
 		return n, fmt.Errorf("core: explaining %s: %w", routers[failIdx], failErr)
 	}
@@ -210,6 +241,24 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	}
 	tee.commit(e)
 	return n, nil
+}
+
+// testBeforeSection, when set by a test, is called by a report worker
+// with the router it is about to explain.
+var testBeforeSection func(router string)
+
+// workerPanic is a report worker's recovered panic, re-raised on the
+// goroutine that called WriteReport or ReExplainContext. It names the
+// router and keeps the worker's stack, which the re-raising
+// goroutine's own stack no longer shows.
+type workerPanic struct {
+	router string
+	value  any
+	stack  []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("core: explaining %s: panic: %v\n\n%s", p.router, p.value, p.stack)
 }
 
 // isContextErr reports whether err is (or wraps) a context
@@ -226,72 +275,6 @@ func (e *Explainer) reportRouters() []string {
 	}
 	sort.Strings(routers)
 	return routers
-}
-
-// explainSweep explains every listed router across a fixed-size worker
-// pool and returns the explanations in the same order. Routers are
-// independent explanation problems: none of the shared inputs are
-// mutated, and the session cache is safe for concurrent use. A pool
-// sized by GOMAXPROCS keeps memory bounded on wide deployments, where
-// one goroutine per router would hold every encoder and solver alive
-// at once. The first failure cancels the remaining work; the error is
-// reported for the lowest-indexed failing router, so it is independent
-// of worker scheduling.
-func (e *Explainer) explainSweep(ctx context.Context, routers []string) ([]*Explanation, error) {
-	type outcome struct {
-		ex  *Explanation
-		err error
-	}
-	results := make([]outcome, len(routers))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(routers) {
-		workers = len(routers)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ex, err := e.explainAll(ctx, routers[i])
-				results[i] = outcome{ex: ex, err: err}
-				if err != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-feed:
-	for i := range routers {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	for i := range results {
-		if results[i].ex == nil && results[i].err == nil {
-			// Never fed to a worker: the context was cancelled first.
-			if err := ctx.Err(); err != nil {
-				results[i].err = err
-			} else {
-				results[i].err = fmt.Errorf("core: %s not explained", routers[i])
-			}
-		}
-	}
-	out := make([]*Explanation, len(routers))
-	for i, router := range routers {
-		if results[i].err != nil {
-			return nil, fmt.Errorf("core: explaining %s: %w", router, results[i].err)
-		}
-		out[i] = results[i].ex
-	}
-	return out, nil
 }
 
 // renderHeader renders the report preamble (title and global intent).
@@ -329,18 +312,6 @@ func renderSection(router string, ex *Explanation) string {
 		sb.WriteString("(necessary; sufficiency not fully verified)\n")
 	}
 	sb.WriteString("\n")
-	return sb.String()
-}
-
-// renderReport assembles the report document from the explanations
-// (in router order). Pure formatting: every byte is determined by the
-// requirements and the explanations.
-func (e *Explainer) renderReport(routers []string, exs []*Explanation) string {
-	var sb strings.Builder
-	sb.WriteString(e.renderHeader())
-	for i, router := range routers {
-		sb.WriteString(renderSection(router, exs[i]))
-	}
 	return sb.String()
 }
 
@@ -405,22 +376,6 @@ func (t *reportTee) commit(e *Explainer) {
 // the fast path wants. The "report|" namespace cannot collide with the
 // per-router lift keys ("lift|...").
 const reportCacheKey = "report|latest"
-
-// storeLastReport retains a fully rendered report for the fast path
-// (used by the ReExplain sweep, which renders from explanations rather
-// than streaming).
-func (e *Explainer) storeLastReport(out string) {
-	e.reportMu.Lock()
-	defer e.reportMu.Unlock()
-	if e.Session == nil {
-		e.lastReportKey = ""
-		return
-	}
-	e.Session.ReportCache().Put(reportCacheKey, out, int64(len(out)))
-	e.lastReportKey = reportCacheKey
-	e.lastReportSum = sha256.Sum256([]byte(out))
-	e.lastReportLen = int64(len(out))
-}
 
 // loadLastReport returns the retained report, or "" when none was
 // retained, the cache has since evicted it, or the cached bytes fail

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -215,5 +218,73 @@ func TestWriteReportWriterError(t *testing.T) {
 	}
 	if sb.String() != full {
 		t.Error("report after writer errors differs")
+	}
+}
+
+// TestReportWorkerPanicReachesCaller injects a panic into the report
+// worker explaining one router. The stream must stop, every pool
+// goroutine must exit, and the panic must be re-raised on the goroutine
+// that called WriteReport or ReExplainContext, naming the router and
+// carrying the worker's stack. The process survives: a fresh explainer
+// still reports the golden bytes.
+func TestReportWorkerPanicReachesCaller(t *testing.T) {
+	sc := scenarios.Scenario3()
+	dep := synthScenario(t, sc)
+	want, err := os.ReadFile(filepath.Join("testdata", "report_"+sc.Name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := newExplainer(t, sc, dep, nil).reportRouters()[1]
+	testBeforeSection = func(router string) {
+		if router == victim {
+			panic("injected fault")
+		}
+	}
+	defer func() { testBeforeSection = nil }()
+
+	before := runtime.NumGoroutine()
+	calls := []struct {
+		name string
+		run  func(e *Explainer)
+	}{
+		{"WriteReport", func(e *Explainer) { e.WriteReport(context.Background(), io.Discard) }}, //nolint:errcheck // must panic
+		// A fresh explainer has no retained report, so even an empty
+		// delta sweeps every router.
+		{"ReExplainContext", func(e *Explainer) { e.ReExplainContext(context.Background(), Delta{}) }}, //nolint:errcheck // must panic
+	}
+	for _, c := range calls {
+		e := newExplainer(t, sc, dep, nil)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			c.run(e)
+			return nil
+		}()
+		wp, ok := got.(*workerPanic)
+		if !ok {
+			t.Fatalf("%s: recovered %v (%T), want the worker's panic", c.name, got, got)
+		}
+		msg := wp.Error()
+		if wp.router != victim || !strings.Contains(msg, victim) || !strings.Contains(msg, "injected fault") {
+			t.Errorf("%s: panic %q does not name router %s and its fault", c.name, msg, victim)
+		}
+		if !strings.Contains(msg, "writeReportLocked") {
+			t.Errorf("%s: panic does not carry the worker's stack:\n%s", c.name, msg)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, n)
+	}
+
+	testBeforeSection = nil
+	got, err := newExplainer(t, sc, dep, nil).Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Error("report after a worker panic differs from golden")
 	}
 }

@@ -2,9 +2,8 @@
 // CDCL solver in internal/sat. It shares no code with the solver: the
 // checker keeps its own clause database over plain DIMACS-style integer
 // literals and re-derives every lemma by reverse unit propagation
-// (RUP), so a bug in the solver's propagation, conflict analysis,
-// clause management, cloning, or guarded-retraction machinery cannot
-// also hide in the check.
+// (RUP), so a bug in the solver's propagation, conflict analysis, or
+// clause management cannot also hide in the check.
 //
 // A trace is a sequence of operations (see Op):
 //

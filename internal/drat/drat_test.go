@@ -269,31 +269,3 @@ func TestTrim(t *testing.T) {
 		t.Fatalf("trimmed trace does not check: %v", err)
 	}
 }
-
-func TestCloneTraceChecks(t *testing.T) {
-	// A clone inherits learnt clauses, so its forked trace must replay
-	// their derivations and keep checking independently.
-	s, tr, v := tracedSolver(t, 3)
-	a, b, x := v[0], v[1], v[2]
-	s.AddClause(a.Neg(), x)
-	s.AddClause(b.Neg(), x)
-	s.AddClause(b.Neg(), x.Neg())
-	if st := s.Solve(a, b); st != sat.Unsat {
-		t.Fatalf("Solve = %v, want Unsat", st)
-	}
-	c := s.Clone()
-	ctr, ok := c.Proof().(*sat.Trace)
-	if !ok {
-		t.Fatalf("clone lost its proof trace")
-	}
-	if st := c.Solve(b); st != sat.Unsat {
-		t.Fatalf("clone Solve = %v, want Unsat", st)
-	}
-	if _, err := drat.Check(traceOps(ctr)); err != nil {
-		t.Fatalf("clone trace: %v", err)
-	}
-	// The original's trace is unaffected by the clone's extra lemma.
-	if _, err := drat.Check(traceOps(tr)); err != nil {
-		t.Fatalf("original trace after clone solve: %v", err)
-	}
-}

@@ -91,8 +91,8 @@ type Stats struct {
 	ScopedGroupsEncoded int
 	// Solves, Conflicts, Propagations, Decisions, and Learnt total the
 	// SAT-level effort reported via AddSolverStats. Every solver the
-	// pipeline runs — including per-worker clones — is harvested into
-	// these, so no path drops its counts.
+	// pipeline runs is harvested into these, so no path drops its
+	// counts.
 	Solves       uint64
 	Conflicts    uint64
 	Propagations uint64

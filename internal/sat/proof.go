@@ -68,15 +68,6 @@ type ProofWriter interface {
 	Proof(kind ProofOpKind, lits []Lit)
 }
 
-// ProofCloner is implemented by proof writers that can fork themselves
-// when the solver is cloned: the clone's trace must replay everything
-// the original recorded, because the clone inherits the original's
-// learnt clauses. Solver.Clone drops the proof writer of a writer that
-// cannot fork.
-type ProofCloner interface {
-	CloneProof() ProofWriter
-}
-
 // Trace is the standard in-memory ProofWriter: an append-only log of
 // proof operations. A Trace is not safe for concurrent use (it is
 // driven by exactly one solver, which itself is single-threaded).
@@ -126,21 +117,6 @@ func (t *Trace) Op(i int) ProofOp { return t.ops[i] }
 func (t *Trace) Snapshot() []ProofOp {
 	return append([]ProofOp(nil), t.ops...)
 }
-
-// Clone forks the trace: the copy replays every recorded operation and
-// then diverges independently.
-func (t *Trace) Clone() *Trace {
-	return &Trace{
-		// Copy with exact length so appends on either side never alias.
-		ops:     append(make([]ProofOp, 0, len(t.ops)), t.ops...),
-		inputs:  t.inputs,
-		learns:  t.learns,
-		deletes: t.deletes,
-	}
-}
-
-// CloneProof implements ProofCloner.
-func (t *Trace) CloneProof() ProofWriter { return t.Clone() }
 
 // WriteDRAT renders the trace in a DRAT-style textual form: inputs as
 // "i ..." lines (an extension carrying the original CNF alongside the

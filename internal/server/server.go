@@ -14,8 +14,8 @@
 // Request texts are the same formats the CLIs consume
 // (topology.Parse, config.ParseDeployment, spec.Parse), and a served
 // report is byte-identical to `netexplain -all` over the same inputs:
-// the response cache can therefore ignore resource knobs (timeout,
-// lift_workers) — they never change a report byte.
+// the response cache can therefore ignore the timeout, which never
+// changes a report byte.
 package server
 
 import (
@@ -56,10 +56,6 @@ type Options struct {
 	// (default: DefaultTimeout).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxLiftWorkers clamps the per-request lift_workers knob (default
-	// 8). Requests asking for more are clamped, not rejected — the knob
-	// never changes response bytes.
-	MaxLiftWorkers int
 	// VerifyProofs turns on proof verification for every served query.
 	VerifyProofs bool
 	// CacheLimits bounds each pooled session's internal caches. The
@@ -86,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = o.DefaultTimeout
-	}
-	if o.MaxLiftWorkers == 0 {
-		o.MaxLiftWorkers = 8
 	}
 	o.CacheLimits = resolveLimits(o.CacheLimits)
 	return o
@@ -200,9 +193,6 @@ type request struct {
 	// TimeoutMS bounds the request's wall clock (0 = server default,
 	// clamped to the server max).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// LiftWorkers tunes the per-request lift worker pool (0 = default,
-	// clamped to the server maximum). It never changes response bytes.
-	LiftWorkers int `json:"lift_workers,omitempty"`
 	// NoLift skips subspecification lifting (reports show sizes only).
 	NoLift bool `json:"nolift,omitempty"`
 	// Stream (explain only) streams the report as text/plain instead of
@@ -255,9 +245,8 @@ func (s *Server) failRequest(w http.ResponseWriter, status int, err error) {
 }
 
 // cacheKey content-addresses a request: endpoint plus every byte that
-// can influence the response body. The resource knobs (timeout,
-// workers) are deliberately excluded — reports are byte-identical
-// across them (pinned by the repo's worker-matrix golden tests).
+// can influence the response body. The timeout is deliberately
+// excluded: it decides whether a report arrives, never its bytes.
 func cacheKey(endpoint string, req *request) string {
 	h := sha256.New()
 	for _, part := range []string{endpoint, req.Topology, req.Configs, req.Spec, req.EditedConfigs, fmt.Sprintf("lift=%t,stream=%t", !req.NoLift, req.Stream)} {
@@ -327,11 +316,11 @@ func (s *Server) admit(ctx context.Context) error {
 	}
 }
 
-// budgetFor clamps the request's resource knobs against the server
-// limits and builds the per-request budget. MaxConflicts and MaxModels
+// budgetFor clamps the request's timeout against the server limit and
+// builds the per-request budget. MaxConflicts and MaxModels
 // stay zero: they are part of the lift splice signature, and varying
 // them per request would needlessly invalidate cached lift artifacts.
-func (s *Server) budgetFor(req *request) (engine.Budget, int, time.Duration) {
+func (s *Server) budgetFor(req *request) (engine.Budget, time.Duration) {
 	d := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		d = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -339,14 +328,7 @@ func (s *Server) budgetFor(req *request) (engine.Budget, int, time.Duration) {
 	if d > s.opts.MaxTimeout {
 		d = s.opts.MaxTimeout
 	}
-	lift := req.LiftWorkers
-	if lift < 0 {
-		lift = 0 // GOMAXPROCS
-	}
-	if lift > s.opts.MaxLiftWorkers {
-		lift = s.opts.MaxLiftWorkers
-	}
-	return engine.Budget{Deadline: time.Now().Add(d)}, lift, d
+	return engine.Budget{Deadline: time.Now().Add(d)}, d
 }
 
 // parseProblem parses the three problem texts.
@@ -484,7 +466,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		}
 	}
 
-	budget, liftWorkers, timeout := s.budgetFor(&req)
+	budget, timeout := s.budgetFor(&req)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -526,7 +508,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	// constant across requests (see budgetFor).
 	e.Opts.Lift = lift
 	e.Opts.Budget = budget
-	e.Opts.LiftWorkers = liftWorkers
 	e.Session.Budget = budget
 
 	if stream {

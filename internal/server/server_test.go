@@ -117,10 +117,9 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 		t.Fatal("cached body differs from the original response")
 	}
 
-	// Resource knobs are excluded from the cache key: same problem at a
-	// different worker setting is still a hit (reports are
-	// byte-identical across knobs).
-	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, LiftWorkers: 2})
+	// The timeout is excluded from the cache key: the same problem under
+	// a different deadline is still a hit (it never changes a byte).
+	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, TimeoutMS: 60000})
 	if hc := w3.Header().Get("X-Cache"); hc != "hit" {
 		t.Fatalf("knob-varied request X-Cache = %q, want hit", hc)
 	}
@@ -148,37 +147,42 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 }
 
 // TestServerIgnoresRetiredSatWorkers pins compatibility with clients
-// that still send the retired sat_workers knob: the decoder ignores
-// unknown fields, so such a request is served like the plain one and
-// shares its response-cache entry.
+// that still send a retired knob (sat_workers, lift_workers): the
+// decoder ignores unknown fields, so such a request is served like the
+// plain one and shares its response-cache entry.
 func TestServerIgnoresRetiredSatWorkers(t *testing.T) {
 	topo, configs, spc, _ := problemTexts(t)
 	want := wantReport(t, topo, configs, spc)
-	h := New(Options{}).Handler()
-	legacy, err := json.Marshal(map[string]any{"topology": topo, "configs": configs, "spec": spc, "sat_workers": 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	postLegacy := func() *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(legacy)))
-		return w
-	}
+	for _, knob := range []struct {
+		name  string
+		value int
+	}{{"sat_workers", 4}, {"lift_workers", 2}} {
+		h := New(Options{}).Handler()
+		legacy, err := json.Marshal(map[string]any{"topology": topo, "configs": configs, "spec": spc, knob.name: knob.value})
+		if err != nil {
+			t.Fatal(err)
+		}
+		postLegacy := func() *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(legacy)))
+			return w
+		}
 
-	w1 := postLegacy()
-	if got := decodeExplain(t, w1).Report; got != want {
-		t.Fatalf("report for a request carrying sat_workers diverges\n-- served --\n%s\n-- want --\n%s", got, want)
-	}
-	w2 := postLegacy()
-	if hc := w2.Header().Get("X-Cache"); hc != "hit" {
-		t.Fatalf("repeated sat_workers request X-Cache = %q, want hit", hc)
-	}
-	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
-		t.Fatal("cached body differs from the original response")
-	}
-	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc})
-	if hc := w3.Header().Get("X-Cache"); hc != "hit" || !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
-		t.Fatalf("plain request X-Cache = %q or body differs; want a hit on the same bytes", hc)
+		w1 := postLegacy()
+		if got := decodeExplain(t, w1).Report; got != want {
+			t.Fatalf("report for a request carrying %s diverges\n-- served --\n%s\n-- want --\n%s", knob.name, got, want)
+		}
+		w2 := postLegacy()
+		if hc := w2.Header().Get("X-Cache"); hc != "hit" {
+			t.Fatalf("repeated %s request X-Cache = %q, want hit", knob.name, hc)
+		}
+		if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+			t.Fatalf("%s: cached body differs from the original response", knob.name)
+		}
+		w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc})
+		if hc := w3.Header().Get("X-Cache"); hc != "hit" || !bytes.Equal(w3.Body.Bytes(), w1.Body.Bytes()) {
+			t.Fatalf("after %s: plain request X-Cache = %q or body differs; want a hit on the same bytes", knob.name, hc)
+		}
 	}
 }
 

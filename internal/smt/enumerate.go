@@ -26,25 +26,6 @@ func (s *Solver) EnumerateModels(vars []*logic.Var, max int, f func(logic.Assign
 // underlying solve, so a cancelled or expired context stops the walk
 // promptly with the context's error.
 func (s *Solver) EnumerateModelsContext(ctx context.Context, vars []*logic.Var, max int, f func(logic.Assignment) bool) (int, bool, error) {
-	return s.enumerate(ctx, vars, max, nil, f)
-}
-
-// EnumerateModelsRetractableContext is EnumerateModelsContext with the
-// blocking clauses scoped to the walk: every blocking clause is emitted
-// under one fresh guard that is retracted when the walk returns, so the
-// solver remains fully usable afterwards. Clauses learnt during the
-// walk stay sound after the retraction (see AssertGuarded).
-func (s *Solver) EnumerateModelsRetractableContext(ctx context.Context, vars []*logic.Var, max int, f func(logic.Assignment) bool) (int, bool, error) {
-	g := sat.PosLit(s.sat.NewVar())
-	s.guards = append(s.guards, g)
-	defer s.Retract(Guard{lit: g})
-	return s.enumerate(ctx, vars, max, []sat.Lit{g.Neg()}, f)
-}
-
-// enumerate is the shared model walk. Each blocking clause is prefixed
-// with the given literals (empty prefix: permanent blocking; a negated
-// active guard: blocking scoped to the guard's lifetime).
-func (s *Solver) enumerate(ctx context.Context, vars []*logic.Var, max int, prefix []sat.Lit, f func(logic.Assignment) bool) (int, bool, error) {
 	if len(vars) == 0 {
 		return 0, true, fmt.Errorf("smt: EnumerateModels needs at least one variable")
 	}
@@ -74,8 +55,7 @@ func (s *Solver) enumerate(ctx context.Context, vars []*logic.Var, max int, pref
 			return count, false, err
 		}
 		projected := logic.Assignment{}
-		blocking := make([]sat.Lit, 0, len(prefix)+len(vars))
-		blocking = append(blocking, prefix...)
+		blocking := make([]sat.Lit, 0, len(vars))
 		for _, v := range vars {
 			val, ok := full[v.Name]
 			if !ok {

@@ -8,12 +8,9 @@ package smt
 // (and shrunk) cores back to the assumption terms of the failing query.
 //
 // Verification is incremental: one checker per Solver consumes the
-// append-only trace from a cursor, so a session that issues many
-// queries against one warm solver pays for each trace operation once,
-// not once per verdict. Clones fork the trace (sat.Trace implements
-// ProofCloner) and rebuild their own checker from the start on first
-// use — the inherited prefix is identical, so the replay cost is the
-// price of the fork, paid off across the clone's queries.
+// append-only trace from a cursor, so a caller that checks many
+// verdicts of one solver pays for each trace operation once, not once
+// per verdict.
 
 import (
 	"fmt"
@@ -209,10 +206,6 @@ func dedupSorted(xs []int) []int {
 // smaller than Core() — the solver's cone-based analysis is sound but
 // not minimal — and is verified by construction: every drop was
 // re-proved by the checker.
-//
-// Literals the caller never passed (active guards from AssertGuarded)
-// may appear in the SAT-level core; like Core, CheckedCore reports only
-// caller assumptions.
 func (s *Solver) CheckedCore() ([]logic.Term, ProofReport, error) {
 	rep, shrunk, err := s.verifyLastUnsat()
 	if err != nil {

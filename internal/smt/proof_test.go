@@ -98,84 +98,62 @@ func TestCoreDeduplicatesRepeatedAssumptions(t *testing.T) {
 	}
 }
 
-func TestVerifyAcrossGuardedRetraction(t *testing.T) {
-	// One warm solver, several verdicts: the incremental checker must
-	// follow the trace across guarded assertion, Unsat, retraction, and
-	// a second Unsat — paying for each trace operation once.
+// TestVerifyTwoVerdictsOnOneSolver follows one solver across two Unsat
+// verdicts: the incremental checker must consume only the trace
+// operations recorded since the first verification, paying for each
+// operation once.
+func TestVerifyTwoVerdictsOnOneSolver(t *testing.T) {
 	s := NewSolver(WithProof())
 	a := logic.NewBoolVar("a")
 	b := logic.NewBoolVar("b")
 	mustAssert(t, s, logic.Or(a, b))
 
-	g, err := s.AssertGuarded(logic.Not(a))
-	if err != nil {
-		t.Fatalf("AssertGuarded: %v", err)
-	}
-	mustSolve(t, s, sat.Unsat, a)
+	mustSolve(t, s, sat.Unsat, logic.Not(a), logic.Not(b))
 	rep1, err := s.VerifyLastUnsat()
 	if err != nil {
-		t.Fatalf("verify under guard: %v", err)
+		t.Fatalf("verify first verdict: %v", err)
+	}
+	if rep1.Ops != rep1.TraceLen {
+		t.Fatalf("first verification checked %d ops of %d", rep1.Ops, rep1.TraceLen)
 	}
 
-	s.Retract(g)
-	mustSolve(t, s, sat.Sat, a)
-
-	mustSolve(t, s, sat.Unsat, logic.Not(a), logic.Not(b))
+	mustAssert(t, s, logic.Not(a))
+	mustSolve(t, s, sat.Sat)
+	mustSolve(t, s, sat.Unsat, logic.Not(b))
 	rep2, err := s.VerifyLastUnsat()
 	if err != nil {
-		t.Fatalf("verify after retraction: %v", err)
+		t.Fatalf("verify second verdict: %v", err)
 	}
 	if rep2.TraceLen <= rep1.TraceLen {
 		t.Fatalf("trace did not grow across verdicts: %d then %d", rep1.TraceLen, rep2.TraceLen)
 	}
-	if rep2.Ops >= rep2.TraceLen {
-		t.Fatalf("second verification re-checked the whole trace (%d ops of %d)", rep2.Ops, rep2.TraceLen)
+	if rep2.Ops != rep2.TraceLen-rep1.TraceLen {
+		t.Fatalf("second verification checked %d ops, want the %d recorded since the first",
+			rep2.Ops, rep2.TraceLen-rep1.TraceLen)
 	}
 }
 
-func TestVerifyOnClone(t *testing.T) {
-	s := NewSolver(WithProof())
-	a := logic.NewBoolVar("a")
-	b := logic.NewBoolVar("b")
-	mustAssert(t, s, logic.Implies(a, b))
-	mustSolve(t, s, sat.Unsat, a, logic.Not(b))
-
-	c := s.Clone()
-	if !c.ProofEnabled() {
-		t.Fatalf("clone lost proof logging")
-	}
-	mustAssert(t, c, logic.Not(b))
-	mustSolve(t, c, sat.Unsat, a)
-	if _, err := c.VerifyLastUnsat(); err != nil {
-		t.Fatalf("verify on clone: %v", err)
-	}
-
-	// The original is unaffected and still verifies its own verdict.
-	if _, err := s.VerifyLastUnsat(); err != nil {
-		t.Fatalf("verify on original after clone: %v", err)
-	}
-}
-
+// TestEnumerationBlockingClausesStayChecked walks the models to
+// exhaustion, as the lift's sufficiency check does, and verifies the
+// walk's final Unsat: the proof must cover the blocking clauses the
+// walk added.
 func TestEnumerationBlockingClausesStayChecked(t *testing.T) {
-	// Retractable model enumeration adds guarded blocking clauses; a
-	// subsequent Unsat verdict's proof must still check.
 	s := NewSolver(WithProof())
 	n := logic.NewIntVar("n", 0, 3)
 	if err := s.Declare(n); err != nil {
 		t.Fatalf("Declare: %v", err)
 	}
 	mustAssert(t, s, logic.Le(n, logic.NewInt(1)))
-	count, exhausted, err := s.EnumerateModelsRetractableContext(
+	count, exhausted, err := s.EnumerateModelsContext(
 		context.Background(), []*logic.Var{n}, 10,
 		func(m logic.Assignment) bool { return true })
 	if err != nil {
-		t.Fatalf("EnumerateModelsRetractableContext: %v", err)
+		t.Fatalf("EnumerateModelsContext: %v", err)
 	}
 	if count != 2 || !exhausted {
 		t.Fatalf("enumerated %d models (exhausted=%v), want 2 models exhaustively", count, exhausted)
 	}
-	mustSolve(t, s, sat.Unsat, logic.Ge(n, logic.NewInt(2)))
 	if _, err := s.VerifyLastUnsat(); err != nil {
-		t.Fatalf("verify after enumeration: %v", err)
+		t.Fatalf("verify the walk's final Unsat: %v", err)
 	}
 }

@@ -60,13 +60,6 @@ type Solver struct {
 	litTrue  sat.Lit // a literal constrained true
 	litFalse sat.Lit
 
-	asserted []logic.Term
-
-	// guards holds the literals of the active (not yet retracted)
-	// guarded assertions, in creation order; SolveContext assumes them
-	// all, so guarded constraints are in force exactly while active.
-	guards []sat.Lit
-
 	// assumption bookkeeping for core extraction.
 	lastAssumed []logic.Term
 	lastLits    []sat.Lit
@@ -77,16 +70,15 @@ type Solver struct {
 
 	// chk incrementally re-validates the proof trace (see proof.go);
 	// chkCursor is the trace position it has consumed up to. Lazily
-	// built, and deliberately not carried by Clone — a clone re-replays
-	// its forked trace from the start on first verification.
+	// built on first verification.
 	chk       *drat.Checker
 	chkCursor int
 
 	// busy guards against overlapping SolveContext calls: a Solver is
-	// not safe for concurrent use, and the per-worker-clone discipline
-	// of the lift stage makes accidental sharing an easy bug to write
-	// and a hard one to see. The CAS costs nothing per solve and turns
-	// a silent data race into a deterministic panic.
+	// not safe for concurrent use, and a solver reachable from two
+	// goroutines is an easy bug to write and a hard one to see. The CAS
+	// costs nothing per solve and turns a silent data race into a
+	// deterministic panic.
 	busy int32
 }
 
@@ -270,7 +262,6 @@ func (s *Solver) Assert(t logic.Term) error {
 		return err
 	}
 	s.sat.AddClause(l)
-	s.asserted = append(s.asserted, t)
 	return nil
 }
 
@@ -296,15 +287,12 @@ func (s *Solver) Solve(assumptions ...logic.Term) (sat.Status, error) {
 // aborts a running solve promptly. On cancellation the status is
 // Unknown and the error is the context's error.
 //
-// Active guarded assertions (AssertGuarded) are assumed automatically,
-// before the caller's assumptions.
-//
 // A Solver is not safe for concurrent use: overlapping SolveContext
-// calls panic deterministically rather than racing (Clone one solver
-// per worker instead).
+// calls panic deterministically rather than racing (build one solver
+// per goroutine instead).
 func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (sat.Status, error) {
 	if !atomic.CompareAndSwapInt32(&s.busy, 0, 1) {
-		panic("smt: overlapping SolveContext calls on one Solver; a Solver is not concurrency-safe — Clone one per worker")
+		panic("smt: overlapping SolveContext calls on one Solver; a Solver is not concurrency-safe — build one per goroutine")
 	}
 	defer atomic.StoreInt32(&s.busy, 0)
 	s.lastAssumed = assumptions
@@ -324,16 +312,7 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (s
 		}
 		s.lastLits = append(s.lastLits, l)
 	}
-	var st sat.Status
-	var err error
-	if len(s.guards) == 0 {
-		st, err = s.sat.SolveContext(ctx, s.lastLits...)
-	} else {
-		all := make([]sat.Lit, 0, len(s.guards)+len(s.lastLits))
-		all = append(all, s.guards...)
-		all = append(all, s.lastLits...)
-		st, err = s.sat.SolveContext(ctx, all...)
-	}
+	st, err := s.sat.SolveContext(ctx, s.lastLits...)
 	s.lastStatus = st
 	return st, err
 }

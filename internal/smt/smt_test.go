@@ -2,6 +2,8 @@ package smt
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -450,4 +452,64 @@ func TestAssertAll(t *testing.T) {
 	if err := s.AssertAll([]logic.Term{logic.NewInt(1)}); err == nil {
 		t.Fatal("non-bool in AssertAll should fail")
 	}
+}
+
+// TestOverlappingSolvePanics pins the concurrency guard: a second
+// SolveContext entered while one is in flight must panic rather than
+// race. The overlap is simulated deterministically by marking the
+// solver busy, exactly as an in-flight solve does.
+func TestOverlappingSolvePanics(t *testing.T) {
+	s := NewSolver()
+	x := logic.NewIntVar("x", 0, 1)
+	if err := s.Declare(x); err != nil {
+		t.Fatal(err)
+	}
+	atomic.StoreInt32(&s.busy, 1)
+	defer atomic.StoreInt32(&s.busy, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("overlapping SolveContext did not panic")
+		}
+	}()
+	s.Solve() //nolint:errcheck // must panic before returning
+}
+
+// TestConcurrentSolveGuardUnderRace hammers one shared solver from
+// many goroutines; every overlap must surface as the deterministic
+// panic (which we recover), never as a data race (-race enforces).
+func TestConcurrentSolveGuardUnderRace(t *testing.T) {
+	s := NewSolver()
+	x := logic.NewIntVar("x", 0, 63)
+	y := logic.NewIntVar("y", 0, 63)
+	if err := s.Declare(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Declare(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assert(logic.Lt(x, y)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var panics int32
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			defer func() {
+				if recover() != nil {
+					atomic.AddInt32(&panics, 1)
+				}
+			}()
+			for i := 0; i < 20; i++ {
+				s.Solve(logic.Eq(x, logic.NewInt(int64(g*7%64)))) //nolint:errcheck
+			}
+		}(g)
+	}
+	wg.Wait()
+	// No assertion on the panic count: whether overlaps happen is
+	// scheduling-dependent. The test's value is that -race stays quiet
+	// because the guard stops the second goroutine before it touches
+	// solver state.
+	_ = panics
 }
