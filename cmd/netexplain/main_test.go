@@ -157,3 +157,37 @@ func TestRunAllToFile(t *testing.T) {
 		t.Fatalf("bad -o path: exit %d, want 1", code)
 	}
 }
+
+// TestRunSingleRouterGoldens pins the single-router modes byte for
+// byte: the complement, -validate (explain, then check the deployed
+// configuration against the lifted block) and a -var explanation.
+// A golden is the command's stdout; regenerate one by running the
+// case's arguments, e.g. `go run ./cmd/netexplain -scenario scenario2
+// -router R3 -complement > cmd/netexplain/testdata/complement_scenario2_R3.golden`,
+// and inspect the diff.
+func TestRunSingleRouterGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"complement_scenario2_R3", []string{"-scenario", "scenario2", "-router", "R3", "-complement"}},
+		{"validate_scenario1_R1", []string{"-scenario", "scenario1", "-router", "R1", "-validate"}},
+		{"var_scenario1_R1_to_P1_100_action", []string{"-scenario", "scenario1", "-router", "R1", "-var", "R1_to_P1/100/action"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if code := run(c.args, &out, &errOut); code != 0 {
+				t.Fatalf("exit %d (stderr: %s)", code, errOut.String())
+			}
+			path := filepath.Join("testdata", c.golden+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("output differs from %s.\ngot:\n%s", path, out.String())
+			}
+		})
+	}
+}

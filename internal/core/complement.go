@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/logic"
 	"repro/internal/sat"
+	"repro/internal/synth"
 )
 
 // ComplementExplanation answers the question the paper's Section 5
@@ -50,28 +51,7 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 	if e.Net.Router(router) == nil {
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
-	sketch := config.Deployment{}
-	holeOwner := map[string]string{}
-	for name, c := range e.Deployment {
-		if name == router {
-			sketch[name] = c
-			continue
-		}
-		targets := AllTargets(c)
-		if len(targets) == 0 {
-			sketch[name] = c
-			continue
-		}
-		sym, _, err := Symbolize(c, targets)
-		if err != nil {
-			return nil, err
-		}
-		sketch[name] = sym
-		for _, t := range targets {
-			holeOwner[t.HoleName()] = name
-		}
-	}
-	enc, err := e.encode(ctx, sketch, "complement|"+router)
+	enc, holeOwner, err := e.encodeComplement(ctx, router)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +79,7 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 	}
 
 	// Consistency of the assume side.
-	seedSolver, release, err := e.buildSolver(seedSolverBuild(enc))
+	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified)
 	if err != nil {
 		return nil, err
 	}
@@ -117,6 +97,38 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 	}
 	out.Satisfiable = st == sat.Sat
 	return out, nil
+}
+
+// encodeComplement is the complement's steps 1 and 2: it symbolizes
+// every configured router except the given one and encodes the sketch
+// through the session cache. holeOwner maps each hole to its router.
+func (e *Explainer) encodeComplement(ctx context.Context, router string) (enc *synth.Encoding, holeOwner map[string]string, err error) {
+	sketch := config.Deployment{}
+	holeOwner = map[string]string{}
+	for name, c := range e.Deployment {
+		if name == router {
+			sketch[name] = c
+			continue
+		}
+		targets := AllTargets(c)
+		if len(targets) == 0 {
+			sketch[name] = c
+			continue
+		}
+		sym, _, err := Symbolize(c, targets)
+		if err != nil {
+			return nil, nil, err
+		}
+		sketch[name] = sym
+		for _, t := range targets {
+			holeOwner[t.HoleName()] = name
+		}
+	}
+	enc, err = e.encode(ctx, sketch, "complement|"+router)
+	if err != nil {
+		return nil, nil, err
+	}
+	return enc, holeOwner, nil
 }
 
 // Routers lists the routers with at least one assumption, sorted.

@@ -91,8 +91,10 @@ type Explanation struct {
 
 	// Verified reports that proof verification was on for this
 	// explanation and every Unsat verdict it rests on carried a proof
-	// the independent checker accepted. (A failing proof aborts the
-	// explanation with an error, so a returned explanation under
+	// the independent checker accepted. The verdicts are reached on the
+	// simplified seed; a checked proof that the raw seed implies it
+	// makes each one hold of the raw seed too. (A failing proof aborts
+	// the explanation with an error, so a returned explanation under
 	// Options.VerifyProofs is always Verified. A spliced explanation
 	// — a repeat query, or a router Explainer.ReExplain found clean —
 	// carries the verdicts, and proofs, of the run that first computed
@@ -199,6 +201,32 @@ func encodeKey(router string, targets []Target) string {
 	return "explain|" + router + "|" + strings.Join(names, ",")
 }
 
+// encodeSeed runs the pipeline's steps 1 and 2 for the router: it
+// symbolizes the targets in a copy of the deployment, then encodes that
+// sketch under encodeKey, through the session cache. With targets, the
+// router must have a deployed configuration. replaced maps each hole
+// to the value it replaced (empty without targets).
+func (e *Explainer) encodeSeed(ctx context.Context, router string, targets []Target) (*synth.Encoding, map[string]string, error) {
+	sketch := make(config.Deployment, len(e.Deployment))
+	for name, c := range e.Deployment {
+		sketch[name] = c
+	}
+	replaced := map[string]string{}
+	if len(targets) > 0 {
+		sym, rep, err := Symbolize(e.Deployment[router], targets)
+		if err != nil {
+			return nil, nil, err
+		}
+		sketch[router] = sym
+		replaced = rep
+	}
+	enc, err := e.encode(ctx, sketch, encodeKey(router, targets))
+	if err != nil {
+		return nil, nil, err
+	}
+	return enc, replaced, nil
+}
+
 // encode produces the sketch's encoding, through the session cache
 // when one is installed.
 func (e *Explainer) encode(ctx context.Context, sketch config.Deployment, key string) (*synth.Encoding, error) {
@@ -292,41 +320,26 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	if node == nil {
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
-	ex := &Explanation{
-		Router:   router,
-		Targets:  targets,
-		Replaced: map[string]string{},
+	if _, ok := e.Deployment[router]; !ok && len(targets) > 0 {
+		return nil, fmt.Errorf("core: router %q has no deployed configuration to symbolize", router)
 	}
 
-	// Step 1: partial symbolization.
-	sketch := config.Deployment{}
-	for name, c := range e.Deployment {
-		sketch[name] = c
-	}
-	if len(targets) > 0 {
-		base, ok := e.Deployment[router]
-		if !ok {
-			return nil, fmt.Errorf("core: router %q has no deployed configuration to symbolize", router)
-		}
-		sym, replaced, err := Symbolize(base, targets)
-		if err != nil {
-			return nil, err
-		}
-		sketch[router] = sym
-		ex.Replaced = replaced
-	}
-
-	// Step 2: the seed specification, produced by the synthesizer's
-	// own encoder over the partially symbolic deployment.
-	key := encodeKey(router, targets)
-	enc, err := e.encode(ctx, sketch, key)
+	// Steps 1 and 2: partial symbolization, then the seed specification,
+	// produced by the synthesizer's own encoder over the partially
+	// symbolic deployment.
+	enc, replaced, err := e.encodeSeed(ctx, router, targets)
 	if err != nil {
 		return nil, err
 	}
-	ex.Seed = enc.Conjunction()
-	ex.HoleVars = enc.HoleVars
-	ex.SeedConstraints = enc.Stats.Constraints
-	ex.SeedSize = enc.Stats.ConstraintSize
+	ex := &Explanation{
+		Router:          router,
+		Targets:         targets,
+		Replaced:        replaced,
+		HoleVars:        enc.HoleVars,
+		Seed:            enc.Conjunction(),
+		SeedConstraints: enc.Stats.Constraints,
+		SeedSize:        enc.Stats.ConstraintSize,
+	}
 
 	// Step 3: simplification to fixpoint, answered from the session's
 	// cache on repeat queries (the seed term is pointer-identical when
@@ -355,7 +368,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	// lift inputs (a repeat query, or a router an edit left alone),
 	// recomputed (and cached) otherwise.
 	if e.Opts.Lift {
-		liftKey := "lift|" + key
+		liftKey := "lift|" + encodeKey(router, targets)
 		var cache *engine.ReportCache
 		if e.Session != nil {
 			cache = e.Session.ReportCache()
@@ -407,14 +420,11 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 // liftEntry is one router's cached lift outcome in the
 // cross-deployment report cache, together with everything needed to
 // decide whether it can be spliced into a later generation's report.
-// The lift stage is a pure function of (seed semantics, candidate
-// paths, hole domains, lift options): terms are hash-consed, so
-// "same semantics" is certified by pointer equality on the simplified
-// normal form, "same candidates" by pointer equality on the path
-// infos' terms, and "same domains" by pointer equality on the hole
-// variables (variables intern with their sort, so a changed enum
-// domain yields a different pointer). See DESIGN.md ("Incremental
-// re-explanation") for the splice-safety argument.
+// The lift stage is a function of (simplified normal form, candidate
+// paths, hole variables, lift options) alone, and terms are
+// hash-consed, so pointer equality on each certifies the same inputs
+// (variables intern with their sort, so a changed enum domain yields a
+// different pointer). See DESIGN.md ("Incremental re-explanation").
 type liftEntry struct {
 	seed       []logic.Term // raw seed conjuncts of the generation that produced the entry
 	simplified logic.Term

@@ -17,7 +17,8 @@ import (
 
 // Lifting — the paper's step 4, which it outlines and leaves as future
 // work — searches the specification language for a subspecification
-// consistent with the (simplified) seed. The implementation here:
+// consistent with the simplified seed, step 3's normal form, which is
+// what every seed solver here asserts. The implementation here:
 //
 //  1. Enumerates candidate clauses from the device's local route
 //     vocabulary: blanket announcement blocks "!(R->nb)", per-route
@@ -52,8 +53,12 @@ type liftCandidate struct {
 const MaxSufficiencyModels = engine.DefaultMaxModels
 
 // lift runs the lifting pipeline for the router's explanation. Its
-// solvers live for this call only; explain answers a repeat query
-// against the same inputs from the report cache instead.
+// outcome depends on the simplified seed, the hole variables, the
+// encoding's path infos and the options alone, the inputs the splice
+// gate compares; under VerifyProofs it also reads the raw seed, only to
+// check the link to it. Its solvers live for this call only; explain
+// answers a repeat query against the same inputs from the report cache
+// instead.
 func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding, ex *Explanation) (*spec.Block, bool, error) {
 	block := &spec.Block{Name: router}
 	if len(ex.HoleVars) == 0 {
@@ -73,7 +78,7 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	}
 
 	// Seed solver for necessity and extendability checks.
-	seedSolver, seedRelease, err := e.buildSolver(seedSolverBuild(enc))
+	seedSolver, seedRelease, err := e.buildSeedSolver(ctx, enc, ex.Simplified)
 	if err != nil {
 		return nil, false, err
 	}
@@ -203,42 +208,45 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 // variable extends to a model of the seed. It probes every value, also
 // after one has failed.
 func (e *Explainer) checkUnconstrained(ctx context.Context, holeVars []*logic.Var, seedSolver *smt.Solver, lats *[]time.Duration) (bool, error) {
-	type probe struct {
-		v   *logic.Var
-		val logic.Term
-	}
-	var probes []probe
-	for _, v := range holeVars {
-		switch {
-		case v.S.IsBool():
-			probes = append(probes, probe{v, logic.True}, probe{v, logic.False})
-		case v.S.IsInt():
-			for x := v.Lo; x <= v.Hi; x++ {
-				probes = append(probes, probe{v, logic.NewInt(x)})
-			}
-		default:
-			for _, val := range v.S.Values {
-				probes = append(probes, probe{v, logic.NewEnum(v.S, val)})
-			}
-		}
-	}
 	complete := true
-	for _, p := range probes {
-		st, err := timedSolve(ctx, seedSolver, lats, logic.Eq(p.v, p.val))
-		if err != nil {
-			return false, err
-		}
-		if st == sat.Unsat {
-			// "This value never extends" is an Unsat claim: check it.
-			if err := e.verifyUnsat(seedSolver); err != nil {
+	for _, v := range holeVars {
+		for _, val := range domainValues(v) {
+			st, err := timedSolve(ctx, seedSolver, lats, logic.Eq(v, val))
+			if err != nil {
 				return false, err
 			}
-		}
-		if st != sat.Sat {
-			complete = false
+			if st == sat.Unsat {
+				// "This value never extends" is an Unsat claim: check it.
+				if err := e.verifyUnsat(seedSolver); err != nil {
+					return false, err
+				}
+			}
+			if st != sat.Sat {
+				complete = false
+			}
 		}
 	}
 	return complete, nil
+}
+
+// domainValues lists every value of the variable's finite domain, in
+// domain order.
+func domainValues(v *logic.Var) []logic.Term {
+	switch {
+	case v.S.IsBool():
+		return []logic.Term{logic.True, logic.False}
+	case v.S.IsInt():
+		var out []logic.Term
+		for x := v.Lo; x <= v.Hi; x++ {
+			out = append(out, logic.NewInt(x))
+		}
+		return out
+	}
+	out := make([]logic.Term, len(v.S.Values))
+	for i, val := range v.S.Values {
+		out[i] = logic.NewEnum(v.S, val)
+	}
+	return out
 }
 
 // commonScope detects the Figure 5 situation — every clause of the

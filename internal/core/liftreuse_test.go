@@ -43,8 +43,21 @@ func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestSolverWorkIndependentOfGOMAXPROCS pins that a cold report's
 // solver work depends on the problem alone, not on the host's CPU
 // count: each router's lift runs its checks in order on its own
-// solvers, so the router pool's width cannot change a counter.
+// solvers, so the router pool's width cannot change a counter. The
+// solve and lift-query counts are also pinned absolutely: which
+// queries run depends on the verdicts alone, so a seed solver that
+// changes what it is built from must leave them where they are.
+// Conflicts and propagations measure the search and are compared
+// across GOMAXPROCS only.
 func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
+	pinned := map[string]struct {
+		solves      uint64
+		liftQueries int
+	}{
+		"scenario1": {96, 60},
+		"scenario2": {75, 70},
+		"scenario3": {103, 94},
+	}
 	for _, sc := range scenarios.All() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -63,6 +76,14 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 				st := e.Stats()
 				got := work{st.Solves, st.Conflicts, st.Propagations, st.LiftQueries}
 				if procs == 1 {
+					want, ok := pinned[sc.Name]
+					if !ok {
+						t.Fatalf("no pinned counts for %s", sc.Name)
+					}
+					if got.solves != want.solves || got.liftQueries != want.liftQueries {
+						t.Errorf("solves/lift queries = %d/%d, want %d/%d",
+							got.solves, got.liftQueries, want.solves, want.liftQueries)
+					}
 					base = got
 					continue
 				}

@@ -68,17 +68,58 @@ func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, fun
 	return sv, func() { e.addSolverStats(sv.Stats()) }, nil
 }
 
-// seedSolverBuild declares the encoding's hole variables (in sorted
-// order, for deterministic SAT variable numbering) and asserts the
-// seed constraints.
-func seedSolverBuild(enc *synth.Encoding) func(*smt.Solver) error {
+// seedSolverBuild declares the hole variables (in sorted order, for
+// deterministic SAT variable numbering) and asserts the seed conjuncts.
+func seedSolverBuild(holes map[string]*logic.Var, conjuncts []logic.Term) func(*smt.Solver) error {
 	return func(s *smt.Solver) error {
-		for _, v := range sortedHoleVars(enc.HoleVars) {
+		for _, v := range sortedHoleVars(holes) {
 			if err := s.Declare(v); err != nil {
 				return err
 			}
 		}
-		return s.AssertAll(enc.Constraints)
+		return s.AssertAll(conjuncts)
+	}
+}
+
+// buildSeedSolver builds a query-scoped seed solver over the simplified
+// seed, step 3's normal form of the encoding, as the paper's Figure 6
+// lifts it. Every seed solver in the pipeline comes from here.
+//
+// Under VerifyProofs it first links the simplified seed back to the
+// raw one: a query-scoped raw-seed solver must find raw ∧ ¬simplified
+// unsatisfiable, with a proof the independent checker accepts, before
+// the raw solver is dropped. The raw seed then implies the simplified
+// one, so every Unsat verdict the simplified solver returns also holds
+// of the raw seed.
+func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, simplified logic.Term) (*smt.Solver, func(), error) {
+	if e.Opts.VerifyProofs {
+		if err := e.checkSeedLink(ctx, enc, simplified); err != nil {
+			return nil, nil, err
+		}
+	}
+	return e.buildSolver(seedSolverBuild(enc.HoleVars, logic.Conjuncts(simplified)))
+}
+
+// checkSeedLink proves, with a checked proof, that the encoding's raw
+// seed implies simplified. A Sat answer means simplification changed
+// the seed's meaning; it is an error, as is a solve that cannot decide.
+func (e *Explainer) checkSeedLink(ctx context.Context, enc *synth.Encoding, simplified logic.Term) error {
+	raw, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, enc.Constraints))
+	if err != nil {
+		return err
+	}
+	defer release()
+	st, err := raw.SolveContext(ctx, logic.Not(simplified))
+	if err != nil {
+		return err
+	}
+	switch st {
+	case sat.Unsat:
+		return e.verifyUnsat(raw)
+	case sat.Sat:
+		return fmt.Errorf("core: the raw seed does not imply the simplified seed")
+	default:
+		return fmt.Errorf("core: linking the simplified seed to the raw seed: solver returned %v", st)
 	}
 }
 
@@ -103,5 +144,12 @@ func timedSolve(ctx context.Context, s *smt.Solver, lats *[]time.Duration, assum
 	start := time.Now()
 	st, err := s.SolveContext(ctx, assume...)
 	*lats = append(*lats, time.Since(start))
+	if testSolveHook != nil {
+		testSolveHook(assume, st)
+	}
 	return st, err
 }
+
+// testSolveHook, when set by a test, sees every timed query's
+// assumptions and verdict, in the order the queries ran.
+var testSolveHook func(assume []logic.Term, st sat.Status)

@@ -50,20 +50,7 @@ func (e *Explainer) CheckSubspecContext(ctx context.Context, router string, bloc
 		return nil, fmt.Errorf("core: no deployed configuration for %q", router)
 	}
 	targets := AllTargets(c)
-	sketch := config.Deployment{}
-	for name, dc := range e.Deployment {
-		sketch[name] = dc
-	}
-	var replaced map[string]string
-	if len(targets) > 0 {
-		sym, rep, err := Symbolize(c, targets)
-		if err != nil {
-			return nil, err
-		}
-		sketch[router] = sym
-		replaced = rep
-	}
-	enc, err := e.encode(ctx, sketch, encodeKey(router, targets))
+	enc, _, err := e.encodeSeed(ctx, router, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +58,6 @@ func (e *Explainer) CheckSubspecContext(ctx context.Context, router string, bloc
 	if err != nil {
 		return nil, err
 	}
-	_ = replaced
 
 	infos := enc.PathInfos()
 	out := make([]ClauseCheck, 0, len(block.Reqs))
@@ -107,10 +93,10 @@ func (e *Explainer) CheckSubspecNecessary(router string, block *spec.Block) ([]N
 }
 
 // CheckSubspecNecessaryContext is CheckSubspecNecessary with
-// cancellation and the budget's deadline applied. It encodes the same
-// sketch as ExplainAll, so after an explanation of the router the
-// encoding comes from the session cache, and builds a query-scoped
-// seed solver from it (a fresh Tseitin translation) on which each
+// cancellation and the budget's deadline applied. It encodes and
+// simplifies the same sketch as ExplainAll, so after an explanation of
+// the router both come from the session caches, and builds a
+// query-scoped seed solver over the simplified seed on which each
 // clause costs one assumption-driven solve.
 func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router string, block *spec.Block) ([]NecessityCheck, error) {
 	e.mu.RLock()
@@ -121,24 +107,12 @@ func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router str
 	if !ok {
 		return nil, fmt.Errorf("core: no deployed configuration for %q", router)
 	}
-	targets := AllTargets(c)
-	sketch := config.Deployment{}
-	for name, dc := range e.Deployment {
-		sketch[name] = dc
-	}
-	if len(targets) > 0 {
-		sym, _, err := Symbolize(c, targets)
-		if err != nil {
-			return nil, err
-		}
-		sketch[router] = sym
-	}
-	key := encodeKey(router, targets)
-	enc, err := e.encode(ctx, sketch, key)
+	enc, _, err := e.encodeSeed(ctx, router, AllTargets(c))
 	if err != nil {
 		return nil, err
 	}
-	seedSolver, release, err := e.buildSolver(seedSolverBuild(enc))
+	simplified := e.simplify(enc.Conjunction()).Simplified
+	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified)
 	if err != nil {
 		return nil, err
 	}
