@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -45,24 +44,15 @@ type ScaleEntry struct {
 	// PeakHeapBytes is the largest runtime.MemStats.HeapAlloc sampled
 	// while the report streamed (absolute process heap, not a delta).
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
-	// ScopedEncodes counts per-router encodes served by the cone-scoped
-	// splice path; GroupsCopied/GroupsEncoded split the selection groups
-	// it copied verbatim from the recorded whole-network encoding
-	// versus re-derived inside the dirty router's cone. Copied >>
-	// encoded is the point: per-router encode work tracks cone size,
-	// not network size.
-	ScopedEncodes       int `json:"scoped_encodes"`
+	// ScopedGroupsCopied/ScopedGroupsEncoded split the constraint
+	// groups the per-router encodes copied verbatim from the session's
+	// recorded whole-network encoding versus re-derived inside the
+	// dirty router's cone. Copied >> encoded is the point: per-router
+	// encode work tracks cone size, not network size.
 	ScopedGroupsCopied  int `json:"scoped_groups_copied"`
 	ScopedGroupsEncoded int `json:"scoped_groups_encoded"`
 	Encodes             int `json:"encodes"`
 	ReusedCandidates    int `json:"reused_candidates"`
-	// ColdReportMS is the same report produced with scoped encoding
-	// disabled (every router re-encoded against the whole network);
-	// ColdIdentical records byte-identity of the two streams. Only the
-	// designated comparison workloads pay for the cold arm (-1 / true
-	// elsewhere means "not run").
-	ColdReportMS  float64 `json:"cold_report_ms"`
-	ColdIdentical bool    `json:"cold_identical"`
 	// Verified is verify.Satisfies on the synthesized deployment. Large
 	// topologies report false: the encoder's bounded-path approximation
 	// (MaxPathLen) cannot forbid transit along paths longer than the
@@ -76,12 +66,11 @@ type ScaleEntry struct {
 // ScaleReport is the payload written by netbench -scalejson.
 type ScaleReport struct {
 	Name string `json:"name"`
-	// GoMaxProcs records the parallelism the run actually had. The
-	// committed baseline comes from a 1-CPU container: report wall
-	// times there measure the work, not the speedup of the streaming
-	// worker pool, and are pessimistic for any real multi-core host.
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Caveats    string `json:"caveats"`
+	// GoMaxProcs records the parallelism the run actually had: at 1,
+	// report wall times measure the work, not the speedup of the
+	// streaming worker pool.
+	GoMaxProcs int          `json:"gomaxprocs"`
+	Caveats    string       `json:"caveats"`
 	Entries    []ScaleEntry `json:"entries"`
 }
 
@@ -91,11 +80,6 @@ const scaleCaveats = "Wall times from a single run (no repetition); on GOMAXPROC
 type scaleCase struct {
 	build      func() (*netgen.Workload, error)
 	maxPathLen int
-	// coldArm re-runs the report with scoped encoding disabled and
-	// checks byte-identity — paid on one mid-size workload per shape,
-	// not the largest (the cold path re-encodes the whole network per
-	// router, which is exactly the cost being avoided).
-	coldArm bool
 }
 
 func scaleCases(quick bool) []scaleCase {
@@ -110,14 +94,14 @@ func scaleCases(quick bool) []scaleCase {
 	}
 	if quick {
 		return []scaleCase{
-			{build: grid(4, 4), maxPathLen: 7, coldArm: true},
+			{build: grid(4, 4), maxPathLen: 7},
 			{build: rand(20), maxPathLen: 7},
 			{build: fattree(4), maxPathLen: 7},
 		}
 	}
 	return []scaleCase{
 		{build: grid(8, 8), maxPathLen: 7},
-		{build: grid(20, 20), maxPathLen: 7, coldArm: true},
+		{build: grid(20, 20), maxPathLen: 7},
 		{build: grid(40, 40), maxPathLen: 7},
 		{build: fattree(8), maxPathLen: 4},
 		{build: fattree(16), maxPathLen: 4},
@@ -126,18 +110,11 @@ func scaleCases(quick bool) []scaleCase {
 	}
 }
 
-// countingWriter counts bytes; an optional tee keeps them (cold-arm
-// byte-identity needs the actual stream, discard runs do not).
-type countingWriter struct {
-	n   int64
-	tee *strings.Builder
-}
+// countingWriter counts the bytes written to it and discards them.
+type countingWriter struct{ n int64 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += int64(len(p))
-	if w.tee != nil {
-		w.tee.Write(p)
-	}
 	return len(p), nil
 }
 
@@ -220,26 +197,15 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 	copts.Synth = opts
 	copts.Lift = false
 
-	newExplainer := func() (*core.Explainer, error) {
-		ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, copts)
-		if err != nil {
-			return nil, err
-		}
-		// Bound the session report cache so the tee stops buffering the
-		// rendered report once it outgrows the cap: the experiment
-		// measures streaming memory, not retained-report memory.
-		ex.Session.SetCacheLimits(engine.CacheLimits{ReportBytes: 1 << 20})
-		return ex, nil
-	}
-
-	ex, err := newExplainer()
+	ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, copts)
 	if err != nil {
 		return ScaleEntry{}, err
 	}
+	// Bound the session report cache so the tee stops buffering the
+	// rendered report once it outgrows the cap: the experiment measures
+	// streaming memory, not retained-report memory.
+	ex.Session.SetCacheLimits(engine.CacheLimits{ReportBytes: 1 << 20})
 	cw := &countingWriter{}
-	if cs.coldArm {
-		cw.tee = &strings.Builder{}
-	}
 	hw := startHeapWatcher()
 	start = time.Now()
 	n, err := ex.WriteReport(ctx, cw)
@@ -250,7 +216,7 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 	}
 	st := ex.Stats()
 
-	e := ScaleEntry{
+	return ScaleEntry{
 		Workload:            wl.Name,
 		Routers:             len(wl.Net.Internals()),
 		Links:               wl.Net.NumLinks(),
@@ -262,34 +228,12 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 		ReportMS:            reportMS,
 		StreamedBytes:       n,
 		PeakHeapBytes:       peak,
-		ScopedEncodes:       st.ScopedEncodes,
 		ScopedGroupsCopied:  st.ScopedGroupsCopied,
 		ScopedGroupsEncoded: st.ScopedGroupsEncoded,
 		Encodes:             st.Encodes,
 		ReusedCandidates:    st.ReusedCandidates,
-		ColdReportMS:        -1,
-		ColdIdentical:       true,
 		Verified:            ok,
-	}
-
-	if cs.coldArm {
-		cold, err := newExplainer()
-		if err != nil {
-			return ScaleEntry{}, err
-		}
-		cold.Session.DisableScopedEncoding()
-		ccw := &countingWriter{tee: &strings.Builder{}}
-		start = time.Now()
-		if _, err := cold.WriteReport(ctx, ccw); err != nil {
-			return ScaleEntry{}, fmt.Errorf("%s (cold): %w", wl.Name, err)
-		}
-		e.ColdReportMS = float64(time.Since(start).Microseconds()) / 1000
-		e.ColdIdentical = ccw.tee.String() == cw.tee.String()
-		if cst := cold.Stats(); cst.ScopedEncodes != 0 {
-			return ScaleEntry{}, fmt.Errorf("%s: cold arm performed %d scoped encodes", wl.Name, cst.ScopedEncodes)
-		}
-	}
-	return e, nil
+	}, nil
 }
 
 // Scale runs the scaling sweep: whole-network streaming reports over
@@ -337,27 +281,20 @@ func ScaleTable(ctx context.Context, quick bool) (*Table, error) {
 		ID: "scale (extension Ext-1)",
 		Caption: "Whole-network streaming reports on larger topologies (no-transit workload, netgen.Populate gives every router a config; MaxCandidatesPerNode=8, Lift off). " +
 			"report-ms streams every router section through one session (Explainer.WriteReport); groups copied/encoded show the cone-scoped encode splicing the recorded whole-network encoding instead of re-deriving it. " +
-			"cold-ms re-runs the comparison workloads with scoped encoding disabled; identical pins byte-identity of the two streams ('-' = cold arm not run). " +
 			"verified=false at large sizes reflects the MaxPathLen-bounded encoding (paths longer than the bound escape the synthesizer's control), not an explanation bug. " +
 			"The paper: 'scalability ... remains untested'.",
-		Columns: []string{"workload", "routers", "links", "constraints", "synth-ms", "report-ms", "KB-streamed", "peak-heap-MB", "groups-copied", "groups-encoded", "cold-ms", "identical", "verified"},
+		Columns: []string{"workload", "routers", "links", "constraints", "synth-ms", "report-ms", "KB-streamed", "peak-heap-MB", "groups-copied", "groups-encoded", "verified"},
 	}
 	rep, err := Scale(ctx, quick)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range rep.Entries {
-		coldMS, identical := "-", "-"
-		if e.ColdReportMS >= 0 {
-			coldMS = fmt.Sprintf("%.0f", e.ColdReportMS)
-			identical = fmt.Sprintf("%t", e.ColdIdentical)
-		}
 		t.AddRow(e.Workload, e.Routers, e.Links, e.Constraints,
 			fmt.Sprintf("%.0f", e.SynthMS), fmt.Sprintf("%.0f", e.ReportMS),
 			fmt.Sprintf("%.0f", float64(e.StreamedBytes)/1024),
 			fmt.Sprintf("%.0f", float64(e.PeakHeapBytes)/(1<<20)),
-			e.ScopedGroupsCopied, e.ScopedGroupsEncoded,
-			coldMS, identical, e.Verified)
+			e.ScopedGroupsCopied, e.ScopedGroupsEncoded, e.Verified)
 	}
 	return t, nil
 }

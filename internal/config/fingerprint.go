@@ -13,22 +13,6 @@ func Fingerprint(c *Config) uint64 {
 	return fnv1a(Print(c))
 }
 
-// FingerprintDeployment hashes every router's fingerprint in
-// router-name order into one deployment identity.
-func FingerprintDeployment(d Deployment) uint64 {
-	names := make([]string, 0, len(d))
-	for n := range d {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	h := fnvOffset64
-	for _, n := range names {
-		h = fnvMix(h, n)
-		h = fnvMixUint64(h, Fingerprint(d[n]))
-	}
-	return h
-}
-
 // DiffRouters returns the sorted names of routers whose configuration
 // differs between the two deployments, including routers present in
 // only one of them. Configurations shared by pointer are trivially
@@ -69,14 +53,6 @@ func fnv1a(s string) uint64 {
 func fnvMix(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnvMixUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
 	}
 	return h
 }

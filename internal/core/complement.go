@@ -56,7 +56,7 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 		return nil, err
 	}
 	seed := enc.Conjunction()
-	sout := e.simplify(seed)
+	sout := e.Session.Simplify(seed)
 	simplified := sout.Simplified
 
 	out := &ComplementExplanation{
@@ -124,7 +124,7 @@ func (e *Explainer) encodeComplement(ctx context.Context, router string) (enc *s
 			holeOwner[t.HoleName()] = name
 		}
 	}
-	enc, err = e.encode(ctx, sketch, "complement|"+router)
+	enc, err = e.Session.Encode(ctx, sketch, "complement|"+router)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -118,19 +118,14 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 	ctx, cancelBudget := e.Opts.Budget.Apply(ctx)
 	defer cancelBudget()
 
-	var newSess *engine.Session
-	var oldBase *synth.Base
-	if e.Session != nil {
-		oldBase = e.Session.EnsureBase(ctx)
-		newSess = engine.NewSessionFrom(e.Session, reqs, newDep)
-	} else {
-		newSess = engine.NewSession(e.Net, reqs, newDep, e.Opts.Synth)
-		newSess.Budget = e.Opts.Budget
-		newSess.VerifyProofs = e.Opts.VerifyProofs
-	}
+	// Either base may fail to build (an edit can fix, or break, the
+	// requirements); a missing base only rules out the fast path, and
+	// the sweep below reports the successor's error.
+	oldBase, _ := e.Session.PrepareScoped(ctx)
+	newSess := engine.NewSessionFrom(e.Session, reqs, newDep)
 	hits0, misses0 := newSess.ReportCache().Counters()
 
-	newBase := newSess.EnsureBase(ctx)
+	newBase, _ := newSess.PrepareScoped(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/rewrite"
-	"repro/internal/sat"
 	"repro/internal/spec"
 	"repro/internal/synth"
 	"repro/internal/topology"
@@ -118,10 +117,9 @@ type Explainer struct {
 	Deployment config.Deployment
 	Opts       Options
 	// Session caches encodings across queries against this deployment
-	// (one base encode of the invariant structure, derived encodes
-	// cached by symbolization targets). NewExplainer installs one; a
-	// nil Session falls back to a fresh full encode per query, which
-	// produces identical results, only slower.
+	// (one recorded whole-network encode, derived encodes spliced from
+	// it and cached by symbolization targets). NewExplainer installs
+	// it; an explainer always has one.
 	Session *engine.Session
 
 	// mu is the re-entrancy lock: read-style queries hold it shared,
@@ -178,13 +176,10 @@ func NewExplainer(net *topology.Network, reqs []spec.Requirement, dep config.Dep
 }
 
 // Stats returns the session's merged statistics (encode effort, cache
-// hits, solver work). Zero when the explainer has no session.
+// hits, solver work).
 func (e *Explainer) Stats() engine.Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.Session == nil {
-		return engine.Stats{}
-	}
 	return e.Session.Stats()
 }
 
@@ -220,52 +215,19 @@ func (e *Explainer) encodeSeed(ctx context.Context, router string, targets []Tar
 		sketch[router] = sym
 		replaced = rep
 	}
-	enc, err := e.encode(ctx, sketch, encodeKey(router, targets))
+	enc, err := e.Session.Encode(ctx, sketch, encodeKey(router, targets))
 	if err != nil {
 		return nil, nil, err
 	}
 	return enc, replaced, nil
 }
 
-// encode produces the sketch's encoding, through the session cache
-// when one is installed.
-func (e *Explainer) encode(ctx context.Context, sketch config.Deployment, key string) (*synth.Encoding, error) {
-	if e.Session != nil {
-		return e.Session.Encode(ctx, sketch, key)
-	}
-	return synth.NewEncoder(e.Net, sketch, e.Opts.Synth).EncodeContext(ctx, e.Reqs)
-}
-
-// addSolverStats folds SAT effort into the session statistics.
-func (e *Explainer) addSolverStats(st sat.Stats) {
-	if e.Session != nil {
-		e.Session.AddSolverStats(st)
-	}
-}
-
-// simplify normalizes a seed term, through the session's
-// simplification cache when one is installed.
-func (e *Explainer) simplify(seed logic.Term) *engine.SimplifyOutcome {
-	if e.Session != nil {
-		return e.Session.Simplify(seed)
-	}
-	simp := rewrite.New()
-	return &engine.SimplifyOutcome{
-		Simplified: simp.Simplify(seed),
-		Passes:     simp.Passes,
-		Trace:      append([]int(nil), simp.Trace...),
-	}
-}
-
 // normalizer builds a simplifier for auxiliary rewriting (lift
 // candidates, complement seeds), backed by the session's shared
-// normal-form cache when a session is installed. The returned
-// simplifier is single-goroutine state; build one per worker.
+// normal-form cache. The returned simplifier is single-goroutine
+// state; build one per worker.
 func (e *Explainer) normalizer() *rewrite.Simplifier {
-	if e.Session != nil {
-		return rewrite.NewShared(e.Session.NormCache())
-	}
-	return rewrite.New()
+	return rewrite.NewShared(e.Session.NormCache())
 }
 
 // ExplainAll explains every symbolizable field of the router at once:
@@ -344,7 +306,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	// Step 3: simplification to fixpoint, answered from the session's
 	// cache on repeat queries (the seed term is pointer-identical when
 	// the encoding came from the cache).
-	sout := e.simplify(ex.Seed)
+	sout := e.Session.Simplify(ex.Seed)
 	ex.Simplified = sout.Simplified
 	ex.SimplifiedSize = logic.Size(ex.Simplified)
 	ex.Passes = sout.Passes
@@ -369,24 +331,19 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	// recomputed (and cached) otherwise.
 	if e.Opts.Lift {
 		liftKey := "lift|" + encodeKey(router, targets)
-		var cache *engine.ReportCache
-		if e.Session != nil {
-			cache = e.Session.ReportCache()
-		}
+		cache := e.Session.ReportCache()
 		spliced := false
-		if cache != nil {
-			if v, ok := cache.Get(liftKey); ok {
-				if ent, ok := v.(*liftEntry); ok {
-					if e.liftEntryValid(ent, ex, enc) {
-						ex.Subspec = ent.block
-						ex.SubspecComplete = ent.complete
-						spliced = true
-					}
-					e.noteDelta(router, ent, enc, spliced)
+		if v, ok := cache.Get(liftKey); ok {
+			if ent, ok := v.(*liftEntry); ok {
+				if e.liftEntryValid(ent, ex, enc) {
+					ex.Subspec = ent.block
+					ex.SubspecComplete = ent.complete
+					spliced = true
 				}
-			} else {
-				e.noteMissing(router)
+				e.noteDelta(router, ent, enc, spliced)
 			}
+		} else {
+			e.noteMissing(router)
 		}
 		if !spliced {
 			block, complete, err := e.lift(ctx, router, enc, ex)
@@ -396,20 +353,18 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 			ex.Subspec = block
 			ex.SubspecComplete = complete
 		}
-		if cache != nil {
-			// Refresh even on a splice: the entry's raw seed must track
-			// the current generation so the next delta diffs against it.
-			ent := &liftEntry{
-				seed:       enc.Constraints,
-				simplified: ex.Simplified,
-				holes:      ex.HoleVars,
-				paths:      enc.PathInfos(),
-				optsSig:    e.liftOptsSig(),
-				block:      ex.Subspec,
-				complete:   ex.SubspecComplete,
-			}
-			cache.Put(liftKey, ent, ent.size())
+		// Refresh even on a splice: the entry's raw seed must track the
+		// current generation so the next delta diffs against it.
+		ent := &liftEntry{
+			seed:       enc.Constraints,
+			simplified: ex.Simplified,
+			holes:      ex.HoleVars,
+			paths:      enc.PathInfos(),
+			optsSig:    e.liftOptsSig(),
+			block:      ex.Subspec,
+			complete:   ex.SubspecComplete,
 		}
+		cache.Put(liftKey, ent, ent.size())
 	}
 	// Every Unsat verdict this explanation rests on was re-validated by
 	// the independent checker (failures abort above with an error).

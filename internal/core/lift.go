@@ -109,7 +109,7 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	// candidate order. The latencies of every query this lift runs are
 	// recorded once it returns.
 	var lats []time.Duration
-	defer func() { e.addLiftQueries(lats) }()
+	defer func() { e.Session.AddLiftQueries(lats) }()
 	var accepted []liftCandidate
 	for _, c := range cands {
 		// Vacuous: no completion violates it.

@@ -75,14 +75,6 @@ func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error)
 // applied the budget.
 func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, error) {
 	routers := e.reportRouters()
-	if e.Session != nil && len(routers) > 1 {
-		// One whole-network encode with group spans recorded, so every
-		// per-router encode below splices its out-of-cone constraints
-		// instead of re-deriving the network. Failure degrades to plain
-		// encodes, never changes bytes.
-		e.Session.PrepareScoped(ctx)
-	}
-
 	tee := newReportTee(e)
 	var n int64
 	write := func(s string) error {
@@ -110,10 +102,7 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	if workers > len(routers) {
 		workers = len(routers)
 	}
-	window := 0
-	if e.Session != nil {
-		window = e.Session.StreamWindow()
-	}
+	window := e.Session.StreamWindow()
 	if window <= 0 {
 		window = 4 * workers
 	}
@@ -329,15 +318,7 @@ type reportTee struct {
 }
 
 func newReportTee(e *Explainer) *reportTee {
-	t := &reportTee{}
-	if e.Session == nil {
-		return t
-	}
-	t.buf = &strings.Builder{}
-	if max := e.Session.ReportCache().MaxBytes(); max > 0 {
-		t.cap = max
-	}
-	return t
+	return &reportTee{buf: &strings.Builder{}, cap: e.Session.ReportCache().MaxBytes()}
 }
 
 func (t *reportTee) add(s string) {
@@ -358,7 +339,7 @@ func (t *reportTee) add(s string) {
 func (t *reportTee) commit(e *Explainer) {
 	e.reportMu.Lock()
 	defer e.reportMu.Unlock()
-	if t.buf == nil || e.Session == nil {
+	if t.buf == nil {
 		e.lastReportKey = ""
 		return
 	}
@@ -385,7 +366,7 @@ func (e *Explainer) loadLastReport() string {
 	e.reportMu.Lock()
 	key, sum, size := e.lastReportKey, e.lastReportSum, e.lastReportLen
 	e.reportMu.Unlock()
-	if key == "" || e.Session == nil {
+	if key == "" {
 		return ""
 	}
 	v, ok := e.Session.ReportCache().Get(key)

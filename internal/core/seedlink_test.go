@@ -286,7 +286,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simplified := e.simplify(enc.Conjunction()).Simplified
+	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
 
 	before := e.Stats().ProofChecks
 	_, release, err := e.buildSeedSolver(ctx, enc, simplified)

@@ -3,48 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/scenarios"
+	"repro/internal/spec"
 )
-
-// TestSessionReportByteIdentical checks that the session-cached path
-// (base encode + derived encodes) produces exactly the Report the
-// per-call full-encode path produces, on every paper scenario. The
-// candidate reuse must be invisible in the output.
-func TestSessionReportByteIdentical(t *testing.T) {
-	for _, sc := range scenarios.All() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			dep := synthScenario(t, sc)
-			withSession := newExplainer(t, sc, dep, nil)
-			if withSession.Session == nil {
-				t.Fatal("NewExplainer did not install a session")
-			}
-			noSession := newExplainer(t, sc, dep, nil)
-			noSession.Session = nil
-
-			want, err := noSession.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := withSession.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("session report differs from per-call report.\nsession:\n%s\nper-call:\n%s", got, want)
-			}
-			if reused := withSession.Stats().ReusedCandidates; reused == 0 {
-				t.Error("session report reused no candidates; the base encode is not being shared")
-			}
-		})
-	}
-}
 
 // TestSessionOneBaseEncode checks the headline property of the shared
 // cache: a whole-network report performs exactly one base encode, and
@@ -58,10 +27,10 @@ func TestSessionOneBaseEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	// Two whole-network encodes: the shared base plus the scoped
-	// recording the report sweep prepares so per-router encodes splice.
-	if st.BaseEncodes != 2 {
-		t.Errorf("BaseEncodes = %d after a multi-router report, want 2 (base + scoped recording)", st.BaseEncodes)
+	// One whole-network encode: the recorded base every per-router
+	// encode splices from.
+	if st.BaseEncodes != 1 {
+		t.Errorf("BaseEncodes = %d after a multi-router report, want 1", st.BaseEncodes)
 	}
 	if st.Encodes < 2 {
 		t.Errorf("Encodes = %d, want one per configured router (>= 2)", st.Encodes)
@@ -107,6 +76,93 @@ func TestSessionOneBaseEncode(t *testing.T) {
 			t.Errorf("CheckSubspec re-encoded (%d -> %d) instead of hitting the cache", before.Encodes, after.Encodes)
 		}
 	}
+}
+
+// TestSessionBaseContract pins the session's one encode path. Whatever
+// its first query, a session performs exactly one whole-network encode
+// — its recorded base — and every query's encoding splices from it;
+// concurrent first queries share one build; an encoder error reaches
+// the query; and a build that failed on its context is retried.
+func TestSessionBaseContract(t *testing.T) {
+	sc := scenarios.Scenario2()
+	dep := synthScenario(t, sc)
+	ctx := context.Background()
+
+	for _, q := range []struct {
+		name string
+		run  func(e *Explainer) error
+	}{
+		{"explain_all", func(e *Explainer) error { _, err := e.ExplainAll("R1"); return err }},
+		{"write_report", func(e *Explainer) error { _, err := e.WriteReport(ctx, io.Discard); return err }},
+		{"complement", func(e *Explainer) error { _, err := e.ExplainComplement("R3"); return err }},
+		{"check_subspec", func(e *Explainer) error { _, err := e.CheckSubspec("R1", &spec.Block{Name: "R1"}); return err }},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			e := newExplainer(t, sc, dep, nil)
+			if err := q.run(e); err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if st.BaseEncodes != 1 {
+				t.Errorf("BaseEncodes = %d, want 1", st.BaseEncodes)
+			}
+			if st.Encodes == 0 || st.ScopedGroupsCopied == 0 {
+				t.Errorf("encodes = %d, groups copied = %d: the query did not splice from the base", st.Encodes, st.ScopedGroupsCopied)
+			}
+		})
+	}
+
+	t.Run("concurrent_first_queries", func(t *testing.T) {
+		e := newExplainer(t, sc, dep, nil)
+		routers := []string{"R1", "R2", "R3", "R1", "R2", "R3"}
+		var wg sync.WaitGroup
+		errs := make([]error, len(routers))
+		for i, r := range routers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = e.ExplainAll(r)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", routers[i], err)
+			}
+		}
+		if st := e.Stats(); st.BaseEncodes != 1 {
+			t.Errorf("BaseEncodes = %d after concurrent first queries, want 1", st.BaseEncodes)
+		}
+	})
+
+	t.Run("requirement_error", func(t *testing.T) {
+		reqs := append(sc.Requirements(), &spec.Allow{Path: spec.NewPath("P1", "P2")})
+		e := newExplainer(t, sc, dep, reqs)
+		for i := 0; i < 2; i++ {
+			_, err := e.ExplainAll("R1")
+			if err == nil || !strings.Contains(err.Error(), "matches no candidate path") {
+				t.Fatalf("query %d: err = %v, want the encoder's allow error", i, err)
+			}
+		}
+		if st := e.Stats(); st.BaseEncodes != 0 {
+			t.Errorf("BaseEncodes = %d after a failed build, want 0", st.BaseEncodes)
+		}
+	})
+
+	t.Run("cancelled_build_not_latched", func(t *testing.T) {
+		e := newExplainer(t, sc, dep, nil)
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := e.Session.PrepareScoped(cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PrepareScoped on a cancelled context: err = %v, want context.Canceled", err)
+		}
+		if _, err := e.ExplainAll("R1"); err != nil {
+			t.Fatalf("query after a cancelled build: %v", err)
+		}
+		if st := e.Stats(); st.BaseEncodes != 1 {
+			t.Errorf("BaseEncodes = %d, want 1", st.BaseEncodes)
+		}
+	})
 }
 
 // TestBudgetDeadlineAbortsReport checks that an already-expired budget

@@ -34,9 +34,7 @@ func (e *Explainer) verifyUnsat(s *smt.Solver) error {
 	if err != nil {
 		return fmt.Errorf("core: unsat verdict failed proof check: %w", err)
 	}
-	if e.Session != nil {
-		e.Session.AddProofStats(rep)
-	}
+	e.Session.AddProofStats(rep)
 	return nil
 }
 
@@ -55,17 +53,15 @@ func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, fun
 		opts = append(opts, smt.WithProof())
 	}
 	sv := smt.NewSolver(opts...)
-	if e.Session != nil {
-		sv.UseInterner(e.Session.Interner())
-	}
+	sv.UseInterner(e.Session.Interner())
 	if e.Opts.Budget.MaxConflicts > 0 {
 		sv.SetConflictBudget(e.Opts.Budget.MaxConflicts)
 	}
 	if err := build(sv); err != nil {
-		e.addSolverStats(sv.Stats())
+		e.Session.AddSolverStats(sv.Stats())
 		return nil, nil, err
 	}
-	return sv, func() { e.addSolverStats(sv.Stats()) }, nil
+	return sv, func() { e.Session.AddSolverStats(sv.Stats()) }, nil
 }
 
 // seedSolverBuild declares the hole variables (in sorted order, for
@@ -130,13 +126,6 @@ func sortedHoleVars(m map[string]*logic.Var) []*logic.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// addLiftQueries records per-query lift latencies in the session.
-func (e *Explainer) addLiftQueries(ds []time.Duration) {
-	if e.Session != nil {
-		e.Session.AddLiftQueries(ds)
-	}
 }
 
 // timedSolve runs one SMT query and records its latency.

@@ -17,7 +17,7 @@ import (
 )
 
 // TestWriteReportMatchesReport pins that the streaming writer produces
-// the exact bytes of the buffered report, scoped encoding on or off.
+// the exact bytes of the buffered report of a separate explainer.
 func TestWriteReportMatchesReport(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,9 +28,7 @@ func TestWriteReportMatchesReport(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dep := synthScenario(t, tc.sc)
-			cold := newExplainer(t, tc.sc, dep, nil)
-			cold.Session.DisableScopedEncoding()
-			want, err := cold.Report()
+			want, err := newExplainer(t, tc.sc, dep, nil).Report()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,13 +40,13 @@ func TestWriteReportMatchesReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := sb.String(); got != want {
-				t.Errorf("streamed report differs from cold report.\nstreamed:\n%s\ncold:\n%s", got, want)
+				t.Errorf("streamed report differs from buffered report.\nstreamed:\n%s\nbuffered:\n%s", got, want)
 			}
 			if n != int64(sb.Len()) {
 				t.Errorf("WriteReport returned n = %d, wrote %d bytes", n, sb.Len())
 			}
-			if st := e.Stats(); st.ScopedEncodes == 0 {
-				t.Error("streaming report performed no scoped encodes")
+			if st := e.Stats(); st.ScopedGroupsCopied == 0 {
+				t.Error("streaming report spliced no constraint groups")
 			}
 			// The streamed run retained its report: an invisible edit is
 			// answered on the fast path.

@@ -111,14 +111,14 @@ func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router str
 	if err != nil {
 		return nil, err
 	}
-	simplified := e.simplify(enc.Conjunction()).Simplified
+	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
 	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	var lats []time.Duration
-	defer func() { e.addLiftQueries(lats) }()
+	defer func() { e.Session.AddLiftQueries(lats) }()
 	infos := enc.PathInfos()
 	out := make([]NecessityCheck, 0, len(block.Reqs))
 	for _, req := range block.Reqs {

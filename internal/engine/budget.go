@@ -7,10 +7,11 @@
 // against one deployment — explain every router, explain one variable
 // at a time, validate a subspecification — and each query re-encodes a
 // deployment that is almost entirely unchanged. A Session encodes the
-// concrete deployment's invariant structure once (the base encode) and
-// derives each query's partially-symbolic seed specification from it,
-// so a whole-network report performs one base encode plus cheap
-// derivations instead of O(routers) full encodes.
+// concrete deployment once, recording every constraint group (the base
+// encode), and splices each query's partially-symbolic seed
+// specification from it, so a session performs one whole-network
+// encode plus cone-sized derivations instead of O(routers) full
+// encodes.
 package engine
 
 import (
@@ -63,10 +64,9 @@ func (b Budget) ModelCap() int {
 // encoding effort (and how much of it the cache absorbed) plus
 // SAT-level solving effort reported back by the explanation pipeline.
 type Stats struct {
-	// BaseEncodes counts whole-network (invariant-structure) encodes:
-	// the shared base, plus the scoped recording when a report sweep
-	// prepares one (PrepareScoped). A session performs at most one of
-	// each unless an attempt fails.
+	// BaseEncodes counts whole-network encodes: the session's recorded
+	// base (PrepareScoped). A session performs one, whatever its first
+	// query, unless a build fails on its context.
 	BaseEncodes int
 	// Encodes counts derived (per-query) encodes actually performed.
 	Encodes int
@@ -80,13 +80,10 @@ type Stats struct {
 	// EncodeTime is the wall-clock time spent encoding (base and
 	// derived, cache hits excluded).
 	EncodeTime time.Duration
-	// ScopedEncodes counts derived encodes answered by the cone-scoped
-	// splice path (Encoder.WithScope): recorded constraint groups copied
-	// verbatim, only the symbolized router's cone re-derived.
-	// ScopedGroupsCopied and ScopedGroupsEncoded total the constraint
-	// groups spliced versus re-encoded across those encodes — their
+	// ScopedGroupsCopied and ScopedGroupsEncoded total, across derived
+	// encodes, the constraint groups spliced verbatim from the base
+	// versus re-encoded inside the symbolized router's cone — their
 	// ratio is the measured locality of the deployment's explanations.
-	ScopedEncodes       int
 	ScopedGroupsCopied  int
 	ScopedGroupsEncoded int
 	// Solves, Conflicts, Propagations, Decisions, and Learnt total the
@@ -186,7 +183,6 @@ func (s *Stats) Add(o Stats) {
 	s.Candidates += o.Candidates
 	s.ReusedCandidates += o.ReusedCandidates
 	s.EncodeTime += o.EncodeTime
-	s.ScopedEncodes += o.ScopedEncodes
 	s.ScopedGroupsCopied += o.ScopedGroupsCopied
 	s.ScopedGroupsEncoded += o.ScopedGroupsEncoded
 	s.Solves += o.Solves

@@ -51,8 +51,9 @@ type CacheLimits struct {
 }
 
 // Session is the shared state of one deployment's explanation queries:
-// the base encoding of the concrete deployment (built once, lazily)
-// and a cache of derived encodings keyed by the caller's sketch key.
+// the recorded base encoding of the concrete deployment (built once, by
+// the first query) and a cache of derived encodings keyed by the
+// caller's sketch key.
 // A Session is safe for concurrent use; concurrent requests for the
 // same key are coalesced into one encode (single flight).
 type Session struct {
@@ -79,20 +80,15 @@ type Session struct {
 	// Budget, set it before the session is shared.
 	VerifyProofs bool
 
-	baseMu   sync.Mutex
-	base     *synth.Base
-	baseDead bool // base build failed for a non-context reason; stop retrying
-
-	// scoped is the recorded whole-network encoding the cone-scoped
-	// encode path splices from (see synth.ScopedBase). Built lazily by
-	// PrepareScoped — whole-network sweeps call it once up front; single
-	// queries never pay for it. scopedDead latches a non-context build
-	// failure; scopedOff disables the path entirely (cold benchmark
-	// arms, byte-identity tests).
-	scopedMu   sync.Mutex
-	scoped     *synth.ScopedBase
-	scopedDead bool
-	scopedOff  bool
+	// base is the recorded whole-network encoding of the concrete
+	// deployment that every derived encode splices from (see
+	// synth.Base), built once by the first query (PrepareScoped).
+	// baseErr keeps a build failure that was not the context's: the
+	// session's inputs never change, so it is returned to every later
+	// query.
+	baseMu  sync.Mutex
+	base    *synth.Base
+	baseErr error
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -126,11 +122,6 @@ type Session struct {
 	// caller against the current encoding before reuse — the cache
 	// itself only stores and counts.
 	reports *ReportCache
-
-	// prevBase is the predecessor session's base encoding (set by
-	// NewSessionFrom): ensureBase derives this session's base from it,
-	// sharing every candidate whose path avoids the edited routers.
-	prevBase *synth.Base
 }
 
 // simpCache is the sharable per-seed simplification cache (see
@@ -371,10 +362,9 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // of prev's problem: same topology and encoder options, new
 // requirements and deployment. The successor shares prev's pure
 // cross-deployment state — the term table, the normal-form cache, the
-// per-seed simplification cache, and the report cache — and derives
-// its base encoding from prev's (candidates on paths avoiding the
-// edited routers are pointer-shared). Deployment-specific state is NOT
-// shared: encoding entries start empty, since they assert the
+// per-seed simplification cache, and the report cache. Deployment-
+// specific state is NOT shared: the successor records its own base,
+// and its encoding entries start empty, since they assert the
 // predecessor deployment's constraints.
 // Budget, VerifyProofs, and the cache limits are copied from prev
 // (shared-cache limits travel with the shared caches themselves).
@@ -396,15 +386,6 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 	s.liftCap = prev.liftCap
 	s.streamWin = prev.streamWin
 	prev.mu.Unlock()
-	prev.baseMu.Lock()
-	s.prevBase = prev.base
-	prev.baseMu.Unlock()
-	// The scoped recording is deployment-specific and does NOT carry
-	// over; the successor rebuilds its own on the next whole-network
-	// sweep. The off switch is a session-chain policy and does carry.
-	prev.scopedMu.Lock()
-	s.scopedOff = prev.scopedOff
-	prev.scopedMu.Unlock()
 	return s
 }
 
@@ -462,11 +443,11 @@ func (s *Session) NormCache() *rewrite.Cache { return s.nf }
 // Encode returns the encoding of the (possibly partially symbolic)
 // sketch, caching by key. The key must uniquely determine the sketch
 // given the session's deployment — callers derive both from the same
-// symbolization targets. The first call builds the base encoding of
-// the concrete deployment; every call derives its sketch's encoding
-// from that base, so candidates untouched by the symbolization are
-// reused rather than re-derived. Failed encodes are not cached (a
-// query cancelled by its context can be retried).
+// symbolization targets. Every encode splices from the session's base
+// (PrepareScoped), which the first call builds, so constraint groups
+// untouched by the symbolization are copied rather than re-derived.
+// Failed encodes are not cached (a query cancelled by its context can
+// be retried).
 func (s *Session) Encode(ctx context.Context, sketch config.Deployment, key string) (*synth.Encoding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -500,14 +481,14 @@ func (s *Session) Encode(ctx context.Context, sketch config.Deployment, key stri
 	return e.enc, e.err
 }
 
-// encode performs one derived encode, attaching the base — and, when
-// one has been prepared, the scoped recording — so the encoder can
-// splice instead of re-deriving the whole network.
+// encode performs one derived encode, spliced from the session's base.
 func (s *Session) encode(ctx context.Context, sketch config.Deployment) (*synth.Encoding, error) {
-	base := s.ensureBase(ctx)
-	scoped := s.currentScoped()
+	base, err := s.PrepareScoped(ctx)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	enc, err := synth.NewEncoder(s.net, sketch, s.opts).WithBase(base).WithScope(scoped).WithInterner(s.in).EncodeContext(ctx, s.reqs)
+	enc, err := synth.NewEncoder(s.net, sketch, s.opts).WithBase(base).WithInterner(s.in).EncodeContext(ctx, s.reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -515,107 +496,40 @@ func (s *Session) encode(ctx context.Context, sketch config.Deployment) (*synth.
 	s.stats.Encodes++
 	s.stats.Candidates += enc.Stats.Candidates
 	s.stats.ReusedCandidates += enc.Stats.ReusedCandidates
-	if enc.Stats.ScopedGroupsCopied+enc.Stats.ScopedGroupsEncoded > 0 {
-		s.stats.ScopedEncodes++
-		s.stats.ScopedGroupsCopied += enc.Stats.ScopedGroupsCopied
-		s.stats.ScopedGroupsEncoded += enc.Stats.ScopedGroupsEncoded
-	}
+	s.stats.ScopedGroupsCopied += enc.Stats.ScopedGroupsCopied
+	s.stats.ScopedGroupsEncoded += enc.Stats.ScopedGroupsEncoded
 	s.stats.EncodeTime += time.Since(start)
 	s.mu.Unlock()
 	return enc, nil
 }
 
-// currentScoped returns the prepared scoped recording, nil when none
-// exists or the path is disabled.
-func (s *Session) currentScoped() *synth.ScopedBase {
-	s.scopedMu.Lock()
-	defer s.scopedMu.Unlock()
-	if s.scopedOff {
-		return nil
-	}
-	return s.scoped
-}
-
-// PrepareScoped builds the session's scoped recording once: a single
-// whole-network encode of the concrete deployment with per-group
-// constraint spans recorded (synth.NewScopedBase). Whole-network report
-// sweeps call it up front so every per-router encode splices instead of
-// re-deriving the network; single queries never call it and stay on the
-// plain path (one extra full encode would not amortize). Like
-// ensureBase, a failure for a non-context reason is latched and the
-// path degrades to whole-network encodes — never to a wrong answer.
-// Returns the recording, or nil when unavailable or disabled.
-func (s *Session) PrepareScoped(ctx context.Context) *synth.ScopedBase {
-	s.scopedMu.Lock()
-	defer s.scopedMu.Unlock()
-	if s.scopedOff || s.scopedDead {
-		return nil
-	}
-	if s.scoped != nil {
-		return s.scoped
-	}
-	base := s.ensureBase(ctx)
-	start := time.Now()
-	sb, err := synth.NewScopedBase(ctx, s.net, s.dep, s.opts, s.reqs, base, s.in)
-	if err != nil {
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			s.scopedDead = true
-		}
-		return nil
-	}
-	s.scoped = sb
-	s.mu.Lock()
-	s.stats.BaseEncodes++
-	s.stats.EncodeTime += time.Since(start)
-	s.mu.Unlock()
-	return sb
-}
-
-// DisableScopedEncoding forces every encode of this session (and its
-// successors) onto the whole-network path. Benchmark cold arms and
-// byte-identity tests use it; results are identical either way, only
-// slower.
-func (s *Session) DisableScopedEncoding() {
-	s.scopedMu.Lock()
-	s.scopedOff = true
-	s.scoped = nil
-	s.scopedMu.Unlock()
-}
-
-// ensureBase builds the base encoding once. Base construction is an
-// optimization: if it fails for a reason other than cancellation the
-// failure is latched and derived encodes simply proceed without reuse
-// (they would surface any real encoding error themselves); a
-// cancelled build is retried by the next query.
-func (s *Session) ensureBase(ctx context.Context) *synth.Base {
+// PrepareScoped returns the session's base: one whole-network encode of
+// the concrete deployment with every constraint group's span recorded
+// (synth.NewBase). The first call builds it, under a lock, so
+// concurrent first queries share one build; every Encode calls it, and
+// a caller may call it ahead of time to take the build off its first
+// query. A build that failed on its context is retried by the next
+// call; any other failure is returned to this and every later call.
+func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 	s.baseMu.Lock()
 	defer s.baseMu.Unlock()
-	if s.base != nil || s.baseDead {
-		return s.base
+	if s.base != nil || s.baseErr != nil {
+		return s.base, s.baseErr
 	}
 	start := time.Now()
-	base, err := synth.NewBaseFrom(ctx, s.net, s.dep, s.opts, s.prevBase)
+	b, err := synth.NewBase(ctx, s.net, s.dep, s.opts, s.reqs, s.in)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			s.baseDead = true
+			s.baseErr = err
 		}
-		return nil
+		return nil, err
 	}
-	s.base = base
+	s.base = b
 	s.mu.Lock()
 	s.stats.BaseEncodes++
 	s.stats.EncodeTime += time.Since(start)
 	s.mu.Unlock()
-	return base
-}
-
-// EnsureBase builds (or returns) the session's base encoding — the
-// concrete deployment's candidate structure. Nil when base
-// construction failed; derived encodes then proceed without reuse.
-// Exported for the delta layer, which diffs the predecessor's and
-// successor's bases to locate an edit's modeled footprint.
-func (s *Session) EnsureBase(ctx context.Context) *synth.Base {
-	return s.ensureBase(ctx)
+	return b, nil
 }
 
 // Simplify normalizes the seed term through the session's shared

@@ -98,6 +98,10 @@ func TestSessionSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSessionScopedEncoding checks that every encode of a session
+// splices from its one recorded base, whether or not the base was
+// prepared ahead of time, and matches the plain whole-network encode of
+// the same sketch.
 func TestSessionScopedEncoding(t *testing.T) {
 	sc := scenarios.Scenario1()
 	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
@@ -123,51 +127,51 @@ func TestSessionScopedEncoding(t *testing.T) {
 		t.Fatal("scenario1 has no symbolizable routers")
 	}
 
-	scopedSess := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	if sb := scopedSess.PrepareScoped(ctx); sb == nil {
-		t.Fatal("PrepareScoped returned nil for a concrete deployment")
+	prepared := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
+	if b, err := prepared.PrepareScoped(ctx); err != nil || b == nil {
+		t.Fatalf("PrepareScoped = %v, %v for a concrete deployment", b, err)
 	}
-	coldSess := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	coldSess.DisableScopedEncoding()
+	lazy := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
 
 	for name, sk := range sketches {
-		scoped, err := scopedSess.Encode(ctx, sk, "r|"+name)
+		plain, err := synth.NewEncoder(sc.Net, sk, synth.DefaultOptions()).EncodeContext(ctx, sc.Requirements())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := coldSess.Encode(ctx, sk, "r|"+name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cold.Constraints) != len(scoped.Constraints) {
-			t.Fatalf("%s: %d cold vs %d scoped constraints", name, len(cold.Constraints), len(scoped.Constraints))
-		}
-		for i := range cold.Constraints {
-			if cold.Constraints[i] != scoped.Constraints[i] {
-				t.Fatalf("%s: constraint %d differs", name, i)
+		for _, s := range []*engine.Session{prepared, lazy} {
+			enc, err := s.Encode(ctx, sk, "r|"+name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plain.Constraints) != len(enc.Constraints) {
+				t.Fatalf("%s: %d plain vs %d spliced constraints", name, len(plain.Constraints), len(enc.Constraints))
+			}
+			for i := range plain.Constraints {
+				if plain.Constraints[i] != enc.Constraints[i] {
+					t.Fatalf("%s: constraint %d differs", name, i)
+				}
 			}
 		}
 	}
 
-	st := scopedSess.Stats()
-	if st.ScopedEncodes != len(sketches) {
-		t.Errorf("ScopedEncodes = %d, want %d", st.ScopedEncodes, len(sketches))
+	for _, s := range []*engine.Session{prepared, lazy} {
+		st := s.Stats()
+		if st.Encodes != len(sketches) {
+			t.Errorf("Encodes = %d, want %d", st.Encodes, len(sketches))
+		}
+		if st.ScopedGroupsCopied == 0 {
+			t.Error("spliced encodes copied no constraint groups")
+		}
+		// The base is the session's one whole-network encode.
+		if st.BaseEncodes != 1 {
+			t.Errorf("BaseEncodes = %d, want 1", st.BaseEncodes)
+		}
 	}
-	if st.ScopedGroupsCopied == 0 {
-		t.Error("scoped encodes copied no constraint groups")
+	if _, err := prepared.PrepareScoped(ctx); err != nil {
+		t.Fatal(err)
 	}
-	// PrepareScoped counts as a base-level encode; it runs once.
-	if st.BaseEncodes != 2 {
-		t.Errorf("BaseEncodes = %d, want 2 (plain base + scoped recording)", st.BaseEncodes)
-	}
-	if again := scopedSess.PrepareScoped(ctx); again == nil {
-		t.Fatal("second PrepareScoped returned nil")
-	}
-	if st := scopedSess.Stats(); st.BaseEncodes != 2 {
+	if st := prepared.Stats(); st.BaseEncodes != 1 {
 		t.Errorf("repeat PrepareScoped re-encoded: BaseEncodes = %d", st.BaseEncodes)
-	}
-	if cst := coldSess.Stats(); cst.ScopedEncodes != 0 {
-		t.Errorf("disabled session recorded %d scoped encodes", cst.ScopedEncodes)
 	}
 }
 

@@ -73,8 +73,6 @@ type ProofWriter interface {
 // driven by exactly one solver, which itself is single-threaded).
 type Trace struct {
 	ops     []ProofOp
-	inputs  int
-	learns  int
 	deletes int
 }
 
@@ -86,24 +84,13 @@ func (t *Trace) Proof(kind ProofOpKind, lits []Lit) {
 	cp := make([]Lit, len(lits))
 	copy(cp, lits)
 	t.ops = append(t.ops, ProofOp{Kind: kind, Lits: cp})
-	switch kind {
-	case ProofInput:
-		t.inputs++
-	case ProofLearn:
-		t.learns++
-	default:
+	if kind == ProofDelete {
 		t.deletes++
 	}
 }
 
 // Len reports how many operations have been recorded.
 func (t *Trace) Len() int { return len(t.ops) }
-
-// Inputs reports how many input clauses have been recorded.
-func (t *Trace) Inputs() int { return t.inputs }
-
-// Learns reports how many derived clauses have been recorded.
-func (t *Trace) Learns() int { return t.learns }
 
 // Deletes reports how many deletions have been recorded.
 func (t *Trace) Deletes() int { return t.deletes }

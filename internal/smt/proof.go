@@ -39,12 +39,6 @@ type ProofReport struct {
 	Duration time.Duration
 }
 
-// ProofEnabled reports whether the solver records a proof trace.
-func (s *Solver) ProofEnabled() bool {
-	_, ok := s.sat.Proof().(*sat.Trace)
-	return ok
-}
-
 // ProofOps converts the recorded trace into checker operations
 // (1-based DIMACS literals). It returns nil when proof logging is off.
 func (s *Solver) ProofOps() []drat.Op {

@@ -4,31 +4,52 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/bgp"
 	"repro/internal/config"
 	"repro/internal/logic"
+	"repro/internal/spec"
 	"repro/internal/topology"
 )
 
-// Base is the invariant structure of a concrete deployment's encoding:
-// every candidate propagation path with its fully-evaluated edge
-// condition and route state. Explanation queries symbolize one router
-// at a time and re-encode; every candidate path that avoids the
-// symbolized router is identical across those encodings, so a Base
-// built once lets each derived encoder (see Encoder.WithBase) skip the
-// symbolic policy evaluation for the unchanged bulk of the network.
+// Base is the paper's localization claim turned into a data structure:
+// one whole-network encoding of a concrete deployment, recorded
+// together with the span of every constraint group — the selection
+// group of each (prefix, router) pair and the block of each
+// requirement. An explanation encoder symbolizes a single router; every
+// group whose candidates avoid that router is byte-for-byte the same
+// constraint slice (terms are hash-consed, so "the same" is pointer
+// equality), and an encoder with the base attached (Encoder.WithBase)
+// copies those spans verbatim. Only the groups inside the symbolized
+// router's cone of influence — the candidates whose propagation path
+// crosses it — are re-derived, so per-router symbolic work scales with
+// the cone, not the network.
 //
 // A Base is immutable after construction and safe for concurrent use
-// by any number of encoders: the candidates it holds are never
-// mutated, and the terms they carry are immutable by construction.
+// by any number of encoders.
 type Base struct {
 	net  *topology.Network
 	dep  config.Deployment
 	opts Options
-	// cands[prefix][pathKey] indexes the base candidates.
-	cands map[string]map[string]*candidate
+	// reqStrs identifies the requirement list the recorded spans were
+	// emitted for; an encode against different requirements falls back
+	// to the whole-network path.
+	reqStrs []string
+
+	// enc is the recorded whole-network encoding; selGroups and
+	// reqGroups partition its constraint list.
+	enc       *Encoding
+	selGroups []selGroup
+	reqGroups []span
+
+	// cands is the recording encoder's candidate graph, kept so a
+	// derived encode can rebuild its graph by mapping each candidate
+	// (share when clean, re-derive when its path crosses a dirty
+	// router) without re-running the BFS. The BFS depends only on the
+	// topology and options, so one graph serves every sketch of the
+	// deployment.
+	cands map[string]map[string][]*candidate
+
 	// vocab is the deployment's vocabulary and tags its per-tag config
 	// counts, from which every encoder with the base attached derives
 	// its own vocabulary (deriveVocab).
@@ -36,53 +57,67 @@ type Base struct {
 	tags  tagCounts
 }
 
-// NewBase enumerates the candidate structure of a concrete deployment.
-// The deployment must be concrete: symbolic holes would leak hole
-// variables owned by this throwaway encoder into derived encodings.
-func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options) (*Base, error) {
-	return newBase(ctx, net, dep, opts, nil)
+// span is a [start, end) slice of an encoder's constraint list, with
+// the total term size of the slice (so derived encodes can maintain
+// ConstraintSize without re-measuring copied spans).
+type span struct {
+	start, end int
+	size       int
 }
 
-// NewBaseFrom is NewBase reusing a prior base of an edited variant of
-// the same deployment: candidates whose propagation path avoids every
-// router whose config pointer differs from the prior's deployment are
-// copied (pointer-shared) from the prior instead of re-derived. The
-// result is identical to a fresh NewBase — sharing is an exactness-
-// preserving optimization (see Encoder.WithBase) — but pointer-shared
-// candidates additionally let DiffBases compare the two bases in O(1)
-// per unchanged candidate. A nil prior degrades to NewBase.
-func NewBaseFrom(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, prior *Base) (*Base, error) {
-	return newBase(ctx, net, dep, opts, prior)
+// selGroup is the recorded selection-constraint span of one
+// (prefix, router) candidate group.
+type selGroup struct {
+	prefix, node string
+	span
 }
 
-func newBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, prior *Base) (*Base, error) {
+// NewBase encodes the concrete deployment once, whole-network, through
+// the plain encode path, which records the constraint span of every
+// selection group and requirement block as it emits them. The
+// deployment must be concrete: symbolic holes would leak hole variables
+// owned by this encoder into derived encodings. in is the interner the
+// derived encodings must share (nil for the process default).
+func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, reqs []spec.Requirement, in *logic.Interner) (*Base, error) {
 	for name, c := range dep {
 		if !c.Concrete() {
 			return nil, fmt.Errorf("synth: base deployment config %s still has holes", name)
 		}
 	}
-	e := NewEncoder(net, dep, opts).WithBase(prior)
-	if err := e.enumerateCandidates(ctx); err != nil {
+	e := NewEncoder(net, dep, opts).WithInterner(in)
+	enc, err := e.EncodeContext(ctx, reqs)
+	if err != nil {
 		return nil, err
 	}
 	b := &Base{
-		net:   net,
-		dep:   dep,
-		opts:  e.opts,
-		cands: make(map[string]map[string]*candidate, len(e.cands)),
-		vocab: e.voc(),
-		tags:  countTags(dep),
+		net:       net,
+		dep:       dep,
+		opts:      e.opts,
+		enc:       enc,
+		selGroups: e.selGroups,
+		reqGroups: e.reqGroups,
+		cands:     e.cands,
+		vocab:     e.voc(),
+		tags:      countTags(dep),
 	}
-	for prefix, byNode := range e.cands {
-		m := map[string]*candidate{}
-		for _, cs := range byNode {
-			for _, c := range cs {
-				m[strings.Join(c.path, "_")] = c
-			}
-		}
-		b.cands[prefix] = m
+	for _, r := range reqs {
+		b.reqStrs = append(b.reqStrs, r.String())
 	}
 	return b, nil
+}
+
+// matchesReqs reports whether the requirement list matches the one the
+// spans were recorded for.
+func (b *Base) matchesReqs(reqs []spec.Requirement) bool {
+	if len(reqs) != len(b.reqStrs) {
+		return false
+	}
+	for i, r := range reqs {
+		if r.String() != b.reqStrs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // deriveVocab returns the vocabulary of a sketch that differs from the
@@ -117,21 +152,11 @@ func (b *Base) deriveVocab(sketch config.Deployment, dirty map[string]bool) *voc
 	return &v
 }
 
-// NumCandidates reports how many candidate paths the base holds.
-func (b *Base) NumCandidates() int {
-	n := 0
-	for _, m := range b.cands {
-		n += len(m)
-	}
-	return n
-}
-
 // BaseDiff is the outcome of comparing two bases (DiffBases).
 type BaseDiff struct {
 	// Comparable is false when the bases were built over different
 	// topologies or candidate-enumeration options, in which case no
-	// finer comparison was attempted (Identical is false and EditSig
-	// covers every variable).
+	// finer comparison was attempted (Identical is false).
 	Comparable bool
 	// Identical reports that every candidate's symbolic edge condition
 	// and route state is pointer-identical between the bases: the two
@@ -144,74 +169,37 @@ type BaseDiff struct {
 	// upstream hop are not re-attributed (their introduction point
 	// already is).
 	Changed []string
-	// EditSig is the union of the free-variable Bloom signatures
-	// (logic.Signature) of every differing candidate's old and new
-	// terms — the seed-level footprint of the edit, feeding the cone
-	// computation (rewrite.Cone).
-	EditSig uint64
 }
 
 // DiffBases compares the modeled contribution of every candidate path
-// between two bases of the same topology. Terms are hash-consed, so
-// "unchanged" is a pointer comparison per candidate regardless of how
-// the bases were built; NewBaseFrom merely makes the bases cheaper to
-// produce.
+// between two bases of the same topology. The candidate graph is a
+// function of the topology and options alone, so comparable bases hold
+// the same paths in the same slots and compare slot by slot; terms are
+// hash-consed, so "unchanged" is a pointer comparison per candidate.
 func DiffBases(old, nu *Base) *BaseDiff {
 	if old == nil || nu == nil || old.net != nu.net || old.opts != nu.opts {
-		return &BaseDiff{Comparable: false, EditSig: ^uint64(0)}
+		return &BaseDiff{}
 	}
 	d := &BaseDiff{Comparable: true, Identical: true}
 	changed := map[string]bool{}
-
-	prefixes := map[string]bool{}
-	for p := range old.cands {
-		prefixes[p] = true
-	}
-	for p := range nu.cands {
-		prefixes[p] = true
-	}
-	for prefix := range prefixes {
-		oc, nc := old.cands[prefix], nu.cands[prefix]
-		keys := make([]string, 0, len(oc))
-		seen := map[string]bool{}
-		for k := range oc {
-			keys = append(keys, k)
-			seen[k] = true
-		}
-		for k := range nc {
-			if !seen[k] {
-				keys = append(keys, k)
+	for prefix, byNode := range nu.cands {
+		for node, ncs := range byNode {
+			ocs := old.cands[prefix][node]
+			if len(ocs) != len(ncs) {
+				return &BaseDiff{}
 			}
-		}
-		// Shortest paths first, so a differing candidate knows whether
-		// its parent already differed (the difference is inherited, not
-		// introduced on this edge).
-		sort.Slice(keys, func(i, j int) bool {
-			ci, cj := strings.Count(keys[i], "_"), strings.Count(keys[j], "_")
-			if ci != cj {
-				return ci < cj
+			for i, cn := range ncs {
+				co := ocs[i]
+				if candidateSame(co, cn) {
+					continue
+				}
+				d.Identical = false
+				if cn.parent == nil || !candidateSame(co.parent, cn.parent) {
+					continue // inherited from upstream; attributed there
+				}
+				changed[cn.parent.node()] = true
+				changed[cn.node()] = true
 			}
-			return keys[i] < keys[j]
-		})
-		dirtyKey := map[string]bool{}
-		for _, k := range keys {
-			co, cn := oc[k], nc[k]
-			if candidateSame(co, cn) {
-				continue
-			}
-			d.Identical = false
-			dirtyKey[k] = true
-			d.EditSig |= candidateSig(co) | candidateSig(cn)
-			path := strings.Split(k, "_")
-			if len(path) < 2 {
-				continue
-			}
-			parentKey := strings.Join(path[:len(path)-1], "_")
-			if dirtyKey[parentKey] {
-				continue // inherited from upstream; attributed there
-			}
-			changed[path[len(path)-2]] = true
-			changed[path[len(path)-1]] = true
 		}
 	}
 	for r := range changed {
@@ -250,29 +238,4 @@ func candidateSame(a, b *candidate) bool {
 		}
 	}
 	return true
-}
-
-// candidateSig unions the free-variable signatures of a candidate's
-// symbolic terms (edge condition, local-pref rank, community
-// conditions, selection variable).
-func candidateSig(c *candidate) uint64 {
-	if c == nil {
-		return 0
-	}
-	var sig uint64
-	if c.edgeCond != nil {
-		sig |= logic.Signature(c.edgeCond)
-	}
-	if c.sel != nil {
-		sig |= logic.Signature(c.sel)
-	}
-	if c.state != nil {
-		if c.state.lp != nil {
-			sig |= logic.Signature(c.state.lp)
-		}
-		for _, t := range c.state.comms {
-			sig |= logic.Signature(t)
-		}
-	}
-	return sig
 }

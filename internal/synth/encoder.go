@@ -81,8 +81,8 @@ type EncStats struct {
 	// route state were taken from a Base instead of being recomputed
 	// (see WithBase). Always <= Candidates.
 	ReusedCandidates int
-	// ScopedGroupsCopied / ScopedGroupsEncoded count, for a scoped
-	// encode (see Encoder.WithScope), the constraint groups spliced
+	// ScopedGroupsCopied / ScopedGroupsEncoded count, for an encode
+	// derived from a Base (see WithBase), the constraint groups spliced
 	// verbatim from the recorded whole-network encoding versus
 	// re-derived inside the dirty cone. Zero on whole-network encodes.
 	ScopedGroupsCopied  int
@@ -128,22 +128,19 @@ type Encoder struct {
 	cands       map[string]map[string][]*candidate
 	constraints []logic.Term
 	stats       EncStats
+	// selGroups and reqGroups record, in emission order, the constraint
+	// span of every selection group and requirement block a
+	// whole-network encode emits (NewBase keeps them).
+	selGroups []selGroup
+	reqGroups []span
 
-	// base, when set via WithBase, lets enumerateCandidates reuse the
-	// edge conditions and route states of candidates whose path avoids
-	// every dirty router (a router whose sketch config differs from the
-	// base deployment). Terms are immutable and compared structurally,
-	// so reuse is exact: the encoding is identical to a fresh one.
+	// base, when set via WithBase, replaces the whole-network encode
+	// with a cone-scoped splice against the base's recorded encoding:
+	// only constraint groups touching a dirty router (one whose sketch
+	// config differs from the base deployment) are re-encoded, the rest
+	// are copied span by span (see encodeScoped).
 	base  *Base
 	dirty map[string]bool
-
-	// scope, when set via WithScope, replaces the whole-network encode
-	// with a cone-scoped splice against a recorded concrete encoding:
-	// only constraint groups touching a dirty router are re-encoded,
-	// the rest are copied span-by-span (see encodeScoped). scopeDirty
-	// is the dirty set relative to the scope's deployment.
-	scope      *ScopedBase
-	scopeDirty map[string]bool
 }
 
 // NewEncoder creates an encoder over a topology and a (possibly
@@ -189,16 +186,19 @@ func (e *Encoder) assert(t logic.Term) {
 	e.constraints = append(e.constraints, e.in.Intern(t))
 }
 
-// WithBase attaches a cached base encoding (see NewBase): candidates
-// whose propagation path avoids every router that differs between the
-// sketch and the base deployment reuse the base's symbolic edge
-// conditions and route states instead of re-deriving them, and the
-// encoder derives its vocabulary from the base's by looking at those
-// differing routers only (Base.deriveVocab). Call before encoding. The
-// base is ignored (silently, falling back to a full encode) when it was
-// built over a different topology or with different candidate-
-// enumeration options, so attaching a base never changes the encoding —
-// only the work done to produce it. Returns the encoder for chaining.
+// WithBase attaches a recorded base (see NewBase): when the sketch
+// differs from the base deployment only at a few routers — the
+// explanation case, which symbolizes one router at a time —
+// EncodeContext splices the recorded constraint list instead of
+// re-encoding the network, re-deriving only the constraint groups whose
+// candidates cross a differing router, and the encoder derives its
+// vocabulary from the base's by looking at those routers only
+// (Base.deriveVocab). The splice is skipped (silently, falling back to
+// a whole-network encode) for a requirement list other than the
+// recorded one, and the base is ignored altogether when it was built
+// over a different topology or options, so attaching a base never
+// changes the encoding — only the work done to produce it. Call before
+// encoding. Returns the encoder for chaining.
 func (e *Encoder) WithBase(b *Base) *Encoder {
 	if b == nil || b.net != e.net || b.opts != e.opts {
 		return e
@@ -219,36 +219,6 @@ func (e *Encoder) WithBase(b *Base) *Encoder {
 	return e
 }
 
-// WithScope attaches a recorded whole-network encoding (see
-// NewScopedBase): when the sketch differs from the scope's deployment
-// only at a few routers — the explanation case, which symbolizes one
-// router at a time — EncodeContext splices the recorded constraint list
-// instead of re-encoding the network, re-deriving only the constraint
-// groups whose candidates cross a dirty router. The scope is ignored
-// (silently, falling back to a full encode) when it was built over a
-// different topology, options, or requirement list, so attaching one
-// never changes the encoding — only the work done to produce it.
-// Returns the encoder for chaining.
-func (e *Encoder) WithScope(sb *ScopedBase) *Encoder {
-	if sb == nil || sb.net != e.net || sb.opts != e.opts {
-		return e
-	}
-	dirty := make(map[string]bool)
-	for name, c := range e.sketch {
-		if sb.dep[name] != c {
-			dirty[name] = true
-		}
-	}
-	for name := range sb.dep {
-		if _, ok := e.sketch[name]; !ok {
-			dirty[name] = true
-		}
-	}
-	e.scope = sb
-	e.scopeDirty = dirty
-	return e
-}
-
 // Encode builds the constraint system for the requirements.
 func (e *Encoder) Encode(reqs []spec.Requirement) (*Encoding, error) {
 	return e.EncodeContext(context.Background(), reqs)
@@ -260,7 +230,7 @@ func (e *Encoder) EncodeContext(ctx context.Context, reqs []spec.Requirement) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.scope != nil && e.scope.matchesReqs(reqs) {
+	if e.base != nil && e.base.matchesReqs(reqs) {
 		return e.encodeScoped(ctx, reqs)
 	}
 	if err := e.declareAllHoles(); err != nil {
@@ -272,11 +242,17 @@ func (e *Encoder) EncodeContext(ctx context.Context, reqs []spec.Requirement) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.encodeSelection()
+	e.forEachSelectionGroup(func(prefix, node string, cands []*candidate) {
+		start := len(e.constraints)
+		e.encodeSelectionGroup(cands)
+		e.selGroups = append(e.selGroups, selGroup{prefix: prefix, node: node, span: e.closeSpan(start)})
+	})
 	for _, r := range reqs {
+		start := len(e.constraints)
 		if err := e.encodeRequirement(r); err != nil {
 			return nil, err
 		}
+		e.reqGroups = append(e.reqGroups, e.closeSpan(start))
 	}
 	e.finishStats()
 	return e.finishEncoding(), nil
@@ -296,13 +272,24 @@ func (e *Encoder) encodeRequirement(r spec.Requirement) error {
 	}
 }
 
-// finishStats fills the size fields computed from the final constraint
-// list. The candidate-enumeration fields are already in place.
+// closeSpan returns the span of the constraints emitted since start,
+// measuring their term size and adding it to ConstraintSize. Every
+// constraint is emitted inside some span, so the spans' sizes sum to
+// the encoding's.
+func (e *Encoder) closeSpan(start int) span {
+	sp := span{start: start, end: len(e.constraints)}
+	for _, c := range e.constraints[start:] {
+		sp.size += logic.Size(c)
+	}
+	e.stats.ConstraintSize += sp.size
+	return sp
+}
+
+// finishStats fills the count fields computed from the final
+// constraint list. The candidate-enumeration fields and ConstraintSize
+// are already in place.
 func (e *Encoder) finishStats() {
 	e.stats.Constraints = len(e.constraints)
-	for _, c := range e.constraints {
-		e.stats.ConstraintSize += logic.Size(c)
-	}
 	e.stats.HoleVars = len(e.holeVars)
 }
 
@@ -403,11 +390,9 @@ func (e *Encoder) setHoleMaker(s *config.Set) (func() *logic.Var, error) {
 // enumerateCandidates runs a BFS per originated prefix, applying edge
 // policies symbolically along the way. BFS order makes candidate
 // discovery shortest-first and deterministic, so the per-node
-// candidate cap keeps the shortest paths. When a base is attached
-// (WithBase), candidates whose path avoids every dirty router copy the
-// base's edge condition and route state instead of re-deriving them —
-// the BFS structure itself depends only on the topology and options,
-// so discovery order (and with it the encoding) is unchanged.
+// candidate cap keeps the shortest paths. The BFS structure depends
+// only on the topology and options, which is what lets a Base's
+// candidate graph serve every sketch of its deployment.
 func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 	for _, origin := range e.net.Routers() {
 		if !origin.HasPrefix {
@@ -454,17 +439,9 @@ func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 				path := make([]string, len(cur.path)+1)
 				copy(path, cur.path)
 				path[len(cur.path)] = nb
-				var cond logic.Term
-				var st *routeState
-				if bc := e.baseCandidate(prefix, path); bc != nil {
-					cond, st = bc.edgeCond, bc.state
-					e.stats.ReusedCandidates++
-				} else {
-					var err error
-					cond, st, err = e.edgePass(cur.node(), nb, cur.state)
-					if err != nil {
-						return err
-					}
+				cond, st, err := e.edgePass(cur.node(), nb, cur.state)
+				if err != nil {
+					return err
 				}
 				next := &candidate{
 					prefix:   prefix,
@@ -488,22 +465,6 @@ func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 // during candidate enumeration.
 const ctxCheckInterval = 64
 
-// baseCandidate returns the base's candidate for the path when reuse
-// is sound: a base is attached and no node of the path is dirty (every
-// edge's export and import policy, and every state transformation
-// along the path, is computed from configs identical to the base's).
-func (e *Encoder) baseCandidate(prefix string, path []string) *candidate {
-	if e.base == nil {
-		return nil
-	}
-	for _, n := range path {
-		if e.dirty[n] {
-			return nil
-		}
-	}
-	return e.base.cands[prefix][strings.Join(path, "_")]
-}
-
 func contains(path []string, node string) bool {
 	for _, n := range path {
 		if n == node {
@@ -513,19 +474,11 @@ func contains(path []string, node string) bool {
 	return false
 }
 
-// encodeSelection ties selection variables to availability and to the
-// BGP decision process at every (router, prefix).
-func (e *Encoder) encodeSelection() {
-	e.forEachSelectionGroup(func(prefix, node string, cands []*candidate) {
-		e.encodeSelectionGroup(cands)
-	})
-}
-
 // forEachSelectionGroup visits every non-origin (prefix, router)
 // candidate group in the canonical emission order: vocabulary prefix
 // order, then router name order. Both the whole-network encode and the
 // scoped splice derive their constraint layout from this walk, which is
-// what makes span-copying sound (see ScopedBase).
+// what makes span-copying sound (see Base).
 func (e *Encoder) forEachSelectionGroup(f func(prefix, node string, cands []*candidate)) {
 	for _, prefix := range e.voc().prefixes {
 		byNode := e.cands[prefix]

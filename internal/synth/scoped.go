@@ -2,171 +2,33 @@ package synth
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
-	"repro/internal/config"
-	"repro/internal/logic"
 	"repro/internal/spec"
-	"repro/internal/topology"
 )
-
-// ScopedBase is the paper's localization claim turned into a data
-// structure: one whole-network encoding of the concrete deployment,
-// recorded together with the span of every constraint group — the
-// selection group of each (prefix, router) pair and the block of each
-// requirement. An explanation encoder symbolizes a single router; every
-// group whose candidates avoid that router is byte-for-byte the same
-// constraint slice (terms are hash-consed, so "the same" is pointer
-// equality), and Encoder.WithScope copies those spans verbatim. Only
-// the groups inside the symbolized router's cone of influence — the
-// candidates whose propagation path crosses it — are re-derived, so
-// per-router symbolic work scales with the cone, not the network.
-//
-// A ScopedBase is immutable after construction and safe for concurrent
-// use by any number of encoders.
-type ScopedBase struct {
-	net  *topology.Network
-	dep  config.Deployment
-	opts Options
-	// reqStrs identifies the requirement list the recorded spans were
-	// emitted for; a scoped encode against different requirements falls
-	// back to the whole-network path.
-	reqStrs []string
-
-	// enc is the recorded whole-network encoding; selGroups and
-	// reqGroups partition its constraint list.
-	enc       *Encoding
-	selGroups []selGroup
-	reqGroups []span
-
-	// cands is the recording encoder's candidate graph, kept so a
-	// scoped encode can rebuild its graph by mapping each candidate
-	// (share when clean, re-derive when its path crosses a dirty
-	// router) without re-running the BFS.
-	cands map[string]map[string][]*candidate
-
-	// stats are the recording encoder's enumeration stats; the BFS
-	// structure depends only on topology and options, so they transfer
-	// verbatim to every scoped encode.
-	stats EncStats
-}
-
-// span is a [start, end) slice of the recorded constraint list, with
-// the total term size of the slice (so scoped encodes can maintain
-// ConstraintSize without re-measuring copied spans).
-type span struct {
-	start, end int
-	size       int
-}
-
-// selGroup is the recorded selection-constraint span of one
-// (prefix, router) candidate group.
-type selGroup struct {
-	prefix, node string
-	span
-}
-
-// NewScopedBase encodes the concrete deployment once, whole-network,
-// recording the constraint span of every selection group and
-// requirement block. The deployment must be concrete. A prior Base (may
-// be nil) makes candidate enumeration cheaper, exactly as in NewBase;
-// in is the interner the derived encodings must share (nil for the
-// process default).
-func NewScopedBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, reqs []spec.Requirement, prior *Base, in *logic.Interner) (*ScopedBase, error) {
-	for name, c := range dep {
-		if !c.Concrete() {
-			return nil, fmt.Errorf("synth: scoped base deployment config %s still has holes", name)
-		}
-	}
-	e := NewEncoder(net, dep, opts).WithBase(prior).WithInterner(in)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := e.declareAllHoles(); err != nil {
-		return nil, err
-	}
-	if err := e.enumerateCandidates(ctx); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	sb := &ScopedBase{
-		net:   net,
-		dep:   dep,
-		opts:  e.opts,
-		cands: e.cands,
-	}
-	for _, r := range reqs {
-		sb.reqStrs = append(sb.reqStrs, r.String())
-	}
-
-	measure := func(start int) span {
-		sp := span{start: start, end: len(e.constraints)}
-		for _, c := range e.constraints[sp.start:sp.end] {
-			sp.size += logic.Size(c)
-		}
-		return sp
-	}
-	e.forEachSelectionGroup(func(prefix, node string, cands []*candidate) {
-		start := len(e.constraints)
-		e.encodeSelectionGroup(cands)
-		sb.selGroups = append(sb.selGroups, selGroup{prefix: prefix, node: node, span: measure(start)})
-	})
-	for _, r := range reqs {
-		start := len(e.constraints)
-		if err := e.encodeRequirement(r); err != nil {
-			return nil, err
-		}
-		sb.reqGroups = append(sb.reqGroups, measure(start))
-	}
-	e.finishStats()
-	sb.enc = e.finishEncoding()
-	sb.stats = e.stats
-	return sb, nil
-}
-
-// Encoding returns the recorded whole-network encoding of the concrete
-// deployment (shared, immutable).
-func (sb *ScopedBase) Encoding() *Encoding { return sb.enc }
-
-// matchesReqs reports whether the requirement list matches the one the
-// spans were recorded for.
-func (sb *ScopedBase) matchesReqs(reqs []spec.Requirement) bool {
-	if len(reqs) != len(sb.reqStrs) {
-		return false
-	}
-	for i, r := range reqs {
-		if r.String() != sb.reqStrs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // scopedCtxInterval is how many constraint groups pass between context
 // checks during a scoped splice.
 const scopedCtxInterval = 256
 
 // encodeScoped is the cone-scoped encode: rebuild the candidate graph
-// by mapping the scope's candidates (pointer-shared when the path
-// avoids every dirty router, re-derived otherwise), then walk the
-// recorded groups in order, copying clean spans and re-emitting dirty
-// ones. The result is element-wise pointer-identical to the
-// whole-network encode of the same sketch: shared candidates carry the
-// exact terms WithBase would reuse, re-derived ones run the same
+// by mapping the base's candidates (pointer-shared when the path avoids
+// every dirty router, re-derived otherwise), then walk the recorded
+// groups in order, copying clean spans and re-emitting dirty ones. The
+// result is element-wise pointer-identical to the whole-network encode
+// of the same sketch: a shared candidate's terms are the ones the
+// whole-network encode would derive from the same configs (hash-
+// consing makes them the same pointers), re-derived ones run the same
 // edgePass over pointer-identical inputs, and group emission is a
 // deterministic function of the candidates — so everything downstream
 // (simplification, lifting, reports) is byte-identical.
 func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*Encoding, error) {
-	sb := e.scope
+	b := e.base
 	if err := e.declareScopedHoles(); err != nil {
 		return nil, err
 	}
 
-	// Map every candidate of the scope into this encoder's graph.
+	// Map every candidate of the base into this encoder's graph.
 	mappedBy := make(map[*candidate]*candidate)
 	rederived := 0
 	var mapCand func(bc *candidate) (*candidate, error)
@@ -205,7 +67,7 @@ func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*E
 	// one re-derived candidate: exactly the groups whose constraints
 	// must be re-emitted.
 	dirtyGroup := make(map[[2]string]bool)
-	for prefix, byNode := range sb.cands {
+	for prefix, byNode := range b.cands {
 		nm := make(map[string][]*candidate, len(byNode))
 		for node, cs := range byNode {
 			list := make([]*candidate, len(cs))
@@ -229,61 +91,51 @@ func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*E
 		return nil, err
 	}
 
-	size := 0
-	copied, encoded := 0, 0
-	emitFresh := func(start int) {
-		for _, c := range e.constraints[start:] {
-			size += logic.Size(c)
-		}
-		encoded++
+	copySpan := func(g span) {
+		e.constraints = append(e.constraints, b.enc.Constraints[g.start:g.end]...)
+		e.stats.ConstraintSize += g.size
+		e.stats.ScopedGroupsCopied++
 	}
-	for i, g := range sb.selGroups {
+	for i, g := range b.selGroups {
 		if i%scopedCtxInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		if !dirtyGroup[[2]string{g.prefix, g.node}] {
-			e.constraints = append(e.constraints, sb.enc.Constraints[g.start:g.end]...)
-			size += g.size
-			copied++
+			copySpan(g.span)
 			continue
 		}
 		start := len(e.constraints)
 		e.encodeSelectionGroup(e.cands[g.prefix][g.node])
-		emitFresh(start)
+		e.closeSpan(start)
+		e.stats.ScopedGroupsEncoded++
 	}
 	for i, r := range reqs {
-		g := sb.reqGroups[i]
 		if !e.reqNeedsReencode(r, dirtyGroup) {
 			// Forbid and Allow blocks mention only selection variables,
 			// which are shared; a clean-source Preference block's full
 			// chains are clean too. Copy verbatim.
-			e.constraints = append(e.constraints, sb.enc.Constraints[g.start:g.end]...)
-			size += g.size
-			copied++
+			copySpan(b.reqGroups[i])
 			continue
 		}
 		start := len(e.constraints)
 		if err := e.encodeRequirement(r); err != nil {
 			return nil, err
 		}
-		emitFresh(start)
+		e.closeSpan(start)
+		e.stats.ScopedGroupsEncoded++
 	}
 
 	// Enumeration stats transfer from the recording encoder (the BFS is
-	// a function of topology and options alone); reuse counts match the
-	// whole-network WithBase path, which shares exactly the clean-path
-	// candidates.
-	e.stats.Candidates = sb.stats.Candidates
-	e.stats.SelVars = sb.stats.SelVars
-	e.stats.TruncatedPaths = sb.stats.TruncatedPaths
-	e.stats.ReusedCandidates = sb.stats.Candidates - rederived
-	e.stats.Constraints = len(e.constraints)
-	e.stats.ConstraintSize = size
-	e.stats.HoleVars = len(e.holeVars)
-	e.stats.ScopedGroupsCopied = copied
-	e.stats.ScopedGroupsEncoded = encoded
+	// a function of topology and options alone); every candidate not
+	// re-derived was reused from the base.
+	bs := b.enc.Stats
+	e.stats.Candidates = bs.Candidates
+	e.stats.SelVars = bs.SelVars
+	e.stats.TruncatedPaths = bs.TruncatedPaths
+	e.stats.ReusedCandidates = bs.Candidates - rederived
+	e.finishStats()
 	return e.finishEncoding(), nil
 }
 
@@ -313,10 +165,10 @@ func (e *Encoder) reqNeedsReencode(r spec.Requirement, dirtyGroup map[[2]string]
 }
 
 // pathClean reports whether no node of the path is dirty relative to
-// the scope's deployment.
+// the base deployment.
 func (e *Encoder) pathClean(path []string) bool {
 	for _, n := range path {
-		if e.scopeDirty[n] {
+		if e.dirty[n] {
 			return false
 		}
 	}
@@ -324,13 +176,13 @@ func (e *Encoder) pathClean(path []string) bool {
 }
 
 // declareScopedHoles declares the hole variables of the sketch. Only
-// dirty routers can carry holes — the scope's deployment is concrete,
-// and a config equal (by pointer) to a concrete config has no holes —
-// so the walk is bounded by the dirty set, yet declares exactly the
+// dirty routers can carry holes — the base deployment is concrete, and
+// a config equal (by pointer) to a concrete config has no holes — so
+// the walk is bounded by the dirty set, yet declares exactly the
 // variables declareAllHoles would.
 func (e *Encoder) declareScopedHoles() error {
-	routers := make([]string, 0, len(e.scopeDirty))
-	for r := range e.scopeDirty {
+	routers := make([]string, 0, len(e.dirty))
+	for r := range e.dirty {
 		if _, ok := e.sketch[r]; ok {
 			routers = append(routers, r)
 		}

@@ -1,148 +1,252 @@
-package synth
+package synth_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/netgen"
 	"repro/internal/scenarios"
 	"repro/internal/spec"
+	"repro/internal/synth"
+	"repro/internal/topology"
 )
 
-// scopedScenario synthesizes a scenario and returns its pieces for the
-// scoped-encode tests.
-func scopedScenario(t *testing.T, sc *scenarios.Scenario) (config.Deployment, []spec.Requirement) {
-	t.Helper()
-	res, err := Synthesize(sc.Net, sc.Sketch, sc.Requirements(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Deployment, sc.Requirements()
-}
-
-// TestScopedEncodeIdentical is the localization claim at the constraint
-// level: for every router, symbolizing it and encoding through a
-// ScopedBase yields a constraint list element-wise pointer-identical to
-// the whole-network encode of the same sketch (terms are hash-consed,
-// so pointer equality is structural equality).
+// TestScopedEncodeIdentical is the encode-level differential and the
+// reference for every derived encode: the encoding an encoder splices
+// from a Base must equal the plain whole-network encode of the same
+// sketch (NewEncoder(...).EncodeContext) — constraints pointer-identical
+// element by element (terms are hash-consed, so pointer equality is
+// structural equality), the same hole variables, the same path infos
+// and the same size stats. The inputs are every router of each
+// deployment fully symbolized, the scenario routers symbolized back to
+// their synthesis sketch, each scenario router's complement sketch, and
+// every router of two Perturb edits per scenario, spliced both from the
+// unedited deployment's base (the edit and the symbolized router dirty
+// together) and from the edited deployment's own base (a what-if
+// successor session), and every router of a deployment in which R1
+// alone mentions some tags (symbolizing it shrinks the vocabulary).
 func TestScopedEncodeIdentical(t *testing.T) {
-	ctx := context.Background()
+	for _, sc := range scenarios.All() {
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			opts := synth.DefaultOptions()
+			reqs := sc.Requirements()
+			dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, reqs, opts)
+			base := recordBase(t, sc.Net, dep, opts, reqs)
+			check := func(b *synth.Base, label string, sketch config.Deployment) {
+				t.Helper()
+				checkSpliceMatchesPlain(t, label, sc.Net, b, sketch, reqs, opts)
+			}
+			for label, sketch := range fullSymbolizations(t, dep) {
+				check(base, label, sketch)
+			}
+			for _, router := range sortedRouters(dep) {
+				if sym, ok := sc.Sketch[router]; ok && !sym.Concrete() {
+					check(base, router+" back to its sketch", withConfig(dep, router, sym))
+				}
+				check(base, "complement of "+router, complementSketch(t, dep, router))
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				edited, _ := netgen.Perturb(dep, seed, 2)
+				own := recordBase(t, sc.Net, edited, opts, reqs)
+				for label, sketch := range fullSymbolizations(t, edited) {
+					label = fmt.Sprintf("perturb %d, %s", seed, label)
+					check(base, label+" (unedited base)", sketch)
+					check(own, label+" (own base)", sketch)
+				}
+			}
+			probed := withConfig(dep, "R1", withProbeMap(dep["R1"], "777:7", "192.0.2.7"))
+			probedBase := recordBase(t, sc.Net, probed, opts, reqs)
+			for label, sketch := range fullSymbolizations(t, probed) {
+				check(probedBase, "probed, "+label, sketch)
+			}
+		})
+	}
+
 	for _, tc := range []struct {
-		name string
-		sc   *scenarios.Scenario
+		name  string
+		build func() (*netgen.Workload, error)
+		mpl   int
 	}{
-		{"scenario1", scenarios.Scenario1()},
-		{"scenario2", scenarios.Scenario2()},
-		{"scenario3", scenarios.Scenario3()},
+		{"grid_3x3", func() (*netgen.Workload, error) { return netgen.Grid(3, 3, false) }, 7},
+		{"fattree_4", func() (*netgen.Workload, error) { return netgen.FatTree(4, false) }, 4},
+		{"rand_20", func() (*netgen.Workload, error) { return netgen.Random(20, 2.5, 42, false) }, 7},
+		{"rand_24_s42", func() (*netgen.Workload, error) { return netgen.Random(24, 3.0, 42, false) }, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dep, reqs := scopedScenario(t, tc.sc)
-			opts := DefaultOptions()
-			base, err := NewBase(ctx, tc.sc.Net, dep, opts)
+			t.Parallel()
+			wl, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb, err := NewScopedBase(ctx, tc.sc.Net, dep, opts, reqs, base, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name := range dep {
-				sym, ok := tc.sc.Sketch[name]
-				if !ok || sym.Concrete() {
-					continue // nothing to symbolize back to
-				}
-				sketch := config.Deployment{}
-				for n, c := range dep {
-					sketch[n] = c
-				}
-				sketch[name] = sym
-
-				cold, err := NewEncoder(tc.sc.Net, sketch, opts).WithBase(base).EncodeContext(ctx, reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scoped, err := NewEncoder(tc.sc.Net, sketch, opts).WithScope(sb).EncodeContext(ctx, reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if scoped.Stats.ScopedGroupsCopied == 0 {
-					t.Fatalf("%s: scoped encode copied no groups (scope not taken?)", name)
-				}
-				if len(cold.Constraints) != len(scoped.Constraints) {
-					t.Fatalf("%s: %d cold vs %d scoped constraints", name, len(cold.Constraints), len(scoped.Constraints))
-				}
-				for i := range cold.Constraints {
-					if cold.Constraints[i] != scoped.Constraints[i] {
-						t.Fatalf("%s: constraint %d differs:\ncold:   %s\nscoped: %s",
-							name, i, cold.Constraints[i], scoped.Constraints[i])
-					}
-				}
-				if len(cold.HoleVars) != len(scoped.HoleVars) {
-					t.Fatalf("%s: hole vars differ: %d vs %d", name, len(cold.HoleVars), len(scoped.HoleVars))
-				}
-				for n, v := range cold.HoleVars {
-					if scoped.HoleVars[n] != v {
-						t.Fatalf("%s: hole var %s differs", name, n)
-					}
-				}
-				cs, ss := cold.Stats, scoped.Stats
-				if cs.Constraints != ss.Constraints || cs.ConstraintSize != ss.ConstraintSize ||
-					cs.HoleVars != ss.HoleVars || cs.SelVars != ss.SelVars ||
-					cs.Candidates != ss.Candidates || cs.TruncatedPaths != ss.TruncatedPaths ||
-					cs.ReusedCandidates != ss.ReusedCandidates {
-					t.Fatalf("%s: stats differ:\ncold:   %+v\nscoped: %+v", name, cs, ss)
-				}
-
-				cp, sp := cold.PathInfos(), scoped.PathInfos()
-				if len(cp) != len(sp) {
-					t.Fatalf("%s: %d cold vs %d scoped path infos", name, len(cp), len(sp))
-				}
-				for i := range cp {
-					a, b := &cp[i], &sp[i]
-					if a.Prefix != b.Prefix || a.Sel != b.Sel || a.LP != b.LP {
-						t.Fatalf("%s: path info %d differs", name, i)
-					}
-					for j := range a.EdgeConds {
-						if a.EdgeConds[j] != b.EdgeConds[j] {
-							t.Fatalf("%s: path info %d edge cond %d differs", name, i, j)
-						}
-					}
-				}
+			netgen.Populate(wl)
+			opts := synth.DefaultOptions()
+			opts.MaxPathLen = tc.mpl
+			opts.MaxCandidatesPerNode = 8
+			reqs := wl.Requirements()
+			dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, reqs, opts)
+			base := recordBase(t, wl.Net, dep, opts, reqs)
+			for label, sketch := range fullSymbolizations(t, dep) {
+				checkSpliceMatchesPlain(t, label, wl.Net, base, sketch, reqs, opts)
 			}
 		})
 	}
 }
 
-// TestScopedFallsBackOnDifferentReqs pins the safety property: a scope
-// recorded for one requirement list silently falls back to the
-// whole-network encode for another, producing an identical encoding.
+// checkSpliceMatchesPlain encodes the sketch twice — spliced from the
+// base and whole-network from scratch — and requires the two encodings
+// to be indistinguishable.
+func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, base *synth.Base, sketch config.Deployment, reqs []spec.Requirement, opts synth.Options) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := synth.NewEncoder(net, sketch, opts).EncodeContext(ctx, reqs)
+	if err != nil {
+		t.Fatalf("%s: plain encode: %v", label, err)
+	}
+	got, err := synth.NewEncoder(net, sketch, opts).WithBase(base).EncodeContext(ctx, reqs)
+	if err != nil {
+		t.Fatalf("%s: spliced encode: %v", label, err)
+	}
+	if got.Stats.ScopedGroupsCopied+got.Stats.ScopedGroupsEncoded == 0 {
+		t.Fatalf("%s: the encode did not splice from the base", label)
+	}
+
+	if len(got.Constraints) != len(want.Constraints) {
+		t.Fatalf("%s: %d spliced vs %d plain constraints", label, len(got.Constraints), len(want.Constraints))
+	}
+	for i := range want.Constraints {
+		if got.Constraints[i] != want.Constraints[i] {
+			t.Fatalf("%s: constraint %d differs:\nspliced: %s\nplain:   %s", label, i, got.Constraints[i], want.Constraints[i])
+		}
+	}
+
+	if len(got.HoleVars) != len(want.HoleVars) {
+		t.Fatalf("%s: %d spliced vs %d plain hole variables", label, len(got.HoleVars), len(want.HoleVars))
+	}
+	for name, v := range want.HoleVars {
+		if got.HoleVars[name] != v {
+			t.Fatalf("%s: hole variable %s differs", label, name)
+		}
+	}
+
+	gp, wp := got.PathInfos(), want.PathInfos()
+	if len(gp) != len(wp) {
+		t.Fatalf("%s: %d spliced vs %d plain path infos", label, len(gp), len(wp))
+	}
+	for i := range wp {
+		a, b := &gp[i], &wp[i]
+		if a.Prefix != b.Prefix || !slices.Equal(a.Path, b.Path) || a.LP != b.LP || a.Sel != b.Sel ||
+			!slices.Equal(a.EdgeConds, b.EdgeConds) {
+			t.Fatalf("%s: path info %d differs: spliced %v, plain %v", label, i, a.Path, b.Path)
+		}
+	}
+
+	gs, ws := got.Stats, want.Stats
+	if gs.Constraints != ws.Constraints || gs.ConstraintSize != ws.ConstraintSize ||
+		gs.HoleVars != ws.HoleVars || gs.SelVars != ws.SelVars ||
+		gs.Candidates != ws.Candidates || gs.TruncatedPaths != ws.TruncatedPaths {
+		t.Fatalf("%s: size stats differ:\nspliced: %+v\nplain:   %+v", label, gs, ws)
+	}
+}
+
+// fullSymbolizations returns the deployment itself and, for every
+// router, the deployment with that router's every field symbolized
+// (core.AllTargets, the explanation case), keyed by a label.
+func fullSymbolizations(t *testing.T, dep config.Deployment) map[string]config.Deployment {
+	t.Helper()
+	out := map[string]config.Deployment{"unsymbolized": dep}
+	for router, c := range dep {
+		sym, _, err := core.Symbolize(c, core.AllTargets(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[router+" symbolized"] = withConfig(dep, router, sym)
+	}
+	return out
+}
+
+// complementSketch is the sketch core.ExplainComplement encodes for the
+// router: every other configured router fully symbolized.
+func complementSketch(t *testing.T, dep config.Deployment, router string) config.Deployment {
+	t.Helper()
+	sketch := config.Deployment{}
+	for name, c := range dep {
+		sketch[name] = c
+		if name == router {
+			continue
+		}
+		if targets := core.AllTargets(c); len(targets) > 0 {
+			sym, _, err := core.Symbolize(c, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sketch[name] = sym
+		}
+	}
+	return sketch
+}
+
+// withConfig returns a copy of the deployment with one router's config
+// replaced.
+func withConfig(dep config.Deployment, router string, c *config.Config) config.Deployment {
+	out := make(config.Deployment, len(dep))
+	for n, x := range dep {
+		out[n] = x
+	}
+	out[router] = c
+	return out
+}
+
+func sortedRouters(dep config.Deployment) []string {
+	out := make([]string, 0, len(dep))
+	for n := range dep {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func recordBase(t *testing.T, net *topology.Network, dep config.Deployment, opts synth.Options, reqs []spec.Requirement) *synth.Base {
+	t.Helper()
+	b, err := synth.NewBase(context.Background(), net, dep, opts, reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestScopedFallsBackOnDifferentReqs pins the safety property: a base
+// recorded for one requirement list is not spliced from for another;
+// the encode falls back to the whole-network path and produces the
+// plain encoding.
 func TestScopedFallsBackOnDifferentReqs(t *testing.T) {
 	ctx := context.Background()
 	sc := scenarios.Scenario1()
-	dep, reqs := scopedScenario(t, sc)
-	opts := DefaultOptions()
-	sb, err := NewScopedBase(ctx, sc.Net, dep, opts, reqs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := synth.DefaultOptions()
+	dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
+	base := recordBase(t, sc.Net, dep, opts, sc.Requirements())
 	other := []spec.Requirement{&spec.Forbid{Path: spec.NewPath("P2", spec.Wildcard, "C")}}
-	cold, err := NewEncoder(sc.Net, dep, opts).EncodeContext(ctx, other)
+	want, err := synth.NewEncoder(sc.Net, dep, opts).EncodeContext(ctx, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoped, err := NewEncoder(sc.Net, dep, opts).WithScope(sb).EncodeContext(ctx, other)
+	got, err := synth.NewEncoder(sc.Net, dep, opts).WithBase(base).EncodeContext(ctx, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scoped.Stats.ScopedGroupsCopied != 0 || scoped.Stats.ScopedGroupsEncoded != 0 {
-		t.Fatal("scope must not be taken for a different requirement list")
+	if got.Stats.ScopedGroupsCopied != 0 || got.Stats.ScopedGroupsEncoded != 0 {
+		t.Fatal("the base must not be spliced from for a different requirement list")
 	}
-	if len(cold.Constraints) != len(scoped.Constraints) {
-		t.Fatalf("fallback encode differs: %d vs %d constraints", len(cold.Constraints), len(scoped.Constraints))
+	if len(want.Constraints) != len(got.Constraints) {
+		t.Fatalf("fallback encode differs: %d vs %d constraints", len(want.Constraints), len(got.Constraints))
 	}
-	for i := range cold.Constraints {
-		if cold.Constraints[i] != scoped.Constraints[i] {
+	for i := range want.Constraints {
+		if want.Constraints[i] != got.Constraints[i] {
 			t.Fatalf("fallback constraint %d differs", i)
 		}
 	}
@@ -151,7 +255,7 @@ func TestScopedFallsBackOnDifferentReqs(t *testing.T) {
 // TestScopedBaseRejectsHoles pins the concreteness requirement.
 func TestScopedBaseRejectsHoles(t *testing.T) {
 	sc := scenarios.Scenario1()
-	if _, err := NewScopedBase(context.Background(), sc.Net, sc.Sketch, DefaultOptions(), sc.Requirements(), nil, nil); err == nil {
+	if _, err := synth.NewBase(context.Background(), sc.Net, sc.Sketch, synth.DefaultOptions(), sc.Requirements(), nil); err == nil {
 		t.Fatal("a sketch with holes must be rejected")
 	}
 }

@@ -1,7 +1,6 @@
 package synth_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -23,11 +22,10 @@ import (
 // buildVocab builds from the whole sketch — same names, same values in
 // the same order.
 func TestDerivedVocabMatchesBuilt(t *testing.T) {
-	ctx := context.Background()
 	for _, sc := range scenarios.All() {
 		opts := synth.DefaultOptions()
 		dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
-		checkEveryRouter(t, sc.Name, sc.Net, dep, newBase(t, ctx, sc.Net, dep, opts, nil), opts)
+		checkEveryRouter(t, sc.Name, sc.Net, dep, recordBase(t, sc.Net, dep, opts, nil), opts)
 	}
 
 	opts := synth.DefaultOptions()
@@ -44,20 +42,21 @@ func TestDerivedVocabMatchesBuilt(t *testing.T) {
 		}
 		wl = netgen.Populate(wl)
 		dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, wl.Requirements(), opts)
-		checkEveryRouter(t, wl.Name, wl.Net, dep, newBase(t, ctx, wl.Net, dep, opts, nil), opts)
+		checkEveryRouter(t, wl.Name, wl.Net, dep, recordBase(t, wl.Net, dep, opts, nil), opts)
 	}
 }
 
 // TestDerivedVocabWhatIfChain runs the differential check along a
-// what-if chain of NewBaseFrom bases, whose own vocabularies are
-// derived from their predecessors': edits that leave the tag sets
-// alone, one that adds tags, and one that removes them again.
+// what-if chain of deployments: edits that leave the tag sets alone,
+// one that adds tags, and one that removes them again. Each
+// generation's sketches derive their vocabulary both from the
+// predecessor's base, where the edited routers are dirty beside the
+// symbolized one, and from the generation's own base.
 func TestDerivedVocabWhatIfChain(t *testing.T) {
-	ctx := context.Background()
 	sc := scenarios.Scenario3()
 	opts := synth.DefaultOptions()
 	dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
-	base := newBase(t, ctx, sc.Net, dep, opts, nil)
+	base := recordBase(t, sc.Net, dep, opts, nil)
 
 	withProbe := func(d config.Deployment) config.Deployment {
 		out := config.Deployment{}
@@ -81,8 +80,10 @@ func TestDerivedVocabWhatIfChain(t *testing.T) {
 		gens = append(gens, cur)
 	}
 	for i, d := range gens {
-		base = newBase(t, ctx, sc.Net, d, opts, base)
-		checkEveryRouter(t, fmt.Sprintf("%s gen %d", sc.Name, i+1), sc.Net, d, base, opts)
+		name := fmt.Sprintf("%s gen %d", sc.Name, i+1)
+		checkEveryRouter(t, name+" on its predecessor's base", sc.Net, d, base, opts)
+		base = recordBase(t, sc.Net, d, opts, nil)
+		checkEveryRouter(t, name, sc.Net, d, base, opts)
 	}
 }
 
@@ -91,7 +92,6 @@ func TestDerivedVocabWhatIfChain(t *testing.T) {
 // mentions some community tag and some next-hop IP, so symbolizing it
 // removes both from the vocabulary.
 func TestDerivedVocabShrinks(t *testing.T) {
-	ctx := context.Background()
 	sc := scenarios.Scenario1()
 	opts := synth.DefaultOptions()
 	synthesized := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
@@ -100,7 +100,7 @@ func TestDerivedVocabShrinks(t *testing.T) {
 		dep[n] = c
 	}
 	dep["R1"] = withProbeMap(dep["R1"], "777:7", "192.0.2.7")
-	base := newBase(t, ctx, sc.Net, dep, opts, nil)
+	base := recordBase(t, sc.Net, dep, opts, nil)
 	checkEveryRouter(t, "probe", sc.Net, dep, base, opts)
 
 	full, _ := synth.VocabSorts(synth.NewEncoder(sc.Net, dep, opts).WithBase(base))
@@ -173,15 +173,6 @@ func synthesize(t *testing.T, name string, net *topology.Network, sketch config.
 		t.Fatalf("synthesize %s: %v", name, err)
 	}
 	return res.Deployment
-}
-
-func newBase(t *testing.T, ctx context.Context, net *topology.Network, dep config.Deployment, opts synth.Options, prior *synth.Base) *synth.Base {
-	t.Helper()
-	b, err := synth.NewBaseFrom(ctx, net, dep, opts, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // withProbeMap returns a clone of c with an extra (unreferenced)
