@@ -12,6 +12,22 @@
 // file does not declare prints "-" as its count. It also prints each
 // side's attempted and failed op totals per workload.
 //
+// Each end-to-end metric, one the benchmark file gives a bound (the
+// share of the parent's median the change may worsen it by), also gets
+// a verdict, checked in this order:
+//
+//	unresolved  the parent's quartile spread, as a share of its median,
+//	            exceeds the bound, and not every change run beats every
+//	            parent run
+//	gain        at least 10 pairs were compared, the change won at
+//	            least 9 in 10 of them, and its median is better than the
+//	            parent's by more than the parent's interquartile range
+//	worse       the change's median is worse than the parent's by more
+//	            than the bound
+//	flat        anything else
+//
+// Other metrics print "-" as their verdict.
+//
 // Exit codes follow the shared cmd convention: 0 success, 1 a file that
 // cannot be read or parsed, a record without a workload or seed, a
 // (workload, seed) that appears twice in one file or in only one of the
@@ -51,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "perfcmp:", err)
 		return 1
 	}
-	better, err := readBetter(*benchPath)
+	decls, err := readDecls(*benchPath)
 	if err != nil {
 		return fail(err)
 	}
@@ -67,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if err := report(stdout, pairs, better); err != nil {
+	if err := report(stdout, pairs, decls); err != nil {
 		return fail(err)
 	}
 	return 0
@@ -94,16 +110,20 @@ type runKey struct {
 	seed     int64
 }
 
-// readBetter reads each declared metric's better direction ("lower"
-// or "higher") from the benchmark file.
-func readBetter(path string) (map[string]string, error) {
+// decl is one metric the benchmark file declares: which direction is
+// better ("lower" or "higher") and, for an end-to-end metric, its
+// bound.
+type decl struct {
+	Name   string   `json:"name"`
+	Better string   `json:"better"`
+	Bound  *float64 `json:"bound"`
+}
+
+// readDecls reads the benchmark file's metric declarations by name.
+func readDecls(path string) (map[string]decl, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	type decl struct {
-		Name   string `json:"name"`
-		Better string `json:"better"`
 	}
 	var bench struct {
 		EndToEnd []decl `json:"end_to_end"`
@@ -112,14 +132,14 @@ func readBetter(path string) (map[string]string, error) {
 	if err := json.Unmarshal(src, &bench); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	better := map[string]string{}
+	decls := map[string]decl{}
 	for _, d := range append(bench.EndToEnd, bench.PerLayer...) {
 		if d.Better != "lower" && d.Better != "higher" {
 			return nil, fmt.Errorf("%s: metric %q: better is %q, want lower or higher", path, d.Name, d.Better)
 		}
-		better[d.Name] = d.Better
+		decls[d.Name] = d
 	}
-	return better, nil
+	return decls, nil
 }
 
 func readRunsFile(path string) (map[runKey]record, error) {
@@ -206,20 +226,20 @@ func pairRuns(parent, change map[runKey]record) ([]pair, error) {
 }
 
 // report prints one block per workload.
-func report(w io.Writer, pairs []pair, better map[string]string) error {
+func report(w io.Writer, pairs []pair, decls map[string]decl) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	for start := 0; start < len(pairs); {
 		end := start
 		for end < len(pairs) && pairs[end].key.workload == pairs[start].key.workload {
 			end++
 		}
-		writeWorkload(tw, pairs[start:end], better)
+		writeWorkload(tw, pairs[start:end], decls)
 		start = end
 	}
 	return tw.Flush()
 }
 
-func writeWorkload(w io.Writer, pairs []pair, better map[string]string) {
+func writeWorkload(w io.Writer, pairs []pair, decls map[string]decl) {
 	var pa, pf, ca, cf int64
 	names := map[string]string{} // metric name -> unit
 	for _, p := range pairs {
@@ -236,13 +256,14 @@ func writeWorkload(w io.Writer, pairs []pair, better map[string]string) {
 	}
 	fmt.Fprintf(w, "%s: %d pairs; attempted/failed ops: parent %d/%d, change %d/%d\n",
 		pairs[0].key.workload, len(pairs), pa, pf, ca, cf)
-	fmt.Fprintln(w, "  metric\tunit\tparent median [q1, q3]\tchange median [q1, q3]\tchange won")
+	fmt.Fprintln(w, "  metric\tunit\tparent median [q1, q3]\tchange median [q1, q3]\tchange won\tverdict")
 	sorted := make([]string, 0, len(names))
 	for name := range names {
 		sorted = append(sorted, name)
 	}
 	sort.Strings(sorted)
 	for _, name := range sorted {
+		d := decls[name]
 		var pv, cv []float64
 		won, compared := 0, 0
 		for _, p := range pairs {
@@ -254,21 +275,52 @@ func writeWorkload(w io.Writer, pairs []pair, better map[string]string) {
 			if bok {
 				cv = append(cv, b)
 			}
-			if !aok || !bok {
-				continue
-			}
-			compared++
-			if (better[name] == "lower" && b < a) || (better[name] == "higher" && b > a) {
-				won++
+			if aok && bok {
+				compared++
+				if d.beats(b, a) {
+					won++
+				}
 			}
 		}
-		score := "-"
-		if better[name] != "" {
+		sort.Float64s(pv)
+		sort.Float64s(cv)
+		score, v := "-", "-"
+		if d.Better != "" {
 			score = fmt.Sprintf("%d/%d", won, compared)
 		}
-		fmt.Fprintf(w, "  %s\t%s\t%s\t%s\t%s\n", name, names[name], summary(pv), summary(cv), score)
+		if d.Bound != nil && len(pv) > 0 && len(cv) > 0 {
+			v = d.verdict(pv, cv, won, compared)
+		}
+		fmt.Fprintf(w, "  %s\t%s\t%s\t%s\t%s\t%s\n", name, names[name], summary(pv), summary(cv), score, v)
 	}
 	fmt.Fprintln(w)
+}
+
+// beats reports whether value a is better than value b.
+func (d decl) beats(a, b float64) bool {
+	return (d.Better == "lower" && a < b) || (d.Better == "higher" && a > b)
+}
+
+// verdict judges an end-to-end metric from both sides' sorted values
+// and the pairs the change won (see the package comment).
+func (d decl) verdict(pv, cv []float64, won, compared int) string {
+	pmed, cmed := quantile(pv, 0.5), quantile(cv, 0.5)
+	iqr := quantile(pv, 0.75) - quantile(pv, 0.25)
+	// Every change run beats every parent run when the change's worst
+	// run beats the parent's best.
+	worst, best := cv[len(cv)-1], pv[0]
+	if d.Better == "higher" {
+		worst, best = cv[0], pv[len(pv)-1]
+	}
+	switch {
+	case iqr > *d.Bound*math.Abs(pmed) && !d.beats(worst, best):
+		return "unresolved"
+	case compared >= 10 && 10*won >= 9*compared && d.beats(cmed, pmed) && math.Abs(cmed-pmed) > iqr:
+		return "gain"
+	case d.beats(pmed, cmed) && math.Abs(cmed-pmed) > *d.Bound*math.Abs(pmed):
+		return "worse"
+	}
+	return "flat"
 }
 
 // value returns the run's metric value, false when absent or null.
@@ -280,12 +332,12 @@ func value(r record, name string) (float64, bool) {
 	return *m.Value, true
 }
 
-// summary formats the median and quartiles of vs, or "null" for none.
+// summary formats the median and quartiles of the sorted values, or
+// "null" for none.
 func summary(vs []float64) string {
 	if len(vs) == 0 {
 		return "null"
 	}
-	sort.Float64s(vs)
 	return fmt.Sprintf("%.4g [%.4g, %.4g] (n=%d)", quantile(vs, 0.5), quantile(vs, 0.25), quantile(vs, 0.75), len(vs))
 }
 

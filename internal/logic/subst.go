@@ -13,42 +13,27 @@ import (
 //
 // Substitution is simultaneous: replacements are not themselves
 // re-substituted, so Substitute(x, {x: y, y: z}) yields y, not z.
+//
+// The walk is pruned by variable signatures: a subterm whose signature
+// shares no bit with the substituted names provably contains none of
+// them and is returned as is. Signatures are 64-bit Bloom filters, so
+// the pruning weakens as sub grows: once its names cover most of the
+// 64 bits, nearly every subterm is walked. A caller applying many
+// bindings to many terms (equality propagation in the rewrite package)
+// does better to find the terms that contain each name and pass each
+// term only the bindings it mentions. Nothing is allocated unless a
+// replacement happens.
 func Substitute(t Term, sub map[string]Term) Term {
 	if len(sub) == 0 {
 		return t
 	}
-	return substitute(t, sub, SubMask(sub))
-}
-
-// SubMask returns the variable-signature mask of a substitution: the
-// union of the name bits of its keys. Callers applying one substitution
-// to many terms (equality propagation over a wide conjunction) compute
-// it once and pass it to SubstituteMasked instead of paying a hash per
-// key per call through Substitute.
-func SubMask(sub map[string]Term) uint64 {
 	var mask uint64
 	for name := range sub {
 		mask |= varBit(name)
 	}
-	return mask
-}
-
-// SubstituteMasked is Substitute with a precomputed SubMask. A mask
-// with extra bits set is sound (it only weakens pruning), so one mask
-// may serve a substitution whose entries the caller temporarily
-// removes.
-func SubstituteMasked(t Term, sub map[string]Term, mask uint64) Term {
-	if len(sub) == 0 {
-		return t
-	}
 	return substitute(t, sub, mask)
 }
 
-// substitute is Substitute's recursion, pruned by variable signatures:
-// a subterm whose signature shares no bit with the substituted names
-// provably contains none of them and is returned unchanged without a
-// walk. This keeps equality propagation over wide conjunctions linear
-// in the touched cone rather than the whole term.
 func substitute(t Term, sub map[string]Term, mask uint64) Term {
 	if sig, ok := varSigFast(t); ok && sig&mask == 0 {
 		return t
@@ -66,15 +51,18 @@ func substitute(t Term, sub map[string]Term, mask uint64) Term {
 	case *BoolLit, *IntLit, *EnumLit:
 		return t
 	case *Apply:
-		changed := false
-		args := make([]Term, len(n.Args))
+		var args []Term // copied on the first changed argument
 		for i, a := range n.Args {
-			args[i] = substitute(a, sub, mask)
-			if args[i] != a {
-				changed = true
+			r := substitute(a, sub, mask)
+			if r != a && args == nil {
+				args = make([]Term, len(n.Args))
+				copy(args, n.Args[:i])
+			}
+			if args != nil {
+				args[i] = r
 			}
 		}
-		if !changed {
+		if args == nil {
 			return t
 		}
 		return internApply(&Apply{Op: n.Op, Args: args})

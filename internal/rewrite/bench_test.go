@@ -3,6 +3,7 @@ package rewrite_test
 import (
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/rewrite"
 	"repro/internal/scenarios"
 	"repro/internal/synth"
@@ -58,3 +59,20 @@ func BenchmarkSimplifyWarmCache(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimplifyFabricSeed measures a cold Simplify (fresh
+// simplifier, empty normal-form cache) of the widest router seed of the
+// populated 60-router random fabric: top-level conjunctions of several
+// hundred conjuncts that equality propagation (S14) walks over many
+// rounds, the shape that dominates unlifted reports at scale.
+func BenchmarkSimplifyFabricSeed(b *testing.B) {
+	seed := widestSeed(fabricSeeds(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simplified = rewrite.New().Simplify(seed)
+	}
+}
+
+// simplified keeps the benchmarked result live.
+var simplified logic.Term

@@ -448,7 +448,8 @@ func equivalentUnderAllAssignments(t *testing.T, in, a, b logic.Term) bool {
 // TestDifferentialRandom drives both implementations over a large
 // deterministic sample of random terms and requires agreement under
 // every assignment, plus that the normalizer reaches a form no larger
-// than the fixpoint's.
+// than the fixpoint's. Each term, and a wide random conjunction per
+// seed, must also match the whole-list conjunction loop exactly.
 func TestDifferentialRandom(t *testing.T) {
 	ref := newRef()
 	for seed := int64(0); seed < 500; seed++ {
@@ -463,6 +464,8 @@ func TestDifferentialRandom(t *testing.T) {
 			t.Fatalf("seed %d: normalizer form (%d nodes) larger than fixpoint form (%d nodes):\n  in:   %s\n  norm: %s\n  ref:  %s",
 				seed, logic.Size(got), logic.Size(want), in, got, want)
 		}
+		checkMatchesReferenceLoop(t, in)
+		checkMatchesReferenceLoop(t, randConjunction(r))
 	}
 }
 
@@ -504,7 +507,10 @@ func TestDifferentialRegressionCorpus(t *testing.T) {
 }
 
 // FuzzSimplifyDifferential is the fuzzing entry point for the same
-// property, letting CI push past the fixed random sample.
+// property, letting CI push past the fixed random sample. Each input
+// also runs through the whole-list conjunction loop the semi-naive
+// propagation replaced, which must give the pointer-identical result,
+// Passes and recounted diagnostics.
 func FuzzSimplifyDifferential(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -512,13 +518,79 @@ func FuzzSimplifyDifferential(f *testing.F) {
 	ref := newRef()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		in := randTerm(r, 4)
-		got := New().Simplify(in)
-		want := ref.simplify(in)
-		if !equivalentUnderAllAssignments(t, in, got, want) {
-			t.Fatalf("normalizer diverges from fixpoint reference on %s", in)
+		for _, in := range []logic.Term{randTerm(r, 4), randConjunction(r)} {
+			got := New().Simplify(in)
+			want := ref.simplify(in)
+			if !equivalentUnderAllAssignments(t, in, got, want) {
+				t.Fatalf("normalizer diverges from fixpoint reference on %s", in)
+			}
+			checkMatchesReferenceLoop(t, in)
 		}
 	})
+}
+
+// randConjunction builds a conjunction of 3 to 22 random terms, wide
+// enough for propagation to run several rounds at one conjunction.
+func randConjunction(r *rand.Rand) logic.Term {
+	args := make([]logic.Term, 3+r.Intn(20))
+	for i := range args {
+		args[i] = randTerm(r, r.Intn(4))
+	}
+	return logic.And(args...)
+}
+
+// checkMatchesReferenceLoop simplifies in cold with the semi-naive
+// propagation and with the whole-list loop (export_test.go), and
+// requires the same pointer, Passes and Cache.Recount.
+func checkMatchesReferenceLoop(t *testing.T, in logic.Term) {
+	t.Helper()
+	if err := SameAsReference(NewShared(NewCache()), NewReference(NewCache()), in); err != nil {
+		t.Fatalf("%v, on %s", err, in)
+	}
+}
+
+// TestSemiNaiveRoundShapes drives each way a propagation round can
+// settle through both conjunction loops: a substituted conjunct that
+// meets its complement from either side, absorbs or is absorbed,
+// duplicates an earlier or a later conjunct, becomes true, becomes a
+// conjunction, or collapses the whole conjunction after other S4
+// actions; two new bindings of one name; a chain of rounds; and the
+// MaxPasses bound.
+func TestSemiNaiveRoundShapes(t *testing.T) {
+	p, q := pBools[0], pBools[1]
+	i, j := pInts[0], pInts[1]
+	one := logic.NewInt(1)
+	bind := logic.Eq(i, one)
+	jlt := logic.Lt(j, logic.NewInt(2))
+	pq := logic.Or(p, q)
+	cases := []struct {
+		name string
+		in   logic.Term
+	}{
+		{"new-not-meets-member", logic.And(bind, logic.Implies(bind, logic.Not(pq)), pq)},
+		{"new-member-meets-not", logic.And(bind, logic.Implies(bind, pq), logic.Not(pq))},
+		{"new-or-absorbed", logic.And(bind, logic.Implies(bind, logic.Or(q, jlt)), jlt)},
+		{"new-member-absorbs", logic.And(bind, logic.Implies(bind, jlt), logic.Or(q, jlt))},
+		{"dup-of-earlier", logic.And(jlt, bind, logic.Implies(bind, jlt))},
+		{"dup-of-later", logic.And(bind, logic.Implies(bind, jlt), jlt)},
+		{"two-new-equal", logic.And(bind, logic.Not(p), logic.Implies(bind, jlt), logic.Or(p, jlt))},
+		{"becomes-true", logic.And(bind, logic.Implies(logic.Ne(i, one), q), jlt)},
+		{"becomes-conjunction", logic.And(bind, logic.Implies(bind, logic.And(q, jlt)), logic.Or(p, jlt))},
+		{"collapse-after-actions", logic.And(bind, logic.Implies(logic.Ne(i, one), q), logic.Implies(bind, jlt), logic.Ne(i, one), jlt)},
+		{"second-binding", logic.And(p, logic.Implies(p, bind), logic.Implies(p, logic.Eq(i, logic.NewInt(2))))},
+		{"chain", logic.And(p, logic.Implies(p, q), logic.Implies(q, bind), logic.Implies(bind, jlt), logic.Or(logic.Not(jlt), logic.Eq(j, one)))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkMatchesReferenceLoop(t, tc.in) })
+	}
+	chain := cases[len(cases)-1].in
+	for passes := 0; passes <= 3; passes++ {
+		got, want := New(), NewReference(NewCache())
+		got.MaxPasses, want.MaxPasses = passes, passes
+		if g, w := got.Simplify(chain), want.Simplify(chain); g != w || got.Passes != want.Passes {
+			t.Fatalf("MaxPasses %d: %s (Passes %d), whole-list loop %s (Passes %d)", passes, g, got.Passes, w, want.Passes)
+		}
+	}
 }
 
 // TestSharedCacheConcurrent hammers one shared normal-form cache from

@@ -62,6 +62,10 @@ type Simplifier struct {
 	cache    *Cache
 	stack    []*nfEntry
 	inflight map[logic.Term]struct{}
+
+	// andRule, when set, replaces simplifyAnd; the tests install the
+	// whole-list loop it replaced there as their reference.
+	andRule func(*Simplifier, *logic.Apply) logic.Term
 }
 
 // simpConfig identifies the rewriting function a cache's entries were
@@ -264,64 +268,56 @@ func (s *Simplifier) simplifyNot(a *logic.Apply) logic.Term {
 }
 
 // simplifyAnd normalizes a conjunction whose conjuncts are already
-// normal: it loops flatten/dedup (S4), complement (S6), absorption
-// (S13), and one equality-propagation round (S14) until the operand
-// list is stable. The loop replaces the old driver's global passes —
-// iteration happens only at conjunctions that actually need it, and
-// substituted conjuncts are re-normalized through the cache.
+// normal: flatten/dedup (S4), complement (S6) and absorption (S13) over
+// the operand list, then equality propagation (S14), whose rounds
+// re-apply the three to what each round changed (see propagate.go).
+// Iteration happens only at conjunctions that need it, and substituted
+// conjuncts are re-normalized through the cache.
 func (s *Simplifier) simplifyAnd(a *logic.Apply) logic.Term {
-	args := a.Args
-	anyChange := false
-	for round := 0; ; round++ {
-		// S4: flatten nested &, drop true, collapse on false, dedup.
-		flat, actions, collapsed := logic.FlatAnd(args)
-		if collapsed {
-			s.firedN(RuleAndIdentity, actions)
-			return logic.False
-		}
-		if actions > 0 {
-			s.firedN(RuleAndIdentity, actions)
-			anyChange = true
-			args = flat
-		} else {
-			args = flat
-		}
-		// S6: complement law, one set probe per negated conjunct.
-		set := logic.NewTermSet(args)
-		for _, x := range args {
-			if nx, ok := x.(*logic.Apply); ok && nx.Op == logic.OpNot && set.Has(nx.Args[0]) {
-				s.fired(RuleComplement)
-				return logic.False
-			}
-		}
-		// S13: absorption — drop any disjunction conjunct containing
-		// another conjunct as a disjunct.
-		if filtered, fired := absorb(args, set, logic.OpOr); fired {
-			s.fired(RuleAbsorption)
-			anyChange = true
-			args = filtered
-		}
-		// S14: one equality-propagation round; re-enter the loop only
-		// while substitution changes something (bounded by MaxPasses).
-		if s.DisableEqPropagation || round >= s.MaxPasses {
-			break
-		}
-		subArgs, changed := s.propagateOnce(args)
-		if !changed {
-			break
-		}
-		s.fired(RuleEqPropagation)
-		s.stack[len(s.stack)-1].rounds++
-		anyChange = true
-		args = make([]logic.Term, len(subArgs))
-		for i, c := range subArgs {
-			args[i] = s.norm(c)
-		}
+	if s.andRule != nil {
+		return s.andRule(s, a)
 	}
-	if !anyChange {
+	args, changed, ok := s.settleAll(a.Args)
+	if !ok {
+		return logic.False
+	}
+	args, propagated, ok := s.propagate(args)
+	if !ok {
+		return logic.False
+	}
+	if !changed && !propagated {
 		return a
 	}
 	return logic.And(args...)
+}
+
+// settleAll applies S4, S6 and S13 to a whole conjunct list. It returns
+// the surviving conjuncts, whether a rule changed the list, and false
+// if the conjunction collapsed to false.
+func (s *Simplifier) settleAll(args []logic.Term) ([]logic.Term, bool, bool) {
+	// S4: flatten nested &, drop true, collapse on false, dedup.
+	flat, actions, collapsed := logic.FlatAnd(args)
+	if actions > 0 {
+		s.firedN(RuleAndIdentity, actions)
+	}
+	if collapsed {
+		return nil, true, false
+	}
+	// S6: complement law, one set probe per negated conjunct.
+	set := logic.NewTermSet(flat)
+	for _, x := range flat {
+		if nx, ok := x.(*logic.Apply); ok && nx.Op == logic.OpNot && set.Has(nx.Args[0]) {
+			s.fired(RuleComplement)
+			return nil, true, false
+		}
+	}
+	// S13: absorption — drop any disjunction conjunct containing
+	// another conjunct as a disjunct.
+	if filtered, fired := absorb(flat, set, logic.OpOr); fired {
+		s.fired(RuleAbsorption)
+		return filtered, true, true
+	}
+	return flat, actions > 0, true
 }
 
 // simplifyOr is the disjunction dual of simplifyAnd (no propagation:
@@ -401,53 +397,6 @@ func absorb(args []logic.Term, set logic.TermSet, inner logic.Op) ([]logic.Term,
 		out = append(out, cand)
 	}
 	return out, fired
-}
-
-// propagateOnce implements one round of rule S14 over the conjuncts:
-// when a conjunct pins a variable (x, !x, x = literal, or literal =
-// x), the binding is substituted into the sibling conjuncts. The
-// defining conjunct itself keeps its own variable, so the rewrite is
-// equivalence-preserving; re-normalization of the changed conjuncts
-// then collapses the substituted occurrences. Only the defining
-// occurrence is shielded: a second conjunct binding the same variable
-// to a different value does receive the substitution, so x = a & x = b
-// collapses through a = b to false.
-func (s *Simplifier) propagateOnce(args []logic.Term) ([]logic.Term, bool) {
-	bindings := map[string]logic.Term{}
-	definer := map[string]int{}
-	for i, c := range args {
-		if name, val, ok := unitBinding(c); ok {
-			if _, dup := bindings[name]; !dup {
-				bindings[name] = val
-				definer[name] = i
-			}
-		}
-	}
-	if len(bindings) == 0 {
-		return args, false
-	}
-	// One mask serves every conjunct: temporarily removing the defining
-	// entry only shrinks the substitution, and an over-wide mask is
-	// sound (it just prunes less).
-	mask := logic.SubMask(bindings)
-	changed := false
-	out := make([]logic.Term, len(args))
-	for i, c := range args {
-		// Do not substitute inside the defining conjunct of the
-		// binding itself; drop exactly the variable bound there.
-		if name, _, ok := unitBinding(c); ok && definer[name] == i {
-			val := bindings[name]
-			delete(bindings, name)
-			out[i] = logic.SubstituteMasked(c, bindings, mask)
-			bindings[name] = val
-		} else {
-			out[i] = logic.SubstituteMasked(c, bindings, mask)
-		}
-		if out[i] != c {
-			changed = true
-		}
-	}
-	return out, changed
 }
 
 func (s *Simplifier) simplifyImplies(a *logic.Apply) logic.Term {
