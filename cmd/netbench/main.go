@@ -5,7 +5,6 @@
 //	netbench                        # all experiments
 //	netbench -table seed            # one experiment
 //	netbench -quick                 # trimmed scaling sweep
-//	netbench -benchjson BENCH_x.json  # machine-readable pipeline timings
 //	netbench -scalejson BENCH_scale.json  # whole-network streaming-report scaling
 //	netbench -cpuprofile cpu.pprof  # profile the run
 package main
@@ -38,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "trim the scaling sweep")
 	format := fs.String("format", "text", "output format: text or json")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s, 5m; 0 = no limit)")
-	benchJSON := fs.String("benchjson", "", "write machine-readable pipeline measurements (scenario, wall time, SAT conflicts, cache hits) to this file and exit")
 	diffJSON := fs.String("diffjson", "", "write machine-readable incremental re-explanation measurements (cold vs incremental wall time, dirty sets, cache hit rates) to this file and exit")
 	scaleJSON := fs.String("scalejson", "", "write machine-readable whole-network streaming-report measurements (wall time, peak heap, streamed bytes, scoped-encode stats) to this file and exit; -quick trims the sweep")
 	serveJSON := fs.String("servejson", "", "write machine-readable serving-layer measurements (throughput, latency percentiles, response-cache hit rate, CLI byte-identity) to this file and exit")
@@ -88,14 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *benchJSON != "" {
-		if err := bench.WritePerfJSON(ctx, *benchJSON); err != nil {
-			fmt.Fprintln(stderr, "netbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
-		return 0
-	}
 	if *diffJSON != "" {
 		if err := bench.WriteDiffJSON(ctx, *diffJSON); err != nil {
 			fmt.Fprintln(stderr, "netbench:", err)

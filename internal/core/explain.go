@@ -417,8 +417,8 @@ func (ent *liftEntry) size() int64 {
 // liftOptsSig captures every option the lift stage's outcome depends
 // on; entries produced under a different signature never splice.
 func (e *Explainer) liftOptsSig() string {
-	return fmt.Sprintf("p%d|m%d|c%d|v%t",
-		e.Opts.MaxPatternNodes, e.Opts.Budget.ModelCap(), e.Opts.Budget.MaxConflicts, e.Opts.VerifyProofs)
+	return fmt.Sprintf("p%d|m%d|v%t",
+		e.Opts.MaxPatternNodes, e.Opts.Budget.ModelCap(), e.Opts.VerifyProofs)
 }
 
 // liftEntryValid reports whether the cached entry's lift inputs are

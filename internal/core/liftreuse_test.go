@@ -43,30 +43,31 @@ func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestSolverWorkIndependentOfGOMAXPROCS pins that a cold report's
 // solver work depends on the problem alone, not on the host's CPU
 // count: each router's lift runs its checks in order on its own
-// solvers, so the router pool's width cannot change a counter. The
-// solve and lift-query counts are also pinned absolutely: which
-// queries run depends on the verdicts alone, so a seed solver that
-// changes what it is built from must leave them where they are.
-// Conflicts and propagations measure the search and are compared
-// across GOMAXPROCS only.
+// solvers, so the router pool's width cannot change a counter. Every
+// counter is also pinned absolutely (the values `netbench -table sat`
+// prints). Which queries run depends on the verdicts alone, so a seed
+// solver that changes what it is built from must leave solves and
+// lift queries where they are; conflicts, propagations and learnt
+// clauses measure the search itself, so a change to search policy
+// shows up here as a diff.
 func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
-	pinned := map[string]struct {
-		solves      uint64
-		liftQueries int
-	}{
-		"scenario1": {96, 60},
-		"scenario2": {75, 70},
-		"scenario3": {103, 94},
+	type work struct {
+		solves, conflicts, props, learnt uint64
+		liftQueries                      int
+	}
+	pinned := map[string]work{
+		"scenario1": {96, 16, 2674, 12, 60},
+		"scenario2": {75, 16, 27293, 15, 70},
+		"scenario3": {103, 12, 28162, 10, 94},
 	}
 	for _, sc := range scenarios.All() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			dep := synthScenario(t, sc)
-			type work struct {
-				solves, conflicts, props uint64
-				liftQueries              int
+			want, ok := pinned[sc.Name]
+			if !ok {
+				t.Fatalf("no pinned counts for %s", sc.Name)
 			}
-			var base work
 			for _, procs := range []int{1, 4} {
 				setGOMAXPROCS(t, procs)
 				e := newExplainer(t, sc, dep, nil)
@@ -74,22 +75,10 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				st := e.Stats()
-				got := work{st.Solves, st.Conflicts, st.Propagations, st.LiftQueries}
-				if procs == 1 {
-					want, ok := pinned[sc.Name]
-					if !ok {
-						t.Fatalf("no pinned counts for %s", sc.Name)
-					}
-					if got.solves != want.solves || got.liftQueries != want.liftQueries {
-						t.Errorf("solves/lift queries = %d/%d, want %d/%d",
-							got.solves, got.liftQueries, want.solves, want.liftQueries)
-					}
-					base = got
-					continue
-				}
-				if got != base {
-					t.Errorf("GOMAXPROCS=%d: solves/conflicts/props/lift queries = %+v, want %+v as at GOMAXPROCS=1",
-						procs, got, base)
+				got := work{st.Solves, st.Conflicts, st.Propagations, st.Learnt, st.LiftQueries}
+				if got != want {
+					t.Errorf("GOMAXPROCS=%d: solves/conflicts/props/learnts/lift queries = %+v, want %+v",
+						procs, got, want)
 				}
 			}
 		})

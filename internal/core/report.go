@@ -42,8 +42,8 @@ func (e *Explainer) ReportContext(ctx context.Context) (string, error) {
 // are written in report order as a bounded worker pool completes them,
 // so on wide deployments the first sections reach the reader while the
 // last routers are still being explained, and the peak memory held for
-// rendered-but-unwritten text is bounded by the session's stream
-// window rather than the whole document.
+// rendered-but-unwritten text is bounded by the stream window (four
+// sections per worker) rather than the whole document.
 //
 // On error — a failed explanation, a failed write, or cancellation —
 // the stream stops at a section boundary: w has received the header
@@ -102,13 +102,9 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	if workers > len(routers) {
 		workers = len(routers)
 	}
-	window := e.Session.StreamWindow()
-	if window <= 0 {
-		window = 4 * workers
-	}
-	if window < workers {
-		window = workers
-	}
+	// window lets each worker run a few routers ahead of a slow one
+	// while buffered sections stay O(workers), not O(network).
+	window := 4 * workers
 
 	type done struct {
 		i        int

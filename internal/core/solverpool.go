@@ -38,8 +38,8 @@ func (e *Explainer) verifyUnsat(s *smt.Solver) error {
 	return nil
 }
 
-// buildSolver builds an SMT solver with the explainer's conflict budget
-// applied, the session's shared term table adopted, and — under
+// buildSolver builds an SMT solver with the session's shared term
+// table adopted and — under
 // VerifyProofs — a proof trace attached (logging must start before the
 // first clause, so this is the only place it can be turned on), then
 // applies build to it. The caller owns the solver for the rest of its
@@ -54,9 +54,6 @@ func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, fun
 	}
 	sv := smt.NewSolver(opts...)
 	sv.UseInterner(e.Session.Interner())
-	if e.Opts.Budget.MaxConflicts > 0 {
-		sv.SetConflictBudget(e.Opts.Budget.MaxConflicts)
-	}
 	if err := build(sv); err != nil {
 		e.Session.AddSolverStats(sv.Stats())
 		return nil, nil, err

@@ -194,17 +194,17 @@ func TestSessionPoolEviction(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := engine.Stats{Encodes: 1, Conflicts: 10, CoreLearnts: 5, LiftQueries: 3,
+	a := engine.Stats{Encodes: 1, Conflicts: 10, Reductions: 1, NormCacheEntries: 5, LiftQueries: 3,
 		LiftP50: time.Millisecond, ReportCacheHits: 2}
-	b := engine.Stats{Encodes: 2, Conflicts: 5, CoreLearnts: 3, LiftQueries: 4,
+	b := engine.Stats{Encodes: 2, Conflicts: 5, Reductions: 2, NormCacheEntries: 3, LiftQueries: 4,
 		LiftP50: time.Second, ReportCacheHits: 1}
 	a.LBDHist[0], b.LBDHist[0] = 7, 8
 	a.Add(b)
-	if a.Encodes != 3 || a.Conflicts != 15 || a.LiftQueries != 7 || a.ReportCacheHits != 3 {
+	if a.Encodes != 3 || a.Conflicts != 15 || a.Reductions != 3 || a.LiftQueries != 7 || a.ReportCacheHits != 3 {
 		t.Fatalf("summed counters wrong: %+v", a)
 	}
-	if a.CoreLearnts != 5 {
-		t.Fatalf("CoreLearnts = %d, want max 5", a.CoreLearnts)
+	if a.NormCacheEntries != 5 {
+		t.Fatalf("NormCacheEntries = %d, want max 5", a.NormCacheEntries)
 	}
 	if a.LBDHist[0] != 15 {
 		t.Fatalf("LBDHist[0] = %d, want 15", a.LBDHist[0])

@@ -26,16 +26,11 @@ const DefaultMaxModels = 512
 
 // Budget bounds the resources an explanation query may spend, across
 // every layer of the stack. The zero value means unlimited (except for
-// model enumeration, which falls back to DefaultMaxModels). It
-// replaces the ad-hoc per-layer knobs (the raw SAT conflict budget and
-// the lifting model cap) with one value plumbed down from the top.
+// model enumeration, which falls back to DefaultMaxModels).
 type Budget struct {
 	// Deadline is the wall-clock instant after which queries abort
 	// with context.DeadlineExceeded. Zero means no deadline.
 	Deadline time.Time
-	// MaxConflicts bounds the conflicts any single SAT solve may
-	// spend before returning Unknown. Zero or negative means no bound.
-	MaxConflicts int64
 	// MaxModels bounds model enumeration during sufficiency checking.
 	// Zero means DefaultMaxModels.
 	MaxModels int
@@ -96,24 +91,19 @@ type Stats struct {
 	Decisions    uint64
 	Learnt       uint64
 	// BinPropagations is the subset of Propagations served by the
-	// solver's dedicated binary implication lists; Restarts and
-	// MinimizedLits total search restarts and the literals deleted
-	// from learnt clauses by minimization; LBDSum totals learnt-clause
-	// glue (LBDSum/Learnt is the mean LBD); LBDHist buckets learnt
-	// clauses by glue (bucket i = LBD i+1, last bucket absorbs
-	// overflow) — fixed-size array, so serialized order is stable.
+	// solver's dedicated binary implication lists; Restarts,
+	// Reductions and MinimizedLits total search restarts,
+	// learnt-database reductions and the literals deleted from learnt
+	// clauses by minimization; LBDSum totals learnt-clause glue
+	// (LBDSum/Learnt is the mean LBD); LBDHist buckets learnt clauses
+	// by glue (bucket i = LBD i+1, last bucket absorbs overflow) —
+	// fixed-size array, so serialized order is stable.
 	BinPropagations uint64
 	Restarts        uint64
-	BlockedRestarts uint64
+	Reductions      uint64
 	MinimizedLits   uint64
 	LBDSum          uint64
 	LBDHist         [8]uint64
-	// CoreLearnts, MidLearnts, and LocalLearnts are the peak sizes of
-	// the tiered learnt-clause database observed across every solver
-	// harvested into the session.
-	CoreLearnts  int
-	MidLearnts   int
-	LocalLearnts int
 	// WarmSolverHits and WarmSolverMisses are retired and always zero:
 	// solvers are query-scoped, so there is no warm pool to hit or
 	// miss. They stay in the stats schema because the netperf benchmark
@@ -171,11 +161,10 @@ type Stats struct {
 
 // Add folds o into s for cross-session aggregation (a session pool
 // summing retired and live sessions into one snapshot). Counters are
-// summed; the tier gauges (peak learnt-database sizes) and cache-size
-// gauges take the max, since they are point-in-time peaks rather than
-// flows. The lift percentiles are zeroed: they cannot be combined from
-// two summaries — aggregators recompute them over the merged sample
-// windows (Session.LiftSamples).
+// summed; the cache-size gauges take the max, since they are
+// point-in-time peaks rather than flows. The lift percentiles are
+// zeroed: they cannot be combined from two summaries — aggregators
+// recompute them over the merged sample windows (Session.LiftSamples).
 func (s *Stats) Add(o Stats) {
 	s.BaseEncodes += o.BaseEncodes
 	s.Encodes += o.Encodes
@@ -192,20 +181,11 @@ func (s *Stats) Add(o Stats) {
 	s.Learnt += o.Learnt
 	s.BinPropagations += o.BinPropagations
 	s.Restarts += o.Restarts
-	s.BlockedRestarts += o.BlockedRestarts
+	s.Reductions += o.Reductions
 	s.MinimizedLits += o.MinimizedLits
 	s.LBDSum += o.LBDSum
 	for i := range o.LBDHist {
 		s.LBDHist[i] += o.LBDHist[i]
-	}
-	if o.CoreLearnts > s.CoreLearnts {
-		s.CoreLearnts = o.CoreLearnts
-	}
-	if o.MidLearnts > s.MidLearnts {
-		s.MidLearnts = o.MidLearnts
-	}
-	if o.LocalLearnts > s.LocalLearnts {
-		s.LocalLearnts = o.LocalLearnts
 	}
 	s.WarmSolverHits += o.WarmSolverHits
 	s.WarmSolverMisses += o.WarmSolverMisses

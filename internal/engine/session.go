@@ -43,11 +43,6 @@ type CacheLimits struct {
 	// LiftSamples caps the lift-latency sample window the percentile
 	// stats are computed over (most recent samples are kept).
 	LiftSamples int
-	// StreamWindow bounds how many rendered router sections a streaming
-	// report (core.Explainer.WriteReport) may hold buffered awaiting
-	// in-order flush. Zero picks a default proportional to the worker
-	// count.
-	StreamWindow int
 }
 
 // Session is the shared state of one deployment's explanation queries:
@@ -69,7 +64,7 @@ type Session struct {
 	in *logic.Interner
 
 	// Budget bounds the resources of queries run through this session.
-	// Callers read it to derive deadlines and solver budgets; it is not
+	// Callers read it to derive deadlines and the model cap; it is not
 	// mutated by the session itself and must be set before the session
 	// is shared across goroutines.
 	Budget Budget
@@ -96,8 +91,6 @@ type Session struct {
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
 	liftCap int     // sample-window cap (0 = DefaultLiftSampleCap)
-	// streamWin is CacheLimits.StreamWindow (0 = derive from workers).
-	streamWin int
 
 	// simps is the per-seed outcome cache, keyed by the canonical
 	// (interned) seed term. Simplification is a pure function of the
@@ -384,7 +377,6 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 	}
 	prev.mu.Lock()
 	s.liftCap = prev.liftCap
-	s.streamWin = prev.streamWin
 	prev.mu.Unlock()
 	return s
 }
@@ -397,18 +389,8 @@ func (s *Session) SetCacheLimits(l CacheLimits) {
 	s.simps.setLimit(l.Simplify)
 	s.mu.Lock()
 	s.liftCap = l.LiftSamples
-	s.streamWin = l.StreamWindow
 	s.trimLiftLocked()
 	s.mu.Unlock()
-}
-
-// StreamWindow returns the configured streaming-report buffer bound
-// (CacheLimits.StreamWindow); zero means the caller derives a default
-// from its worker count.
-func (s *Session) StreamWindow() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streamWin
 }
 
 // trimLiftLocked keeps only the most recent liftCap samples. Caller
@@ -574,20 +556,11 @@ func (s *Session) AddSolverStats(st sat.Stats) {
 	s.stats.Learnt += st.Learnt
 	s.stats.BinPropagations += st.BinPropagations
 	s.stats.Restarts += st.Restarts
-	s.stats.BlockedRestarts += st.BlockedRestarts
+	s.stats.Reductions += st.Reductions
 	s.stats.MinimizedLits += st.MinimizedLits
 	s.stats.LBDSum += st.LBDSum
 	for i := range st.LBDHist {
 		s.stats.LBDHist[i] += st.LBDHist[i]
-	}
-	if st.CoreLearnts > s.stats.CoreLearnts {
-		s.stats.CoreLearnts = st.CoreLearnts
-	}
-	if st.MidLearnts > s.stats.MidLearnts {
-		s.stats.MidLearnts = st.MidLearnts
-	}
-	if st.LocalLearnts > s.stats.LocalLearnts {
-		s.stats.LocalLearnts = st.LocalLearnts
 	}
 	s.mu.Unlock()
 }

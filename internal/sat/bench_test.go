@@ -6,11 +6,10 @@ import (
 )
 
 // The microbenchmarks below are the SAT-level half of the satcore
-// performance story (BENCH_satcore.json): each one isolates a hot path
-// the Glucose-class upgrade targets — binary-clause propagation,
-// learnt-database reduction, and raw search on hard instances. They
-// are fully deterministic (fixed seeds, no wall-clock dependence) so
-// before/after runs compare the same work.
+// performance story: each one isolates a hot path — binary-clause
+// propagation, learnt-database reduction, and raw search on hard
+// instances. They are fully deterministic (fixed seeds, no wall-clock
+// dependence) so before/after runs compare the same work.
 
 // Named seeds for the random-3SAT benchmark generators. The BENCH_*.json
 // methodology notes refer to these by name: the "hard" seed pins the
@@ -51,13 +50,13 @@ func BenchmarkSolvePigeonhole(b *testing.B) {
 // BenchmarkSolveRandom3SATHard measures search on a hard random 3-SAT
 // instance near the phase transition (ratio ~4.3). The instance is
 // large enough to trigger repeated learnt-database reductions, so
-// clause-management cost (sorting, tier selection) shows up here too.
+// clause-management cost (sorting) shows up here too.
 func BenchmarkSolveRandom3SATHard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSolver()
 		addRandom3SAT(s, 130, 559, benchSeedHard3SAT)
 		if s.Solve() == Unknown {
-			b.Fatal("unexpected Unknown without a budget")
+			b.Fatal("unexpected Unknown without a cancelled context")
 		}
 	}
 }
@@ -70,7 +69,27 @@ func BenchmarkSolveRandom3SATSat(b *testing.B) {
 		s := NewSolver()
 		addRandom3SAT(s, 200, 800, benchSeedSat3SAT)
 		if s.Solve() == Unknown {
-			b.Fatal("unexpected Unknown without a budget")
+			b.Fatal("unexpected Unknown without a cancelled context")
+		}
+	}
+}
+
+// BenchmarkSolveRandom3SATFamily measures search over families rather
+// than one pinned seed: each op solves seeds 100-129 of both pinned
+// shapes (200 vars / 800 clauses and 130 vars / 559 clauses), so a
+// search-policy change is judged on sixty instances of both verdicts
+// instead of on one lucky or unlucky seed.
+func BenchmarkSolveRandom3SATFamily(b *testing.B) {
+	shapes := [][2]int{{200, 800}, {130, 559}}
+	for i := 0; i < b.N; i++ {
+		for seed := int64(100); seed < 130; seed++ {
+			for _, sh := range shapes {
+				s := NewSolver()
+				addRandom3SAT(s, sh[0], sh[1], seed)
+				if s.Solve() == Unknown {
+					b.Fatal("unexpected Unknown without a cancelled context")
+				}
+			}
 		}
 	}
 }

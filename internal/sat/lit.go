@@ -89,8 +89,8 @@ func boolToLBool(b bool) LBool {
 type Status int
 
 const (
-	// Unknown is returned when the solver hit its conflict budget
-	// before deciding the instance.
+	// Unknown is returned when SolveContext's context was cancelled
+	// or expired before the instance was decided.
 	Unknown Status = iota
 	// Sat means a satisfying assignment was found (readable via Value).
 	Sat

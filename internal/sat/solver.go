@@ -17,9 +17,6 @@ type Stats struct {
 	BinPropagations uint64
 	Conflicts       uint64
 	Restarts        uint64
-	// BlockedRestarts counts adaptive restarts postponed because the
-	// trail was still growing (the solver looked close to a model).
-	BlockedRestarts uint64
 	Learnt          uint64
 	// MinimizedLits totals the literals removed from learnt clauses by
 	// deep (recursive) minimization and binary-resolution shrinking.
@@ -34,17 +31,8 @@ type Stats struct {
 	// clauses they deleted.
 	Reductions     uint64
 	RemovedClauses uint64
-	// ModeSwitches counts restart-mode window flips (focused <->
-	// stable) of the alternating restart schedule.
-	ModeSwitches uint64
-	MaxVars      int
-	Clauses      int
-	// CoreLearnts, MidLearnts, and LocalLearnts gauge the tiered
-	// learnt-clause database (glue<=2 / glue<=6 / rest) as of the last
-	// reduction or solve.
-	CoreLearnts  int
-	MidLearnts   int
-	LocalLearnts int
+	MaxVars        int
+	Clauses        int
 }
 
 type clause struct {
@@ -53,23 +41,13 @@ type clause struct {
 	activity float64
 	// lbd is the literal block distance (glue) of a learnt clause: the
 	// number of distinct decision levels among its literals when it was
-	// derived, tightened whenever conflict analysis revisits the clause
-	// at a lower value. Zero for problem clauses.
+	// derived. Zero for problem clauses.
 	lbd int32
-	// protect grants a mid-tier learnt clause (lbd <= midLBD) one round
-	// of grace in reduceDB; it is set whenever the clause participates
-	// in conflict analysis and cleared by the reduction that honors it.
-	protect bool
 }
 
-// Clause-management tiers, following Glucose: glue clauses
-// (lbd <= coreLBD) are kept forever, mid-tier clauses (lbd <= midLBD)
-// survive reductions while they keep participating in conflicts, and
-// everything else competes on activity.
-const (
-	coreLBD = 2
-	midLBD  = 6
-)
+// shrinkLBD is the glue bound of binary-resolution shrinking: analyze
+// runs binShrink only on learnt clauses whose LBD is at most this.
+const shrinkLBD = 6
 
 // watcher pairs a watching clause with a "blocker" literal: if the
 // blocker is already true the clause is satisfied and need not be
@@ -102,55 +80,11 @@ type ternWatch struct {
 	c      *clause
 }
 
-// Adaptive restart policy parameters (see restartNow): exponential
-// moving averages of learnt-clause LBD over a short and a long window,
-// compared Glucose-style, with restarts blocked while the trail is
-// far above its long-run average and a Luby schedule as fallback cap.
-const (
-	lbdEmaFastAlpha = 1.0 / 32
-	lbdEmaSlowAlpha = 1.0 / 4096
-	trailEmaAlpha   = 1.0 / 4096
-	// restartMargin is Glucose's K (0.8) expressed as fast/slow:
-	// restart once fast > slow/K.
-	restartMargin = 1.25
-	// blockMargin is Glucose's R: a conflict trail this far above the
-	// long-run average blocks the pending restart.
-	blockMargin = 1.4
-	// restartMinConflicts is the EMA warm-up: no adaptive restart
-	// before this many conflicts in the current search phase.
-	restartMinConflicts = 32
-	// lubyRestartBase scales the Luby fallback schedule that bounds
-	// how long any single search phase may run even when the adaptive
-	// policy never fires. It is deliberately long: the adaptive signal
-	// is in charge, and the fallback only caps pathological phases.
-	lubyRestartBase = 1024
-)
-
-// Restart-mode alternation. A solve opens
-// in a focused window (aggressive Luby restarts — the policy that
-// predates the adaptive one, and the faster choice on uniformly
-// hard, typically overconstrained-unsat instances), then flips to a
-// stable window (glue-adaptive restarts with trail blocking — the
-// faster choice when the instance has a model to close in on), and
-// alternates with the window doubling at every flip so both regimes
-// get asymptotically long runs on big instances.
-//
-// Why not the one-way "fall back to Luby on uniformly high glue"
-// escape latch: on random 3-SAT near the phase transition, sat and
-// unsat instances are statistically indistinguishable by glue EMAs
-// (measured here: slow EMA ~5-6.5 on the 130-var unsat family,
-// ~9-10.5 on the 200-var sat family — glue tracks instance scale, not
-// satisfiability), so any threshold that catches the unsat family
-// also latches satisfiable instances into a 20x regression.
-// Alternation instead bounds the loss on either family by the window
-// overhead, without guessing the family up front.
-//
-// focusedWindowInit is the first focused window's conflict budget, and
-// focusedLubyBase scales the Luby schedule of focused windows.
-const (
-	focusedWindowInit = 512
-	focusedLubyBase   = 100
-)
+// lubyBase scales the restart schedule: the i-th search phase of a
+// solve (0-based) runs until it has spent luby(lubyBase, i) conflicts,
+// i.e. 100, 100, 200, 100, 100, 200, 400, ... Every solve starts the
+// sequence over.
+const lubyBase = 100
 
 // varDecay is the VSIDS activity decay factor: smaller decays faster
 // (more reactive branching).
@@ -203,22 +137,9 @@ type Solver struct {
 	levelMark  []uint64
 	levelStamp uint64
 
-	// Adaptive restart state: EMAs of learnt LBD (short/long window)
-	// and of the conflict-time trail size, plus the count of conflicts
-	// folded in (for EMA warm-up) and the per-solve restart index that
-	// drives the Luby fallback schedule.
-	lbdEmaFast float64
-	lbdEmaSlow float64
-	trailEma   float64
-	emaConfl   uint64
+	// restartIdx is the index into the Luby restart schedule of the
+	// current search phase, re-armed per solve.
 	restartIdx uint64
-
-	// Mode-alternation state, re-armed per solve: modeFocused is the
-	// active window kind, modeBudget the conflicts left in it,
-	// modeWindow the current window length.
-	modeFocused bool
-	modeBudget  int64
-	modeWindow  int64
 
 	claInc float64
 
@@ -231,10 +152,6 @@ type Solver struct {
 	// lemma so it is recorded exactly once.
 	proof       ProofWriter
 	emptyLogged bool
-
-	// ConflictBudget bounds the number of conflicts a Solve call may
-	// spend before returning Unknown. Zero or negative means no bound.
-	ConflictBudget int64
 
 	Stats Stats
 }
@@ -555,15 +472,6 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int, int32) {
 		}
 		if c.learnt {
 			s.bumpClause(c)
-			// Glucose: tighten the stored glue when the clause shows up
-			// in analysis at a lower LBD, and shield it from the next
-			// reduction — it is earning its keep.
-			if c.lbd > coreLBD {
-				if nl := s.computeLBD(c.lits); nl < c.lbd {
-					c.lbd = nl
-				}
-			}
-			c.protect = true
 		}
 		for _, q := range c.lits[start:] {
 			v := q.Var()
@@ -617,7 +525,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int, int32) {
 
 	// Binary-resolution shrinking on small, low-glue clauses.
 	if len(learnt) <= 30 {
-		if lbd := s.computeLBD(learnt); lbd <= midLBD {
+		if lbd := s.computeLBD(learnt); lbd <= shrinkLBD {
 			learnt = s.binShrink(learnt)
 		}
 	}
@@ -874,82 +782,6 @@ func luby(base float64, i uint64) float64 {
 	return base * math.Pow(2, float64(seq))
 }
 
-// noteConflict folds one conflict's LBD and trail size into the
-// restart EMAs. Warm-up uses an effective alpha of 1/n so the averages
-// start as plain means instead of crawling up from zero.
-func (s *Solver) noteConflict(lbd int32) {
-	s.emaConfl++
-	ema := func(e *float64, sample, alpha float64) {
-		if inv := 1.0 / float64(s.emaConfl); inv > alpha {
-			alpha = inv
-		}
-		*e += alpha * (sample - *e)
-	}
-	ema(&s.lbdEmaFast, float64(lbd), lbdEmaFastAlpha)
-	ema(&s.lbdEmaSlow, float64(lbd), lbdEmaSlowAlpha)
-	ema(&s.trailEma, float64(len(s.trail)), trailEmaAlpha)
-	s.modeBudget--
-}
-
-// flipMode ends the current restart-mode window: the other mode takes
-// over with a doubled window, its Luby index starting over.
-func (s *Solver) flipMode() {
-	s.modeFocused = !s.modeFocused
-	s.modeWindow *= 2
-	s.modeBudget = s.modeWindow
-	s.restartIdx = 0
-	s.Stats.ModeSwitches++
-	// Re-arm the target-phase tracker: the outgoing mode's deepest
-	// trail is its notion of near-model progress, and pinning the
-	// incoming mode's branching to it drags the search straight back
-	// into the region the old mode was stuck in.
-	s.bestTrail = 0
-	for i := range s.targetPhase {
-		s.targetPhase[i] = LUndef
-	}
-}
-
-// restartNow decides whether the current search phase should end. The
-// primary signal is Glucose's: recent learnt clauses gluing much worse
-// than the long-run average means the search has drifted somewhere
-// unproductive. A restart that fires while the trail towers over its
-// long-run average is blocked instead — the solver appears to be
-// closing in on a model. The Luby schedule is a fallback cap so a
-// phase cannot run unboundedly when the adaptive signal stays quiet.
-func (s *Solver) restartNow(conflicts int64) bool {
-	if conflicts <= 0 {
-		return false
-	}
-	if s.modeBudget <= 0 {
-		// Window spent: mode boundaries are restart points.
-		s.flipMode()
-		return true
-	}
-	if s.modeFocused {
-		// Focused: plain aggressive Luby, no adaptive signal, no
-		// blocking.
-		return conflicts >= int64(luby(focusedLubyBase, s.restartIdx))
-	}
-	// Stable: the glue-adaptive policy.
-	if conflicts >= int64(luby(lubyRestartBase, s.restartIdx)) {
-		return true
-	}
-	if conflicts < restartMinConflicts {
-		return false
-	}
-	if s.lbdEmaFast <= restartMargin*s.lbdEmaSlow {
-		return false
-	}
-	if float64(len(s.trail)) > blockMargin*s.trailEma {
-		s.Stats.BlockedRestarts++
-		// Postpone: forget the recent glue spike so the condition must
-		// re-establish itself before firing again.
-		s.lbdEmaFast = s.lbdEmaSlow
-		return false
-	}
-	return true
-}
-
 // locked reports whether the clause is the reason of a current
 // assignment and therefore must not be deleted. Reason clauses lead
 // with the literal they imply, so this is two loads and two compares —
@@ -958,14 +790,11 @@ func (s *Solver) locked(c *clause) bool {
 	return s.value(c.lits[0]) == LTrue && s.reason[c.lits[0].Var()] == c
 }
 
-// reduceDB trims the learnt-clause database, Glucose-style: clauses
-// are ranked worst-first by (glue descending, activity ascending) and
-// the worst half is deleted — except glue clauses (lbd <= coreLBD,
-// kept forever), binary clauses (kept: they cost nothing to keep and
-// propagate from the dense lists), locked clauses (reasons of current
-// assignments), and mid-tier clauses (lbd <= midLBD) that took part in
-// a conflict since the last reduction, which spend their protection
-// instead of their life.
+// reduceDB trims the learnt-clause database: clauses are ranked
+// worst-first by (glue descending, activity ascending) and the worst
+// half is deleted. Only binary clauses (they cost nothing to keep and
+// propagate from the dense lists) and locked clauses (reasons of
+// current assignments) are immune.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
@@ -983,37 +812,16 @@ func (s *Solver) reduceDB() {
 	removed := 0
 	keep := learnts[:0:0]
 	for _, c := range learnts {
-		switch {
-		case removed >= target, len(c.lits) == 2, c.lbd <= coreLBD, s.locked(c):
+		if removed >= target || len(c.lits) == 2 || s.locked(c) {
 			keep = append(keep, c)
-		case c.lbd <= midLBD && c.protect:
-			c.protect = false
-			keep = append(keep, c)
-		default:
-			s.detach(c)
-			s.logProof(ProofDelete, c.lits)
-			removed++
+			continue
 		}
+		s.detach(c)
+		s.logProof(ProofDelete, c.lits)
+		removed++
 	}
 	s.learnts = keep
 	s.Stats.RemovedClauses += uint64(removed)
-	s.updateTierGauges()
-}
-
-// updateTierGauges snapshots the tiered learnt-database sizes.
-func (s *Solver) updateTierGauges() {
-	var core, mid, local int
-	for _, c := range s.learnts {
-		switch {
-		case c.lbd <= coreLBD:
-			core++
-		case c.lbd <= midLBD:
-			mid++
-		default:
-			local++
-		}
-	}
-	s.Stats.CoreLearnts, s.Stats.MidLearnts, s.Stats.LocalLearnts = core, mid, local
 }
 
 // detach removes the clause from its propagation index (the binary
@@ -1084,38 +892,26 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 	}
 	s.assumptions = assumptions
 	defer s.cancelUntil(0)
-	defer s.updateTierGauges()
 
-	// Re-arm the target-phase tracker. Targets do not survive across
-	// solves: under incremental use (model enumeration with blocking
-	// clauses, shifting assumption sets) a stale target steers the
-	// search straight back into the region the caller just forbade,
-	// and measurably inflates conflicts. Plain phase saving carries
-	// the long-lived polarity memory instead.
+	// Re-arm the restart schedule and the target-phase tracker.
+	// Targets do not survive across solves: under incremental use
+	// (model enumeration with blocking clauses, shifting assumption
+	// sets) a stale target steers the search straight back into the
+	// region the caller just forbade, and measurably inflates
+	// conflicts. Plain phase saving carries the long-lived polarity
+	// memory instead.
 	s.bestTrail = 0
 	s.restartIdx = 0
-	// Re-arm restart-mode alternation: every solve opens focused.
-	s.modeFocused = true
-	s.modeWindow = focusedWindowInit
-	s.modeBudget = focusedWindowInit
 	for i := range s.targetPhase {
 		s.targetPhase[i] = LUndef
 	}
 
 	maxLearnts := float64(len(s.clauses))/3 + 100
-	conflictsAtStart := s.Stats.Conflicts
 	for {
 		if err := ctx.Err(); err != nil {
 			return Unknown, err
 		}
-		remaining := int64(-1)
-		if s.ConflictBudget > 0 {
-			remaining = s.ConflictBudget - int64(s.Stats.Conflicts-conflictsAtStart)
-			if remaining <= 0 {
-				return Unknown, nil
-			}
-		}
-		st := s.search(ctx, remaining, &maxLearnts)
+		st := s.search(ctx, &maxLearnts)
 		if st == Sat {
 			// Reuse the model buffer across solves: enumeration-style
 			// callers (model counting, lift probes) solve thousands of
@@ -1137,9 +933,6 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 		}
 		s.restartIdx++
 		s.Stats.Restarts++
-		if s.ConflictBudget > 0 && int64(s.Stats.Conflicts-conflictsAtStart) >= s.ConflictBudget {
-			return Unknown, nil
-		}
 	}
 }
 
@@ -1153,12 +946,12 @@ func (s *Solver) Core() []Lit { return s.core }
 // latency well below a restart interval.
 const ctxCheckInterval = 64
 
-// search runs CDCL until a result, a restart (decided adaptively, or
-// forced by the conflict budget via remaining >= 0), a cancelled
-// context (both surface as Unknown; the caller re-checks the context
-// and the budget), or unsat.
-func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float64) Status {
+// search runs CDCL until a result, a restart (once the phase has
+// spent its Luby allotment of conflicts), or a cancelled context (both
+// surface as Unknown; the caller re-checks the context).
+func (s *Solver) search(ctx context.Context, maxLearnts *float64) Status {
 	var conflicts, iter int64
+	limit := int64(luby(lubyBase, s.restartIdx))
 	for {
 		if iter%ctxCheckInterval == 0 && ctx.Err() != nil {
 			s.cancelUntil(0)
@@ -1188,12 +981,11 @@ func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float6
 			// checker needs units too, because the solver keeps them
 			// only as trail assignments, never as clauses.
 			s.logProof(ProofLearn, learnt)
-			s.noteConflict(lbd)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: lbd, protect: true}
+				c := &clause{lits: learnt, learnt: true, lbd: lbd}
 				s.learnts = append(s.learnts, c)
 				s.Stats.Learnt++
 				s.Stats.LBDSum += uint64(lbd)
@@ -1213,13 +1005,9 @@ func (s *Solver) search(ctx context.Context, remaining int64, maxLearnts *float6
 			continue
 		}
 
-		// No conflict. A restart is due when the budget slice is spent
-		// or the adaptive policy fires.
-		if remaining >= 0 && conflicts >= remaining {
-			s.cancelUntil(0)
-			return Unknown
-		}
-		if s.restartNow(conflicts) {
+		// No conflict. A restart is due once the phase's allotment is
+		// spent.
+		if conflicts >= limit {
 			s.cancelUntil(0)
 			return Unknown
 		}

@@ -206,6 +206,22 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+func TestStatusStrings(t *testing.T) {
+	cases := map[Status]string{Sat: "sat", Unsat: "unsat", Unknown: "unknown"}
+	for st, want := range cases {
+		if st.String() != want {
+			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
+		}
+	}
+	if LTrue.String() != "true" || LFalse.String() != "false" || LUndef.String() != "undef" {
+		t.Error("LBool strings wrong")
+	}
+	l := PosLit(3)
+	if l.String() != "x3" || l.Neg().String() != "!x3" {
+		t.Errorf("lit strings: %s %s", l, l.Neg())
+	}
+}
+
 func TestLuby(t *testing.T) {
 	want := []float64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
 	for i, w := range want {

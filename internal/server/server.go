@@ -60,9 +60,8 @@ type Options struct {
 	VerifyProofs bool
 	// CacheLimits bounds each pooled session's internal caches. The
 	// zero value applies serving defaults (report bytes 64 MiB,
-	// simplify 4096, lift samples DefaultLiftSampleCap, stream window
-	// 4x workers) rather than the CLI's unlimited ones; set a field
-	// negative to make it unlimited.
+	// simplify 4096, lift samples DefaultLiftSampleCap) rather than the
+	// CLI's unlimited ones; set a field negative to make it unlimited.
 	CacheLimits engine.CacheLimits
 }
 
@@ -109,10 +108,9 @@ func resolveLimits(l engine.CacheLimits) engine.CacheLimits {
 		return v
 	}
 	return engine.CacheLimits{
-		ReportBytes:  def64(l.ReportBytes, 64<<20),
-		Simplify:     def(l.Simplify, 4096),
-		LiftSamples:  def(l.LiftSamples, engine.DefaultLiftSampleCap),
-		StreamWindow: l.StreamWindow,
+		ReportBytes: def64(l.ReportBytes, 64<<20),
+		Simplify:    def(l.Simplify, 4096),
+		LiftSamples: def(l.LiftSamples, engine.DefaultLiftSampleCap),
 	}
 }
 
@@ -317,9 +315,9 @@ func (s *Server) admit(ctx context.Context) error {
 }
 
 // budgetFor clamps the request's timeout against the server limit and
-// builds the per-request budget. MaxConflicts and MaxModels
-// stay zero: they are part of the lift splice signature, and varying
-// them per request would needlessly invalidate cached lift artifacts.
+// builds the per-request budget. MaxModels stays zero: it is part of
+// the lift splice signature, and varying it per request would
+// needlessly invalidate cached lift artifacts.
 func (s *Server) budgetFor(req *request) (engine.Budget, time.Duration) {
 	d := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -504,8 +502,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		testAfterLease()
 	}
 	// The lease is exclusive: the per-request knobs can be set directly.
-	// MaxConflicts/MaxModels stay zero so the lift splice signature is
-	// constant across requests (see budgetFor).
+	// MaxModels stays zero so the lift splice signature is constant
+	// across requests (see budgetFor).
 	e.Opts.Lift = lift
 	e.Opts.Budget = budget
 	e.Session.Budget = budget

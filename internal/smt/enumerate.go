@@ -44,10 +44,12 @@ func (s *Solver) EnumerateModelsContext(ctx context.Context, vars []*logic.Var, 
 			return count, true, nil
 		}
 		if st != sat.Sat {
-			// Unknown: a conflict budget ran out mid-walk. That is not
-			// exhaustion — claiming it was would let a truncated walk
-			// masquerade as a complete one (and, under proof
-			// verification, there would be no Unsat verdict to check).
+			// Unknown comes only from a cancelled context, which
+			// returned its error above. Should it ever come back
+			// without one, it is still not exhaustion: claiming it was
+			// would let a truncated walk masquerade as a complete one
+			// (and, under proof verification, there would be no Unsat
+			// verdict to check).
 			return count, false, nil
 		}
 		full, err := s.Model()

@@ -153,13 +153,6 @@ func (s *Solver) UseInterner(in *logic.Interner) {
 	}
 }
 
-// SetConflictBudget bounds the number of conflicts any single Solve
-// call may spend before coming back Unknown. Zero or negative removes
-// the bound. This is the SAT-level half of an engine.Budget.
-func (s *Solver) SetConflictBudget(n int64) {
-	s.sat.ConflictBudget = n
-}
-
 // NumSATVars reports how many propositional variables the encoding has
 // allocated so far.
 func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
