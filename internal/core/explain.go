@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,8 +29,8 @@ type Options struct {
 	// path patterns during lifting.
 	MaxPatternNodes int
 	// Budget bounds the resources explanation queries may spend: a
-	// wall-clock deadline, a per-solve conflict cap, and the model
-	// cap of the sufficiency check. The zero value means unlimited.
+	// wall-clock deadline (zero: none) and the model cap of the
+	// sufficiency check (zero: engine.DefaultMaxModels).
 	Budget engine.Budget
 	// VerifyProofs makes every solver record a DRAT-style proof trace
 	// and re-validates each Unsat verdict with the independent checker
@@ -328,14 +329,17 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	// Step 4: lifting — spliced from the cross-deployment report cache
 	// when the cached entry was computed from the live encoding's exact
 	// lift inputs (a repeat query, or a router an edit left alone),
-	// recomputed (and cached) otherwise.
+	// recomputed (and cached) otherwise. Every lift clause speaks about
+	// routes through the router, so its candidate paths are the only
+	// paths the lift, the splice gate and the cached entry read.
 	if e.Opts.Lift {
+		paths := enc.PathInfosThrough(router)
 		liftKey := "lift|" + encodeKey(router, targets)
 		cache := e.Session.ReportCache()
 		spliced := false
 		if v, ok := cache.Get(liftKey); ok {
 			if ent, ok := v.(*liftEntry); ok {
-				if e.liftEntryValid(ent, ex, enc) {
+				if e.liftEntryValid(ent, ex, paths) {
 					ex.Subspec = ent.block
 					ex.SubspecComplete = ent.complete
 					spliced = true
@@ -346,7 +350,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 			e.noteMissing(router)
 		}
 		if !spliced {
-			block, complete, err := e.lift(ctx, router, enc, ex)
+			block, complete, err := e.lift(ctx, router, enc, ex, paths)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +363,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 			seed:       enc.Constraints,
 			simplified: ex.Simplified,
 			holes:      ex.HoleVars,
-			paths:      enc.PathInfos(),
+			paths:      paths,
 			optsSig:    e.liftOptsSig(),
 			block:      ex.Subspec,
 			complete:   ex.SubspecComplete,
@@ -376,15 +380,16 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 // cross-deployment report cache, together with everything needed to
 // decide whether it can be spliced into a later generation's report.
 // The lift stage is a function of (simplified normal form, candidate
-// paths, hole variables, lift options) alone, and terms are
-// hash-consed, so pointer equality on each certifies the same inputs
-// (variables intern with their sort, so a changed enum domain yields a
-// different pointer). See DESIGN.md ("Incremental re-explanation").
+// paths through the router, hole variables, lift options) alone, and
+// terms are hash-consed, so pointer equality on each certifies the same
+// inputs (variables intern with their sort, so a changed enum domain
+// yields a different pointer). See DESIGN.md ("Incremental
+// re-explanation").
 type liftEntry struct {
 	seed       []logic.Term // raw seed conjuncts of the generation that produced the entry
 	simplified logic.Term
 	holes      map[string]*logic.Var
-	paths      []synth.PathInfo
+	paths      []synth.PathInfo // Encoding.PathInfosThrough(router)
 	optsSig    string
 	block      *spec.Block
 	complete   bool
@@ -422,9 +427,10 @@ func (e *Explainer) liftOptsSig() string {
 }
 
 // liftEntryValid reports whether the cached entry's lift inputs are
-// identical to the live encoding's. Every term comparison is a pointer
-// comparison (hash-consing).
-func (e *Explainer) liftEntryValid(ent *liftEntry, ex *Explanation, enc *synth.Encoding) bool {
+// identical to the live explanation's and its candidate paths through
+// the router. Every term comparison is a pointer comparison
+// (hash-consing).
+func (e *Explainer) liftEntryValid(ent *liftEntry, ex *Explanation, paths []synth.PathInfo) bool {
 	if ent.optsSig != e.liftOptsSig() || ent.simplified != ex.Simplified {
 		return false
 	}
@@ -436,7 +442,6 @@ func (e *Explainer) liftEntryValid(ent *liftEntry, ex *Explanation, enc *synth.E
 			return false
 		}
 	}
-	paths := enc.PathInfos()
 	if len(ent.paths) != len(paths) {
 		return false
 	}
@@ -469,30 +474,34 @@ func (e *Explainer) noteDelta(router string, ent *liftEntry, enc *synth.Encoding
 	if e.diffInfo == nil {
 		return
 	}
-	old := make(map[logic.Term]bool, len(ent.seed))
-	for _, c := range ent.seed {
-		old[c] = true
-	}
-	var editSig uint64
-	delta := 0
-	for _, c := range enc.Constraints {
-		if old[c] {
-			delete(old, c)
-			continue
+	d := &routerDelta{spliced: spliced}
+	// A router the edit left alone, the common case in a sweep,
+	// re-derives the cached generation's conjuncts pointer for pointer:
+	// its delta is zero without a set of seed terms.
+	if !slices.Equal(ent.seed, enc.Constraints) {
+		old := make(map[logic.Term]bool, len(ent.seed))
+		for _, c := range ent.seed {
+			old[c] = true
 		}
-		delta++
-		editSig |= logic.Signature(c)
-	}
-	for c := range old {
-		delta++
-		editSig |= logic.Signature(c)
-	}
-	cone := 0
-	if delta > 0 {
-		cone = len(rewrite.Cone(enc.Constraints, editSig))
+		var editSig uint64
+		for _, c := range enc.Constraints {
+			if old[c] {
+				delete(old, c)
+				continue
+			}
+			d.seedDelta++
+			editSig |= logic.Signature(c)
+		}
+		for c := range old {
+			d.seedDelta++
+			editSig |= logic.Signature(c)
+		}
+		if d.seedDelta > 0 {
+			d.coneAtoms = len(rewrite.Cone(enc.Constraints, editSig))
+		}
 	}
 	e.diffMu.Lock()
-	e.diffInfo[router] = &routerDelta{spliced: spliced, seedDelta: delta, coneAtoms: cone}
+	e.diffInfo[router] = d
 	e.diffMu.Unlock()
 }
 

@@ -53,13 +53,14 @@ type liftCandidate struct {
 const MaxSufficiencyModels = engine.DefaultMaxModels
 
 // lift runs the lifting pipeline for the router's explanation. Its
-// outcome depends on the simplified seed, the hole variables, the
-// encoding's path infos and the options alone, the inputs the splice
-// gate compares; under VerifyProofs it also reads the raw seed, only to
-// check the link to it. Its solvers live for this call only; explain
-// answers a repeat query against the same inputs from the report cache
-// instead.
-func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding, ex *Explanation) (*spec.Block, bool, error) {
+// outcome depends on the simplified seed, the hole variables, paths
+// (the encoding's candidates through the router,
+// Encoding.PathInfosThrough) and the options alone, the inputs the
+// splice gate compares; under VerifyProofs it also reads the raw seed,
+// only to check the link to it. Its solvers live for this call only;
+// explain answers a repeat query against the same inputs from the
+// report cache instead.
+func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding, ex *Explanation, paths []synth.PathInfo) (*spec.Block, bool, error) {
 	block := &spec.Block{Name: router}
 	if len(ex.HoleVars) == 0 {
 		// Nothing symbolic: the device is unconstrained by
@@ -72,7 +73,7 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	}
 	holeVars := sortedHoleVars(ex.HoleVars)
 
-	cands, err := e.liftCandidates(router, enc, holeNames)
+	cands, err := e.liftCandidates(router, paths, holeNames)
 	if err != nil {
 		return nil, false, err
 	}
@@ -370,9 +371,11 @@ func isPathSuffix(short, long spec.Path) bool {
 }
 
 // liftCandidates enumerates candidate subspecification clauses for the
-// router.
-func (e *Explainer) liftCandidates(router string, enc *synth.Encoding, holeNames map[string]bool) ([]liftCandidate, error) {
-	infos := enc.PathInfos()
+// router from infos, the candidate paths through it. Every clause it
+// builds names the router in a concrete pattern or compares routes
+// ending there, so no occurrence lies on a path that avoids it: over
+// the whole network's list it returns the same clauses and terms.
+func (e *Explainer) liftCandidates(router string, infos []synth.PathInfo, holeNames map[string]bool) ([]liftCandidate, error) {
 	simp := e.normalizer()
 	var out []liftCandidate
 	seen := map[string]bool{}

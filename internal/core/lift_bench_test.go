@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/netgen"
 	"repro/internal/scenarios"
 	"repro/internal/synth"
 )
@@ -74,5 +76,51 @@ func BenchmarkLiftCold(b *testing.B) {
 				explainRouters(b, e, routers)
 			}
 		})
+	}
+}
+
+// BenchmarkReExplainSplice measures the what-if sweep on whatif-edits'
+// graph: one warm lifted explainer on the 60-router fabric alternates
+// ReExplain between the base deployment and a copy with one added MED
+// line. The line changes the edited router's fingerprint but nothing
+// the encoding models, so every op re-encodes each router and splices
+// its cached lift through the gate.
+func BenchmarkReExplainSplice(b *testing.B) {
+	w := whatifFabric(b)
+	var edited config.Deployment
+	for seed := int64(1); edited == nil; seed++ {
+		dep, edits := netgen.Perturb(w.dep, seed, 1)
+		if len(edits) == 1 && edits[0].Kind == "med-change" && strings.Contains(edits[0].Detail, ": med 0 -> ") {
+			edited = dep
+		}
+	}
+	opts := DefaultOptions()
+	opts.Synth = w.synth
+	e, err := NewExplainer(w.net, w.reqs, w.dep, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := e.ReportContext(ctx); err != nil {
+		b.Fatal(err)
+	}
+	deps := []config.Deployment{edited, w.dep}
+	// One untimed round caches the lift entries of both generations (the
+	// edited router's new MED field is a new symbolization target).
+	for _, dep := range deps {
+		if _, err := e.ReExplainContext(ctx, Delta{Deployment: dep}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dr, err := e.ReExplainContext(ctx, Delta{Deployment: deps[i%2]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := dr.Stats; st.FastPath || st.Spliced != len(w.dep) {
+			b.Fatalf("op %d: fast path %t, %d of %d routers spliced", i, st.FastPath, st.Spliced, len(w.dep))
+		}
 	}
 }

@@ -103,7 +103,7 @@ func runLift(e *Explainer, enc *synth.Encoding, ex *Explanation) liftRun {
 		run.solves = append(run.solves, solveRecord{assume, st})
 	}
 	defer func() { testSolveHook = nil }()
-	block, complete, err := e.lift(context.Background(), ex.Router, enc, ex)
+	block, complete, err := e.lift(context.Background(), ex.Router, enc, ex, enc.PathInfosThrough(ex.Router))
 	run.err = err
 	if err == nil {
 		run.block = spec.PrintBlock(block)
@@ -188,7 +188,7 @@ func compareNecessity(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Expla
 	for n := range ex.HoleVars {
 		holeNames[n] = true
 	}
-	cands, err := e.liftCandidates(router, enc, holeNames)
+	cands, err := e.liftCandidates(router, enc.PathInfosThrough(router), holeNames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,13 @@ type Encoding struct {
 	// Stats summarizes encoding size.
 	Stats EncStats
 
-	// paths is materialized on first PathInfos call (lifting needs it;
-	// whole-network sweeps with lifting disabled never pay for it).
-	pathsOnce  sync.Once
-	paths      []PathInfo
-	buildPaths func() []PathInfo
+	// cands is the encoder's candidate graph, read-only once encoded;
+	// PathInfos and PathInfosThrough flatten it on demand.
+	cands map[string]map[string][]*candidate
+	// paths is materialized on first PathInfos call (CheckSubspec needs
+	// it; lifts and unlifted sweeps never pay for it).
+	pathsOnce sync.Once
+	paths     []PathInfo
 }
 
 // Conjunction returns the constraints as a single term.
@@ -295,16 +297,15 @@ func (e *Encoder) finishStats() {
 
 // finishEncoding packages the encoder's state. Path infos build lazily
 // on first use: the candidate graph is immutable once encoded, and the
-// sync.Once makes the materialization safe under the session cache's
-// concurrent readers.
+// sync.Once makes PathInfos' materialization safe under the session
+// cache's concurrent readers.
 func (e *Encoder) finishEncoding() *Encoding {
-	enc := &Encoding{
+	return &Encoding{
 		Constraints: e.constraints,
 		HoleVars:    e.holeVars,
 		Stats:       e.stats,
+		cands:       e.cands,
 	}
-	enc.buildPaths = e.buildPathInfos
-	return enc
 }
 
 // declareAllHoles walks the sketch and creates a variable for every

@@ -34,40 +34,49 @@ func (p PathInfo) Traffic() []string { return reverse(p.Path) }
 
 // PathInfos lists every candidate of the encoding, sorted by prefix
 // then path, rebuilt from the encoder's candidate graph. The list is
-// materialized on first call (concurrency-safe) and cached; callers get
-// a fresh copy of the slice header each time.
+// materialized on first call (concurrency-safe) and cached; each call
+// returns its own copy of the list. A router's lift reads
+// PathInfosThrough instead: only user-written clauses, checked by
+// core.CheckSubspec, may name routes that avoid the router.
 func (enc *Encoding) PathInfos() []PathInfo {
-	enc.pathsOnce.Do(func() {
-		if enc.buildPaths != nil {
-			enc.paths = enc.buildPaths()
-			enc.buildPaths = nil
-		}
-	})
-	out := append([]PathInfo(nil), enc.paths...)
-	return out
+	enc.pathsOnce.Do(func() { enc.paths = enc.pathInfos("") })
+	return append([]PathInfo(nil), enc.paths...)
 }
 
-// buildPathInfos flattens the candidate graph.
-func (e *Encoder) buildPathInfos() []PathInfo {
+// PathInfosThrough lists the candidates whose path contains node, in
+// PathInfos order: the order-preserving filter of PathInfos, built from
+// the candidate graph on each call without flattening the rest of it.
+func (enc *Encoding) PathInfosThrough(node string) []PathInfo {
+	return enc.pathInfos(node)
+}
+
+// pathInfos flattens the candidate graph: every candidate whose path
+// contains node (every candidate when node is empty), sorted by prefix
+// then joined path. Origins carry no edges and are left out.
+func (enc *Encoding) pathInfos(node string) []PathInfo {
+	type keyed struct {
+		key string // the path joined by ",", computed once per candidate
+		c   *candidate
+	}
 	var out []PathInfo
-	prefixes := make([]string, 0, len(e.cands))
-	for p := range e.cands {
+	prefixes := make([]string, 0, len(enc.cands))
+	for p := range enc.cands {
 		prefixes = append(prefixes, p)
 	}
 	sort.Strings(prefixes)
+	var all []keyed
 	for _, prefix := range prefixes {
-		byNode := e.cands[prefix]
-		var all []*candidate
-		for _, cs := range byNode {
-			all = append(all, cs...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			return strings.Join(all[i].path, ",") < strings.Join(all[j].path, ",")
-		})
-		for _, c := range all {
-			if c.parent == nil {
-				continue // origins carry no edges
+		all = all[:0]
+		for _, cs := range enc.cands[prefix] {
+			for _, c := range cs {
+				if c.parent != nil && (node == "" || contains(c.path, node)) {
+					all = append(all, keyed{strings.Join(c.path, ","), c})
+				}
 			}
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+		for _, k := range all {
+			c := k.c
 			// Collect the edge conditions along the chain.
 			var chain []*candidate
 			for cur := c; cur.parent != nil; cur = cur.parent {

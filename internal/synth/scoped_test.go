@@ -22,14 +22,16 @@ import (
 // sketch (NewEncoder(...).EncodeContext) — constraints pointer-identical
 // element by element (terms are hash-consed, so pointer equality is
 // structural equality), the same hole variables, the same path infos
-// and the same size stats. The inputs are every router of each
-// deployment fully symbolized, the scenario routers symbolized back to
-// their synthesis sketch, each scenario router's complement sketch, and
-// every router of two Perturb edits per scenario, spliced both from the
-// unedited deployment's base (the edit and the symbolized router dirty
-// together) and from the edited deployment's own base (a what-if
-// successor session), and every router of a deployment in which R1
-// alone mentions some tags (symbolizing it shrinks the vocabulary).
+// (whole-network and through each symbolized router, the latter the
+// order-preserving filter of the former) and the same size stats. The
+// inputs are every router of each deployment fully symbolized, the
+// scenario routers symbolized back to their synthesis sketch, each
+// scenario router's complement sketch, and every router of two Perturb
+// edits per scenario, spliced both from the unedited deployment's base
+// (the edit and the symbolized router dirty together) and from the
+// edited deployment's own base (a what-if successor session), and every
+// router of a deployment in which R1 alone mentions some tags
+// (symbolizing it shrinks the vocabulary).
 func TestScopedEncodeIdentical(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -134,16 +136,23 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 		}
 	}
 
-	gp, wp := got.PathInfos(), want.PathInfos()
-	if len(gp) != len(wp) {
-		t.Fatalf("%s: %d spliced vs %d plain path infos", label, len(gp), len(wp))
-	}
-	for i := range wp {
-		a, b := &gp[i], &wp[i]
-		if a.Prefix != b.Prefix || !slices.Equal(a.Path, b.Path) || a.LP != b.LP || a.Sel != b.Sel ||
-			!slices.Equal(a.EdgeConds, b.EdgeConds) {
-			t.Fatalf("%s: path info %d differs: spliced %v, plain %v", label, i, a.Path, b.Path)
+	wp := want.PathInfos()
+	samePathInfos(t, label+", spliced vs plain", got.PathInfos(), wp)
+	// Every symbolized router's local list, which its lift reads, is the
+	// order-preserving filter of the whole list.
+	for _, r := range sortedRouters(sketch) {
+		if sketch[r].Concrete() {
+			continue
 		}
+		var through []synth.PathInfo
+		for _, p := range wp {
+			if slices.Contains(p.Path, r) {
+				through = append(through, p)
+			}
+		}
+		local := want.PathInfosThrough(r)
+		samePathInfos(t, label+", through "+r+" spliced vs plain", got.PathInfosThrough(r), local)
+		samePathInfos(t, label+", through "+r+" vs the filtered whole list", local, through)
 	}
 
 	gs, ws := got.Stats, want.Stats
@@ -151,6 +160,22 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 		gs.HoleVars != ws.HoleVars || gs.SelVars != ws.SelVars ||
 		gs.Candidates != ws.Candidates || gs.TruncatedPaths != ws.TruncatedPaths {
 		t.Fatalf("%s: size stats differ:\nspliced: %+v\nplain:   %+v", label, gs, ws)
+	}
+}
+
+// samePathInfos requires two path-info lists to agree field by field,
+// terms by pointer.
+func samePathInfos(t *testing.T, label string, got, want []synth.PathInfo) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vs %d path infos", label, len(got), len(want))
+	}
+	for i := range want {
+		a, b := &got[i], &want[i]
+		if a.Prefix != b.Prefix || !slices.Equal(a.Path, b.Path) || a.LP != b.LP || a.Sel != b.Sel ||
+			!slices.Equal(a.EdgeConds, b.EdgeConds) {
+			t.Fatalf("%s: path info %d differs: %v vs %v", label, i, a.Path, b.Path)
+		}
 	}
 }
 
