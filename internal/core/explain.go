@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -395,17 +396,22 @@ type liftEntry struct {
 	complete   bool
 }
 
+// termBytes is the size of a logic.Term slice element: an interface
+// value, two words.
+const termBytes = int64(unsafe.Sizeof(logic.Term(nil)))
+
 // size estimates the marginal bytes retaining the entry costs the
 // report cache. Terms and hole variables are hash-consed and alive in
-// the session's interner regardless, so they count at pointer size;
-// the slices, strings, and the lifted block are what the entry pins.
+// the session's interner regardless, so they count at the size of the
+// value that refers to them; the slices, strings, and the lifted block
+// are what the entry pins.
 func (ent *liftEntry) size() int64 {
 	size := int64(256) // struct, map and slice headers
-	size += int64(len(ent.seed)) * 8
+	size += int64(len(ent.seed)) * termBytes
 	size += int64(len(ent.holes)) * 48
 	for i := range ent.paths {
 		p := &ent.paths[i]
-		size += 96 + int64(len(p.Prefix)) + int64(len(p.EdgeConds))*8
+		size += 96 + int64(len(p.Prefix)) + int64(len(p.EdgeConds))*termBytes
 		for _, n := range p.Path {
 			size += 24 + int64(len(n))
 		}

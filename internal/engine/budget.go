@@ -119,6 +119,13 @@ type Stats struct {
 	SimplifyHits      int
 	SimplifyEntries   int
 	SimplifyEvictions int
+	// SimplifyReplays counts seed simplifications whose root
+	// conjunction replayed the base seed's recorded propagation;
+	// SimplifyReplayFallbacks counts those whose root fell back to the
+	// full propagation loop (a resettle, no alignment, or an unusable
+	// reference).
+	SimplifyReplays         int
+	SimplifyReplayFallbacks int
 	// ReportCacheHits and ReportCacheMisses count lookups in the
 	// cross-deployment report cache (per-router lift artifacts spliced
 	// into repeat and delta explanations). Cumulative across the
@@ -194,6 +201,8 @@ func (s *Stats) Add(o Stats) {
 		s.SimplifyEntries = o.SimplifyEntries
 	}
 	s.SimplifyEvictions += o.SimplifyEvictions
+	s.SimplifyReplays += o.SimplifyReplays
+	s.SimplifyReplayFallbacks += o.SimplifyReplayFallbacks
 	s.ReportCacheHits += o.ReportCacheHits
 	s.ReportCacheMisses += o.ReportCacheMisses
 	s.ReportCacheEvictions += o.ReportCacheEvictions

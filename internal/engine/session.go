@@ -84,6 +84,8 @@ type Session struct {
 	baseMu  sync.Mutex
 	base    *synth.Base
 	baseErr error
+	// baseSeed is the base's seed term, set on first use (baseMu).
+	baseSeed logic.Term
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -109,6 +111,13 @@ type Session struct {
 	// directly. Shared with successor sessions.
 	nf *rewrite.Cache
 
+	// ref holds the recorded root propagation (rewrite.Reference) of
+	// the base seed the session chain met last: every seed
+	// simplification a session runs replays its base seed's. It points
+	// into nf and is shared with it; a successor whose edit left the
+	// base seed as it was reuses it.
+	ref *refSlot
+
 	// reports is the cross-deployment report cache successor sessions
 	// inherit: opaque per-router artifacts (the explainer's lift
 	// results) keyed by encoding key. Values are validated by the
@@ -130,6 +139,15 @@ type simpCache struct {
 type simpEntry struct {
 	seed logic.Term
 	out  *SimplifyOutcome
+}
+
+// refSlot is the sharable base-seed reference (see Session.ref).
+// Recording happens under its lock, so the report workers of a session
+// that miss together record once.
+type refSlot struct {
+	mu   sync.Mutex
+	seed logic.Term
+	ref  *rewrite.Reference
 }
 
 func newSimpCache() *simpCache {
@@ -347,6 +365,7 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		entries: make(map[string]*entry),
 		simps:   newSimpCache(),
 		nf:      rewrite.NewCache(),
+		ref:     &refSlot{},
 		reports: NewReportCache(),
 	}
 }
@@ -354,11 +373,11 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // NewSessionFrom creates the successor session for an edited variant
 // of prev's problem: same topology and encoder options, new
 // requirements and deployment. The successor shares prev's pure
-// cross-deployment state — the term table, the normal-form cache, the
-// per-seed simplification cache, and the report cache. Deployment-
-// specific state is NOT shared: the successor records its own base,
-// and its encoding entries start empty, since they assert the
-// predecessor deployment's constraints.
+// cross-deployment state — the term table, the normal-form cache with
+// its base-seed reference, the per-seed simplification cache, and the
+// report cache. Deployment-specific state is NOT shared: the successor
+// records its own base, and its encoding entries start empty, since
+// they assert the predecessor deployment's constraints.
 // Budget, VerifyProofs, and the cache limits are copied from prev
 // (shared-cache limits travel with the shared caches themselves).
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
@@ -373,6 +392,7 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 		entries:      make(map[string]*entry),
 		simps:        prev.simps,
 		nf:           prev.nf,
+		ref:          prev.ref,
 		reports:      prev.reports,
 	}
 	prev.mu.Lock()
@@ -519,12 +539,14 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 // canonical pointer — with hash-consed encodings a repeat query over a
 // cached encoding presents the very same seed pointer, so the whole
 // simplification is answered by one map lookup. A miss still reuses
-// every subterm normal form earlier seeds left in the shared cache.
-// Concurrent misses on the same term may compute it twice; the
-// function is pure and deterministic (Passes is the seed entry's pass
-// depth, memoized when each cache entry is published, not a product of
-// the order work happened to be done in), so either result is the
-// same.
+// every subterm normal form earlier seeds left in the shared cache, and
+// its root conjunction replays the base seed's recorded propagation
+// (rewrite.Reference, recorded by the first miss after the base is
+// built), recomputing only what the seed's cone changes. Concurrent
+// misses on the same term may compute it twice; the function is pure
+// and deterministic (Passes is the seed entry's pass depth, memoized
+// when each cache entry is published, not a product of the order work
+// happened to be done in), so either result is the same.
 func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 	seed = s.in.Intern(seed)
 	if out, ok := s.simps.get(seed); ok {
@@ -534,13 +556,42 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 		return out
 	}
 	simp := rewrite.NewShared(s.nf)
+	simp.Ref = s.reference()
 	out := &SimplifyOutcome{
 		Simplified: simp.Simplify(seed),
 		Passes:     simp.Passes,
 		Trace:      append([]int(nil), simp.Trace...),
 	}
 	s.simps.put(seed, out)
+	s.mu.Lock()
+	s.stats.SimplifyReplays += simp.Replays
+	s.stats.SimplifyReplayFallbacks += simp.ReplayFallbacks
+	s.mu.Unlock()
 	return out
+}
+
+// reference returns the recorded root propagation of the session's base
+// seed, recording it (and caching the base seed's outcome) when the
+// chain's slot holds another seed's; nil before the base is built.
+func (s *Session) reference() *rewrite.Reference {
+	s.baseMu.Lock()
+	if s.base != nil && s.baseSeed == nil {
+		s.baseSeed = s.in.Intern(s.base.Seed())
+	}
+	seed := s.baseSeed
+	s.baseMu.Unlock()
+	if seed == nil {
+		return nil
+	}
+	s.ref.mu.Lock()
+	defer s.ref.mu.Unlock()
+	if s.ref.seed != seed {
+		simp := rewrite.NewShared(s.nf)
+		out, ref := simp.Record(seed)
+		s.simps.put(seed, &SimplifyOutcome{Simplified: out, Passes: simp.Passes, Trace: append([]int(nil), simp.Trace...)})
+		s.ref.seed, s.ref.ref = seed, ref
+	}
+	return s.ref.ref
 }
 
 // AddSolverStats folds the SAT-level effort of a solver that has

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -466,6 +467,7 @@ func TestDifferentialRandom(t *testing.T) {
 		}
 		checkMatchesReferenceLoop(t, in)
 		checkMatchesReferenceLoop(t, randConjunction(r))
+		checkReplayedEdit(t, r)
 	}
 }
 
@@ -510,7 +512,9 @@ func TestDifferentialRegressionCorpus(t *testing.T) {
 // property, letting CI push past the fixed random sample. Each input
 // also runs through the whole-list conjunction loop the semi-naive
 // propagation replaced, which must give the pointer-identical result,
-// Passes and recounted diagnostics.
+// Passes and recounted diagnostics, and in reference/edit mode: a
+// random conjunction recorded as the reference, and an edited copy
+// replayed against it (checkReplayedEdit).
 func FuzzSimplifyDifferential(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -526,7 +530,93 @@ func FuzzSimplifyDifferential(f *testing.F) {
 			}
 			checkMatchesReferenceLoop(t, in)
 		}
+		checkReplayedEdit(t, r)
 	})
+}
+
+// checkReplayedEdit records a random conjunction as the reference
+// (Simplifier.Record), derives an edited copy from the same stream,
+// and requires its replayed simplification to give the pointer, Passes
+// and Cache.Recount of a full-loop simplification.
+func checkReplayedEdit(t *testing.T, r *rand.Rand) {
+	t.Helper()
+	base := randWideConjunction(r)
+	edited := editConjunction(r, base)
+	c := NewCache()
+	_, ref := NewShared(c).Record(base)
+	got := NewShared(c)
+	got.Ref = ref
+	if err := SameAsReference(got, NewShared(NewCache()), edited); err != nil {
+		t.Fatalf("replayed against %s: %v, on %s", base, err, edited)
+	}
+}
+
+// wideBools are the boolean variables of randWideConjunction: enough
+// names for propagation to run several rounds before it collapses.
+var wideBools = func() []*logic.Var {
+	vs := make([]*logic.Var, 40)
+	for i := range vs {
+		vs[i] = logic.NewBoolVar(fmt.Sprintf("w%d", i))
+	}
+	return vs
+}()
+
+// randWideConjunction builds a conjunction of 8 to 39 conjuncts shaped
+// like a seed's: bindings, implications and disjunctions over
+// wideBools and the integers i and j.
+func randWideConjunction(r *rand.Rand) logic.Term {
+	args := make([]logic.Term, 8+r.Intn(32))
+	for i := range args {
+		args[i] = randWideConjunct(r)
+	}
+	return logic.And(args...)
+}
+
+func randWideConjunct(r *rand.Rand) logic.Term {
+	lit := func() logic.Term {
+		if v := wideBools[r.Intn(len(wideBools))]; r.Intn(5) > 0 {
+			return v
+		} else {
+			return logic.Not(v)
+		}
+	}
+	bound := func() logic.Term { return logic.NewInt(int64(r.Intn(4))) }
+	switch r.Intn(8) {
+	case 0:
+		return lit()
+	case 1:
+		return logic.Or(lit(), logic.Eq(pInts[r.Intn(2)], bound()))
+	case 2, 7:
+		return logic.Implies(lit(), lit())
+	case 3:
+		return logic.Or(lit(), lit(), lit())
+	case 4:
+		return logic.Implies(logic.And(lit(), lit()), logic.Or(lit(), lit()))
+	case 5:
+		return logic.Implies(lit(), logic.Eq(pInts[r.Intn(2)], bound()))
+	default:
+		return logic.Implies(lit(), logic.Le(pInts[r.Intn(2)], bound()))
+	}
+}
+
+// editConjunction derives an edited copy of a randWideConjunction: one
+// to three edits, each replacing, inserting or dropping a conjunct.
+func editConjunction(r *rand.Rand, in logic.Term) logic.Term {
+	args := slices.Clone(in.(*logic.Apply).Args)
+	for n := 1 + r.Intn(3); n > 0; n-- {
+		i := r.Intn(len(args))
+		switch r.Intn(3) {
+		case 0:
+			args[i] = randWideConjunct(r)
+		case 1:
+			args = slices.Insert(args, i, randWideConjunct(r))
+		default:
+			if len(args) > 1 {
+				args = slices.Delete(args, i, i+1)
+			}
+		}
+	}
+	return logic.And(args...)
 }
 
 // randConjunction builds a conjunction of 3 to 22 random terms, wide

@@ -54,6 +54,9 @@ type andState struct {
 	targets []target
 	added   []int32
 	sub     map[string]logic.Term
+
+	// rec, when set, records the propagation as a Reference.
+	rec *recorder
 }
 
 type binding struct {
@@ -88,13 +91,14 @@ func newAndState(args []logic.Term) *andState {
 // propagate runs rule S14 over a conjunction's operand list, which S4,
 // S6 and S13 have already settled. It returns the final list, whether
 // propagation changed anything, and false if the conjunction collapsed
-// to false.
-func (s *Simplifier) propagate(args []logic.Term) ([]logic.Term, bool, bool) {
+// to false. With rec set it records the propagation (see replay.go).
+func (s *Simplifier) propagate(args []logic.Term, rec *recorder) ([]logic.Term, bool, bool) {
 	if s.DisableEqPropagation || s.MaxPasses <= 0 {
 		return args, false, true
 	}
-	// Most conjunctions bind nothing; they need no state.
-	binds := false
+	// Most conjunctions bind nothing; they need no state. A recording
+	// keeps the state, whose index a replay aligns with.
+	binds := rec != nil
 	for _, c := range args {
 		if _, _, ok := unitBinding(c); ok {
 			binds = true
@@ -105,21 +109,45 @@ func (s *Simplifier) propagate(args []logic.Term) ([]logic.Term, bool, bool) {
 		return args, false, true
 	}
 	st := newAndState(args)
+	if rec != nil {
+		if rec.begin(st); rec.ref.usable {
+			st.rec = rec
+		} else {
+			rec = nil
+		}
+	}
 	changed := false
 	for round := 0; round < s.MaxPasses; round++ {
+		fresh := st.fresh
 		targets := st.substitute()
 		if len(targets) == 0 {
 			break
+		}
+		if rec != nil {
+			rec.round(fresh, targets)
 		}
 		s.fired(RuleEqPropagation)
 		s.stack[len(s.stack)-1].rounds++
 		changed = true
 		for i := range targets {
-			targets[i].t = s.norm(targets[i].t)
+			var e *nfEntry
+			targets[i].t, e = s.normEntry(targets[i].t)
+			if rec != nil {
+				rec.normalized(i, targets[i].t, e)
+			}
 		}
 		if !s.settle(st, targets) {
+			if rec != nil {
+				rec.fail()
+			}
 			return nil, true, false
 		}
+		if rec != nil && !rec.ref.usable {
+			rec, st.rec = nil, nil // resettled: nothing left to record
+		}
+	}
+	if rec != nil {
+		rec.finish(st.fresh)
 	}
 	if !changed {
 		return args, false, true
@@ -239,8 +267,12 @@ func (st *andState) substitute() []target {
 // did, so flattening and the collapse's action count keep their
 // first-occurrence order.
 func (s *Simplifier) settle(st *andState, targets []target) bool {
+	rec := st.rec
 	for _, tg := range targets {
 		if tg.t == logic.False || isOp(tg.t, logic.OpAnd) {
+			if rec != nil {
+				rec.fail()
+			}
 			return s.resettle(st, targets)
 		}
 	}
@@ -249,23 +281,37 @@ func (s *Simplifier) settle(st *andState, targets []target) bool {
 	for _, tg := range targets {
 		st.drop(tg.slot)
 	}
+	if rec != nil {
+		rec.dropTargets(targets)
+	}
 	actions := 0
 	st.added = st.added[:0]
 	for _, tg := range targets {
 		p := tg.slot
 		if tg.t == logic.True {
 			actions++
+			if rec != nil {
+				rec.outcome(outTrue, -1)
+			}
 			continue
 		}
 		q, dup := st.index[tg.t]
 		if dup {
 			actions++
 			if q < p {
+				if rec != nil {
+					rec.outcome(outDupKept, q)
+				}
 				continue
 			}
 			// The kept conjunct at q is the later occurrence: this one
 			// survives in its place.
 			st.drop(q)
+			if rec != nil {
+				rec.outcome(outDupReplaced, q)
+			}
+		} else if rec != nil {
+			rec.outcome(outAdded, -1)
 		}
 		st.insert(p, tg.t)
 		if !dup {
@@ -302,9 +348,12 @@ func (s *Simplifier) settle(st *andState, targets []target) bool {
 		}
 		if isOp(x, logic.OpOr) {
 			for _, o := range x.(*logic.Apply).Args {
-				if _, in := st.index[o]; in {
+				if c, in := st.index[o]; in {
 					st.drop(p)
 					absorbed = true
+					if rec != nil {
+						rec.absorbed(p, c)
+					}
 					break
 				}
 			}
@@ -314,6 +363,9 @@ func (s *Simplifier) settle(st *andState, targets []target) bool {
 			if or := st.args[q]; or != nil && isOp(or, logic.OpOr) && slices.Contains(or.(*logic.Apply).Args, x) {
 				st.drop(q)
 				absorbed = true
+				if rec != nil {
+					rec.absorbed(q, p)
+				}
 			}
 		}
 	}
@@ -325,6 +377,9 @@ func (s *Simplifier) settle(st *andState, targets []target) bool {
 	st.fresh = st.fresh[:0]
 	for _, p := range st.added {
 		if c := st.args[p]; c != nil {
+			if rec != nil {
+				rec.binder(p, c)
+			}
 			st.bind(p, c)
 		}
 	}

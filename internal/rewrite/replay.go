@@ -1,0 +1,1125 @@
+package rewrite
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"repro/internal/logic"
+)
+
+// Replayed root propagation. A router's seed is the session's base seed
+// with the router's cone re-encoded, so the root conjunction of every
+// router seed repeats the base seed's S14 rounds almost step for step:
+// on the 60-router fabric of netperf's whatif-edits the base seed's
+// root settles to 974 conjuncts and takes 831 substitution steps in 9
+// rounds, and a router's root recomputes 27 steps on average and takes
+// 779 from the reference. A Reference records the base seed's root
+// propagation once (Record); a later root conjunction simplified with
+// the reference attached (Simplifier.Ref) aligns its settled operand
+// list with the reference's by term, keeping order, and replays the
+// reference round by round.
+//
+// A slot of the aligned list follows the reference until it leaves it;
+// a new slot never follows. A following slot's substitution, normal
+// form, S4 outcome, S13 fate and binding are the reference's, so the
+// replay only emits their effects on the root's cache entry (S14
+// fires, rounds, S4 actions, the S13 flag and the dependencies on the
+// reference targets' entries). A slot leaves when
+//
+//   - it would receive a binding that differs from the reference's in
+//     that round: missing, of another value, or from another binder
+//     slot (a binder never substitutes into itself);
+//   - its reference event depended on a slot that does not follow: the
+//     partner of a duplicate, the absorbing operand or absorbed
+//     disjunction of an S13 drop;
+//   - a slot that does not follow holds, at the point of the round the
+//     event happens, a term the event looks up: the term of an added
+//     conjunct, the complement of one, or an operand of a disjunction.
+//
+// A slot that left is recomputed from then on by the rules of settle,
+// against the reference's state at the same point of the round
+// overlaid with the recomputed slots. Leaving early is always sound, so
+// the rules may be conservative; they must never let a slot follow
+// whose step differs. A recomputed conjunct that normalizes to false or
+// to a conjunction needs resettle; the root then falls back to
+// propagate, as it does when the alignment fails or the reference is
+// unusable, after the root entry is restored to its state before the
+// replay.
+
+// Reference is one root conjunction's recorded S14 propagation, built
+// by Simplifier.Record and replayed by simplifiers with Ref set. It is
+// immutable once recorded and safe for concurrent replays. A Reference
+// whose recording resettled, collapsed or never reached a root
+// conjunction is unusable: every replay against it falls back.
+type Reference struct {
+	usable    bool
+	cache     *Cache // the normal-form cache its entries live in
+	maxPasses int
+
+	args  []logic.Term       // settled operand list, by slot
+	vars  map[string][]int32 // slots by variable name (andState.vars)
+	binds map[string][]int32 // binding slots by name, in slot order
+
+	rounds []refRound // the rounds that substituted something
+	// bound maps every name the propagation bound to the round whose
+	// fresh list bound it, the value and the binder; first counts the
+	// names the first round bound.
+	bound map[string]refBinding
+	first int
+
+	// holds lists every occupancy of a slot by a term, grouped by slot
+	// in time order (slot b's are holds[bySlot[b]:bySlot[b+1]], the
+	// first from tick 0); byTerm, byNot and byOr index them by term, by
+	// y for a term !y, and by every operand of a disjunction.
+	holds               []hold
+	bySlot              []int32
+	byTerm, byNot, byOr multimap
+	width               int32 // clock ticks per round
+
+	// states recycles replay scratch between the roots replaying the
+	// reference, whose operand lists are about as long as its own.
+	states sync.Pool
+}
+
+// multimap indexes holds by term: first maps a term to its first entry
+// and each entry chains to the next, so a term costs one map entry.
+type multimap struct {
+	first   map[logic.Term]int32
+	entries []mmEntry
+}
+
+type mmEntry struct{ hold, next int32 }
+
+func newMultimap() multimap { return multimap{first: map[logic.Term]int32{}} }
+
+func (mm *multimap) add(t logic.Term, hold int32) {
+	next, ok := mm.first[t]
+	if !ok {
+		next = -1
+	}
+	mm.first[t] = int32(len(mm.entries))
+	mm.entries = append(mm.entries, mmEntry{hold, next})
+}
+
+// head returns t's first entry, -1 if none; entries[e].next the next.
+func (mm *multimap) head(t logic.Term) int32 {
+	if e, ok := mm.first[t]; ok {
+		return e
+	}
+	return -1
+}
+
+// refBinding is the binding of a name: the round whose fresh list
+// holds it, its value and its binder slot.
+type refBinding struct {
+	round int32
+	val   logic.Term
+	slot  int32
+}
+
+// refRound is one recorded round.
+type refRound struct {
+	targets []refTarget // the conjuncts it rewrote, in slot order
+	drops   []refDrop   // its S13 drops
+	binders []binding   // surviving added conjuncts that bind, in slot order
+}
+
+// refTarget is one rewritten conjunct of a round and its S4 outcome.
+type refTarget struct {
+	slot     int32
+	kind     uint8
+	absorbed bool  // an added disjunction S13 dropped
+	partner  int32 // the other slot of a duplicate
+	sub, out logic.Term
+	ent      *nfEntry // out's entry, nil for a leaf
+}
+
+// S4 outcomes of a target.
+const (
+	outTrue        uint8 = iota // became true: dropped
+	outDupKept                  // duplicate of an earlier slot: dropped
+	outDupReplaced              // duplicate of a later slot, which it replaced
+	outAdded                    // new to the list
+)
+
+// refDrop is an S13 drop: the victim disjunction and the slot whose
+// term absorbed it.
+type refDrop struct{ victim, cause int32 }
+
+// hold is a slot's occupancy by a term over the ticks [from, to).
+// added marks an occupancy that began as an added S4 outcome.
+type hold struct {
+	t        logic.Term
+	slot     int32
+	from, to int32
+	added    bool
+}
+
+// The clock orders one propagation's events. Round k spans the ticks
+// [k*w, (k+1)*w), w = 2m+8 for m slots: tick k*w+1 drops the round's
+// targets, tick k*w+2+2b is the S4 step of slot b, the odd tick before
+// it is where a slot placed just before b looks the state up, tick
+// k*w+2m+3 follows S4 (S6 and S13 look up there) and S13 drops take
+// effect at tick k*w+2m+4.
+const never = math.MaxInt32
+
+func (r *Reference) start(k int) int32             { return int32(k) * r.width }
+func (r *Reference) dropTick(k int) int32          { return r.start(k) + 1 }
+func (r *Reference) stepTick(k int, b int32) int32 { return r.start(k) + 2 + 2*b }
+func (r *Reference) afterS4(k int) int32           { return r.start(k) + r.width - 5 }
+func (r *Reference) absorbTick(k int) int32        { return r.start(k) + r.width - 4 }
+
+// lookTick is where a slot whose S4 step follows reference slot pos
+// (-1: no slot) looks the state up.
+func (r *Reference) lookTick(k int, pos int32) int32 { return r.start(k) + 3 + 2*pos }
+
+// slotOf returns the slot of operand t of the settled list.
+func (r *Reference) slotOf(t logic.Term) (int32, bool) {
+	for e := r.byTerm.head(t); e >= 0; e = r.byTerm.entries[e].next {
+		if h := &r.holds[r.byTerm.entries[e].hold]; h.from == 0 {
+			return h.slot, true
+		}
+	}
+	return 0, false
+}
+
+// at returns the hold of slot b live at tick, or nil.
+func (r *Reference) at(b, tick int32) *hold {
+	for i := r.bySlot[b]; i < r.bySlot[b+1]; i++ {
+		if h := &r.holds[i]; h.from <= tick && tick < h.to {
+			return h
+		}
+	}
+	return nil
+}
+
+// recorder builds a Reference while propagate runs the recorded root.
+type recorder struct {
+	ref  *Reference
+	open []int32 // each slot's open hold, -1 when empty
+	cur  int     // the next target settle reports an outcome for
+}
+
+// begin records the settled operand list once the state indexed it.
+func (rc *recorder) begin(st *andState) {
+	ref := rc.ref
+	m := len(st.args)
+	if m > 1<<22 {
+		return // the clock would overflow; the reference stays unusable
+	}
+	ref.args = slices.Clone(st.args)
+	ref.binds = map[string][]int32{}
+	ref.bound = map[string]refBinding{}
+	ref.vars = st.vars // reset is the only writer, and a resettle fails the recording
+	ref.width = int32(2*m + 8)
+	rc.open = make([]int32, m)
+	for i, c := range ref.args {
+		b := int32(i)
+		if name, _, ok := unitBinding(c); ok {
+			ref.binds[name] = append(ref.binds[name], b)
+		}
+		rc.open[b] = rc.openHold(b, c, 0, false)
+	}
+	ref.usable = true
+}
+
+func (rc *recorder) openHold(b int32, t logic.Term, from int32, added bool) int32 {
+	rc.ref.holds = append(rc.ref.holds, hold{t: t, slot: b, from: from, to: never, added: added})
+	return int32(len(rc.ref.holds) - 1)
+}
+
+func (rc *recorder) closeHold(b, tick int32) {
+	if h := rc.open[b]; h >= 0 {
+		rc.ref.holds[h].to = tick
+		rc.open[b] = -1
+	}
+}
+
+// bind records the round whose fresh list bound each name.
+func (rc *recorder) bind(fresh []binding) {
+	k := int32(len(rc.ref.rounds))
+	for _, b := range fresh {
+		rc.ref.bound[b.name] = refBinding{k, b.val, b.slot}
+		if k == 0 {
+			rc.ref.first++
+		}
+	}
+}
+
+// round records a round's fresh bindings and substituted targets.
+func (rc *recorder) round(fresh []binding, targets []target) {
+	ref := rc.ref
+	rc.bind(fresh)
+	r := refRound{targets: make([]refTarget, len(targets))}
+	for i, tg := range targets {
+		r.targets[i] = refTarget{slot: tg.slot, partner: -1, sub: tg.t}
+	}
+	ref.rounds = append(ref.rounds, r)
+	rc.cur = 0
+}
+
+// normalized records target i's normal form and its entry.
+func (rc *recorder) normalized(i int, t logic.Term, e *nfEntry) {
+	tg := &rc.ref.rounds[len(rc.ref.rounds)-1].targets[i]
+	tg.out, tg.ent = t, e
+}
+
+// dropTargets closes the holds of the round's targets (settle drops
+// them all before S4).
+func (rc *recorder) dropTargets(targets []target) {
+	k := len(rc.ref.rounds) - 1
+	for _, tg := range targets {
+		rc.closeHold(tg.slot, rc.ref.dropTick(k))
+	}
+}
+
+// outcome records the S4 outcome of the next target.
+func (rc *recorder) outcome(kind uint8, partner int32) {
+	k := len(rc.ref.rounds) - 1
+	tg := &rc.ref.rounds[k].targets[rc.cur]
+	rc.cur++
+	tg.kind, tg.partner = kind, partner
+	tick := rc.ref.stepTick(k, tg.slot)
+	if kind == outDupReplaced {
+		rc.closeHold(partner, tick)
+	}
+	if kind == outDupReplaced || kind == outAdded {
+		rc.open[tg.slot] = rc.openHold(tg.slot, tg.out, tick, kind == outAdded)
+	}
+}
+
+// absorbed records an S13 drop.
+func (rc *recorder) absorbed(victim, cause int32) {
+	k := len(rc.ref.rounds) - 1
+	r := &rc.ref.rounds[k]
+	r.drops = append(r.drops, refDrop{victim, cause})
+	if i, ok := slices.BinarySearchFunc(r.targets, victim, func(t refTarget, s int32) int { return int(t.slot - s) }); ok {
+		r.targets[i].absorbed = true
+	}
+	rc.closeHold(victim, rc.ref.absorbTick(k))
+}
+
+// binder records a surviving added conjunct of the round, if it binds.
+func (rc *recorder) binder(p int32, c logic.Term) {
+	if name, val, ok := unitBinding(c); ok {
+		r := &rc.ref.rounds[len(rc.ref.rounds)-1]
+		r.binders = append(r.binders, binding{name, val, p})
+	}
+}
+
+// fail marks the recording unusable (a resettle or a collapse).
+func (rc *recorder) fail() { rc.ref.usable = false }
+
+// finish records the bindings the propagation stopped with and indexes
+// the holds.
+func (rc *recorder) finish(fresh []binding) {
+	ref := rc.ref
+	rc.bind(fresh)
+	// Group the holds by slot (a stable counting sort keeps each slot's
+	// in time order), then index them.
+	m := len(ref.args)
+	ref.bySlot = make([]int32, m+1)
+	for _, h := range ref.holds {
+		ref.bySlot[h.slot+1]++
+	}
+	for b := 0; b < m; b++ {
+		ref.bySlot[b+1] += ref.bySlot[b]
+	}
+	grouped := make([]hold, len(ref.holds))
+	next := slices.Clone(ref.bySlot[:m])
+	for _, h := range ref.holds {
+		grouped[next[h.slot]] = h
+		next[h.slot]++
+	}
+	ref.holds = grouped
+	ref.byTerm, ref.byNot, ref.byOr = newMultimap(), newMultimap(), newMultimap()
+	for i, h := range grouped {
+		ref.byTerm.add(h.t, int32(i))
+		if y, ok := negated(h.t); ok {
+			ref.byNot.add(y, int32(i))
+		}
+		if or, ok := h.t.(*logic.Apply); ok && or.Op == logic.OpOr {
+			for _, o := range or.Args {
+				ref.byOr.add(o, int32(i))
+			}
+		}
+	}
+}
+
+// Record normalizes t as Simplify does and records the propagation of
+// its root conjunction — t itself, or t rebuilt from its normalized
+// conjuncts — as a Reference for replays over the same cache. The
+// root conjunction is recomputed even when the cache already holds it.
+// The result is never nil; it is unusable when t has no root
+// conjunction with a propagation to record, or that propagation
+// resettled or collapsed.
+func (s *Simplifier) Record(t logic.Term) (logic.Term, *Reference) {
+	s.rec = &Reference{maxPasses: s.MaxPasses}
+	defer func() { s.rec = nil }()
+	out := s.Simplify(t)
+	ref := s.rec
+	if !ref.usable {
+		return out, &Reference{} // keeps nothing a replay would read
+	}
+	ref.cache = s.cache
+	return out, ref
+}
+
+// replayState is one root conjunction's replay against a Reference.
+// Slots are numbered as in the root's settled operand list.
+type replayState struct {
+	s    *Simplifier
+	ref  *Reference
+	args []logic.Term
+	bOf  []int32 // each slot's reference slot, -1 for a new slot
+	rOf  []int32 // each reference slot's slot, -1 when it has none
+	pos  []int32 // the reference slot whose S4 step each slot's follows
+	// aligned reports that some slot matched; the alignment's scratch
+	// is kept for the next replay.
+	aligned               bool
+	prev, tails, tailSlot []int32
+	moved                 []string
+
+	// comp marks the slots that do not follow the reference; cur holds
+	// their terms (nil once dropped), added the round+1 in which S4
+	// last added them, and idx, nots and ors index the live ones as
+	// andState does.
+	comp  []bool
+	cur   []logic.Term
+	added []int32
+	comps []int32
+	idx   map[logic.Term]int32
+	nots  map[logic.Term]int32
+	ors   map[logic.Term][]int32
+
+	// A round's bindings are the reference's except for the names in
+	// diff, which holds this run's binding of each (slot -1: none).
+	// rebound holds the round in which this run bound a name, for the
+	// names that differ from the reference's (never: not yet).
+	diff, next map[string]binding
+	rebound    map[string]int32
+
+	// Per-round scratch.
+	slotSub map[string]logic.Term // the bindings one slot receives
+	targets []target              // the recomputed slots' targets, in slot order
+	follow  []int32               // indexes of the following added targets
+	cadded  []int32               // the recomputed added slots, in slot order
+	orCands []int32
+}
+
+// replay answers a root conjunction's propagation from s.Ref. It
+// returns what propagate returns, and false in its last result when
+// the root must fall back to propagate (the root entry is restored).
+func (s *Simplifier) replay(args []logic.Term) (out []logic.Term, changed, ok, replayed bool) {
+	ref := s.Ref
+	if !ref.usable || ref.cache != s.cache || ref.maxPasses != s.MaxPasses || s.DisableEqPropagation {
+		return nil, false, false, false
+	}
+	top := s.stack[len(s.stack)-1]
+	saved := *top
+	rs := newReplayState(s, ref, args)
+	defer rs.release()
+	if !rs.aligned {
+		return nil, false, false, false
+	}
+	if !rs.binds() {
+		return args, false, true, true // nothing binds
+	}
+	rounds := 0
+	for ; rounds < s.MaxPasses; rounds++ {
+		res := rs.round(rounds)
+		if res == roundFallback {
+			*top = saved
+			return nil, false, false, false
+		}
+		if res == roundCollapse {
+			return nil, true, false, true
+		}
+		if res == roundNone {
+			break
+		}
+	}
+	if rounds == 0 {
+		return args, false, true, true
+	}
+	tick := ref.start(rounds)
+	out = make([]logic.Term, 0, len(args))
+	for i := range args {
+		if rs.comp[i] {
+			if c := rs.cur[i]; c != nil {
+				out = append(out, c)
+			}
+		} else if h := ref.at(rs.bOf[i], tick); h != nil {
+			out = append(out, h.t)
+		}
+	}
+	return out, true, true, true
+}
+
+// newReplayState aligns a settled operand list with the reference's and
+// computes its first round's bindings. The alignment keeps the longest
+// run of common conjuncts in the same order on both sides; a conjunct
+// outside it is new here and its reference slot has no counterpart.
+// The state's aligned field is false when nothing aligns.
+func newReplayState(s *Simplifier, ref *Reference, args []logic.Term) *replayState {
+	rs, _ := ref.states.Get().(*replayState)
+	if rs == nil {
+		rs = &replayState{
+			idx: map[logic.Term]int32{}, nots: map[logic.Term]int32{}, ors: map[logic.Term][]int32{},
+			diff: map[string]binding{}, next: map[string]binding{}, rebound: map[string]int32{},
+			slotSub: map[string]logic.Term{},
+		}
+	}
+	n, m := len(args), len(ref.args)
+	rs.s, rs.ref, rs.args = s, ref, args
+	rs.bOf, rs.pos, rs.prev = resize(rs.bOf, n), resize(rs.pos, n), resize(rs.prev, n)
+	rs.comp, rs.cur, rs.added = resize(rs.comp, n), resize(rs.cur, n), resize(rs.added, n)
+	rs.rOf = resize(rs.rOf, m)
+	for b := range rs.rOf {
+		rs.rOf[b] = -1
+	}
+	if rs.aligned = rs.align(); !rs.aligned {
+		return rs
+	}
+	// The binding names of the slots on either side only are the names
+	// whose first binder may move.
+	moved := rs.moved[:0]
+	last := int32(-1)
+	for i, c := range args {
+		r := int32(i)
+		if b := rs.bOf[r]; b >= 0 {
+			rs.pos[r] = b - 1
+			last = b
+			continue
+		}
+		rs.pos[r] = last
+		rs.comp[r] = true
+		rs.comps = append(rs.comps, r)
+		rs.insert(r, c)
+		if name, _, ok := unitBinding(c); ok {
+			moved = append(moved, name)
+		}
+	}
+	for b, r := range rs.rOf {
+		if r < 0 {
+			if name, _, ok := unitBinding(ref.args[b]); ok {
+				moved = append(moved, name)
+			}
+		}
+	}
+
+	// First bindings: the reference's, except for the moved names,
+	// whose first binder is the first of the aligned reference binders
+	// and the new slots that bind them.
+	for _, name := range moved {
+		if _, ok := rs.diff[name]; ok {
+			continue
+		}
+		first := int32(-1)
+		for _, b := range ref.binds[name] {
+			if r := rs.rOf[b]; r >= 0 {
+				first = r
+				break
+			}
+		}
+		for _, r := range rs.comps {
+			if first >= 0 && r > first {
+				break
+			}
+			if nm, _, ok := unitBinding(args[r]); ok && nm == name {
+				first = r
+				break
+			}
+		}
+		b := binding{name, nil, -1}
+		if first >= 0 {
+			_, b.val, _ = unitBinding(args[first])
+			b.slot = first
+		}
+		rs.diff[name] = b
+	}
+	rs.rebind(0)
+	return rs
+}
+
+// binds reports whether the first round binds anything: a reference
+// binding of a name outside diff, or one in it.
+func (rs *replayState) binds() bool {
+	moved := 0
+	for name, b := range rs.diff {
+		if b.slot >= 0 {
+			return true
+		}
+		if fb, ok := rs.ref.bound[name]; ok && fb.round == 0 {
+			moved++
+		}
+	}
+	return rs.ref.first > moved
+}
+
+// release returns the state to its reference's pool, dropping what it
+// refers to.
+func (rs *replayState) release() {
+	clear(rs.cur)
+	clear(rs.idx)
+	clear(rs.nots)
+	clear(rs.ors)
+	clear(rs.diff)
+	clear(rs.next)
+	clear(rs.rebound)
+	clear(rs.slotSub)
+	rs.comps, rs.targets = rs.comps[:0], rs.targets[:0]
+	rs.follow, rs.cadded, rs.orCands = rs.follow[:0], rs.cadded[:0], rs.orCands[:0]
+	clear(rs.moved)
+	rs.s, rs.args = nil, nil
+	ref := rs.ref
+	rs.ref = nil
+	ref.states.Put(rs)
+}
+
+// resize returns s with length n, zeroed, reusing its array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// align matches each slot to the reference slot holding its term,
+// keeping a longest strictly increasing run of reference slots (patience
+// sorting); the other slots get -1. It reports whether any slot matched.
+func (rs *replayState) align() bool {
+	// tails and tailSlot hold, per run length, the smallest reference
+	// slot a run of that length ends at and the slot that holds it.
+	tails, tailSlot, prev := rs.tails[:0], rs.tailSlot[:0], rs.prev
+	defer func() { rs.tails, rs.tailSlot = tails, tailSlot }()
+	for i, c := range rs.args {
+		rs.bOf[i] = -1
+		b, ok := rs.ref.slotOf(c)
+		if !ok {
+			continue
+		}
+		k, _ := slices.BinarySearch(tails, b)
+		if k == len(tails) {
+			tails, tailSlot = append(tails, b), append(tailSlot, int32(i))
+		} else {
+			tails[k], tailSlot[k] = b, int32(i)
+		}
+		prev[i] = -1
+		if k > 0 {
+			prev[i] = tailSlot[k-1]
+		}
+		rs.bOf[i] = -2 - b // matched, not yet kept
+	}
+	if len(tails) == 0 {
+		return false
+	}
+	for i := tailSlot[len(tails)-1]; i >= 0; i = prev[i] {
+		b := -2 - rs.bOf[i]
+		rs.bOf[i], rs.rOf[b] = b, i
+	}
+	for i, b := range rs.bOf {
+		if b < -1 {
+			rs.bOf[i] = -1
+		}
+	}
+	return true
+}
+
+// binding returns this run's round-k binding of name.
+func (rs *replayState) binding(name string, k int) (binding, bool) {
+	if b, ok := rs.diff[name]; ok {
+		return b, b.slot >= 0
+	}
+	if fb, ok := rs.ref.bound[name]; ok && fb.round == int32(k) {
+		return binding{name, fb.val, rs.rOf[fb.slot]}, true
+	}
+	return binding{}, false
+}
+
+// rebind records, for the names in diff, the round in which this run
+// bound them where it differs from the reference's.
+func (rs *replayState) rebind(k int) {
+	for name, b := range rs.diff {
+		fb, ok := rs.ref.bound[name]
+		refFresh := ok && fb.round == int32(k)
+		if b.slot >= 0 && !refFresh {
+			rs.rebound[name] = int32(k)
+		} else if b.slot < 0 && refFresh {
+			if _, ok := rs.rebound[name]; !ok {
+				rs.rebound[name] = never
+			}
+		}
+	}
+}
+
+// boundBefore reports whether this run bound name before round k.
+func (rs *replayState) boundBefore(name string, k int) bool {
+	if at, ok := rs.rebound[name]; ok {
+		return at < int32(k)
+	}
+	fb, ok := rs.ref.bound[name]
+	return ok && fb.round < int32(k)
+}
+
+// leave makes slot r stop following, taking the reference's term at
+// tick; k is the round, for the added mark of an occupancy that began
+// as an added S4 outcome in it.
+func (rs *replayState) leave(r int32, k int, tick int32) {
+	rs.comp[r] = true
+	rs.comps = append(rs.comps, r)
+	if h := rs.ref.at(rs.bOf[r], tick); h != nil {
+		rs.insert(r, h.t)
+		if h.added && h.from >= rs.ref.start(k) {
+			rs.added[r] = int32(k) + 1
+		}
+	}
+}
+
+// insert places c in recomputed slot r and indexes it.
+func (rs *replayState) insert(r int32, c logic.Term) {
+	rs.cur[r] = c
+	rs.idx[c] = r
+	if y, ok := negated(c); ok {
+		rs.nots[y] = r
+	}
+	if or, ok := c.(*logic.Apply); ok && or.Op == logic.OpOr {
+		for _, o := range or.Args {
+			rs.ors[o] = append(rs.ors[o], r)
+		}
+	}
+}
+
+// drop empties recomputed slot r.
+func (rs *replayState) drop(r int32) {
+	c := rs.cur[r]
+	rs.cur[r] = nil
+	if rs.idx[c] == r {
+		delete(rs.idx, c)
+	}
+	if y, ok := negated(c); ok && rs.nots[y] == r {
+		delete(rs.nots, y)
+	}
+}
+
+// following reports whether reference slot b has a slot that follows.
+func (rs *replayState) following(b int32) (int32, bool) {
+	r := rs.rOf[b]
+	return r, r >= 0 && !rs.comp[r]
+}
+
+// holder returns the slot holding t at tick, -1 if none, and whether
+// S4 added it in round k.
+func (rs *replayState) holder(t logic.Term, k int, tick int32) (int32, bool) {
+	if r, ok := rs.idx[t]; ok {
+		return r, rs.added[r] == int32(k)+1
+	}
+	return rs.refHolder(&rs.ref.byTerm, t, k, tick)
+}
+
+// refHolder returns the following slot among the holds mm lists under t
+// live at tick, -1 if none, and whether S4 added it in round k.
+func (rs *replayState) refHolder(mm *multimap, t logic.Term, k int, tick int32) (int32, bool) {
+	for e := mm.head(t); e >= 0; e = mm.entries[e].next {
+		h := &rs.ref.holds[mm.entries[e].hold]
+		if h.from <= tick && tick < h.to {
+			if r, ok := rs.following(h.slot); ok {
+				return r, h.added && h.from >= rs.ref.start(k)
+			}
+		}
+	}
+	return -1, false
+}
+
+// Round results.
+const (
+	roundDone = iota
+	roundNone
+	roundCollapse
+	roundFallback
+)
+
+// round replays round k.
+func (rs *replayState) round(k int) int {
+	s, ref := rs.s, rs.ref
+	var rr *refRound
+	var tb []refTarget
+	if k < len(ref.rounds) {
+		rr = &ref.rounds[k]
+		tb = rr.targets
+	}
+	rs.diverge(k)
+	rs.substitute(k)
+	work := len(rs.targets) > 0
+	for i := 0; i < len(tb) && !work; i++ {
+		_, work = rs.following(tb[i].slot)
+	}
+	if !work {
+		return roundNone
+	}
+	s.fired(RuleEqPropagation)
+	s.stack[len(s.stack)-1].rounds++
+	if !rs.normalize(tb) {
+		return roundFallback
+	}
+	if actions := rs.settle(k, tb); actions > 0 {
+		s.firedN(RuleAndIdentity, actions)
+	}
+	if rs.collapses(k, tb) {
+		s.fired(RuleComplement)
+		return roundCollapse
+	}
+	if rs.absorb(k, rr) {
+		s.fired(RuleAbsorption)
+	}
+	rs.rebindNext(k, rr)
+	return roundDone
+}
+
+// diverge makes every following slot that would receive a binding
+// other than the reference's in round k leave before substitution.
+func (rs *replayState) diverge(k int) {
+	for name, b := range rs.diff {
+		fb, ok := rs.ref.bound[name]
+		if ok && fb.round == int32(k) {
+			if b.slot >= 0 && b.val == fb.val && b.slot == rs.rOf[fb.slot] {
+				continue
+			}
+		} else if b.slot < 0 {
+			continue
+		}
+		rs.leaveVars(name, k)
+	}
+}
+
+// substitute substitutes round k's bindings into the recomputed slots:
+// each receives the bindings of the names it holds, but not the one it
+// binds itself. The slots that change are the round's recomputed
+// targets, in slot order.
+func (rs *replayState) substitute(k int) {
+	slices.Sort(rs.comps)
+	rs.targets = rs.targets[:0]
+	for _, p := range rs.comps {
+		c := rs.cur[p]
+		if c == nil {
+			continue
+		}
+		clear(rs.slotSub)
+		rs.collect(c, p, k)
+		if u := logic.Substitute(c, rs.slotSub); u != c {
+			rs.targets = append(rs.targets, target{p, u})
+		}
+	}
+}
+
+// normalize normalizes the round's targets in slot order: a following
+// target's entry is the reference's, a recomputed one is normalized.
+// It returns false when a recomputed one needs resettle.
+func (rs *replayState) normalize(tb []refTarget) bool {
+	s := rs.s
+	j := 0
+	upTo := func(limit int32) bool {
+		for ; j < len(rs.targets) && rs.targets[j].slot < limit; j++ {
+			t := s.norm(rs.targets[j].t)
+			if t == logic.False || isOp(t, logic.OpAnd) {
+				return false
+			}
+			rs.targets[j].t = t
+		}
+		return true
+	}
+	for i := range tb {
+		r, ok := rs.following(tb[i].slot)
+		if !ok {
+			continue
+		}
+		if !upTo(r) {
+			return false
+		}
+		if tb[i].ent != nil {
+			s.dep(tb[i].sub, tb[i].ent)
+		}
+	}
+	return upTo(math.MaxInt32)
+}
+
+// settle applies S4 to the round's targets in slot order and returns
+// the actions it counts. A following target keeps the reference's
+// outcome while its partner follows and no recomputed slot holds its
+// term; a recomputed one runs s4. A reference duplicate whose replacer
+// does not follow keeps its partner, which leaves.
+func (rs *replayState) settle(k int, tb []refTarget) int {
+	for _, tg := range rs.targets {
+		rs.drop(tg.slot)
+	}
+	for i := range tb {
+		if tb[i].kind != outDupReplaced {
+			continue
+		}
+		if _, ok := rs.following(tb[i].slot); ok {
+			continue
+		}
+		if q, ok := rs.following(tb[i].partner); ok {
+			rs.leave(q, k, rs.ref.dropTick(k))
+		}
+	}
+	actions, j := 0, 0
+	rs.follow, rs.cadded = rs.follow[:0], rs.cadded[:0]
+	upTo := func(limit int32) {
+		for ; j < len(rs.targets) && rs.targets[j].slot < limit; j++ {
+			actions += rs.s4(rs.targets[j].slot, rs.targets[j].t, k)
+		}
+	}
+	for i := range tb {
+		tg := &tb[i]
+		r, ok := rs.following(tg.slot)
+		if !ok {
+			continue
+		}
+		upTo(r)
+		valid := true
+		switch tg.kind {
+		case outAdded:
+			_, dup := rs.idx[tg.out]
+			valid = !dup
+		case outDupKept, outDupReplaced:
+			_, valid = rs.following(tg.partner)
+		}
+		switch {
+		case !valid:
+			rs.comp[r] = true
+			rs.comps = append(rs.comps, r)
+			actions += rs.s4(r, tg.out, k)
+		case tg.kind == outAdded:
+			rs.follow = append(rs.follow, int32(i))
+		default:
+			actions++
+		}
+	}
+	upTo(math.MaxInt32)
+	return actions
+}
+
+// collapses applies S6: a complement pair with a recomputed side
+// collapses the conjunction (the reference had none).
+func (rs *replayState) collapses(k int, tb []refTarget) bool {
+	for _, i := range rs.follow {
+		x := tb[i].out
+		if y, ok := negated(x); ok {
+			if _, in := rs.idx[y]; in {
+				return true
+			}
+		}
+		if _, in := rs.nots[x]; in {
+			return true
+		}
+	}
+	tick := rs.ref.afterS4(k)
+	for _, r := range rs.cadded {
+		x := rs.cur[r]
+		if y, ok := negated(x); ok {
+			if h, _ := rs.holder(y, k, tick); h >= 0 {
+				return true
+			}
+		}
+		h, ok := rs.nots[x]
+		if !ok {
+			h, _ = rs.refHolder(&rs.ref.byNot, x, k, tick)
+		}
+		if h >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// absorb applies S13 and reports whether it dropped anything. A
+// disjunction is dropped iff some operand is held after S4 and the
+// disjunction or the holder was added this round. The reference's
+// drops stand where both sides follow; every other disjunction that
+// may meet a recomputed side is decided here.
+func (rs *replayState) absorb(k int, rr *refRound) bool {
+	ref := rs.ref
+	tick := ref.afterS4(k)
+	absorbed := false
+	rs.orCands = rs.orCands[:0]
+	if rr != nil {
+		for _, d := range rr.drops {
+			v, ok := rs.following(d.victim)
+			if !ok {
+				continue
+			}
+			if _, ok := rs.following(d.cause); ok {
+				absorbed = true
+				continue
+			}
+			rs.leave(v, k, tick)
+			rs.orCands = append(rs.orCands, v)
+		}
+	}
+	for _, i := range rs.follow {
+		tg := &rr.targets[i]
+		or, isOr := tg.out.(*logic.Apply)
+		if !isOr || or.Op != logic.OpOr {
+			rs.orCands = append(rs.orCands, rs.ors[tg.out]...)
+			continue
+		}
+		r, ok := rs.following(tg.slot)
+		if !ok || tg.absorbed {
+			continue
+		}
+		for _, o := range or.Args {
+			if _, in := rs.idx[o]; in {
+				rs.leave(r, k, tick)
+				rs.orCands = append(rs.orCands, r)
+				break
+			}
+		}
+	}
+	for _, r := range rs.cadded {
+		x := rs.cur[r]
+		if isOp(x, logic.OpOr) {
+			rs.orCands = append(rs.orCands, r)
+			continue
+		}
+		rs.orCands = append(rs.orCands, rs.ors[x]...)
+		for e := ref.byOr.head(x); e >= 0; e = ref.byOr.entries[e].next {
+			h := &ref.holds[ref.byOr.entries[e].hold]
+			if h.from <= tick && tick < h.to {
+				if q, ok := rs.following(h.slot); ok {
+					rs.leave(q, k, tick)
+					rs.orCands = append(rs.orCands, q)
+				}
+			}
+		}
+	}
+	for _, q := range rs.orCands {
+		x := rs.cur[q]
+		if x == nil || !isOp(x, logic.OpOr) {
+			continue
+		}
+		qAdded := rs.added[q] == int32(k)+1
+		for _, o := range x.(*logic.Apply).Args {
+			if h, hAdded := rs.holder(o, k, tick); h >= 0 && (qAdded || hAdded) {
+				rs.drop(q)
+				absorbed = true
+				break
+			}
+		}
+	}
+	return absorbed
+}
+
+// rebindNext computes the next round's bindings: the surviving added
+// conjuncts' that bind a name this run has not bound, first per name
+// in slot order. They are the reference's except for the names a
+// recomputed or gone binder binds, or this run bound in another round;
+// diff gets this run's binding of each of those.
+func (rs *replayState) rebindNext(k int, rr *refRound) {
+	clear(rs.next)
+	var binders []binding
+	if rr != nil {
+		binders = rr.binders
+	}
+	for _, r := range rs.cadded {
+		if c := rs.cur[r]; c != nil {
+			if name, _, ok := unitBinding(c); ok {
+				rs.next[name] = binding{name, nil, -1}
+			}
+		}
+	}
+	for _, b := range binders {
+		_, follows := rs.following(b.slot)
+		if _, moved := rs.rebound[b.name]; !follows || moved {
+			rs.next[b.name] = binding{b.name, nil, -1}
+		}
+	}
+	if len(rs.next) > 0 {
+		j := 0
+		upTo := func(limit int32) {
+			for ; j < len(rs.cadded) && rs.cadded[j] < limit; j++ {
+				r := rs.cadded[j]
+				if c := rs.cur[r]; c != nil {
+					if name, val, ok := unitBinding(c); ok {
+						rs.bind(binding{name, val, r}, k)
+					}
+				}
+			}
+		}
+		for _, b := range binders {
+			r, ok := rs.following(b.slot)
+			if !ok {
+				continue
+			}
+			upTo(r)
+			if _, touched := rs.next[b.name]; touched {
+				rs.bind(binding{b.name, b.val, r}, k)
+			}
+		}
+		upTo(math.MaxInt32)
+	}
+	rs.diff, rs.next = rs.next, rs.diff
+	rs.rebind(k + 1)
+}
+
+// bind makes b the next round's binding of its name, one diff tracks,
+// unless the name is taken or this run bound it before.
+func (rs *replayState) bind(b binding, k int) {
+	if e, ok := rs.next[b.name]; !ok || e.slot >= 0 || rs.boundBefore(b.name, k+1) {
+		return
+	}
+	rs.next[b.name] = b
+}
+
+// collect adds to slotSub the round-k bindings of the names t holds,
+// except those recomputed slot p binds itself.
+func (rs *replayState) collect(t logic.Term, p int32, k int) {
+	switch n := t.(type) {
+	case *logic.Var:
+		if b, ok := rs.binding(n.Name, k); ok && b.slot != p {
+			rs.slotSub[n.Name] = b.val
+		}
+	case *logic.Apply:
+		for _, a := range n.Args {
+			rs.collect(a, p, k)
+		}
+	}
+}
+
+// leaveVars makes every following slot listed under name leave at the
+// start of round k.
+func (rs *replayState) leaveVars(name string, k int) {
+	for _, b := range rs.ref.vars[name] {
+		if r, ok := rs.following(b); ok {
+			rs.leave(r, k, rs.ref.start(k))
+		}
+	}
+}
+
+// s4 applies S4 to recomputed target r, normalized to t, at its step
+// of round k, as settle does. It returns the actions it counts.
+func (rs *replayState) s4(r int32, t logic.Term, k int) int {
+	if t == logic.True {
+		return 1
+	}
+	q, _ := rs.holder(t, k, rs.ref.lookTick(k, rs.pos[r]))
+	if q < 0 {
+		rs.insert(r, t)
+		rs.added[r] = int32(k) + 1
+		rs.cadded = append(rs.cadded, r)
+		return 0
+	}
+	if q < r {
+		return 1
+	}
+	if !rs.comp[q] {
+		rs.leave(q, k, rs.ref.lookTick(k, rs.pos[r]))
+	}
+	rs.drop(q)
+	rs.insert(r, t)
+	return 1
+}

@@ -44,6 +44,14 @@ type Simplifier struct {
 	// Trace records the size of the last result (a one-element trace;
 	// the single-pass normalizer has no per-pass intermediate sizes).
 	Trace []int
+	// Ref, when set, is the recorded root propagation (Record) the
+	// root conjunction of each input replays instead of running S14
+	// itself (see replay.go). Replays and ReplayFallbacks report, for
+	// the last input, whether its root conjunction was answered by the
+	// replay or fell back to the full loop (1 or 0 each).
+	Ref             *Reference
+	Replays         int
+	ReplayFallbacks int
 
 	// sharedCache, when non-nil, is an externally owned cache (for
 	// example engine.Session's) consulted for default-configuration
@@ -62,6 +70,11 @@ type Simplifier struct {
 	cache    *Cache
 	stack    []*nfEntry
 	inflight map[logic.Term]struct{}
+	// root is the input's root conjunction: the input, then its rebuild
+	// once its conjuncts are normalized. rec records its propagation
+	// during Record.
+	root logic.Term
+	rec  *Reference
 
 	// andRule, when set, replaces simplifyAnd; the tests install the
 	// whole-list loop it replaced there as their reference.
@@ -97,6 +110,7 @@ func NewShared(c *Cache) *Simplifier {
 func (s *Simplifier) Reset() {
 	s.Passes = 0
 	s.Trace = nil
+	s.Replays, s.ReplayFallbacks = 0, 0
 }
 
 // Simplify is a convenience wrapper using a fresh Simplifier.
@@ -118,11 +132,13 @@ func (s *Simplifier) Simplify(t logic.Term) logic.Term {
 		s.cache = s.priv
 	}
 	t = logic.Intern(t)
+	s.root = t
+	s.Replays, s.ReplayFallbacks = 0, 0
 	s.inflight = make(map[logic.Term]struct{})
 	root := &nfEntry{} // collects t's entry as its one dependency
 	s.stack = append(s.stack[:0], root)
 	out := s.norm(t)
-	s.stack, s.inflight = s.stack[:0], nil
+	s.stack, s.inflight, s.root = s.stack[:0], nil, nil
 
 	s.Passes = int(root.passes) + 1
 	s.Trace = append(s.Trace[:0], logic.Size(out))
@@ -157,19 +173,29 @@ func (s *Simplifier) dep(t logic.Term, e *nfEntry) {
 // norm returns the normal form of the canonical term t, consulting and
 // filling the cache. Leaves are their own normal forms.
 func (s *Simplifier) norm(t logic.Term) logic.Term {
+	out, _ := s.normEntry(t)
+	return out
+}
+
+// normEntry is norm that also returns the published entry t's normal
+// form was read from (nil for a leaf). A recording recomputes the root
+// conjunction even when the cache holds it.
+func (s *Simplifier) normEntry(t logic.Term) (logic.Term, *nfEntry) {
 	a, ok := t.(*logic.Apply)
 	if !ok {
-		return t
+		return t, nil
 	}
-	if e, ok := s.cache.get(t); ok {
-		s.dep(t, e)
-		return e.out
+	if s.rec == nil || t != s.root {
+		if e, ok := s.cache.get(t); ok {
+			s.dep(t, e)
+			return e.out, e
+		}
 	}
 	if _, busy := s.inflight[t]; busy {
 		// A derived term led back to a term still being normalized.
 		// Returning it unchanged is sound (it is equivalent to itself)
 		// and breaks the cycle; no entry is recorded for this path.
-		return t
+		return t, nil
 	}
 	s.inflight[t] = struct{}{}
 	e := &nfEntry{}
@@ -180,8 +206,9 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 	if e.rounds > e.passes {
 		e.passes = e.rounds
 	}
-	s.dep(t, s.cache.put(t, e))
-	return e.out
+	pub := s.cache.put(t, e)
+	s.dep(t, pub)
+	return e.out, pub
 }
 
 // rewriteNode normalizes the children of a, then applies the local
@@ -198,7 +225,11 @@ func (s *Simplifier) rewriteNode(a *logic.Apply) logic.Term {
 		}
 	}
 	if changed {
-		return s.norm(logic.Intern(&logic.Apply{Op: a.Op, Args: args}))
+		n := logic.Intern(&logic.Apply{Op: a.Op, Args: args})
+		if a == s.root {
+			s.root = n
+		}
+		return s.norm(n)
 	}
 	switch a.Op {
 	case logic.OpNot:
@@ -281,7 +312,25 @@ func (s *Simplifier) simplifyAnd(a *logic.Apply) logic.Term {
 	if !ok {
 		return logic.False
 	}
-	args, propagated, ok := s.propagate(args)
+	var propagated bool
+	switch {
+	case a != s.root:
+		args, propagated, ok = s.propagate(args, nil)
+	case s.rec != nil:
+		args, propagated, ok = s.propagate(args, &recorder{ref: s.rec})
+	case s.Ref != nil:
+		var replayed bool
+		var out []logic.Term
+		if out, propagated, ok, replayed = s.replay(args); replayed {
+			s.Replays++
+			args = out
+		} else {
+			s.ReplayFallbacks++
+			args, propagated, ok = s.propagate(args, nil)
+		}
+	default:
+		args, propagated, ok = s.propagate(args, nil)
+	}
 	if !ok {
 		return logic.False
 	}

@@ -16,14 +16,17 @@ import (
 // one whole-network encoding of a concrete deployment, recorded
 // together with the span of every constraint group — the selection
 // group of each (prefix, router) pair and the block of each
-// requirement. An explanation encoder symbolizes a single router; every
+// requirement — and, for every router, the candidates whose path
+// crosses it. An explanation encoder symbolizes a single router; every
 // group whose candidates avoid that router is byte-for-byte the same
 // constraint slice (terms are hash-consed, so "the same" is pointer
 // equality), and an encoder with the base attached (Encoder.WithBase)
-// copies those spans verbatim. Only the groups inside the symbolized
-// router's cone of influence — the candidates whose propagation path
-// crosses it — are re-derived, so per-router symbolic work scales with
-// the cone, not the network.
+// copies those spans verbatim. Only the candidates through the
+// symbolized router (its cone of influence) are re-derived, only their
+// groups re-emitted, and only their prefixes' node maps rebuilt: the
+// candidate work of a derived encode scales with the cone. What stays
+// at network size is the splice itself, one copy of the base's
+// constraint list and one node-map pointer per prefix.
 //
 // A Base is immutable after construction and safe for concurrent use
 // by any number of encoders.
@@ -49,6 +52,12 @@ type Base struct {
 	// topology and options, so one graph serves every sketch of the
 	// deployment.
 	cands map[string]map[string][]*candidate
+	// through lists, for each router, the non-origin candidates whose
+	// path contains it (the candidates a derived encode symbolizing the
+	// router re-derives), and groupOf the selGroups index of each
+	// (prefix, router) group.
+	through map[string][]*candidate
+	groupOf map[[2]string]int
 
 	// vocab is the deployment's vocabulary and tags its per-tag config
 	// counts, from which every encoder with the base attached derives
@@ -103,8 +112,43 @@ func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 	for _, r := range reqs {
 		b.reqStrs = append(b.reqStrs, r.String())
 	}
+	b.indexCone()
 	return b, nil
 }
+
+// indexCone fills through and groupOf from the recorded candidate graph
+// and groups. Candidates are listed in prefix, node and discovery order,
+// so a derived encode's walk over them is deterministic.
+func (b *Base) indexCone() {
+	b.through = make(map[string][]*candidate)
+	b.groupOf = make(map[[2]string]int, len(b.selGroups))
+	for i, g := range b.selGroups {
+		b.groupOf[[2]string{g.prefix, g.node}] = i
+	}
+	prefixes := make([]string, 0, len(b.cands))
+	for p := range b.cands {
+		prefixes = append(prefixes, p)
+	}
+	sort.Strings(prefixes)
+	for _, p := range prefixes {
+		byNode := b.cands[p]
+		for _, node := range sortedNodes(byNode) {
+			for _, c := range byNode[node] {
+				if c.parent == nil {
+					continue
+				}
+				for _, r := range c.path {
+					b.through[r] = append(b.through[r], c)
+				}
+			}
+		}
+	}
+}
+
+// Seed returns the base encoding's conjunction: the seed specification
+// of the concrete deployment, which every derived seed repeats outside
+// its symbolized router's cone.
+func (b *Base) Seed() logic.Term { return b.enc.Conjunction() }
 
 // matchesReqs reports whether the requirement list matches the one the
 // spans were recorded for.

@@ -2,44 +2,48 @@ package synth
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sort"
 
+	"repro/internal/logic"
 	"repro/internal/spec"
 )
 
-// scopedCtxInterval is how many constraint groups pass between context
-// checks during a scoped splice.
+// scopedCtxInterval is how many re-encoded constraint groups pass
+// between context checks during a scoped splice.
 const scopedCtxInterval = 256
 
-// encodeScoped is the cone-scoped encode: rebuild the candidate graph
-// by mapping the base's candidates (pointer-shared when the path avoids
-// every dirty router, re-derived otherwise), then walk the recorded
-// groups in order, copying clean spans and re-emitting dirty ones. The
-// result is element-wise pointer-identical to the whole-network encode
-// of the same sketch: a shared candidate's terms are the ones the
-// whole-network encode would derive from the same configs (hash-
-// consing makes them the same pointers), re-derived ones run the same
-// edgePass over pointer-identical inputs, and group emission is a
-// deterministic function of the candidates — so everything downstream
-// (simplification, lifting, reports) is byte-identical.
+// encodeScoped is the cone-scoped encode: re-derive the base candidates
+// whose path crosses a dirty router (Base.through lists them), rebuild
+// only the candidate groups and prefixes holding one, then walk the
+// recorded groups in order, copying each run of clean spans in one
+// slice and re-emitting dirty groups. The result is element-wise
+// pointer-identical to the whole-network encode of the same sketch: a
+// shared candidate's terms are the ones the whole-network encode would
+// derive from the same configs (hash-consing makes them the same
+// pointers), re-derived ones run the same edgePass over pointer-
+// identical inputs, and group emission is a deterministic function of
+// the candidates — so everything downstream (simplification, lifting,
+// reports) is byte-identical.
 func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*Encoding, error) {
 	b := e.base
 	if err := e.declareScopedHoles(); err != nil {
 		return nil, err
 	}
 
-	// Map every candidate of the base into this encoder's graph.
-	mappedBy := make(map[*candidate]*candidate)
-	rederived := 0
+	// Re-derive every candidate through a dirty router. A candidate's
+	// parent path is a prefix of its own, so parents outside the cone
+	// are shared as they are.
+	mapped := make(map[*candidate]*candidate)
 	var mapCand func(bc *candidate) (*candidate, error)
 	mapCand = func(bc *candidate) (*candidate, error) {
-		if nc, ok := mappedBy[bc]; ok {
+		if nc, ok := mapped[bc]; ok {
 			return nc, nil
 		}
 		if bc.parent == nil || e.pathClean(bc.path) {
 			// Origin states depend only on the prefix; clean paths carry
 			// edge conditions and states no dirty config can reach.
-			mappedBy[bc] = bc
 			return bc, nil
 		}
 		parent, err := mapCand(bc.parent)
@@ -58,65 +62,100 @@ func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*E
 			state:    st,
 			sel:      bc.sel, // interned by name: identical to a fresh encode's
 		}
-		rederived++
-		mappedBy[bc] = nc
+		mapped[bc] = nc
 		return nc, nil
 	}
-
-	// dirtyGroup marks the (prefix, router) groups containing at least
-	// one re-derived candidate: exactly the groups whose constraints
-	// must be re-emitted.
-	dirtyGroup := make(map[[2]string]bool)
-	for prefix, byNode := range b.cands {
-		nm := make(map[string][]*candidate, len(byNode))
-		for node, cs := range byNode {
-			list := make([]*candidate, len(cs))
-			changed := false
-			for i, bc := range cs {
-				nc, err := mapCand(bc)
-				if err != nil {
-					return nil, err
-				}
-				list[i] = nc
-				changed = changed || nc != bc
-			}
-			nm[node] = list
-			if changed {
-				dirtyGroup[[2]string{prefix, node}] = true
+	dirtyRouters := make([]string, 0, len(e.dirty))
+	for r := range e.dirty {
+		dirtyRouters = append(dirtyRouters, r)
+	}
+	sort.Strings(dirtyRouters)
+	for _, r := range dirtyRouters {
+		for _, bc := range b.through[r] {
+			if _, err := mapCand(bc); err != nil {
+				return nil, err
 			}
 		}
-		e.cands[prefix] = nm
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	copySpan := func(g span) {
-		e.constraints = append(e.constraints, b.enc.Constraints[g.start:g.end]...)
-		e.stats.ConstraintSize += g.size
-		e.stats.ScopedGroupsCopied++
+	// dirtyGroup marks the (prefix, router) groups holding a re-derived
+	// candidate: exactly the groups whose constraints must be
+	// re-emitted. Every other group keeps the base's candidate slice,
+	// and every prefix without a dirty group the base's node map, both
+	// read-only.
+	dirtyGroup := make(map[[2]string]bool)
+	dirtyIdx := make([]int, 0, len(mapped))
+	for bc := range mapped {
+		g := [2]string{bc.prefix, bc.node()}
+		if !dirtyGroup[g] {
+			dirtyGroup[g] = true
+			dirtyIdx = append(dirtyIdx, b.groupOf[g])
+		}
 	}
-	for i, g := range b.selGroups {
+	slices.Sort(dirtyIdx)
+	for prefix, byNode := range b.cands {
+		e.cands[prefix] = byNode
+	}
+	cloned := make(map[string]bool)
+	for _, gi := range dirtyIdx {
+		g := b.selGroups[gi]
+		if !cloned[g.prefix] {
+			cloned[g.prefix] = true
+			e.cands[g.prefix] = maps.Clone(e.cands[g.prefix])
+		}
+		byNode := e.cands[g.prefix]
+		list := slices.Clone(byNode[g.node])
+		for i, bc := range list {
+			if nc, ok := mapped[bc]; ok {
+				list[i] = nc
+			}
+		}
+		byNode[g.node] = list
+	}
+
+	// Copy each run of clean groups as one slice of the base's
+	// constraints (groups are recorded back to back), re-encode the
+	// dirty groups between runs.
+	e.constraints = make([]logic.Term, 0, len(b.enc.Constraints))
+	run := 0 // first group of the pending clean run
+	copyRun := func(end int) {
+		if run == end {
+			return
+		}
+		first, last := b.selGroups[run], b.selGroups[end-1]
+		e.constraints = append(e.constraints, b.enc.Constraints[first.start:last.end]...)
+		for _, g := range b.selGroups[run:end] {
+			e.stats.ConstraintSize += g.size
+		}
+		e.stats.ScopedGroupsCopied += end - run
+	}
+	for i, gi := range dirtyIdx {
 		if i%scopedCtxInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if !dirtyGroup[[2]string{g.prefix, g.node}] {
-			copySpan(g.span)
-			continue
-		}
+		copyRun(gi)
+		g := b.selGroups[gi]
 		start := len(e.constraints)
 		e.encodeSelectionGroup(e.cands[g.prefix][g.node])
 		e.closeSpan(start)
 		e.stats.ScopedGroupsEncoded++
+		run = gi + 1
 	}
+	copyRun(len(b.selGroups))
 	for i, r := range reqs {
 		if !e.reqNeedsReencode(r, dirtyGroup) {
 			// Forbid and Allow blocks mention only selection variables,
 			// which are shared; a clean-source Preference block's full
 			// chains are clean too. Copy verbatim.
-			copySpan(b.reqGroups[i])
+			g := b.reqGroups[i]
+			e.constraints = append(e.constraints, b.enc.Constraints[g.start:g.end]...)
+			e.stats.ConstraintSize += g.size
+			e.stats.ScopedGroupsCopied++
 			continue
 		}
 		start := len(e.constraints)
@@ -134,7 +173,7 @@ func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*E
 	e.stats.Candidates = bs.Candidates
 	e.stats.SelVars = bs.SelVars
 	e.stats.TruncatedPaths = bs.TruncatedPaths
-	e.stats.ReusedCandidates = bs.Candidates - rederived
+	e.stats.ReusedCandidates = bs.Candidates - len(mapped)
 	e.finishStats()
 	return e.finishEncoding(), nil
 }
