@@ -1,12 +1,12 @@
 // netbench regenerates the paper's evaluation: every figure and
 // quantitative claim, plus the scaling and ablation extensions, as
-// text tables.
+// text tables or, with -format json, as JSON.
 //
-//	netbench                        # all experiments
-//	netbench -table seed            # one experiment
-//	netbench -quick                 # trimmed scaling sweep
-//	netbench -scalejson BENCH_scale.json  # whole-network streaming-report scaling
-//	netbench -cpuprofile cpu.pprof  # profile the run
+//	netbench                           # all experiments
+//	netbench -table seed               # one experiment
+//	netbench -quick                    # trimmed scaling sweep
+//	netbench -table scale -format json # whole-network streaming-report scaling as JSON
+//	netbench -cpuprofile cpu.pprof     # profile the run
 package main
 
 import (
@@ -37,9 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "trim the scaling sweep")
 	format := fs.String("format", "text", "output format: text or json")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s, 5m; 0 = no limit)")
-	diffJSON := fs.String("diffjson", "", "write machine-readable incremental re-explanation measurements (cold vs incremental wall time, dirty sets, cache hit rates) to this file and exit")
-	scaleJSON := fs.String("scalejson", "", "write machine-readable whole-network streaming-report measurements (wall time, peak heap, streamed bytes, scoped-encode stats) to this file and exit; -quick trims the sweep")
-	serveJSON := fs.String("servejson", "", "write machine-readable serving-layer measurements (throughput, latency percentiles, response-cache hit rate, CLI byte-identity) to this file and exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -84,31 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "netbench:", err)
 			}
 		}()
-	}
-
-	if *diffJSON != "" {
-		if err := bench.WriteDiffJSON(ctx, *diffJSON); err != nil {
-			fmt.Fprintln(stderr, "netbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *diffJSON)
-		return 0
-	}
-	if *scaleJSON != "" {
-		if err := bench.WriteScaleJSON(ctx, *scaleJSON, *quick); err != nil {
-			fmt.Fprintln(stderr, "netbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *scaleJSON)
-		return 0
-	}
-	if *serveJSON != "" {
-		if err := bench.WriteServeJSON(ctx, *serveJSON, *quick); err != nil {
-			fmt.Fprintln(stderr, "netbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *serveJSON)
-		return 0
 	}
 
 	emit := func(tables []*bench.Table) int {

@@ -34,4 +34,17 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
+
+	// The JSON file writers are gone (-table ... -format json prints the
+	// same measurements): their flags are unknown.
+	for _, flag := range []string{"-scalejson", "-diffjson", "-servejson"} {
+		out.Reset()
+		errOut.Reset()
+		if code := run([]string{flag, "out.json"}, &out, &errOut); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr: %s)", flag, code, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s ran an experiment anyway: %q", flag, out.String())
+		}
+	}
 }

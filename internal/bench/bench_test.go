@@ -283,14 +283,14 @@ func TestTableRender(t *testing.T) {
 // cache hit rate, zero errors, and byte-identity of every served
 // report with the CLI's output.
 func TestServeQuick(t *testing.T) {
-	rep, err := Serve(context.Background(), true)
+	entries, err := Serve(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) < 3 {
-		t.Fatalf("entries = %d, want >= 3", len(rep.Entries))
+	if len(entries) < 3 {
+		t.Fatalf("entries = %d, want >= 3", len(entries))
 	}
-	for _, e := range rep.Entries {
+	for _, e := range entries {
 		if e.HitRate <= 0 {
 			t.Errorf("%s: hit rate %v, want > 0", e.Workload, e.HitRate)
 		}

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -25,39 +23,28 @@ import (
 // is the correctness bit — the incremental report compared byte for
 // byte against the cold one.
 type DiffEntry struct {
-	Workload string `json:"workload"`
-	EditKind string `json:"edit_kind"`
-	// Edit is the applied edit's router and detail string.
-	Edit string `json:"edit"`
+	Workload string
+	EditKind string
 	// ColdMS is a cold full report over the edited network (fresh
 	// explainer, no session to reuse); IncrementalMS is ReExplain of the
 	// same edit against a warm explainer.
-	ColdMS        float64 `json:"cold_ms"`
-	IncrementalMS float64 `json:"incremental_ms"`
-	Speedup       float64 `json:"speedup"`
-	Routers       int     `json:"routers"`
+	ColdMS        float64
+	IncrementalMS float64
+	Speedup       float64
+	Routers       int
 	// DirtyRouters is the size of the observed dirty set (routers whose
 	// seed specification changed); Spliced and Recomputed split the lift
 	// stage's work; FastPath marks edits proven model-invisible and
 	// answered with the previous report verbatim.
-	DirtyRouters int  `json:"dirty_routers"`
-	Spliced      int  `json:"spliced"`
-	Recomputed   int  `json:"recomputed"`
-	FastPath     bool `json:"fast_path"`
+	DirtyRouters int
+	Spliced      int
+	Recomputed   int
+	FastPath     bool
 	// CacheHits and CacheMisses are the report-cache lookups the
-	// re-explanation performed; ConeAtoms totals the dirty routers' seed
-	// conjuncts inside the edit's cone of influence.
-	CacheHits     int  `json:"cache_hits"`
-	CacheMisses   int  `json:"cache_misses"`
-	ConeAtoms     int  `json:"cone_atoms"`
-	ByteIdentical bool `json:"byte_identical"`
-}
-
-// DiffPerfReport is the payload written by netbench -diffjson
-// (BENCH_diff.json).
-type DiffPerfReport struct {
-	Name    string      `json:"name"`
-	Entries []DiffEntry `json:"entries"`
+	// re-explanation performed.
+	CacheHits     int
+	CacheMisses   int
+	ByteIdentical bool
 }
 
 // diffEditKinds is the edit-family sweep, one representative edit per
@@ -218,7 +205,6 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 			entries = append(entries, DiffEntry{
 				Workload:      j.name,
 				EditKind:      kind,
-				Edit:          cand.edit.Router + " " + cand.edit.Detail,
 				ColdMS:        coldMS,
 				IncrementalMS: incrMS,
 				Speedup:       speedup,
@@ -229,7 +215,6 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 				FastPath:      dr.Stats.FastPath,
 				CacheHits:     dr.Stats.CacheHits,
 				CacheMisses:   dr.Stats.CacheMisses,
-				ConeAtoms:     dr.Stats.ConeAtoms,
 				ByteIdentical: dr.Report == want,
 			})
 			return true, nil
@@ -300,23 +285,4 @@ func DiffTable(ctx context.Context, quick bool) (*Table, error) {
 			en.ByteIdentical)
 	}
 	return t, nil
-}
-
-// WriteDiffJSON runs the full diff benchmark (netgen presets included)
-// and writes the report to path, indented for committing alongside the
-// benchmark baselines (BENCH_diff.json).
-func WriteDiffJSON(ctx context.Context, path string) error {
-	entries, err := diffEntries(ctx, false)
-	if err != nil {
-		return err
-	}
-	rep := &DiffPerfReport{Name: "incremental-reexplain", Entries: entries}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

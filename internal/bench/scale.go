@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -16,43 +14,35 @@ import (
 )
 
 // ScaleEntry is one workload's measurement of the whole-network
-// streaming report pipeline, in the machine-readable shape committed
-// as BENCH_scale.json.
+// streaming report pipeline.
 type ScaleEntry struct {
-	Workload string `json:"workload"`
-	Routers  int    `json:"routers"`
-	Links    int    `json:"links"`
+	Workload string
+	Routers  int
+	Links    int
 	// Sections counts the router sections the report streamed — every
 	// configured router (netgen.Populate makes that every internal
 	// router, so whole-network reports actually cover the network).
-	Sections int `json:"sections"`
-	// Constraints and TruncatedPaths describe the shared whole-network
-	// encoding (MaxPathLen bounds candidate paths, so constraints
-	// plateau once the topology outgrows the reachable radius).
-	Constraints    int `json:"constraints"`
-	TruncatedPaths int `json:"truncated_paths"`
-	// MaxPathLen is the candidate-path bound the workload ran with
-	// (fat-trees use a shorter bound: the dense core makes longer
-	// paths combinatorially explosive and one up-down traversal
-	// already reaches the provider-attached core switches).
-	MaxPathLen int     `json:"max_path_len"`
-	SynthMS    float64 `json:"synth_ms"`
+	Sections int
+	// Constraints describes the shared whole-network encoding
+	// (MaxPathLen bounds candidate paths, so constraints plateau once
+	// the topology outgrows the reachable radius).
+	Constraints int
+	SynthMS     float64
 	// ReportMS is the wall time of streaming the full report through
 	// Explainer.WriteReport; StreamedBytes is what reached the writer.
-	ReportMS      float64 `json:"report_ms"`
-	StreamedBytes int64   `json:"streamed_bytes"`
+	ReportMS      float64
+	StreamedBytes int64
 	// PeakHeapBytes is the largest runtime.MemStats.HeapAlloc sampled
 	// while the report streamed (absolute process heap, not a delta).
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	PeakHeapBytes uint64
 	// ScopedGroupsCopied/ScopedGroupsEncoded split the constraint
 	// groups the per-router encodes copied verbatim from the session's
 	// recorded whole-network encoding versus re-derived inside the
 	// dirty router's cone. Copied >> encoded is the point: per-router
 	// encode work tracks cone size, not network size.
-	ScopedGroupsCopied  int `json:"scoped_groups_copied"`
-	ScopedGroupsEncoded int `json:"scoped_groups_encoded"`
-	Encodes             int `json:"encodes"`
-	ReusedCandidates    int `json:"reused_candidates"`
+	ScopedGroupsCopied  int
+	ScopedGroupsEncoded int
+	Encodes             int
 	// Verified is verify.Satisfies on the synthesized deployment. Large
 	// topologies report false: the encoder's bounded-path approximation
 	// (MaxPathLen) cannot forbid transit along paths longer than the
@@ -60,23 +50,14 @@ type ScaleEntry struct {
 	// of the synthesis encoding the explainer faithfully inherits, not
 	// an explanation defect — explanations are relative to the same
 	// bounded encoding the synthesizer used.
-	Verified bool `json:"verified"`
+	Verified bool
 }
 
-// ScaleReport is the payload written by netbench -scalejson.
-type ScaleReport struct {
-	Name string `json:"name"`
-	// GoMaxProcs records the parallelism the run actually had: at 1,
-	// report wall times measure the work, not the speedup of the
-	// streaming worker pool.
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Caveats    string       `json:"caveats"`
-	Entries    []ScaleEntry `json:"entries"`
-}
-
-const scaleCaveats = "Wall times from a single run (no repetition); on GOMAXPROCS=1 the streaming worker pool adds no parallel speedup, so report_ms is an upper bound for multi-core hosts. peak_heap_bytes is sampled HeapAlloc (20ms period), an absolute process figure that includes the interner and all prior workloads' survivors. verified=false at large sizes reflects the MaxPathLen-bounded encoding, not an explanation bug."
-
-// scaleCase is one workload recipe of the scaling sweep.
+// scaleCase is one workload recipe of the scaling sweep. maxPathLen
+// is the candidate-path bound the workload runs with (fat-trees use a
+// shorter bound: the dense core makes longer paths combinatorially
+// explosive and one up-down traversal already reaches the
+// provider-attached core switches).
 type scaleCase struct {
 	build      func() (*netgen.Workload, error)
 	maxPathLen int
@@ -222,8 +203,6 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 		Links:               wl.Net.NumLinks(),
 		Sections:            len(res.Deployment),
 		Constraints:         res.Encoding.Stats.ConstraintSize,
-		TruncatedPaths:      res.Encoding.Stats.TruncatedPaths,
-		MaxPathLen:          cs.maxPathLen,
 		SynthMS:             synthMS,
 		ReportMS:            reportMS,
 		StreamedBytes:       n,
@@ -231,7 +210,6 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 		ScopedGroupsCopied:  st.ScopedGroupsCopied,
 		ScopedGroupsEncoded: st.ScopedGroupsEncoded,
 		Encodes:             st.Encodes,
-		ReusedCandidates:    st.ReusedCandidates,
 		Verified:            ok,
 	}, nil
 }
@@ -239,37 +217,16 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 // Scale runs the scaling sweep: whole-network streaming reports over
 // populated grid, fat-tree, and random topologies. quick trims the
 // sweep to test-size workloads.
-func Scale(ctx context.Context, quick bool) (*ScaleReport, error) {
-	rep := &ScaleReport{
-		Name:       "scale-streaming-report",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Caveats:    scaleCaveats,
-	}
+func Scale(ctx context.Context, quick bool) ([]ScaleEntry, error) {
+	var entries []ScaleEntry
 	for _, cs := range scaleCases(quick) {
 		e, err := runScaleCase(ctx, cs)
 		if err != nil {
 			return nil, err
 		}
-		rep.Entries = append(rep.Entries, e)
+		entries = append(entries, e)
 	}
-	return rep, nil
-}
-
-// WriteScaleJSON runs Scale and writes the report to path, indented
-// for committing alongside benchmark baselines (BENCH_scale.json).
-func WriteScaleJSON(ctx context.Context, path string, quick bool) error {
-	rep, err := Scale(ctx, quick)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return entries, nil
 }
 
 // ScaleTable runs the scalability extension (the paper leaves this
@@ -285,11 +242,11 @@ func ScaleTable(ctx context.Context, quick bool) (*Table, error) {
 			"The paper: 'scalability ... remains untested'.",
 		Columns: []string{"workload", "routers", "links", "constraints", "synth-ms", "report-ms", "KB-streamed", "peak-heap-MB", "groups-copied", "groups-encoded", "verified"},
 	}
-	rep, err := Scale(ctx, quick)
+	entries, err := Scale(ctx, quick)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range rep.Entries {
+	for _, e := range entries {
 		t.AddRow(e.Workload, e.Routers, e.Links, e.Constraints,
 			fmt.Sprintf("%.0f", e.SynthMS), fmt.Sprintf("%.0f", e.ReportMS),
 			fmt.Sprintf("%.0f", float64(e.StreamedBytes)/1024),

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -25,33 +24,25 @@ import (
 // ServeEntry is one workload's measurement of the netexplaind serving
 // layer, driven through the HTTP handler in-process.
 type ServeEntry struct {
-	Workload string `json:"workload"`
+	Workload string
 	// Requests is the number of explain/diff requests issued;
 	// Concurrency is how many clients issued them at once.
-	Requests    int `json:"requests"`
-	Concurrency int `json:"concurrency"`
-	// CacheHits/CacheMisses are the server's response-cache counters
-	// after the run (scraped from /metrics); HitRate is their ratio.
-	CacheHits   int     `json:"cache_hits"`
-	CacheMisses int     `json:"cache_misses"`
-	HitRate     float64 `json:"hit_rate"`
+	Requests    int
+	Concurrency int
+	// HitRate is the server's response-cache hit ratio after the run
+	// (scraped from /metrics).
+	HitRate float64
 	// ThroughputRPS is requests divided by the run's wall time.
-	ThroughputRPS float64 `json:"throughput_rps"`
+	ThroughputRPS float64
 	// P50MS/P99MS are per-request latency percentiles in milliseconds
 	// (cache hits included — that is the latency clients observe).
-	P50MS float64 `json:"p50_ms"`
-	P99MS float64 `json:"p99_ms"`
+	P50MS float64
+	P99MS float64
 	// ByteIdentical reports every served explain/diff report matched
 	// the netexplain CLI's output for the same problem, byte for byte.
-	ByteIdentical bool `json:"byte_identical"`
+	ByteIdentical bool
 	// Errors counts non-200 responses (0 in a healthy run).
-	Errors int `json:"errors"`
-}
-
-// ServeReport is the payload written by netbench -servejson.
-type ServeReport struct {
-	Name    string       `json:"name"`
-	Entries []ServeEntry `json:"entries"`
+	Errors int
 }
 
 // serveWorkload is one problem rendered in the wire formats, plus an
@@ -235,7 +226,7 @@ func latencyPercentile(sorted []time.Duration, p float64) float64 {
 // plus a netgen grid preset (skipped when quick), driving the HTTP
 // handler in-process. Each workload gets a fresh server so cache
 // counters are per-workload.
-func Serve(ctx context.Context, quick bool) (*ServeReport, error) {
+func Serve(ctx context.Context, quick bool) ([]ServeEntry, error) {
 	var workloads []*serveWorkload
 	for _, sc := range scenarios.All() {
 		w, err := serveSeedWorkload(ctx, sc)
@@ -257,7 +248,7 @@ func Serve(ctx context.Context, quick bool) (*ServeReport, error) {
 	if quick {
 		n = 12
 	}
-	rep := &ServeReport{Name: "serve-pipeline"}
+	var entries []ServeEntry
 	for _, w := range workloads {
 		srv := server.New(server.Options{
 			MaxInflight:       conc,
@@ -276,12 +267,10 @@ func Serve(ctx context.Context, quick bool) (*ServeReport, error) {
 			hitRate = float64(hits) / float64(hits+misses)
 		}
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		rep.Entries = append(rep.Entries, ServeEntry{
+		entries = append(entries, ServeEntry{
 			Workload:      w.name,
 			Requests:      n,
 			Concurrency:   conc,
-			CacheHits:     hits,
-			CacheMisses:   misses,
 			HitRate:       hitRate,
 			ThroughputRPS: float64(n) / wall.Seconds(),
 			P50MS:         latencyPercentile(lat, 50),
@@ -290,12 +279,12 @@ func Serve(ctx context.Context, quick bool) (*ServeReport, error) {
 			Errors:        errs,
 		})
 	}
-	return rep, nil
+	return entries, nil
 }
 
 // ServeTable renders the serve measurement as an experiment table.
 func ServeTable(ctx context.Context, quick bool) (*Table, error) {
-	rep, err := Serve(ctx, quick)
+	entries, err := Serve(ctx, quick)
 	if err != nil {
 		return nil, err
 	}
@@ -304,28 +293,11 @@ func ServeTable(ctx context.Context, quick bool) (*Table, error) {
 		Caption: "netexplaind serving layer: concurrent explain/diff traffic through the HTTP handler. hit-rate is the content-addressed response cache; byte-identical checks every served report against the netexplain CLI's output for the same problem.",
 		Columns: []string{"workload", "requests", "conc", "hit-rate", "rps", "p50-ms", "p99-ms", "byte-identical", "errors"},
 	}
-	for _, e := range rep.Entries {
+	for _, e := range entries {
 		t.AddRow(e.Workload, e.Requests, e.Concurrency,
 			fmt.Sprintf("%.2f", e.HitRate), fmt.Sprintf("%.1f", e.ThroughputRPS),
 			fmt.Sprintf("%.1f", e.P50MS), fmt.Sprintf("%.1f", e.P99MS),
 			e.ByteIdentical, e.Errors)
 	}
 	return t, nil
-}
-
-// WriteServeJSON runs Serve and writes the report to path, indented
-// for committing alongside benchmark baselines (BENCH_serve.json).
-func WriteServeJSON(ctx context.Context, path string, quick bool) error {
-	rep, err := Serve(ctx, quick)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -123,7 +123,7 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 	// the sweep below reports the successor's error.
 	oldBase, _ := e.Session.PrepareScoped(ctx)
 	newSess := engine.NewSessionFrom(e.Session, reqs, newDep)
-	hits0, misses0 := newSess.ReportCache().Counters()
+	before := newSess.ReportCache().Stats()
 
 	newBase, _ := newSess.PrepareScoped(ctx)
 	if err := ctx.Err(); err != nil {
@@ -181,9 +181,9 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 			st.ConeAtoms += d.coneAtoms
 		}
 	}
-	hits1, misses1 := newSess.ReportCache().Counters()
-	st.CacheHits = hits1 - hits0
-	st.CacheMisses = misses1 - misses0
+	after := newSess.ReportCache().Stats()
+	st.CacheHits = after.Hits - before.Hits
+	st.CacheMisses = after.Misses - before.Misses
 	return &DiffReport{Report: out, Summary: renderDiffSummary(st), Stats: st}, nil
 }
 

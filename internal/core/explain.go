@@ -30,8 +30,7 @@ type Options struct {
 	// path patterns during lifting.
 	MaxPatternNodes int
 	// Budget bounds the resources explanation queries may spend: a
-	// wall-clock deadline (zero: none) and the model cap of the
-	// sufficiency check (zero: engine.DefaultMaxModels).
+	// wall-clock deadline (zero: none).
 	Budget engine.Budget
 	// VerifyProofs makes every solver record a DRAT-style proof trace
 	// and re-validates each Unsat verdict with the independent checker
@@ -428,8 +427,7 @@ func (ent *liftEntry) size() int64 {
 // liftOptsSig captures every option the lift stage's outcome depends
 // on; entries produced under a different signature never splice.
 func (e *Explainer) liftOptsSig() string {
-	return fmt.Sprintf("p%d|m%d|v%t",
-		e.Opts.MaxPatternNodes, e.Opts.Budget.ModelCap(), e.Opts.VerifyProofs)
+	return fmt.Sprintf("p%d|v%t", e.Opts.MaxPatternNodes, e.Opts.VerifyProofs)
 }
 
 // liftEntryValid reports whether the cached entry's lift inputs are

@@ -47,11 +47,6 @@ type liftCandidate struct {
 	width int
 }
 
-// MaxSufficiencyModels is the default bound on the model enumeration
-// of the sufficiency check, used when the explainer's Budget does not
-// set MaxModels.
-const MaxSufficiencyModels = engine.DefaultMaxModels
-
 // lift runs the lifting pipeline for the router's explanation. Its
 // outcome depends on the simplified seed, the hole variables, paths
 // (the encoding's candidates through the router,
@@ -293,7 +288,7 @@ func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var,
 	}
 	sufficient := true
 	var checkErr error
-	_, exhausted, err := domSolver.EnumerateModelsContext(ctx, holeVars, e.Opts.Budget.ModelCap(), func(m logic.Assignment) bool {
+	_, exhausted, err := domSolver.EnumerateModelsContext(ctx, holeVars, engine.DefaultMaxModels, func(m logic.Assignment) bool {
 		// Does this device behavior extend to a full seed model?
 		var assume []logic.Term
 		for _, v := range holeVars {

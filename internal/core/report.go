@@ -314,7 +314,7 @@ type reportTee struct {
 }
 
 func newReportTee(e *Explainer) *reportTee {
-	return &reportTee{buf: &strings.Builder{}, cap: e.Session.ReportCache().MaxBytes()}
+	return &reportTee{buf: &strings.Builder{}, cap: e.Session.ReportCache().MaxCost()}
 }
 
 func (t *reportTee) add(s string) {

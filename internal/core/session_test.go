@@ -236,34 +236,3 @@ func TestBudgetDeadlineMidReport(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestBudgetModelCapInExplainer checks the MaxModels knob reaches the
-// sufficiency check: with a cap of 1 on a router whose subspec admits
-// many behaviors, sufficiency cannot be concluded.
-func TestBudgetModelCapInExplainer(t *testing.T) {
-	sc := scenarios.Scenario1()
-	dep := synthScenario(t, sc)
-
-	full := newExplainer(t, sc, dep, nil)
-	ref, err := full.ExplainAll("R1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.SubspecComplete {
-		t.Skip("reference explanation not complete; cap comparison is meaningless")
-	}
-
-	opts := DefaultOptions()
-	opts.Budget = engine.Budget{MaxModels: 1}
-	capped, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := capped.ExplainAll("R1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.SubspecComplete {
-		t.Error("sufficiency reported complete under MaxModels=1; the budget cap is not reaching enumeration")
-	}
-}

@@ -12,66 +12,6 @@ import (
 	"repro/internal/synth"
 )
 
-func TestReportCacheLRU(t *testing.T) {
-	rc := engine.NewReportCache()
-	rc.SetMaxBytes(200)
-	rc.Put("a", 1, 100)
-	rc.Put("b", 2, 100)
-	if _, ok := rc.Get("a"); !ok { // a is now most recent
-		t.Fatal("a missing before overflow")
-	}
-	rc.Put("c", 3, 100) // over the byte cap: must evict b
-	if _, ok := rc.Get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if v, ok := rc.Get("a"); !ok || v != 1 {
-		t.Fatal("recently used entry a was evicted")
-	}
-	if v, ok := rc.Get("c"); !ok || v != 3 {
-		t.Fatal("new entry c missing")
-	}
-	if rc.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", rc.Evictions())
-	}
-	if rc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rc.Len())
-	}
-	if rc.Bytes() != 200 {
-		t.Fatalf("Bytes = %d, want 200", rc.Bytes())
-	}
-	// Shrinking the cap sheds immediately: c was read last, so it
-	// survives and a goes.
-	rc.SetMaxBytes(100)
-	if rc.Len() != 1 || rc.Bytes() != 100 {
-		t.Fatalf("after shrink: Len = %d, Bytes = %d; want 1, 100", rc.Len(), rc.Bytes())
-	}
-	// An entry larger than the whole cap is dropped, not stored: the
-	// cap is a heap bound.
-	rc.Put("big", 9, 500)
-	if _, ok := rc.Get("big"); ok {
-		t.Fatal("oversized entry survived")
-	}
-	if rc.Bytes() != 0 || rc.Len() != 0 {
-		t.Fatalf("after oversized put: Len = %d, Bytes = %d; want 0, 0", rc.Len(), rc.Bytes())
-	}
-	hits, misses := rc.Counters()
-	if hits != 3 || misses != 2 {
-		t.Fatalf("counters = %d hits, %d misses; want 3, 2", hits, misses)
-	}
-}
-
-func TestReportCacheDisplacementAccounting(t *testing.T) {
-	rc := engine.NewReportCache()
-	rc.Put("k", 1, 50)
-	rc.Put("k", 2, 80) // displaces: accounted size follows the new value
-	if rc.Bytes() != 80 {
-		t.Fatalf("Bytes after displacement = %d, want 80", rc.Bytes())
-	}
-	if rc.Len() != 1 {
-		t.Fatalf("Len after displacement = %d, want 1", rc.Len())
-	}
-}
-
 func TestSessionSimplifyCacheBounded(t *testing.T) {
 	s := newSession(t)
 	s.SetCacheLimits(engine.CacheLimits{Simplify: 1})
@@ -99,23 +39,23 @@ func TestSessionSimplifyCacheBounded(t *testing.T) {
 
 func TestSessionLiftSampleWindow(t *testing.T) {
 	s := newSession(t)
-	s.SetCacheLimits(engine.CacheLimits{LiftSamples: 10})
+	const n = engine.DefaultLiftSampleCap + 100
 	var ds []time.Duration
-	for i := 1; i <= 100; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
+	for i := 1; i <= n; i++ {
+		ds = append(ds, time.Duration(i)*time.Microsecond)
 	}
 	s.AddLiftQueries(ds)
 	st := s.Stats()
-	if st.LiftQueries != 100 {
-		t.Fatalf("LiftQueries = %d, want 100 (total survives windowing)", st.LiftQueries)
+	if st.LiftQueries != n {
+		t.Fatalf("LiftQueries = %d, want %d (total survives windowing)", st.LiftQueries, n)
 	}
-	if got := len(s.LiftSamples()); got != 10 {
-		t.Fatalf("retained samples = %d, want 10", got)
+	if got := len(s.LiftSamples()); got != engine.DefaultLiftSampleCap {
+		t.Fatalf("retained samples = %d, want %d", got, engine.DefaultLiftSampleCap)
 	}
-	// Percentiles are over the window (91..100ms): p50 nearest-rank at
-	// index 4 → 95ms.
-	if st.LiftP50 != 95*time.Millisecond {
-		t.Fatalf("LiftP50 = %v, want 95ms (window, not all-time)", st.LiftP50)
+	// Percentiles are over the window (101..n µs): p50 nearest-rank at
+	// index (cap-1)*50/100.
+	if want := time.Duration(101+(engine.DefaultLiftSampleCap-1)*50/100) * time.Microsecond; st.LiftP50 != want {
+		t.Fatalf("LiftP50 = %v, want %v (window, not all-time)", st.LiftP50, want)
 	}
 }
 
@@ -287,17 +227,8 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300, Simplify: 3, LiftSamples: 5})
+	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300, Simplify: 3})
 	succ := engine.NewSessionFrom(s, sc.Requirements(), res.Deployment)
-	// Lift window limit traveled.
-	var ds []time.Duration
-	for i := 1; i <= 20; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
-	}
-	succ.AddLiftQueries(ds)
-	if got := len(succ.LiftSamples()); got != 5 {
-		t.Fatalf("successor retained samples = %d, want 5", got)
-	}
 	// The shared report cache is the same object, still bounded.
 	rc := succ.ReportCache()
 	if rc != s.ReportCache() {
@@ -306,7 +237,7 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rc.Put(fmt.Sprintf("k%d", i), i, 100)
 	}
-	if rc.Len() != 3 {
-		t.Fatalf("shared report cache Len = %d, want 3 (byte cap inherited)", rc.Len())
+	if got := rc.Stats().Len; got != 3 {
+		t.Fatalf("shared report cache Len = %d, want 3 (byte cap inherited)", got)
 	}
 }

@@ -19,21 +19,17 @@ import (
 	"time"
 )
 
-// DefaultMaxModels is the model-enumeration cap used when a Budget
-// does not set MaxModels (the sufficiency check of the lifting step
-// enumerates subspecification models up to this bound).
+// DefaultMaxModels bounds the model enumeration of the lifting step's
+// sufficiency check: a subspecification with more device behaviors
+// than this is reported as not fully verified.
 const DefaultMaxModels = 512
 
 // Budget bounds the resources an explanation query may spend, across
-// every layer of the stack. The zero value means unlimited (except for
-// model enumeration, which falls back to DefaultMaxModels).
+// every layer of the stack. The zero value means unlimited.
 type Budget struct {
 	// Deadline is the wall-clock instant after which queries abort
 	// with context.DeadlineExceeded. Zero means no deadline.
 	Deadline time.Time
-	// MaxModels bounds model enumeration during sufficiency checking.
-	// Zero means DefaultMaxModels.
-	MaxModels int
 }
 
 // Apply derives a context carrying the budget's deadline. The returned
@@ -45,14 +41,6 @@ func (b Budget) Apply(ctx context.Context) (context.Context, context.CancelFunc)
 		return ctx, func() {}
 	}
 	return context.WithDeadline(ctx, b.Deadline)
-}
-
-// ModelCap returns the effective model-enumeration bound.
-func (b Budget) ModelCap() int {
-	if b.MaxModels > 0 {
-		return b.MaxModels
-	}
-	return DefaultMaxModels
 }
 
 // Stats merges the work counters of every layer touched by a session:

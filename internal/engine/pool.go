@@ -1,10 +1,11 @@
 package engine
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // PoolItem is one pooled problem: the session holding its warm caches
@@ -46,26 +47,25 @@ type PoolGauges struct {
 // opens a lease the caller must close with exactly one Checkin or
 // Drop.
 //
-// Evicted and displaced sessions fold their statistics into a retired
-// accumulator so StatsSnapshot never loses work to eviction.
+// Evicted, displaced and replaced sessions fold their statistics into a
+// retired accumulator so StatsSnapshot never loses work to eviction.
 type SessionPool struct {
-	mu      sync.Mutex
-	limit   int
-	idle    map[string]*list.Element
-	lru     *list.List // of *PoolItem, front = most recent
-	leased  int
-	gauges  PoolGauges
-	retired Stats
+	// mu guards every pool operation, so a snapshot never sees an item
+	// both idle and retired. The idle cache's hook (evictLocked) runs
+	// inside the Checkin that let the item go, under mu.
+	mu        sync.Mutex
+	idle      *lru.Cache[string, *PoolItem]
+	leased    int
+	evictions int
+	retired   Stats
 }
 
 // NewSessionPool creates a pool holding at most limit idle items
 // (limit <= 0 means unlimited).
 func NewSessionPool(limit int) *SessionPool {
-	return &SessionPool{
-		limit: limit,
-		idle:  make(map[string]*list.Element),
-		lru:   list.New(),
-	}
+	p := &SessionPool{}
+	p.idle = lru.New[string, *PoolItem](int64(limit), p.evictLocked)
+	return p
 }
 
 // Checkout leases the idle item pooled under key. On a miss it returns
@@ -76,43 +76,19 @@ func (p *SessionPool) Checkout(key string) (*PoolItem, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.leased++
-	el, ok := p.idle[key]
-	if !ok {
-		p.gauges.Misses++
-		return nil, false
-	}
-	p.gauges.Hits++
-	p.lru.Remove(el)
-	delete(p.idle, key)
-	return el.Value.(*PoolItem), true
+	return p.idle.Take(key)
 }
 
 // Checkin closes a lease by parking item for reuse under item.Key. An
-// idle item already pooled under the key is displaced (its statistics
-// are retired; the newly checked-in item is the one that just ran a
-// query, so it is the warmer of the two), and a pool over its cap
-// evicts the least-recently-used key.
+// idle item already pooled under the key is displaced (the newly
+// checked-in item is the one that just ran a query, so it is the warmer
+// of the two), and a pool over its cap evicts the least-recently-used
+// key; either way the departing item's statistics are retired.
 func (p *SessionPool) Checkin(item *PoolItem) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.leased--
-	if el, ok := p.idle[item.Key]; ok {
-		p.retireLocked(el.Value.(*PoolItem))
-		p.lru.Remove(el)
-		delete(p.idle, item.Key)
-		p.gauges.Evictions++
-	}
-	p.idle[item.Key] = p.lru.PushFront(item)
-	if p.limit > 0 {
-		for p.lru.Len() > p.limit {
-			el := p.lru.Back()
-			old := el.Value.(*PoolItem)
-			p.retireLocked(old)
-			p.lru.Remove(el)
-			delete(p.idle, old.Key)
-			p.gauges.Evictions++
-		}
-	}
+	p.idle.Put(item.Key, item, 1)
 }
 
 // Drop closes a lease without pooling anything (the build failed, or
@@ -124,29 +100,55 @@ func (p *SessionPool) Drop(item *PoolItem) {
 	defer p.mu.Unlock()
 	p.leased--
 	if item != nil {
-		p.retireLocked(item)
+		p.retireLocked(item.Session, false)
 	}
 }
 
-// retireLocked folds a departing item's session statistics into the
-// retired accumulator. Its lift-latency sample window is dropped (the
-// query count survives; percentiles are recomputed over live windows).
-// Caller holds p.mu.
-func (p *SessionPool) retireLocked(item *PoolItem) {
-	if item.Session == nil {
+// Retarget replaces a leased item's session with next, its successor
+// (NewSessionFrom, as a what-if re-explanation makes), retiring the
+// predecessor's session-local statistics. The counters of the caches
+// the two share stay out of the retired sum: next's snapshots carry
+// them cumulatively. A no-op when next already is the item's session.
+func (p *SessionPool) Retarget(item *PoolItem, next *Session) {
+	if item.Session == next {
 		return
 	}
-	p.retired.Add(item.Session.Stats())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.retireLocked(item.Session, true)
+	item.Session = next
+}
+
+// evictLocked is the idle cache's hook: an item the size cap or a
+// same-key checkin let go of counts as an eviction and retires its
+// statistics. Caller holds p.mu.
+func (p *SessionPool) evictLocked(_ string, item *PoolItem) {
+	p.evictions++
+	p.retireLocked(item.Session, false)
+}
+
+// retireLocked folds a departing session's statistics into the retired
+// accumulator: all of them, or with replaced set only its session-local
+// ones (Session.localStats). Its lift-latency sample window is dropped
+// (the query count survives; percentiles are recomputed over live
+// windows). Caller holds p.mu.
+func (p *SessionPool) retireLocked(s *Session, replaced bool) {
+	if s == nil {
+		return
+	}
+	if replaced {
+		p.retired.Add(s.localStats())
+		return
+	}
+	p.retired.Add(s.Stats())
 }
 
 // Gauges returns the pool's current occupancy and traffic counters.
 func (p *SessionPool) Gauges() PoolGauges {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	g := p.gauges
-	g.Idle = p.lru.Len()
-	g.Leased = p.leased
-	return g
+	st := p.idle.Stats()
+	return PoolGauges{Idle: st.Len, Leased: p.leased, Hits: st.Hits, Misses: st.Misses, Evictions: p.evictions}
 }
 
 // StatsSnapshot aggregates engine statistics across the pool: retired
@@ -156,19 +158,16 @@ func (p *SessionPool) Gauges() PoolGauges {
 // Leased items are not included — their work lands at checkin.
 func (p *SessionPool) StatsSnapshot() Stats {
 	p.mu.Lock()
-	sessions := make([]*Session, 0, p.lru.Len())
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		if s := el.Value.(*PoolItem).Session; s != nil {
-			sessions = append(sessions, s)
-		}
-	}
+	items := p.idle.Values()
 	st := p.retired
 	p.mu.Unlock()
 
 	var samples []int64
-	for _, s := range sessions {
-		st.Add(s.Stats())
-		samples = append(samples, s.LiftSamples()...)
+	for _, item := range items {
+		if s := item.Session; s != nil {
+			st.Add(s.Stats())
+			samples = append(samples, s.LiftSamples()...)
+		}
 	}
 	if n := len(samples); n > 0 {
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sort"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/logic"
+	"repro/internal/lru"
 	"repro/internal/rewrite"
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -26,9 +26,9 @@ const DefaultLiftSampleCap = 1 << 14
 
 // CacheLimits bounds the growable per-session caches. Zero fields mean
 // unlimited (the CLI default, where a session lives for one run); a
-// serving layer that holds sessions for hours sets every field. Limits
-// on the report and simplify caches travel with the caches themselves,
-// so successor sessions (NewSessionFrom) inherit them.
+// serving layer that holds sessions for hours sets both. The limits
+// travel with the caches themselves, so successor sessions
+// (NewSessionFrom) inherit them.
 type CacheLimits struct {
 	// ReportBytes caps the cross-deployment report cache (per-router
 	// lift artifacts and rendered whole-network reports) by its total
@@ -40,9 +40,6 @@ type CacheLimits struct {
 	// Simplify caps the per-seed simplification outcome cache, evicted
 	// least-recently-used.
 	Simplify int
-	// LiftSamples caps the lift-latency sample window the percentile
-	// stats are computed over (most recent samples are kept).
-	LiftSamples int
 }
 
 // Session is the shared state of one deployment's explanation queries:
@@ -64,9 +61,9 @@ type Session struct {
 	in *logic.Interner
 
 	// Budget bounds the resources of queries run through this session.
-	// Callers read it to derive deadlines and the model cap; it is not
-	// mutated by the session itself and must be set before the session
-	// is shared across goroutines.
+	// Callers read it to derive deadlines; it is not mutated by the
+	// session itself and must be set before the session is shared
+	// across goroutines.
 	Budget Budget
 
 	// VerifyProofs directs solvers built for this session to record
@@ -92,15 +89,15 @@ type Session struct {
 	stats   Stats
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
-	liftCap int     // sample-window cap (0 = DefaultLiftSampleCap)
 
 	// simps is the per-seed outcome cache, keyed by the canonical
-	// (interned) seed term. Simplification is a pure function of the
-	// term, so repeat queries over a cached encoding skip normalization
-	// entirely. Successor sessions (NewSessionFrom) share the cache:
-	// purity makes it sound across deployments, and an edited network's
-	// unchanged routers present pointer-identical seeds.
-	simps *simpCache
+	// (interned) seed term, one cost unit per entry. Simplification is
+	// a pure function of the term, so repeat queries over a cached
+	// encoding skip normalization entirely. Successor sessions
+	// (NewSessionFrom) share the cache: purity makes it sound across
+	// deployments, and an edited network's unchanged routers present
+	// pointer-identical seeds.
+	simps *lru.Cache[logic.Term, *SimplifyOutcome]
 
 	// nf is the session-lifetime normal-form cache shared by every
 	// simplification run through this session: distinct seeds that
@@ -120,25 +117,12 @@ type Session struct {
 
 	// reports is the cross-deployment report cache successor sessions
 	// inherit: opaque per-router artifacts (the explainer's lift
-	// results) keyed by encoding key. Values are validated by the
+	// results) and rendered reports, keyed by encoding key and costed at
+	// the byte size the caller declares. Values are validated by the
 	// caller against the current encoding before reuse — the cache
-	// itself only stores and counts.
-	reports *ReportCache
-}
-
-// simpCache is the sharable per-seed simplification cache (see
-// Session.simps), LRU-bounded when a limit is set.
-type simpCache struct {
-	mu        sync.Mutex
-	m         map[logic.Term]*list.Element
-	lru       *list.List // of simpEntry, front = most recent
-	limit     int
-	evictions int
-}
-
-type simpEntry struct {
-	seed logic.Term
-	out  *SimplifyOutcome
+	// itself only stores and counts — so an eviction costs a later
+	// recompute, never a wrong answer.
+	reports *lru.Cache[string, any]
 }
 
 // refSlot is the sharable base-seed reference (see Session.ref).
@@ -148,190 +132,6 @@ type refSlot struct {
 	mu   sync.Mutex
 	seed logic.Term
 	ref  *rewrite.Reference
-}
-
-func newSimpCache() *simpCache {
-	return &simpCache{m: make(map[logic.Term]*list.Element), lru: list.New()}
-}
-
-func (c *simpCache) get(seed logic.Term) (*SimplifyOutcome, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[seed]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(simpEntry).out, true
-}
-
-func (c *simpCache) put(seed logic.Term, out *SimplifyOutcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[seed]; ok {
-		c.lru.MoveToFront(el)
-		el.Value = simpEntry{seed: seed, out: out}
-		return
-	}
-	c.m[seed] = c.lru.PushFront(simpEntry{seed: seed, out: out})
-	c.shedLocked()
-}
-
-func (c *simpCache) setLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.shedLocked()
-	c.mu.Unlock()
-}
-
-func (c *simpCache) shedLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	for c.lru.Len() > c.limit {
-		el := c.lru.Back()
-		c.lru.Remove(el)
-		delete(c.m, el.Value.(simpEntry).seed)
-		c.evictions++
-	}
-}
-
-func (c *simpCache) counters() (entries, evictions int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len(), c.evictions
-}
-
-// ReportCache stores per-router explanation artifacts across
-// deployment generations. Keys are the session encoding keys; values
-// are opaque to the engine (the core layer stores its lift outcomes
-// and re-validates them against the live encoding before splicing, so
-// a stale entry costs a recompute, never a wrong answer). Safe for
-// concurrent use.
-//
-// Entries are accounted by the byte size the caller declares at Put
-// time; with a byte cap set (SetMaxBytes) the cache evicts least-
-// recently-used entries until it fits — an eviction costs a later
-// recompute, never a wrong answer, for the same reason. A single entry
-// larger than the whole cap is dropped rather than stored: the cap is
-// a heap bound, not a target.
-type ReportCache struct {
-	mu        sync.Mutex
-	m         map[string]*list.Element
-	lru       *list.List // of reportEntry, front = most recent
-	maxBytes  int64
-	bytes     int64
-	hits      int
-	misses    int
-	evictions int
-}
-
-type reportEntry struct {
-	key  string
-	v    any
-	size int64
-}
-
-// NewReportCache creates an empty, unbounded report cache.
-func NewReportCache() *ReportCache {
-	return &ReportCache{m: make(map[string]*list.Element), lru: list.New()}
-}
-
-// SetMaxBytes bounds the cache's total accounted size (0 = unlimited),
-// evicting immediately if it is already over.
-func (rc *ReportCache) SetMaxBytes(n int64) {
-	rc.mu.Lock()
-	rc.maxBytes = n
-	rc.shedLocked()
-	rc.mu.Unlock()
-}
-
-// Get returns the entry stored under key, counting a hit or miss.
-func (rc *ReportCache) Get(key string) (any, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.m[key]
-	if !ok {
-		rc.misses++
-		return nil, false
-	}
-	rc.hits++
-	rc.lru.MoveToFront(el)
-	return el.Value.(reportEntry).v, true
-}
-
-// Put stores an entry under key with its accounted byte size (the
-// caller's estimate of what retaining v costs), displacing any previous
-// entry under the key and evicting least-recently-used entries while
-// the cache exceeds its byte cap.
-func (rc *ReportCache) Put(key string, v any, size int64) {
-	if size < 0 {
-		size = 0
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if el, ok := rc.m[key]; ok {
-		rc.bytes += size - el.Value.(reportEntry).size
-		el.Value = reportEntry{key: key, v: v, size: size}
-		rc.lru.MoveToFront(el)
-		rc.shedLocked()
-		return
-	}
-	rc.m[key] = rc.lru.PushFront(reportEntry{key: key, v: v, size: size})
-	rc.bytes += size
-	rc.shedLocked()
-}
-
-func (rc *ReportCache) shedLocked() {
-	if rc.maxBytes <= 0 {
-		return
-	}
-	for rc.bytes > rc.maxBytes && rc.lru.Len() > 0 {
-		el := rc.lru.Back()
-		rc.lru.Remove(el)
-		ent := el.Value.(reportEntry)
-		delete(rc.m, ent.key)
-		rc.bytes -= ent.size
-		rc.evictions++
-	}
-}
-
-// Len returns the number of stored entries.
-func (rc *ReportCache) Len() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lru.Len()
-}
-
-// MaxBytes returns the cache's byte cap (0 = unlimited). Callers that
-// buffer a value before storing it (the streaming report tee) use it to
-// stop buffering early once the value cannot fit anyway.
-func (rc *ReportCache) MaxBytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.maxBytes
-}
-
-// Bytes returns the cache's current accounted size.
-func (rc *ReportCache) Bytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bytes
-}
-
-// Counters returns the cumulative hit and miss counts (callers wanting
-// per-phase figures snapshot before and after).
-func (rc *ReportCache) Counters() (hits, misses int) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.hits, rc.misses
-}
-
-// Evictions returns how many entries the size limit has displaced.
-func (rc *ReportCache) Evictions() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.evictions
 }
 
 // SimplifyOutcome is one seed's cached simplification: the simplified
@@ -363,10 +163,10 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		opts:    opts,
 		in:      logic.Default(),
 		entries: make(map[string]*entry),
-		simps:   newSimpCache(),
+		simps:   lru.New[logic.Term, *SimplifyOutcome](0, nil),
 		nf:      rewrite.NewCache(),
 		ref:     &refSlot{},
-		reports: NewReportCache(),
+		reports: lru.New[string, any](0, nil),
 	}
 }
 
@@ -378,10 +178,10 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // report cache. Deployment-specific state is NOT shared: the successor
 // records its own base, and its encoding entries start empty, since
 // they assert the predecessor deployment's constraints.
-// Budget, VerifyProofs, and the cache limits are copied from prev
-// (shared-cache limits travel with the shared caches themselves).
+// Budget and VerifyProofs are copied from prev; the cache limits travel
+// with the shared caches themselves.
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
-	s := &Session{
+	return &Session{
 		net:          prev.net,
 		reqs:         reqs,
 		dep:          dep,
@@ -395,38 +195,19 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 		ref:          prev.ref,
 		reports:      prev.reports,
 	}
-	prev.mu.Lock()
-	s.liftCap = prev.liftCap
-	prev.mu.Unlock()
-	return s
 }
 
 // SetCacheLimits bounds the session's growable caches (see
-// CacheLimits). Call before heavy traffic; limits on the shared report
-// and simplify caches apply to every session sharing them.
+// CacheLimits). Call before heavy traffic; the limits apply to every
+// session sharing the caches.
 func (s *Session) SetCacheLimits(l CacheLimits) {
-	s.reports.SetMaxBytes(l.ReportBytes)
-	s.simps.setLimit(l.Simplify)
-	s.mu.Lock()
-	s.liftCap = l.LiftSamples
-	s.trimLiftLocked()
-	s.mu.Unlock()
+	s.reports.SetMaxCost(l.ReportBytes)
+	s.simps.SetMaxCost(int64(l.Simplify))
 }
 
-// trimLiftLocked keeps only the most recent liftCap samples. Caller
-// holds s.mu.
-func (s *Session) trimLiftLocked() {
-	cap := s.liftCap
-	if cap <= 0 {
-		cap = DefaultLiftSampleCap
-	}
-	if len(s.liftNS) > cap {
-		s.liftNS = append(s.liftNS[:0], s.liftNS[len(s.liftNS)-cap:]...)
-	}
-}
-
-// ReportCache returns the session's cross-deployment report cache.
-func (s *Session) ReportCache() *ReportCache { return s.reports }
+// ReportCache returns the session's cross-deployment report cache (see
+// Session.reports).
+func (s *Session) ReportCache() *lru.Cache[string, any] { return s.reports }
 
 // Interner returns the session's shared term table. Solvers working on
 // this session's encodings should adopt it (smt.Solver.UseInterner) so
@@ -549,7 +330,7 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 // happened to be done in), so either result is the same.
 func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 	seed = s.in.Intern(seed)
-	if out, ok := s.simps.get(seed); ok {
+	if out, ok := s.simps.Get(seed); ok {
 		s.mu.Lock()
 		s.stats.SimplifyHits++
 		s.mu.Unlock()
@@ -562,7 +343,7 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 		Passes:     simp.Passes,
 		Trace:      append([]int(nil), simp.Trace...),
 	}
-	s.simps.put(seed, out)
+	s.simps.Put(seed, out, 1)
 	s.mu.Lock()
 	s.stats.SimplifyReplays += simp.Replays
 	s.stats.SimplifyReplayFallbacks += simp.ReplayFallbacks
@@ -588,7 +369,7 @@ func (s *Session) reference() *rewrite.Reference {
 	if s.ref.seed != seed {
 		simp := rewrite.NewShared(s.nf)
 		out, ref := simp.Record(seed)
-		s.simps.put(seed, &SimplifyOutcome{Simplified: out, Passes: simp.Passes, Trace: append([]int(nil), simp.Trace...)})
+		s.simps.Put(seed, &SimplifyOutcome{Simplified: out, Passes: simp.Passes, Trace: append([]int(nil), simp.Trace...)}, 1)
 		s.ref.seed, s.ref.ref = seed, ref
 	}
 	return s.ref.ref
@@ -631,10 +412,9 @@ func (s *Session) AddProofStats(rep smt.ProofReport) {
 
 // AddLiftQueries records the latencies of individual lift-stage SMT
 // queries (vacuity, necessity, extendability probes), batched per
-// worker to keep the lock off the hot path. The sample window is
-// bounded (CacheLimits.LiftSamples, DefaultLiftSampleCap by default):
-// the total query count keeps growing, the percentiles are computed
-// over the most recent window.
+// worker to keep the lock off the hot path. The sample window keeps the
+// most recent DefaultLiftSampleCap samples: the total query count keeps
+// growing, the percentiles are computed over the window.
 func (s *Session) AddLiftQueries(ds []time.Duration) {
 	if len(ds) == 0 {
 		return
@@ -644,7 +424,9 @@ func (s *Session) AddLiftQueries(ds []time.Duration) {
 		s.liftNS = append(s.liftNS, d.Nanoseconds())
 	}
 	s.liftAll += len(ds)
-	s.trimLiftLocked()
+	if n := len(s.liftNS); n > DefaultLiftSampleCap {
+		s.liftNS = append(s.liftNS[:0], s.liftNS[n-DefaultLiftSampleCap:]...)
+	}
 	s.mu.Unlock()
 }
 
@@ -660,16 +442,25 @@ func (s *Session) LiftSamples() []int64 {
 // Stats returns a snapshot of the merged statistics. The lift-query
 // latency percentiles are computed over the retained sample window.
 func (s *Session) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
+	st := s.localStats()
 	st.NormCacheHits = s.nf.Hits()
 	st.NormCacheMisses = s.nf.Misses()
 	st.NormCacheEntries = s.nf.Len()
-	st.ReportCacheHits, st.ReportCacheMisses = s.reports.Counters()
-	st.ReportCacheEvictions = s.reports.Evictions()
-	st.ReportCacheBytes = s.reports.Bytes()
-	st.SimplifyEntries, st.SimplifyEvictions = s.simps.counters()
+	rs, ss := s.reports.Stats(), s.simps.Stats()
+	st.ReportCacheHits, st.ReportCacheMisses, st.ReportCacheEvictions = rs.Hits, rs.Misses, rs.Evictions
+	st.ReportCacheBytes = rs.Cost
+	st.SimplifyEntries, st.SimplifyEvictions = ss.Len, ss.Evictions
+	return st
+}
+
+// localStats is Stats without the counters of the caches the session
+// shares with its successors (NewSessionFrom): the normal-form, report
+// and simplification caches, whose counters a successor's snapshot
+// carries cumulatively.
+func (s *Session) localStats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
 	st.LiftQueries = s.liftAll
 	if n := len(s.liftNS); n > 0 {
 		ns := append([]int64(nil), s.liftNS...)

@@ -208,13 +208,6 @@ func TestBudgetApply(t *testing.T) {
 	if d, ok := ctx.Deadline(); !ok || !d.Equal(when) {
 		t.Errorf("deadline = %v, %v; want %v", d, ok, when)
 	}
-
-	if got := (engine.Budget{}).ModelCap(); got != engine.DefaultMaxModels {
-		t.Errorf("default ModelCap = %d, want %d", got, engine.DefaultMaxModels)
-	}
-	if got := (engine.Budget{MaxModels: 7}).ModelCap(); got != 7 {
-		t.Errorf("ModelCap = %d, want 7", got)
-	}
 }
 
 func TestSessionLiftQueryStats(t *testing.T) {

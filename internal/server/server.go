@@ -19,7 +19,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -34,6 +33,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/spec"
 	"repro/internal/topology"
 )
@@ -58,12 +58,12 @@ type Options struct {
 	MaxTimeout     time.Duration
 	// VerifyProofs turns on proof verification for every served query.
 	VerifyProofs bool
-	// CacheLimits bounds each pooled session's internal caches. The
-	// zero value applies serving defaults (report bytes 64 MiB,
-	// simplify 4096, lift samples DefaultLiftSampleCap) rather than the
-	// CLI's unlimited ones; set a field negative to make it unlimited.
-	CacheLimits engine.CacheLimits
 }
+
+// sessionLimits bounds every pooled session's internal caches. A served
+// session lives for hours, so unlike the CLI's it cannot keep every
+// report and simplification it ever made.
+var sessionLimits = engine.CacheLimits{ReportBytes: 64 << 20, Simplify: 4096}
 
 // withDefaults resolves the zero values.
 func (o Options) withDefaults() Options {
@@ -82,36 +82,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = o.DefaultTimeout
 	}
-	o.CacheLimits = resolveLimits(o.CacheLimits)
 	return o
-}
-
-// resolveLimits maps the zero value of each cache limit to the serving
-// default and negative values to unlimited (engine zero).
-func resolveLimits(l engine.CacheLimits) engine.CacheLimits {
-	def := func(v, d int) int {
-		switch {
-		case v == 0:
-			return d
-		case v < 0:
-			return 0
-		}
-		return v
-	}
-	def64 := func(v, d int64) int64 {
-		switch {
-		case v == 0:
-			return d
-		case v < 0:
-			return 0
-		}
-		return v
-	}
-	return engine.CacheLimits{
-		ReportBytes: def64(l.ReportBytes, 64<<20),
-		Simplify:    def(l.Simplify, 4096),
-		LiftSamples: def(l.LiftSamples, engine.DefaultLiftSampleCap),
-	}
 }
 
 // Server is the netexplaind request handler. Create with New; serve
@@ -120,44 +91,35 @@ type Server struct {
 	opts Options
 	pool *engine.SessionPool
 	sem  chan struct{}
-
-	respMu   sync.Mutex
-	resp     map[string]*list.Element
-	respLRU  *list.List // of respEntry, front = most recent
+	// resp is the content-addressed response cache, one cost unit per
+	// body. With caching disabled nothing is stored in it, so every
+	// lookup still counts its miss.
+	resp     *lru.Cache[string, []byte]
 	inflight atomic.Int64
 
 	ctrMu sync.Mutex
 	ctr   counters
 }
 
-type respEntry struct {
-	key  string
-	body []byte
-}
-
-// counters are the server-level metrics (engine-level ones come from
-// the session pool).
+// counters are the server-level request metrics (the response cache
+// and the session pool keep their own).
 type counters struct {
-	Requests          int
-	ExplainRequests   int
-	DiffRequests      int
-	BadRequests       int
-	Errors            int
-	Rejected          int
-	ResponseCacheHits int
-	ResponseCacheMiss int
-	ResponseCacheEvic int
+	Requests        int
+	ExplainRequests int
+	DiffRequests    int
+	BadRequests     int
+	Errors          int
+	Rejected        int
 }
 
 // New creates a server.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	return &Server{
-		opts:    opts,
-		pool:    engine.NewSessionPool(opts.PoolSize),
-		sem:     make(chan struct{}, opts.MaxInflight),
-		resp:    make(map[string]*list.Element),
-		respLRU: list.New(),
+		opts: opts,
+		pool: engine.NewSessionPool(opts.PoolSize),
+		sem:  make(chan struct{}, opts.MaxInflight),
+		resp: lru.New[string, []byte](int64(opts.ResponseCacheSize), nil),
 	}
 }
 
@@ -266,41 +228,11 @@ func problemKey(net *topology.Network, dep config.Deployment, sp *spec.Spec, lif
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cachedResponse returns the cached body for key, updating recency.
-func (s *Server) cachedResponse(key string) ([]byte, bool) {
-	if s.opts.ResponseCacheSize < 0 {
-		return nil, false
-	}
-	s.respMu.Lock()
-	defer s.respMu.Unlock()
-	el, ok := s.resp[key]
-	if !ok {
-		return nil, false
-	}
-	s.respLRU.MoveToFront(el)
-	return el.Value.(respEntry).body, true
-}
-
-// storeResponse caches a successful response body.
+// storeResponse caches a successful response body, unless caching is
+// disabled (a negative ResponseCacheSize).
 func (s *Server) storeResponse(key string, body []byte) {
-	if s.opts.ResponseCacheSize < 0 {
-		return
-	}
-	s.respMu.Lock()
-	defer s.respMu.Unlock()
-	if el, ok := s.resp[key]; ok {
-		el.Value = respEntry{key: key, body: body}
-		s.respLRU.MoveToFront(el)
-		return
-	}
-	s.resp[key] = s.respLRU.PushFront(respEntry{key: key, body: body})
-	for s.respLRU.Len() > s.opts.ResponseCacheSize {
-		el := s.respLRU.Back()
-		s.respLRU.Remove(el)
-		delete(s.resp, el.Value.(respEntry).key)
-		s.ctrMu.Lock()
-		s.ctr.ResponseCacheEvic++
-		s.ctrMu.Unlock()
+	if s.opts.ResponseCacheSize > 0 {
+		s.resp.Put(key, body, 1)
 	}
 }
 
@@ -315,9 +247,7 @@ func (s *Server) admit(ctx context.Context) error {
 }
 
 // budgetFor clamps the request's timeout against the server limit and
-// builds the per-request budget. MaxModels stays zero: it is part of
-// the lift splice signature, and varying it per request would
-// needlessly invalidate cached lift artifacts.
+// builds the per-request budget.
 func (s *Server) budgetFor(req *request) (engine.Budget, time.Duration) {
 	d := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -380,7 +310,7 @@ func (s *Server) explainerFor(key string, net *topology.Network, dep config.Depl
 		s.pool.Drop(nil)
 		return nil, nil, err
 	}
-	e.Session.SetCacheLimits(s.opts.CacheLimits)
+	e.Session.SetCacheLimits(sessionLimits)
 	return &engine.PoolItem{Key: key, Session: e.Session, Value: e}, e, nil
 }
 
@@ -424,18 +354,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		contentType = "text/plain; charset=utf-8"
 	}
 	key := cacheKey(endpoint, &req)
-	if body, ok := s.cachedResponse(key); ok {
-		s.ctrMu.Lock()
-		s.ctr.ResponseCacheHits++
-		s.ctrMu.Unlock()
+	if body, ok := s.resp.Get(key); ok {
 		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("X-Cache", "hit")
 		w.Write(body)
 		return
 	}
-	s.ctrMu.Lock()
-	s.ctr.ResponseCacheMiss++
-	s.ctrMu.Unlock()
 
 	if err := s.admit(r.Context()); err != nil {
 		s.failRequest(w, http.StatusServiceUnavailable, err)
@@ -502,8 +426,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		testAfterLease()
 	}
 	// The lease is exclusive: the per-request knobs can be set directly.
-	// MaxModels stays zero so the lift splice signature is constant
-	// across requests (see budgetFor).
 	e.Opts.Lift = lift
 	e.Opts.Budget = budget
 	e.Session.Budget = budget
@@ -623,11 +545,12 @@ func (s *Server) runDiff(ctx context.Context, e *core.Explainer, edited config.D
 
 // checkinCurrent returns the explainer to the pool under the key of
 // whatever problem it now targets (ReExplain retargets it at the
-// edited deployment, making the warm state reusable by follow-up
-// requests for that problem).
+// edited deployment and its successor session, making the warm state
+// reusable by follow-up requests for that problem; the pool retires the
+// predecessor session's work).
 func (s *Server) checkinCurrent(item *engine.PoolItem, e *core.Explainer, sp *spec.Spec, lift bool) {
 	item.Key = problemKey(e.Net, e.Deployment, sp, lift)
-	item.Session = e.Session
+	s.pool.Retarget(item, e.Session)
 	s.pool.Checkin(item)
 }
 
@@ -685,9 +608,7 @@ func (s *Server) Snapshot() Metrics {
 	s.ctrMu.Lock()
 	c := s.ctr
 	s.ctrMu.Unlock()
-	s.respMu.Lock()
-	entries := s.respLRU.Len()
-	s.respMu.Unlock()
+	rc := s.resp.Stats()
 	g := s.pool.Gauges()
 
 	m.Server.Requests = c.Requests
@@ -697,10 +618,10 @@ func (s *Server) Snapshot() Metrics {
 	m.Server.Errors = c.Errors
 	m.Server.Rejected = c.Rejected
 	m.Server.Inflight = int(s.inflight.Load())
-	m.Server.ResponseCacheHits = c.ResponseCacheHits
-	m.Server.ResponseCacheMisses = c.ResponseCacheMiss
-	m.Server.ResponseCacheEntries = entries
-	m.Server.ResponseCacheEvictions = c.ResponseCacheEvic
+	m.Server.ResponseCacheHits = rc.Hits
+	m.Server.ResponseCacheMisses = rc.Misses
+	m.Server.ResponseCacheEntries = rc.Len
+	m.Server.ResponseCacheEvictions = rc.Evictions
 	m.Server.Pool.Idle = g.Idle
 	m.Server.Pool.Leased = g.Leased
 	m.Server.Pool.Hits = g.Hits

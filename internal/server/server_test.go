@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -456,6 +458,110 @@ func goldenEngineJSON() string {
 		panic(err)
 	}
 	return string(b)
+}
+
+// medRetune stages the canonical model-invisible edit on a deployment
+// text: medAdded gives the first route-map clause of the first router
+// (sorted) a MED line, medRetuned changes only that line's value.
+func medRetune(t *testing.T, configs string) (medAdded, medRetuned string) {
+	t.Helper()
+	withMED := func(med int) string {
+		dep, err := config.ParseDeployment(configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers := make([]string, 0, len(dep))
+		for r := range dep {
+			routers = append(routers, r)
+		}
+		sort.Strings(routers)
+		for _, r := range routers {
+			for _, name := range dep[r].RouteMapNames() {
+				if cls := dep[r].RouteMaps[name].Clauses; len(cls) > 0 {
+					cls[0].Sets = append(cls[0].Sets, &config.Set{Kind: config.SetMED, MED: med})
+					return config.PrintDeployment(dep)
+				}
+			}
+		}
+		t.Fatal("no route-map clause to give a MED line")
+		return ""
+	}
+	return withMED(10), withMED(25)
+}
+
+// TestMetricsCountersSurviveDiff pins the accounting of a /diff, which
+// hands the pooled explainer a successor session: the predecessor's
+// work must stay in /metrics. Across /explain → /diff → /explain, both
+// for a diff that takes the what-if fast path and for one the encoding
+// sees, no engine flow counter may fall, and BaseEncodes must equal the
+// number of sessions built — one per pool miss plus one per diff.
+func TestMetricsCountersSurviveDiff(t *testing.T) {
+	topo, configs, spc, edited := problemTexts(t)
+	medAdded, medRetuned := medRetune(t, configs)
+	// Gauges may fall; every other field is a flow.
+	gauges := map[string]bool{"SimplifyEntries": true, "ReportCacheBytes": true, "NormCacheEntries": true,
+		"LiftP50": true, "LiftP95": true}
+	for _, tc := range []struct {
+		name         string
+		base, edited string
+		fastPath     bool
+	}{
+		{"fast path", medAdded, medRetuned, true},
+		{"visible edit", configs, edited, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{})
+			h := s.Handler()
+			var prev engine.Stats
+			check := func(step string) {
+				t.Helper()
+				m := s.Snapshot()
+				got, old := reflect.ValueOf(m.Engine), reflect.ValueOf(prev)
+				for i := 0; i < got.NumField(); i++ {
+					name := got.Type().Field(i).Name
+					if gauges[name] {
+						continue
+					}
+					g, o := got.Field(i), old.Field(i)
+					if g.Kind() == reflect.Array {
+						for j := 0; j < g.Len(); j++ {
+							if g.Index(j).Uint() < o.Index(j).Uint() {
+								t.Errorf("%s: %s[%d] fell from %d to %d", step, name, j, o.Index(j).Uint(), g.Index(j).Uint())
+							}
+						}
+						continue
+					}
+					if fell := (g.CanInt() && g.Int() < o.Int()) || (g.CanUint() && g.Uint() < o.Uint()); fell {
+						t.Errorf("%s: %s fell from %v to %v", step, name, o.Interface(), g.Interface())
+					}
+				}
+				if built := m.Server.Pool.Misses + m.Server.DiffRequests; m.Engine.BaseEncodes != built {
+					t.Errorf("%s: BaseEncodes = %d, want %d (sessions built)", step, m.Engine.BaseEncodes, built)
+				}
+				prev = m.Engine
+			}
+
+			decodeExplain(t, post(t, h, "/explain", request{Topology: topo, Configs: tc.base, Spec: spc}))
+			check("explain")
+			w := post(t, h, "/diff", request{Topology: topo, Configs: tc.base, Spec: spc, EditedConfigs: tc.edited})
+			if w.Code != http.StatusOK {
+				t.Fatalf("diff status = %d, body: %s", w.Code, w.Body.String())
+			}
+			var dr diffResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &dr); err != nil {
+				t.Fatal(err)
+			}
+			if dr.Stats.FastPath != tc.fastPath {
+				t.Fatalf("diff FastPath = %v, want %v", dr.Stats.FastPath, tc.fastPath)
+			}
+			check("diff")
+			decodeExplain(t, post(t, h, "/explain", request{Topology: topo, Configs: tc.edited, Spec: spc}))
+			check("explain of the edited problem")
+			if g := s.Pool().Gauges(); g.Hits != 2 || g.Misses != 1 {
+				t.Errorf("pool hits/misses = %d/%d, want 2/1 (the diff and the follow-up reuse the warm explainer)", g.Hits, g.Misses)
+			}
+		})
+	}
 }
 
 // TestServerExplainStream pins the streaming mode: the text/plain body
