@@ -79,7 +79,7 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 	}
 
 	// Consistency of the assume side.
-	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified)
+	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,31 +100,30 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 }
 
 // encodeComplement is the complement's steps 1 and 2: it symbolizes
-// every configured router except the given one and encodes the sketch
-// through the session cache. holeOwner maps each hole to its router.
+// every configured router except the given one and encodes the
+// deployment with those overrides through the session cache. holeOwner
+// maps each hole to its router.
 func (e *Explainer) encodeComplement(ctx context.Context, router string) (enc *synth.Encoding, holeOwner map[string]string, err error) {
-	sketch := config.Deployment{}
+	overrides := map[string]*config.Config{}
 	holeOwner = map[string]string{}
 	for name, c := range e.Deployment {
 		if name == router {
-			sketch[name] = c
 			continue
 		}
 		targets := AllTargets(c)
 		if len(targets) == 0 {
-			sketch[name] = c
 			continue
 		}
 		sym, _, err := Symbolize(c, targets)
 		if err != nil {
 			return nil, nil, err
 		}
-		sketch[name] = sym
+		overrides[name] = sym
 		for _, t := range targets {
 			holeOwner[t.HoleName()] = name
 		}
 	}
-	enc, err = e.Session.Encode(ctx, sketch, "complement|"+router)
+	enc, err = e.Session.Encode(ctx, overrides, "complement|"+router)
 	if err != nil {
 		return nil, nil, err
 	}

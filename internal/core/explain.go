@@ -198,25 +198,23 @@ func encodeKey(router string, targets []Target) string {
 }
 
 // encodeSeed runs the pipeline's steps 1 and 2 for the router: it
-// symbolizes the targets in a copy of the deployment, then encodes that
-// sketch under encodeKey, through the session cache. With targets, the
-// router must have a deployed configuration. replaced maps each hole
-// to the value it replaced (empty without targets).
+// symbolizes the targets, then encodes the deployment with the router
+// overridden by its symbolized config under encodeKey, through the
+// session cache. With targets, the router must have a deployed
+// configuration. replaced maps each hole to the value it replaced
+// (empty without targets).
 func (e *Explainer) encodeSeed(ctx context.Context, router string, targets []Target) (*synth.Encoding, map[string]string, error) {
-	sketch := make(config.Deployment, len(e.Deployment))
-	for name, c := range e.Deployment {
-		sketch[name] = c
-	}
+	var overrides map[string]*config.Config
 	replaced := map[string]string{}
 	if len(targets) > 0 {
 		sym, rep, err := Symbolize(e.Deployment[router], targets)
 		if err != nil {
 			return nil, nil, err
 		}
-		sketch[router] = sym
+		overrides = map[string]*config.Config{router: sym}
 		replaced = rep
 	}
-	enc, err := e.Session.Encode(ctx, sketch, encodeKey(router, targets))
+	enc, err := e.Session.Encode(ctx, overrides, encodeKey(router, targets))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -314,13 +312,23 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	ex.SimplifyTrace = append([]int(nil), sout.Trace...)
 
 	// Residual: the conjuncts that still constrain the device's
-	// variables (the rest is auxiliary routing structure).
+	// variables (the rest is auxiliary routing structure). They are
+	// read off the normal form's root, which simplification leaves
+	// flat; a conjunct whose variable signature shares no bit with the
+	// holes' mentions none of them, which skips the walk for nearly all
+	// of the network.
 	holeNames := map[string]bool{}
-	for name := range ex.HoleVars {
+	var holeSig uint64
+	for name, v := range ex.HoleVars {
 		holeNames[name] = true
+		holeSig |= logic.Signature(v)
 	}
-	for _, c := range logic.Conjuncts(ex.Simplified) {
-		if mentionsAny(c, holeNames) {
+	conjuncts := []logic.Term{ex.Simplified}
+	if a, ok := ex.Simplified.(*logic.Apply); ok && a.Op == logic.OpAnd {
+		conjuncts = a.Args
+	}
+	for _, c := range conjuncts {
+		if logic.Signature(c)&holeSig != 0 && mentionsAny(c, holeNames) {
 			ex.Residual = append(ex.Residual, c)
 			ex.ResidualSize += logic.Size(c)
 		}

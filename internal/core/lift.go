@@ -73,8 +73,13 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 		return nil, false, err
 	}
 
-	// Seed solver for necessity and extendability checks.
-	seedSolver, seedRelease, err := e.buildSeedSolver(ctx, enc, ex.Simplified)
+	// Seed solver for necessity and extendability checks. Its queries
+	// assume the candidates' negations and values of the holes.
+	terms := make([]logic.Term, len(cands))
+	for i, c := range cands {
+		terms[i] = c.term
+	}
+	seedSolver, seedRelease, err := e.buildSeedSolver(ctx, enc, ex.Simplified, terms)
 	if err != nil {
 		return nil, false, err
 	}

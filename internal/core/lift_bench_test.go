@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -121,6 +122,32 @@ func BenchmarkReExplainSplice(b *testing.B) {
 		}
 		if st := dr.Stats; st.FastPath || st.Spliced != len(w.dep) {
 			b.Fatalf("op %d: fast path %t, %d of %d routers spliced", i, st.FastPath, st.Spliced, len(w.dep))
+		}
+	}
+}
+
+// BenchmarkReportFabricCold measures one cold unlifted report of
+// fabric-stream's input, the populated 300-router fabric
+// (topology.Random(300, 2.5, 7), candidate paths of at most 6 hops),
+// written by a fresh explainer each op: the session base, every
+// router's encode and simplification and the root replays are paid
+// every time. Its bytes and allocations per op are what the unlifted
+// scale path spends per report.
+func BenchmarkReportFabricCold(b *testing.B) {
+	w := randomFabric(b, 300, 7, 6)
+	opts := DefaultOptions()
+	opts.Synth = w.synth
+	opts.Lift = false
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := NewExplainer(w.net, w.reqs, w.dep, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.WriteReport(ctx, io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

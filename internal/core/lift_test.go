@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/netgen"
@@ -12,15 +13,21 @@ import (
 // whatifFabric is the populated 60-router random fabric
 // (topology.Random(60, 2.5, 8), candidate paths of at most 7 hops), the
 // graph behind netperf's whatif-edits workload.
-func whatifFabric(tb testing.TB) differentialWorkload {
+func whatifFabric(tb testing.TB) differentialWorkload { return randomFabric(tb, 60, 8, 7) }
+
+// randomFabric is the populated no-transit fabric over
+// topology.Random(n, 2.5, graph), synthesized with candidate paths of
+// at most hops nodes and 8 candidates per node, as netperf builds its
+// fabrics.
+func randomFabric(tb testing.TB, n int, graph int64, hops int) differentialWorkload {
 	tb.Helper()
-	wl, err := netgen.NoTransit("rand_60_g8", topology.Random(60, 2.5, 8))
+	wl, err := netgen.NoTransit(fmt.Sprintf("rand_%d_g%d", n, graph), topology.Random(n, 2.5, graph))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	netgen.Populate(wl)
 	sopts := synth.DefaultOptions()
-	sopts.MaxPathLen = 7
+	sopts.MaxPathLen = hops
 	sopts.MaxCandidatesPerNode = 8
 	res, err := synth.Synthesize(wl.Net, wl.Sketch, wl.Requirements(), sopts)
 	if err != nil {

@@ -56,9 +56,9 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 		liftQueries                      int
 	}
 	pinned := map[string]work{
-		"scenario1": {96, 16, 2674, 12, 60},
-		"scenario2": {75, 16, 27293, 15, 70},
-		"scenario3": {103, 12, 28162, 10, 94},
+		"scenario1": {96, 16, 2564, 12, 60},
+		"scenario2": {75, 8, 26523, 6, 70},
+		"scenario3": {103, 12, 28003, 10, 94},
 	}
 	for _, sc := range scenarios.All() {
 		sc := sc

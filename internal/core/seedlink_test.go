@@ -96,19 +96,28 @@ type liftRun struct {
 	solves   []solveRecord
 }
 
+// recordSolves runs f and returns every timed query it ran, in order.
+func recordSolves(f func()) []solveRecord {
+	var solves []solveRecord
+	testSolveHook = func(assume []logic.Term, st sat.Status) {
+		solves = append(solves, solveRecord{assume, st})
+	}
+	defer func() { testSolveHook = nil }()
+	f()
+	return solves
+}
+
 // runLift lifts the explanation's router, recording every timed query.
 func runLift(e *Explainer, enc *synth.Encoding, ex *Explanation) liftRun {
 	var run liftRun
-	testSolveHook = func(assume []logic.Term, st sat.Status) {
-		run.solves = append(run.solves, solveRecord{assume, st})
-	}
-	defer func() { testSolveHook = nil }()
-	block, complete, err := e.lift(context.Background(), ex.Router, enc, ex, enc.PathInfosThrough(ex.Router))
-	run.err = err
-	if err == nil {
-		run.block = spec.PrintBlock(block)
-		run.complete = complete
-	}
+	run.solves = recordSolves(func() {
+		block, complete, err := e.lift(context.Background(), ex.Router, enc, ex, enc.PathInfosThrough(ex.Router))
+		run.err = err
+		if err == nil {
+			run.block = spec.PrintBlock(block)
+			run.complete = complete
+		}
+	})
 	return run
 }
 
@@ -144,23 +153,9 @@ func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 				}
 				ref := *ex
 				ref.Simplified = enc.Conjunction()
-				got, want := runLift(e, enc, ex), runLift(e, enc, &ref)
-				if (got.err == nil) != (want.err == nil) {
-					t.Fatalf("%s: lift error %v, raw-seed reference error %v", router, got.err, want.err)
-				}
-				if got.block != want.block || got.complete != want.complete {
-					t.Errorf("%s: lifted\n%s(complete %t), raw-seed reference\n%s(complete %t)",
-						router, got.block, got.complete, want.block, want.complete)
-				}
-				if len(got.solves) != len(want.solves) {
-					t.Fatalf("%s: %d lift queries, raw-seed reference %d", router, len(got.solves), len(want.solves))
-				}
-				for i, g := range got.solves {
-					r := want.solves[i]
-					if g.st != r.st || !sameTerms(g.assume, r.assume) {
-						t.Errorf("%s: query %d assuming %v: %v, raw-seed reference %v assuming %v",
-							router, i, g.assume, g.st, r.st, r.assume)
-					}
+				got := runLift(e, enc, ex)
+				sameLift(t, router+" against the raw-seed reference", got, runLift(e, enc, &ref))
+				for _, g := range got.solves {
 					switch g.st {
 					case sat.Sat:
 						sats++
@@ -178,10 +173,9 @@ func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 	}
 }
 
-// compareNecessity asks CheckSubspecNecessary about every lift
-// candidate of the router that names a candidate route, and checks each
-// verdict against a raw-seed solver.
-func compareNecessity(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explanation) {
+// candidateBlock returns the router's lift candidates that name a
+// candidate route, as one block, with their clause terms.
+func candidateBlock(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explanation) (*spec.Block, []logic.Term) {
 	t.Helper()
 	router := ex.Router
 	holeNames := map[string]bool{}
@@ -201,6 +195,16 @@ func compareNecessity(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Expla
 			terms = append(terms, term)
 		}
 	}
+	return block, terms
+}
+
+// compareNecessity asks CheckSubspecNecessary about every lift
+// candidate of the router that names a candidate route, and checks each
+// verdict against a raw-seed solver.
+func compareNecessity(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explanation) {
+	t.Helper()
+	router := ex.Router
+	block, terms := candidateBlock(t, e, enc, ex)
 	if len(block.Reqs) == 0 {
 		return
 	}
@@ -251,6 +255,153 @@ func compareComplement(t *testing.T, e *Explainer, router string) {
 	}
 }
 
+// TestSeedSolverTrimMatchesReference is the evidence for trimming the
+// seed solvers (seedConjuncts). Each router's lift, CheckSubspecNecessary
+// over its lift candidates and ExplainComplement run twice: as shipped,
+// and against a reference seed solver that asserts every simplified
+// conjunct. Every timed query must assume the same terms and return the
+// same verdict, in the same order, and the block, the sufficiency
+// outcome and the complement's Satisfiable must match. The lift also
+// runs both ways from the raw conjunction, whose literals other
+// conjuncts still mention (the simplified seed has propagated its own
+// away). The shipped solvers must have dropped literals, or the test
+// would compare the reference with itself.
+func TestSeedSolverTrimMatchesReference(t *testing.T) {
+	dropped := 0
+	trimmed := func(simplified logic.Term, kept []logic.Term) []logic.Term {
+		dropped += len(logic.Conjuncts(simplified)) - len(kept)
+		return kept
+	}
+	reference := func(simplified logic.Term, _ []logic.Term) []logic.Term {
+		return logic.Conjuncts(simplified)
+	}
+	defer func() { testSeedHook = nil }()
+	fabric := whatifFabric(t)
+	for _, w := range append(differentialWorkloads(t), fabric) {
+		t.Run(w.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Synth = w.synth
+			opts.Lift = false // each lift below runs by hand
+			e, err := NewExplainer(w.net, w.reqs, w.dep, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, router := range e.reportRouters() {
+				ex, err := e.explainAll(ctx, router)
+				if err != nil {
+					t.Fatalf("%s: %v", router, err)
+				}
+				enc, _, err := e.encodeSeed(ctx, router, ex.Targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				block, _ := candidateBlock(t, e, enc, ex)
+				// runs is one pass over the router's seed solvers: the
+				// lift, the necessity checks and the complement.
+				type runs struct {
+					lift      liftRun
+					necessity []solveRecord
+					satisfied bool
+				}
+				run := func(hook func(logic.Term, []logic.Term) []logic.Term) runs {
+					testSeedHook = hook
+					defer func() { testSeedHook = nil }()
+					r := runs{lift: runLift(e, enc, ex)}
+					if len(block.Reqs) > 0 {
+						r.necessity = recordSolves(func() {
+							if _, err := e.CheckSubspecNecessary(router, block); err != nil {
+								t.Fatalf("%s: CheckSubspecNecessary: %v", router, err)
+							}
+						})
+					}
+					if w.name != fabric.name {
+						comp, err := e.ExplainComplement(router)
+						if err != nil {
+							t.Fatalf("%s: ExplainComplement: %v", router, err)
+						}
+						r.satisfied = comp.Satisfiable
+					}
+					return r
+				}
+				got, want := run(trimmed), run(reference)
+				sameLift(t, router, got.lift, want.lift)
+				sameSolves(t, router+" necessity", got.necessity, want.necessity)
+				if got.satisfied != want.satisfied {
+					t.Errorf("%s: complement Satisfiable=%t, reference %t", router, got.satisfied, want.satisfied)
+				}
+
+				raw := *ex
+				raw.Simplified = enc.Conjunction()
+				testSeedHook = trimmed
+				gotRaw := runLift(e, enc, &raw)
+				testSeedHook = reference
+				wantRaw := runLift(e, enc, &raw)
+				testSeedHook = nil
+				sameLift(t, router+" from the raw seed", gotRaw, wantRaw)
+			}
+		})
+	}
+	if dropped == 0 {
+		t.Fatal("no seed solver dropped a literal")
+	}
+	t.Logf("the seed solvers dropped %d literals", dropped)
+}
+
+// sameLift requires two lifts to agree on their outcome and on every
+// query they ran.
+func sameLift(t *testing.T, label string, got, want liftRun) {
+	t.Helper()
+	if (got.err == nil) != (want.err == nil) {
+		t.Fatalf("%s: lift error %v, reference error %v", label, got.err, want.err)
+	}
+	if got.block != want.block || got.complete != want.complete {
+		t.Errorf("%s: lifted\n%s(complete %t), reference\n%s(complete %t)",
+			label, got.block, got.complete, want.block, want.complete)
+	}
+	sameSolves(t, label+" lift", got.solves, want.solves)
+}
+
+// TestSeedConjunctsKeepsSharedLiterals drives each rule of
+// seedConjuncts: a literal is dropped only when nothing else the solver
+// holds or is asked mentions its variable.
+func TestSeedConjunctsKeepsSharedLiterals(t *testing.T) {
+	b := func(name string) *logic.Var { return logic.NewBoolVar("trim_" + name) }
+	lone, other, hole, asked, twice := b("lone"), b("other"), b("hole"), b("asked"), b("twice")
+	x := logic.NewIntVar("trim_x", 0, 3)
+	seed := logic.And(
+		lone,             // dropped
+		logic.Not(other), // kept: the disjunction mentions it
+		logic.Or(other, logic.Eq(x, logic.NewInt(1))),
+		hole,                    // kept: a hole
+		logic.Not(asked),        // kept: a query term mentions it
+		twice, logic.Not(twice), // kept: the seed is unsatisfiable with them
+		logic.Eq(x, logic.NewInt(2)), // kept: not a literal
+	)
+	holes := map[string]*logic.Var{hole.Name: hole, x.Name: x}
+	query := []logic.Term{logic.Or(asked, logic.Eq(x, logic.NewInt(3)))}
+	got := seedConjuncts(seed, holes, query)
+	want := logic.Conjuncts(seed)[1:]
+	if !sameTerms(got, want) {
+		t.Fatalf("kept %v, want %v", got, want)
+	}
+}
+
+// sameSolves requires two query sequences to assume the same terms and
+// return the same verdicts, in order.
+func sameSolves(t *testing.T, label string, got, want []solveRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d queries, reference %d", label, len(got), len(want))
+	}
+	for i, g := range got {
+		r := want[i]
+		if g.st != r.st || !sameTerms(g.assume, r.assume) {
+			t.Errorf("%s: query %d assuming %v: %v, reference %v assuming %v", label, i, g.assume, g.st, r.st, r.assume)
+		}
+	}
+}
+
 // sameTerms reports whether two assumption lists are the same terms
 // (hash-consed, so pointer-equal) in the same order.
 func sameTerms(a, b []logic.Term) bool {
@@ -289,7 +440,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
 
 	before := e.Stats().ProofChecks
-	_, release, err := e.buildSeedSolver(ctx, enc, simplified)
+	_, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
 	if err != nil {
 		t.Fatalf("linking the real simplified seed: %v", err)
 	}
@@ -319,7 +470,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	if pin == nil {
 		t.Fatalf("every hole of %s is forced; no value to pin", router)
 	}
-	_, _, err = e.buildSeedSolver(ctx, enc, logic.And(simplified, pin))
+	_, _, err = e.buildSeedSolver(ctx, enc, logic.And(simplified, pin), nil)
 	if err == nil || !strings.Contains(err.Error(), "does not imply") {
 		t.Fatalf("seed solver from the simplified seed with %s pinned: err %v, want a failed link", pin, err)
 	}

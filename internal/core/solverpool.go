@@ -76,21 +76,96 @@ func seedSolverBuild(holes map[string]*logic.Var, conjuncts []logic.Term) func(*
 
 // buildSeedSolver builds a query-scoped seed solver over the simplified
 // seed, step 3's normal form of the encoding, as the paper's Figure 6
-// lifts it. Every seed solver in the pipeline comes from here.
+// lifts it. Every seed solver in the pipeline comes from here. query
+// lists the terms the caller will assume (or their negations); the
+// solver leaves out the conjuncts seedConjuncts trims against them.
 //
 // Under VerifyProofs it first links the simplified seed back to the
 // raw one: a query-scoped raw-seed solver must find raw ∧ ¬simplified
 // unsatisfiable, with a proof the independent checker accepts, before
 // the raw solver is dropped. The raw seed then implies the simplified
-// one, so every Unsat verdict the simplified solver returns also holds
-// of the raw seed.
-func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, simplified logic.Term) (*smt.Solver, func(), error) {
+// one, and so the conjuncts the solver keeps, so every Unsat verdict
+// the solver returns also holds of the raw seed.
+func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, simplified logic.Term, query []logic.Term) (*smt.Solver, func(), error) {
 	if e.Opts.VerifyProofs {
 		if err := e.checkSeedLink(ctx, enc, simplified); err != nil {
 			return nil, nil, err
 		}
 	}
-	return e.buildSolver(seedSolverBuild(enc.HoleVars, logic.Conjuncts(simplified)))
+	conjuncts := seedConjuncts(simplified, enc.HoleVars, query)
+	if testSeedHook != nil {
+		conjuncts = testSeedHook(simplified, conjuncts)
+	}
+	return e.buildSolver(seedSolverBuild(enc.HoleVars, conjuncts))
+}
+
+// seedConjuncts returns the conjuncts a seed solver asserts: those of
+// the simplified seed, less every lone literal (a boolean variable or
+// its negation) over a variable that no other conjunct, no hole and no
+// query term mentions. Such a literal is satisfiable on its own and
+// shares no variable with the rest, so any model of the rest, with any
+// assumption over the holes and query terms, extends to it: no verdict
+// changes. A whole-network encoding leaves many of them — selection
+// variables the simplifier settled — and they are most of a large
+// fabric's simplified seed.
+func seedConjuncts(simplified logic.Term, holes map[string]*logic.Var, query []logic.Term) []logic.Term {
+	conjuncts := logic.Conjuncts(simplified)
+	// lone counts the literal conjuncts over each variable; a variable
+	// found mentioned elsewhere is removed.
+	lone := map[string]int{}
+	for _, c := range conjuncts {
+		if v := literalVar(c); v != nil {
+			lone[v.Name]++
+		}
+	}
+	if len(lone) == 0 {
+		return conjuncts
+	}
+	for name := range holes {
+		delete(lone, name)
+	}
+	seen := map[*logic.Apply]bool{}
+	var mention func(t logic.Term)
+	mention = func(t logic.Term) {
+		switch n := t.(type) {
+		case *logic.Var:
+			delete(lone, n.Name)
+		case *logic.Apply:
+			if !seen[n] {
+				seen[n] = true
+				for _, a := range n.Args {
+					mention(a)
+				}
+			}
+		}
+	}
+	for _, c := range conjuncts {
+		if literalVar(c) == nil {
+			mention(c)
+		}
+	}
+	for _, q := range query {
+		mention(q)
+	}
+	kept := conjuncts[:0]
+	for _, c := range conjuncts {
+		if v := literalVar(c); v == nil || lone[v.Name] != 1 {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// literalVar returns the boolean variable of a literal term, v or !v,
+// and nil for any other term.
+func literalVar(t logic.Term) *logic.Var {
+	if a, ok := t.(*logic.Apply); ok && a.Op == logic.OpNot {
+		t = a.Args[0]
+	}
+	if v, ok := t.(*logic.Var); ok && v.S.IsBool() {
+		return v
+	}
+	return nil
 }
 
 // checkSeedLink proves, with a checked proof, that the encoding's raw
@@ -139,3 +214,8 @@ func timedSolve(ctx context.Context, s *smt.Solver, lats *[]time.Duration, assum
 // testSolveHook, when set by a test, sees every timed query's
 // assumptions and verdict, in the order the queries ran.
 var testSolveHook func(assume []logic.Term, st sat.Status)
+
+// testSeedHook, when set by a test, sees each seed solver's simplified
+// seed and the conjuncts seedConjuncts kept, and returns the conjuncts
+// the solver asserts instead.
+var testSeedHook func(simplified logic.Term, kept []logic.Term) []logic.Term

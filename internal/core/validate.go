@@ -111,22 +111,24 @@ func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router str
 	if err != nil {
 		return nil, err
 	}
+	infos := enc.PathInfos()
+	terms := make([]logic.Term, len(block.Reqs))
+	for i, req := range block.Reqs {
+		if terms[i], err = e.clauseTerm(infos, router, req); err != nil {
+			return nil, fmt.Errorf("core: clause %s: %w", req, err)
+		}
+	}
 	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
-	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified)
+	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified, terms)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	var lats []time.Duration
 	defer func() { e.Session.AddLiftQueries(lats) }()
-	infos := enc.PathInfos()
 	out := make([]NecessityCheck, 0, len(block.Reqs))
-	for _, req := range block.Reqs {
-		term, err := e.clauseTerm(infos, router, req)
-		if err != nil {
-			return nil, fmt.Errorf("core: clause %s: %w", req, err)
-		}
-		st, err := timedSolve(ctx, seedSolver, &lats, logic.Not(term))
+	for i, req := range block.Reqs {
+		st, err := timedSolve(ctx, seedSolver, &lats, logic.Not(terms[i]))
 		if err != nil {
 			return nil, err
 		}

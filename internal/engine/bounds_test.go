@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -131,6 +132,73 @@ func TestSessionPoolEviction(t *testing.T) {
 	if g := p.Gauges(); g.Leased != 0 {
 		t.Fatalf("Leased = %d at quiescence, want 0", g.Leased)
 	}
+}
+
+// TestSessionPoolSnapshotCountsLeased pins that a snapshot taken while
+// a request holds a warm session still counts that session: no counter
+// falls from before the lease to during it, across a Retarget to a
+// successor session inside the lease, or to after the checkin.
+func TestSessionPoolSnapshotCountsLeased(t *testing.T) {
+	p := engine.NewSessionPool(2)
+	p.Checkout("a")
+	s := newSession(t)
+	base, err := s.PrepareScoped(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Simplify(base.Seed())
+	s.AddLiftQueries([]time.Duration{time.Millisecond, 2 * time.Millisecond})
+	p.Checkin(&engine.PoolItem{Key: "a", Session: s})
+
+	before := p.StatsSnapshot()
+	if before.BaseEncodes == 0 || before.SimplifyEntries == 0 || before.LiftQueries == 0 {
+		t.Fatalf("warm session has no history to lose: %+v", before)
+	}
+	item, ok := p.Checkout("a")
+	if !ok {
+		t.Fatal("warm item not pooled")
+	}
+	leased := p.StatsSnapshot()
+	noCounterFalls(t, "checkout", before, leased)
+	p.Retarget(item, engine.NewSessionFrom(s, nil, nil))
+	retargeted := p.StatsSnapshot()
+	noCounterFalls(t, "retarget", leased, retargeted)
+	p.Checkin(item)
+	noCounterFalls(t, "checkin", retargeted, p.StatsSnapshot())
+}
+
+// noCounterFalls requires every numeric leaf of after (array elements
+// included) to be at least its value in before. The lift percentiles
+// are not counters but readings of the live sample windows, which a
+// Retarget drops with the predecessor, so they are skipped.
+func noCounterFalls(t *testing.T, step string, before, after engine.Stats) {
+	t.Helper()
+	var walk func(name string, b, a reflect.Value)
+	walk = func(name string, b, a reflect.Value) {
+		switch b.Kind() {
+		case reflect.Struct:
+			for i := 0; i < b.NumField(); i++ {
+				if f := b.Type().Field(i).Name; f != "LiftP50" && f != "LiftP95" {
+					walk(f, b.Field(i), a.Field(i))
+				}
+			}
+		case reflect.Array:
+			for i := 0; i < b.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", name, i), b.Index(i), a.Index(i))
+			}
+		case reflect.Int, reflect.Int64:
+			if a.Int() < b.Int() {
+				t.Errorf("%s: %s fell from %d to %d", step, name, b.Int(), a.Int())
+			}
+		case reflect.Uint64:
+			if a.Uint() < b.Uint() {
+				t.Errorf("%s: %s fell from %d to %d", step, name, b.Uint(), a.Uint())
+			}
+		default:
+			t.Fatalf("noCounterFalls: unhandled field kind %v", b.Kind())
+		}
+	}
+	walk("Stats", reflect.ValueOf(before), reflect.ValueOf(after))
 }
 
 func TestStatsAdd(t *testing.T) {

@@ -51,10 +51,14 @@ type PoolGauges struct {
 // retired accumulator so StatsSnapshot never loses work to eviction.
 type SessionPool struct {
 	// mu guards every pool operation, so a snapshot never sees an item
-	// both idle and retired. The idle cache's hook (evictLocked) runs
-	// inside the Checkin that let the item go, under mu.
-	mu        sync.Mutex
-	idle      *lru.Cache[string, *PoolItem]
+	// both idle and retired, or both leased and retired. The idle
+	// cache's hook (evictLocked) runs inside the Checkin that let the
+	// item go, under mu.
+	mu   sync.Mutex
+	idle *lru.Cache[string, *PoolItem]
+	// out holds the warm items Checkout handed out whose lease is still
+	// open; their sessions count in snapshots like idle ones.
+	out       map[*PoolItem]struct{}
 	leased    int
 	evictions int
 	retired   Stats
@@ -63,7 +67,7 @@ type SessionPool struct {
 // NewSessionPool creates a pool holding at most limit idle items
 // (limit <= 0 means unlimited).
 func NewSessionPool(limit int) *SessionPool {
-	p := &SessionPool{}
+	p := &SessionPool{out: make(map[*PoolItem]struct{})}
 	p.idle = lru.New[string, *PoolItem](int64(limit), p.evictLocked)
 	return p
 }
@@ -76,7 +80,11 @@ func (p *SessionPool) Checkout(key string) (*PoolItem, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.leased++
-	return p.idle.Take(key)
+	item, ok := p.idle.Take(key)
+	if ok {
+		p.out[item] = struct{}{}
+	}
+	return item, ok
 }
 
 // Checkin closes a lease by parking item for reuse under item.Key. An
@@ -88,6 +96,7 @@ func (p *SessionPool) Checkin(item *PoolItem) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.leased--
+	delete(p.out, item)
 	p.idle.Put(item.Key, item, 1)
 }
 
@@ -100,6 +109,7 @@ func (p *SessionPool) Drop(item *PoolItem) {
 	defer p.mu.Unlock()
 	p.leased--
 	if item != nil {
+		delete(p.out, item)
 		p.retireLocked(item.Session, false)
 	}
 }
@@ -109,6 +119,9 @@ func (p *SessionPool) Drop(item *PoolItem) {
 // predecessor's session-local statistics. The counters of the caches
 // the two share stay out of the retired sum: next's snapshots carry
 // them cumulatively. A no-op when next already is the item's session.
+// The swap happens under the pool's lock, where snapshots read a
+// leased item's session, so a snapshot sees the predecessor either
+// live or retired, never both or neither.
 func (p *SessionPool) Retarget(item *PoolItem, next *Session) {
 	if item.Session == next {
 		return
@@ -152,19 +165,27 @@ func (p *SessionPool) Gauges() PoolGauges {
 }
 
 // StatsSnapshot aggregates engine statistics across the pool: retired
-// sessions plus every currently idle one. The lift percentiles are
-// recomputed over the union of the idle sessions' sample windows
-// (sorted, so the result is independent of pool iteration order).
-// Leased items are not included — their work lands at checkin.
+// sessions plus every idle one and every warm one a lease holds, so a
+// snapshot taken while a request runs on a pooled session still counts
+// that session's history. The lift percentiles are recomputed over the
+// union of those sessions' sample windows (sorted, so the result is
+// independent of pool iteration order). An item being built on a miss
+// is not included: the pool meets it at checkin.
 func (p *SessionPool) StatsSnapshot() Stats {
 	p.mu.Lock()
-	items := p.idle.Values()
+	var sessions []*Session
+	for _, item := range p.idle.Values() {
+		sessions = append(sessions, item.Session)
+	}
+	for item := range p.out {
+		sessions = append(sessions, item.Session)
+	}
 	st := p.retired
 	p.mu.Unlock()
 
 	var samples []int64
-	for _, item := range items {
-		if s := item.Session; s != nil {
+	for _, s := range sessions {
+		if s != nil {
 			st.Add(s.Stats())
 			samples = append(samples, s.LiftSamples()...)
 		}

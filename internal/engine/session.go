@@ -45,7 +45,7 @@ type CacheLimits struct {
 // Session is the shared state of one deployment's explanation queries:
 // the recorded base encoding of the concrete deployment (built once, by
 // the first query) and a cache of derived encodings keyed by the
-// caller's sketch key.
+// caller's key for its overrides.
 // A Session is safe for concurrent use; concurrent requests for the
 // same key are coalesced into one encode (single flight).
 type Session struct {
@@ -223,15 +223,17 @@ func (s *Session) Interner() *logic.Interner { return s.in }
 // use; the per-goroutine Simplifier wrapping it is not.
 func (s *Session) NormCache() *rewrite.Cache { return s.nf }
 
-// Encode returns the encoding of the (possibly partially symbolic)
-// sketch, caching by key. The key must uniquely determine the sketch
-// given the session's deployment — callers derive both from the same
-// symbolization targets. Every encode splices from the session's base
-// (PrepareScoped), which the first call builds, so constraint groups
-// untouched by the symbolization are copied rather than re-derived.
-// Failed encodes are not cached (a query cancelled by its context can
-// be retried).
-func (s *Session) Encode(ctx context.Context, sketch config.Deployment, key string) (*synth.Encoding, error) {
+// Encode returns the encoding of the session's deployment with each
+// router in overrides configured as overrides says (the routers a
+// query changes, for example the one it symbolizes), caching by key.
+// The key must uniquely determine the overrides — callers derive both
+// from the same symbolization targets. Every encode splices from the
+// session's base (PrepareScoped), which the first call builds, and
+// reads the deployment through the overrides (synth.Base.Encoder), so
+// constraint groups the overrides leave alone are copied rather than
+// re-derived and no copy of the deployment is made. Failed encodes are
+// not cached (a query cancelled by its context can be retried).
+func (s *Session) Encode(ctx context.Context, overrides map[string]*config.Config, key string) (*synth.Encoding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -254,7 +256,7 @@ func (s *Session) Encode(ctx context.Context, sketch config.Deployment, key stri
 	s.entries[key] = e
 	s.mu.Unlock()
 
-	e.enc, e.err = s.encode(ctx, sketch)
+	e.enc, e.err = s.encode(ctx, overrides)
 	close(e.ready)
 	if e.err != nil {
 		s.mu.Lock()
@@ -265,13 +267,13 @@ func (s *Session) Encode(ctx context.Context, sketch config.Deployment, key stri
 }
 
 // encode performs one derived encode, spliced from the session's base.
-func (s *Session) encode(ctx context.Context, sketch config.Deployment) (*synth.Encoding, error) {
+func (s *Session) encode(ctx context.Context, overrides map[string]*config.Config) (*synth.Encoding, error) {
 	base, err := s.PrepareScoped(ctx)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	enc, err := synth.NewEncoder(s.net, sketch, s.opts).WithBase(base).WithInterner(s.in).EncodeContext(ctx, s.reqs)
+	enc, err := base.Encoder(overrides).WithInterner(s.in).EncodeContext(ctx, s.reqs)
 	if err != nil {
 		return nil, err
 	}

@@ -27,17 +27,12 @@ func newSession(t *testing.T) *engine.Session {
 
 func TestSessionEncodeCaches(t *testing.T) {
 	s := newSession(t)
-	sc := scenarios.Scenario1()
-	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	enc1, err := s.Encode(ctx, res.Deployment, "k")
+	enc1, err := s.Encode(ctx, nil, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := s.Encode(ctx, res.Deployment, "k")
+	enc2, err := s.Encode(ctx, nil, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +46,7 @@ func TestSessionEncodeCaches(t *testing.T) {
 	}
 
 	// A different key encodes again but shares the base.
-	if _, err := s.Encode(ctx, res.Deployment, "k2"); err != nil {
+	if _, err := s.Encode(ctx, nil, "k2"); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -65,11 +60,6 @@ func TestSessionEncodeCaches(t *testing.T) {
 
 func TestSessionSingleFlight(t *testing.T) {
 	s := newSession(t)
-	sc := scenarios.Scenario1()
-	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -77,7 +67,7 @@ func TestSessionSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Encode(context.Background(), res.Deployment, "shared")
+			_, errs[i] = s.Encode(context.Background(), nil, "shared")
 		}(i)
 	}
 	wg.Wait()
@@ -101,7 +91,7 @@ func TestSessionSingleFlight(t *testing.T) {
 // TestSessionScopedEncoding checks that every encode of a session
 // splices from its one recorded base, whether or not the base was
 // prepared ahead of time, and matches the plain whole-network encode of
-// the same sketch.
+// a copy of the deployment with the query's override applied.
 func TestSessionScopedEncoding(t *testing.T) {
 	sc := scenarios.Scenario1()
 	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
@@ -139,7 +129,7 @@ func TestSessionScopedEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []*engine.Session{prepared, lazy} {
-			enc, err := s.Encode(ctx, sk, "r|"+name)
+			enc, err := s.Encode(ctx, map[string]*config.Config{name: sk[name]}, "r|"+name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,18 +167,13 @@ func TestSessionScopedEncoding(t *testing.T) {
 
 func TestSessionCancelledEncodeNotCached(t *testing.T) {
 	s := newSession(t)
-	sc := scenarios.Scenario1()
-	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Encode(cancelled, res.Deployment, "k"); !errors.Is(err, context.Canceled) {
+	if _, err := s.Encode(cancelled, nil, "k"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Encode err = %v, want context.Canceled", err)
 	}
 	// The failure must not poison the key: a live context succeeds.
-	if _, err := s.Encode(context.Background(), res.Deployment, "k"); err != nil {
+	if _, err := s.Encode(context.Background(), nil, "k"); err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 }

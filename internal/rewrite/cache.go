@@ -31,15 +31,18 @@ type fireCounts [numRules]uint32
 // canonical term, plus the diagnostics of computing it. An entry's
 // fires count only the rules fired at this term's own node; the work
 // done inside subterms (and inside terms derived while rewriting this
-// node) is reachable through deps, so a deterministic walk of the
-// dependency closure (Cache.Recount) reconstructs a whole seed's rule
-// statistics regardless of how warm the cache was or which goroutine
-// filled it. passes needs no walk: it is memoized when the entry is
-// published, as the maximum of the entry's own rounds and its
-// dependencies' passes — every dependency is published before the
-// entry that records it, and max is idempotent, so neither DAG sharing
-// nor a first-wins race can change it. Entries are immutable once
-// published.
+// node) is reachable through the entry's dependencies — its key's
+// arguments, which every computation normalizes first and which the key
+// itself lists, and deps, the terms derived on the way (a rebuilt node,
+// a rule's rewritten term, a propagation round's substituted
+// conjuncts) — so a deterministic walk of the dependency closure
+// (Cache.Recount) reconstructs a whole seed's rule statistics
+// regardless of how warm the cache was or which goroutine filled it.
+// passes needs no walk: it is memoized when the entry is published, as
+// the maximum of the entry's own rounds and its dependencies' passes —
+// every dependency is published before the entry that records it, and
+// max is idempotent, so neither DAG sharing nor a first-wins race can
+// change it. Entries are immutable once published.
 type nfEntry struct {
 	out    logic.Term
 	fires  fireCounts
@@ -139,6 +142,11 @@ func (c *Cache) Recount(t logic.Term) (fires map[RuleName]int, passes int) {
 		}
 		if e.rounds > maxRounds {
 			maxRounds = e.rounds
+		}
+		for _, arg := range u.(*logic.Apply).Args {
+			if _, ok := arg.(*logic.Apply); ok {
+				stack = append(stack, arg)
+			}
 		}
 		stack = append(stack, e.deps...)
 	}

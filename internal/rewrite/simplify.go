@@ -157,8 +157,9 @@ func (s *Simplifier) firedN(r RuleName, n int) {
 
 // dep records a dependency edge from the entry being computed to t,
 // whose published entry is e, so diagnostics collected for an input
-// reach the entries of its subterms and derived terms, and folds e's
-// closure depth into the computing entry's.
+// reach the entries of its derived terms, and folds e's closure depth
+// into the computing entry's. The entry's own key's arguments need no
+// edge (see normArg).
 func (s *Simplifier) dep(t logic.Term, e *nfEntry) {
 	top := s.stack[len(s.stack)-1]
 	if e.passes > top.passes {
@@ -177,17 +178,42 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 	return out
 }
 
+// normArg is norm for an argument of the term whose entry is being
+// computed. Recount walks an entry's key arguments itself, so the
+// argument's entry gets no dependency edge; only its closure depth
+// folds in. A conjunction of thousands of constraints thus records no
+// list of thousands.
+func (s *Simplifier) normArg(t logic.Term) logic.Term {
+	out, e := s.normalize(t)
+	if e != nil {
+		if top := s.stack[len(s.stack)-1]; e.passes > top.passes {
+			top.passes = e.passes
+		}
+	}
+	return out
+}
+
 // normEntry is norm that also returns the published entry t's normal
-// form was read from (nil for a leaf). A recording recomputes the root
-// conjunction even when the cache holds it.
+// form was read from (nil for a leaf).
 func (s *Simplifier) normEntry(t logic.Term) (logic.Term, *nfEntry) {
+	out, e := s.normalize(t)
+	if e != nil {
+		s.dep(t, e)
+	}
+	return out, e
+}
+
+// normalize returns t's normal form and its published entry (nil for a
+// leaf, and for a term met again while it is being normalized),
+// consulting and filling the cache. A recording recomputes the root
+// conjunction even when the cache holds it.
+func (s *Simplifier) normalize(t logic.Term) (logic.Term, *nfEntry) {
 	a, ok := t.(*logic.Apply)
 	if !ok {
 		return t, nil
 	}
 	if s.rec == nil || t != s.root {
 		if e, ok := s.cache.get(t); ok {
-			s.dep(t, e)
 			return e.out, e
 		}
 	}
@@ -206,9 +232,7 @@ func (s *Simplifier) normEntry(t logic.Term) (logic.Term, *nfEntry) {
 	if e.rounds > e.passes {
 		e.passes = e.rounds
 	}
-	pub := s.cache.put(t, e)
-	s.dep(t, pub)
-	return e.out, pub
+	return e.out, s.cache.put(t, e)
 }
 
 // rewriteNode normalizes the children of a, then applies the local
@@ -219,7 +243,7 @@ func (s *Simplifier) rewriteNode(a *logic.Apply) logic.Term {
 	changed := false
 	args := make([]logic.Term, len(a.Args))
 	for i, c := range a.Args {
-		args[i] = s.norm(c)
+		args[i] = s.normArg(c)
 		if args[i] != c {
 			changed = true
 		}

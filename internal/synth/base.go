@@ -20,7 +20,7 @@ import (
 // crosses it. An explanation encoder symbolizes a single router; every
 // group whose candidates avoid that router is byte-for-byte the same
 // constraint slice (terms are hash-consed, so "the same" is pointer
-// equality), and an encoder with the base attached (Encoder.WithBase)
+// equality), and an encoder derived from the base (Base.Encoder)
 // copies those spans verbatim. Only the candidates through the
 // symbolized router (its cone of influence) are re-derived, only their
 // groups re-emitted, and only their prefixes' node maps rebuilt: the
@@ -164,20 +164,43 @@ func (b *Base) matchesReqs(reqs []spec.Requirement) bool {
 	return true
 }
 
-// deriveVocab returns the vocabulary of a sketch that differs from the
-// base deployment only at the dirty routers. The result equals
-// buildVocab(net, sketch), but only the dirty routers' old and new
-// configs are walked: their contributions adjust the base's per-tag
-// counts, and a tag set is rebuilt only when some count crosses zero.
-// Otherwise — always, unless the dirty routers added a new tag or held
-// the last mention of one — the base's sort objects are reused.
-func (b *Base) deriveVocab(sketch config.Deployment, dirty map[string]bool) *vocab {
+// Encoder returns an encoder for the base deployment with each router
+// in overrides configured as overrides says: the routers a query
+// changes, such as the one it symbolizes. The overrides that differ
+// from the base deployment's configs are the encode's dirty set, so
+// nothing is read at network size to find it, and the encode splices
+// from the base (encodeScoped) unless its requirements differ from the
+// recorded ones. The result is the encoding NewEncoder would produce
+// for a copy of the deployment with the overrides applied. The encoder
+// keeps overrides; do not modify it while the encoder is in use.
+func (b *Base) Encoder(overrides map[string]*config.Config) *Encoder {
+	e := NewEncoder(b.net, b.dep, b.opts)
+	e.over = overrides
+	e.base = b
+	e.dirty = make(map[string]bool, len(overrides))
+	for name, c := range overrides {
+		if b.dep[name] != c {
+			e.dirty[name] = true
+		}
+	}
+	return e
+}
+
+// deriveVocab returns the vocabulary of the base deployment with the
+// overrides applied, given the dirty ones among them. The result equals
+// buildVocab over the overridden deployment, but only the dirty
+// routers' old and new configs are walked: their contributions adjust
+// the base's per-tag counts, and a tag set is rebuilt only when some
+// count crosses zero. Otherwise — always, unless the dirty routers
+// added a new tag or held the last mention of one — the base's sort
+// objects are reused.
+func (b *Base) deriveVocab(overrides map[string]*config.Config, dirty map[string]bool) *vocab {
 	delta := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
 	for name := range dirty {
 		if c, ok := b.dep[name]; ok {
 			delta.add(c, -1)
 		}
-		if c, ok := sketch[name]; ok {
+		if c := overrides[name]; c != nil {
 			delta.add(c, 1)
 		}
 	}

@@ -79,10 +79,10 @@ type EncStats struct {
 	TruncatedPaths int
 	// ReusedCandidates counts candidates whose edge condition and
 	// route state were taken from a Base instead of being recomputed
-	// (see WithBase). Always <= Candidates.
+	// (see Base.Encoder). Always <= Candidates.
 	ReusedCandidates int
 	// ScopedGroupsCopied / ScopedGroupsEncoded count, for an encode
-	// derived from a Base (see WithBase), the constraint groups spliced
+	// derived from a Base (see Base.Encoder), the constraint groups spliced
 	// verbatim from the recorded whole-network encoding versus
 	// re-derived inside the dirty cone. Zero on whole-network encodes.
 	ScopedGroupsCopied  int
@@ -109,20 +109,26 @@ type Encoding struct {
 	paths     []PathInfo
 }
 
-// Conjunction returns the constraints as a single term.
+// Conjunction returns the constraints as a single term. The list is
+// passed as it is: interning copies the argument slice of a node it
+// keeps, so the term never aliases Constraints.
 func (enc *Encoding) Conjunction() logic.Term {
-	return logic.And(append([]logic.Term(nil), enc.Constraints...)...)
+	return logic.And(enc.Constraints...)
 }
 
 // Encoder builds constraint encodings. Create with NewEncoder; one
 // encoder may encode once.
 type Encoder struct {
-	net    *topology.Network
+	net *topology.Network
+	// sketch is the deployment the encoder reads: the sketch itself,
+	// or, for an encoder derived from a base (Base.Encoder), the base
+	// deployment, with each router in over configured as over says.
+	// Read configs through config.
 	sketch config.Deployment
+	over   map[string]*config.Config
 	opts   Options
 	in     *logic.Interner
-	// vocab is settled on first use (see voc), once WithBase has had
-	// its chance to attach a base to derive it from.
+	// vocab is settled on first use (see voc).
 	vocab *vocab
 
 	holeVars map[string]*logic.Var
@@ -136,11 +142,11 @@ type Encoder struct {
 	selGroups []selGroup
 	reqGroups []span
 
-	// base, when set via WithBase, replaces the whole-network encode
+	// base, set by Base.Encoder, replaces the whole-network encode
 	// with a cone-scoped splice against the base's recorded encoding:
-	// only constraint groups touching a dirty router (one whose sketch
-	// config differs from the base deployment) are re-encoded, the rest
-	// are copied span by span (see encodeScoped).
+	// only constraint groups touching a dirty router (an override that
+	// differs from the base deployment's config) are re-encoded, the
+	// rest are copied span by span (see encodeScoped).
 	base  *Base
 	dirty map[string]bool
 }
@@ -158,13 +164,22 @@ func NewEncoder(net *topology.Network, sketch config.Deployment, opts Options) *
 	}
 }
 
-// voc returns the encoder's vocabulary: derived from the attached base
-// when there is one (Base.deriveVocab walks only the dirty routers),
-// built from the whole sketch otherwise. Both yield the same sorts.
+// config returns the configuration the encoder reads for a router.
+func (e *Encoder) config(name string) (*config.Config, bool) {
+	if c, ok := e.over[name]; ok {
+		return c, true
+	}
+	c, ok := e.sketch[name]
+	return c, ok
+}
+
+// voc returns the encoder's vocabulary: derived from the base when
+// there is one (Base.deriveVocab walks only the dirty routers), built
+// from the whole sketch otherwise. Both yield the same sorts.
 func (e *Encoder) voc() *vocab {
 	if e.vocab == nil {
 		if e.base != nil {
-			e.vocab = e.base.deriveVocab(e.sketch, e.dirty)
+			e.vocab = e.base.deriveVocab(e.over, e.dirty)
 		} else {
 			e.vocab = buildVocab(e.net, e.sketch)
 		}
@@ -186,39 +201,6 @@ func (e *Encoder) WithInterner(in *logic.Interner) *Encoder {
 
 func (e *Encoder) assert(t logic.Term) {
 	e.constraints = append(e.constraints, e.in.Intern(t))
-}
-
-// WithBase attaches a recorded base (see NewBase): when the sketch
-// differs from the base deployment only at a few routers — the
-// explanation case, which symbolizes one router at a time —
-// EncodeContext splices the recorded constraint list instead of
-// re-encoding the network, re-deriving only the constraint groups whose
-// candidates cross a differing router, and the encoder derives its
-// vocabulary from the base's by looking at those routers only
-// (Base.deriveVocab). The splice is skipped (silently, falling back to
-// a whole-network encode) for a requirement list other than the
-// recorded one, and the base is ignored altogether when it was built
-// over a different topology or options, so attaching a base never
-// changes the encoding — only the work done to produce it. Call before
-// encoding. Returns the encoder for chaining.
-func (e *Encoder) WithBase(b *Base) *Encoder {
-	if b == nil || b.net != e.net || b.opts != e.opts {
-		return e
-	}
-	dirty := make(map[string]bool)
-	for name, c := range e.sketch {
-		if b.dep[name] != c {
-			dirty[name] = true
-		}
-	}
-	for name := range b.dep {
-		if _, ok := e.sketch[name]; !ok {
-			dirty[name] = true
-		}
-	}
-	e.base = b
-	e.dirty = dirty
-	return e
 }
 
 // Encode builds the constraint system for the requirements.
@@ -316,6 +298,11 @@ func (e *Encoder) declareAllHoles() error {
 	for r := range e.sketch {
 		routers = append(routers, r)
 	}
+	for r := range e.over {
+		if _, ok := e.sketch[r]; !ok {
+			routers = append(routers, r)
+		}
+	}
 	sort.Strings(routers)
 	return e.declareHolesOf(routers)
 }
@@ -324,7 +311,7 @@ func (e *Encoder) declareAllHoles() error {
 // given order.
 func (e *Encoder) declareHolesOf(routers []string) error {
 	for _, router := range routers {
-		c := e.sketch[router]
+		c, _ := e.config(router)
 		for _, name := range c.RouteMapNames() {
 			for _, cl := range c.RouteMaps[name].Clauses {
 				if cl.ActionHole != "" {

@@ -6,9 +6,12 @@ import (
 	"repro/internal/topology"
 )
 
+// BaseDeployment returns the deployment the base was recorded over.
+func BaseDeployment(b *Base) config.Deployment { return b.dep }
+
 // VocabSorts returns the Community, NextHopIP, Prefix and Neighbor
-// sorts of the encoder's vocabulary, and whether it was derived from an
-// attached base rather than built from the sketch.
+// sorts of the encoder's vocabulary, and whether it was derived from a
+// base rather than built from the sketch.
 func VocabSorts(e *Encoder) (sorts []*logic.Sort, derived bool) {
 	v := e.voc()
 	return []*logic.Sort{v.commSort, v.ipSort, v.prefixSort, v.nbrSort}, e.base != nil

@@ -214,7 +214,7 @@ func (e *Encoder) edgePass(u, v string, st *routeState) (logic.Term, *routeState
 	pass := logic.Term(logic.True)
 	cur := st.clone()
 
-	if cu, ok := e.sketch[u]; ok {
+	if cu, ok := e.config(u); ok {
 		if n := cu.Neighbor(v); n != nil && n.ExportMap != "" {
 			p, next, err := e.applyMapSymbolic(cu, n.ExportMap, cur)
 			if err != nil {
@@ -228,7 +228,7 @@ func (e *Encoder) edgePass(u, v string, st *routeState) (logic.Term, *routeState
 		cur.lp = logic.NewInt(lpRankDefault)
 	}
 	cur.nextHop = u
-	if cv, ok := e.sketch[v]; ok {
+	if cv, ok := e.config(v); ok {
 		if n := cv.Neighbor(u); n != nil && n.ImportMap != "" {
 			p, next, err := e.applyMapSymbolic(cv, n.ImportMap, cur)
 			if err != nil {

@@ -222,7 +222,7 @@ func (e *Encoder) pathClean(path []string) bool {
 func (e *Encoder) declareScopedHoles() error {
 	routers := make([]string, 0, len(e.dirty))
 	for r := range e.dirty {
-		if _, ok := e.sketch[r]; ok {
+		if c, _ := e.config(r); c != nil {
 			routers = append(routers, r)
 		}
 	}

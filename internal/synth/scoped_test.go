@@ -17,21 +17,24 @@ import (
 )
 
 // TestScopedEncodeIdentical is the encode-level differential and the
-// reference for every derived encode: the encoding an encoder splices
-// from a Base must equal the plain whole-network encode of the same
-// sketch (NewEncoder(...).EncodeContext) — constraints pointer-identical
-// element by element (terms are hash-consed, so pointer equality is
-// structural equality), the same hole variables, the same path infos
-// (whole-network and through each symbolized router, the latter the
-// order-preserving filter of the former) and the same size stats. The
-// inputs are every router of each deployment fully symbolized, the
-// scenario routers symbolized back to their synthesis sketch, each
-// scenario router's complement sketch, and every router of two Perturb
-// edits per scenario, spliced both from the unedited deployment's base
-// (the edit and the symbolized router dirty together) and from the
-// edited deployment's own base (a what-if successor session), and every
-// router of a deployment in which R1 alone mentions some tags
-// (symbolizing it shrinks the vocabulary).
+// reference for every derived encode: the encoding a base derives from
+// a query's overrides (Base.Encoder) must equal the plain whole-network
+// encode of a copy of the base's deployment with the overrides applied
+// (NewEncoder(...).EncodeContext), the construction a derived encode
+// replaced — constraints pointer-identical element by element (terms
+// are hash-consed, so pointer equality is structural equality), the
+// same hole variables, the same path infos (whole-network and through
+// each symbolized router, the latter the order-preserving filter of the
+// former) and the same size stats. The inputs are every router of each
+// deployment fully symbolized, the scenario routers symbolized back to
+// their synthesis sketch, each scenario router's complement (every
+// other configured router symbolized, N-1 overrides), and every router
+// of two Perturb edits per scenario, derived both from the unedited
+// deployment's base (the edited routers and the symbolized one
+// overridden together) and from the edited deployment's own base (a
+// what-if successor session), and every router of a deployment in
+// which R1 alone mentions some tags (symbolizing it shrinks the
+// vocabulary).
 func TestScopedEncodeIdentical(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -40,32 +43,32 @@ func TestScopedEncodeIdentical(t *testing.T) {
 			reqs := sc.Requirements()
 			dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, reqs, opts)
 			base := recordBase(t, sc.Net, dep, opts, reqs)
-			check := func(b *synth.Base, label string, sketch config.Deployment) {
+			check := func(b *synth.Base, label string, over map[string]*config.Config) {
 				t.Helper()
-				checkSpliceMatchesPlain(t, label, sc.Net, b, sketch, reqs, opts)
+				checkSpliceMatchesPlain(t, label, sc.Net, b, over, reqs, opts)
 			}
-			for label, sketch := range fullSymbolizations(t, dep) {
-				check(base, label, sketch)
+			for label, over := range fullSymbolizations(t, dep) {
+				check(base, label, over)
 			}
 			for _, router := range sortedRouters(dep) {
 				if sym, ok := sc.Sketch[router]; ok && !sym.Concrete() {
-					check(base, router+" back to its sketch", withConfig(dep, router, sym))
+					check(base, router+" back to its sketch", map[string]*config.Config{router: sym})
 				}
-				check(base, "complement of "+router, complementSketch(t, dep, router))
+				check(base, "complement of "+router, complementOverrides(t, dep, router))
 			}
 			for seed := int64(1); seed <= 2; seed++ {
 				edited, _ := netgen.Perturb(dep, seed, 2)
 				own := recordBase(t, sc.Net, edited, opts, reqs)
-				for label, sketch := range fullSymbolizations(t, edited) {
+				for label, over := range fullSymbolizations(t, edited) {
 					label = fmt.Sprintf("perturb %d, %s", seed, label)
-					check(base, label+" (unedited base)", sketch)
-					check(own, label+" (own base)", sketch)
+					check(base, label+" (unedited base)", withEdits(dep, edited, over))
+					check(own, label+" (own base)", over)
 				}
 			}
-			probed := withConfig(dep, "R1", withProbeMap(dep["R1"], "777:7", "192.0.2.7"))
+			probed := applied(dep, map[string]*config.Config{"R1": withProbeMap(dep["R1"], "777:7", "192.0.2.7")})
 			probedBase := recordBase(t, sc.Net, probed, opts, reqs)
-			for label, sketch := range fullSymbolizations(t, probed) {
-				check(probedBase, "probed, "+label, sketch)
+			for label, over := range fullSymbolizations(t, probed) {
+				check(probedBase, "probed, "+label, over)
 			}
 		})
 	}
@@ -93,42 +96,47 @@ func TestScopedEncodeIdentical(t *testing.T) {
 			reqs := wl.Requirements()
 			dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, reqs, opts)
 			base := recordBase(t, wl.Net, dep, opts, reqs)
-			for label, sketch := range fullSymbolizations(t, dep) {
-				checkSpliceMatchesPlain(t, label, wl.Net, base, sketch, reqs, opts)
+			for label, over := range fullSymbolizations(t, dep) {
+				checkSpliceMatchesPlain(t, label, wl.Net, base, over, reqs, opts)
+			}
+			for _, router := range sortedRouters(dep) {
+				checkSpliceMatchesPlain(t, "complement of "+router, wl.Net, base, complementOverrides(t, dep, router), reqs, opts)
 			}
 		})
 	}
 }
 
-// checkSpliceMatchesPlain encodes the sketch twice — spliced from the
-// base and whole-network from scratch — and requires the two encodings
-// to be indistinguishable.
-func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, base *synth.Base, sketch config.Deployment, reqs []spec.Requirement, opts synth.Options) {
+// checkSpliceMatchesPlain encodes the base's deployment with the
+// overrides twice — derived from the base, and whole-network from
+// scratch over a copy of the deployment with the overrides applied —
+// and requires the two encodings to be indistinguishable.
+func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, base *synth.Base, over map[string]*config.Config, reqs []spec.Requirement, opts synth.Options) {
 	t.Helper()
 	ctx := context.Background()
+	sketch := applied(synth.BaseDeployment(base), over)
 	want, err := synth.NewEncoder(net, sketch, opts).EncodeContext(ctx, reqs)
 	if err != nil {
 		t.Fatalf("%s: plain encode: %v", label, err)
 	}
-	got, err := synth.NewEncoder(net, sketch, opts).WithBase(base).EncodeContext(ctx, reqs)
+	got, err := base.Encoder(over).EncodeContext(ctx, reqs)
 	if err != nil {
-		t.Fatalf("%s: spliced encode: %v", label, err)
+		t.Fatalf("%s: derived encode: %v", label, err)
 	}
 	if got.Stats.ScopedGroupsCopied+got.Stats.ScopedGroupsEncoded == 0 {
 		t.Fatalf("%s: the encode did not splice from the base", label)
 	}
 
 	if len(got.Constraints) != len(want.Constraints) {
-		t.Fatalf("%s: %d spliced vs %d plain constraints", label, len(got.Constraints), len(want.Constraints))
+		t.Fatalf("%s: %d derived vs %d plain constraints", label, len(got.Constraints), len(want.Constraints))
 	}
 	for i := range want.Constraints {
 		if got.Constraints[i] != want.Constraints[i] {
-			t.Fatalf("%s: constraint %d differs:\nspliced: %s\nplain:   %s", label, i, got.Constraints[i], want.Constraints[i])
+			t.Fatalf("%s: constraint %d differs:\nderived: %s\nplain:   %s", label, i, got.Constraints[i], want.Constraints[i])
 		}
 	}
 
 	if len(got.HoleVars) != len(want.HoleVars) {
-		t.Fatalf("%s: %d spliced vs %d plain hole variables", label, len(got.HoleVars), len(want.HoleVars))
+		t.Fatalf("%s: %d derived vs %d plain hole variables", label, len(got.HoleVars), len(want.HoleVars))
 	}
 	for name, v := range want.HoleVars {
 		if got.HoleVars[name] != v {
@@ -137,7 +145,7 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 	}
 
 	wp := want.PathInfos()
-	samePathInfos(t, label+", spliced vs plain", got.PathInfos(), wp)
+	samePathInfos(t, label+", derived vs plain", got.PathInfos(), wp)
 	// Every symbolized router's local list, which its lift reads, is the
 	// order-preserving filter of the whole list.
 	for _, r := range sortedRouters(sketch) {
@@ -151,7 +159,7 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 			}
 		}
 		local := want.PathInfosThrough(r)
-		samePathInfos(t, label+", through "+r+" spliced vs plain", got.PathInfosThrough(r), local)
+		samePathInfos(t, label+", through "+r+" derived vs plain", got.PathInfosThrough(r), local)
 		samePathInfos(t, label+", through "+r+" vs the filtered whole list", local, through)
 	}
 
@@ -159,7 +167,7 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 	if gs.Constraints != ws.Constraints || gs.ConstraintSize != ws.ConstraintSize ||
 		gs.HoleVars != ws.HoleVars || gs.SelVars != ws.SelVars ||
 		gs.Candidates != ws.Candidates || gs.TruncatedPaths != ws.TruncatedPaths {
-		t.Fatalf("%s: size stats differ:\nspliced: %+v\nplain:   %+v", label, gs, ws)
+		t.Fatalf("%s: size stats differ:\nderived: %+v\nplain:   %+v", label, gs, ws)
 	}
 }
 
@@ -179,29 +187,28 @@ func samePathInfos(t *testing.T, label string, got, want []synth.PathInfo) {
 	}
 }
 
-// fullSymbolizations returns the deployment itself and, for every
-// router, the deployment with that router's every field symbolized
-// (core.AllTargets, the explanation case), keyed by a label.
-func fullSymbolizations(t *testing.T, dep config.Deployment) map[string]config.Deployment {
+// fullSymbolizations returns the overrides of the explanation case:
+// none, and for every router that router with its every field
+// symbolized (core.AllTargets), keyed by a label.
+func fullSymbolizations(t *testing.T, dep config.Deployment) map[string]map[string]*config.Config {
 	t.Helper()
-	out := map[string]config.Deployment{"unsymbolized": dep}
+	out := map[string]map[string]*config.Config{"unsymbolized": nil}
 	for router, c := range dep {
 		sym, _, err := core.Symbolize(c, core.AllTargets(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[router+" symbolized"] = withConfig(dep, router, sym)
+		out[router+" symbolized"] = map[string]*config.Config{router: sym}
 	}
 	return out
 }
 
-// complementSketch is the sketch core.ExplainComplement encodes for the
-// router: every other configured router fully symbolized.
-func complementSketch(t *testing.T, dep config.Deployment, router string) config.Deployment {
+// complementOverrides are the overrides core.ExplainComplement encodes
+// for the router: every other configured router fully symbolized.
+func complementOverrides(t *testing.T, dep config.Deployment, router string) map[string]*config.Config {
 	t.Helper()
-	sketch := config.Deployment{}
+	over := map[string]*config.Config{}
 	for name, c := range dep {
-		sketch[name] = c
 		if name == router {
 			continue
 		}
@@ -210,20 +217,37 @@ func complementSketch(t *testing.T, dep config.Deployment, router string) config
 			if err != nil {
 				t.Fatal(err)
 			}
-			sketch[name] = sym
+			over[name] = sym
 		}
 	}
-	return sketch
+	return over
 }
 
-// withConfig returns a copy of the deployment with one router's config
-// replaced.
-func withConfig(dep config.Deployment, router string, c *config.Config) config.Deployment {
-	out := make(config.Deployment, len(dep))
-	for n, x := range dep {
-		out[n] = x
+// withEdits returns over plus, for every router the edit changed
+// (edited's config differs from dep's), its edited config: the
+// overrides that turn dep into edited with over applied.
+func withEdits(dep, edited config.Deployment, over map[string]*config.Config) map[string]*config.Config {
+	out := map[string]*config.Config{}
+	for n, c := range edited {
+		if dep[n] != c {
+			out[n] = c
+		}
 	}
-	out[router] = c
+	for n, c := range over {
+		out[n] = c
+	}
+	return out
+}
+
+// applied returns a copy of the deployment with the overrides applied.
+func applied(dep config.Deployment, over map[string]*config.Config) config.Deployment {
+	out := make(config.Deployment, len(dep))
+	for n, c := range dep {
+		out[n] = c
+	}
+	for n, c := range over {
+		out[n] = c
+	}
 	return out
 }
 
@@ -247,8 +271,9 @@ func recordBase(t *testing.T, net *topology.Network, dep config.Deployment, opts
 
 // TestScopedFallsBackOnDifferentReqs pins the safety property: a base
 // recorded for one requirement list is not spliced from for another;
-// the encode falls back to the whole-network path and produces the
-// plain encoding.
+// the encode falls back to the whole-network path over the overridden
+// deployment and produces the plain encoding, with and without an
+// override.
 func TestScopedFallsBackOnDifferentReqs(t *testing.T) {
 	ctx := context.Background()
 	sc := scenarios.Scenario1()
@@ -256,23 +281,26 @@ func TestScopedFallsBackOnDifferentReqs(t *testing.T) {
 	dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
 	base := recordBase(t, sc.Net, dep, opts, sc.Requirements())
 	other := []spec.Requirement{&spec.Forbid{Path: spec.NewPath("P2", spec.Wildcard, "C")}}
-	want, err := synth.NewEncoder(sc.Net, dep, opts).EncodeContext(ctx, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := synth.NewEncoder(sc.Net, dep, opts).WithBase(base).EncodeContext(ctx, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.ScopedGroupsCopied != 0 || got.Stats.ScopedGroupsEncoded != 0 {
-		t.Fatal("the base must not be spliced from for a different requirement list")
-	}
-	if len(want.Constraints) != len(got.Constraints) {
-		t.Fatalf("fallback encode differs: %d vs %d constraints", len(want.Constraints), len(got.Constraints))
-	}
-	for i := range want.Constraints {
-		if want.Constraints[i] != got.Constraints[i] {
-			t.Fatalf("fallback constraint %d differs", i)
+	for label, over := range fullSymbolizations(t, dep) {
+		want, err := synth.NewEncoder(sc.Net, applied(dep, over), opts).EncodeContext(ctx, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := base.Encoder(over).EncodeContext(ctx, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.ScopedGroupsCopied != 0 || got.Stats.ScopedGroupsEncoded != 0 {
+			t.Fatalf("%s: the base must not be spliced from for a different requirement list", label)
+		}
+		if len(want.Constraints) != len(got.Constraints) || len(want.HoleVars) != len(got.HoleVars) {
+			t.Fatalf("%s: fallback encode differs: %d vs %d constraints, %d vs %d holes", label,
+				len(want.Constraints), len(got.Constraints), len(want.HoleVars), len(got.HoleVars))
+		}
+		for i := range want.Constraints {
+			if want.Constraints[i] != got.Constraints[i] {
+				t.Fatalf("%s: fallback constraint %d differs", label, i)
+			}
 		}
 	}
 }

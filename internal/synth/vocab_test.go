@@ -25,7 +25,7 @@ func TestDerivedVocabMatchesBuilt(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		opts := synth.DefaultOptions()
 		dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
-		checkEveryRouter(t, sc.Name, sc.Net, dep, recordBase(t, sc.Net, dep, opts, nil), opts)
+		checkEveryRouter(t, sc.Name, sc.Net, dep, recordBase(t, sc.Net, dep, opts, nil))
 	}
 
 	opts := synth.DefaultOptions()
@@ -42,7 +42,7 @@ func TestDerivedVocabMatchesBuilt(t *testing.T) {
 		}
 		wl = netgen.Populate(wl)
 		dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, wl.Requirements(), opts)
-		checkEveryRouter(t, wl.Name, wl.Net, dep, recordBase(t, wl.Net, dep, opts, nil), opts)
+		checkEveryRouter(t, wl.Name, wl.Net, dep, recordBase(t, wl.Net, dep, opts, nil))
 	}
 }
 
@@ -81,9 +81,9 @@ func TestDerivedVocabWhatIfChain(t *testing.T) {
 	}
 	for i, d := range gens {
 		name := fmt.Sprintf("%s gen %d", sc.Name, i+1)
-		checkEveryRouter(t, name+" on its predecessor's base", sc.Net, d, base, opts)
+		checkEveryRouter(t, name+" on its predecessor's base", sc.Net, d, base)
 		base = recordBase(t, sc.Net, d, opts, nil)
-		checkEveryRouter(t, name, sc.Net, d, base, opts)
+		checkEveryRouter(t, name, sc.Net, d, base)
 	}
 }
 
@@ -101,19 +101,14 @@ func TestDerivedVocabShrinks(t *testing.T) {
 	}
 	dep["R1"] = withProbeMap(dep["R1"], "777:7", "192.0.2.7")
 	base := recordBase(t, sc.Net, dep, opts, nil)
-	checkEveryRouter(t, "probe", sc.Net, dep, base, opts)
+	checkEveryRouter(t, "probe", sc.Net, dep, base)
 
-	full, _ := synth.VocabSorts(synth.NewEncoder(sc.Net, dep, opts).WithBase(base))
+	full, _ := synth.VocabSorts(base.Encoder(nil))
 	sym, _, err := core.Symbolize(dep["R1"], core.AllTargets(dep["R1"]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch := config.Deployment{}
-	for n, c := range dep {
-		sketch[n] = c
-	}
-	sketch["R1"] = sym
-	shrunk, _ := synth.VocabSorts(synth.NewEncoder(sc.Net, sketch, opts).WithBase(base))
+	shrunk, _ := synth.VocabSorts(base.Encoder(map[string]*config.Config{"R1": sym}))
 	for i, name := range []string{"Community", "NextHopIP"} {
 		if len(shrunk[i].Values) >= len(full[i].Values) {
 			t.Errorf("%s sort did not shrink: %v -> %v", name, full[i].Values, shrunk[i].Values)
@@ -122,34 +117,26 @@ func TestDerivedVocabShrinks(t *testing.T) {
 }
 
 // checkEveryRouter compares, for the unsymbolized deployment and for
-// each router symbolized in full, the base-derived vocabulary with the
-// one built from the whole sketch.
-func checkEveryRouter(t *testing.T, name string, net *topology.Network, dep config.Deployment, base *synth.Base, opts synth.Options) {
+// each router symbolized in full, the vocabulary derived from the base
+// with the one built from the whole sketch. The base may be a
+// predecessor's: the routers dep changed are overridden too.
+func checkEveryRouter(t *testing.T, name string, net *topology.Network, dep config.Deployment, base *synth.Base) {
 	t.Helper()
-	check := func(label string, sketch config.Deployment) {
-		got, derived := synth.VocabSorts(synth.NewEncoder(net, sketch, opts).WithBase(base))
+	check := func(label string, over map[string]*config.Config) {
+		over = withEdits(synth.BaseDeployment(base), dep, over)
+		got, derived := synth.VocabSorts(base.Encoder(over))
 		if !derived {
 			t.Fatalf("%s %s: base not attached", name, label)
 		}
-		want := synth.BuildVocabSorts(net, sketch)
+		want := synth.BuildVocabSorts(net, applied(synth.BaseDeployment(base), over))
 		for i := range want {
 			if !sameSortExactly(got[i], want[i]) {
 				t.Errorf("%s %s: derived sort %v, built %v", name, label, got[i], want[i])
 			}
 		}
 	}
-	check("unsymbolized", dep)
-	for router, c := range dep {
-		sym, _, err := core.Symbolize(c, core.AllTargets(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sketch := config.Deployment{}
-		for n, c := range dep {
-			sketch[n] = c
-		}
-		sketch[router] = sym
-		check(router, sketch)
+	for label, over := range fullSymbolizations(t, dep) {
+		check(label, over)
 	}
 }
 
