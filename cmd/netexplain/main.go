@@ -114,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// Incremental what-if: explain the OLD deployment (warming the
 		// session caches), apply the edit, and re-explain only what the
 		// edit touches. The printed report is byte-identical to a cold
-		// full report over NEW; the summary shows what the delta
-		// machinery reused.
+		// full report over NEW; the summary shows which sections the
+		// report cache answered.
 		rest := fs.Args()
 		if len(rest) != 2 {
 			return usage(fmt.Errorf("-diff needs two positional arguments: old.cfg new.cfg"))

@@ -32,10 +32,10 @@ type DiffEntry struct {
 	IncrementalMS float64
 	Speedup       float64
 	Routers       int
-	// DirtyRouters is the size of the observed dirty set (routers whose
-	// seed specification changed); Spliced and Recomputed split the lift
-	// stage's work; FastPath marks edits proven model-invisible and
-	// answered with the previous report verbatim.
+	// DirtyRouters is the size of the dirty set (routers whose sections
+	// were recomputed); Spliced and Recomputed split the sections
+	// between the report cache and fresh explanation; FastPath marks
+	// re-explanations that recomputed nothing.
 	DirtyRouters int
 	Spliced      int
 	Recomputed   int
@@ -48,15 +48,15 @@ type DiffEntry struct {
 }
 
 // diffEditKinds is the edit-family sweep, one representative edit per
-// family per workload. The families deliberately span the delta
-// machinery's regimes: action-flip and pref-change are visible to the
-// encoding (dirty cone, partial splice); nexthop-change folds to
-// nothing the encoder models for every router but still shifts the
-// edited router's vocabulary contribution (full splice); med-change on
-// a clause without a metric line adds one, growing the edited router's
-// symbolization surface (dirty). The separately staged med-retune —
-// changing an EXISTING metric's value — is the fully invisible edit
-// that takes the fast path.
+// family per workload. The families deliberately span the section
+// cache's regimes: action-flip and pref-change at X are visible to the
+// encoding, so every other router's locality key changes and only X's
+// own section is reused; nexthop-change toggles between addresses the
+// vocabulary always holds, which no encoding reads, so every section is
+// reused; med-change on a clause without a metric line adds one,
+// growing X's symbolization surface, so only X's section is
+// recomputed. The separately staged med-retune — changing an EXISTING
+// metric's value — reuses every section too.
 var diffEditKinds = []string{"action-flip", "pref-change", "med-change", "nexthop-change"}
 
 // diffJob is one workload the diff benchmark measures.
@@ -272,7 +272,7 @@ func DiffTable(ctx context.Context, quick bool) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "diff (extension Ext-4)",
-		Caption: "Incremental re-explanation after a single-router edit. cold-ms is a full report by a fresh explainer over the edited network; incr-ms re-explains the same edit through an explainer warmed on the unedited network. dirty is the observed dirty set (routers whose seed specification changed); spliced/recomp split the lift stage's work; fast marks edits proven invisible to the encoding and answered with the previous report verbatim; cache is report-cache hits/misses; bytes-ok confirms the incremental report is byte-identical to the cold one.",
+		Caption: "Incremental re-explanation after a single-router edit. cold-ms is a full report by a fresh explainer over the edited network; incr-ms re-explains the same edit through an explainer warmed on the unedited network. dirty is the number of routers whose sections were recomputed (their locality keys, digests of what each section's encode reads plus the lift options, were not in the report cache); spliced/recomp split the sections between the report cache and fresh explanation; fast marks edits that recomputed nothing; cache is report-cache hits/misses, one lookup per router; bytes-ok confirms the incremental report is byte-identical to the cold one.",
 		Columns: []string{"workload", "edit", "cold-ms", "incr-ms", "speedup", "routers", "dirty", "spliced", "recomp", "fast", "cache", "bytes-ok"},
 	}
 	for _, en := range entries {

@@ -12,13 +12,14 @@ import (
 // LiftTable measures what query reuse buys the lift stage: each
 // scenario's whole-network report runs twice through one explainer —
 // the first pass cold (caches empty), the second a repeat through the
-// same session (encodings and simplifications cached, every router's
-// lift spliced from the report cache). The per-query latency
-// percentiles cover every lift-stage SMT query of both passes.
+// same session, where every router's section comes from the report
+// cache and nothing is encoded, simplified or lifted. The per-query
+// latency percentiles cover every lift-stage SMT query, all of them
+// the first pass's.
 func LiftTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "lift-reuse (extension Ext-2)",
-		Caption: "Lift-result reuse. cold-ms is a first whole-network report (empty caches); warm-ms is a repeat of it through the same session, where every router's lift is spliced from the report cache. splices counts those report-cache hits. p50/p95 are per-lift-query latencies over both passes.",
+		Caption: "Lift-result reuse. cold-ms is a first whole-network report (empty caches); warm-ms is a repeat of it through the same session, where every router's section comes from the report cache under its locality key. splices counts those report-cache hits. p50/p95 are per-lift-query latencies, all from the cold pass.",
 		Columns: []string{"scenario", "cold-ms", "warm-ms", "speedup", "queries", "p50-ms", "p95-ms", "splices"},
 	}
 	for _, sc := range scenarios.All() {

@@ -109,3 +109,23 @@ func sortStrings(ss []string) {
 		}
 	}
 }
+
+// DiffRouters returns the sorted names of routers whose configuration
+// differs between the two deployments, including routers present in
+// only one of them. Configurations compare by their printed text;
+// ones shared by pointer are equal without printing.
+func DiffRouters(old, nu Deployment) []string {
+	var out []string
+	for name, oc := range old {
+		if nc, ok := nu[name]; !ok || oc != nc && Print(oc) != Print(nc) {
+			out = append(out, name)
+		}
+	}
+	for name := range nu {
+		if _, ok := old[name]; !ok {
+			out = append(out, name)
+		}
+	}
+	sortStrings(out)
+	return out
+}

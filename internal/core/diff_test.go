@@ -156,48 +156,48 @@ func TestReExplainModelInvisibleEditFastPath(t *testing.T) {
 	}
 }
 
-// TestReExplainSpecOnlyEditDirtiesCone: editing only the requirements
-// leaves every config untouched; the dirty set must be exactly the
-// routers whose seed constraints intersect the edit's cone of
-// influence, and exactly those routers' lift stages recompute — every
-// other router splices.
-func TestReExplainSpecOnlyEditDirtiesCone(t *testing.T) {
-	sc := scenarios.Scenario3()
-	dep := synthScenario(t, sc)
-	e := newExplainer(t, sc, dep, nil)
-	if _, err := e.Report(); err != nil {
-		t.Fatal(err)
+// TestReExplainAfterLiftOptionChange: a re-explanation renders under
+// the explainer's current lift options, whatever the previous report
+// was rendered under. The lifted report of a network with a MED line
+// is followed, with lifting off, by a retune of that line: every
+// section's encoding is unchanged, yet the report must equal a cold
+// unlifted one.
+func TestReExplainAfterLiftOptionChange(t *testing.T) {
+	sc := scenarios.Scenario2()
+	synthDep := synthScenario(t, sc)
+	withMED := func(med int) config.Deployment {
+		out := config.Deployment{}
+		for name, c := range synthDep {
+			out[name] = c
+		}
+		c := synthDep["R2"].Clone()
+		cl := c.RouteMaps[c.RouteMapNames()[0]].Clauses[0]
+		cl.Sets = append(cl.Sets, &config.Set{Kind: config.SetMED, MED: med})
+		out["R2"] = c
+		return out
 	}
-	reqs := sc.Requirements()
-	if len(reqs) < 2 {
-		t.Fatalf("scenario needs >= 2 requirements, has %d", len(reqs))
-	}
-	newReqs := reqs[:len(reqs)-1] // drop one requirement: a pure spec edit
-	dr, err := e.ReExplain(Delta{Reqs: newReqs})
+	e := newExplainer(t, sc, withMED(50), nil)
+	lifted, err := e.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dr.Stats.FastPath {
-		t.Fatal("a requirements change must not take the fast path")
+	e.Opts.Lift = false
+	edited := withMED(70)
+	dr, err := e.ReExplain(Delta{Deployment: edited})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(dr.Stats.EditedConfigs) != 0 {
-		t.Fatalf("no config changed, but EditedConfigs = %v", dr.Stats.EditedConfigs)
+	opts := DefaultOptions()
+	opts.Lift = false
+	want, err := coldReport(t, sc, edited, nil, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The dirty set and the recomputed set must coincide: a router whose
-	// seed is outside the edit's cone has a pointer-identical simplified
-	// form and splices; a router inside it recomputes.
-	if dr.Stats.Recomputed != len(dr.Stats.PredictedDirty) {
-		t.Fatalf("recomputed %d routers, but dirty set is %v", dr.Stats.Recomputed, dr.Stats.PredictedDirty)
-	}
-	if dr.Stats.Spliced+dr.Stats.Recomputed != dr.Stats.Routers {
-		t.Fatalf("spliced %d + recomputed %d != routers %d", dr.Stats.Spliced, dr.Stats.Recomputed, dr.Stats.Routers)
-	}
-	want, coldErr := coldReport(t, sc, dep, newReqs, DefaultOptions())
-	if coldErr != nil {
-		t.Fatal(coldErr)
+	if want == lifted {
+		t.Fatal("the unlifted report equals the lifted one; the test shows nothing")
 	}
 	if dr.Report != want {
-		t.Fatal("spec-only incremental report diverges from cold report")
+		t.Fatalf("ReExplain after turning lifting off diverges from a cold unlifted report\n-- incremental --\n%s\n-- cold --\n%s", dr.Report, want)
 	}
 }
 

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -95,11 +93,9 @@ type Explanation struct {
 	// simplified seed; a checked proof that the raw seed implies it
 	// makes each one hold of the raw seed too. (A failing proof aborts
 	// the explanation with an error, so a returned explanation under
-	// Options.VerifyProofs is always Verified. A spliced explanation
-	// — a repeat query, or a router Explainer.ReExplain found clean —
-	// carries the verdicts, and proofs, of the run that first computed
-	// it; the splice gate only accepts entries produced under the same
-	// VerifyProofs setting.)
+	// Options.VerifyProofs is always Verified. A report section served
+	// from the report cache was rendered from such an explanation: its
+	// key includes the VerifyProofs setting.)
 	Verified bool
 }
 
@@ -109,7 +105,7 @@ type Explanation struct {
 // (Explain*, Report*, CheckSubspec*, ExplainComplement*, Stats) may
 // run in parallel — they share the session's concurrency-safe caches —
 // while ReExplain, which retargets the explainer at an edited problem
-// (swapping Deployment, Reqs, and Session in place), excludes every
+// (swapping Deployment and Session in place), excludes every
 // other call for its duration. Direct writes to the exported fields
 // are not synchronized; set them before sharing the explainer.
 type Explainer struct {
@@ -128,38 +124,6 @@ type Explainer struct {
 	// fields — holds it exclusively. Internal helpers never touch it,
 	// so a query never re-locks on its own call path.
 	mu sync.RWMutex
-
-	// lastReportKey/Sum/Len identify the most recent whole-deployment
-	// report: the rendered bytes live in the session's byte-capped
-	// report cache under lastReportKey, the explainer holds only the
-	// key, a sha256 content hash, and the length. ReExplain's fast path
-	// reloads the bytes through loadLastReport, which verifies the hash
-	// — an evicted or displaced entry costs a re-sweep, never a wrong
-	// report, and the explainer itself no longer pins a full document
-	// in memory. Guarded by reportMu (a leaf lock: concurrent
-	// ReportContext calls share mu but still race on these fields
-	// without it).
-	reportMu      sync.Mutex
-	lastReportKey string
-	lastReportSum [32]byte
-	lastReportLen int64
-
-	// diffInfo collects per-router delta diagnostics during a ReExplain
-	// sweep (nil outside one); diffMu guards it against the parallel
-	// report workers.
-	diffMu   sync.Mutex
-	diffInfo map[string]*routerDelta
-}
-
-// routerDelta is one router's delta diagnostics from a ReExplain
-// sweep: whether its lift stage was spliced, how many raw seed
-// conjuncts changed against the cached generation (-1 when no cached
-// generation exists), and how many conjuncts of the new seed fall in
-// the edit's cone of influence.
-type routerDelta struct {
-	spliced   bool
-	seedDelta int
-	coneAtoms int
 }
 
 // NewExplainer builds an explainer for a synthesis problem's output.
@@ -199,26 +163,40 @@ func encodeKey(router string, targets []Target) string {
 
 // encodeSeed runs the pipeline's steps 1 and 2 for the router: it
 // symbolizes the targets, then encodes the deployment with the router
-// overridden by its symbolized config under encodeKey, through the
-// session cache. With targets, the router must have a deployed
-// configuration. replaced maps each hole to the value it replaced
-// (empty without targets).
+// overridden by its symbolized config. With targets, the router must
+// have a deployed configuration. replaced maps each hole to the value
+// it replaced (empty without targets).
 func (e *Explainer) encodeSeed(ctx context.Context, router string, targets []Target) (*synth.Encoding, map[string]string, error) {
-	var overrides map[string]*config.Config
-	replaced := map[string]string{}
-	if len(targets) > 0 {
-		sym, rep, err := Symbolize(e.Deployment[router], targets)
-		if err != nil {
-			return nil, nil, err
-		}
-		overrides = map[string]*config.Config{router: sym}
-		replaced = rep
+	sym, replaced, err := e.symbolize(router, targets)
+	if err != nil {
+		return nil, nil, err
 	}
-	enc, err := e.Session.Encode(ctx, overrides, encodeKey(router, targets))
+	enc, err := e.encode(ctx, router, targets, sym)
 	if err != nil {
 		return nil, nil, err
 	}
 	return enc, replaced, nil
+}
+
+// symbolize is step 1: the router's deployed config with the targets
+// replaced by holes (nil without targets), and the values they
+// replaced.
+func (e *Explainer) symbolize(router string, targets []Target) (*config.Config, map[string]string, error) {
+	if len(targets) == 0 {
+		return nil, map[string]string{}, nil
+	}
+	return Symbolize(e.Deployment[router], targets)
+}
+
+// encode is step 2: the deployment encoded with the router overridden
+// by its symbolized config (nil: nothing overridden), through the
+// session cache under encodeKey.
+func (e *Explainer) encode(ctx context.Context, router string, targets []Target, sym *config.Config) (*synth.Encoding, error) {
+	var overrides map[string]*config.Config
+	if sym != nil {
+		overrides = map[string]*config.Config{router: sym}
+	}
+	return e.Session.Encode(ctx, overrides, encodeKey(router, targets))
 }
 
 // normalizer builds a simplifier for auxiliary rewriting (lift
@@ -246,16 +224,14 @@ func (e *Explainer) ExplainAllContext(ctx context.Context, router string) (*Expl
 }
 
 func (e *Explainer) explainAll(ctx context.Context, router string) (*Explanation, error) {
-	c, ok := e.Deployment[router]
-	if !ok {
-		// A router with no configuration is trivially unconstrained:
-		// the paper's empty subspecification (Scenario 3, R3).
-		if e.Net.Router(router) == nil {
-			return nil, fmt.Errorf("core: unknown router %q", router)
-		}
-		return e.explain(ctx, router, nil)
+	// A router with no configuration has no targets: it is trivially
+	// unconstrained, the paper's empty subspecification (Scenario 3,
+	// R3).
+	var targets []Target
+	if c, ok := e.Deployment[router]; ok {
+		targets = AllTargets(c)
 	}
-	return e.explain(ctx, router, AllTargets(c))
+	return e.explainTargets(ctx, router, targets)
 }
 
 // Explain generates the explanation for the chosen fields of the
@@ -273,22 +249,32 @@ func (e *Explainer) ExplainContext(ctx context.Context, router string, targets [
 	defer e.mu.RUnlock()
 	ctx, cancel := e.Opts.Budget.Apply(ctx)
 	defer cancel()
-	return e.explain(ctx, router, targets)
+	return e.explainTargets(ctx, router, targets)
 }
 
-func (e *Explainer) explain(ctx context.Context, router string, targets []Target) (*Explanation, error) {
-	node := e.Net.Router(router)
-	if node == nil {
+// explainTargets checks the router, symbolizes its targets (step 1)
+// and explains it.
+func (e *Explainer) explainTargets(ctx context.Context, router string, targets []Target) (*Explanation, error) {
+	if e.Net.Router(router) == nil {
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
 	if _, ok := e.Deployment[router]; !ok && len(targets) > 0 {
 		return nil, fmt.Errorf("core: router %q has no deployed configuration to symbolize", router)
 	}
+	sym, replaced, err := e.symbolize(router, targets)
+	if err != nil {
+		return nil, err
+	}
+	return e.explain(ctx, router, targets, sym, replaced)
+}
 
-	// Steps 1 and 2: partial symbolization, then the seed specification,
-	// produced by the synthesizer's own encoder over the partially
-	// symbolic deployment.
-	enc, replaced, err := e.encodeSeed(ctx, router, targets)
+// explain runs steps 2 to 4 for a router whose targets step 1 replaced
+// by holes in sym (nil without targets); replaced maps each hole to the
+// value it replaced.
+func (e *Explainer) explain(ctx context.Context, router string, targets []Target, sym *config.Config, replaced map[string]string) (*Explanation, error) {
+	// Step 2: the seed specification, produced by the synthesizer's own
+	// encoder over the partially symbolic deployment.
+	enc, err := e.encode(ctx, router, targets, sym)
 	if err != nil {
 		return nil, err
 	}
@@ -334,198 +320,18 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 		}
 	}
 
-	// Step 4: lifting — spliced from the cross-deployment report cache
-	// when the cached entry was computed from the live encoding's exact
-	// lift inputs (a repeat query, or a router an edit left alone),
-	// recomputed (and cached) otherwise. Every lift clause speaks about
-	// routes through the router, so its candidate paths are the only
-	// paths the lift, the splice gate and the cached entry read.
+	// Step 4: lifting. Every lift clause speaks about routes through the
+	// router, so its candidate paths are the only paths the lift reads.
 	if e.Opts.Lift {
-		paths := enc.PathInfosThrough(router)
-		liftKey := "lift|" + encodeKey(router, targets)
-		cache := e.Session.ReportCache()
-		spliced := false
-		if v, ok := cache.Get(liftKey); ok {
-			if ent, ok := v.(*liftEntry); ok {
-				if e.liftEntryValid(ent, ex, paths) {
-					ex.Subspec = ent.block
-					ex.SubspecComplete = ent.complete
-					spliced = true
-				}
-				e.noteDelta(router, ent, enc, spliced)
-			}
-		} else {
-			e.noteMissing(router)
+		ex.Subspec, ex.SubspecComplete, err = e.lift(ctx, router, enc, ex, enc.PathInfosThrough(router))
+		if err != nil {
+			return nil, err
 		}
-		if !spliced {
-			block, complete, err := e.lift(ctx, router, enc, ex, paths)
-			if err != nil {
-				return nil, err
-			}
-			ex.Subspec = block
-			ex.SubspecComplete = complete
-		}
-		// Refresh even on a splice: the entry's raw seed must track the
-		// current generation so the next delta diffs against it.
-		ent := &liftEntry{
-			seed:       enc.Constraints,
-			simplified: ex.Simplified,
-			holes:      ex.HoleVars,
-			paths:      paths,
-			optsSig:    e.liftOptsSig(),
-			block:      ex.Subspec,
-			complete:   ex.SubspecComplete,
-		}
-		cache.Put(liftKey, ent, ent.size())
 	}
 	// Every Unsat verdict this explanation rests on was re-validated by
 	// the independent checker (failures abort above with an error).
 	ex.Verified = e.Opts.VerifyProofs
 	return ex, nil
-}
-
-// liftEntry is one router's cached lift outcome in the
-// cross-deployment report cache, together with everything needed to
-// decide whether it can be spliced into a later generation's report.
-// The lift stage is a function of (simplified normal form, candidate
-// paths through the router, hole variables, lift options) alone, and
-// terms are hash-consed, so pointer equality on each certifies the same
-// inputs (variables intern with their sort, so a changed enum domain
-// yields a different pointer). See DESIGN.md ("Incremental
-// re-explanation").
-type liftEntry struct {
-	seed       []logic.Term // raw seed conjuncts of the generation that produced the entry
-	simplified logic.Term
-	holes      map[string]*logic.Var
-	paths      []synth.PathInfo // Encoding.PathInfosThrough(router)
-	optsSig    string
-	block      *spec.Block
-	complete   bool
-}
-
-// termBytes is the size of a logic.Term slice element: an interface
-// value, two words.
-const termBytes = int64(unsafe.Sizeof(logic.Term(nil)))
-
-// size estimates the marginal bytes retaining the entry costs the
-// report cache. Terms and hole variables are hash-consed and alive in
-// the session's interner regardless, so they count at the size of the
-// value that refers to them; the slices, strings, and the lifted block
-// are what the entry pins.
-func (ent *liftEntry) size() int64 {
-	size := int64(256) // struct, map and slice headers
-	size += int64(len(ent.seed)) * termBytes
-	size += int64(len(ent.holes)) * 48
-	for i := range ent.paths {
-		p := &ent.paths[i]
-		size += 96 + int64(len(p.Prefix)) + int64(len(p.EdgeConds))*termBytes
-		for _, n := range p.Path {
-			size += 24 + int64(len(n))
-		}
-	}
-	if ent.block != nil {
-		size += 64
-		for _, r := range ent.block.Reqs {
-			size += int64(len(r.String())) + 48
-		}
-	}
-	return size
-}
-
-// liftOptsSig captures every option the lift stage's outcome depends
-// on; entries produced under a different signature never splice.
-func (e *Explainer) liftOptsSig() string {
-	return fmt.Sprintf("p%d|v%t", e.Opts.MaxPatternNodes, e.Opts.VerifyProofs)
-}
-
-// liftEntryValid reports whether the cached entry's lift inputs are
-// identical to the live explanation's and its candidate paths through
-// the router. Every term comparison is a pointer comparison
-// (hash-consing).
-func (e *Explainer) liftEntryValid(ent *liftEntry, ex *Explanation, paths []synth.PathInfo) bool {
-	if ent.optsSig != e.liftOptsSig() || ent.simplified != ex.Simplified {
-		return false
-	}
-	if len(ent.holes) != len(ex.HoleVars) {
-		return false
-	}
-	for n, v := range ex.HoleVars {
-		if ent.holes[n] != v {
-			return false
-		}
-	}
-	if len(ent.paths) != len(paths) {
-		return false
-	}
-	for i := range paths {
-		a, b := &ent.paths[i], &paths[i]
-		if a.Prefix != b.Prefix || a.Sel != b.Sel || a.LP != b.LP ||
-			len(a.EdgeConds) != len(b.EdgeConds) || len(a.Path) != len(b.Path) {
-			return false
-		}
-		for j := range a.EdgeConds {
-			if a.EdgeConds[j] != b.EdgeConds[j] {
-				return false
-			}
-		}
-		for j := range a.Path {
-			if a.Path[j] != b.Path[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// noteDelta records one router's delta diagnostics during a ReExplain
-// sweep: the raw-seed symmetric difference against the cached
-// generation and, when non-empty, the size of the edit's cone of
-// influence within the new seed (rewrite.Cone over the changed
-// conjuncts' free-variable signatures).
-func (e *Explainer) noteDelta(router string, ent *liftEntry, enc *synth.Encoding, spliced bool) {
-	if e.diffInfo == nil {
-		return
-	}
-	d := &routerDelta{spliced: spliced}
-	// A router the edit left alone, the common case in a sweep,
-	// re-derives the cached generation's conjuncts pointer for pointer:
-	// its delta is zero without a set of seed terms.
-	if !slices.Equal(ent.seed, enc.Constraints) {
-		old := make(map[logic.Term]bool, len(ent.seed))
-		for _, c := range ent.seed {
-			old[c] = true
-		}
-		var editSig uint64
-		for _, c := range enc.Constraints {
-			if old[c] {
-				delete(old, c)
-				continue
-			}
-			d.seedDelta++
-			editSig |= logic.Signature(c)
-		}
-		for c := range old {
-			d.seedDelta++
-			editSig |= logic.Signature(c)
-		}
-		if d.seedDelta > 0 {
-			d.coneAtoms = len(rewrite.Cone(enc.Constraints, editSig))
-		}
-	}
-	e.diffMu.Lock()
-	e.diffInfo[router] = d
-	e.diffMu.Unlock()
-}
-
-// noteMissing records that a router had no cached generation to diff
-// against (treated as dirty: nothing is known about it).
-func (e *Explainer) noteMissing(router string) {
-	if e.diffInfo == nil {
-		return
-	}
-	e.diffMu.Lock()
-	e.diffInfo[router] = &routerDelta{seedDelta: -1}
-	e.diffMu.Unlock()
 }
 
 // mentionsAny reports whether t contains any of the named variables.

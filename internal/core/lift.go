@@ -50,11 +50,9 @@ type liftCandidate struct {
 // lift runs the lifting pipeline for the router's explanation. Its
 // outcome depends on the simplified seed, the hole variables, paths
 // (the encoding's candidates through the router,
-// Encoding.PathInfosThrough) and the options alone, the inputs the
-// splice gate compares; under VerifyProofs it also reads the raw seed,
-// only to check the link to it. Its solvers live for this call only;
-// explain answers a repeat query against the same inputs from the
-// report cache instead.
+// Encoding.PathInfosThrough) and the options alone; under VerifyProofs
+// it also reads the raw seed, only to check the link to it. Its
+// solvers live for this call only.
 func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding, ex *Explanation, paths []synth.PathInfo) (*spec.Block, bool, error) {
 	block := &spec.Block{Name: router}
 	if len(ex.HoleVars) == 0 {

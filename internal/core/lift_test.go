@@ -38,7 +38,7 @@ func randomFabric(tb testing.TB, n int, graph int64, hops int) differentialWorkl
 
 // TestLiftCandidatesFromLocalPaths pins the lift's path input: over the
 // candidates through the router (Encoding.PathInfosThrough), which the
-// lift, the splice gate and the cached lift entry read, liftCandidates
+// lift reads, liftCandidates
 // must return the same clauses, in the same order and with
 // pointer-identical terms, as over the whole network's PathInfos.
 func TestLiftCandidatesFromLocalPaths(t *testing.T) {

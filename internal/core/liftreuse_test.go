@@ -86,9 +86,9 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 }
 
 // TestRepeatQuerySplicesLift checks that a repeat report through one
-// explainer is answered by lift splices: the bytes still match the
-// golden, no lift query or SAT solve runs, and every router's lift is
-// one report-cache hit.
+// explainer is answered from the report cache: the bytes still match
+// the golden, no encode, simplification, lift query or SAT solve runs,
+// and every router's section is one report-cache hit.
 func TestRepeatQuerySplicesLift(t *testing.T) {
 	for _, sc := range scenarios.All() {
 		sc := sc
@@ -126,11 +126,17 @@ func TestRepeatQuerySplicesLift(t *testing.T) {
 				t.Errorf("repeat report re-ran the lift: lift queries %d -> %d, solves %d -> %d",
 					before.LiftQueries, after.LiftQueries, before.Solves, after.Solves)
 			}
+			if after.Encodes != before.Encodes || after.CacheHits != before.CacheHits {
+				t.Errorf("repeat report encoded: encodes %d -> %d, encode-cache hits %d -> %d",
+					before.Encodes, after.Encodes, before.CacheHits, after.CacheHits)
+			}
+			if after.SimplifyHits != before.SimplifyHits || after.NormCacheHits+after.NormCacheMisses != before.NormCacheHits+before.NormCacheMisses {
+				t.Errorf("repeat report simplified: simplify hits %d -> %d, normal-form lookups %d -> %d",
+					before.SimplifyHits, after.SimplifyHits,
+					before.NormCacheHits+before.NormCacheMisses, after.NormCacheHits+after.NormCacheMisses)
+			}
 			if d, n := after.ReportCacheHits-before.ReportCacheHits, len(e.reportRouters()); d != n {
 				t.Errorf("repeat report: %d report-cache hits, want one per router (%d)", d, n)
-			}
-			if after.SimplifyHits <= before.SimplifyHits {
-				t.Error("repeat report did not hit the simplification cache")
 			}
 		})
 	}
@@ -138,8 +144,9 @@ func TestRepeatQuerySplicesLift(t *testing.T) {
 
 // TestRepeatQuerySplicesLiftConcurrent runs whole-network reports from
 // several goroutines on one explainer, first cold (every goroutine may
-// compute and store the same lift entries) and then warm (every lift
-// is spliced): all reports are byte-identical to the golden.
+// compute and store the same sections) and then warm (every section
+// comes from the report cache): all reports are byte-identical to the
+// golden.
 func TestRepeatQuerySplicesLiftConcurrent(t *testing.T) {
 	sc := scenarios.All()[1]
 	dep := synthScenario(t, sc)

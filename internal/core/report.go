@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/spec"
+	"repro/internal/synth"
 )
 
 // Report renders a whole-deployment explanation document: for every
@@ -67,33 +67,31 @@ func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error)
 	defer e.mu.RUnlock()
 	ctx, cancelBudget := e.Opts.Budget.Apply(ctx)
 	defer cancelBudget()
-	return e.writeReportLocked(ctx, w)
+	n, _, err := e.writeReportLocked(ctx, w)
+	return n, err
 }
 
 // writeReportLocked is the streaming pipeline shared by WriteReport and
 // the ReExplain sweep. Caller holds e.mu (shared or exclusive) and has
-// applied the budget.
-func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, error) {
+// applied the budget. Besides the bytes written it returns, in report
+// order, the routers whose sections it rendered: the report cache held
+// every other section under its locality key (see section).
+func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, []string, error) {
 	routers := e.reportRouters()
-	tee := newReportTee(e)
 	var n int64
 	write := func(s string) error {
 		m, err := io.WriteString(w, s)
 		n += int64(m)
-		if err != nil {
-			return err
-		}
-		tee.add(s)
-		return nil
+		return err
 	}
 
 	if err := write(e.renderHeader()); err != nil {
-		return n, err
+		return n, nil, err
 	}
 	if len(routers) == 0 {
-		tee.commit(e)
-		return n, nil
+		return n, nil, nil
 	}
+	keys := e.readKeys()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -107,10 +105,11 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	window := 4 * workers
 
 	type done struct {
-		i        int
-		section  string
-		err      error
-		panicked *workerPanic
+		i          int
+		section    string
+		recomputed bool
+		err        error
+		panicked   *workerPanic
 	}
 	// tokens bounds the routers issued but not yet flushed (in flight
 	// in a worker, or rendered and parked out of order). results has
@@ -135,11 +134,7 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 					if testBeforeSection != nil {
 						testBeforeSection(routers[i])
 					}
-					ex, err := e.explainAll(ctx, routers[i])
-					d.err = err
-					if err == nil {
-						d.section = renderSection(routers[i], ex)
-					}
+					d.section, d.recomputed, d.err = e.section(ctx, keys, routers[i])
 				}()
 				results <- d
 			}
@@ -169,7 +164,8 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	// completions. After any failure, keep draining (workers must not
 	// be abandoned mid-send) but write nothing further: the stream ends
 	// at the last section flushed before the failure surfaced.
-	parked := make(map[int]string, window)
+	parked := make(map[int]done, window)
+	var recomputed []string
 	next := 0
 	failIdx := -1
 	var failErr error
@@ -194,10 +190,10 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 		case d.err != nil:
 			fail(d.i, d.err)
 		default:
-			parked[d.i] = d.section
+			parked[d.i] = d
 		}
 		for {
-			sec, ok := parked[next]
+			p, ok := parked[next]
 			if !ok {
 				break
 			}
@@ -207,8 +203,11 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 			if failIdx >= 0 || ctx.Err() != nil {
 				continue // drained, not written
 			}
-			if err := write(sec); err != nil {
-				fail(next-1, err)
+			if p.recomputed {
+				recomputed = append(recomputed, routers[p.i])
+			}
+			if err := write(p.section); err != nil {
+				fail(p.i, err)
 			}
 		}
 	}
@@ -216,16 +215,59 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 		panic(panicked)
 	}
 	if failIdx >= 0 {
-		return n, fmt.Errorf("core: explaining %s: %w", routers[failIdx], failErr)
+		return n, recomputed, fmt.Errorf("core: explaining %s: %w", routers[failIdx], failErr)
 	}
 	if err := ctx.Err(); err != nil {
-		return n, err
+		return n, recomputed, err
 	}
 	if next != len(routers) {
-		return n, fmt.Errorf("core: %s not explained", routers[next])
+		return n, recomputed, fmt.Errorf("core: %s not explained", routers[next])
 	}
-	tee.commit(e)
-	return n, nil
+	return n, recomputed, nil
+}
+
+// readKeys digests the explainer's deployment for its sections'
+// locality keys, salted with what a section depends on beyond its
+// derived encoding: the lift options.
+func (e *Explainer) readKeys() *synth.ReadKeys {
+	return synth.NewReadKeys(e.Deployment, e.Reqs, e.Opts.Synth,
+		fmt.Sprintf("lift %t, %d pattern nodes, proofs %t", e.Opts.Lift, e.Opts.MaxPatternNodes, e.Opts.VerifyProofs))
+}
+
+// section returns the router's report section, and whether it had to
+// be rendered. A section is a function of the router's derived
+// encoding and the lift options alone (reports are byte-identical
+// however they were produced), and the locality key digests exactly
+// what that encoding reads (synth.ReadKeys) plus those options. So the
+// section is served from the report cache whenever its key is there,
+// and otherwise explained from the symbolized config the key was taken
+// from, rendered and stored.
+func (e *Explainer) section(ctx context.Context, keys *synth.ReadKeys, router string) (string, bool, error) {
+	if e.Net.Router(router) == nil {
+		return "", true, fmt.Errorf("core: unknown router %q", router)
+	}
+	c := e.Deployment[router]
+	targets := AllTargets(c)
+	sym, replaced, err := e.symbolize(router, targets)
+	if err != nil {
+		return "", true, err
+	}
+	override := sym
+	if override == nil {
+		override = c
+	}
+	key := keys.Key(router, override)
+	cache := e.Session.ReportCache()
+	if s, ok := cache.Get(key); ok {
+		return s, false, nil
+	}
+	ex, err := e.explain(ctx, router, targets, sym, replaced)
+	if err != nil {
+		return "", true, err
+	}
+	s := renderSection(router, ex)
+	cache.Put(key, s, int64(len(key)+len(s)))
+	return s, true, nil
 }
 
 // testBeforeSection, when set by a test, is called by a report worker
@@ -298,80 +340,4 @@ func renderSection(router string, ex *Explanation) string {
 	}
 	sb.WriteString("\n")
 	return sb.String()
-}
-
-// reportTee accumulates the rendered report as it streams so a
-// successful run can be retained for ReExplain's fast path without the
-// explainer holding the document itself: the bytes go to the session's
-// byte-capped report cache, the explainer keeps only a key and a
-// content hash. Buffering stops (and retention is skipped) once the
-// document outgrows the cache's cap, so streaming a huge report never
-// holds it in memory.
-type reportTee struct {
-	buf *strings.Builder
-	cap int64
-	n   int64
-}
-
-func newReportTee(e *Explainer) *reportTee {
-	return &reportTee{buf: &strings.Builder{}, cap: e.Session.ReportCache().MaxCost()}
-}
-
-func (t *reportTee) add(s string) {
-	t.n += int64(len(s))
-	if t.buf == nil {
-		return
-	}
-	if t.cap > 0 && t.n > t.cap {
-		t.buf = nil // cannot fit the cache: stop holding the prefix
-		return
-	}
-	t.buf.WriteString(s)
-}
-
-// commit stores the completed report and records its identity on the
-// explainer; called only on success. A report that outgrew the cache
-// clears the retained identity instead (the fast path will re-sweep).
-func (t *reportTee) commit(e *Explainer) {
-	e.reportMu.Lock()
-	defer e.reportMu.Unlock()
-	if t.buf == nil {
-		e.lastReportKey = ""
-		return
-	}
-	out := t.buf.String()
-	e.Session.ReportCache().Put(reportCacheKey, out, int64(len(out)))
-	e.lastReportKey = reportCacheKey
-	e.lastReportSum = sha256.Sum256([]byte(out))
-	e.lastReportLen = int64(len(out))
-}
-
-// reportCacheKey is the session report-cache key holding the latest
-// rendered whole-deployment report. The cache is shared along a
-// session's successor chain only, so one slot suffices: a successor's
-// report displaces its predecessor's, which is exactly the retention
-// the fast path wants. The "report|" namespace cannot collide with the
-// per-router lift keys ("lift|...").
-const reportCacheKey = "report|latest"
-
-// loadLastReport returns the retained report, or "" when none was
-// retained, the cache has since evicted it, or the cached bytes fail
-// the recorded content hash (a foreign entry under the key). Never
-// wrong, at worst a re-sweep.
-func (e *Explainer) loadLastReport() string {
-	e.reportMu.Lock()
-	key, sum, size := e.lastReportKey, e.lastReportSum, e.lastReportLen
-	e.reportMu.Unlock()
-	if key == "" {
-		return ""
-	}
-	v, ok := e.Session.ReportCache().Get(key)
-	if !ok {
-		return ""
-	}
-	out, ok := v.(string)
-	if !ok || int64(len(out)) != size || sha256.Sum256([]byte(out)) != sum {
-		return ""
-	}
-	return out
 }

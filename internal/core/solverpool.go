@@ -45,8 +45,8 @@ func (e *Explainer) verifyUnsat(s *smt.Solver) error {
 // applies build to it. The caller owns the solver for the rest of its
 // query and calls release when done, which folds the solver's work into
 // the session statistics; the solver is garbage afterwards. A repeat
-// query does not need it: the report cache answers a repeat lift with a
-// splice instead.
+// report does not need it: the report cache answers every section it
+// rendered before.
 func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, func(), error) {
 	var opts []smt.Option
 	if e.Opts.VerifyProofs {

@@ -303,7 +303,7 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 		t.Fatal("successor does not share the report cache")
 	}
 	for i := 0; i < 5; i++ {
-		rc.Put(fmt.Sprintf("k%d", i), i, 100)
+		rc.Put(fmt.Sprintf("k%d", i), fmt.Sprint(i), 100)
 	}
 	if got := rc.Stats().Len; got != 3 {
 		t.Fatalf("shared report cache Len = %d, want 3 (byte cap inherited)", got)

@@ -115,9 +115,9 @@ type Stats struct {
 	SimplifyReplays         int
 	SimplifyReplayFallbacks int
 	// ReportCacheHits and ReportCacheMisses count lookups in the
-	// cross-deployment report cache (per-router lift artifacts spliced
-	// into repeat and delta explanations). Cumulative across the
-	// session chain: successor sessions share one cache.
+	// cross-deployment report cache (rendered router sections reused by
+	// repeat and delta reports). Cumulative across the session chain:
+	// successor sessions share one cache.
 	// ReportCacheEvictions counts entries displaced by the cache's byte
 	// cap; ReportCacheBytes is the cache's current accounted size (a
 	// gauge).

@@ -30,12 +30,11 @@ const DefaultLiftSampleCap = 1 << 14
 // travel with the caches themselves, so successor sessions
 // (NewSessionFrom) inherit them.
 type CacheLimits struct {
-	// ReportBytes caps the cross-deployment report cache (per-router
-	// lift artifacts and rendered whole-network reports) by its total
-	// accounted byte size, evicted least-recently-used. Byte accounting
-	// — not entry counting — is what keeps a handful of 1000-router
-	// reports from pinning a server's heap while thousands of small
-	// lift entries still fit.
+	// ReportBytes caps the cross-deployment report cache (rendered
+	// router sections) by its total byte size, key and text, evicted
+	// least-recently-used. Byte accounting — not entry counting — is
+	// what keeps the sections of wide networks from pinning a server's
+	// heap while thousands of small ones still fit.
 	ReportBytes int64
 	// Simplify caps the per-seed simplification outcome cache, evicted
 	// least-recently-used.
@@ -116,13 +115,15 @@ type Session struct {
 	ref *refSlot
 
 	// reports is the cross-deployment report cache successor sessions
-	// inherit: opaque per-router artifacts (the explainer's lift
-	// results) and rendered reports, keyed by encoding key and costed at
-	// the byte size the caller declares. Values are validated by the
-	// caller against the current encoding before reuse — the cache
+	// inherit: rendered router sections, each under its locality key (a
+	// digest of everything the section's derived encode reads, plus the
+	// lift options; see synth.ReadKeys) and costed at the byte size the
+	// caller declares. The key is the whole validation — the cache
 	// itself only stores and counts — so an eviction costs a later
-	// recompute, never a wrong answer.
-	reports *lru.Cache[string, any]
+	// recompute, never a wrong answer. Sharing it along a successor
+	// chain only, whose topology never changes, is what lets the key
+	// leave the topology out.
+	reports *lru.Cache[string, string]
 }
 
 // refSlot is the sharable base-seed reference (see Session.ref).
@@ -166,7 +167,7 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		simps:   lru.New[logic.Term, *SimplifyOutcome](0, nil),
 		nf:      rewrite.NewCache(),
 		ref:     &refSlot{},
-		reports: lru.New[string, any](0, nil),
+		reports: lru.New[string, string](0, nil),
 	}
 }
 
@@ -207,7 +208,7 @@ func (s *Session) SetCacheLimits(l CacheLimits) {
 
 // ReportCache returns the session's cross-deployment report cache (see
 // Session.reports).
-func (s *Session) ReportCache() *lru.Cache[string, any] { return s.reports }
+func (s *Session) ReportCache() *lru.Cache[string, string] { return s.reports }
 
 // Interner returns the session's shared term table. Solvers working on
 // this session's encodings should adopt it (smt.Solver.UseInterner) so

@@ -1,6 +1,6 @@
 // Package lru provides the stack's one least-recently-used cache. Every
 // bounded cache of the explanation stack (per-seed simplifications,
-// per-router lift artifacts, warm sessions, served responses) is a
+// rendered report sections, warm sessions, served responses) is a
 // Cache: they differ only in their keys, their values, the cost each
 // entry declares and the cap.
 package lru
@@ -123,14 +123,6 @@ func (c *Cache[K, V]) SetMaxCost(n int64) {
 	gone := c.shed(nil)
 	c.mu.Unlock()
 	c.release(gone)
-}
-
-// MaxCost returns the cap (0 or less: unbounded). Callers that assemble
-// a value before storing it use it to stop once the value cannot fit.
-func (c *Cache[K, V]) MaxCost() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxCost
 }
 
 // Values returns the stored values, most recently used first, without

@@ -529,9 +529,9 @@ func (sr *streamRecorder) Write(p []byte) (int, error) {
 }
 
 // runDiff produces the incremental report for the edited deployment.
-// A pooled explainer carries its base report from the request that
-// warmed it; a fresh one renders the base report first (warming every
-// cache the splice sweep draws from).
+// The base report comes first: from the report cache for a pooled
+// explainer warmed by an earlier request, rendered afresh otherwise,
+// so the re-explanation finds every unedited section cached.
 func (s *Server) runDiff(ctx context.Context, e *core.Explainer, edited config.Deployment) (*core.DiffReport, error) {
 	if _, err := e.ReportContext(ctx); err != nil {
 		return nil, fmt.Errorf("base report: %w", err)

@@ -218,91 +218,3 @@ func (b *Base) deriveVocab(overrides map[string]*config.Config, dirty map[string
 	}
 	return &v
 }
-
-// BaseDiff is the outcome of comparing two bases (DiffBases).
-type BaseDiff struct {
-	// Comparable is false when the bases were built over different
-	// topologies or candidate-enumeration options, in which case no
-	// finer comparison was attempted (Identical is false).
-	Comparable bool
-	// Identical reports that every candidate's symbolic edge condition
-	// and route state is pointer-identical between the bases: the two
-	// deployments are indistinguishable to the encoder, so every
-	// derived encoding — and everything downstream of it — coincides.
-	Identical bool
-	// Changed lists, sorted, the endpoints of edges that introduced a
-	// differing candidate: the routers whose modeled contribution the
-	// edit actually reached. Edges inheriting a difference from an
-	// upstream hop are not re-attributed (their introduction point
-	// already is).
-	Changed []string
-}
-
-// DiffBases compares the modeled contribution of every candidate path
-// between two bases of the same topology. The candidate graph is a
-// function of the topology and options alone, so comparable bases hold
-// the same paths in the same slots and compare slot by slot; terms are
-// hash-consed, so "unchanged" is a pointer comparison per candidate.
-func DiffBases(old, nu *Base) *BaseDiff {
-	if old == nil || nu == nil || old.net != nu.net || old.opts != nu.opts {
-		return &BaseDiff{}
-	}
-	d := &BaseDiff{Comparable: true, Identical: true}
-	changed := map[string]bool{}
-	for prefix, byNode := range nu.cands {
-		for node, ncs := range byNode {
-			ocs := old.cands[prefix][node]
-			if len(ocs) != len(ncs) {
-				return &BaseDiff{}
-			}
-			for i, cn := range ncs {
-				co := ocs[i]
-				if candidateSame(co, cn) {
-					continue
-				}
-				d.Identical = false
-				if cn.parent == nil || !candidateSame(co.parent, cn.parent) {
-					continue // inherited from upstream; attributed there
-				}
-				changed[cn.parent.node()] = true
-				changed[cn.node()] = true
-			}
-		}
-	}
-	for r := range changed {
-		d.Changed = append(d.Changed, r)
-	}
-	sort.Strings(d.Changed)
-	return d
-}
-
-// candidateSame reports whether two candidates carry the same symbolic
-// content. Terms are canonical in one interner, so every comparison is
-// a pointer comparison.
-func candidateSame(a, b *candidate) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a == b {
-		return true
-	}
-	if a.edgeCond != b.edgeCond {
-		return false
-	}
-	sa, sb := a.state, b.state
-	if (sa == nil) != (sb == nil) {
-		return false
-	}
-	if sa == nil || sa == sb {
-		return true
-	}
-	if sa.lp != sb.lp || sa.nextHop != sb.nextHop || len(sa.comms) != len(sb.comms) {
-		return false
-	}
-	for c, t := range sa.comms {
-		if sb.comms[c] != t {
-			return false
-		}
-	}
-	return true
-}

@@ -1,11 +1,15 @@
 package synth
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"repro/internal/bgp"
 	"repro/internal/config"
 	"repro/internal/logic"
+	"repro/internal/spec"
 )
 
 // applyMapSymbolic applies a route map to a symbolic route state,
@@ -194,6 +198,174 @@ func (e *Encoder) applySetsSymbolic(cl *config.Clause, takes logic.Term, st *rou
 		}
 	}
 	return nil
+}
+
+// ReadKeys is the locality key of a concrete deployment's derived
+// encodes: Key(router, override) digests everything an encode of the
+// deployment with one router overridden (Base.Encoder) reads, so two
+// such encodes with equal keys are the same encoding, constraint for
+// constraint. It digests every other router's config as appendRead
+// renders it, the override the same way, the vocabulary the encode
+// derives (Base.deriveVocab's adjustment for that one router), and,
+// once per set of keys, the requirements, the options and a caller's
+// salt. The topology is not digested: keys compare only encodes over
+// one network.
+//
+// NewReadKeys digests each router once, in one pass over the sorted
+// names, and chains the digests from both ends, so a key leaves out
+// its router's own entry at constant cost.
+type ReadKeys struct {
+	dep   config.Deployment
+	index map[string]int
+	// pre[i] chains the digests of the first i sorted routers, post[i]
+	// those of the routers from the i-th on.
+	pre, post [][sha256.Size]byte
+	tags      tagCounts
+	vocab     [sha256.Size]byte // the whole deployment's vocabulary
+	fixed     [sha256.Size]byte // requirements, options and salt
+}
+
+// NewReadKeys digests a concrete deployment for Key. salt stands for
+// whatever else the caller's result depends on (the explainer passes
+// its lift options).
+func NewReadKeys(dep config.Deployment, reqs []spec.Requirement, opts Options, salt string) *ReadKeys {
+	names := make([]string, 0, len(dep))
+	for name := range dep {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	k := &ReadKeys{
+		dep:   dep,
+		index: make(map[string]int, len(names)),
+		pre:   make([][sha256.Size]byte, len(names)+1),
+		post:  make([][sha256.Size]byte, len(names)+1),
+		tags:  countTags(dep),
+	}
+	digests := make([][sha256.Size]byte, len(names))
+	var buf []byte
+	for i, name := range names {
+		k.index[name] = i
+		buf = appendRead(buf[:0], dep[name])
+		digests[i] = sha256.Sum256(buf)
+	}
+	for i, name := range names {
+		buf = appendString(append(buf[:0], k.pre[i][:]...), name)
+		k.pre[i+1] = sha256.Sum256(append(buf, digests[i][:]...))
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		buf = appendString(buf[:0], names[i])
+		buf = append(append(buf, digests[i][:]...), k.post[i+1][:]...)
+		k.post[i] = sha256.Sum256(buf)
+	}
+	k.vocab = vocabDigest(positive(k.tags.comms, nil), positive(k.tags.ips, nil))
+
+	buf = appendString(buf[:0], fmt.Sprintf("%+v", opts.withDefaults()))
+	for _, r := range reqs {
+		buf = appendString(buf, r.String())
+	}
+	k.fixed = sha256.Sum256(appendString(buf, salt))
+	return k
+}
+
+// Key returns the locality key of the deployment's encode with router,
+// one of its configured routers, overridden by override: for a report
+// section, the router's symbolized config (or its deployed config when
+// it has nothing to symbolize).
+func (k *ReadKeys) Key(router string, override *config.Config) string {
+	i := k.index[router]
+	delta := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
+	delta.add(k.dep[router], -1)
+	delta.add(override, 1)
+	voc := k.vocab
+	if crossesZero(k.tags.comms, delta.comms) || crossesZero(k.tags.ips, delta.ips) {
+		voc = vocabDigest(positive(k.tags.comms, delta.comms), positive(k.tags.ips, delta.ips))
+	}
+	buf := appendRead(make([]byte, 0, 1024), override)
+	over := sha256.Sum256(buf)
+	buf = append(append(buf[:0], k.pre[i][:]...), k.post[i+1][:]...)
+	buf = appendString(buf, router)
+	buf = append(append(append(buf, over[:]...), voc[:]...), k.fixed[:]...)
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
+}
+
+// vocabDigest digests a vocabulary's community and next-hop IP sets.
+func vocabDigest(comms []bgp.Community, ips []string) [sha256.Size]byte {
+	names := make([]string, 0, len(comms)+len(ips))
+	for _, c := range comms {
+		names = append(names, "c"+c.String())
+	}
+	for _, ip := range ips {
+		names = append(names, "i"+ip)
+	}
+	sort.Strings(names)
+	var buf []byte
+	for _, n := range names {
+		buf = appendString(buf, n)
+	}
+	return sha256.Sum256(buf)
+}
+
+// appendRead appends what an encoder reads of a config: the router's
+// name, its neighbor bindings, its prefix lists and its route maps,
+// each field rendered by value, or by hole name when symbolic. The
+// concrete metric and next-hop IP set lines are left out:
+// applySetsSymbolic never reads them, and a next-hop IP reaches the
+// encoding only through the vocabulary, which ReadKeys digests
+// separately. Strings carry their length and numbers a terminator, so
+// the rendering is unambiguous.
+func appendRead(b []byte, c *config.Config) []byte {
+	b = appendString(b, c.Router)
+	for _, n := range c.Neighbors {
+		b = appendString(appendString(appendString(append(b, 'n'), n.Peer), n.ImportMap), n.ExportMap)
+	}
+	for _, name := range c.PrefixListNames() {
+		b = appendString(append(b, 'p'), name)
+		for _, en := range c.PrefixLists[name].Entries {
+			b = appendInt(appendInt(append(b, 'e'), en.Seq), int(en.Action))
+			b = append(en.Prefix.AppendTo(b), ' ')
+		}
+	}
+	for _, name := range c.RouteMapNames() {
+		b = appendString(append(b, 'r'), name)
+		for _, cl := range c.RouteMaps[name].Clauses {
+			b = appendString(appendInt(append(b, 'c'), cl.Seq), cl.ActionHole)
+			if cl.ActionHole == "" {
+				b = appendInt(b, int(cl.Action))
+			}
+			for _, m := range cl.Matches {
+				b = appendString(appendInt(append(b, 'm'), int(m.Kind)), m.ValueHole)
+				if m.ValueHole == "" {
+					b = appendString(appendCommunity(appendString(b, m.PrefixList), m.Community), m.NextHop)
+				}
+			}
+			for _, s := range cl.Sets {
+				if s.ParamHole == "" && (s.Kind == config.SetMED || s.Kind == config.SetNextHopIP) {
+					continue
+				}
+				b = appendString(appendInt(append(b, 's'), int(s.Kind)), s.ParamHole)
+				if s.ParamHole == "" {
+					b = appendCommunity(appendInt(b, s.LocalPref), s.Community)
+				}
+			}
+		}
+	}
+	return b
+}
+
+// appendString appends s with its length in front.
+func appendString(b []byte, s string) []byte {
+	return append(appendInt(b, len(s)), s...)
+}
+
+// appendInt appends n and a terminator.
+func appendInt(b []byte, n int) []byte {
+	return append(strconv.AppendInt(b, int64(n), 10), ' ')
+}
+
+// appendCommunity appends a community tag's two halves.
+func appendCommunity(b []byte, c bgp.Community) []byte {
+	return appendInt(appendInt(b, int(c.High)), int(c.Low))
 }
 
 // permitsPrefix evaluates a concrete prefix list against a prefix

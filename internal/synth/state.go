@@ -96,7 +96,7 @@ func (v *vocab) setIPs(ips []string) {
 // next-hop IPs its route-maps mention, each listed once, in no
 // particular order. A hole contributes nothing (its value is the
 // model's to choose). This is the one walk behind buildVocab, the
-// base's per-tag counts (countTags) and VocabContribFingerprint.
+// base's per-tag counts (countTags) and ReadKeys.
 func vocabContrib(c *config.Config) (comms []bgp.Community, ips []string) {
 	addComm := func(x bgp.Community) {
 		if !slices.Contains(comms, x) {
@@ -189,66 +189,6 @@ func positive[K comparable](counts, delta map[K]int) []K {
 		}
 	}
 	return out
-}
-
-// VocabContribFingerprint hashes one configuration's contribution to
-// the encoder's deployment-dependent vocabulary: the concrete
-// community tags and next-hop IPs its route-maps mention (buildVocab
-// folds these into the enum sorts every hole variable of the
-// deployment ranges over). Explanation encodings symbolize one router
-// at a time, so the vocabulary seen when explaining router Y is the
-// union of every OTHER router's contribution — if each router's
-// contribution is unchanged between two deployments, every derived
-// encoding's sorts are unchanged too. Prefixes and neighbor names come
-// from the topology and need no fingerprinting.
-func VocabContribFingerprint(c *config.Config) uint64 {
-	comms, ips := vocabContrib(c)
-	// The contribution is a set: each item is hashed once, in sorted
-	// order, so repeating a tag is not a contribution change.
-	items := make([]string, 0, len(comms)+len(ips))
-	for _, x := range comms {
-		items = append(items, "c"+x.String())
-	}
-	for _, ip := range ips {
-		items = append(items, "ip"+ip)
-	}
-	sort.Strings(items)
-	h := uint64(14695981039346656037)
-	for _, it := range items {
-		for i := 0; i < len(it); i++ {
-			h = (h ^ uint64(it[i])) * 1099511628211
-		}
-		h = (h ^ 0xff) * 1099511628211
-	}
-	return h
-}
-
-// ModeledFingerprint hashes a configuration modulo the concrete values
-// the encoding ignores: MED metrics and next-hop IP rewrites are
-// masked before hashing, while the lines themselves still count
-// (symbolization surfaces a hole variable per set line, so adding or
-// removing one changes the explanation problem even when its value
-// never constrains anything). Two concrete configurations with equal
-// modeled fingerprints and equal vocabulary contributions
-// (VocabContribFingerprint) yield identical constraint systems under
-// every symbolization of the surrounding deployment.
-func ModeledFingerprint(c *config.Config) uint64 {
-	masked := c.Clone()
-	for _, name := range masked.RouteMapNames() {
-		for _, cl := range masked.RouteMaps[name].Clauses {
-			for _, s := range cl.Sets {
-				switch s.Kind {
-				case config.SetMED:
-					s.MED = 0
-				case config.SetNextHopIP:
-					if s.ParamHole == "" {
-						s.NextHopIP = ""
-					}
-				}
-			}
-		}
-	}
-	return config.Fingerprint(masked)
 }
 
 // commConst returns the enum literal of a community.
