@@ -99,8 +99,15 @@ func TestFigureTable(t *testing.T) {
 		t.Fatalf("rows = %d, want 4", len(tbl.Rows))
 	}
 	byFigure := map[string]string{}
+	var complete []string
 	for _, row := range tbl.Rows {
 		byFigure[row[0]] = row[3]
+		complete = append(complete, row[4])
+	}
+	// Fig. 4's block admits a behavior the seed rejects; the others are
+	// sufficient.
+	if got := strings.Join(complete, ","); got != "true,false,true,true" {
+		t.Errorf("complete column %s, want true,false,true,true", got)
 	}
 	if !strings.Contains(byFigure["Fig. 5"], "!(P1->R1->R2->P2)") {
 		t.Errorf("Fig. 5 content: %q", byFigure["Fig. 5"])

@@ -79,7 +79,7 @@ func (e *Explainer) ExplainComplementContext(ctx context.Context, router string)
 	}
 
 	// Consistency of the assume side.
-	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
+	seedSolver, _, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
 	if err != nil {
 		return nil, err
 	}

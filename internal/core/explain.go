@@ -135,8 +135,6 @@ func NewExplainer(net *topology.Network, reqs []spec.Requirement, dep config.Dep
 		}
 	}
 	sess := engine.NewSession(net, reqs, dep, opts.Synth)
-	sess.Budget = opts.Budget
-	sess.VerifyProofs = opts.VerifyProofs
 	return &Explainer{Net: net, Reqs: reqs, Deployment: dep, Opts: opts, Session: sess}, nil
 }
 

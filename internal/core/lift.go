@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -31,8 +30,9 @@ import (
 //     by the SMT solver: seed AND NOT(clause) is unsatisfiable) and
 //     NOT VACUOUS (some completion violates the clause).
 //  4. Prunes redundant clauses (implied by the remaining ones) and
-//     verifies sufficiency by enumerating the models of the lifted
-//     subspecification and checking each extends to a seed model.
+//     decides sufficiency exactly (checkSufficiency): every device
+//     behavior the block admits, the empty block included, extends to
+//     a seed model, or a witness behavior does not.
 //
 // Clause conventions (see EXPERIMENTS.md for the mapping to the
 // paper's figures, whose ordering of local paths is not uniform):
@@ -71,13 +71,13 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 		return nil, false, err
 	}
 
-	// Seed solver for necessity and extendability checks. Its queries
+	// Seed solver for the necessity and sufficiency checks. Its queries
 	// assume the candidates' negations and values of the holes.
 	terms := make([]logic.Term, len(cands))
 	for i, c := range cands {
 		terms[i] = c.term
 	}
-	seedSolver, seedRelease, err := e.buildSeedSolver(ctx, enc, ex.Simplified, terms)
+	seedSolver, seed, seedRelease, err := e.buildSeedSolver(ctx, enc, ex.Simplified, terms)
 	if err != nil {
 		return nil, false, err
 	}
@@ -90,7 +90,7 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	}
 
 	// Domain solver (hole domains only) for vacuity checks and the
-	// sufficiency enumeration.
+	// sufficiency check's abstraction.
 	domSolver, domRelease, err := e.buildSolver(func(s *smt.Solver) error {
 		for _, v := range holeVars {
 			if err := s.Declare(v); err != nil {
@@ -180,72 +180,18 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 			final = append(final, c)
 		}
 	}
+	var sub []logic.Term
 	for _, c := range final {
 		block.Reqs = append(block.Reqs, c.req)
+		sub = append(sub, c.term)
 	}
 	block.Scope = commonScope(router, block)
 
-	var complete bool
-	if len(final) == 0 {
-		// Empty subspecification: the device claims to be
-		// unconstrained. Model-enumerating the full hole space is
-		// infeasible, but no necessary clause over the candidate
-		// vocabulary exists, so it suffices to check per-variable
-		// extendability: every value of every variable participates
-		// in some valid completion.
-		complete, err = e.checkUnconstrained(ctx, holeVars, seedSolver, &lats)
-	} else {
-		complete, err = e.checkSufficiency(ctx, holeVars, final, seedSolver, domSolver, &lats)
-	}
+	witness, err := e.checkSufficiency(ctx, holeVars, sub, seed, seedSolver, domSolver, &lats)
 	if err != nil {
 		return nil, false, err
 	}
-	return block, complete, nil
-}
-
-// checkUnconstrained verifies that each value of each symbolic
-// variable extends to a model of the seed. It probes every value, also
-// after one has failed.
-func (e *Explainer) checkUnconstrained(ctx context.Context, holeVars []*logic.Var, seedSolver *smt.Solver, lats *[]time.Duration) (bool, error) {
-	complete := true
-	for _, v := range holeVars {
-		for _, val := range domainValues(v) {
-			st, err := timedSolve(ctx, seedSolver, lats, logic.Eq(v, val))
-			if err != nil {
-				return false, err
-			}
-			if st == sat.Unsat {
-				// "This value never extends" is an Unsat claim: check it.
-				if err := e.verifyUnsat(seedSolver); err != nil {
-					return false, err
-				}
-			}
-			if st != sat.Sat {
-				complete = false
-			}
-		}
-	}
-	return complete, nil
-}
-
-// domainValues lists every value of the variable's finite domain, in
-// domain order.
-func domainValues(v *logic.Var) []logic.Term {
-	switch {
-	case v.S.IsBool():
-		return []logic.Term{logic.True, logic.False}
-	case v.S.IsInt():
-		var out []logic.Term
-		for x := v.Lo; x <= v.Hi; x++ {
-			out = append(out, logic.NewInt(x))
-		}
-		return out
-	}
-	out := make([]logic.Term, len(v.S.Values))
-	for i, val := range v.S.Values {
-		out[i] = logic.NewEnum(v.S, val)
-	}
-	return out
+	return block, witness == nil, nil
 }
 
 // commonScope detects the Figure 5 situation — every clause of the
@@ -275,64 +221,104 @@ func commonScope(router string, block *spec.Block) string {
 	return scope
 }
 
-// checkSufficiency enumerates models of the lifted subspecification
-// over the hole variables and verifies each extends to a model of the
-// seed. Returns false (without error) when the enumeration exceeds its
-// budget.
+// checkSufficiency decides whether the lifted block is sufficient: the
+// 2QBF ∀h. S(h) → ∃r. seed(h, r), with h the hole variables, r the
+// seed's other (routing) variables, S the block's clause terms (true
+// for an empty block) and seed the conjuncts the seed solver asserts.
+// It returns nil when the block is sufficient, and otherwise a witness:
+// a hole assignment the block admits that extends to no seed model.
 //
-// This is the domain solver's last use: the subspecification clauses
-// and the enumeration's blocking clauses are asserted plainly, and the
-// solver is dropped when the lift returns.
-func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var, final []liftCandidate, seedSolver, domSolver *smt.Solver, lats *[]time.Duration) (bool, error) {
-	for _, c := range final {
-		if err := domSolver.Assert(c.term); err != nil {
-			return false, err
-		}
+// It is Janota and Marques-Silva's abstraction refinement (SAT 2011) on
+// the lift's two solvers. The domain solver is the abstraction: it
+// holds S and, from each round, ¬seed(h, rᵢ). Each of its models h is
+// assumed on the seed solver, where Unsat makes h the witness and Sat
+// yields routing values rᵢ; the round then asserts the negation of the
+// seed's hole-mentioning conjuncts with rᵢ folded in, a formula over h
+// alone that excludes every behavior rᵢ explains. An Unsat abstraction
+// means every admitted behavior is explained. No later round can return
+// an excluded rᵢ, so the loop runs at most once per distinct routing
+// outcome and needs no budget; the context still bounds it. Both Unsat
+// verdicts that decide the outcome are proof-checked, and Sat models
+// are trusted.
+//
+// This is the domain solver's last use: the block and the refinements
+// are asserted plainly, and the solver is dropped when the lift
+// returns.
+func (e *Explainer) checkSufficiency(ctx context.Context, holeVars []*logic.Var, block, seed []logic.Term, seedSolver, domSolver *smt.Solver, lats *[]time.Duration) (logic.Assignment, error) {
+	if err := domSolver.AssertAll(block); err != nil {
+		return nil, err
 	}
-	sufficient := true
-	var checkErr error
-	_, exhausted, err := domSolver.EnumerateModelsContext(ctx, holeVars, engine.DefaultMaxModels, func(m logic.Assignment) bool {
-		// Does this device behavior extend to a full seed model?
-		var assume []logic.Term
-		for _, v := range holeVars {
-			assume = append(assume, logic.Eq(v, m[v.Name].Term()))
+	// The conjuncts that mention a hole, and the routing variables they
+	// read, are found once: every other conjunct holds under each rᵢ,
+	// whatever the holes are.
+	holeNames := make(map[string]bool, len(holeVars))
+	var holeSig uint64
+	for _, v := range holeVars {
+		holeNames[v.Name] = true
+		holeSig |= logic.Signature(v)
+	}
+	var residual []logic.Term
+	var routing []*logic.Var
+	seen := map[logic.Term]bool{}
+	for _, c := range seed {
+		if logic.Signature(c)&holeSig == 0 || !mentionsAny(c, holeNames) {
+			continue
 		}
-		st, err := timedSolve(ctx, seedSolver, lats, assume...)
-		if err != nil {
-			checkErr = err
-			return false
-		}
-		if st != sat.Sat {
-			if st == sat.Unsat {
-				if err := e.verifyUnsat(seedSolver); err != nil {
-					checkErr = err
-					return false
-				}
+		residual = append(residual, c)
+		logic.Walk(c, func(t logic.Term) bool {
+			if seen[t] {
+				return false
 			}
-			sufficient = false // subspec admits a behavior the seed rejects
-			return false
+			seen[t] = true
+			if v, ok := t.(*logic.Var); ok && !holeNames[v.Name] {
+				routing = append(routing, v)
+			}
+			return true
+		})
+	}
+	for {
+		st, err := timedSolve(ctx, domSolver, lats)
+		if err != nil {
+			return nil, err
 		}
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	if checkErr != nil {
-		return false, checkErr
-	}
-	if !sufficient {
-		return false, nil
-	}
-	// Exhausted means the enumeration's final solve came back Unsat —
-	// no admitted behavior is left — so completeness itself rests on an
-	// Unsat verdict; check its proof before reporting it.
-	if exhausted {
-		if err := e.verifyUnsat(domSolver); err != nil {
-			return false, err
+		if st == sat.Unsat {
+			return nil, e.verifyUnsat(domSolver)
+		}
+		h := logic.Assignment{}
+		assume := make([]logic.Term, len(holeVars))
+		for i, v := range holeVars {
+			val, err := domSolver.Value(v)
+			if err != nil {
+				return nil, err
+			}
+			h[v.Name] = val
+			assume[i] = logic.Eq(v, val.Term())
+		}
+		if st, err = timedSolve(ctx, seedSolver, lats, assume...); err != nil {
+			return nil, err
+		}
+		if st == sat.Unsat {
+			// The block admits h, and h extends to no seed model.
+			return h, e.verifyUnsat(seedSolver)
+		}
+		memo := make(map[logic.Term]logic.Term, len(seen))
+		for _, v := range routing {
+			val, err := seedSolver.Value(v)
+			if err != nil {
+				return nil, err
+			}
+			memo[v] = val.Term()
+		}
+		var explained []logic.Term
+		for _, c := range residual {
+			if f := logic.Fold(c, memo); !logic.IsTrue(f) {
+				explained = append(explained, f)
+			}
+		}
+		if err := domSolver.Assert(logic.Not(logic.And(explained...))); err != nil {
+			return nil, err
 		}
 	}
-	// Otherwise the budget ran out and sufficiency is unknown.
-	return exhausted, nil
 }
 
 // preferenceBlocked reports whether either side of the preference is a

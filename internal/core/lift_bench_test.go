@@ -156,3 +156,25 @@ func BenchmarkReportFabricCold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReportFabricLiftedCold measures one cold lifted report of
+// the 60-router what-if fabric (whatifFabric) by a fresh explainer each
+// op: every router's section is encoded, simplified and lifted, and
+// each lift's sufficiency check decides the router's empty block.
+func BenchmarkReportFabricLiftedCold(b *testing.B) {
+	w := whatifFabric(b)
+	opts := DefaultOptions()
+	opts.Synth = w.synth
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := NewExplainer(w.net, w.reqs, w.dep, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.WriteReport(ctx, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -56,9 +56,9 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 		liftQueries                      int
 	}
 	pinned := map[string]work{
-		"scenario1": {96, 16, 2564, 12, 60},
-		"scenario2": {75, 8, 26523, 6, 70},
-		"scenario3": {103, 12, 28003, 10, 94},
+		"scenario1": {40, 4, 1008, 4, 38},
+		"scenario2": {75, 9, 26597, 7, 72},
+		"scenario3": {103, 12, 28068, 10, 100},
 	}
 	for _, sc := range scenarios.All() {
 		sc := sc

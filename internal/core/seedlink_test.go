@@ -11,6 +11,7 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/sat"
 	"repro/internal/scenarios"
+	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/synth"
 	"repro/internal/topology"
@@ -88,12 +89,14 @@ type solveRecord struct {
 	st     sat.Status
 }
 
-// liftRun is one lift's outcome with every timed query it ran.
+// liftRun is one lift's outcome with every timed query it ran and the
+// conjuncts its seed solver asserted.
 type liftRun struct {
 	block    string
 	complete bool
 	err      error
 	solves   []solveRecord
+	seed     []logic.Term
 }
 
 // recordSolves runs f and returns every timed query it ran, in order.
@@ -107,9 +110,19 @@ func recordSolves(f func()) []solveRecord {
 	return solves
 }
 
-// runLift lifts the explanation's router, recording every timed query.
+// runLift lifts the explanation's router, recording every timed query
+// and the seed solver's conjuncts (after any testSeedHook).
 func runLift(e *Explainer, enc *synth.Encoding, ex *Explanation) liftRun {
 	var run liftRun
+	prev := testSeedHook
+	testSeedHook = func(simplified logic.Term, kept []logic.Term) []logic.Term {
+		if prev != nil {
+			kept = prev(simplified, kept)
+		}
+		run.seed = kept
+		return kept
+	}
+	defer func() { testSeedHook = prev }()
 	run.solves = recordSolves(func() {
 		block, complete, err := e.lift(context.Background(), ex.Router, enc, ex, enc.PathInfosThrough(ex.Router))
 		run.err = err
@@ -124,10 +137,11 @@ func runLift(e *Explainer, enc *synth.Encoding, ex *Explanation) liftRun {
 // TestLiftVerdictsMatchRawSeed is the soundness evidence for lifting
 // from the simplified seed. Each router's lift runs twice: as shipped,
 // on step 3's normal form, and with Simplified set to the raw
-// conjunction, which makes it the raw-seed reference. Every timed query
-// — each candidate's vacuity and necessity, each checkUnconstrained
-// probe, each model the sufficiency check extends — must return the
-// same verdict, and the block and the sufficiency outcome must match.
+// conjunction, which makes it the raw-seed reference. Each candidate's
+// vacuity and necessity query must return the same verdict, in order,
+// the block and the sufficiency verdict must match, and each
+// sufficiency witness must extend to no model of the other seed (see
+// sameLift).
 // CheckSubspecNecessary, asked about every lift candidate, and
 // ExplainComplement's Satisfiable must match a raw-seed solver too.
 func TestLiftVerdictsMatchRawSeed(t *testing.T) {
@@ -259,9 +273,11 @@ func compareComplement(t *testing.T, e *Explainer, router string) {
 // seed solvers (seedConjuncts). Each router's lift, CheckSubspecNecessary
 // over its lift candidates and ExplainComplement run twice: as shipped,
 // and against a reference seed solver that asserts every simplified
-// conjunct. Every timed query must assume the same terms and return the
-// same verdict, in the same order, and the block, the sufficiency
-// outcome and the complement's Satisfiable must match. The lift also
+// conjunct. Every necessity query and each lift's vacuity and necessity
+// queries must assume the same terms and return the same verdict, in
+// the same order; the block, the sufficiency verdict and the
+// complement's Satisfiable must match, and each sufficiency witness
+// must extend to no model of the other seed (see sameLift). The lift also
 // runs both ways from the raw conjunction, whose literals other
 // conjuncts still mention (the simplified seed has propagated its own
 // away). The shipped solvers must have dropped literals, or the test
@@ -349,7 +365,10 @@ func TestSeedSolverTrimMatchesReference(t *testing.T) {
 }
 
 // sameLift requires two lifts to agree on their outcome and on every
-// query they ran.
+// vacuity and necessity query, in order. The two seeds give different
+// models, so the sufficiency checks may refine through different rounds:
+// only their verdicts must match, and each witness must extend to no
+// model of the other lift's seed either.
 func sameLift(t *testing.T, label string, got, want liftRun) {
 	t.Helper()
 	if (got.err == nil) != (want.err == nil) {
@@ -359,7 +378,44 @@ func sameLift(t *testing.T, label string, got, want liftRun) {
 		t.Errorf("%s: lifted\n%s(complete %t), reference\n%s(complete %t)",
 			label, got.block, got.complete, want.block, want.complete)
 	}
-	sameSolves(t, label+" lift", got.solves, want.solves)
+	gotChecks, gotWitness := got.split(t, label)
+	wantChecks, wantWitness := want.split(t, label+" reference")
+	sameSolves(t, label+" lift", gotChecks, wantChecks)
+	for _, c := range []struct {
+		label         string
+		witness, seed []logic.Term
+	}{{label, gotWitness, want.seed}, {label + " reference", wantWitness, got.seed}} {
+		if c.witness == nil {
+			continue
+		}
+		s := smt.NewSolver()
+		if err := s.AssertAll(c.seed); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s.Solve(c.witness...); err != nil || st != sat.Unsat {
+			t.Errorf("%s: witness %v is %v (err %v) on the other seed, want Unsat", c.label, c.witness, st, err)
+		}
+	}
+}
+
+// split divides the lift's queries at the sufficiency check's first,
+// the abstraction's solve, which alone assumes nothing. It returns the
+// vacuity and necessity queries before it and, for an insufficient
+// block, the witness the check's last query assumed.
+func (r liftRun) split(t *testing.T, label string) (checks []solveRecord, witness []logic.Term) {
+	t.Helper()
+	k := 0
+	for k < len(r.solves) && len(r.solves[k].assume) > 0 {
+		k++
+	}
+	if k == len(r.solves) || r.complete {
+		return r.solves[:k], nil
+	}
+	last := r.solves[len(r.solves)-1]
+	if last.st != sat.Unsat || len(last.assume) == 0 {
+		t.Fatalf("%s: insufficient block, but the check ended with %v assuming %v", label, last.st, last.assume)
+	}
+	return r.solves[:k], last.assume
 }
 
 // TestSeedConjunctsKeepsSharedLiterals drives each rule of
@@ -440,7 +496,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
 
 	before := e.Stats().ProofChecks
-	_, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
+	_, _, release, err := e.buildSeedSolver(ctx, enc, simplified, nil)
 	if err != nil {
 		t.Fatalf("linking the real simplified seed: %v", err)
 	}
@@ -456,8 +512,8 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	defer rawRelease()
 	var pin logic.Term
 	for _, v := range sortedHoleVars(enc.HoleVars) {
-		for _, val := range domainValues(v) {
-			eq := logic.Eq(v, val)
+		for _, val := range holeValues(v) {
+			eq := logic.Eq(v, val.Term())
 			st, err := raw.Solve(logic.Not(eq))
 			if err != nil {
 				t.Fatal(err)
@@ -470,7 +526,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	if pin == nil {
 		t.Fatalf("every hole of %s is forced; no value to pin", router)
 	}
-	_, _, err = e.buildSeedSolver(ctx, enc, logic.And(simplified, pin), nil)
+	_, _, _, err = e.buildSeedSolver(ctx, enc, logic.And(simplified, pin), nil)
 	if err == nil || !strings.Contains(err.Error(), "does not imply") {
 		t.Fatalf("seed solver from the simplified seed with %s pinned: err %v, want a failed link", pin, err)
 	}

@@ -76,9 +76,10 @@ func seedSolverBuild(holes map[string]*logic.Var, conjuncts []logic.Term) func(*
 
 // buildSeedSolver builds a query-scoped seed solver over the simplified
 // seed, step 3's normal form of the encoding, as the paper's Figure 6
-// lifts it. Every seed solver in the pipeline comes from here. query
-// lists the terms the caller will assume (or their negations); the
-// solver leaves out the conjuncts seedConjuncts trims against them.
+// lifts it, and returns the conjuncts it asserts. Every seed solver in
+// the pipeline comes from here. query lists the terms the caller will
+// assume (or their negations); the solver leaves out the conjuncts
+// seedConjuncts trims against them.
 //
 // Under VerifyProofs it first links the simplified seed back to the
 // raw one: a query-scoped raw-seed solver must find raw ∧ ¬simplified
@@ -86,17 +87,18 @@ func seedSolverBuild(holes map[string]*logic.Var, conjuncts []logic.Term) func(*
 // the raw solver is dropped. The raw seed then implies the simplified
 // one, and so the conjuncts the solver keeps, so every Unsat verdict
 // the solver returns also holds of the raw seed.
-func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, simplified logic.Term, query []logic.Term) (*smt.Solver, func(), error) {
+func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, simplified logic.Term, query []logic.Term) (*smt.Solver, []logic.Term, func(), error) {
 	if e.Opts.VerifyProofs {
 		if err := e.checkSeedLink(ctx, enc, simplified); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	conjuncts := seedConjuncts(simplified, enc.HoleVars, query)
 	if testSeedHook != nil {
 		conjuncts = testSeedHook(simplified, conjuncts)
 	}
-	return e.buildSolver(seedSolverBuild(enc.HoleVars, conjuncts))
+	s, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, conjuncts))
+	return s, conjuncts, release, err
 }
 
 // seedConjuncts returns the conjuncts a seed solver asserts: those of

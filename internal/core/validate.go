@@ -119,7 +119,7 @@ func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router str
 		}
 	}
 	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
-	seedSolver, release, err := e.buildSeedSolver(ctx, enc, simplified, terms)
+	seedSolver, _, release, err := e.buildSeedSolver(ctx, enc, simplified, terms)
 	if err != nil {
 		return nil, err
 	}

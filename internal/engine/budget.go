@@ -19,11 +19,6 @@ import (
 	"time"
 )
 
-// DefaultMaxModels bounds the model enumeration of the lifting step's
-// sufficiency check: a subspecification with more device behaviors
-// than this is reported as not fully verified.
-const DefaultMaxModels = 512
-
 // Budget bounds the resources an explanation query may spend, across
 // every layer of the stack. The zero value means unlimited.
 type Budget struct {

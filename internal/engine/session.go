@@ -59,18 +59,6 @@ type Session struct {
 	// afterwards, hence safe to read concurrently).
 	in *logic.Interner
 
-	// Budget bounds the resources of queries run through this session.
-	// Callers read it to derive deadlines; it is not mutated by the
-	// session itself and must be set before the session is shared
-	// across goroutines.
-	Budget Budget
-
-	// VerifyProofs directs solvers built for this session to record
-	// DRAT-style proof traces and the pipeline to re-validate every
-	// Unsat verdict with the independent checker (internal/drat). Like
-	// Budget, set it before the session is shared.
-	VerifyProofs bool
-
 	// base is the recorded whole-network encoding of the concrete
 	// deployment that every derived encode splices from (see
 	// synth.Base), built once by the first query (PrepareScoped).
@@ -178,23 +166,20 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // its base-seed reference, the per-seed simplification cache, and the
 // report cache. Deployment-specific state is NOT shared: the successor
 // records its own base, and its encoding entries start empty, since
-// they assert the predecessor deployment's constraints.
-// Budget and VerifyProofs are copied from prev; the cache limits travel
-// with the shared caches themselves.
+// they assert the predecessor deployment's constraints. The cache
+// limits travel with the shared caches themselves.
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
 	return &Session{
-		net:          prev.net,
-		reqs:         reqs,
-		dep:          dep,
-		opts:         prev.opts,
-		in:           prev.in,
-		Budget:       prev.Budget,
-		VerifyProofs: prev.VerifyProofs,
-		entries:      make(map[string]*entry),
-		simps:        prev.simps,
-		nf:           prev.nf,
-		ref:          prev.ref,
-		reports:      prev.reports,
+		net:     prev.net,
+		reqs:    reqs,
+		dep:     dep,
+		opts:    prev.opts,
+		in:      prev.in,
+		entries: make(map[string]*entry),
+		simps:   prev.simps,
+		nf:      prev.nf,
+		ref:     prev.ref,
+		reports: prev.reports,
 	}
 }
 
@@ -414,7 +399,7 @@ func (s *Session) AddProofStats(rep smt.ProofReport) {
 }
 
 // AddLiftQueries records the latencies of individual lift-stage SMT
-// queries (vacuity, necessity, extendability probes), batched per
+// queries (vacuity, necessity and sufficiency checks), batched per
 // worker to keep the lock off the hot path. The sample window keeps the
 // most recent DefaultLiftSampleCap samples: the total query count keeps
 // growing, the percentiles are computed over the window.

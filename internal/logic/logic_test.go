@@ -278,12 +278,12 @@ func TestSubstitute(t *testing.T) {
 		t.Fatal("substitution with irrelevant variables should return the original term")
 	}
 	mustPanic(t, func() { Substitute(x, map[string]Term{"x": NewInt(1)}) })
-	got = SubstituteValues(Eq(n, NewInt(3)), Assignment{"n": IntValue(3)})
-	if got.String() != "3 = 3" {
-		t.Fatalf("SubstituteValues = %q", got.String())
+	got = Fold(And(Eq(n, NewInt(3)), y), map[Term]Term{n: NewInt(3)})
+	if got != y {
+		t.Fatalf("Fold = %q, want y", got.String())
 	}
-	if s := SubstituteValues(x, nil); s != x {
-		t.Fatal("empty assignment should return original term")
+	if s := Fold(t1, map[Term]Term{}); s != t1 {
+		t.Fatal("folding with no bindings should return the original term")
 	}
 }
 

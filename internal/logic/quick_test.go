@@ -135,12 +135,39 @@ func TestQuickSubstitutionPreservesEval(t *testing.T) {
 		}
 		// Concretize one random variable.
 		name := qbVars[r.Intn(len(qbVars))].Name
-		partial := SubstituteValues(term, Assignment{name: env[name]})
+		partial := Substitute(term, map[string]Term{name: env[name].Term()})
 		got, err := EvalBool(partial, env)
 		if err != nil {
 			return false
 		}
 		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: folding under a partial assignment preserves evaluation,
+// and folding under a full one leaves the term's value as a literal.
+func TestQuickFoldPreservesEval(t *testing.T) {
+	all := append(append([]*Var{qeVar}, qbVars...), qiVars...)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		term := randBoolTerm(r, 4)
+		env := randAssignment(r)
+		want, err := EvalBool(term, env)
+		if err != nil {
+			return false
+		}
+		partial, full := map[Term]Term{}, map[Term]Term{}
+		for _, v := range all {
+			full[v] = env[v.Name].Term()
+			if r.Intn(2) == 0 {
+				partial[v] = full[v]
+			}
+		}
+		got, err := EvalBool(Fold(term, partial), env)
+		return err == nil && got == want && Fold(term, full) == NewBool(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -70,19 +70,103 @@ func substitute(t Term, sub map[string]Term, mask uint64) Term {
 	panic(fmt.Sprintf("logic: Substitute on unknown term type %T", t))
 }
 
-// SubstituteValues replaces variables with literal terms built from the
-// given assignment. Variables absent from the assignment are left
-// symbolic. This is how the explanation engine "concretizes" every
-// device except the one under explanation.
-func SubstituteValues(t Term, a Assignment) Term {
-	if len(a) == 0 {
+// Fold partially evaluates t. memo maps terms to their folded form:
+// seed it with a literal for each variable to replace; variables with
+// no entry stay symbolic. An operator whose arguments all fold to
+// literals is evaluated, and a connective or ite that one literal
+// argument decides is reduced (x & false is false, x & true is x,
+// ite(true, a, b) is a). Fold records every Apply node it visits in
+// memo, so the conjuncts of one formula folded through one memo fold
+// their shared subterms once.
+func Fold(t Term, memo map[Term]Term) Term {
+	if r, ok := memo[t]; ok {
+		return r
+	}
+	a, ok := t.(*Apply)
+	if !ok {
 		return t
 	}
-	sub := make(map[string]Term, len(a))
-	for name, v := range a {
-		sub[name] = v.Term()
+	var args []Term // copied on the first changed argument
+	lits := true
+	for i, x := range a.Args {
+		f := Fold(x, memo)
+		if f != x && args == nil {
+			args = make([]Term, len(a.Args))
+			copy(args, a.Args[:i])
+		}
+		if args != nil {
+			args[i] = f
+		}
+		lits = lits && IsLit(f)
 	}
-	return Substitute(t, sub)
+	r := t
+	switch {
+	case lits:
+		if args == nil {
+			args = a.Args
+		}
+		v, err := evalApply(&Apply{Op: a.Op, Args: args}, nil)
+		if err != nil {
+			panic(fmt.Sprintf("logic: folding %v: %v", a.Op, err))
+		}
+		r = v.Term()
+	case args != nil:
+		r = foldApply(a.Op, args)
+	}
+	memo[t] = r
+	return r
+}
+
+// foldApply rebuilds an application whose arguments are folded and not
+// all literals, reducing it where one literal argument decides it.
+func foldApply(op Op, args []Term) Term {
+	switch op {
+	case OpAnd, OpOr:
+		absorb := op == OpOr // true absorbs a disjunction, false a conjunction
+		kept := args[:0]
+		for _, x := range args {
+			if b, ok := x.(*BoolLit); !ok {
+				kept = append(kept, x)
+			} else if b.Val == absorb {
+				return NewBool(absorb)
+			}
+		}
+		if op == OpAnd {
+			return And(kept...)
+		}
+		return Or(kept...)
+	case OpImplies:
+		switch l, r := args[0], args[1]; {
+		case IsFalse(l) || IsTrue(r):
+			return True
+		case IsTrue(l):
+			return r
+		case IsFalse(r):
+			return Not(l)
+		}
+	case OpIff:
+		l, r := args[0], args[1]
+		if IsLit(r) {
+			l, r = r, l
+		}
+		if b, ok := l.(*BoolLit); ok {
+			if b.Val {
+				return r
+			}
+			return Not(r)
+		}
+	case OpIte:
+		if b, ok := args[0].(*BoolLit); ok {
+			if b.Val {
+				return args[1]
+			}
+			return args[2]
+		}
+		if args[1] == args[2] {
+			return args[1]
+		}
+	}
+	return internApply(&Apply{Op: op, Args: args})
 }
 
 // FreeVars returns the set of variables occurring in t, keyed by name.

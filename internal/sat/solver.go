@@ -895,10 +895,10 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 
 	// Re-arm the restart schedule and the target-phase tracker.
 	// Targets do not survive across solves: under incremental use
-	// (model enumeration with blocking clauses, shifting assumption
-	// sets) a stale target steers the search straight back into the
-	// region the caller just forbade, and measurably inflates
-	// conflicts. Plain phase saving carries the long-lived polarity
+	// (clauses added between solves to exclude the last model,
+	// shifting assumption sets) a stale target steers the search
+	// straight back into the region the caller just forbade, and
+	// measurably inflates conflicts. Plain phase saving carries the long-lived polarity
 	// memory instead.
 	s.bestTrail = 0
 	s.restartIdx = 0
@@ -913,9 +913,9 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) (Status, 
 		}
 		st := s.search(ctx, &maxLearnts)
 		if st == Sat {
-			// Reuse the model buffer across solves: enumeration-style
-			// callers (model counting, lift probes) solve thousands of
-			// times per second, and a fresh n-slot allocation per Sat
+			// Reuse the model buffer across solves: incremental
+			// callers (the lift's checks) solve thousands of times per
+			// second, and a fresh n-slot allocation per Sat
 			// verdict is pure GC pressure. Model() hands out copies, so
 			// no caller holds a reference into this buffer.
 			if cap(s.model) < len(s.assigns) {

@@ -217,11 +217,13 @@ func cacheKey(endpoint string, req *request) string {
 }
 
 // problemKey names the problem a warm session is valid for: the
-// normalized (parse→print round-tripped) problem texts plus the lift
-// flag, which decides what the explainer's last report contains.
-func problemKey(net *topology.Network, dep config.Deployment, sp *spec.Spec, lift bool) string {
+// normalized (parse→print round-tripped) problem texts. The lift flag
+// is not part of it: it is set on the explainer per request, and every
+// report section's cache key carries the lift options, so one pooled
+// session serves lifted and unlifted requests alike.
+func problemKey(net *topology.Network, dep config.Deployment, sp *spec.Spec) string {
 	h := sha256.New()
-	for _, part := range []string{topology.Print(net), config.PrintDeployment(dep), spec.Print(sp), fmt.Sprintf("lift=%t", lift)} {
+	for _, part := range []string{topology.Print(net), config.PrintDeployment(dep), spec.Print(sp)} {
 		fmt.Fprintf(h, "%d:", len(part))
 		h.Write([]byte(part))
 	}
@@ -393,7 +395,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	defer cancel()
 
 	lift := !req.NoLift
-	item, e, err := s.explainerFor(problemKey(net, dep, sp, lift), net, dep, sp, lift)
+	item, e, err := s.explainerFor(problemKey(net, dep, sp), net, dep, sp, lift)
 	if err != nil {
 		s.failRequest(w, http.StatusBadRequest, err)
 		return
@@ -428,7 +430,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	// The lease is exclusive: the per-request knobs can be set directly.
 	e.Opts.Lift = lift
 	e.Opts.Budget = budget
-	e.Session.Budget = budget
 
 	if stream {
 		sr = &streamRecorder{w: w, cap: streamCacheCap, contentType: contentType}
@@ -464,7 +465,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		// The session survives failed queries (failed encodes and lifts
 		// are not cached; solvers die with their query) — but ReExplain
 		// may have retargeted the explainer, so re-key.
-		s.checkinCurrent(item, e, sp, lift)
+		s.checkinCurrent(item, e, sp)
 		leased = nil
 		if derr != nil {
 			s.failRequest(w, statusFor(derr), derr)
@@ -548,8 +549,8 @@ func (s *Server) runDiff(ctx context.Context, e *core.Explainer, edited config.D
 // edited deployment and its successor session, making the warm state
 // reusable by follow-up requests for that problem; the pool retires the
 // predecessor session's work).
-func (s *Server) checkinCurrent(item *engine.PoolItem, e *core.Explainer, sp *spec.Spec, lift bool) {
-	item.Key = problemKey(e.Net, e.Deployment, sp, lift)
+func (s *Server) checkinCurrent(item *engine.PoolItem, e *core.Explainer, sp *spec.Spec) {
+	item.Key = problemKey(e.Net, e.Deployment, sp)
 	s.pool.Retarget(item, e.Session)
 	s.pool.Checkin(item)
 }

@@ -148,6 +148,35 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	}
 }
 
+// TestServerLiftSharesPooledSession pins that the session pool is keyed
+// by the problem alone: a nolift /explain and then a lifted /explain of
+// the same problem run on one pooled session (the second request is a
+// pool hit, and the server records one base encode), and the lifted
+// body equals a fresh server's.
+func TestServerLiftSharesPooledSession(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	lifted := request{Topology: topo, Configs: configs, Spec: spc}
+	unlifted := lifted
+	unlifted.NoLift = true
+
+	s := New(Options{})
+	h := s.Handler()
+	decodeExplain(t, post(t, h, "/explain", unlifted))
+	w := post(t, h, "/explain", lifted)
+	decodeExplain(t, w)
+	if g := s.Pool().Gauges(); g.Hits != 1 || g.Misses != 1 || g.Idle != 1 {
+		t.Fatalf("pool hits/misses/idle = %d/%d/%d, want 1/1/1", g.Hits, g.Misses, g.Idle)
+	}
+	if n := s.Snapshot().Engine.BaseEncodes; n != 1 {
+		t.Fatalf("%d base encodes, want the one shared session's", n)
+	}
+	fresh := post(t, New(Options{}).Handler(), "/explain", lifted)
+	if !bytes.Equal(w.Body.Bytes(), fresh.Body.Bytes()) {
+		t.Fatalf("lifted body after a nolift request on the pooled session differs from a fresh server's\n-- pooled --\n%s\n-- fresh --\n%s",
+			w.Body.String(), fresh.Body.String())
+	}
+}
+
 // TestServerIgnoresRetiredSatWorkers pins compatibility with clients
 // that still send a retired knob (sat_workers, lift_workers): the
 // decoder ignores unknown fields, so such a request is served like the

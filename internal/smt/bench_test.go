@@ -35,24 +35,3 @@ func BenchmarkEncodeSharedSubterms(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEnumerate50Models measures enumerating 50 models of a
-// two-variable constraint — the blocking-clause hot path.
-func BenchmarkEnumerate50Models(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSolver()
-		n := logic.NewIntVar("n", 0, 63)
-		m := logic.NewIntVar("m", 0, 63)
-		if err := s.Assert(logic.Ne(n, m)); err != nil {
-			b.Fatal(err)
-		}
-		count, _, err := s.EnumerateModels([]*logic.Var{n, m}, 50, func(logic.Assignment) bool { return true })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if count != 50 {
-			b.Fatalf("count = %d, want 50", count)
-		}
-	}
-}

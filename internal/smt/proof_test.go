@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/logic"
@@ -133,27 +132,38 @@ func TestVerifyTwoVerdictsOnOneSolver(t *testing.T) {
 	}
 }
 
-// TestEnumerationBlockingClausesStayChecked walks the models to
-// exhaustion, as the lift's sufficiency check does, and verifies the
-// walk's final Unsat: the proof must cover the blocking clauses the
-// walk added.
+// TestEnumerationBlockingClausesStayChecked runs the lift's
+// sufficiency loop in miniature: each Sat model is excluded by a
+// constraint asserted between solves, and the loop ends at an Unsat
+// whose proof must cover every such constraint, since the first
+// constraint alone is satisfiable.
 func TestEnumerationBlockingClausesStayChecked(t *testing.T) {
 	s := NewSolver(WithProof())
 	n := logic.NewIntVar("n", 0, 3)
-	if err := s.Declare(n); err != nil {
-		t.Fatalf("Declare: %v", err)
-	}
 	mustAssert(t, s, logic.Le(n, logic.NewInt(1)))
-	count, exhausted, err := s.EnumerateModelsContext(
-		context.Background(), []*logic.Var{n}, 10,
-		func(m logic.Assignment) bool { return true })
-	if err != nil {
-		t.Fatalf("EnumerateModelsContext: %v", err)
+	var seen []int64
+	for {
+		st, err := s.Solve()
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		if st == sat.Unsat {
+			break
+		}
+		val, err := s.Value(n)
+		if err != nil {
+			t.Fatalf("Value: %v", err)
+		}
+		seen = append(seen, val.I)
+		if len(seen) > 2 {
+			t.Fatalf("models %v: an excluded value came back", seen)
+		}
+		mustAssert(t, s, logic.Ne(n, val.Term()))
 	}
-	if count != 2 || !exhausted {
-		t.Fatalf("enumerated %d models (exhausted=%v), want 2 models exhaustively", count, exhausted)
+	if len(seen) != 2 {
+		t.Fatalf("excluded %v before the Unsat, want both values of n <= 1", seen)
 	}
 	if _, err := s.VerifyLastUnsat(); err != nil {
-		t.Fatalf("verify the walk's final Unsat: %v", err)
+		t.Fatalf("verify the final Unsat: %v", err)
 	}
 }

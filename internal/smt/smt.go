@@ -338,29 +338,40 @@ func (s *Solver) Core() []logic.Term {
 func (s *Solver) Model() (logic.Assignment, error) {
 	m := logic.Assignment{}
 	for name, e := range s.enc {
-		v := e.v
-		switch {
-		case v.S.IsBool():
-			m[name] = logic.BoolValue(s.sat.ValueLit(e.boolLit) == sat.LTrue)
-		default:
-			found := false
-			for i, l := range e.vl.lits {
-				if s.sat.ValueLit(l) == sat.LTrue {
-					if v.S.IsInt() {
-						m[name] = logic.IntValue(e.vl.vals[i])
-					} else {
-						m[name] = logic.EnumValue(v.S, v.S.Values[e.vl.vals[i]])
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("smt: no value selected for %q in model", name)
-			}
+		val, err := s.value(e)
+		if err != nil {
+			return nil, err
 		}
+		m[name] = val
 	}
 	return m, nil
+}
+
+// Value returns one declared variable's value in the current model,
+// reading only that variable's literals. Call only after Solve returned
+// Sat.
+func (s *Solver) Value(v *logic.Var) (logic.Value, error) {
+	e, ok := s.enc[v.Name]
+	if !ok {
+		return logic.Value{}, fmt.Errorf("smt: variable %q not declared", v.Name)
+	}
+	return s.value(e)
+}
+
+func (s *Solver) value(e *varEncoding) (logic.Value, error) {
+	v := e.v
+	if v.S.IsBool() {
+		return logic.BoolValue(s.sat.ValueLit(e.boolLit) == sat.LTrue), nil
+	}
+	for i, l := range e.vl.lits {
+		if s.sat.ValueLit(l) == sat.LTrue {
+			if v.S.IsInt() {
+				return logic.IntValue(e.vl.vals[i]), nil
+			}
+			return logic.EnumValue(v.S, v.S.Values[e.vl.vals[i]]), nil
+		}
+	}
+	return logic.Value{}, fmt.Errorf("smt: no value selected for %q in model", v.Name)
 }
 
 // Valid reports whether t is valid (true under every assignment)

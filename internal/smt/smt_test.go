@@ -513,3 +513,64 @@ func TestConcurrentSolveGuardUnderRace(t *testing.T) {
 	// solver state.
 	_ = panics
 }
+
+// TestValueReadsOneVariable pins the per-variable model read the lift's
+// sufficiency loop uses: each declared variable's Value is its entry in
+// the full Model, for every sort, and an undeclared variable is an
+// error.
+func TestValueReadsOneVariable(t *testing.T) {
+	s := NewSolver()
+	b, n, c := logic.NewBoolVar("val_b"), logic.NewIntVar("val_n", 2, 5), logic.NewEnumVar("val_c", colorSort)
+	mustAssert(t, s, logic.And(logic.Not(b), logic.Eq(n, logic.NewInt(4)), logic.Ne(c, logic.NewEnum(colorSort, "red"))))
+	mustAssert(t, s, logic.Ne(c, logic.NewEnum(colorSort, "green")))
+	mustSolve(t, s, sat.Sat)
+	m, err := s.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"val_b": "false", "val_n": "4", "val_c": "blue"}
+	for _, v := range []*logic.Var{b, n, c} {
+		got, err := s.Value(v)
+		if err != nil {
+			t.Fatalf("Value(%s): %v", v.Name, err)
+		}
+		if !got.Equal(m[v.Name]) || got.String() != want[v.Name] {
+			t.Errorf("Value(%s) = %v, model %v, want %s", v.Name, got, m[v.Name], want[v.Name])
+		}
+	}
+	if _, err := s.Value(logic.NewBoolVar("val_undeclared")); err == nil {
+		t.Error("Value of an undeclared variable: no error")
+	}
+}
+
+// TestEnumerateModelsExhaustive walks every model of a constrained
+// domain by excluding each one between solves, as the lift's
+// sufficiency loop does: each value of n in 0..4 but the excluded 2
+// comes back exactly once, and the walk ends at an Unsat.
+func TestEnumerateModelsExhaustive(t *testing.T) {
+	s := NewSolver()
+	n := logic.NewIntVar("n", 0, 4)
+	mustAssert(t, s, logic.Ne(n, logic.NewInt(2)))
+	seen := map[int64]bool{}
+	for {
+		st, err := s.Solve()
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		if st == sat.Unsat {
+			break
+		}
+		val, err := s.Value(n)
+		if err != nil {
+			t.Fatalf("Value: %v", err)
+		}
+		if seen[val.I] {
+			t.Fatalf("model n=%d came back after its exclusion (seen %v)", val.I, seen)
+		}
+		seen[val.I] = true
+		mustAssert(t, s, logic.Ne(n, val.Term()))
+	}
+	if seen[2] || len(seen) != 4 {
+		t.Fatalf("models = %v, want n in {0,1,3,4}", seen)
+	}
+}
