@@ -71,11 +71,7 @@ func main() {
 	section("Simplified constraints (Figure 6c)")
 	fmt.Printf("after %d passes of the 15 rewrite rules: %d atoms (reduction %.0fx)\n",
 		ex.Passes, ex.SimplifiedSize, ex.Reduction())
-	fmt.Printf("size per pass: %d", ex.SeedSize)
-	for _, sz := range ex.SimplifyTrace {
-		fmt.Printf(" -> %d", sz)
-	}
-	fmt.Printf("\n\n%s\n", ex.ResidualText())
+	fmt.Printf("size: %d -> %d\n\n%s\n", ex.SeedSize, ex.SimplifiedSize, ex.ResidualText())
 
 	section("Subspecification at R1 (Figure 2)")
 	fmt.Print(spec.PrintBlock(ex.Subspec))

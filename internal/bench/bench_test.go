@@ -171,8 +171,8 @@ func TestRuleFireTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All 45 counts, pinned: they are recounted on demand from the
-	// normal-form cache and must match the per-seed walk they replaced.
+	// All 45 counts, pinned: a counting run over each seed must match
+	// the per-seed walks it replaced.
 	want := map[string][3]string{
 		"S1:const-fold":      {"2", "8", "12"},
 		"S2:double-negation": {"0", "0", "0"},
@@ -206,7 +206,7 @@ func TestRuleFireTable(t *testing.T) {
 }
 
 // TestRewriteTable pins the rewrite table's max-passes and rule-fires
-// columns: the memoized pass depth and the on-demand recount must
+// columns: the memoized pass depth and the counting runs must
 // reproduce the per-seed closure walks they replaced.
 func TestRewriteTable(t *testing.T) {
 	tbl, err := RewriteTable(context.Background())

@@ -292,9 +292,9 @@ func AblationTable(ctx context.Context) (*Table, error) {
 }
 
 // RuleFireTable reports which of the fifteen rules carry the
-// simplification (per scenario, explaining R1 fully). The counts are
-// recounted on demand from the session's normal-form cache: the report
-// path keeps only the memoized pass depth.
+// simplification (per scenario, explaining R1 fully). The counts come
+// from a counting run over R1's seed (rewrite.CountFires): the report
+// path counts no rule fires.
 func RuleFireTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "rules (15 rewrite rules)",
@@ -317,7 +317,7 @@ func RuleFireTable(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fires, _ := ex.Session.NormCache().Recount(e.Seed)
+		fires, _ := rewrite.CountFires(e.Seed)
 		counts = append(counts, fires)
 	}
 	for _, r := range rewrite.AllRules {

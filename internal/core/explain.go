@@ -81,11 +81,9 @@ type Explanation struct {
 	SeedSize        int // seed term nodes
 	SimplifiedSize  int // simplified term nodes
 	ResidualSize    int // nodes over conjuncts mentioning device vars
-	// Passes counts the fixpoint rounds; SimplifyTrace the term size
-	// after each pass. Per-rule fire counts are recounted on demand
-	// from the session's normal-form cache (rewrite.Cache.Recount).
-	Passes        int
-	SimplifyTrace []int
+	// Passes counts the fixpoint rounds. Per-rule fire counts come from
+	// a counting run over Seed (rewrite.CountFires).
+	Passes int
 
 	// Verified reports that proof verification was on for this
 	// explanation and every Unsat verdict it rests on carried a proof
@@ -293,7 +291,6 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	ex.Simplified = sout.Simplified
 	ex.SimplifiedSize = logic.Size(ex.Simplified)
 	ex.Passes = sout.Passes
-	ex.SimplifyTrace = append([]int(nil), sout.Trace...)
 
 	// Residual: the conjuncts that still constrain the device's
 	// variables (the rest is auxiliary routing structure). They are

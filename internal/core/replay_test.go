@@ -10,7 +10,7 @@ import (
 // TestReportReplaysRootConjunctions runs a cold unlifted report of the
 // 60-router fabric and requires its session to have replayed the base
 // seed's recorded root propagation once for every distinct router seed
-// other than the base seed (each misses the per-seed cache once), with
+// other than the base seed (each is normalized once), with
 // no root falling back to the full loop.
 func TestReportReplaysRootConjunctions(t *testing.T) {
 	w := whatifFabric(t)

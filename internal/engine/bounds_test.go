@@ -8,35 +8,9 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/logic"
 	"repro/internal/scenarios"
 	"repro/internal/synth"
 )
-
-func TestSessionSimplifyCacheBounded(t *testing.T) {
-	s := newSession(t)
-	s.SetCacheLimits(engine.CacheLimits{Simplify: 1})
-	x := logic.NewIntVar("x", 0, 7)
-	seedA := logic.And(logic.Eq(x, logic.NewInt(1)), logic.NewBoolVar("p"))
-	seedB := logic.And(logic.Eq(x, logic.NewInt(2)), logic.NewBoolVar("q"))
-	outA := s.Simplify(seedA)
-	outB := s.Simplify(seedB) // evicts seedA's outcome
-	st := s.Stats()
-	if st.SimplifyEntries != 1 {
-		t.Fatalf("SimplifyEntries = %d, want 1", st.SimplifyEntries)
-	}
-	if st.SimplifyEvictions != 1 {
-		t.Fatalf("SimplifyEvictions = %d, want 1", st.SimplifyEvictions)
-	}
-	// The evicted seed recomputes to an equal (deterministic) outcome.
-	outA2 := s.Simplify(seedA)
-	if outA2.Simplified != outA.Simplified {
-		t.Fatal("recomputed outcome differs from the evicted one")
-	}
-	if outB.Simplified == outA.Simplified {
-		t.Fatal("distinct seeds simplified identically (test is vacuous)")
-	}
-}
 
 func TestSessionLiftSampleWindow(t *testing.T) {
 	s := newSession(t)
@@ -151,7 +125,7 @@ func TestSessionPoolSnapshotCountsLeased(t *testing.T) {
 	p.Checkin(&engine.PoolItem{Key: "a", Session: s})
 
 	before := p.StatsSnapshot()
-	if before.BaseEncodes == 0 || before.SimplifyEntries == 0 || before.LiftQueries == 0 {
+	if before.BaseEncodes == 0 || before.NormCacheEntries == 0 || before.LiftQueries == 0 {
 		t.Fatalf("warm session has no history to lose: %+v", before)
 	}
 	item, ok := p.Checkout("a")
@@ -295,7 +269,7 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300, Simplify: 3})
+	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300})
 	succ := engine.NewSessionFrom(s, sc.Requirements(), res.Deployment)
 	// The shared report cache is the same object, still bounded.
 	rc := succ.ReportCache()

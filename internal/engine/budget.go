@@ -95,13 +95,10 @@ type Stats struct {
 	// engine.warm_solver_hit_share.
 	WarmSolverHits   int
 	WarmSolverMisses int
-	// SimplifyHits counts seed simplifications answered from the
-	// session's per-seed outcome cache without touching the normalizer;
-	// SimplifyEntries is the cache's current size and SimplifyEvictions
-	// counts entries displaced by its size cap.
-	SimplifyHits      int
-	SimplifyEntries   int
-	SimplifyEvictions int
+	// SimplifyHits counts seed simplifications answered without
+	// normalizing: the seed's own entry in the normal-form cache held
+	// its normal form.
+	SimplifyHits int
 	// SimplifyReplays counts seed simplifications whose root
 	// conjunction replayed the base seed's recorded propagation;
 	// SimplifyReplayFallbacks counts those whose root fell back to the
@@ -180,10 +177,6 @@ func (s *Stats) Add(o Stats) {
 	s.WarmSolverHits += o.WarmSolverHits
 	s.WarmSolverMisses += o.WarmSolverMisses
 	s.SimplifyHits += o.SimplifyHits
-	if o.SimplifyEntries > s.SimplifyEntries {
-		s.SimplifyEntries = o.SimplifyEntries
-	}
-	s.SimplifyEvictions += o.SimplifyEvictions
 	s.SimplifyReplays += o.SimplifyReplays
 	s.SimplifyReplayFallbacks += o.SimplifyReplayFallbacks
 	s.ReportCacheHits += o.ReportCacheHits

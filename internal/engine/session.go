@@ -26,7 +26,7 @@ const DefaultLiftSampleCap = 1 << 14
 
 // CacheLimits bounds the growable per-session caches. Zero fields mean
 // unlimited (the CLI default, where a session lives for one run); a
-// serving layer that holds sessions for hours sets both. The limits
+// serving layer that holds sessions for hours sets them. The limits
 // travel with the caches themselves, so successor sessions
 // (NewSessionFrom) inherit them.
 type CacheLimits struct {
@@ -36,9 +36,6 @@ type CacheLimits struct {
 	// what keeps the sections of wide networks from pinning a server's
 	// heap while thousands of small ones still fit.
 	ReportBytes int64
-	// Simplify caps the per-seed simplification outcome cache, evicted
-	// least-recently-used.
-	Simplify int
 }
 
 // Session is the shared state of one deployment's explanation queries:
@@ -77,22 +74,16 @@ type Session struct {
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
 
-	// simps is the per-seed outcome cache, keyed by the canonical
-	// (interned) seed term, one cost unit per entry. Simplification is
-	// a pure function of the term, so repeat queries over a cached
-	// encoding skip normalization entirely. Successor sessions
-	// (NewSessionFrom) share the cache: purity makes it sound across
-	// deployments, and an edited network's unchanged routers present
-	// pointer-identical seeds.
-	simps *lru.Cache[logic.Term, *SimplifyOutcome]
-
 	// nf is the session-lifetime normal-form cache shared by every
 	// simplification run through this session: distinct seeds that
 	// share subterms (sibling routers of one deployment share most of
 	// their encodings) reuse one another's normalization work at
-	// subterm granularity. The cache is safe for concurrent readers
-	// and writers, so parallel report workers simplify through it
-	// directly. Shared with successor sessions.
+	// subterm granularity, and a repeat seed is answered by its own
+	// entry. The cache is safe for concurrent readers and writers, so
+	// parallel report workers simplify through it directly. Shared with
+	// successor sessions: normalization is a pure function of the term,
+	// and an edited network's unchanged routers present
+	// pointer-identical seeds.
 	nf *rewrite.Cache
 
 	// ref holds the recorded root propagation (rewrite.Reference) of
@@ -123,15 +114,12 @@ type refSlot struct {
 	ref  *rewrite.Reference
 }
 
-// SimplifyOutcome is one seed's cached simplification: the simplified
-// term plus the diagnostics explanations report. Outcomes are shared
-// across queries and must be treated as immutable. Per-rule fire counts
-// are not part of it: the rule tables recount them on demand from the
-// session's normal-form cache (rewrite.Cache.Recount).
+// SimplifyOutcome is one seed's simplification: the simplified term and
+// its Passes. Rule fires are not part of it: the rule tables count them
+// in a counting run (rewrite.CountFires).
 type SimplifyOutcome struct {
 	Simplified logic.Term
 	Passes     int
-	Trace      []int
 }
 
 type entry struct {
@@ -152,7 +140,6 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		opts:    opts,
 		in:      logic.Default(),
 		entries: make(map[string]*entry),
-		simps:   lru.New[logic.Term, *SimplifyOutcome](0, nil),
 		nf:      rewrite.NewCache(),
 		ref:     &refSlot{},
 		reports: lru.New[string, string](0, nil),
@@ -163,11 +150,11 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // of prev's problem: same topology and encoder options, new
 // requirements and deployment. The successor shares prev's pure
 // cross-deployment state — the term table, the normal-form cache with
-// its base-seed reference, the per-seed simplification cache, and the
-// report cache. Deployment-specific state is NOT shared: the successor
-// records its own base, and its encoding entries start empty, since
-// they assert the predecessor deployment's constraints. The cache
-// limits travel with the shared caches themselves.
+// its base-seed reference, and the report cache. Deployment-specific
+// state is NOT shared: the successor records its own base, and its
+// encoding entries start empty, since they assert the predecessor
+// deployment's constraints. The cache limits travel with the shared
+// caches themselves.
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
 	return &Session{
 		net:     prev.net,
@@ -176,7 +163,6 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 		opts:    prev.opts,
 		in:      prev.in,
 		entries: make(map[string]*entry),
-		simps:   prev.simps,
 		nf:      prev.nf,
 		ref:     prev.ref,
 		reports: prev.reports,
@@ -188,7 +174,6 @@ func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deploymen
 // session sharing the caches.
 func (s *Session) SetCacheLimits(l CacheLimits) {
 	s.reports.SetMaxCost(l.ReportBytes)
-	s.simps.SetMaxCost(int64(l.Simplify))
 }
 
 // ReportCache returns the session's cross-deployment report cache (see
@@ -215,21 +200,47 @@ func (s *Session) NormCache() *rewrite.Cache { return s.nf }
 // The key must uniquely determine the overrides — callers derive both
 // from the same symbolization targets. Every encode splices from the
 // session's base (PrepareScoped), which the first call builds, and
-// reads the deployment through the overrides (synth.Base.Encoder), so
+// reads the deployment through the overrides (synth.Base.Encode), so
 // constraint groups the overrides leave alone are copied rather than
 // re-derived and no copy of the deployment is made. Failed encodes are
-// not cached (a query cancelled by its context can be retried).
+// not cached (a query cancelled by its context can be retried), and a
+// waiter whose leader's context ended retries under its own.
 func (s *Session) Encode(ctx context.Context, overrides map[string]*config.Config, key string) (*synth.Encoding, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		e, ok := s.entries[key]
+		if !ok {
+			e = &entry{ready: make(chan struct{})}
+			s.entries[key] = e
+			s.mu.Unlock()
+			if testSingleFlight != nil {
+				testSingleFlight(true)
+			}
+			e.enc, e.err = s.encode(ctx, overrides)
+			if e.err != nil {
+				s.mu.Lock()
+				delete(s.entries, key)
+				s.mu.Unlock()
+			}
+			close(e.ready)
+			return e.enc, e.err
+		}
 		s.mu.Unlock()
+		if testSingleFlight != nil {
+			testSingleFlight(false)
+		}
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
 			return nil, ctx.Err()
+		}
+		if isContextErr(e.err) && ctx.Err() == nil {
+			// The leader's own query ended, not this one: the failed
+			// entry is gone, so the lookup is retried.
+			continue
 		}
 		if e.err == nil {
 			s.mu.Lock()
@@ -238,18 +249,17 @@ func (s *Session) Encode(ctx context.Context, overrides map[string]*config.Confi
 		}
 		return e.enc, e.err
 	}
-	e := &entry{ready: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
+}
 
-	e.enc, e.err = s.encode(ctx, overrides)
-	close(e.ready)
-	if e.err != nil {
-		s.mu.Lock()
-		delete(s.entries, key)
-		s.mu.Unlock()
-	}
-	return e.enc, e.err
+// testSingleFlight, when set by a test, runs as a call to Encode takes
+// its role: as the leader before it encodes (true), or as a waiter
+// before it waits on the leader (false).
+var testSingleFlight func(leader bool)
+
+// isContextErr reports whether err is a context's cancellation or
+// deadline.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // encode performs one derived encode, spliced from the session's base.
@@ -259,7 +269,7 @@ func (s *Session) encode(ctx context.Context, overrides map[string]*config.Confi
 		return nil, err
 	}
 	start := time.Now()
-	enc, err := base.Encoder(overrides).WithInterner(s.in).EncodeContext(ctx, s.reqs)
+	enc, err := base.Encode(ctx, overrides)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +300,7 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 	start := time.Now()
 	b, err := synth.NewBase(ctx, s.net, s.dep, s.opts, s.reqs, s.in)
 	if err != nil {
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if !isContextErr(err) {
 			s.baseErr = err
 		}
 		return nil, err
@@ -304,34 +314,28 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 }
 
 // Simplify normalizes the seed term through the session's shared
-// normal-form cache, caching the per-seed outcome by the term's
-// canonical pointer — with hash-consed encodings a repeat query over a
-// cached encoding presents the very same seed pointer, so the whole
-// simplification is answered by one map lookup. A miss still reuses
-// every subterm normal form earlier seeds left in the shared cache, and
-// its root conjunction replays the base seed's recorded propagation
-// (rewrite.Reference, recorded by the first miss after the base is
-// built), recomputing only what the seed's cone changes. Concurrent
-// misses on the same term may compute it twice; the function is pure
-// and deterministic (Passes is the seed entry's pass depth, memoized
-// when each cache entry is published, not a product of the order work
-// happened to be done in), so either result is the same.
-func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
+// normal-form cache. A seed normalized before is answered by its own
+// entry in one lookup — with hash-consed encodings a repeat query over
+// a cached encoding presents the very same seed pointer. A miss still
+// reuses every subterm normal form earlier seeds left in the shared
+// cache, and its root conjunction replays the base seed's recorded
+// propagation (rewrite.Reference, recorded by the first miss after the
+// base is built), recomputing only what the seed's cone changes.
+// Concurrent misses on the same term may compute it twice; the function
+// is pure and deterministic (Passes is the seed entry's pass depth,
+// memoized when each cache entry is published, not a product of the
+// order work happened to be done in), so either result is the same.
+func (s *Session) Simplify(seed logic.Term) SimplifyOutcome {
 	seed = s.in.Intern(seed)
-	if out, ok := s.simps.Get(seed); ok {
+	if out, passes, ok := s.nf.Lookup(seed); ok {
 		s.mu.Lock()
 		s.stats.SimplifyHits++
 		s.mu.Unlock()
-		return out
+		return SimplifyOutcome{Simplified: out, Passes: passes}
 	}
 	simp := rewrite.NewShared(s.nf)
 	simp.Ref = s.reference()
-	out := &SimplifyOutcome{
-		Simplified: simp.Simplify(seed),
-		Passes:     simp.Passes,
-		Trace:      append([]int(nil), simp.Trace...),
-	}
-	s.simps.Put(seed, out, 1)
+	out := SimplifyOutcome{Simplified: simp.Simplify(seed), Passes: simp.Passes}
 	s.mu.Lock()
 	s.stats.SimplifyReplays += simp.Replays
 	s.stats.SimplifyReplayFallbacks += simp.ReplayFallbacks
@@ -340,8 +344,9 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 }
 
 // reference returns the recorded root propagation of the session's base
-// seed, recording it (and caching the base seed's outcome) when the
-// chain's slot holds another seed's; nil before the base is built.
+// seed, recording it (which leaves the base seed's entry in the
+// normal-form cache) when the chain's slot holds another seed's; nil
+// before the base is built.
 func (s *Session) reference() *rewrite.Reference {
 	s.baseMu.Lock()
 	if s.base != nil && s.baseSeed == nil {
@@ -355,9 +360,7 @@ func (s *Session) reference() *rewrite.Reference {
 	s.ref.mu.Lock()
 	defer s.ref.mu.Unlock()
 	if s.ref.seed != seed {
-		simp := rewrite.NewShared(s.nf)
-		out, ref := simp.Record(seed)
-		s.simps.Put(seed, &SimplifyOutcome{Simplified: out, Passes: simp.Passes, Trace: append([]int(nil), simp.Trace...)}, 1)
+		_, ref := rewrite.NewShared(s.nf).Record(seed)
 		s.ref.seed, s.ref.ref = seed, ref
 	}
 	return s.ref.ref
@@ -434,17 +437,16 @@ func (s *Session) Stats() Stats {
 	st.NormCacheHits = s.nf.Hits()
 	st.NormCacheMisses = s.nf.Misses()
 	st.NormCacheEntries = s.nf.Len()
-	rs, ss := s.reports.Stats(), s.simps.Stats()
+	rs := s.reports.Stats()
 	st.ReportCacheHits, st.ReportCacheMisses, st.ReportCacheEvictions = rs.Hits, rs.Misses, rs.Evictions
 	st.ReportCacheBytes = rs.Cost
-	st.SimplifyEntries, st.SimplifyEvictions = ss.Len, ss.Evictions
 	return st
 }
 
 // localStats is Stats without the counters of the caches the session
-// shares with its successors (NewSessionFrom): the normal-form, report
-// and simplification caches, whose counters a successor's snapshot
-// carries cumulatively.
+// shares with its successors (NewSessionFrom): the normal-form and
+// report caches, whose counters a successor's snapshot carries
+// cumulatively.
 func (s *Session) localStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

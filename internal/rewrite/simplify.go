@@ -18,10 +18,9 @@ const DefaultMaxPasses = 64
 //
 // A Simplifier may be reused across terms; its normal-form cache
 // persists. Each Simplify call reports Passes, read in one lookup from
-// the root entry's memoized closure depth (see nfEntry). Per-rule fire
-// counts are not collected on the way: they cost a walk of the input's
-// whole dependency closure, so they are recounted on demand from the
-// cache (Cache.Recount) by the diagnostics that print them.
+// the root entry's memoized pass depth (see nfEntry). Rule fires are
+// not counted on the way: only a counting run (CountFires), which the
+// diagnostics that print them call, counts them.
 type Simplifier struct {
 	// MaxPasses bounds the number of equality-propagation rounds run
 	// at any single conjunction (each round substitutes the unit
@@ -41,9 +40,6 @@ type Simplifier struct {
 	// the ablation knob for the experiment that measures how much of
 	// the reduction that single rule carries.
 	DisableEqPropagation bool
-	// Trace records the size of the last result (a one-element trace;
-	// the single-pass normalizer has no per-pass intermediate sizes).
-	Trace []int
 	// Ref, when set, is the recorded root propagation (Record) the
 	// root conjunction of each input replays instead of running S14
 	// itself (see replay.go). Replays and ReplayFallbacks report, for
@@ -63,22 +59,36 @@ type Simplifier struct {
 	priv        *Cache
 	privCfg     simpConfig
 
-	// Per-run state: the cache in use, the stack of entries collecting
-	// rule fires, rounds and dependency edges (top receives them), and
-	// the set of terms currently being normalized (cycle guard for
-	// derived terms).
+	// Per-run state: the cache in use, the stack of frames collecting
+	// the rounds and pass depth of the entries being computed (top
+	// receives them), and the set of terms currently being normalized
+	// (cycle guard for derived terms).
 	cache    *Cache
-	stack    []*nfEntry
+	stack    []frame
 	inflight map[logic.Term]struct{}
 	// root is the input's root conjunction: the input, then its rebuild
 	// once its conjuncts are normalized. rec records its propagation
 	// during Record.
 	root logic.Term
 	rec  *Reference
+	// count is set in a counting run only (CountFires).
+	count *fireCount
 
 	// andRule, when set, replaces simplifyAnd; the tests install the
 	// whole-list loop it replaced there as their reference.
 	andRule func(*Simplifier, *logic.Apply) logic.Term
+}
+
+// frame is an entry under computation: the equality-propagation rounds
+// taken at its node and the deepest pass depth among the entries its
+// computation read.
+type frame struct{ rounds, passes uint32 }
+
+// fireCount is a counting run's tally: the fires of each rule, and the
+// most rounds any one node of the run took.
+type fireCount struct {
+	fires  map[RuleName]int
+	rounds uint32
 }
 
 // simpConfig identifies the rewriting function a cache's entries were
@@ -105,16 +115,29 @@ func NewShared(c *Cache) *Simplifier {
 	return &Simplifier{MaxPasses: DefaultMaxPasses, sharedCache: c}
 }
 
-// Reset clears the last run's diagnostics (the normal-form caches are
-// kept: they hold facts about terms, not about runs).
-func (s *Simplifier) Reset() {
-	s.Passes = 0
-	s.Trace = nil
-	s.Replays, s.ReplayFallbacks = 0, 0
-}
-
 // Simplify is a convenience wrapper using a fresh Simplifier.
 func Simplify(t logic.Term) logic.Term { return New().Simplify(t) }
+
+// CountFires normalizes t in a counting run: cold, on a fresh private
+// cache of the default configuration, with no reference attached. It
+// returns how often each rule fired over the run (rules that never
+// fired are absent) and 1 + the most propagation rounds any node of
+// the run took, which is the Passes every Simplify of t reports. A
+// cold run normalizes each distinct term it meets once, so the counts
+// depend on t alone. The diagnostics that print rule fires call it;
+// the report path never counts.
+func CountFires(t logic.Term) (fires map[RuleName]int, passes int) {
+	return countFires(t, nil)
+}
+
+// countFires is CountFires with andRule installed.
+func countFires(t logic.Term, andRule func(*Simplifier, *logic.Apply) logic.Term) (map[RuleName]int, int) {
+	s := New()
+	s.andRule = andRule
+	s.count = &fireCount{fires: map[RuleName]int{}}
+	s.Simplify(t)
+	return s.count.fires, int(s.count.rounds) + 1
+}
 
 // Simplify normalizes t under the fifteen rules. The result is
 // logically equivalent to t, rendered with the first-occurrence
@@ -135,72 +158,47 @@ func (s *Simplifier) Simplify(t logic.Term) logic.Term {
 	s.root = t
 	s.Replays, s.ReplayFallbacks = 0, 0
 	s.inflight = make(map[logic.Term]struct{})
-	root := &nfEntry{} // collects t's entry as its one dependency
-	s.stack = append(s.stack[:0], root)
+	s.stack = append(s.stack[:0], frame{}) // collects t's pass depth
 	out := s.norm(t)
+	s.Passes = int(s.stack[0].passes) + 1
 	s.stack, s.inflight, s.root = s.stack[:0], nil, nil
-
-	s.Passes = int(root.passes) + 1
-	s.Trace = append(s.Trace[:0], logic.Size(out))
 	return out
 }
 
-// fired counts a rule firing against the entry being computed.
-func (s *Simplifier) fired(r RuleName) {
-	s.stack[len(s.stack)-1].fires[ruleIndex[r]]++
-}
+// fired counts a rule firing in a counting run; outside one it does
+// nothing.
+func (s *Simplifier) fired(r RuleName) { s.firedN(r, 1) }
 
-// firedN counts n firings of a rule.
+// firedN counts n firings of a rule in a counting run.
 func (s *Simplifier) firedN(r RuleName, n int) {
-	s.stack[len(s.stack)-1].fires[ruleIndex[r]] += uint32(n)
+	if s.count != nil && n > 0 {
+		s.count.fires[r] += n
+	}
 }
 
-// dep records a dependency edge from the entry being computed to t,
-// whose published entry is e, so diagnostics collected for an input
-// reach the entries of its derived terms, and folds e's closure depth
-// into the computing entry's. The entry's own key's arguments need no
-// edge (see normArg).
-func (s *Simplifier) dep(t logic.Term, e *nfEntry) {
-	top := s.stack[len(s.stack)-1]
-	if e.passes > top.passes {
-		top.passes = e.passes
+// fold folds a pass depth the computation read into the top frame's.
+func (s *Simplifier) fold(passes uint32) {
+	if top := &s.stack[len(s.stack)-1]; passes > top.passes {
+		top.passes = passes
 	}
-	if n := len(top.deps); n > 0 && top.deps[n-1] == t {
-		return
-	}
-	top.deps = append(top.deps, t)
 }
 
 // norm returns the normal form of the canonical term t, consulting and
 // filling the cache. Leaves are their own normal forms.
 func (s *Simplifier) norm(t logic.Term) logic.Term {
-	out, _ := s.normEntry(t)
+	out, _ := s.normDepth(t)
 	return out
 }
 
-// normArg is norm for an argument of the term whose entry is being
-// computed. Recount walks an entry's key arguments itself, so the
-// argument's entry gets no dependency edge; only its closure depth
-// folds in. A conjunction of thousands of constraints thus records no
-// list of thousands.
-func (s *Simplifier) normArg(t logic.Term) logic.Term {
+// normDepth is norm that also returns the pass depth of t's entry (0
+// for a leaf), which it folds into the top frame's.
+func (s *Simplifier) normDepth(t logic.Term) (logic.Term, uint32) {
 	out, e := s.normalize(t)
-	if e != nil {
-		if top := s.stack[len(s.stack)-1]; e.passes > top.passes {
-			top.passes = e.passes
-		}
+	if e == nil {
+		return out, 0
 	}
-	return out
-}
-
-// normEntry is norm that also returns the published entry t's normal
-// form was read from (nil for a leaf).
-func (s *Simplifier) normEntry(t logic.Term) (logic.Term, *nfEntry) {
-	out, e := s.normalize(t)
-	if e != nil {
-		s.dep(t, e)
-	}
-	return out, e
+	s.fold(e.passes)
+	return out, e.passes
 }
 
 // normalize returns t's normal form and its published entry (nil for a
@@ -224,15 +222,15 @@ func (s *Simplifier) normalize(t logic.Term) (logic.Term, *nfEntry) {
 		return t, nil
 	}
 	s.inflight[t] = struct{}{}
-	e := &nfEntry{}
-	s.stack = append(s.stack, e)
-	e.out = s.rewriteNode(a)
+	s.stack = append(s.stack, frame{})
+	out := s.rewriteNode(a)
+	fr := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
 	delete(s.inflight, t)
-	if e.rounds > e.passes {
-		e.passes = e.rounds
+	if s.count != nil {
+		s.count.rounds = max(s.count.rounds, fr.rounds)
 	}
-	return e.out, s.cache.put(t, e)
+	return out, s.cache.put(t, &nfEntry{out: out, passes: max(fr.rounds, fr.passes)})
 }
 
 // rewriteNode normalizes the children of a, then applies the local
@@ -243,7 +241,7 @@ func (s *Simplifier) rewriteNode(a *logic.Apply) logic.Term {
 	changed := false
 	args := make([]logic.Term, len(a.Args))
 	for i, c := range a.Args {
-		args[i] = s.normArg(c)
+		args[i] = s.norm(c)
 		if args[i] != c {
 			changed = true
 		}

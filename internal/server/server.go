@@ -60,10 +60,10 @@ type Options struct {
 	VerifyProofs bool
 }
 
-// sessionLimits bounds every pooled session's internal caches. A served
+// sessionLimits bounds every pooled session's report cache. A served
 // session lives for hours, so unlike the CLI's it cannot keep every
-// report and simplification it ever made.
-var sessionLimits = engine.CacheLimits{ReportBytes: 64 << 20, Simplify: 4096}
+// report section it ever rendered.
+var sessionLimits = engine.CacheLimits{ReportBytes: 64 << 20}
 
 // withDefaults resolves the zero values.
 func (o Options) withDefaults() Options {
@@ -430,6 +430,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	// The lease is exclusive: the per-request knobs can be set directly.
 	e.Opts.Lift = lift
 	e.Opts.Budget = budget
+
+	// A problem the encoder rejects (a requirement naming no router of
+	// the topology, say) fails the session's base encode, which every
+	// query needs first. Building it before anything is written answers
+	// such a request with a 400, where a stream would have started.
+	if _, err := e.Session.PrepareScoped(ctx); err != nil {
+		s.pool.Checkin(item)
+		leased = nil
+		status := statusFor(err)
+		if status == http.StatusInternalServerError {
+			status = http.StatusBadRequest
+		}
+		s.failRequest(w, status, fmt.Errorf("problem: %w", err))
+		return
+	}
 
 	if stream {
 		sr = &streamRecorder{w: w, cap: streamCacheCap, contentType: contentType}

@@ -528,7 +528,7 @@ func TestMetricsCountersSurviveDiff(t *testing.T) {
 	topo, configs, spc, edited := problemTexts(t)
 	medAdded, medRetuned := medRetune(t, configs)
 	// Gauges may fall; every other field is a flow.
-	gauges := map[string]bool{"SimplifyEntries": true, "ReportCacheBytes": true, "NormCacheEntries": true,
+	gauges := map[string]bool{"ReportCacheBytes": true, "NormCacheEntries": true,
 		"LiftP50": true, "LiftP95": true}
 	for _, tc := range []struct {
 		name         string

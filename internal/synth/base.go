@@ -20,13 +20,15 @@ import (
 // crosses it. An explanation encoder symbolizes a single router; every
 // group whose candidates avoid that router is byte-for-byte the same
 // constraint slice (terms are hash-consed, so "the same" is pointer
-// equality), and an encoder derived from the base (Base.Encoder)
+// equality), and an encoder derived from the base (Base.Encode)
 // copies those spans verbatim. Only the candidates through the
 // symbolized router (its cone of influence) are re-derived, only their
 // groups re-emitted, and only their prefixes' node maps rebuilt: the
 // candidate work of a derived encode scales with the cone. What stays
 // at network size is the splice itself, one copy of the base's
-// constraint list and one node-map pointer per prefix.
+// constraint list and one node-map pointer per prefix. Every derived
+// encode encodes the requirements the base was recorded with, through
+// the interner it was recorded with.
 //
 // A Base is immutable after construction and safe for concurrent use
 // by any number of encoders.
@@ -34,10 +36,8 @@ type Base struct {
 	net  *topology.Network
 	dep  config.Deployment
 	opts Options
-	// reqStrs identifies the requirement list the recorded spans were
-	// emitted for; an encode against different requirements falls back
-	// to the whole-network path.
-	reqStrs []string
+	reqs []spec.Requirement
+	in   *logic.Interner
 
 	// enc is the recorded whole-network encoding; selGroups and
 	// reqGroups partition its constraint list.
@@ -102,15 +102,14 @@ func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		net:       net,
 		dep:       dep,
 		opts:      e.opts,
+		reqs:      reqs,
+		in:        e.in,
 		enc:       enc,
 		selGroups: e.selGroups,
 		reqGroups: e.reqGroups,
 		cands:     e.cands,
 		vocab:     e.voc(),
 		tags:      countTags(dep),
-	}
-	for _, r := range reqs {
-		b.reqStrs = append(b.reqStrs, r.String())
 	}
 	b.indexCone()
 	return b, nil
@@ -150,31 +149,24 @@ func (b *Base) indexCone() {
 // its symbolized router's cone.
 func (b *Base) Seed() logic.Term { return b.enc.Conjunction() }
 
-// matchesReqs reports whether the requirement list matches the one the
-// spans were recorded for.
-func (b *Base) matchesReqs(reqs []spec.Requirement) bool {
-	if len(reqs) != len(b.reqStrs) {
-		return false
+// Encode encodes the base deployment with each router in overrides
+// configured as overrides says (the routers a query changes, such as
+// the one it symbolizes) against the base's requirements, splicing
+// from the base (encodeScoped). The overrides that differ from the base
+// deployment's configs are the encode's dirty set, so nothing is read
+// at network size to find it. The result is the encoding NewEncoder
+// would produce for a copy of the deployment with the overrides
+// applied. Do not modify overrides during the call.
+func (b *Base) Encode(ctx context.Context, overrides map[string]*config.Config) (*Encoding, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	for i, r := range reqs {
-		if r.String() != b.reqStrs[i] {
-			return false
-		}
-	}
-	return true
+	return b.encoder(overrides).encodeScoped(ctx)
 }
 
-// Encoder returns an encoder for the base deployment with each router
-// in overrides configured as overrides says: the routers a query
-// changes, such as the one it symbolizes. The overrides that differ
-// from the base deployment's configs are the encode's dirty set, so
-// nothing is read at network size to find it, and the encode splices
-// from the base (encodeScoped) unless its requirements differ from the
-// recorded ones. The result is the encoding NewEncoder would produce
-// for a copy of the deployment with the overrides applied. The encoder
-// keeps overrides; do not modify it while the encoder is in use.
-func (b *Base) Encoder(overrides map[string]*config.Config) *Encoder {
-	e := NewEncoder(b.net, b.dep, b.opts)
+// encoder returns the encoder Encode splices with.
+func (b *Base) encoder(overrides map[string]*config.Config) *Encoder {
+	e := NewEncoder(b.net, b.dep, b.opts).WithInterner(b.in)
 	e.over = overrides
 	e.base = b
 	e.dirty = make(map[string]bool, len(overrides))

@@ -79,10 +79,10 @@ type EncStats struct {
 	TruncatedPaths int
 	// ReusedCandidates counts candidates whose edge condition and
 	// route state were taken from a Base instead of being recomputed
-	// (see Base.Encoder). Always <= Candidates.
+	// (see Base.Encode). Always <= Candidates.
 	ReusedCandidates int
 	// ScopedGroupsCopied / ScopedGroupsEncoded count, for an encode
-	// derived from a Base (see Base.Encoder), the constraint groups spliced
+	// derived from a Base (see Base.Encode), the constraint groups spliced
 	// verbatim from the recorded whole-network encoding versus
 	// re-derived inside the dirty cone. Zero on whole-network encodes.
 	ScopedGroupsCopied  int
@@ -121,7 +121,7 @@ func (enc *Encoding) Conjunction() logic.Term {
 type Encoder struct {
 	net *topology.Network
 	// sketch is the deployment the encoder reads: the sketch itself,
-	// or, for an encoder derived from a base (Base.Encoder), the base
+	// or, for an encoder derived from a base (Base.Encode), the base
 	// deployment, with each router in over configured as over says.
 	// Read configs through config.
 	sketch config.Deployment
@@ -142,7 +142,7 @@ type Encoder struct {
 	selGroups []selGroup
 	reqGroups []span
 
-	// base, set by Base.Encoder, replaces the whole-network encode
+	// base, set for Base.Encode, replaces the whole-network encode
 	// with a cone-scoped splice against the base's recorded encoding:
 	// only constraint groups touching a dirty router (an override that
 	// differs from the base deployment's config) are re-encoded, the
@@ -213,9 +213,6 @@ func (e *Encoder) Encode(reqs []spec.Requirement) (*Encoding, error) {
 func (e *Encoder) EncodeContext(ctx context.Context, reqs []spec.Requirement) (*Encoding, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if e.base != nil && e.base.matchesReqs(reqs) {
-		return e.encodeScoped(ctx, reqs)
 	}
 	if err := e.declareAllHoles(); err != nil {
 		return nil, err

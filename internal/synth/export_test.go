@@ -9,12 +9,12 @@ import (
 // BaseDeployment returns the deployment the base was recorded over.
 func BaseDeployment(b *Base) config.Deployment { return b.dep }
 
-// VocabSorts returns the Community, NextHopIP, Prefix and Neighbor
-// sorts of the encoder's vocabulary, and whether it was derived from a
-// base rather than built from the sketch.
-func VocabSorts(e *Encoder) (sorts []*logic.Sort, derived bool) {
-	v := e.voc()
-	return []*logic.Sort{v.commSort, v.ipSort, v.prefixSort, v.nbrSort}, e.base != nil
+// DerivedVocabSorts returns the Community, NextHopIP, Prefix and
+// Neighbor sorts of the vocabulary the base derives for an encode with
+// the overrides (Base.deriveVocab).
+func DerivedVocabSorts(b *Base, over map[string]*config.Config) []*logic.Sort {
+	v := b.encoder(over).voc()
+	return []*logic.Sort{v.commSort, v.ipSort, v.prefixSort, v.nbrSort}
 }
 
 // BuildVocabSorts returns the same four sorts as built from the whole

@@ -202,7 +202,7 @@ func (e *Encoder) applySetsSymbolic(cl *config.Clause, takes logic.Term, st *rou
 
 // ReadKeys is the locality key of a concrete deployment's derived
 // encodes: Key(router, override) digests everything an encode of the
-// deployment with one router overridden (Base.Encoder) reads, so two
+// deployment with one router overridden (Base.Encode) reads, so two
 // such encodes with equal keys are the same encoding, constraint for
 // constraint. It digests every other router's config as appendRead
 // renders it, the override the same way, the vocabulary the encode

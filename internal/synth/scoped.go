@@ -26,7 +26,7 @@ const scopedCtxInterval = 256
 // identical inputs, and group emission is a deterministic function of
 // the candidates — so everything downstream (simplification, lifting,
 // reports) is byte-identical.
-func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*Encoding, error) {
+func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 	b := e.base
 	if err := e.declareScopedHoles(); err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ func (e *Encoder) encodeScoped(ctx context.Context, reqs []spec.Requirement) (*E
 		run = gi + 1
 	}
 	copyRun(len(b.selGroups))
-	for i, r := range reqs {
+	for i, r := range b.reqs {
 		if !e.reqNeedsReencode(r, dirtyGroup) {
 			// Forbid and Allow blocks mention only selection variables,
 			// which are shared; a clean-source Preference block's full

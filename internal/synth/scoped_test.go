@@ -18,7 +18,7 @@ import (
 
 // TestScopedEncodeIdentical is the encode-level differential and the
 // reference for every derived encode: the encoding a base derives from
-// a query's overrides (Base.Encoder) must equal the plain whole-network
+// a query's overrides (Base.Encode) must equal the plain whole-network
 // encode of a copy of the base's deployment with the overrides applied
 // (NewEncoder(...).EncodeContext), the construction a derived encode
 // replaced — constraints pointer-identical element by element (terms
@@ -118,7 +118,7 @@ func checkSpliceMatchesPlain(t *testing.T, label string, net *topology.Network, 
 	if err != nil {
 		t.Fatalf("%s: plain encode: %v", label, err)
 	}
-	got, err := base.Encoder(over).EncodeContext(ctx, reqs)
+	got, err := base.Encode(ctx, over)
 	if err != nil {
 		t.Fatalf("%s: derived encode: %v", label, err)
 	}
@@ -267,42 +267,6 @@ func recordBase(t *testing.T, net *topology.Network, dep config.Deployment, opts
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestScopedFallsBackOnDifferentReqs pins the safety property: a base
-// recorded for one requirement list is not spliced from for another;
-// the encode falls back to the whole-network path over the overridden
-// deployment and produces the plain encoding, with and without an
-// override.
-func TestScopedFallsBackOnDifferentReqs(t *testing.T) {
-	ctx := context.Background()
-	sc := scenarios.Scenario1()
-	opts := synth.DefaultOptions()
-	dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, sc.Requirements(), opts)
-	base := recordBase(t, sc.Net, dep, opts, sc.Requirements())
-	other := []spec.Requirement{&spec.Forbid{Path: spec.NewPath("P2", spec.Wildcard, "C")}}
-	for label, over := range fullSymbolizations(t, dep) {
-		want, err := synth.NewEncoder(sc.Net, applied(dep, over), opts).EncodeContext(ctx, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := base.Encoder(over).EncodeContext(ctx, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.ScopedGroupsCopied != 0 || got.Stats.ScopedGroupsEncoded != 0 {
-			t.Fatalf("%s: the base must not be spliced from for a different requirement list", label)
-		}
-		if len(want.Constraints) != len(got.Constraints) || len(want.HoleVars) != len(got.HoleVars) {
-			t.Fatalf("%s: fallback encode differs: %d vs %d constraints, %d vs %d holes", label,
-				len(want.Constraints), len(got.Constraints), len(want.HoleVars), len(got.HoleVars))
-		}
-		for i := range want.Constraints {
-			if want.Constraints[i] != got.Constraints[i] {
-				t.Fatalf("%s: fallback constraint %d differs", label, i)
-			}
-		}
-	}
 }
 
 // TestScopedBaseRejectsHoles pins the concreteness requirement.

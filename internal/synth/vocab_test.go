@@ -103,12 +103,12 @@ func TestDerivedVocabShrinks(t *testing.T) {
 	base := recordBase(t, sc.Net, dep, opts, nil)
 	checkEveryRouter(t, "probe", sc.Net, dep, base)
 
-	full, _ := synth.VocabSorts(base.Encoder(nil))
+	full := synth.DerivedVocabSorts(base, nil)
 	sym, _, err := core.Symbolize(dep["R1"], core.AllTargets(dep["R1"]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, _ := synth.VocabSorts(base.Encoder(map[string]*config.Config{"R1": sym}))
+	shrunk := synth.DerivedVocabSorts(base, map[string]*config.Config{"R1": sym})
 	for i, name := range []string{"Community", "NextHopIP"} {
 		if len(shrunk[i].Values) >= len(full[i].Values) {
 			t.Errorf("%s sort did not shrink: %v -> %v", name, full[i].Values, shrunk[i].Values)
@@ -124,10 +124,7 @@ func checkEveryRouter(t *testing.T, name string, net *topology.Network, dep conf
 	t.Helper()
 	check := func(label string, over map[string]*config.Config) {
 		over = withEdits(synth.BaseDeployment(base), dep, over)
-		got, derived := synth.VocabSorts(base.Encoder(over))
-		if !derived {
-			t.Fatalf("%s %s: base not attached", name, label)
-		}
+		got := synth.DerivedVocabSorts(base, over)
 		want := synth.BuildVocabSorts(net, applied(synth.BaseDeployment(base), over))
 		for i := range want {
 			if !sameSortExactly(got[i], want[i]) {
