@@ -117,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // Unsat verdict the report rests on must be accepted by the
 // independent checker in internal/drat before the report is printed.
 // The report body is identical to an unverified run; the proof
-// statistics are appended as comment lines so the report itself stays
-// byte-comparable.
+// statistics are appended as one comment line so the report itself
+// stays byte-comparable.
 func runProof(sc *scenarios.Scenario, dep config.Deployment, stdout, stderr io.Writer) int {
 	opts := core.DefaultOptions()
 	opts.VerifyProofs = true
@@ -136,9 +136,5 @@ func runProof(sc *scenarios.Scenario, dep config.Deployment, stdout, stderr io.W
 	st := e.Stats()
 	fmt.Fprintf(stdout, "# proofs: %d unsat verdicts checked (%d trace ops, %d lemmas, %v)\n",
 		st.ProofChecks, st.ProofOps, st.ProofLemmas, st.ProofTime)
-	if st.CoreLits > 0 {
-		fmt.Fprintf(stdout, "# cores: %d literals shrunk to %d by the checker\n",
-			st.CoreLits, st.ShrunkCoreLits)
-	}
 	return 0
 }

@@ -272,10 +272,39 @@ func TestParseErrors(t *testing.T) {
 		"router bgp R1\nroute-map m permit 10\nroute-map m permit 10", // non-increasing seq
 		"router bgp R1\ngarbage here",
 		"router bgp R1\nneighbor P1 route-map missing out", // unknown map
+		// Lines that would drop an earlier binding or a trailing token.
+		"router bgp R1\nneighbor P1 route-map m out\nneighbor P1 route-map n out\nroute-map m permit 10\nroute-map n permit 10",
+		"router bgp R1\nneighbor P1 route-map m out\nneighbor P1\nroute-map m permit 10",
+		"router bgp R1\nroute-map m permit 10\n set community 1:1 ?c",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseRejectsBareHole requires a bare "?" to be a parse error in
+// every hole position. Read as a hole with the empty name, it would
+// leave the field concrete at its zero value (a deny action, community
+// 0:0, local preference 0).
+func TestParseRejectsBareHole(t *testing.T) {
+	for _, line := range []string{
+		"route-map m ? 10",
+		"route-map m permit 10\n match ip address prefix-list ?",
+		"route-map m permit 10\n match community ?",
+		"route-map m permit 10\n match next-hop ?",
+		"route-map m permit 10\n set local-preference ?",
+		"route-map m permit 10\n set community ? additive",
+		"route-map m permit 10\n set metric ?",
+		"route-map m permit 10\n set next-hop ?",
+	} {
+		src := "router bgp R1\n" + line
+		if c, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted a nameless hole:\n%s", src, Print(c))
+		}
+		if _, err := Parse(strings.Replace(src, " ?", " ?h", 1)); err != nil {
+			t.Errorf("named hole rejected: %v", err)
 		}
 	}
 }

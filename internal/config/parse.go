@@ -38,8 +38,13 @@ func Parse(src string) (*Config, error) {
 			if c == nil {
 				return nil, fail("'neighbor' before 'router bgp'")
 			}
+			// A line never rebinds what an earlier line bound: the
+			// earlier binding would vanish from the config silently.
 			switch len(fields) {
 			case 2:
+				if c.Neighbor(fields[1]) != nil {
+					return nil, fail("neighbor %s declared twice", fields[1])
+				}
 				c.AddNeighbor(fields[1], "", "")
 			case 5:
 				if fields[2] != "route-map" {
@@ -51,14 +56,19 @@ func Parse(src string) (*Config, error) {
 					c.AddNeighbor(peer, "", "")
 					n = c.Neighbor(peer)
 				}
+				var bound *string
 				switch dir {
 				case "in":
-					n.ImportMap = mapName
+					bound = &n.ImportMap
 				case "out":
-					n.ExportMap = mapName
+					bound = &n.ExportMap
 				default:
 					return nil, fail("direction must be in or out, got %q", dir)
 				}
+				if *bound != "" {
+					return nil, fail("neighbor %s already has an %s route-map", peer, dir)
+				}
+				*bound = mapName
 			default:
 				return nil, fail("malformed neighbor line")
 			}
@@ -105,14 +115,13 @@ func Parse(src string) (*Config, error) {
 			}
 			cl := &Clause{Seq: seq}
 			actionTok := fields[2]
-			if strings.HasPrefix(actionTok, "?") {
-				cl.ActionHole = actionTok[1:]
-			} else {
-				action, err := parseAction(actionTok)
-				if err != nil {
+			if cl.ActionHole, err = holeName(actionTok); err != nil {
+				return nil, fail("%v", err)
+			}
+			if cl.ActionHole == "" {
+				if cl.Action, err = parseAction(actionTok); err != nil {
 					return nil, fail("%v", err)
 				}
-				cl.Action = action
 			}
 			rm := c.RouteMaps[name]
 			if rm == nil {
@@ -208,94 +217,94 @@ func parseAction(tok string) (Action, error) {
 	return Deny, fmt.Errorf("bad action %q", tok)
 }
 
+// holeName returns the hole a "?name" token names, or "" for a
+// concrete token. A bare "?" names no hole and is an error: read as a
+// hole with the empty name it would leave its field concrete, at the
+// field's zero value.
+func holeName(tok string) (string, error) {
+	if !strings.HasPrefix(tok, "?") {
+		return "", nil
+	}
+	if tok == "?" {
+		return "", fmt.Errorf("hole %q has no name", tok)
+	}
+	return tok[1:], nil
+}
+
 func parseMatch(fields []string) (*Match, error) {
 	rest := fields[1:]
+	var m *Match
 	switch {
 	case len(rest) == 4 && rest[0] == "ip" && rest[1] == "address" && rest[2] == "prefix-list":
-		m := &Match{Kind: MatchPrefixList}
-		if strings.HasPrefix(rest[3], "?") {
-			m.ValueHole = rest[3][1:]
-		} else {
-			m.PrefixList = rest[3]
-		}
-		return m, nil
+		m = &Match{Kind: MatchPrefixList}
 	case len(rest) == 2 && rest[0] == "community":
-		m := &Match{Kind: MatchCommunity}
-		if strings.HasPrefix(rest[1], "?") {
-			m.ValueHole = rest[1][1:]
-			return m, nil
-		}
-		comm, err := bgp.ParseCommunity(rest[1])
-		if err != nil {
-			return nil, err
-		}
-		m.Community = comm
-		return m, nil
+		m = &Match{Kind: MatchCommunity}
 	case len(rest) == 2 && rest[0] == "next-hop":
-		m := &Match{Kind: MatchNextHopIs}
-		if strings.HasPrefix(rest[1], "?") {
-			m.ValueHole = rest[1][1:]
-		} else {
-			m.NextHop = rest[1]
-		}
+		m = &Match{Kind: MatchNextHopIs}
+	default:
+		return nil, fmt.Errorf("unrecognized match line %q", strings.Join(fields, " "))
+	}
+	tok := rest[len(rest)-1]
+	h, err := holeName(tok)
+	if err != nil {
+		return nil, err
+	}
+	if h != "" {
+		m.ValueHole = h
 		return m, nil
 	}
-	return nil, fmt.Errorf("unrecognized match line %q", strings.Join(fields, " "))
+	switch m.Kind {
+	case MatchPrefixList:
+		m.PrefixList = tok
+	case MatchCommunity:
+		if m.Community, err = bgp.ParseCommunity(tok); err != nil {
+			return nil, err
+		}
+	case MatchNextHopIs:
+		m.NextHop = tok
+	}
+	return m, nil
 }
 
 func parseSet(fields []string) (*Set, error) {
 	rest := fields[1:]
-	hole := func(tok string) (string, bool) {
-		if strings.HasPrefix(tok, "?") {
-			return tok[1:], true
-		}
-		return "", false
-	}
+	var s *Set
 	switch {
 	case len(rest) == 2 && rest[0] == "local-preference":
-		s := &Set{Kind: SetLocalPref}
-		if h, ok := hole(rest[1]); ok {
-			s.ParamHole = h
-			return s, nil
-		}
-		v, err := strconv.Atoi(rest[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad local-preference %q", rest[1])
-		}
-		s.LocalPref = v
-		return s, nil
-	case len(rest) >= 2 && rest[0] == "community":
-		s := &Set{Kind: SetCommunity}
-		if h, ok := hole(rest[1]); ok {
-			s.ParamHole = h
-			return s, nil
-		}
-		comm, err := bgp.ParseCommunity(rest[1])
-		if err != nil {
-			return nil, err
-		}
-		s.Community = comm
-		return s, nil
+		s = &Set{Kind: SetLocalPref}
+	case (len(rest) == 2 || len(rest) == 3 && rest[2] == "additive") && rest[0] == "community":
+		s = &Set{Kind: SetCommunity}
 	case len(rest) == 2 && rest[0] == "metric":
-		s := &Set{Kind: SetMED}
-		if h, ok := hole(rest[1]); ok {
-			s.ParamHole = h
-			return s, nil
-		}
-		v, err := strconv.Atoi(rest[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad metric %q", rest[1])
-		}
-		s.MED = v
-		return s, nil
+		s = &Set{Kind: SetMED}
 	case len(rest) == 2 && rest[0] == "next-hop":
-		s := &Set{Kind: SetNextHopIP}
-		if h, ok := hole(rest[1]); ok {
-			s.ParamHole = h
-			return s, nil
-		}
-		s.NextHopIP = rest[1]
+		s = &Set{Kind: SetNextHopIP}
+	default:
+		return nil, fmt.Errorf("unrecognized set line %q", strings.Join(fields, " "))
+	}
+	tok := rest[1]
+	h, err := holeName(tok)
+	if err != nil {
+		return nil, err
+	}
+	if h != "" {
+		s.ParamHole = h
 		return s, nil
 	}
-	return nil, fmt.Errorf("unrecognized set line %q", strings.Join(fields, " "))
+	switch s.Kind {
+	case SetLocalPref:
+		if s.LocalPref, err = strconv.Atoi(tok); err != nil {
+			return nil, fmt.Errorf("bad local-preference %q", tok)
+		}
+	case SetCommunity:
+		if s.Community, err = bgp.ParseCommunity(tok); err != nil {
+			return nil, err
+		}
+	case SetMED:
+		if s.MED, err = strconv.Atoi(tok); err != nil {
+			return nil, fmt.Errorf("bad metric %q", tok)
+		}
+	case SetNextHopIP:
+		s.NextHopIP = tok
+	}
+	return s, nil
 }

@@ -41,13 +41,10 @@ func (e *Explainer) ExplainComplement(router string) (*ComplementExplanation, er
 	return e.ExplainComplementContext(context.Background(), router)
 }
 
-// ExplainComplementContext is ExplainComplement with cancellation and
-// the budget's deadline applied.
+// ExplainComplementContext is ExplainComplement with cancellation.
 func (e *Explainer) ExplainComplementContext(ctx context.Context, router string) (*ComplementExplanation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancel := e.Opts.Budget.Apply(ctx)
-	defer cancel()
 	if e.Net.Router(router) == nil {
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}

@@ -86,9 +86,6 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 		}
 	}
 
-	ctx, cancelBudget := e.Opts.Budget.Apply(ctx)
-	defer cancelBudget()
-
 	// The successor's base comes first: an edit that breaks the
 	// deployment fails here, as a cold report over it would, however
 	// many of its sections the cache still holds.

@@ -27,9 +27,6 @@ type Options struct {
 	// MaxPatternNodes bounds the length of candidate subspecification
 	// path patterns during lifting.
 	MaxPatternNodes int
-	// Budget bounds the resources explanation queries may spend: a
-	// wall-clock deadline (zero: none).
-	Budget engine.Budget
 	// VerifyProofs makes every solver record a DRAT-style proof trace
 	// and re-validates each Unsat verdict with the independent checker
 	// (internal/drat) before the pipeline relies on it. A verdict whose
@@ -209,13 +206,11 @@ func (e *Explainer) ExplainAll(router string) (*Explanation, error) {
 	return e.ExplainAllContext(context.Background(), router)
 }
 
-// ExplainAllContext is ExplainAll with cancellation and the budget's
-// deadline applied.
+// ExplainAllContext is ExplainAll with cancellation: the context's
+// deadline bounds every layer, down to the SAT search.
 func (e *Explainer) ExplainAllContext(ctx context.Context, router string) (*Explanation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancel := e.Opts.Budget.Apply(ctx)
-	defer cancel()
 	return e.explainAll(ctx, router)
 }
 
@@ -237,14 +232,11 @@ func (e *Explainer) Explain(router string, targets []Target) (*Explanation, erro
 	return e.ExplainContext(context.Background(), router, targets)
 }
 
-// ExplainContext is Explain with cancellation and the budget's
-// deadline applied: a cancelled or expired context aborts encoding and
-// any running solver call promptly.
+// ExplainContext is Explain with cancellation: a cancelled or expired
+// context aborts encoding and any running solver call promptly.
 func (e *Explainer) ExplainContext(ctx context.Context, router string, targets []Target) (*Explanation, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancel := e.Opts.Budget.Apply(ctx)
-	defer cancel()
 	return e.explainTargets(ctx, router, targets)
 }
 

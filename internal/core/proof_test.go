@@ -95,11 +95,24 @@ func TestExplanationVerifiedFlag(t *testing.T) {
 // contracts above: with proof verification on, the report stays
 // byte-identical to the committed golden at every router-pool width
 // (GOMAXPROCS). It pins that neither scheduling nor verification
-// perturbs the output.
+// perturbs the output. It also pins the proof work: how many Unsat
+// verdicts the checker validated and how many trace operations and
+// lemmas it consumed. Those are a property of the solvers' traces, not
+// of scheduling, so a change to the proof layer that keeps them checks
+// the same verdicts over the same traces.
 func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
+	work := map[string][3]int{ // ProofChecks, ProofOps, ProofLemmas
+		"scenario1": {8, 3798, 24},
+		"scenario2": {12, 22725, 384},
+		"scenario3": {16, 23316, 486},
+	}
 	for _, sc := range scenarios.All() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
+			wantWork, ok := work[sc.Name]
+			if !ok {
+				t.Fatalf("no pinned proof work for %s", sc.Name)
+			}
 			dep := synthScenario(t, sc)
 			want, err := os.ReadFile(filepath.Join("testdata", "report_"+sc.Name+".golden"))
 			if err != nil {
@@ -120,8 +133,9 @@ func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
 				if got != string(want) {
 					t.Errorf("GOMAXPROCS=%d: verified report differs from golden", procs)
 				}
-				if e.Stats().ProofChecks == 0 {
-					t.Fatalf("GOMAXPROCS=%d: no proofs were checked", procs)
+				st := e.Stats()
+				if w := [3]int{st.ProofChecks, st.ProofOps, st.ProofLemmas}; w != wantWork {
+					t.Errorf("GOMAXPROCS=%d: proof checks/ops/lemmas = %v, want %v", procs, w, wantWork)
 				}
 			}
 		})

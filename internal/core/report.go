@@ -24,8 +24,8 @@ func (e *Explainer) Report() (string, error) {
 	return e.ReportContext(context.Background())
 }
 
-// ReportContext is Report with cancellation and the budget's deadline
-// applied: when the context is cancelled or the deadline passes, the
+// ReportContext is Report with cancellation: when the context is
+// cancelled or its deadline passes, the
 // in-flight explanations abort and the first error is returned once
 // every worker has exited (no goroutines are leaked).
 func (e *Explainer) ReportContext(ctx context.Context) (string, error) {
@@ -65,15 +65,12 @@ func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error)
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancelBudget := e.Opts.Budget.Apply(ctx)
-	defer cancelBudget()
 	n, _, err := e.writeReportLocked(ctx, w)
 	return n, err
 }
 
 // writeReportLocked is the streaming pipeline shared by WriteReport and
-// the ReExplain sweep. Caller holds e.mu (shared or exclusive) and has
-// applied the budget. Besides the bytes written it returns, in report
+// the ReExplain sweep. Caller holds e.mu (shared or exclusive). Besides the bytes written it returns, in report
 // order, the routers whose sections it rendered: the report cache held
 // every other section under its locality key (see section).
 func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, []string, error) {

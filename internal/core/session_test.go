@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/scenarios"
 	"repro/internal/spec"
 )
@@ -165,24 +164,22 @@ func TestSessionBaseContract(t *testing.T) {
 	})
 }
 
-// TestBudgetDeadlineAbortsReport checks that an already-expired budget
-// deadline aborts ExplainAll and Report cleanly — with a deadline
-// error, not a hang or a partial result — and leaks no goroutines.
+// TestBudgetDeadlineAbortsReport checks that an already-expired
+// context deadline aborts ExplainAll and Report cleanly — with a
+// deadline error, not a hang or a partial result — and leaks no
+// goroutines.
 func TestBudgetDeadlineAbortsReport(t *testing.T) {
 	sc := scenarios.Scenario3()
 	dep := synthScenario(t, sc)
-	opts := DefaultOptions()
-	opts.Budget = engine.Budget{Deadline: time.Now().Add(-time.Second)}
-	e, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newExplainer(t, sc, dep, nil)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 
 	before := runtime.NumGoroutine()
-	if _, err := e.ExplainAll("R1"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.ExplainAllContext(ctx, "R1"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("ExplainAll err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := e.Report(); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.ReportContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Report err = %v, want context.DeadlineExceeded", err)
 	}
 	// The worker pool must have drained. NumGoroutine is noisy

@@ -38,22 +38,19 @@ func (e *Explainer) verifyUnsat(s *smt.Solver) error {
 	return nil
 }
 
-// buildSolver builds an SMT solver with the session's shared term
-// table adopted and — under
-// VerifyProofs — a proof trace attached (logging must start before the
-// first clause, so this is the only place it can be turned on), then
-// applies build to it. The caller owns the solver for the rest of its
-// query and calls release when done, which folds the solver's work into
-// the session statistics; the solver is garbage afterwards. A repeat
-// report does not need it: the report cache answers every section it
-// rendered before.
+// buildSolver builds an SMT solver with — under VerifyProofs — a proof
+// trace attached (logging must start before the first clause, so this
+// is the only place it can be turned on), then applies build to it. The
+// caller owns the solver for the rest of its query and calls release
+// when done, which folds the solver's work into the session statistics;
+// the solver is garbage afterwards. A repeat report does not need it:
+// the report cache answers every section it rendered before.
 func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, func(), error) {
 	var opts []smt.Option
 	if e.Opts.VerifyProofs {
 		opts = append(opts, smt.WithProof())
 	}
 	sv := smt.NewSolver(opts...)
-	sv.UseInterner(e.Session.Interner())
 	if err := build(sv); err != nil {
 		e.Session.AddSolverStats(sv.Stats())
 		return nil, nil, err

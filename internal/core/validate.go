@@ -36,15 +36,12 @@ func (e *Explainer) CheckSubspec(router string, block *spec.Block) ([]ClauseChec
 	return e.CheckSubspecContext(context.Background(), router, block)
 }
 
-// CheckSubspecContext is CheckSubspec with cancellation and the
-// budget's deadline applied. The sketch it encodes matches the one
+// CheckSubspecContext is CheckSubspec with cancellation. The sketch it encodes matches the one
 // ExplainAll builds, so a prior explanation of the router answers the
 // encoding from the session cache.
 func (e *Explainer) CheckSubspecContext(ctx context.Context, router string, block *spec.Block) ([]ClauseCheck, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancel := e.Opts.Budget.Apply(ctx)
-	defer cancel()
 	c, ok := e.Deployment[router]
 	if !ok {
 		return nil, fmt.Errorf("core: no deployed configuration for %q", router)
@@ -93,7 +90,7 @@ func (e *Explainer) CheckSubspecNecessary(router string, block *spec.Block) ([]N
 }
 
 // CheckSubspecNecessaryContext is CheckSubspecNecessary with
-// cancellation and the budget's deadline applied. It encodes and
+// cancellation. It encodes and
 // simplifies the same sketch as ExplainAll, so after an explanation of
 // the router both come from the session caches, and builds a
 // query-scoped seed solver over the simplified seed on which each
@@ -101,8 +98,6 @@ func (e *Explainer) CheckSubspecNecessary(router string, block *spec.Block) ([]N
 func (e *Explainer) CheckSubspecNecessaryContext(ctx context.Context, router string, block *spec.Block) ([]NecessityCheck, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ctx, cancel := e.Opts.Budget.Apply(ctx)
-	defer cancel()
 	c, ok := e.Deployment[router]
 	if !ok {
 		return nil, fmt.Errorf("core: no deployed configuration for %q", router)

@@ -65,10 +65,8 @@ const (
 
 // clauseRec is one stored clause.
 type clauseRec struct {
-	lits   []int // as given
-	sorted []int // deduplicated, sorted — the deletion/lookup key
-	alive  bool
-	learnt bool
+	lits  []int // as given
+	alive bool
 }
 
 // Checker maintains the live clause database and a root-level
@@ -92,36 +90,14 @@ type Checker struct {
 	// trail; everything above it belongs to an in-flight RUP query.
 	rootEnd int
 	// rootConflict is set once the live database is conflicting at the
-	// root: every clause is then trivially RUP. rootCone remembers the
-	// clause ids that produced the conflict (see setRootConflict).
+	// root: every clause is then trivially RUP.
 	rootConflict bool
-	rootCone     []int
-
-	// deps[id] records, for lemma id, the clause ids its RUP conflict
-	// cone used — the dependency graph backward trimming walks.
-	deps map[int][]int
-
-	stats Stats
-}
-
-// Stats counts checker work.
-type Stats struct {
-	// Inputs, Lemmas, and Deletes count applied operations.
-	Inputs, Lemmas, Deletes int
-	// Propagations counts literal assignments made during checking.
-	Propagations uint64
 }
 
 // NewChecker returns an empty checker.
 func NewChecker() *Checker {
-	return &Checker{
-		bySig: make(map[string][]int),
-		deps:  make(map[int][]int),
-	}
+	return &Checker{bySig: make(map[string][]int)}
 }
-
-// Stats returns the work counters so far.
-func (c *Checker) Stats() Stats { return c.stats }
 
 // RootConflict reports whether the live database is already
 // conflicting at the root (the empty clause has been established).
@@ -174,7 +150,6 @@ func (c *Checker) assign(l int, reason int) {
 	}
 	c.reason[litVar(l)] = reason
 	c.trail = append(c.trail, l)
-	c.stats.Propagations++
 }
 
 // unassignTo rolls the trail back to the given length.
@@ -239,10 +214,10 @@ func validate(lits []int) error {
 }
 
 // addClause stores a clause, sets up its watches, and performs any
-// root-level propagation it triggers. Returns the clause id.
-func (c *Checker) addClause(lits []int, learnt bool) (int, error) {
+// root-level propagation it triggers.
+func (c *Checker) addClause(lits []int) error {
 	if err := validate(lits); err != nil {
-		return -1, err
+		return err
 	}
 	key, sorted := sig(lits)
 	for _, l := range sorted {
@@ -250,15 +225,13 @@ func (c *Checker) addClause(lits []int, learnt bool) (int, error) {
 	}
 	id := len(c.clauses)
 	c.clauses = append(c.clauses, clauseRec{
-		lits:   append([]int(nil), lits...),
-		sorted: sorted,
-		alive:  true,
-		learnt: learnt,
+		lits:  append([]int(nil), lits...),
+		alive: true,
 	})
 	c.bySig[key] = append(c.bySig[key], id)
 
 	if c.rootConflict {
-		return id, nil
+		return nil
 	}
 	// Tautologies (l and -l both present) are always satisfied and
 	// never propagate; store them without watches. sorted is strictly
@@ -267,29 +240,27 @@ func (c *Checker) addClause(lits []int, learnt bool) (int, error) {
 		if l > 0 {
 			i := sort.SearchInts(sorted, -l)
 			if i < len(sorted) && sorted[i] == -l {
-				return id, nil
+				return nil
 			}
 		}
 	}
 	switch len(sorted) {
 	case 0:
-		c.setRootConflict([]int{id})
-		return id, nil
+		c.rootConflict = true
+		return nil
 	case 1:
 		l := sorted[0]
 		switch c.value(l) {
 		case vFalse:
-			// -l is root-assigned: the conflict cone is this clause
-			// plus the reason chain forcing -l.
-			c.setRootConflict(append([]int{id}, c.cone(-1, []int{-l})...))
+			c.rootConflict = true
 		case vUndef:
 			c.assign(l, id)
-			if conflict := c.propagate(); conflict >= 0 {
-				c.setRootConflict(append([]int{id}, c.cone(conflict, nil)...))
+			if c.propagate() {
+				c.rootConflict = true
 			}
 			c.rootEnd = len(c.trail)
 		}
-		return id, nil
+		return nil
 	}
 	// Watch two distinct non-false literals when possible; a clause
 	// unit under the root assignment propagates immediately, an
@@ -311,8 +282,8 @@ func (c *Checker) addClause(lits []int, learnt bool) (int, error) {
 	}
 	if w0 < 0 {
 		// Every literal false at root.
-		c.setRootConflict(append([]int{id}, c.cone(-1, cl.lits)...))
-		return id, nil
+		c.rootConflict = true
+		return nil
 	}
 	unit := w1 < 0
 	if unit {
@@ -334,36 +305,24 @@ func (c *Checker) addClause(lits []int, learnt bool) (int, error) {
 	c.watches[litIdx(cl.lits[1])] = append(c.watches[litIdx(cl.lits[1])], id)
 	if unit && c.value(cl.lits[0]) == vUndef {
 		c.assign(cl.lits[0], id)
-		if conflict := c.propagate(); conflict >= 0 {
-			c.setRootConflict(append([]int{id}, c.cone(conflict, nil)...))
+		if c.propagate() {
+			c.rootConflict = true
 		}
 		c.rootEnd = len(c.trail)
 	}
-	return id, nil
+	return nil
 }
 
-// setRootConflict latches top-level unsatisfiability, remembering the
-// clause ids that produced it so proof trimming can keep them: lemmas
-// checked after this point verify trivially and record no dependencies
-// of their own.
-func (c *Checker) setRootConflict(cone []int) {
-	if c.rootConflict {
-		return
-	}
-	c.rootConflict = true
-	c.rootCone = cone
-}
-
-// propagate runs unit propagation from the current queue head. It
-// returns the id of a conflicting clause, or -1.
-func (c *Checker) propagate() int {
+// propagate runs unit propagation from the current queue head and
+// reports whether it reached a conflict.
+func (c *Checker) propagate() bool {
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead] // p just became true; visit watchers of -p
 		c.qhead++
 		falseLit := -p
 		ws := c.watches[litIdx(falseLit)]
 		kept := ws[:0]
-		var conflict = -1
+		conflict := false
 		for i := 0; i < len(ws); i++ {
 			id := ws[i]
 			cl := &c.clauses[id]
@@ -397,7 +356,7 @@ func (c *Checker) propagate() int {
 			}
 			kept = append(kept, id)
 			if c.value(first) == vFalse {
-				conflict = id
+				conflict = true
 				for i++; i < len(ws); i++ {
 					kept = append(kept, ws[i])
 				}
@@ -407,20 +366,16 @@ func (c *Checker) propagate() int {
 			c.assign(first, id)
 		}
 		c.watches[litIdx(falseLit)] = kept
-		if conflict >= 0 {
-			return conflict
+		if conflict {
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // AddInput adds a caller-asserted clause to the database.
 func (c *Checker) AddInput(lits []int) error {
-	_, err := c.addClause(lits, false)
-	if err == nil {
-		c.stats.Inputs++
-	}
-	return err
+	return c.addClause(lits)
 }
 
 // CheckLearn verifies that the clause is a RUP consequence of the live
@@ -430,35 +385,18 @@ func (c *Checker) CheckLearn(lits []int) error {
 	if err := validate(lits); err != nil {
 		return err
 	}
-	cone, err := c.rup(lits)
-	if err != nil {
+	if err := c.rup(lits); err != nil {
 		return err
 	}
-	id, err := c.addClause(lits, true)
-	if err != nil {
-		return err
-	}
-	c.deps[id] = cone
-	c.stats.Lemmas++
-	return nil
-}
-
-// CheckClause verifies the clause is RUP without adding it.
-func (c *Checker) CheckClause(lits []int) error {
-	if err := validate(lits); err != nil {
-		return err
-	}
-	_, err := c.rup(lits)
-	return err
+	return c.addClause(lits)
 }
 
 // rup performs the reverse-unit-propagation check: assume the negation
-// of every literal, propagate, and demand a conflict. On success it
-// returns the ids of the clauses in the conflict cone (the dependency
-// set backward trimming uses) and rolls the assignment back.
-func (c *Checker) rup(lits []int) ([]int, error) {
+// of every literal, propagate, and demand a conflict. The assignment is
+// rolled back either way.
+func (c *Checker) rup(lits []int) error {
 	if c.rootConflict {
-		return nil, nil // anything follows from a contradiction
+		return nil // anything follows from a contradiction
 	}
 	mark := len(c.trail)
 	defer c.unassignTo(mark)
@@ -466,59 +404,18 @@ func (c *Checker) rup(lits []int) ([]int, error) {
 		c.ensureVar(litVar(l))
 		switch c.value(l) {
 		case vTrue:
-			// Assuming -l contradicts the root assignment directly:
-			// the cone is the reason chain of l.
-			return c.cone(-1, []int{l}), nil
+			// Assuming -l contradicts the root assignment directly.
+			return nil
 		case vUndef:
 			c.assign(-l, -1)
 		}
 		// Already false: -l holds, nothing to assume.
 	}
 	c.qhead = mark
-	conflict := c.propagate()
-	if conflict < 0 {
-		return nil, fmt.Errorf("drat: clause %v is not a RUP consequence", lits)
+	if !c.propagate() {
+		return fmt.Errorf("drat: clause %v is not a RUP consequence", lits)
 	}
-	return c.cone(conflict, nil), nil
-}
-
-// cone collects the ids of the clauses reachable through the reason
-// graph from the conflict: the conflicting clause (or the given seed
-// literals), then every reason of every literal involved, transitively
-// down through the root trail.
-func (c *Checker) cone(conflict int, seeds []int) []int {
-	var ids []int
-	seen := make(map[int]bool) // variables already expanded
-	var stack []int
-	push := func(l int) {
-		v := litVar(l)
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	if conflict >= 0 {
-		ids = append(ids, conflict)
-		for _, l := range c.clauses[conflict].lits {
-			push(l)
-		}
-	}
-	for _, l := range seeds {
-		push(l)
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := c.reason[v]
-		if r < 0 {
-			continue // assumed literal: cone boundary
-		}
-		ids = append(ids, r)
-		for _, l := range c.clauses[r].lits {
-			push(l)
-		}
-	}
-	return ids
+	return nil
 }
 
 // CheckDelete removes the clause from the live database. Deleting a
@@ -538,12 +435,9 @@ func (c *Checker) CheckDelete(lits []int) error {
 		if !c.clauses[id].alive {
 			continue
 		}
-		if c.isRootReason(id) {
-			c.stats.Deletes++
-			return nil // keep: justification of a permanent assignment
+		if !c.isRootReason(id) { // keep a root assignment's justification
+			c.clauses[id].alive = false
 		}
-		c.clauses[id].alive = false
-		c.stats.Deletes++
 		return nil
 	}
 	return fmt.Errorf("drat: delete of unknown clause %v", lits)
@@ -573,8 +467,9 @@ func (c *Checker) Apply(op Op) error {
 }
 
 // Check replays a whole trace through a fresh checker, verifying every
-// lemma. It returns the checker (for follow-up shrinking or trimming)
-// and the first verification failure, annotated with its position.
+// lemma. It returns the checker (RootConflict tells whether the trace
+// derived the empty clause) and the first verification failure,
+// annotated with its position.
 func Check(ops []Op) (*Checker, error) {
 	c := NewChecker()
 	for i, op := range ops {

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sat"
 )
 
-// traceOps converts a solver trace to checker operations using the
-// same literal mapping as Trace.WriteDRAT: 1-based DIMACS integers.
+// traceOps converts a solver trace to checker operations over 1-based
+// DIMACS literals, the mapping internal/smt uses.
 func traceOps(t *sat.Trace) []drat.Op {
 	ops := make([]drat.Op, 0, t.Len())
 	for i := 0; i < t.Len(); i++ {
@@ -76,10 +76,10 @@ func TestCheckPlainUnsat(t *testing.T) {
 	}
 }
 
-func TestCheckAssumptionCoreAndShrink(t *testing.T) {
-	// (¬a∨x)(¬b∨x)(¬b∨¬x) under assumptions [a, b]: the solver's
-	// cone-based analyzeFinal reports {a, b}, but {b} alone is already
-	// unsatisfiable — the checker's deletion-based shrink must find it.
+func TestCheckAssumptionCore(t *testing.T) {
+	// (¬a∨x)(¬b∨x)(¬b∨¬x) under assumptions [a, b]: the core holds no
+	// literal twice, and the trace checks with the negated core as its
+	// terminal lemma.
 	s, tr, v := tracedSolver(t, 3)
 	a, b, x := v[0], v[1], v[2]
 	s.AddClause(a.Neg(), x)
@@ -98,21 +98,26 @@ func TestCheckAssumptionCoreAndShrink(t *testing.T) {
 	}
 
 	ops := traceOps(tr)
-	c, err := drat.Check(ops)
-	if err != nil {
+	if _, err := drat.Check(ops); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
 	last := ops[len(ops)-1]
-	if last.Kind != drat.Learn || len(last.Lits) == 0 {
-		t.Fatalf("final op = %v %v, want non-empty Learn (negated core)", last.Kind, last.Lits)
+	if last.Kind != drat.Learn || len(last.Lits) != len(core) {
+		t.Fatalf("final op = %v %v, want the negation of core %v", last.Kind, last.Lits, core)
 	}
-	shrunk, changed := c.ShrinkClause(last.Lits)
-	if len(core) > 1 && !changed {
-		t.Fatalf("core %v not shrunk; checker kept %v", core, shrunk)
+	inLemma := make(map[int]bool, len(last.Lits))
+	for _, l := range last.Lits {
+		inLemma[l] = true
 	}
-	// DIMACS for b is 2; the minimal core clause is its negation alone.
-	if len(shrunk) != 1 || shrunk[0] != -2 {
-		t.Fatalf("shrunk core clause = %v, want [-2]", shrunk)
+	for _, l := range core {
+		// DIMACS: variable v is v+1, and the lemma negates the literal.
+		neg := -(int(l.Var()) + 1)
+		if !l.IsPos() {
+			neg = -neg
+		}
+		if !inLemma[neg] {
+			t.Fatalf("terminal lemma %v is not the negated core %v", last.Lits, core)
+		}
 	}
 }
 
@@ -203,7 +208,7 @@ func TestDeleteUnknownClauseRejected(t *testing.T) {
 		t.Fatalf("rejected set-equal deletion: %v", err)
 	}
 	// The clause is gone now, so its lemma no longer checks.
-	if err := c.CheckClause([]int{1, 2}); err == nil {
+	if err := c.CheckLearn([]int{1, 2}); err == nil {
 		t.Fatalf("deleted clause still participates in RUP")
 	}
 }
@@ -221,7 +226,7 @@ func TestDeleteRootReasonKept(t *testing.T) {
 	if err := c.CheckDelete([]int{1}); err != nil {
 		t.Fatalf("CheckDelete: %v", err)
 	}
-	if err := c.CheckClause([]int{2}); err != nil {
+	if err := c.CheckLearn([]int{2}); err != nil {
 		t.Fatalf("root propagation lost after root-reason delete: %v", err)
 	}
 }
@@ -234,38 +239,10 @@ func TestTautologyInputHarmless(t *testing.T) {
 	if err := c.AddInput([]int{2}); err != nil {
 		t.Fatalf("AddInput: %v", err)
 	}
-	if err := c.CheckClause([]int{2}); err != nil {
-		t.Fatalf("CheckClause: %v", err)
+	if err := c.CheckLearn([]int{2}); err != nil {
+		t.Fatalf("CheckLearn: %v", err)
 	}
 	if err := c.CheckLearn([]int{1}); err == nil {
 		t.Fatalf("tautology (1∨¬1) was treated as asserting 1")
-	}
-}
-
-func TestTrim(t *testing.T) {
-	// An unsat pair of units buried among irrelevant clauses: trimming
-	// should keep few lemmas and the trimmed trace must still check.
-	s, tr, v := tracedSolver(t, 8)
-	a, b := v[0], v[1]
-	// Irrelevant satisfiable clutter.
-	for i := 2; i < 8; i++ {
-		s.AddClause(v[i], v[(i+3)%8])
-	}
-	s.AddClause(a, b)
-	s.AddClause(a, b.Neg())
-	s.AddClause(a.Neg(), b)
-	s.AddClause(a.Neg(), b.Neg())
-	if st := s.Solve(); st != sat.Unsat {
-		t.Fatalf("Solve = %v, want Unsat", st)
-	}
-	res, err := drat.Trim(traceOps(tr))
-	if err != nil {
-		t.Fatalf("Trim: %v", err)
-	}
-	if res.KeptLemmas > res.TotalLemmas {
-		t.Fatalf("kept %d of %d lemmas", res.KeptLemmas, res.TotalLemmas)
-	}
-	if _, err := drat.Check(res.Ops); err != nil {
-		t.Fatalf("trimmed trace does not check: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package engine provides the session layer of the explanation stack:
-// a shared encoding cache over the synthesizer's encoder, a unified
-// resource budget plumbed down to the SAT search, and merged
-// statistics across all layers.
+// a shared encoding cache over the synthesizer's encoder and merged
+// statistics across all layers. Deadlines and cancellation reach every
+// layer, down to the SAT search, through the caller's context.
 //
 // The explanation workflows in internal/core are many small queries
 // against one deployment — explain every router, explain one variable
@@ -14,29 +14,7 @@
 // encodes.
 package engine
 
-import (
-	"context"
-	"time"
-)
-
-// Budget bounds the resources an explanation query may spend, across
-// every layer of the stack. The zero value means unlimited.
-type Budget struct {
-	// Deadline is the wall-clock instant after which queries abort
-	// with context.DeadlineExceeded. Zero means no deadline.
-	Deadline time.Time
-}
-
-// Apply derives a context carrying the budget's deadline. The returned
-// cancel function must be called to release the deadline timer; when
-// the budget has no deadline, ctx is returned unchanged with a no-op
-// cancel.
-func (b Budget) Apply(ctx context.Context) (context.Context, context.CancelFunc) {
-	if b.Deadline.IsZero() {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, b.Deadline)
-}
+import "time"
 
 // Stats merges the work counters of every layer touched by a session:
 // encoding effort (and how much of it the cache absorbed) plus
@@ -135,15 +113,11 @@ type Stats struct {
 	// ProofChecks counts Unsat verdicts re-validated by the independent
 	// DRAT checker; ProofOps and ProofLemmas total the trace operations
 	// and solver-derived lemmas it consumed; ProofTime is the wall-clock
-	// time it spent. CoreLits and ShrunkCoreLits total assumption-core
-	// clause sizes before and after deletion-based minimization — their
-	// ratio is the core shrink factor.
-	ProofChecks    int
-	ProofOps       int
-	ProofLemmas    int
-	ProofTime      time.Duration
-	CoreLits       int
-	ShrunkCoreLits int
+	// time it spent.
+	ProofChecks int
+	ProofOps    int
+	ProofLemmas int
+	ProofTime   time.Duration
 }
 
 // Add folds o into s for cross-session aggregation (a session pool
@@ -197,6 +171,4 @@ func (s *Stats) Add(o Stats) {
 	s.ProofOps += o.ProofOps
 	s.ProofLemmas += o.ProofLemmas
 	s.ProofTime += o.ProofTime
-	s.CoreLits += o.CoreLits
-	s.ShrunkCoreLits += o.ShrunkCoreLits
 }

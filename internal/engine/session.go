@@ -50,12 +50,6 @@ type Session struct {
 	dep  config.Deployment
 	opts synth.Options
 
-	// in is the hash-cons table shared by every encode and solve run
-	// through this session, so structurally equal terms are pointer-
-	// identical across queries (set once at construction; immutable
-	// afterwards, hence safe to read concurrently).
-	in *logic.Interner
-
 	// base is the recorded whole-network encoding of the concrete
 	// deployment that every derived encode splices from (see
 	// synth.Base), built once by the first query (PrepareScoped).
@@ -138,7 +132,6 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		reqs:    reqs,
 		dep:     dep,
 		opts:    opts,
-		in:      logic.Default(),
 		entries: make(map[string]*entry),
 		nf:      rewrite.NewCache(),
 		ref:     &refSlot{},
@@ -149,19 +142,18 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // NewSessionFrom creates the successor session for an edited variant
 // of prev's problem: same topology and encoder options, new
 // requirements and deployment. The successor shares prev's pure
-// cross-deployment state — the term table, the normal-form cache with
-// its base-seed reference, and the report cache. Deployment-specific
-// state is NOT shared: the successor records its own base, and its
-// encoding entries start empty, since they assert the predecessor
-// deployment's constraints. The cache limits travel with the shared
-// caches themselves.
+// cross-deployment state — the normal-form cache with its base-seed
+// reference, and the report cache. Deployment-specific state is NOT
+// shared: the successor records its own base, and its encoding entries
+// start empty, since they assert the predecessor deployment's
+// constraints. The cache limits travel with the shared caches
+// themselves.
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
 	return &Session{
 		net:     prev.net,
 		reqs:    reqs,
 		dep:     dep,
 		opts:    prev.opts,
-		in:      prev.in,
 		entries: make(map[string]*entry),
 		nf:      prev.nf,
 		ref:     prev.ref,
@@ -179,12 +171,6 @@ func (s *Session) SetCacheLimits(l CacheLimits) {
 // ReportCache returns the session's cross-deployment report cache (see
 // Session.reports).
 func (s *Session) ReportCache() *lru.Cache[string, string] { return s.reports }
-
-// Interner returns the session's shared term table. Solvers working on
-// this session's encodings should adopt it (smt.Solver.UseInterner) so
-// their memo tables key on the same canonical pointers the encodings
-// hold.
-func (s *Session) Interner() *logic.Interner { return s.in }
 
 // NormCache returns the session's shared normal-form cache. Callers
 // that simplify terms outside Simplify (for example the lift stage's
@@ -298,7 +284,7 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 		return s.base, s.baseErr
 	}
 	start := time.Now()
-	b, err := synth.NewBase(ctx, s.net, s.dep, s.opts, s.reqs, s.in)
+	b, err := synth.NewBase(ctx, s.net, s.dep, s.opts, s.reqs)
 	if err != nil {
 		if !isContextErr(err) {
 			s.baseErr = err
@@ -326,7 +312,7 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 // memoized when each cache entry is published, not a product of the
 // order work happened to be done in), so either result is the same.
 func (s *Session) Simplify(seed logic.Term) SimplifyOutcome {
-	seed = s.in.Intern(seed)
+	seed = logic.Intern(seed)
 	if out, passes, ok := s.nf.Lookup(seed); ok {
 		s.mu.Lock()
 		s.stats.SimplifyHits++
@@ -350,7 +336,7 @@ func (s *Session) Simplify(seed logic.Term) SimplifyOutcome {
 func (s *Session) reference() *rewrite.Reference {
 	s.baseMu.Lock()
 	if s.base != nil && s.baseSeed == nil {
-		s.baseSeed = s.in.Intern(s.base.Seed())
+		s.baseSeed = logic.Intern(s.base.Seed())
 	}
 	seed := s.baseSeed
 	s.baseMu.Unlock()
@@ -396,8 +382,6 @@ func (s *Session) AddProofStats(rep smt.ProofReport) {
 	s.stats.ProofOps += rep.Ops
 	s.stats.ProofLemmas += rep.Lemmas
 	s.stats.ProofTime += rep.Duration
-	s.stats.CoreLits += rep.CoreLits
-	s.stats.ShrunkCoreLits += rep.ShrunkCoreLits
 	s.mu.Unlock()
 }
 

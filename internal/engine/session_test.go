@@ -220,23 +220,6 @@ func TestSessionCancelledEncodeNotCached(t *testing.T) {
 	}
 }
 
-func TestBudgetApply(t *testing.T) {
-	var b engine.Budget
-	ctx, cancel := b.Apply(context.Background())
-	if _, ok := ctx.Deadline(); ok {
-		t.Error("zero budget must not set a deadline")
-	}
-	cancel()
-
-	when := time.Now().Add(time.Hour)
-	b = engine.Budget{Deadline: when}
-	ctx, cancel = b.Apply(context.Background())
-	defer cancel()
-	if d, ok := ctx.Deadline(); !ok || !d.Equal(when) {
-		t.Errorf("deadline = %v, %v; want %v", d, ok, when)
-	}
-}
-
 func TestSessionLiftQueryStats(t *testing.T) {
 	s := newSession(t)
 	if st := s.Stats(); st.LiftQueries != 0 || st.LiftP50 != 0 || st.LiftP95 != 0 {

@@ -61,10 +61,6 @@ func NewInterner() *Interner {
 // trade-off.
 var defaultInterner = NewInterner()
 
-// Default returns the package-default interner used by the term
-// constructors.
-func Default() *Interner { return defaultInterner }
-
 // Intern canonicalizes t through the package-default interner. Terms
 // built by this package's constructors are already canonical, making
 // this an O(1) ownership check; hand-built nodes are rebuilt

@@ -204,11 +204,10 @@ func BenchmarkInternLadder(b *testing.B) {
 // the O(1) ownership fast path the hot paths rely on.
 func BenchmarkInternHit(b *testing.B) {
 	t := sharedLadder(12)
-	in := Default()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if in.Intern(t) != t {
+		if Intern(t) != t {
 			b.Fatal("canonical term moved")
 		}
 	}

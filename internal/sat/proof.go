@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Proof logging.
 //
@@ -61,102 +58,51 @@ type ProofOp struct {
 	Lits []Lit
 }
 
-// ProofWriter receives the solver's proof trace. Implementations must
-// copy lits if they retain them beyond the call: the solver may pass
-// scratch slices.
-type ProofWriter interface {
-	Proof(kind ProofOpKind, lits []Lit)
-}
-
-// Trace is the standard in-memory ProofWriter: an append-only log of
-// proof operations. A Trace is not safe for concurrent use (it is
-// driven by exactly one solver, which itself is single-threaded).
+// Trace is an append-only log of proof operations. A Trace is not safe
+// for concurrent use (it is driven by exactly one solver, which itself
+// is single-threaded).
 type Trace struct {
-	ops     []ProofOp
-	deletes int
+	ops []ProofOp
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Proof implements ProofWriter, copying lits.
-func (t *Trace) Proof(kind ProofOpKind, lits []Lit) {
+// add records one operation, copying lits: the solver may pass scratch
+// slices.
+func (t *Trace) add(kind ProofOpKind, lits []Lit) {
 	cp := make([]Lit, len(lits))
 	copy(cp, lits)
 	t.ops = append(t.ops, ProofOp{Kind: kind, Lits: cp})
-	if kind == ProofDelete {
-		t.deletes++
-	}
 }
 
 // Len reports how many operations have been recorded.
 func (t *Trace) Len() int { return len(t.ops) }
 
-// Deletes reports how many deletions have been recorded.
-func (t *Trace) Deletes() int { return t.deletes }
-
 // Op returns the i-th recorded operation. The returned Lits slice is
 // owned by the trace.
 func (t *Trace) Op(i int) ProofOp { return t.ops[i] }
 
-// Snapshot returns a copy of the operation log. The Lits slices are
-// shared (they are immutable once recorded).
-func (t *Trace) Snapshot() []ProofOp {
-	return append([]ProofOp(nil), t.ops...)
-}
-
-// WriteDRAT renders the trace in a DRAT-style textual form: inputs as
-// "i ..." lines (an extension carrying the original CNF alongside the
-// proof), derived clauses as plain clause lines, deletions as "d ..."
-// lines, all zero-terminated with 1-based DIMACS literals.
-func (t *Trace) WriteDRAT(w io.Writer) error {
-	for _, op := range t.ops {
-		prefix := ""
-		switch op.Kind {
-		case ProofInput:
-			prefix = "i "
-		case ProofDelete:
-			prefix = "d "
-		}
-		if _, err := io.WriteString(w, prefix); err != nil {
-			return err
-		}
-		for _, l := range op.Lits {
-			v := int(l.Var()) + 1
-			if !l.IsPos() {
-				v = -v
-			}
-			if _, err := fmt.Fprintf(w, "%d ", v); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "0\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetProof attaches a proof writer to the solver. It must be called on
+// SetProof attaches a proof trace to the solver. It must be called on
 // a pristine solver — before any clause is added — because the trace
 // must contain every input clause for the checker to reproduce the
 // solver's derivations; attaching mid-life would leave the checker
 // blind to the clauses already in the database.
-func (s *Solver) SetProof(w ProofWriter) error {
+func (s *Solver) SetProof(t *Trace) error {
 	if len(s.clauses) > 0 || len(s.learnts) > 0 || len(s.trail) > 0 || !s.ok {
 		return fmt.Errorf("sat: SetProof on a solver that already holds clauses")
 	}
-	s.proof = w
+	s.proof = t
 	return nil
 }
 
-// Proof returns the attached proof writer (nil when logging is off).
-func (s *Solver) Proof() ProofWriter { return s.proof }
+// Proof returns the attached proof trace (nil when logging is off).
+func (s *Solver) Proof() *Trace { return s.proof }
 
-// logProof forwards one operation to the attached writer.
+// logProof records one operation in the attached trace.
 func (s *Solver) logProof(kind ProofOpKind, lits []Lit) {
 	if s.proof != nil {
-		s.proof.Proof(kind, lits)
+		s.proof.add(kind, lits)
 	}
 }
 
@@ -170,5 +116,5 @@ func (s *Solver) logEmptyClause() {
 		return
 	}
 	s.emptyLogged = true
-	s.proof.Proof(ProofLearn, nil)
+	s.proof.add(ProofLearn, nil)
 }

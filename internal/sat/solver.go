@@ -96,7 +96,7 @@ type Solver struct {
 	ok      bool // false once the clause set is known unsat at level 0
 	clauses []*clause
 	learnts []*clause
-	watches [][]watcher   // indexed by Lit; clauses of three or more literals
+	watches [][]watcher   // indexed by Lit; clauses of four or more literals
 	bins    [][]binWatch  // indexed by Lit; two-literal clauses
 	terns   [][]ternWatch // indexed by Lit; three-literal clauses
 
@@ -147,10 +147,10 @@ type Solver struct {
 	core        []Lit   // filled when Solve(assumptions) returns Unsat
 	model       []LBool // snapshot of the last Sat assignment
 
-	// proof receives the derivation trace when proof logging is on
+	// proof records the derivation trace when proof logging is on
 	// (see SetProof); emptyLogged latches the terminal empty-clause
 	// lemma so it is recorded exactly once.
-	proof       ProofWriter
+	proof       *Trace
 	emptyLogged bool
 
 	Stats Stats
@@ -292,8 +292,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 }
 
 // attach indexes the clause for propagation: two-literal clauses go to
-// the binary implication lists, longer ones to the two-watched-literal
-// scheme. Watch lists are indexed by the *negation* of the watched
+// the binary implication lists, three-literal ones to the ternary
+// lists (all three literals watched), longer ones to the
+// two-watched-literal scheme. Watch lists are indexed by the *negation* of the watched
 // literal so that when a literal becomes false we visit the clauses
 // watching it.
 func (s *Solver) attach(c *clause) {
@@ -323,8 +324,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation: binary implication lists first
-// (an array scan with one truth-value test per entry), then the
+// propagate performs unit propagation: ternary lists first (two
+// inlined truth-value tests per entry), then the binary implication
+// lists (an array scan with one test per entry), then the
 // two-watched-literal scheme for longer clauses. It returns the
 // conflicting clause, or nil if propagation completed without conflict.
 func (s *Solver) propagate() *clause {

@@ -72,8 +72,7 @@ func FuzzServeQuery(f *testing.F) {
 		// passed whenever the server's has.
 		var req request
 		json.Unmarshal(body, &req)
-		_, timeout := s.budgetFor(&req)
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), s.timeoutFor(&req))
 		defer cancel()
 		w := httptest.NewRecorder()
 		if serve(h, w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)) && ctx.Err() == nil {

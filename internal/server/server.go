@@ -1,7 +1,7 @@
 // Package server implements netexplaind's HTTP serving layer: a JSON
 // API over the explanation pipeline, backed by a pool of warm
 // engine.Sessions, a content-addressed response cache, and admission
-// control that maps per-request deadlines onto engine.Budget.
+// control that maps per-request deadlines onto the query's context.
 //
 // Endpoints:
 //
@@ -248,9 +248,8 @@ func (s *Server) admit(ctx context.Context) error {
 	}
 }
 
-// budgetFor clamps the request's timeout against the server limit and
-// builds the per-request budget.
-func (s *Server) budgetFor(req *request) (engine.Budget, time.Duration) {
+// timeoutFor clamps the request's timeout against the server limit.
+func (s *Server) timeoutFor(req *request) time.Duration {
 	d := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		d = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -258,7 +257,7 @@ func (s *Server) budgetFor(req *request) (engine.Budget, time.Duration) {
 	if d > s.opts.MaxTimeout {
 		d = s.opts.MaxTimeout
 	}
-	return engine.Budget{Deadline: time.Now().Add(d)}, d
+	return d
 }
 
 // parseProblem parses the three problem texts.
@@ -287,6 +286,17 @@ func depMatchesNet(net *topology.Network, dep config.Deployment) error {
 	for name := range dep {
 		if net.Router(name) == nil {
 			return fmt.Errorf("config for router %q not in the topology", name)
+		}
+	}
+	return nil
+}
+
+// depConcrete rejects a deployment with holes: an edit must be a
+// concrete deployment to be explained.
+func depConcrete(dep config.Deployment) error {
+	for name, c := range dep {
+		if !c.Concrete() {
+			return fmt.Errorf("config for router %q has holes", name)
 		}
 	}
 	return nil
@@ -384,14 +394,16 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		if err == nil {
 			err = depMatchesNet(net, edited)
 		}
+		if err == nil {
+			err = depConcrete(edited)
+		}
 		if err != nil {
 			s.failRequest(w, http.StatusBadRequest, fmt.Errorf("edited_configs: %w", err))
 			return
 		}
 	}
 
-	budget, timeout := s.budgetFor(&req)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(&req))
 	defer cancel()
 
 	lift := !req.NoLift
@@ -429,7 +441,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	}
 	// The lease is exclusive: the per-request knobs can be set directly.
 	e.Opts.Lift = lift
-	e.Opts.Budget = budget
 
 	// A problem the encoder rejects (a requirement naming no router of
 	// the topology, say) fails the session's base encode, which every

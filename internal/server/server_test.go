@@ -292,6 +292,29 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerDiffRejectsHoles sends /diff edits that leave a hole in the
+// edited deployment, a bare "?" and a named one. Either is a client
+// error, answered with a 400 before any session is leased.
+func TestServerDiffRejectsHoles(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	const clause = "route-map R1_to_P1 deny 10"
+	if !strings.Contains(configs, clause) {
+		t.Fatalf("scenario1 configs lack %q", clause)
+	}
+	s := New(Options{})
+	h := s.Handler()
+	for _, action := range []string{"?", "?h"} {
+		edited := strings.Replace(configs, clause, "route-map R1_to_P1 "+action+" 10", 1)
+		w := post(t, h, "/diff", request{Topology: topo, Configs: configs, Spec: spc, EditedConfigs: edited})
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("action %q: status = %d, want 400 (body: %s)", action, w.Code, w.Body.String())
+		}
+	}
+	if g := s.Pool().Gauges(); g.Hits+g.Misses != 0 {
+		t.Errorf("pool hits/misses = %d/%d, want no lease", g.Hits, g.Misses)
+	}
+}
+
 // TestServerHandlerPanicReleasesLease injects a panic on the handler
 // goroutine after the query has leased its explainer. The client must
 // get a 500, the lease must be closed (leased back at 0 in /metrics)

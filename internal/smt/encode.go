@@ -15,7 +15,7 @@ import (
 // built by the logic constructors), and the arguments of a canonical
 // term are canonical themselves, so the recursion never re-interns.
 func (s *Solver) litOf(t logic.Term) (sat.Lit, error) {
-	t = s.in.Intern(t)
+	t = logic.Intern(t)
 	if l, ok := s.boolMemo[t]; ok {
 		return l, nil
 	}
@@ -245,7 +245,7 @@ func (s *Solver) cmpLit(op logic.Op, a, b logic.Term) (sat.Lit, error) {
 // valueListOf returns the value-list encoding of a non-boolean term,
 // memoized by canonical pointer (see litOf).
 func (s *Solver) valueListOf(t logic.Term) (*valueList, error) {
-	t = s.in.Intern(t)
+	t = logic.Intern(t)
 	if vl, ok := s.valMemo[t]; ok {
 		return vl, nil
 	}

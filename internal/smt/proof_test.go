@@ -23,9 +23,6 @@ func TestVerifyUnsatWithoutAssumptions(t *testing.T) {
 	if rep.Ops == 0 || rep.TraceLen == 0 {
 		t.Fatalf("empty proof report: %+v", rep)
 	}
-	if rep.CoreLits != 0 || rep.ShrunkCoreLits != 0 {
-		t.Fatalf("assumption-core stats on an unconditional Unsat: %+v", rep)
-	}
 }
 
 func TestVerifyErrors(t *testing.T) {
@@ -45,40 +42,6 @@ func TestVerifyErrors(t *testing.T) {
 	}
 }
 
-func TestCheckedCoreShrinks(t *testing.T) {
-	// a→x, b→x, b→¬x: {a,b} fails, but {b} alone already fails. The
-	// solver's cone analysis reports both; the checked core must not.
-	s := NewSolver(WithProof())
-	a := logic.NewBoolVar("a")
-	b := logic.NewBoolVar("b")
-	x := logic.NewBoolVar("x")
-	mustAssert(t, s, logic.Implies(a, x))
-	mustAssert(t, s, logic.Implies(b, x))
-	mustAssert(t, s, logic.Implies(b, logic.Not(x)))
-	mustSolve(t, s, sat.Unsat, a, b)
-
-	plain := s.Core()
-	checked, rep, err := s.CheckedCore()
-	if err != nil {
-		t.Fatalf("CheckedCore: %v", err)
-	}
-	if len(checked) > len(plain) {
-		t.Fatalf("checked core %v larger than plain core %v", checked, plain)
-	}
-	if len(checked) != 1 || checked[0] != logic.Term(b) {
-		t.Fatalf("checked core = %v, want [b]", checked)
-	}
-	if rep.ShrunkCoreLits > rep.CoreLits {
-		t.Fatalf("shrink grew the core clause: %+v", rep)
-	}
-
-	// The shrunk core must still be unsatisfiable — re-solve with it.
-	mustSolve(t, s, sat.Unsat, checked...)
-	if _, err := s.VerifyLastUnsat(); err != nil {
-		t.Fatalf("re-verify with shrunk core: %v", err)
-	}
-}
-
 func TestCoreDeduplicatesRepeatedAssumptions(t *testing.T) {
 	s := NewSolver(WithProof())
 	a := logic.NewBoolVar("a")
@@ -88,12 +51,10 @@ func TestCoreDeduplicatesRepeatedAssumptions(t *testing.T) {
 	if len(core) != 1 {
 		t.Fatalf("core = %v, want exactly one entry for a repeated assumption", core)
 	}
-	checked, _, err := s.CheckedCore()
-	if err != nil {
-		t.Fatalf("CheckedCore: %v", err)
-	}
-	if len(checked) != 1 {
-		t.Fatalf("checked core = %v, want one entry", checked)
+	// The terminal lemma negates the deduplicated core: verification
+	// pins the one against the other.
+	if _, err := s.VerifyLastUnsat(); err != nil {
+		t.Fatalf("VerifyLastUnsat: %v", err)
 	}
 }
 

@@ -43,16 +43,13 @@ type Solver struct {
 	// search runs on.
 	sat *sat.Solver
 
-	// in canonicalizes every term entering the solver, so the memo
-	// tables below can key directly on the canonical pointer.
-	in *logic.Interner
-
 	// declared variables by name.
 	vars map[string]*logic.Var
 	enc  map[string]*varEncoding
 
-	// Tseitin memo tables keyed by canonical (interned) term pointer:
-	// a memo probe is one map lookup, with no structural hashing or
+	// Tseitin memo tables keyed by canonical term pointer (every term
+	// entering the solver is interned in the default table): a memo
+	// probe is one map lookup, with no structural hashing or
 	// deep-equality scan.
 	boolMemo map[logic.Term]sat.Lit
 	valMemo  map[logic.Term]*valueList
@@ -107,10 +104,9 @@ type Option func(*Solver)
 // WithProof attaches a DRAT-style proof trace to the underlying SAT
 // solver. Every clause the encoder emits and every lemma the solver
 // derives is recorded, so Unsat verdicts can be independently
-// re-validated (VerifyLastUnsat) and cores minimized against the
-// checker (CheckedCore). Logging must be requested at construction:
-// the trace has to contain the very first clause, or the checker could
-// not reproduce any derivation.
+// re-validated (VerifyLastUnsat). Logging must be requested at
+// construction: the trace has to contain the very first clause, or the
+// checker could not reproduce any derivation.
 func WithProof() Option {
 	return func(s *Solver) {
 		if err := s.sat.SetProof(sat.NewTrace()); err != nil {
@@ -124,7 +120,6 @@ func WithProof() Option {
 func NewSolver(opts ...Option) *Solver {
 	s := &Solver{
 		sat:      sat.NewSolver(),
-		in:       logic.Default(),
 		vars:     make(map[string]*logic.Var),
 		enc:      make(map[string]*varEncoding),
 		boolMemo: make(map[logic.Term]sat.Lit),
@@ -142,16 +137,6 @@ func NewSolver(opts ...Option) *Solver {
 
 // Stats exposes the underlying SAT solver statistics.
 func (s *Solver) Stats() sat.Stats { return s.sat.Stats }
-
-// UseInterner directs the solver to canonicalize incoming terms
-// through in instead of the package-default interner. Call before the
-// first Assert/Declare — the memo tables key on canonical pointers, so
-// switching universes mid-stream would silently miss earlier entries.
-func (s *Solver) UseInterner(in *logic.Interner) {
-	if in != nil {
-		s.in = in
-	}
-}
 
 // NumSATVars reports how many propositional variables the encoding has
 // allocated so far.

@@ -27,8 +27,7 @@ import (
 // candidate work of a derived encode scales with the cone. What stays
 // at network size is the splice itself, one copy of the base's
 // constraint list and one node-map pointer per prefix. Every derived
-// encode encodes the requirements the base was recorded with, through
-// the interner it was recorded with.
+// encode encodes the requirements the base was recorded with.
 //
 // A Base is immutable after construction and safe for concurrent use
 // by any number of encoders.
@@ -37,7 +36,6 @@ type Base struct {
 	dep  config.Deployment
 	opts Options
 	reqs []spec.Requirement
-	in   *logic.Interner
 
 	// enc is the recorded whole-network encoding; selGroups and
 	// reqGroups partition its constraint list.
@@ -85,15 +83,14 @@ type selGroup struct {
 // the plain encode path, which records the constraint span of every
 // selection group and requirement block as it emits them. The
 // deployment must be concrete: symbolic holes would leak hole variables
-// owned by this encoder into derived encodings. in is the interner the
-// derived encodings must share (nil for the process default).
-func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, reqs []spec.Requirement, in *logic.Interner) (*Base, error) {
+// owned by this encoder into derived encodings.
+func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, opts Options, reqs []spec.Requirement) (*Base, error) {
 	for name, c := range dep {
 		if !c.Concrete() {
 			return nil, fmt.Errorf("synth: base deployment config %s still has holes", name)
 		}
 	}
-	e := NewEncoder(net, dep, opts).WithInterner(in)
+	e := NewEncoder(net, dep, opts)
 	enc, err := e.EncodeContext(ctx, reqs)
 	if err != nil {
 		return nil, err
@@ -103,7 +100,6 @@ func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		dep:       dep,
 		opts:      e.opts,
 		reqs:      reqs,
-		in:        e.in,
 		enc:       enc,
 		selGroups: e.selGroups,
 		reqGroups: e.reqGroups,
@@ -166,7 +162,7 @@ func (b *Base) Encode(ctx context.Context, overrides map[string]*config.Config) 
 
 // encoder returns the encoder Encode splices with.
 func (b *Base) encoder(overrides map[string]*config.Config) *Encoder {
-	e := NewEncoder(b.net, b.dep, b.opts).WithInterner(b.in)
+	e := NewEncoder(b.net, b.dep, b.opts)
 	e.over = overrides
 	e.base = b
 	e.dirty = make(map[string]bool, len(overrides))

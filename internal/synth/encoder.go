@@ -127,7 +127,6 @@ type Encoder struct {
 	sketch config.Deployment
 	over   map[string]*config.Config
 	opts   Options
-	in     *logic.Interner
 	// vocab is settled on first use (see voc).
 	vocab *vocab
 
@@ -158,7 +157,6 @@ func NewEncoder(net *topology.Network, sketch config.Deployment, opts Options) *
 		net:      net,
 		sketch:   sketch,
 		opts:     opts.withDefaults(),
-		in:       logic.Default(),
 		holeVars: make(map[string]*logic.Var),
 		cands:    make(map[string]map[string][]*candidate),
 	}
@@ -187,20 +185,11 @@ func (e *Encoder) voc() *vocab {
 	return e.vocab
 }
 
-// WithInterner directs the encoder to canonicalize every emitted
-// constraint through in, so a session's encodings, simplifier and
-// solver all share one hash-cons table (an O(1) ownership check per
-// constraint when the terms were built by the logic constructors).
-// Call before Encode. Returns the encoder for chaining.
-func (e *Encoder) WithInterner(in *logic.Interner) *Encoder {
-	if in != nil {
-		e.in = in
-	}
-	return e
-}
-
+// assert emits one constraint, interned in the default term table (an
+// O(1) ownership check when the term was built by the logic
+// constructors).
 func (e *Encoder) assert(t logic.Term) {
-	e.constraints = append(e.constraints, e.in.Intern(t))
+	e.constraints = append(e.constraints, logic.Intern(t))
 }
 
 // Encode builds the constraint system for the requirements.

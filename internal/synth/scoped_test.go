@@ -262,7 +262,7 @@ func sortedRouters(dep config.Deployment) []string {
 
 func recordBase(t *testing.T, net *topology.Network, dep config.Deployment, opts synth.Options, reqs []spec.Requirement) *synth.Base {
 	t.Helper()
-	b, err := synth.NewBase(context.Background(), net, dep, opts, reqs, nil)
+	b, err := synth.NewBase(context.Background(), net, dep, opts, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func recordBase(t *testing.T, net *topology.Network, dep config.Deployment, opts
 // TestScopedBaseRejectsHoles pins the concreteness requirement.
 func TestScopedBaseRejectsHoles(t *testing.T) {
 	sc := scenarios.Scenario1()
-	if _, err := synth.NewBase(context.Background(), sc.Net, sc.Sketch, synth.DefaultOptions(), sc.Requirements(), nil); err == nil {
+	if _, err := synth.NewBase(context.Background(), sc.Net, sc.Sketch, synth.DefaultOptions(), sc.Requirements()); err == nil {
 		t.Fatal("a sketch with holes must be rejected")
 	}
 }
