@@ -16,8 +16,8 @@ import (
 // the three seed scenarios plus the netgen Grid/FatTree/Random presets
 // (which are far bigger than anything the paper evaluates), with the
 // lifting step on so the SAT solver is the bottleneck. The per-solver
-// counters — binary propagations, learnt-clause glue, minimized
-// literals, restarts and learnt-database reductions — are the
+// counters — propagations, learnt-clause glue, minimized literals,
+// restarts and learnt-database reductions — are the
 // observability half of BENCH_satcore.json; the wall-clock columns are
 // the speed half. The synthesis solve's conflicts and restarts are
 // counted beside the explanation's, since both run on the same CDCL
@@ -25,8 +25,8 @@ import (
 func SatTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "satcore (extension Ext-3)",
-		Caption: "CDCL core behavior across seed scenarios and netgen workloads (lift on). synth-conflicts and synth-restarts count the synthesis solve; every other counter covers the explanation. explain-ms covers every configured router through one session; bin-props is the share of propagations served by the binary implication lists; restarts counts search restarts (Luby schedule, the first after 100 conflicts of a solve); reductions counts learnt-database reductions; min-lits the learnt literals removed by minimization; avg-lbd the mean glue.",
-		Columns: []string{"workload", "synth-ms", "synth-conflicts", "synth-restarts", "explain-ms", "solves", "conflicts", "props", "bin-props", "restarts", "reductions", "learnts", "min-lits", "avg-lbd"},
+		Caption: "CDCL core behavior across seed scenarios and netgen workloads (lift on). synth-conflicts and synth-restarts count the synthesis solve; every other counter covers the explanation. explain-ms covers every configured router through one session; props counts propagated literals; restarts counts search restarts (Luby schedule, the first after 100 conflicts of a solve); reductions counts learnt-database reductions; min-lits the learnt literals removed by minimization; avg-lbd the mean glue.",
+		Columns: []string{"workload", "synth-ms", "synth-conflicts", "synth-restarts", "explain-ms", "solves", "conflicts", "props", "restarts", "reductions", "learnts", "min-lits", "avg-lbd"},
 	}
 
 	type job struct {
@@ -87,7 +87,7 @@ func SatTable(ctx context.Context) (*Table, error) {
 		t.AddRow(j.name,
 			fmt.Sprintf("%.1f", synthMS), res.SolverStats.Conflicts, res.SolverStats.Restarts,
 			fmt.Sprintf("%.1f", explainMS),
-			st.Solves, st.Conflicts, st.Propagations, st.BinPropagations,
+			st.Solves, st.Conflicts, st.Propagations,
 			st.Restarts, st.Reductions, st.Learnt, st.MinimizedLits,
 			fmt.Sprintf("%.2f", avgLBD))
 	}

@@ -56,9 +56,9 @@ func TestSolverWorkIndependentOfGOMAXPROCS(t *testing.T) {
 		liftQueries                      int
 	}
 	pinned := map[string]work{
-		"scenario1": {40, 4, 1008, 4, 38},
-		"scenario2": {75, 9, 26597, 7, 72},
-		"scenario3": {103, 12, 28068, 10, 100},
+		"scenario1": {40, 6, 1034, 4, 38},
+		"scenario2": {75, 12, 27005, 10, 72},
+		"scenario3": {103, 16, 28595, 14, 100},
 	}
 	for _, sc := range scenarios.All() {
 		sc := sc

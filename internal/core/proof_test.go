@@ -102,9 +102,9 @@ func TestExplanationVerifiedFlag(t *testing.T) {
 // the same verdicts over the same traces.
 func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
 	work := map[string][3]int{ // ProofChecks, ProofOps, ProofLemmas
-		"scenario1": {8, 3798, 24},
-		"scenario2": {12, 22725, 384},
-		"scenario3": {16, 23316, 486},
+		"scenario1": {8, 3800, 26},
+		"scenario2": {12, 22729, 388},
+		"scenario3": {16, 23351, 521},
 	}
 	for _, sc := range scenarios.All() {
 		sc := sc

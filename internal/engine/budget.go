@@ -51,20 +51,17 @@ type Stats struct {
 	Propagations uint64
 	Decisions    uint64
 	Learnt       uint64
-	// BinPropagations is the subset of Propagations served by the
-	// solver's dedicated binary implication lists; Restarts,
-	// Reductions and MinimizedLits total search restarts,
+	// Restarts, Reductions and MinimizedLits total search restarts,
 	// learnt-database reductions and the literals deleted from learnt
 	// clauses by minimization; LBDSum totals learnt-clause glue
 	// (LBDSum/Learnt is the mean LBD); LBDHist buckets learnt clauses
 	// by glue (bucket i = LBD i+1, last bucket absorbs overflow) —
 	// fixed-size array, so serialized order is stable.
-	BinPropagations uint64
-	Restarts        uint64
-	Reductions      uint64
-	MinimizedLits   uint64
-	LBDSum          uint64
-	LBDHist         [8]uint64
+	Restarts      uint64
+	Reductions    uint64
+	MinimizedLits uint64
+	LBDSum        uint64
+	LBDHist       [8]uint64
 	// WarmSolverHits and WarmSolverMisses are retired and always zero:
 	// solvers are query-scoped, so there is no warm pool to hit or
 	// miss. They stay in the stats schema because the netperf benchmark
@@ -140,7 +137,6 @@ func (s *Stats) Add(o Stats) {
 	s.Propagations += o.Propagations
 	s.Decisions += o.Decisions
 	s.Learnt += o.Learnt
-	s.BinPropagations += o.BinPropagations
 	s.Restarts += o.Restarts
 	s.Reductions += o.Reductions
 	s.MinimizedLits += o.MinimizedLits

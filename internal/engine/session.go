@@ -363,7 +363,6 @@ func (s *Session) AddSolverStats(st sat.Stats) {
 	s.stats.Propagations += st.Propagations
 	s.stats.Decisions += st.Decisions
 	s.stats.Learnt += st.Learnt
-	s.stats.BinPropagations += st.BinPropagations
 	s.stats.Restarts += st.Restarts
 	s.stats.Reductions += st.Reductions
 	s.stats.MinimizedLits += st.MinimizedLits

@@ -6,10 +6,12 @@ import (
 )
 
 // The microbenchmarks below are the SAT-level half of the satcore
-// performance story: each one isolates a hot path — binary-clause
-// propagation, learnt-database reduction, and raw search on hard
-// instances. They are fully deterministic (fixed seeds, no wall-clock
-// dependence) so before/after runs compare the same work.
+// performance story: each one isolates a hot path — propagation over
+// binary-clause chains and exactly-one groups (the SMT layer's shape),
+// learnt-database reduction, and raw search on hard instances. Every
+// clause propagates over the same two-watched-literal lists. They are
+// fully deterministic (fixed seeds, no wall-clock dependence) so
+// before/after runs compare the same work.
 
 // Named seeds for the random-3SAT benchmark generators. The BENCH_*.json
 // methodology notes refer to these by name: the "hard" seed pins the
@@ -97,8 +99,9 @@ func BenchmarkSolveRandom3SATFamily(b *testing.B) {
 // BenchmarkPropagateBinaryChain measures pure binary-clause
 // propagation: a long implication chain x0 -> x1 -> ... -> xn driven
 // back and forth by alternating assumption solves. Every propagation
-// is a two-literal clause, so this is the direct before/after probe
-// for the dedicated binary implication lists.
+// comes from a two-literal clause on the watch lists, so this probes
+// the per-watcher cost of the propagation loop with no replacement
+// watch to search for.
 func BenchmarkPropagateBinaryChain(b *testing.B) {
 	const n = 4000
 	s := NewSolver()

@@ -25,10 +25,10 @@ func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{7, 1, 3, 0, 2, 4, 3, 5, 6, 8, 2, 9, 10, 1, 12, 2, 13, 1})
 	f.Add([]byte{1, 2, 1, 0, 1, 1, 0, 1})
 	// Binary implication chain 1->2->3->4->5 plus units 1 and -5:
-	// unsat entirely through the binary implication lists.
+	// unsat by propagation over two-literal clauses alone.
 	f.Add([]byte{7, 0, 1, 1, 2, 1, 3, 4, 1, 5, 6, 1, 7, 8, 0, 0, 0, 9})
 	// Binary-heavy mix with two assumptions drawn from the tail:
-	// exercises binary propagation under assumption cores.
+	// exercises two-literal reasons under assumption cores.
 	f.Add([]byte{7, 2, 1, 0, 2, 1, 4, 3, 2, 6, 8, 10, 1, 12, 14, 1, 9, 11, 0, 2, 1, 13, 15})
 	// Ternary clauses threaded through shared variables: deep enough
 	// reason chains for recursive minimization to fire.

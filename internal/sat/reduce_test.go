@@ -17,13 +17,13 @@ func litsKey(lits []Lit) string {
 	return fmt.Sprint(ints)
 }
 
-// checkPropIndexConsistency verifies the propagation indexes against
-// the clause database: binaries appear on both binary implication
-// lists (carrying the correct implied literal), ternaries on all
-// three ternary watch lists (carrying the correct other literals),
-// longer clauses on the watch lists of lits[0] and lits[1] — and no
-// index entry references a clause outside the database (i.e. a
-// detached clause never lingers).
+// checkPropIndexConsistency verifies the propagation index against
+// the clause database and the trail: every stored clause appears once
+// on the watch list of ¬lits[0] and once on that of ¬lits[1], each
+// watcher's blocker is another literal of its clause, no watcher
+// references a clause outside the database (a detached clause never
+// lingers), and every trail literal with a reason leads that reason
+// clause.
 func checkPropIndexConsistency(t *testing.T, s *Solver) {
 	t.Helper()
 	live := make(map[*clause]bool, len(s.clauses)+len(s.learnts))
@@ -36,81 +36,81 @@ func checkPropIndexConsistency(t *testing.T, s *Solver) {
 		}
 		live[c] = true
 	}
-	count := make(map[*clause]int, len(live))
+	on := make(map[*clause][]Lit, len(live))
 	for w := Lit(0); int(w) < len(s.watches); w++ {
 		for _, wt := range s.watches[w] {
 			c := wt.c
 			if !live[c] {
 				t.Fatalf("watch list of %d references a detached clause %v", w, c.lits)
 			}
-			if len(c.lits) <= 3 {
-				t.Fatalf("short clause %v indexed on the long-clause watch lists", c.lits)
-			}
-			if c.lits[0].Neg() != w && c.lits[1].Neg() != w {
-				t.Fatalf("clause %v watched on %d, which negates neither lits[0] nor lits[1]", c.lits, w)
-			}
-			count[c]++
-		}
-		for _, bw := range s.bins[w] {
-			c := bw.c
-			if !live[c] {
-				t.Fatalf("binary list of %d references a detached clause %v", w, c.lits)
-			}
-			if len(c.lits) != 2 {
-				t.Fatalf("clause %v of length %d indexed on the binary implication lists", c.lits, len(c.lits))
-			}
-			var other Lit
-			switch w {
-			case c.lits[0].Neg():
-				other = c.lits[1]
-			case c.lits[1].Neg():
-				other = c.lits[0]
-			default:
-				t.Fatalf("binary clause %v on list of %d, which negates neither literal", c.lits, w)
-			}
-			if bw.other != other {
-				t.Fatalf("binary clause %v on list of %d carries implied literal %d, want %d", c.lits, w, bw.other, other)
-			}
-			count[c]++
-		}
-		for _, tw := range s.terns[w] {
-			c := tw.c
-			if !live[c] {
-				t.Fatalf("ternary list of %d references a detached clause %v", w, c.lits)
-			}
-			if len(c.lits) != 3 {
-				t.Fatalf("clause %v of length %d indexed on the ternary watch lists", c.lits, len(c.lits))
-			}
-			others := map[Lit]bool{}
-			found := false
+			blocks := false
 			for _, l := range c.lits {
-				if l.Neg() == w && !found {
-					found = true
-					continue
-				}
-				others[l] = true
+				blocks = blocks || l == wt.blocker
 			}
-			if !found {
-				t.Fatalf("ternary clause %v on list of %d, which negates none of its literals", c.lits, w)
+			if !blocks || wt.blocker.Neg() == w {
+				t.Fatalf("clause %v on the list of %d carries blocker %d, not another literal of the clause", c.lits, w, wt.blocker)
 			}
-			if !others[tw.o1] || !others[tw.o2] || tw.o1 == tw.o2 {
-				t.Fatalf("ternary clause %v on list of %d carries other literals %d,%d, want %v", c.lits, w, tw.o1, tw.o2, others)
-			}
-			count[c]++
+			on[c] = append(on[c], w)
 		}
 	}
 	for c := range live {
 		if len(c.lits) < 2 {
 			t.Fatalf("stored clause %v has fewer than two literals", c.lits)
 		}
-		want := 2
-		if len(c.lits) == 3 {
-			want = 3
-		}
-		if count[c] != want {
-			t.Fatalf("clause %v has %d propagation-index entries, want %d", c.lits, count[c], want)
+		a, b := c.lits[0].Neg(), c.lits[1].Neg()
+		if ws := on[c]; len(ws) != 2 || (ws[0] != a || ws[1] != b) && (ws[0] != b || ws[1] != a) {
+			t.Fatalf("clause %v is on the watch lists of %v, want exactly those of ¬lits[0] and ¬lits[1]", c.lits, ws)
 		}
 	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != nil && r.lits[0] != l {
+			t.Fatalf("trail literal %d does not lead its reason clause %v", l, r.lits)
+		}
+	}
+}
+
+// TestReasonLeadsWithImpliedLiteral decides one literal at level 1
+// over a chain of binary clauses and one ternary clause, each written
+// with its implied literal out of slot 0, and propagates: every
+// implied literal must lead its reason clause, which is then locked,
+// and backtracking to level 0 releases every lock.
+func TestReasonLeadsWithImpliedLiteral(t *testing.T) {
+	s := NewSolver()
+	x := newVars(s, 6)
+	s.AddClause(NegLit(x[0]), PosLit(x[1]))               // x0 -> x1
+	s.AddClause(NegLit(x[1]), PosLit(x[2]))               // x1 -> x2
+	s.AddClause(NegLit(x[0]), PosLit(x[3]))               // x0 -> x3
+	s.AddClause(NegLit(x[2]), NegLit(x[3]), PosLit(x[4])) // x2 & x3 -> x4
+	s.AddClause(NegLit(x[4]), PosLit(x[5]))               // x4 -> x5
+	checkPropIndexConsistency(t, s)
+
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.uncheckedEnqueue(PosLit(x[0]), nil)
+	if c := s.propagate(); c != nil {
+		t.Fatalf("propagation conflicts on %v", c.lits)
+	}
+	if len(s.trail) != len(x) {
+		t.Fatalf("trail %v, want all %d variables assigned true", s.trail, len(x))
+	}
+	checkPropIndexConsistency(t, s)
+	var reasons []*clause
+	for _, l := range s.trail[1:] {
+		r := s.reason[l.Var()]
+		if r == nil || s.level[l.Var()] != 1 || !l.IsPos() {
+			t.Fatalf("literal %d: reason %v at level %d, want implied true at level 1", l, r, s.level[l.Var()])
+		}
+		if !s.locked(r) {
+			t.Fatalf("reason %v of %d not locked", r.lits, l)
+		}
+		reasons = append(reasons, r)
+	}
+	s.cancelUntil(0)
+	for _, r := range reasons {
+		if s.locked(r) {
+			t.Fatalf("reason %v still locked at level 0", r.lits)
+		}
+	}
+	checkPropIndexConsistency(t, s)
 }
 
 // traceDeleteKeys collects the ProofDelete operations of a trace as
@@ -138,7 +138,7 @@ func traceDeletes(tr *Trace) int {
 // database and checks its one retention rule: binary learnts and
 // locked (reason) clauses survive, and nothing else is immune — a
 // glue-2 clause in the worst half goes like any other. Everything
-// deleted is detached from the propagation indexes and logged with
+// deleted is detached from the watch lists and logged with
 // exactly one ProofDelete, and once its lock is released a reason
 // clause becomes deletable.
 func TestReduceDBInvariants(t *testing.T) {
@@ -249,7 +249,7 @@ func TestReduceDBInvariants(t *testing.T) {
 // TestReduceDBDuringSearch runs real searches big enough to trigger
 // clause-database reductions and checks the global invariants hold
 // afterwards: reason clauses of the final trail are all in the
-// database, the propagation indexes are consistent, ProofDelete count
+// database, the propagation index is consistent, ProofDelete count
 // matches the removal counter, and on Unsat the full trace — deletions
 // included — passes the independent checker.
 func TestReduceDBDuringSearch(t *testing.T) {

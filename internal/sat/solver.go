@@ -12,14 +12,11 @@ type Stats struct {
 	Solves       uint64 // Solve / SolveContext calls
 	Decisions    uint64
 	Propagations uint64
-	// BinPropagations is the subset of Propagations driven by the
-	// dedicated binary implication lists (two-literal clauses).
-	BinPropagations uint64
-	Conflicts       uint64
-	Restarts        uint64
-	Learnt          uint64
+	Conflicts    uint64
+	Restarts     uint64
+	Learnt       uint64
 	// MinimizedLits totals the literals removed from learnt clauses by
-	// deep (recursive) minimization and binary-resolution shrinking.
+	// deep (recursive) minimization.
 	MinimizedLits uint64
 	// LBDSum totals the LBD (glue) of every stored learnt clause, so
 	// LBDSum/Learnt is the mean glue. LBDHist buckets stored learnt
@@ -31,8 +28,6 @@ type Stats struct {
 	// clauses they deleted.
 	Reductions     uint64
 	RemovedClauses uint64
-	MaxVars        int
-	Clauses        int
 }
 
 type clause struct {
@@ -45,39 +40,12 @@ type clause struct {
 	lbd int32
 }
 
-// shrinkLBD is the glue bound of binary-resolution shrinking: analyze
-// runs binShrink only on learnt clauses whose LBD is at most this.
-const shrinkLBD = 6
-
 // watcher pairs a watching clause with a "blocker" literal: if the
 // blocker is already true the clause is satisfied and need not be
 // inspected. This is MiniSat's most important constant-factor trick.
 type watcher struct {
 	c       *clause
 	blocker Lit
-}
-
-// binWatch is one entry of a binary implication list: the binary
-// clause's other literal plus the clause itself, which conflict
-// analysis and the locked-clause check still need as a reason pointer.
-// Two-literal clauses propagate from these compact per-literal arrays
-// instead of the generic watcher machinery — no blocker test, no
-// watch-list surgery, no search for a replacement watch.
-type binWatch struct {
-	other Lit
-	c     *clause
-}
-
-// ternWatch is one entry of a ternary watch list: the clause's other
-// two literals inlined, plus the clause for reasons and analysis.
-// Three-literal clauses — the dominant problem-clause shape after
-// CNF encoding, and a large share of minimized learnts — watch all
-// three literals and never relocate, so a visit is two truth-value
-// loads with no clause dereference unless the clause actually
-// propagates or conflicts.
-type ternWatch struct {
-	o1, o2 Lit
-	c      *clause
 }
 
 // lubyBase scales the restart schedule: the i-th search phase of a
@@ -96,9 +64,7 @@ type Solver struct {
 	ok      bool // false once the clause set is known unsat at level 0
 	clauses []*clause
 	learnts []*clause
-	watches [][]watcher   // indexed by Lit; clauses of four or more literals
-	bins    [][]binWatch  // indexed by Lit; two-literal clauses
-	terns   [][]ternWatch // indexed by Lit; three-literal clauses
+	watches [][]watcher // indexed by Lit; every stored clause
 
 	assigns  []LBool   // current assignment, by Var
 	vals     []LBool   // literal-indexed shadow of assigns, by Lit
@@ -129,11 +95,8 @@ type Solver struct {
 	toClear  []Lit
 	minStack []Lit
 
-	// litMark/litStamp is a per-literal epoch marker (binShrink);
-	// levelMark/levelStamp the per-level one (computeLBD). Stamps make
-	// clearing free.
-	litMark    []uint64
-	litStamp   uint64
+	// levelMark/levelStamp is a per-level epoch marker (computeLBD).
+	// Stamps make clearing free.
 	levelMark  []uint64
 	levelStamp uint64
 
@@ -175,13 +138,7 @@ func (s *Solver) NewVar() Var {
 	s.targetPhase = append(s.targetPhase, LUndef)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	s.bins = append(s.bins, nil, nil)
-	s.terns = append(s.terns, nil, nil)
-	s.litMark = append(s.litMark, 0, 0)
 	s.order.insert(v)
-	if int(v)+1 > s.Stats.MaxVars {
-		s.Stats.MaxVars = int(v) + 1
-	}
 	return v
 }
 
@@ -286,30 +243,16 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	c := &clause{lits: out}
 	s.clauses = append(s.clauses, c)
-	s.Stats.Clauses++
 	s.attach(c)
 	return true
 }
 
-// attach indexes the clause for propagation: two-literal clauses go to
-// the binary implication lists, three-literal ones to the ternary
-// lists (all three literals watched), longer ones to the
-// two-watched-literal scheme. Watch lists are indexed by the *negation* of the watched
-// literal so that when a literal becomes false we visit the clauses
-// watching it.
+// attach indexes the clause for propagation: every stored clause (two
+// or more literals) watches lits[0] and lits[1], each watcher carrying
+// the other watched literal as its blocker. Watch lists are indexed by
+// the *negation* of the watched literal so that when a literal becomes
+// false we visit the clauses watching it.
 func (s *Solver) attach(c *clause) {
-	if len(c.lits) == 2 {
-		s.bins[c.lits[0].Neg()] = append(s.bins[c.lits[0].Neg()], binWatch{other: c.lits[1], c: c})
-		s.bins[c.lits[1].Neg()] = append(s.bins[c.lits[1].Neg()], binWatch{other: c.lits[0], c: c})
-		return
-	}
-	if len(c.lits) == 3 {
-		a, b, d := c.lits[0], c.lits[1], c.lits[2]
-		s.terns[a.Neg()] = append(s.terns[a.Neg()], ternWatch{o1: b, o2: d, c: c})
-		s.terns[b.Neg()] = append(s.terns[b.Neg()], ternWatch{o1: a, o2: d, c: c})
-		s.terns[d.Neg()] = append(s.terns[d.Neg()], ternWatch{o1: a, o2: b, c: c})
-		return
-	}
 	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c: c, blocker: c.lits[1]})
 	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c: c, blocker: c.lits[0]})
 }
@@ -324,11 +267,11 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation: ternary lists first (two
-// inlined truth-value tests per entry), then the binary implication
-// lists (an array scan with one test per entry), then the
-// two-watched-literal scheme for longer clauses. It returns the
-// conflicting clause, or nil if propagation completed without conflict.
+// propagate performs unit propagation over the two-watched-literal
+// lists. A clause that becomes unit is the reason of its implied
+// literal, which it keeps in lits[0]: conflict analysis and the
+// locked-clause check rely on that. It returns the conflicting clause,
+// or nil if propagation completed without conflict.
 func (s *Solver) propagate() *clause {
 	// Hoisted: vals is read on every watcher visit, and the compiler
 	// cannot keep it in a register across the s.* method calls below.
@@ -337,59 +280,6 @@ func (s *Solver) propagate() *clause {
 		p := s.trail[s.qhead] // p is now true; visit clauses watching !p
 		s.qhead++
 		s.Stats.Propagations++
-
-		// Ternary clauses containing !p: satisfied, unit, conflicting,
-		// or still two-undef — decided from the two inlined literals
-		// alone. Entries are static (all three literals watched), so an
-		// early conflict return leaves the lists intact.
-		for _, tw := range s.terns[p] {
-			v1, v2 := vals[tw.o1], vals[tw.o2]
-			if v1 == LTrue || v2 == LTrue {
-				continue
-			}
-			var imp Lit
-			switch {
-			case v1 == LFalse && v2 == LFalse:
-				s.qhead = len(s.trail)
-				return tw.c
-			case v1 == LFalse:
-				imp = tw.o2
-			case v2 == LFalse:
-				imp = tw.o1
-			default:
-				continue // two literals still open
-			}
-			// Reason clauses lead with the literal they imply.
-			c := tw.c
-			if c.lits[0] != imp {
-				if c.lits[1] == imp {
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-				} else {
-					c.lits[0], c.lits[2] = c.lits[2], c.lits[0]
-				}
-			}
-			s.uncheckedEnqueue(imp, c)
-		}
-
-		// Binary clauses containing !p: each either implies its other
-		// literal or conflicts — nothing to relocate, no blockers.
-		for _, bw := range s.bins[p] {
-			switch vals[bw.other] {
-			case LTrue:
-			case LFalse:
-				s.qhead = len(s.trail)
-				return bw.c
-			default:
-				// Keep the implied literal in slot 0: conflict analysis
-				// and the locked-clause check rely on reason clauses
-				// leading with the literal they imply.
-				if bw.c.lits[0] != bw.other {
-					bw.c.lits[0], bw.c.lits[1] = bw.c.lits[1], bw.c.lits[0]
-				}
-				s.Stats.BinPropagations++
-				s.uncheckedEnqueue(bw.other, bw.c)
-			}
-		}
 
 		ws := s.watches[p]
 		kept := ws[:0]
@@ -452,9 +342,7 @@ func (s *Solver) propagate() *clause {
 // clause (with the asserting literal first), the backjump level, and
 // the clause's LBD. The clause is minimized before it is returned:
 // deep (recursive) minimization drops every literal implied by the
-// rest of the clause through reason chains, and binary-resolution
-// shrinking resolves away literals contradicted by a binary clause of
-// the asserting literal. Both transformations keep the clause a RUP
+// rest of the clause through reason chains. That keeps the clause a RUP
 // consequence of the database, so proof traces verify unchanged.
 func (s *Solver) analyze(conflict *clause) ([]Lit, int, int32) {
 	// Work in a persistent scratch buffer: the resolution loop grows
@@ -524,13 +412,6 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int, int32) {
 	}
 	s.Stats.MinimizedLits += uint64(len(learnt) - len(out))
 	learnt = out
-
-	// Binary-resolution shrinking on small, low-glue clauses.
-	if len(learnt) <= 30 {
-		if lbd := s.computeLBD(learnt); lbd <= shrinkLBD {
-			learnt = s.binShrink(learnt)
-		}
-	}
 	lbd := s.computeLBD(learnt)
 
 	// Compute backjump level: the highest level among the non-asserting
@@ -591,46 +472,6 @@ func (s *Solver) litRedundant(q Lit, abstract uint32) bool {
 		}
 	}
 	return true
-}
-
-// binShrink applies binary self-subsumption to the learnt clause: for
-// every binary clause (l0 ∨ m) of the asserting literal l0, a literal
-// !m in the learnt clause is resolved away — the binary forces m under
-// the clause's negation, so the shrunk clause is still RUP. This is
-// Glucose's "minimization with binary resolution", and it is exactly
-// where dedicated binary lists pay twice: the candidate binaries are
-// one dense array scan.
-func (s *Solver) binShrink(learnt []Lit) []Lit {
-	if len(learnt) < 2 {
-		return learnt
-	}
-	bw := s.bins[learnt[0].Neg()] // binaries containing learnt[0]
-	if len(bw) == 0 {
-		return learnt
-	}
-	s.litStamp++
-	for _, q := range learnt[1:] {
-		s.litMark[q] = s.litStamp
-	}
-	removed := 0
-	for _, w := range bw {
-		neg := w.other.Neg()
-		if s.litMark[neg] == s.litStamp {
-			s.litMark[neg] = 0
-			removed++
-		}
-	}
-	if removed == 0 {
-		return learnt
-	}
-	out := learnt[:1]
-	for _, q := range learnt[1:] {
-		if s.litMark[q] == s.litStamp {
-			out = append(out, q)
-		}
-	}
-	s.Stats.MinimizedLits += uint64(removed)
-	return out
 }
 
 // computeLBD counts the distinct decision levels among the literals —
@@ -794,9 +635,11 @@ func (s *Solver) locked(c *clause) bool {
 
 // reduceDB trims the learnt-clause database: clauses are ranked
 // worst-first by (glue descending, activity ascending) and the worst
-// half is deleted. Only binary clauses (they cost nothing to keep and
-// propagate from the dense lists) and locked clauses (reasons of
-// current assignments) are immune.
+// half is deleted. Only binary clauses and locked clauses (reasons of
+// current assignments) are immune: a binary clause's two watchers never
+// relocate and block on its other literal, so keeping it costs two
+// watch-list entries, while the implication it carries took a conflict
+// to learn.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
@@ -826,36 +669,9 @@ func (s *Solver) reduceDB() {
 	s.Stats.RemovedClauses += uint64(removed)
 }
 
-// detach removes the clause from its propagation index (the binary
-// lists or the watch lists).
+// detach removes the clause from the watch lists of lits[0] and
+// lits[1].
 func (s *Solver) detach(c *clause) {
-	if len(c.lits) == 2 {
-		for _, wl := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
-			bw := s.bins[wl]
-			for i := range bw {
-				if bw[i].c == c {
-					bw[i] = bw[len(bw)-1]
-					s.bins[wl] = bw[:len(bw)-1]
-					break
-				}
-			}
-		}
-		return
-	}
-	if len(c.lits) == 3 {
-		for _, l := range c.lits {
-			wl := l.Neg()
-			tw := s.terns[wl]
-			for i := range tw {
-				if tw[i].c == c {
-					tw[i] = tw[len(tw)-1]
-					s.terns[wl] = tw[:len(tw)-1]
-					break
-				}
-			}
-		}
-		return
-	}
 	for _, wl := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
 		ws := s.watches[wl]
 		for i, w := range ws {
@@ -1067,7 +883,3 @@ func (s *Solver) Model() []bool {
 	}
 	return m
 }
-
-// Okay reports whether the solver is still consistent at the top level
-// (false after an Unsat result without assumptions or an empty clause).
-func (s *Solver) Okay() bool { return s.ok }

@@ -43,9 +43,6 @@ func TestEmptyClauseIsUnsat(t *testing.T) {
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("Solve = %v, want Unsat", got)
 	}
-	if s.Okay() {
-		t.Fatal("Okay should be false after empty clause")
-	}
 }
 
 func TestUnitPropagationConflict(t *testing.T) {

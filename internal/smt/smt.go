@@ -358,23 +358,3 @@ func (s *Solver) value(e *varEncoding) (logic.Value, error) {
 	}
 	return logic.Value{}, fmt.Errorf("smt: no value selected for %q in model", v.Name)
 }
-
-// Valid reports whether t is valid (true under every assignment)
-// given the asserted constraints: it checks that asserted && !t is
-// unsatisfiable. Asserted constraints are left untouched.
-func (s *Solver) Valid(t logic.Term) (bool, error) {
-	st, err := s.Solve(logic.Not(t))
-	if err != nil {
-		return false, err
-	}
-	return st == sat.Unsat, nil
-}
-
-// Satisfiable reports whether asserted && t has a model.
-func (s *Solver) Satisfiable(t logic.Term) (bool, error) {
-	st, err := s.Solve(t)
-	if err != nil {
-		return false, err
-	}
-	return st == sat.Sat, nil
-}

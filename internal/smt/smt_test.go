@@ -170,29 +170,6 @@ func TestAssumptionsAndCore(t *testing.T) {
 	mustSolve(t, s, sat.Sat)
 }
 
-func TestValidAndSatisfiable(t *testing.T) {
-	s := NewSolver()
-	n := logic.NewIntVar("n", 0, 10)
-	mustAssert(t, s, logic.Ge(n, logic.NewInt(4)))
-
-	v, err := s.Valid(logic.Ge(n, logic.NewInt(2)))
-	if err != nil || !v {
-		t.Fatalf("n>=2 should be valid given n>=4 (err=%v)", err)
-	}
-	v, err = s.Valid(logic.Ge(n, logic.NewInt(6)))
-	if err != nil || v {
-		t.Fatalf("n>=6 should not be valid given n>=4 (err=%v)", err)
-	}
-	ok, err := s.Satisfiable(logic.Eq(n, logic.NewInt(10)))
-	if err != nil || !ok {
-		t.Fatalf("n=10 should be satisfiable (err=%v)", err)
-	}
-	ok, err = s.Satisfiable(logic.Eq(n, logic.NewInt(3)))
-	if err != nil || ok {
-		t.Fatalf("n=3 should be unsatisfiable (err=%v)", err)
-	}
-}
-
 func TestDeclare(t *testing.T) {
 	s := NewSolver()
 	n := logic.NewIntVar("n", 0, 3)
@@ -398,8 +375,9 @@ func TestQuickAgainstEvaluator(t *testing.T) {
 	}
 }
 
-// Property: Valid agrees with brute-force universal truth over the
-// empty assertion set.
+// Property: a term is valid (its negation has no model) exactly when
+// brute force finds it true under every assignment, over the empty
+// assertion set.
 func TestQuickValidity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -418,12 +396,12 @@ func TestQuickValidity(t *testing.T) {
 			s.Declare(v)
 		}
 		s.Declare(dvEnum)
-		got, err := s.Valid(term)
+		st, err := s.Solve(logic.Not(term))
 		if err != nil {
-			t.Logf("valid: %v", err)
+			t.Logf("solve: %v", err)
 			return false
 		}
-		if got != wantValid {
+		if got := st == sat.Unsat; got != wantValid {
 			t.Logf("validity mismatch on %s: smt=%v brute=%v", term, got, wantValid)
 			return false
 		}

@@ -40,19 +40,36 @@ func TestUnconfiguredNetworkViolatesNoTransit(t *testing.T) {
 	}
 }
 
+// TestSynthesizedScenariosSatisfy simulates every scenario's
+// synthesized deployment under both interpretations: interpretation 1
+// (unlisted paths forbidden) and interpretation 2 (AllowUnspecified,
+// unlisted paths left open). A change to the SAT core's search can
+// pick another model of either encoding, and each one must still
+// satisfy the requirements in simulation.
 func TestSynthesizedScenariosSatisfy(t *testing.T) {
 	for _, sc := range scenarios.All() {
-		res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		ok, err := Satisfies(sc.Net, res.Deployment, sc.Requirements())
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		if !ok {
-			vs, _ := Check(sc.Net, res.Deployment, sc.Requirements())
-			t.Fatalf("%s: synthesized deployment violates spec: %v", sc.Name, vs)
+		for _, allow := range []bool{false, true} {
+			name := sc.Name + "/interp1"
+			if allow {
+				name = sc.Name + "/interp2"
+			}
+			sc, allow := sc, allow
+			t.Run(name, func(t *testing.T) {
+				opts := synth.DefaultOptions()
+				opts.AllowUnspecified = allow
+				res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ok, err := Satisfies(sc.Net, res.Deployment, sc.Requirements())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					vs, _ := Check(sc.Net, res.Deployment, sc.Requirements())
+					t.Fatalf("synthesized deployment violates spec: %v", vs)
+				}
+			})
 		}
 	}
 }
