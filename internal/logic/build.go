@@ -10,12 +10,9 @@ import "fmt"
 // rules actually reduce a seed specification, which is one of the
 // paper's reported results.
 //
-// Every constructor routes its node through the package-default
-// interner (see intern.go), so structurally equal terms are
-// pointer-identical and carry their structural hash from birth.
-
-// internApply canonicalizes a freshly built application node.
-func internApply(a *Apply) Term { return defaultInterner.Intern(a) }
+// Every constructor routes its node through the process table (see
+// intern.go), so structurally equal terms are pointer-identical and
+// carry their structural hash from birth.
 
 // NewVar creates a variable of the given sort. For integer variables
 // use NewIntVar so the domain is recorded.
@@ -29,7 +26,7 @@ func NewVar(name string, s *Sort) *Var {
 	if s.Kind == KindInt {
 		panic(fmt.Sprintf("logic: use NewIntVar for integer variable %q", name))
 	}
-	return defaultInterner.Intern(&Var{Name: name, S: s}).(*Var)
+	return Intern(&Var{Name: name, S: s}).(*Var)
 }
 
 // NewBoolVar creates a boolean variable.
@@ -53,7 +50,7 @@ func NewIntVar(name string, lo, hi int64) *Var {
 	if lo > hi {
 		panic(fmt.Sprintf("logic: integer variable %q has empty domain [%d,%d]", name, lo, hi))
 	}
-	return defaultInterner.Intern(&Var{Name: name, S: Int, Lo: lo, Hi: hi}).(*Var)
+	return Intern(&Var{Name: name, S: Int, Lo: lo, Hi: hi}).(*Var)
 }
 
 // NewBool returns the boolean literal for v (one of the shared True or
@@ -66,7 +63,7 @@ func NewBool(v bool) *BoolLit {
 }
 
 // NewInt returns an integer literal.
-func NewInt(v int64) *IntLit { return defaultInterner.Intern(&IntLit{Val: v}).(*IntLit) }
+func NewInt(v int64) *IntLit { return Intern(&IntLit{Val: v}).(*IntLit) }
 
 // NewEnum returns a literal of the enumeration sort s. It panics if val
 // is not a member of s.
@@ -74,7 +71,7 @@ func NewEnum(s *Sort, val string) *EnumLit {
 	if _, ok := s.ValueIndex(val); !ok {
 		panic(fmt.Sprintf("logic: %q is not a value of sort %v", val, s))
 	}
-	return defaultInterner.Intern(&EnumLit{S: s, Val: val}).(*EnumLit)
+	return Intern(&EnumLit{S: s, Val: val}).(*EnumLit)
 }
 
 func requireBool(op Op, args ...Term) {
@@ -108,7 +105,7 @@ func And(args ...Term) Term {
 	case 1:
 		return args[0]
 	}
-	return internApply(&Apply{Op: OpAnd, Args: args})
+	return Intern(&Apply{Op: OpAnd, Args: args})
 }
 
 // Or builds an n-ary disjunction. Or() is False; Or(x) is x.
@@ -120,25 +117,25 @@ func Or(args ...Term) Term {
 	case 1:
 		return args[0]
 	}
-	return internApply(&Apply{Op: OpOr, Args: args})
+	return Intern(&Apply{Op: OpOr, Args: args})
 }
 
 // Not builds a negation.
 func Not(a Term) Term {
 	requireBool(OpNot, a)
-	return internApply(&Apply{Op: OpNot, Args: []Term{a}})
+	return Intern(&Apply{Op: OpNot, Args: []Term{a}})
 }
 
 // Implies builds an implication a => b.
 func Implies(a, b Term) Term {
 	requireBool(OpImplies, a, b)
-	return internApply(&Apply{Op: OpImplies, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpImplies, Args: []Term{a, b}})
 }
 
 // Iff builds a bi-implication a <=> b.
 func Iff(a, b Term) Term {
 	requireBool(OpIff, a, b)
-	return internApply(&Apply{Op: OpIff, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpIff, Args: []Term{a, b}})
 }
 
 func requireSameSort(op Op, a, b Term) {
@@ -153,55 +150,37 @@ func requireSameSort(op Op, a, b Term) {
 // Eq builds an equality between two terms of the same sort.
 func Eq(a, b Term) Term {
 	requireSameSort(OpEq, a, b)
-	return internApply(&Apply{Op: OpEq, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpEq, Args: []Term{a, b}})
 }
 
 // Ne builds a disequality between two terms of the same sort.
 func Ne(a, b Term) Term {
 	requireSameSort(OpNe, a, b)
-	return internApply(&Apply{Op: OpNe, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpNe, Args: []Term{a, b}})
 }
 
 // Lt builds a < b over integers.
 func Lt(a, b Term) Term {
 	requireInt(OpLt, a, b)
-	return internApply(&Apply{Op: OpLt, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpLt, Args: []Term{a, b}})
 }
 
 // Le builds a <= b over integers.
 func Le(a, b Term) Term {
 	requireInt(OpLe, a, b)
-	return internApply(&Apply{Op: OpLe, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpLe, Args: []Term{a, b}})
 }
 
 // Gt builds a > b over integers.
 func Gt(a, b Term) Term {
 	requireInt(OpGt, a, b)
-	return internApply(&Apply{Op: OpGt, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpGt, Args: []Term{a, b}})
 }
 
 // Ge builds a >= b over integers.
 func Ge(a, b Term) Term {
 	requireInt(OpGe, a, b)
-	return internApply(&Apply{Op: OpGe, Args: []Term{a, b}})
-}
-
-// Add builds an n-ary integer sum. Add() is 0; Add(x) is x.
-func Add(args ...Term) Term {
-	requireInt(OpAdd, args...)
-	switch len(args) {
-	case 0:
-		return NewInt(0)
-	case 1:
-		return args[0]
-	}
-	return internApply(&Apply{Op: OpAdd, Args: args})
-}
-
-// Sub builds integer subtraction a - b.
-func Sub(a, b Term) Term {
-	requireInt(OpSub, a, b)
-	return internApply(&Apply{Op: OpSub, Args: []Term{a, b}})
+	return Intern(&Apply{Op: OpGe, Args: []Term{a, b}})
 }
 
 // Ite builds if cond then thn else els. The two branches must share a
@@ -209,7 +188,7 @@ func Sub(a, b Term) Term {
 func Ite(cond, thn, els Term) Term {
 	requireBool(OpIte, cond)
 	requireSameSort(OpIte, thn, els)
-	return internApply(&Apply{Op: OpIte, Args: []Term{cond, thn, els}})
+	return Intern(&Apply{Op: OpIte, Args: []Term{cond, thn, els}})
 }
 
 // Conjuncts flattens nested conjunctions into a list. A non-And term is
@@ -222,27 +201,6 @@ func Conjuncts(t Term) []Term {
 			return
 		}
 		if a, ok := u.(*Apply); ok && a.Op == OpAnd {
-			for _, arg := range a.Args {
-				walk(arg)
-			}
-			return
-		}
-		out = append(out, u)
-	}
-	walk(t)
-	return out
-}
-
-// Disjuncts flattens nested disjunctions into a list. A non-Or term is
-// returned as a single-element list; False yields an empty list.
-func Disjuncts(t Term) []Term {
-	var out []Term
-	var walk func(Term)
-	walk = func(u Term) {
-		if IsFalse(u) {
-			return
-		}
-		if a, ok := u.(*Apply); ok && a.Op == OpOr {
 			for _, arg := range a.Args {
 				walk(arg)
 			}

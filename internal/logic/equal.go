@@ -8,20 +8,17 @@ package logic
 //
 // Terms built by this package's constructors are hash-consed (see
 // intern.go), so Equal almost always decides in O(1): pointer-equal
-// means equal, and two distinct canonical pointers of the same
-// interner mean unequal. The structural walk only runs for hand-built
-// or cross-interner nodes, and even then recursion hits the pointer
-// fast path at the first shared child.
+// means equal, and two distinct canonical pointers mean unequal. The
+// structural walk only runs when a hand-built node is involved, and
+// even then recursion hits the pointer fast path at the first shared
+// child.
 func Equal(a, b Term) bool {
 	if a == b {
 		return true
 	}
-	if ia := owner(a); ia != nil && ia == owner(b) {
-		// Both canonical in the same interner: structurally equal terms
-		// are pointer-identical, so distinct pointers are unequal.
-		return false
-	}
-	if ha, hb := cachedHash(a), cachedHash(b); ha != 0 && hb != 0 && ha != hb {
+	if cachedHash(a) != 0 && cachedHash(b) != 0 {
+		// Both canonical: structurally equal terms are
+		// pointer-identical, so distinct pointers are unequal.
 		return false
 	}
 	switch x := a.(type) {
@@ -54,7 +51,7 @@ func Equal(a, b Term) bool {
 
 // Hash returns a structural hash consistent with Equal: equal terms
 // hash equally. Interned terms (anything built by the constructors)
-// carry their hash from intern time, so Hash is O(1) on them; unowned
+// carry their hash from intern time, so Hash is O(1) on them;
 // hand-built nodes are hashed by traversal, reusing cached child
 // hashes where present. Hash never returns 0.
 func Hash(t Term) uint64 {
@@ -65,7 +62,7 @@ func Hash(t Term) uint64 {
 }
 
 // cachedHash returns the hash stored at intern time, or 0 when the
-// node has none.
+// node is not canonical.
 func cachedHash(t Term) uint64 {
 	switch n := t.(type) {
 	case *Var:
@@ -134,7 +131,7 @@ func mixSort(h uint64, s *Sort) uint64 {
 	return h
 }
 
-// nonzero keeps 0 available as the "no cached hash" sentinel.
+// nonzero keeps 0 available as the "not canonical" sentinel.
 func nonzero(h uint64) uint64 {
 	if h == 0 {
 		return 1

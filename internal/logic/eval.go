@@ -186,26 +186,6 @@ func evalApply(n *Apply, a Assignment) (Value, error) {
 			b = l.I >= r.I
 		}
 		return BoolValue(b), nil
-	case OpAdd:
-		var sum int64
-		for _, arg := range n.Args {
-			v, err := Eval(arg, a)
-			if err != nil {
-				return Value{}, err
-			}
-			sum += v.I
-		}
-		return IntValue(sum), nil
-	case OpSub:
-		l, err := Eval(n.Args[0], a)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := Eval(n.Args[1], a)
-		if err != nil {
-			return Value{}, err
-		}
-		return IntValue(l.I - r.I), nil
 	case OpIte:
 		c, err := Eval(n.Args[0], a)
 		if err != nil {

@@ -8,10 +8,10 @@ import (
 	"testing/quick"
 )
 
-// The hash-consing invariant: within one interner, structural equality
-// and pointer identity coincide. The constructors intern through the
-// package-default table, so any two terms built independently but with
-// the same structure must be the same node.
+// The hash-consing invariant: among canonical terms, structural
+// equality and pointer identity coincide. The constructors intern
+// through the process table, so any two terms built independently but
+// with the same structure must be the same node.
 
 func TestInternConstructorsPointerIdentity(t *testing.T) {
 	build := func() Term {
@@ -36,33 +36,24 @@ func TestInternConstructorsPointerIdentity(t *testing.T) {
 	if NewBool(true) != True || NewBool(false) != False {
 		t.Error("boolean literals not the True/False singletons")
 	}
-}
-
-func TestInternParsePrintRoundTrip(t *testing.T) {
-	sort := NewEnumSort("IC", "lo", "hi")
-	vars := []*Var{NewBoolVar("p"), NewBoolVar("q"), NewIntVar("n", 0, 15), NewEnumVar("mode", sort)}
-	p, err := NewParser(vars, []*Sort{sort})
-	if err != nil {
-		t.Fatal(err)
+	if Intern(&BoolLit{Val: true}) != True || Intern(&BoolLit{Val: false}) != False {
+		t.Error("hand-built BoolLit did not canonicalize to a singleton")
 	}
-	for _, src := range []string{
-		"p & (q | !p)",
-		"n < 7 => mode = hi",
-		"ite(p, n, n + 1) = 3 & (mode = lo <=> q)",
-	} {
-		t1, err := p.Parse(src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		t2, err := p.Parse(t1.String())
-		if err != nil {
-			t.Fatalf("reparse %q: %v", t1, err)
-		}
-		// Printing and reparsing must come back to the same canonical
-		// node, not merely an equal one.
-		if t1 != t2 {
-			t.Errorf("parse->print->parse of %q lost canonicity:\n  %v\n  %v", src, t1, t2)
-		}
+	// A hand-built copy of a canonical term interns to the canonical
+	// node and stays hand-built: a node is canonical exactly when its
+	// hash is cached.
+	p := NewBoolVar("p")
+	want := And(p, Not(p))
+	rawVar := &Var{Name: "p", S: Bool}
+	raw := &Apply{Op: OpAnd, Args: []Term{p, Not(p)}}
+	if Intern(rawVar) != p || Intern(raw) != want {
+		t.Error("hand-built copy did not intern to the constructor-built node")
+	}
+	if cachedHash(rawVar) != 0 || cachedHash(raw) != 0 {
+		t.Error("interning a duplicate claimed the hand-built node")
+	}
+	if !Equal(raw, want) || Hash(raw) != Hash(want) {
+		t.Error("hand-built copy not Equal to, or hashed unlike, its canonical node")
 	}
 }
 
@@ -95,20 +86,21 @@ func TestInternAgreesWithEqualHash(t *testing.T) {
 }
 
 // TestInternConcurrent interns the same structures from many goroutines
-// into one fresh table and checks they all receive the same canonical
-// pointer. Run under -race this also exercises the claim-on-insert
-// publication of the cached hash and owner fields.
+// through the process table and checks they all receive the same
+// canonical pointer. Run under -race this also exercises the
+// claim-on-insert publication of the cached hash and variable
+// signature.
 func TestInternConcurrent(t *testing.T) {
-	in := NewInterner()
 	const goroutines = 8
 	const formulas = 40
 
-	// Raw, un-interned builders (struct literals bypass the default
-	// table) so every goroutine genuinely probes the shared interner.
+	// Raw, un-interned builders (struct literals bypass the table) over
+	// names no other test uses, so the goroutines race to insert every
+	// node the first time the test runs.
 	build := func(i int) Term {
-		v := &Var{Name: fmt.Sprintf("v%d", i%5), S: Bool}
-		w := &Var{Name: "w", S: Bool}
-		n := &Var{Name: "n", S: Int, Lo: 0, Hi: int64(4 + i%3)}
+		v := &Var{Name: fmt.Sprintf("conc_v%d", i%5), S: Bool}
+		w := &Var{Name: "conc_w", S: Bool}
+		n := &Var{Name: "conc_n", S: Int, Lo: 0, Hi: int64(4 + i%3)}
 		lit := &IntLit{Val: int64(i % 4)}
 		return &Apply{Op: OpAnd, Args: []Term{
 			&Apply{Op: OpOr, Args: []Term{v, &Apply{Op: OpNot, Args: []Term{w}}}},
@@ -124,7 +116,7 @@ func TestInternConcurrent(t *testing.T) {
 			defer wg.Done()
 			out := make([]Term, formulas)
 			for i := 0; i < formulas; i++ {
-				out[i] = in.Intern(build(i))
+				out[i] = Intern(build(i))
 			}
 			got[g] = out
 		}(g)
@@ -139,43 +131,9 @@ func TestInternConcurrent(t *testing.T) {
 	}
 	// Re-interning a canonical node is the identity.
 	for i := 0; i < formulas; i++ {
-		if in.Intern(got[0][i]) != got[0][i] {
+		if Intern(got[0][i]) != got[0][i] {
 			t.Fatalf("re-interning canonical node %d is not the identity", i)
 		}
-	}
-}
-
-// TestInternerIsolation checks that separate interners maintain
-// separate universes: equal structure, distinct canonical nodes.
-func TestInternerIsolation(t *testing.T) {
-	raw := func() Term {
-		v := &Var{Name: "iso_x", S: Bool}
-		return &Apply{Op: OpOr, Args: []Term{v, &Apply{Op: OpNot, Args: []Term{v}}}}
-	}
-	in1, in2 := NewInterner(), NewInterner()
-	c1 := in1.Intern(raw())
-	c2 := in2.Intern(raw())
-	if c1 == c2 {
-		t.Fatal("separate interners share a canonical node")
-	}
-	if !Equal(c1, c2) {
-		t.Fatal("canonical nodes of equal structure are not Equal across interners")
-	}
-	if Hash(c1) != Hash(c2) {
-		t.Fatal("hash differs across interners for equal structure")
-	}
-	// Adopting a foreign canonical node re-canonicalizes without
-	// mutating the original.
-	c12 := in2.Intern(c1)
-	if c12 != c2 {
-		t.Fatal("foreign node did not canonicalize to the target interner's node")
-	}
-	if in1.Intern(c1) != c1 {
-		t.Fatal("original node lost canonicity in its own interner")
-	}
-	// The True/False singletons are shared by every interner.
-	if in1.Intern(&BoolLit{Val: true}) != True || in2.Intern(&BoolLit{Val: true}) != True {
-		t.Fatal("BoolLit did not canonicalize to the True singleton")
 	}
 }
 
@@ -214,9 +172,7 @@ func BenchmarkInternHit(b *testing.B) {
 }
 
 // BenchmarkEqualInterned measures Equal on large pointer-identical
-// terms (the fast path) against a structurally equal term from a
-// different interner (one pointer/hash discrimination, no deep walk on
-// mismatch).
+// terms, the fast path every canonical comparison takes.
 func BenchmarkEqualInterned(b *testing.B) {
 	t1 := sharedLadder(12)
 	b.ReportAllocs()

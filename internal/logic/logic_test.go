@@ -68,9 +68,6 @@ func TestNAryCollapse(t *testing.T) {
 	if Or(x) != x {
 		t.Fatal("Or(x) should be x")
 	}
-	if got := Add().String(); got != "0" {
-		t.Fatalf("Add() = %s, want 0", got)
-	}
 }
 
 func TestSortsOfApplications(t *testing.T) {
@@ -87,8 +84,6 @@ func TestSortsOfApplications(t *testing.T) {
 		{Iff(x, y), Bool},
 		{Eq(n, NewInt(3)), Bool},
 		{Lt(n, NewInt(3)), Bool},
-		{Add(n, NewInt(1)), Int},
-		{Sub(n, NewInt(1)), Int},
 		{Ite(x, n, NewInt(0)), Int},
 		{Ite(x, NewEnum(actionSort, "permit"), NewEnum(actionSort, "deny")), actionSort},
 	}
@@ -102,101 +97,64 @@ func TestSortsOfApplications(t *testing.T) {
 func TestPrinting(t *testing.T) {
 	x, y, z := NewBoolVar("x"), NewBoolVar("y"), NewBoolVar("z")
 	n := NewIntVar("n", 0, 100)
-	cases := []struct {
+	type printCase struct {
 		t    Term
 		want string
-	}{
-		{And(x, Or(y, z)), "x & (y | z)"},
-		{Or(And(x, y), z), "x & y | z"},
-		{Not(And(x, y)), "!(x & y)"},
+	}
+	cases := []printCase{
 		{Not(x), "!x"},
-		{Implies(x, Implies(y, z)), "x => (y => z)"},
 		{Eq(n, NewInt(5)), "n = 5"},
 		{Ne(NewEnumVar("a", actionSort), NewEnum(actionSort, "deny")), "a != deny"},
 		{Ite(x, NewInt(1), NewInt(0)), "ite(x, 1, 0)"},
-		{Le(Add(n, NewInt(1)), NewInt(7)), "n + 1 <= 7"},
+		// Every connective and comparison under ! is parenthesized.
+		{Not(And(x, y)), "!(x & y)"},
+		{Not(Or(x, y)), "!(x | y)"},
+		{Not(Implies(x, y)), "!(x => y)"},
+		{Not(Iff(x, y)), "!(x <=> y)"},
+		{Not(Not(x)), "!(!x)"},
+		{Not(Lt(n, NewInt(5))), "!(n < 5)"},
+		{And(Not(x), Ge(n, NewInt(5))), "!x & n >= 5"},
+		// ite arguments are never parenthesized, and an ite is never
+		// parenthesized as an argument.
+		{Ite(Iff(x, y), Ite(Or(x, z), n, NewInt(1)), NewInt(2)), "ite(x <=> y, ite(x | z, n, 1), 2)"},
+		{Lt(Ite(Implies(x, y), n, NewInt(1)), NewInt(7)), "ite(x => y, n, 1) < 7"},
+		{Not(Ite(x, y, z)), "!ite(x, y, z)"},
+	}
+	// Each binary connective nested left (o(i(x, y), z)) and right
+	// (o(x, i(y, z))) under each other: a child binding looser than its
+	// parent is parenthesized, and so is an equally loose child of the
+	// non-associative => and <=>.
+	bin := map[string]func(a, b Term) Term{
+		"&":   func(a, b Term) Term { return And(a, b) },
+		"|":   func(a, b Term) Term { return Or(a, b) },
+		"=>":  Implies,
+		"<=>": Iff,
+	}
+	for _, c := range []struct{ outer, inner, left, right string }{
+		{"&", "&", "x & y & z", "x & y & z"},
+		{"&", "|", "(x | y) & z", "x & (y | z)"},
+		{"&", "=>", "(x => y) & z", "x & (y => z)"},
+		{"&", "<=>", "(x <=> y) & z", "x & (y <=> z)"},
+		{"|", "&", "x & y | z", "x | y & z"},
+		{"|", "|", "x | y | z", "x | y | z"},
+		{"|", "=>", "(x => y) | z", "x | (y => z)"},
+		{"|", "<=>", "(x <=> y) | z", "x | (y <=> z)"},
+		{"=>", "&", "x & y => z", "x => y & z"},
+		{"=>", "|", "x | y => z", "x => y | z"},
+		{"=>", "=>", "(x => y) => z", "x => (y => z)"},
+		{"=>", "<=>", "(x <=> y) => z", "x => (y <=> z)"},
+		{"<=>", "&", "x & y <=> z", "x <=> y & z"},
+		{"<=>", "|", "x | y <=> z", "x <=> y | z"},
+		{"<=>", "=>", "x => y <=> z", "x <=> y => z"},
+		{"<=>", "<=>", "(x <=> y) <=> z", "x <=> (y <=> z)"},
+	} {
+		o, i := bin[c.outer], bin[c.inner]
+		cases = append(cases, printCase{o(i(x, y), z), c.left}, printCase{o(x, i(y, z)), c.right})
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestSMTLIB(t *testing.T) {
-	x := NewBoolVar("x")
-	n := NewIntVar("n", 0, 100)
-	got := SMTLIB(And(x, Eq(n, NewInt(-3))))
-	want := "(and x (= n (- 3)))"
-	if got != want {
-		t.Fatalf("SMTLIB = %q, want %q", got, want)
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	x, y := NewBoolVar("x"), NewBoolVar("y")
-	n := NewIntVar("n", 0, 100)
-	a := NewEnumVar("act", actionSort)
-	p, err := NewParser([]*Var{x, y, n, a}, []*Sort{actionSort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := []Term{
-		And(x, Or(y, Not(x))),
-		Implies(Eq(n, NewInt(7)), Ne(a, NewEnum(actionSort, "deny"))),
-		Iff(x, y),
-		Ite(x, NewInt(1), NewInt(2)),
-		Le(Sub(n, NewInt(1)), Add(n, NewInt(2), NewInt(3))),
-		Not(Not(x)),
-		True,
-		False,
-	}
-	for _, want := range terms {
-		src := want.String()
-		got, err := p.Parse(src)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", src, err)
-		}
-		if got.String() != src {
-			t.Errorf("round trip %q -> %q", src, got.String())
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	x := NewBoolVar("x")
-	n := NewIntVar("n", 0, 100)
-	p, err := NewParser([]*Var{x, n}, []*Sort{actionSort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []string{
-		"", "x &", "x & & x", "(x", "unknown_ident", "x = n",
-		"x )", "ite(x, 1)", "n = permit", "9999999999999999999999",
-		// Regressions found by FuzzParse: sort errors in arithmetic
-		// and ordering must be errors, not panics.
-		"x + 0", "x > x", "1 - x", "-x", "n < x",
-	} {
-		if _, err := p.Parse(src); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
-		}
-	}
-}
-
-func TestParserEnvValidation(t *testing.T) {
-	x := NewBoolVar("permit")
-	if _, err := NewParser([]*Var{x}, []*Sort{actionSort}); err == nil {
-		t.Fatal("variable shadowing an enum constant should be rejected")
-	}
-	if _, err := NewParser([]*Var{NewBoolVar("a"), NewBoolVar("a")}, nil); err == nil {
-		t.Fatal("duplicate variable declarations should be rejected")
-	}
-	other := NewEnumSort("Other", "permit")
-	if _, err := NewParser(nil, []*Sort{actionSort, other}); err == nil {
-		t.Fatal("enum constant in two sorts should be rejected")
-	}
-	if _, err := NewParser(nil, []*Sort{Bool}); err == nil {
-		t.Fatal("non-enum sort in enum list should be rejected")
 	}
 }
 
@@ -226,8 +184,6 @@ func TestEval(t *testing.T) {
 		{Gt(n, NewInt(7)), false},
 		{Ge(n, NewInt(7)), true},
 		{Eq(a, NewEnum(actionSort, "permit")), true},
-		{Eq(Add(n, NewInt(3)), NewInt(10)), true},
-		{Eq(Sub(n, NewInt(3)), NewInt(4)), true},
 		{Eq(Ite(x, NewInt(1), NewInt(0)), NewInt(1)), true},
 	}
 	for _, c := range cases {
@@ -300,7 +256,7 @@ func TestFreeVars(t *testing.T) {
 	}
 }
 
-func TestConjunctsDisjuncts(t *testing.T) {
+func TestConjuncts(t *testing.T) {
 	x, y, z := NewBoolVar("x"), NewBoolVar("y"), NewBoolVar("z")
 	c := Conjuncts(And(And(x, y), z, True))
 	if len(c) != 3 {
@@ -308,13 +264,6 @@ func TestConjunctsDisjuncts(t *testing.T) {
 	}
 	if len(Conjuncts(True)) != 0 {
 		t.Fatal("Conjuncts(True) should be empty")
-	}
-	d := Disjuncts(Or(x, Or(y, z), False))
-	if len(d) != 3 {
-		t.Fatalf("Disjuncts = %d elements, want 3", len(d))
-	}
-	if len(Disjuncts(False)) != 0 {
-		t.Fatal("Disjuncts(False) should be empty")
 	}
 	if got := Conjuncts(x); len(got) != 1 || got[0] != x {
 		t.Fatal("Conjuncts of a non-And should be the term itself")
@@ -370,6 +319,28 @@ func TestEqualAndHash(t *testing.T) {
 		if Equal(p[0], p[1]) {
 			t.Errorf("Equal(%s, %s) = true", p[0], p[1])
 		}
+	}
+}
+
+func TestHashDistributes(t *testing.T) {
+	// Sanity: distinct small terms do not all collide.
+	terms := []Term{
+		NewBoolVar("a"), NewBoolVar("b"), NewInt(1), NewInt(2),
+		True, False, And(NewBoolVar("a"), NewBoolVar("b")),
+		Or(NewBoolVar("a"), NewBoolVar("b")),
+		NewEnum(actionSort, "permit"), NewEnum(actionSort, "deny"),
+	}
+	seen := map[uint64]bool{}
+	collisions := 0
+	for _, tm := range terms {
+		h := Hash(tm)
+		if seen[h] {
+			collisions++
+		}
+		seen[h] = true
+	}
+	if collisions > 1 {
+		t.Fatalf("%d hash collisions among %d tiny terms", collisions, len(terms))
 	}
 }
 

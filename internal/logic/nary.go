@@ -2,7 +2,7 @@ package logic
 
 import "sort"
 
-// This file gives the interner first-class support for canonical flat
+// This file gives the term table first-class support for canonical flat
 // n-ary AND/OR construction and for set-style membership over a node's
 // children. The rewrite engine's hot loops — complement detection
 // (a & !a), absorption (a & (a|b)), duplicate removal — were O(n²·k)
@@ -10,7 +10,7 @@ import "sort"
 // plus hash-sorted set lookups, with every comparison a pointer
 // comparison.
 
-// FlatNary flattens one construction of the n-ary operator op (OpAnd
+// flatNary flattens one construction of the n-ary operator op (OpAnd
 // or OpOr) over args: nested applications of op are spliced in, the
 // operator's identity element is dropped, duplicates are removed
 // (pointer comparison over canonical terms), and an occurrence of the
@@ -22,10 +22,7 @@ import "sort"
 // simplification actions taken (0 means out is args unchanged), and
 // whether the annihilator collapsed the construction (out is nil and
 // the caller should use the annihilator constant).
-func (in *Interner) FlatNary(op Op, args []Term) (out []Term, actions int, collapsed bool) {
-	if op != OpAnd && op != OpOr {
-		panic("logic: FlatNary on non-AND/OR operator")
-	}
+func flatNary(op Op, args []Term) (out []Term, actions int, collapsed bool) {
 	identity, annihilator := Term(True), Term(False)
 	if op == OpOr {
 		identity, annihilator = False, True
@@ -35,7 +32,7 @@ func (in *Interner) FlatNary(op Op, args []Term) (out []Term, actions int, colla
 	var walk func(ts []Term) bool
 	walk = func(ts []Term) bool {
 		for _, t := range ts {
-			t = in.Intern(t)
+			t = Intern(t)
 			if t == identity {
 				actions++
 				continue
@@ -66,14 +63,14 @@ func (in *Interner) FlatNary(op Op, args []Term) (out []Term, actions int, colla
 	return out, actions, false
 }
 
-// FlatAnd is FlatNary(OpAnd, args) on the package-default interner.
+// FlatAnd flattens one conjunction over args (see flatNary).
 func FlatAnd(args []Term) (out []Term, actions int, collapsed bool) {
-	return defaultInterner.FlatNary(OpAnd, args)
+	return flatNary(OpAnd, args)
 }
 
-// FlatOr is FlatNary(OpOr, args) on the package-default interner.
+// FlatOr flattens one disjunction over args (see flatNary).
 func FlatOr(args []Term) (out []Term, actions int, collapsed bool) {
-	return defaultInterner.FlatNary(OpOr, args)
+	return flatNary(OpOr, args)
 }
 
 // TermSet is an immutable membership set over terms, stored as a
@@ -109,8 +106,8 @@ func (s *TermSet) Swap(i, j int) {
 // Size returns the number of members.
 func (s TermSet) Size() int { return len(s.ts) }
 
-// Has reports whether t is a member. Over terms canonical in one
-// interner every comparison is a pointer comparison.
+// Has reports whether t is a member. Over canonical terms every
+// comparison is a pointer comparison.
 func (s TermSet) Has(t Term) bool {
 	h := Hash(t)
 	i := sort.Search(len(s.hs), func(i int) bool { return s.hs[i] >= h })
@@ -132,15 +129,6 @@ func varBit(name string) uint64 {
 	return 1 << (h & 63)
 }
 
-// varSigFast returns the term's variable signature — a 64-bit Bloom
-// filter of the free-variable names occurring in it — when it is
-// available in O(1): leaves compute it directly, canonical Apply nodes
-// carry it from intern time. ok is false for hand-built (unowned)
-// Apply nodes, whose signature would take a walk to compute.
-//
-// The signature admits false positives (two names may share a bit) but
-// no false negatives, so sig&mask == 0 proves none of the masked
-// variables occur.
 // Signature returns the term's 64-bit free-variable Bloom signature:
 // one bit per (hashed) variable name occurring free in the term.
 // Interned nodes answer in O(1) from the signature cached at intern
@@ -162,17 +150,21 @@ func Signature(t Term) uint64 {
 	return sig
 }
 
+// varSigFast returns the term's variable signature when it is
+// available in O(1): leaves compute it directly, canonical Apply nodes
+// carry it from intern time. ok is false for hand-built Apply nodes,
+// whose signature would take a walk to compute.
 func varSigFast(t Term) (sig uint64, ok bool) {
 	switch n := t.(type) {
 	case *Var:
-		if n.in != nil {
+		if n.hash != 0 {
 			return n.vsig, true
 		}
 		return varBit(n.Name), true
 	case *BoolLit, *IntLit, *EnumLit:
 		return 0, true
 	case *Apply:
-		if n.in != nil {
+		if n.hash != 0 {
 			return n.vsig, true
 		}
 		return 0, false

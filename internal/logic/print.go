@@ -6,12 +6,10 @@ import (
 	"strings"
 )
 
-// This file implements the two textual renderings of terms:
-//
-//   - the infix "surface syntax" used in diagnostics, examples and the
-//     parser in parse.go (for example "(x = permit) & !(lp < 100)"), and
-//   - an SMT-LIB 2 s-expression rendering used when dumping seed
-//     specifications for offline inspection.
+// This file implements the one textual rendering of terms: an infix
+// "surface syntax" (for example "x = permit & !(lp < 100)") that
+// reports print residual constraints in, and that diagnostics and
+// examples use. TestPrinting pins where it puts parentheses.
 
 // precedence levels for the infix printer, loosest to tightest.
 const (
@@ -20,7 +18,6 @@ const (
 	precOr
 	precAnd
 	precCmp
-	precAdd
 	precNot
 	precAtom
 )
@@ -39,8 +36,6 @@ func opPrec(o Op) int {
 		return precNot
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		return precCmp
-	case OpAdd, OpSub:
-		return precAdd
 	}
 	return precAtom
 }
@@ -67,10 +62,6 @@ func infixSym(o Op) string {
 		return " > "
 	case OpGe:
 		return " >= "
-	case OpAdd:
-		return " + "
-	case OpSub:
-		return " - "
 	}
 	return " ?? "
 }
@@ -123,7 +114,7 @@ func writeInfix(sb *strings.Builder, t Term, parentPrec int) {
 				// we require strictly tighter children everywhere
 				// except the n-ary associative connectives.
 				childPrec := p + 1
-				if n.Op == OpAnd || n.Op == OpOr || n.Op == OpAdd {
+				if n.Op == OpAnd || n.Op == OpOr {
 					childPrec = p
 				}
 				writeInfix(sb, a, childPrec)
@@ -159,92 +150,4 @@ func (a *Apply) String() string {
 	var sb strings.Builder
 	writeInfix(&sb, a, 0)
 	return sb.String()
-}
-
-func smtOpName(o Op) string {
-	switch o {
-	case OpAnd:
-		return "and"
-	case OpOr:
-		return "or"
-	case OpNot:
-		return "not"
-	case OpImplies:
-		return "=>"
-	case OpIff:
-		return "="
-	case OpEq:
-		return "="
-	case OpNe:
-		return "distinct"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpIte:
-		return "ite"
-	}
-	return "?"
-}
-
-// SMTLIB renders t as an SMT-LIB 2 s-expression. Enum literals are
-// rendered as bare symbols; consumers declaring the corresponding
-// datatype can feed the output to an external solver for
-// cross-checking.
-func SMTLIB(t Term) string {
-	var sb strings.Builder
-	writeSMT(&sb, t)
-	return sb.String()
-}
-
-func writeSMT(sb *strings.Builder, t Term) {
-	switch n := t.(type) {
-	case *Var:
-		sb.WriteString(n.Name)
-	case *BoolLit:
-		if n.Val {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
-	case *IntLit:
-		if n.Val < 0 {
-			fmt.Fprintf(sb, "(- %d)", -n.Val)
-		} else {
-			sb.WriteString(strconv.FormatInt(n.Val, 10))
-		}
-	case *EnumLit:
-		sb.WriteString(n.Val)
-	case *Apply:
-		sb.WriteString("(")
-		sb.WriteString(smtOpName(n.Op))
-		for _, a := range n.Args {
-			sb.WriteString(" ")
-			writeSMT(sb, a)
-		}
-		sb.WriteString(")")
-	}
-}
-
-// PrintConjunction renders a conjunction one conjunct per line, for
-// human inspection of seed and simplified specifications. True renders
-// as "true" and an empty conjunction list as "".
-func PrintConjunction(t Term) string {
-	cs := Conjuncts(t)
-	if len(cs) == 0 {
-		return "true"
-	}
-	lines := make([]string, len(cs))
-	for i, c := range cs {
-		lines[i] = c.String()
-	}
-	return strings.Join(lines, "\n")
 }

@@ -63,51 +63,6 @@ func randAssignment(r *rand.Rand) Assignment {
 	return a
 }
 
-func quickParser(t *testing.T) *Parser {
-	t.Helper()
-	vars := append(append([]*Var{}, qbVars...), qiVars...)
-	vars = append(vars, qeVar)
-	p, err := NewParser(vars, []*Sort{qeSort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// Property: printing then parsing is stable (the reparsed term prints
-// identically) and preserves meaning under every assignment we try.
-// Structural equality is too strong a property here: nested binary
-// conjunctions and flat n-ary conjunctions print identically by design.
-func TestQuickPrintParseRoundTrip(t *testing.T) {
-	p := quickParser(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		term := randBoolTerm(r, 4)
-		got, err := p.Parse(term.String())
-		if err != nil {
-			t.Logf("parse %q: %v", term.String(), err)
-			return false
-		}
-		if got.String() != term.String() {
-			t.Logf("round trip %q -> %q", term.String(), got.String())
-			return false
-		}
-		for i := 0; i < 8; i++ {
-			env := randAssignment(r)
-			a, err1 := EvalBool(term, env)
-			b, err2 := EvalBool(got, env)
-			if err1 != nil || err2 != nil || a != b {
-				t.Logf("semantic mismatch on %q", term.String())
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Equal terms hash equally, and Equal is reflexive under Map
 // identity.
 func TestQuickHashConsistency(t *testing.T) {

@@ -65,7 +65,7 @@ func substitute(t Term, sub map[string]Term, mask uint64) Term {
 		if args == nil {
 			return t
 		}
-		return internApply(&Apply{Op: n.Op, Args: args})
+		return Intern(&Apply{Op: n.Op, Args: args})
 	}
 	panic(fmt.Sprintf("logic: Substitute on unknown term type %T", t))
 }
@@ -166,7 +166,7 @@ func foldApply(op Op, args []Term) Term {
 			return args[1]
 		}
 	}
-	return internApply(&Apply{Op: op, Args: args})
+	return Intern(&Apply{Op: op, Args: args})
 }
 
 // FreeVars returns the set of variables occurring in t, keyed by name.
@@ -245,7 +245,7 @@ func Map(t Term, f func(Term) Term) Term {
 		if changed {
 			// Intern the rebuilt node so f sees a canonical term (and
 			// memoizing callers can key on it by pointer).
-			return f(internApply(&Apply{Op: n.Op, Args: args}))
+			return f(Intern(&Apply{Op: n.Op, Args: args}))
 		}
 		return f(t)
 	default:

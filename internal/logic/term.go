@@ -28,10 +28,6 @@ const (
 	OpGt
 	// OpGe is greater-or-equal over integers (Int, Int -> Bool).
 	OpGe
-	// OpAdd is n-ary integer addition (Int... -> Int).
-	OpAdd
-	// OpSub is binary integer subtraction (Int, Int -> Int).
-	OpSub
 	// OpIte is if-then-else (Bool, T, T -> T).
 	OpIte
 )
@@ -48,8 +44,6 @@ var opNames = [...]string{
 	OpLe:      "<=",
 	OpGt:      ">",
 	OpGe:      ">=",
-	OpAdd:     "+",
-	OpSub:     "-",
 	OpIte:     "ite",
 }
 
@@ -90,7 +84,6 @@ type Var struct {
 
 	hash uint64
 	vsig uint64
-	in   *Interner
 }
 
 // Sort implements Term.
@@ -102,7 +95,6 @@ type BoolLit struct {
 	Val bool
 
 	hash uint64
-	in   *Interner
 }
 
 // Sort implements Term.
@@ -110,7 +102,7 @@ func (b *BoolLit) Sort() *Sort { return Bool }
 func (b *BoolLit) isTerm()     {}
 
 // True and False are the shared boolean constants: the only two
-// BoolLit nodes in the process. Every interner canonicalizes boolean
+// canonical BoolLit nodes in the process. Intern canonicalizes boolean
 // literals to these singletons, so pointer comparison against them is
 // always safe.
 var (
@@ -123,7 +115,6 @@ type IntLit struct {
 	Val int64
 
 	hash uint64
-	in   *Interner
 }
 
 // Sort implements Term.
@@ -136,7 +127,6 @@ type EnumLit struct {
 	Val string
 
 	hash uint64
-	in   *Interner
 }
 
 // Sort implements Term.
@@ -152,7 +142,6 @@ type Apply struct {
 
 	hash uint64
 	vsig uint64
-	in   *Interner
 }
 
 // Sort implements Term.
@@ -160,8 +149,6 @@ func (a *Apply) Sort() *Sort {
 	switch a.Op {
 	case OpAnd, OpOr, OpNot, OpImplies, OpIff, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		return Bool
-	case OpAdd, OpSub:
-		return Int
 	case OpIte:
 		return a.Args[1].Sort()
 	}

@@ -123,8 +123,6 @@ func (s *refSimplifier) node(t logic.Term) logic.Term {
 		return s.refEq(a)
 	case logic.OpLt, logic.OpLe, logic.OpGt, logic.OpGe:
 		return s.refCmp(a)
-	case logic.OpAdd, logic.OpSub:
-		return refArith(a)
 	}
 	return t
 }
@@ -358,22 +356,6 @@ func (s *refSimplifier) refCmp(a *logic.Apply) logic.Term {
 		}
 	}
 	return a
-}
-
-func refArith(a *logic.Apply) logic.Term {
-	for _, arg := range a.Args {
-		if _, ok := arg.(*logic.IntLit); !ok {
-			return a
-		}
-	}
-	if a.Op == logic.OpSub {
-		return logic.NewInt(a.Args[0].(*logic.IntLit).Val - a.Args[1].(*logic.IntLit).Val)
-	}
-	var sum int64
-	for _, arg := range a.Args {
-		sum += arg.(*logic.IntLit).Val
-	}
-	return logic.NewInt(sum)
 }
 
 func (s *refSimplifier) propagateEqualities(t logic.Term) logic.Term {

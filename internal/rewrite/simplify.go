@@ -270,8 +270,6 @@ func (s *Simplifier) rewriteNode(a *logic.Apply) logic.Term {
 		return s.simplifyEq(a)
 	case logic.OpLt, logic.OpLe, logic.OpGt, logic.OpGe:
 		return s.simplifyCmp(a)
-	case logic.OpAdd, logic.OpSub:
-		return s.foldArith(a)
 	}
 	return a
 }
@@ -730,29 +728,6 @@ func (s *Simplifier) simplifyCmp(a *logic.Apply) logic.Term {
 		}
 	}
 	return a
-}
-
-func (s *Simplifier) foldArith(a *logic.Apply) logic.Term {
-	// S1: fold arithmetic over integer literals.
-	allLits := true
-	for _, arg := range a.Args {
-		if _, ok := arg.(*logic.IntLit); !ok {
-			allLits = false
-			break
-		}
-	}
-	if !allLits {
-		return a
-	}
-	s.fired(RuleConstFold)
-	if a.Op == logic.OpSub {
-		return logic.NewInt(a.Args[0].(*logic.IntLit).Val - a.Args[1].(*logic.IntLit).Val)
-	}
-	var sum int64
-	for _, arg := range a.Args {
-		sum += arg.(*logic.IntLit).Val
-	}
-	return logic.NewInt(sum)
 }
 
 // unitBinding recognizes conjuncts that pin a single variable to a

@@ -158,24 +158,30 @@ func BenchmarkPropagateExactlyOneGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkAssumptionCores measures Unsat-under-assumptions queries —
-// the shape of every lift-stage necessity probe: a shared formula, a
-// stream of failing assumption sets, core extraction each time.
+// BenchmarkAssumptionCores measures an Unsat-under-assumptions query
+// with core extraction — the shape of every lift-stage necessity probe.
+// Each iteration builds a fresh solver over the same chain, as each
+// lift query's solver is query-scoped: a reused solver would learn ¬x0
+// at level 0 on the first solve and fail every later one without
+// propagating.
 func BenchmarkAssumptionCores(b *testing.B) {
-	s := NewSolver()
-	vars := newVars(s, 64)
-	// xi -> xi+1 chain plus a clause forbidding the far end under x0.
-	for i := 0; i+1 < len(vars); i++ {
-		s.AddClause(NegLit(vars[i]), PosLit(vars[i+1]))
-	}
-	s.AddClause(NegLit(vars[0]), NegLit(vars[len(vars)-1]))
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s := NewSolver()
+		vars := newVars(s, 64)
+		// xi -> xi+1 chain plus a clause forbidding the far end under x0.
+		for j := 0; j+1 < len(vars); j++ {
+			s.AddClause(NegLit(vars[j]), PosLit(vars[j+1]))
+		}
+		s.AddClause(NegLit(vars[0]), NegLit(vars[len(vars)-1]))
+		props := s.Stats.Propagations
 		if s.Solve(PosLit(vars[0]), PosLit(vars[1])) != Unsat {
 			b.Fatal("assumptions must fail")
 		}
 		if len(s.Core()) == 0 {
 			b.Fatal("missing core")
+		}
+		if s.Stats.Propagations == props {
+			b.Fatal("the solve failed without propagating")
 		}
 	}
 }

@@ -283,67 +283,29 @@ func (s *Solver) encodeValue(t logic.Term) (*valueList, error) {
 }
 
 func (s *Solver) encodeValueApply(n *logic.Apply) (*valueList, error) {
-	switch n.Op {
-	case logic.OpAdd, logic.OpSub:
-		acc, err := s.valueListOf(n.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		for _, arg := range n.Args[1:] {
-			vb, err := s.valueListOf(arg)
-			if err != nil {
-				return nil, err
-			}
-			combine := func(x, y int64) int64 { return x + y }
-			if n.Op == logic.OpSub {
-				combine = func(x, y int64) int64 { return x - y }
-			}
-			acc, err = s.combineValueLists(acc, vb, combine)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return acc, nil
-
-	case logic.OpIte:
-		c, err := s.litOf(n.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		va, err := s.valueListOf(n.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		vb, err := s.valueListOf(n.Args[2])
-		if err != nil {
-			return nil, err
-		}
-		guards := make(map[int64][]sat.Lit)
-		for i, x := range va.vals {
-			guards[x] = append(guards[x], s.andLit([]sat.Lit{c, va.lits[i]}))
-		}
-		for i, x := range vb.vals {
-			guards[x] = append(guards[x], s.andLit([]sat.Lit{c.Neg(), vb.lits[i]}))
-		}
-		return s.mergedValueList(va.sort, guards)
+	if n.Op != logic.OpIte {
+		return nil, fmt.Errorf("smt: cannot value-encode operator %v", n.Op)
 	}
-	return nil, fmt.Errorf("smt: cannot value-encode operator %v", n.Op)
-}
-
-// combineValueLists builds the value list of f(a, b) over the cross
-// product of the operand domains, merging guards of coinciding values.
-func (s *Solver) combineValueLists(a, b *valueList, f func(int64, int64) int64) (*valueList, error) {
-	if len(a.vals)*len(b.vals) > MaxValueListSize {
-		return nil, fmt.Errorf("smt: arithmetic cross product of %d x %d values exceeds cap %d",
-			len(a.vals), len(b.vals), MaxValueListSize)
+	c, err := s.litOf(n.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	va, err := s.valueListOf(n.Args[1])
+	if err != nil {
+		return nil, err
+	}
+	vb, err := s.valueListOf(n.Args[2])
+	if err != nil {
+		return nil, err
 	}
 	guards := make(map[int64][]sat.Lit)
-	for i, x := range a.vals {
-		for j, y := range b.vals {
-			guards[f(x, y)] = append(guards[f(x, y)], s.andLit([]sat.Lit{a.lits[i], b.lits[j]}))
-		}
+	for i, x := range va.vals {
+		guards[x] = append(guards[x], s.andLit([]sat.Lit{c, va.lits[i]}))
 	}
-	return s.mergedValueList(logic.Int, guards)
+	for i, x := range vb.vals {
+		guards[x] = append(guards[x], s.andLit([]sat.Lit{c.Neg(), vb.lits[i]}))
+	}
+	return s.mergedValueList(va.sort, guards)
 }
 
 // mergedValueList turns a value -> guard-disjunction map into a value

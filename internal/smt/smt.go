@@ -32,9 +32,8 @@ import (
 )
 
 // MaxValueListSize caps the size of any value list the encoder will
-// build. Arithmetic over two variables multiplies domains, so the cap
-// guards against accidentally exponential encodings; hitting it is
-// reported as an error rather than an OOM.
+// build: a variable's declared domain, or the values an ite merges from
+// its branches. Hitting it is reported as an error rather than an OOM.
 const MaxValueListSize = 1 << 14
 
 // Solver encodes and decides logic terms.

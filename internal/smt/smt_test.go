@@ -64,22 +64,6 @@ func TestIntComparisons(t *testing.T) {
 	}
 }
 
-func TestIntArithmetic(t *testing.T) {
-	s := NewSolver()
-	a := logic.NewIntVar("a", 0, 7)
-	b := logic.NewIntVar("b", 0, 7)
-	mustAssert(t, s, logic.Eq(logic.Add(a, b), logic.NewInt(9)))
-	mustAssert(t, s, logic.Eq(logic.Sub(a, b), logic.NewInt(3)))
-	mustSolve(t, s, sat.Sat)
-	m, err := s.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["a"].I != 6 || m["b"].I != 3 {
-		t.Fatalf("model = %v, want a=6 b=3", m)
-	}
-}
-
 func TestEnumReasoning(t *testing.T) {
 	s := NewSolver()
 	c1 := logic.NewEnumVar("c1", colorSort)
@@ -269,7 +253,7 @@ func randTerm(r *rand.Rand, depth int) logic.Term {
 		case 3:
 			return logic.Le(dvInts[r.Intn(2)], logic.NewInt(int64(r.Intn(7)-3)))
 		default:
-			return logic.Eq(logic.Add(dvInts[0], dvInts[1]), logic.NewInt(int64(r.Intn(9)-4)))
+			return logic.Eq(dvInts[0], dvInts[1])
 		}
 	}
 	switch r.Intn(6) {

@@ -47,16 +47,6 @@ func NewPath(elems ...string) Path { return Path(elems) }
 // String renders the path in surface syntax, e.g. "P1->...->P2".
 func (p Path) String() string { return strings.Join(p, "->") }
 
-// IsConcrete reports whether the path contains no wildcards.
-func (p Path) IsConcrete() bool {
-	for _, e := range p {
-		if e == Wildcard {
-			return false
-		}
-	}
-	return true
-}
-
 // First returns the first non-wildcard element, or "".
 func (p Path) First() string {
 	for _, e := range p {

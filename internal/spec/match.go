@@ -42,45 +42,3 @@ func MatchesSubpath(pattern Path, path []string) bool {
 	}
 	return false
 }
-
-// ExpandConcrete enumerates the concrete paths (over the given
-// adjacency) that match the pattern, up to maxLen nodes per path.
-// Paths are simple (no repeated nodes), reflecting loop-free routing.
-// The adjacency maps each node to its neighbors; deterministic output
-// requires the caller to pass sorted neighbor lists.
-func ExpandConcrete(pattern Path, adj map[string][]string, maxLen int) [][]string {
-	first, last := pattern.First(), pattern.Last()
-	if first == "" || last == "" {
-		return nil
-	}
-	var out [][]string
-	var walk func(node string, acc []string, visited map[string]bool)
-	walk = func(node string, acc []string, visited map[string]bool) {
-		if len(acc) > maxLen {
-			return
-		}
-		if node == last && len(acc) >= 2 {
-			if Matches(pattern, acc) {
-				cp := make([]string, len(acc))
-				copy(cp, acc)
-				out = append(out, cp)
-			}
-			// A path may pass through `last` and return later only if
-			// it were non-simple; with simple paths we can stop here.
-			return
-		}
-		for _, nb := range adj[node] {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			walk(nb, append(acc, nb), visited)
-			visited[nb] = false
-		}
-	}
-	if len(pattern) >= 2 && pattern[0] != Wildcard {
-		visited := map[string]bool{first: true}
-		walk(first, []string{first}, visited)
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package spec
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParseNoTransit(t *testing.T) {
 	src := `
@@ -204,16 +201,10 @@ R3 {
 
 func TestPathHelpers(t *testing.T) {
 	p := NewPath("P1", Wildcard, "P2")
-	if p.IsConcrete() {
-		t.Fatal("wildcard path reported concrete")
-	}
 	if p.First() != "P1" || p.Last() != "P2" {
 		t.Fatalf("First/Last = %q/%q", p.First(), p.Last())
 	}
 	q := NewPath("A", "B", "A")
-	if !q.IsConcrete() {
-		t.Fatal("concrete path reported wildcard")
-	}
 	nodes := q.Nodes()
 	if len(nodes) != 2 || nodes[0] != "A" || nodes[1] != "B" {
 		t.Fatalf("Nodes = %v", nodes)
@@ -293,49 +284,6 @@ func TestMatchesSubpath(t *testing.T) {
 	}
 	if MatchesSubpath(exact, []string{"C", "R1", "X", "P1"}) {
 		t.Fatal("non-adjacent pair should not match exact pattern")
-	}
-}
-
-func TestExpandConcrete(t *testing.T) {
-	adj := map[string][]string{
-		"A": {"B", "C"},
-		"B": {"A", "C", "D"},
-		"C": {"A", "B", "D"},
-		"D": {"B", "C"},
-	}
-	pat, _ := ParsePath("A->...->D")
-	paths := ExpandConcrete(pat, adj, 4)
-	if len(paths) == 0 {
-		t.Fatal("no concrete paths found")
-	}
-	want := map[string]bool{
-		"A B D":   true,
-		"A C D":   true,
-		"A B C D": true,
-		"A C B D": true,
-	}
-	for _, p := range paths {
-		key := strings.Join(p, " ")
-		if !want[key] {
-			t.Errorf("unexpected path %v", p)
-		}
-		delete(want, key)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing paths: %v", want)
-	}
-	// Exact pattern.
-	exact, _ := ParsePath("A->B->D")
-	paths = ExpandConcrete(exact, adj, 4)
-	if len(paths) != 1 || strings.Join(paths[0], " ") != "A B D" {
-		t.Fatalf("exact expansion = %v", paths)
-	}
-	// Length cap.
-	paths = ExpandConcrete(pat, adj, 2)
-	for _, p := range paths {
-		if len(p) > 2 {
-			t.Fatalf("path %v exceeds cap", p)
-		}
 	}
 }
 

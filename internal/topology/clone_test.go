@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestCloneIndependence(t *testing.T) {
 	a := Paper()
@@ -48,17 +52,17 @@ func TestLinksSortedPairs(t *testing.T) {
 }
 
 func TestCloneSurvivesSimulationShape(t *testing.T) {
-	// Removing a link from a clone must not perturb path enumeration
-	// on the original.
+	// Removing a link from a clone must leave the original's link
+	// count and both endpoints' neighbor lists alone.
 	a := Paper()
-	before := len(a.SimplePaths("C", "P1", 6))
+	links := a.NumLinks()
+	r1, r3 := strings.Join(a.Neighbors("R1"), ","), strings.Join(a.Neighbors("R3"), ",")
 	b := a.Clone()
 	b.RemoveLink("R3", "R1")
-	after := len(a.SimplePaths("C", "P1", 6))
-	if before != after {
+	if a.NumLinks() != links || strings.Join(a.Neighbors("R1"), ",") != r1 || strings.Join(a.Neighbors("R3"), ",") != r3 {
 		t.Fatal("clone mutation leaked into the original")
 	}
-	if len(b.SimplePaths("C", "P1", 6)) >= before {
-		t.Fatal("removed link did not reduce path count")
+	if b.NumLinks() != links-1 || slices.Contains(b.Neighbors("R1"), "R3") || slices.Contains(b.Neighbors("R3"), "R1") {
+		t.Fatal("removed link still present in the clone")
 	}
 }

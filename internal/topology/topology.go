@@ -218,16 +218,6 @@ func (n *Network) Neighbors(name string) []string {
 	return out
 }
 
-// Adjacency returns the full adjacency with sorted neighbor lists —
-// the shape spec.ExpandConcrete consumes.
-func (n *Network) Adjacency() map[string][]string {
-	out := make(map[string][]string, len(n.adj))
-	for name := range n.adj {
-		out[name] = n.Neighbors(name)
-	}
-	return out
-}
-
 // NumRouters returns the node count.
 func (n *Network) NumRouters() int { return len(n.routers) }
 
@@ -238,38 +228,6 @@ func (n *Network) NumLinks() int {
 		total += len(nbs)
 	}
 	return total / 2
-}
-
-// SimplePaths enumerates all simple paths from src to dst with at most
-// maxLen nodes, in deterministic (lexicographic) order.
-func (n *Network) SimplePaths(src, dst string, maxLen int) [][]string {
-	var out [][]string
-	if _, ok := n.routers[src]; !ok {
-		return nil
-	}
-	visited := map[string]bool{src: true}
-	var walk func(node string, acc []string)
-	walk = func(node string, acc []string) {
-		if len(acc) > maxLen {
-			return
-		}
-		if node == dst {
-			cp := make([]string, len(acc))
-			copy(cp, acc)
-			out = append(out, cp)
-			return
-		}
-		for _, nb := range n.Neighbors(node) {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			walk(nb, append(acc, nb))
-			visited[nb] = false
-		}
-	}
-	walk(src, []string{src})
-	return out
 }
 
 // Connected reports whether the graph is connected (ignoring isolated
