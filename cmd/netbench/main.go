@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all",
-		"experiment to run: seed, simplify, linearity, pervar, figures, interpretation, ablation, rules, complement, rewrite, lift, sat, scale, diff, serve, all")
+		"experiment to run: seed, simplify, linearity, pervar, figures, interpretation, ablation, rules, complement, rewrite, lift, sat, scale, diff, all")
 	quick := fs.Bool("quick", false, "trim the scaling sweep")
 	format := fs.String("format", "text", "output format: text or json")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s, 5m; 0 = no limit)")
@@ -139,8 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return one(bench.ScaleTable(ctx, *quick))
 	case "diff":
 		return one(bench.DiffTable(ctx, *quick))
-	case "serve":
-		return one(bench.ServeTable(ctx, *quick))
 	case "all":
 		tables, err := bench.All(ctx, *quick)
 		if err != nil {

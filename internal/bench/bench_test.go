@@ -284,31 +284,3 @@ func TestTableRender(t *testing.T) {
 		}
 	}
 }
-
-// TestServeQuick drives the serving-layer harness on the seed
-// scenarios and pins its acceptance properties: a nonzero response-
-// cache hit rate, zero errors, and byte-identity of every served
-// report with the CLI's output.
-func TestServeQuick(t *testing.T) {
-	entries, err := Serve(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 3 {
-		t.Fatalf("entries = %d, want >= 3", len(entries))
-	}
-	for _, e := range entries {
-		if e.HitRate <= 0 {
-			t.Errorf("%s: hit rate %v, want > 0", e.Workload, e.HitRate)
-		}
-		if !e.ByteIdentical {
-			t.Errorf("%s: served reports diverge from CLI output", e.Workload)
-		}
-		if e.Errors != 0 {
-			t.Errorf("%s: %d request errors", e.Workload, e.Errors)
-		}
-		if e.ThroughputRPS <= 0 || e.P99MS < e.P50MS {
-			t.Errorf("%s: implausible timing (rps=%v p50=%v p99=%v)", e.Workload, e.ThroughputRPS, e.P50MS, e.P99MS)
-		}
-	}
-}

@@ -370,7 +370,6 @@ func All(ctx context.Context, quick bool) ([]*Table, error) {
 		ComplementTable, RewriteTable, LiftTable,
 		func(ctx context.Context) (*Table, error) { return ScaleTable(ctx, quick) },
 		func(ctx context.Context) (*Table, error) { return DiffTable(ctx, quick) },
-		func(ctx context.Context) (*Table, error) { return ServeTable(ctx, quick) },
 	}
 	var out []*Table
 	for _, b := range builders {

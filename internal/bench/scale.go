@@ -182,9 +182,9 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 	if err != nil {
 		return ScaleEntry{}, err
 	}
-	// Bound the session report cache so the tee stops buffering the
-	// rendered report once it outgrows the cap: the experiment measures
-	// streaming memory, not retained-report memory.
+	// Bound the session report cache, which keeps every rendered
+	// section, to 1 MiB: the experiment measures streaming memory, not
+	// retained-section memory.
 	ex.Session.SetCacheLimits(engine.CacheLimits{ReportBytes: 1 << 20})
 	cw := &countingWriter{}
 	hw := startHeapWatcher()

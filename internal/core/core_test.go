@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,6 +43,21 @@ func newExplainer(t *testing.T, sc *scenarios.Scenario, dep config.Deployment, r
 		t.Fatal(err)
 	}
 	return e
+}
+
+// seedEncoding runs steps 1 and 2 for the router: its deployed config
+// with the targets symbolized, encoded through the session cache.
+func seedEncoding(t *testing.T, e *Explainer, router string, targets []Target) *synth.Encoding {
+	t.Helper()
+	sym, _, err := e.symbolize(router, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := e.encode(context.Background(), router, targets, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
 }
 
 func subspecStrings(b *spec.Block) []string {

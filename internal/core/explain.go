@@ -24,9 +24,6 @@ type Options struct {
 	Synth synth.Options
 	// Lift enables the subspecification lifting step (step 4).
 	Lift bool
-	// MaxPatternNodes bounds the length of candidate subspecification
-	// path patterns during lifting.
-	MaxPatternNodes int
 	// VerifyProofs makes every solver record a DRAT-style proof trace
 	// and re-validates each Unsat verdict with the independent checker
 	// (internal/drat) before the pipeline relies on it. A verdict whose
@@ -38,7 +35,7 @@ type Options struct {
 
 // DefaultOptions returns the settings used by the experiments.
 func DefaultOptions() Options {
-	return Options{Synth: synth.DefaultOptions(), Lift: true, MaxPatternNodes: 8}
+	return Options{Synth: synth.DefaultOptions(), Lift: true}
 }
 
 // Explanation is the output of Explain for one device.
@@ -142,9 +139,7 @@ func (e *Explainer) Stats() engine.Stats {
 }
 
 // encodeKey names a sketch in the session cache: the router under
-// symbolization plus the symbolized fields. ExplainAll and
-// CheckSubspec symbolize the same fields of the same router and so
-// share one cached encoding.
+// symbolization plus the symbolized fields.
 func encodeKey(router string, targets []Target) string {
 	names := make([]string, len(targets))
 	for i, t := range targets {
@@ -152,23 +147,6 @@ func encodeKey(router string, targets []Target) string {
 	}
 	sort.Strings(names)
 	return "explain|" + router + "|" + strings.Join(names, ",")
-}
-
-// encodeSeed runs the pipeline's steps 1 and 2 for the router: it
-// symbolizes the targets, then encodes the deployment with the router
-// overridden by its symbolized config. With targets, the router must
-// have a deployed configuration. replaced maps each hole to the value
-// it replaced (empty without targets).
-func (e *Explainer) encodeSeed(ctx context.Context, router string, targets []Target) (*synth.Encoding, map[string]string, error) {
-	sym, replaced, err := e.symbolize(router, targets)
-	if err != nil {
-		return nil, nil, err
-	}
-	enc, err := e.encode(ctx, router, targets, sym)
-	if err != nil {
-		return nil, nil, err
-	}
-	return enc, replaced, nil
 }
 
 // symbolize is step 1: the router's deployed config with the targets

@@ -399,9 +399,6 @@ func (e *Explainer) liftCandidates(router string, infos []synth.PathInfo, holeNa
 			if info.Path[i] != router && info.Path[i+1] != router {
 				continue
 			}
-			if e.Opts.MaxPatternNodes > 0 && i+2 > e.Opts.MaxPatternNodes {
-				continue
-			}
 			pat := strings.Join(info.Path[:i+2], "->")
 			if !seenPat[pat] {
 				seenPat[pat] = true

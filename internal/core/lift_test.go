@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -52,10 +51,7 @@ func TestLiftCandidatesFromLocalPaths(t *testing.T) {
 			}
 			total := 0
 			for _, router := range e.reportRouters() {
-				enc, _, err := e.encodeSeed(context.Background(), router, AllTargets(w.dep[router]))
-				if err != nil {
-					t.Fatal(err)
-				}
+				enc := seedEncoding(t, e, router, AllTargets(w.dep[router]))
 				holeNames := map[string]bool{}
 				for n := range enc.HoleVars {
 					holeNames[n] = true

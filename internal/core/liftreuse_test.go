@@ -179,40 +179,6 @@ func TestRepeatQuerySplicesLiftConcurrent(t *testing.T) {
 	}
 }
 
-// TestCheckSubspecNecessary checks the solver-backed necessity
-// validation agrees with lifting's own criterion: every clause the
-// lift accepted is entailed by the seed.
-func TestCheckSubspecNecessary(t *testing.T) {
-	for _, sc := range scenarios.All() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			dep := synthScenario(t, sc)
-			e := newExplainer(t, sc, dep, nil)
-			for router := range dep {
-				ex, err := e.ExplainAll(router)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ex.Subspec == nil || len(ex.Subspec.Reqs) == 0 {
-					continue
-				}
-				checks, err := e.CheckSubspecNecessary(router, ex.Subspec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(checks) != len(ex.Subspec.Reqs) {
-					t.Fatalf("%s: %d checks for %d clauses", router, len(checks), len(ex.Subspec.Reqs))
-				}
-				for _, ch := range checks {
-					if !ch.Necessary {
-						t.Errorf("%s: lifted clause %s reported not necessary", router, ch.Req)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestComplementSatisfiable checks the complement's consistency
 // verdict: the synthesized deployment itself completes the assume
 // side, so it must be satisfiable.

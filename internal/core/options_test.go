@@ -4,32 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/scenarios"
-	"repro/internal/spec"
 )
-
-func TestMaxPatternNodesLimitsCandidates(t *testing.T) {
-	sc := scenarios.Scenario3()
-	dep := synthScenario(t, sc)
-	noTransit := sc.Spec.Block("Req1").Reqs
-
-	// With a pattern cap of 3 nodes, the 5-node Figure 5 clause
-	// cannot be generated; only patterns of <= 3 nodes survive.
-	opts := DefaultOptions()
-	opts.MaxPatternNodes = 3
-	e, err := NewExplainer(sc.Net, noTransit, dep, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := e.ExplainAll("R2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ex.Subspec.Reqs {
-		if f, ok := r.(*spec.Forbid); ok && len(f.Path) > 3 {
-			t.Fatalf("pattern %s exceeds the cap", f.Path)
-		}
-	}
-}
 
 func TestExplainerHandlesRequirementSubsets(t *testing.T) {
 	// Explaining against each single requirement never errors and

@@ -228,7 +228,7 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 // derived encoding: the lift options.
 func (e *Explainer) readKeys() *synth.ReadKeys {
 	return synth.NewReadKeys(e.Deployment, e.Reqs, e.Opts.Synth,
-		fmt.Sprintf("lift %t, %d pattern nodes, proofs %t", e.Opts.Lift, e.Opts.MaxPatternNodes, e.Opts.VerifyProofs))
+		fmt.Sprintf("lift %t, proofs %t", e.Opts.Lift, e.Opts.VerifyProofs))
 }
 
 // section returns the router's report section, and whether it had to

@@ -141,9 +141,8 @@ func runLift(e *Explainer, enc *synth.Encoding, ex *Explanation) liftRun {
 // vacuity and necessity query must return the same verdict, in order,
 // the block and the sufficiency verdict must match, and each
 // sufficiency witness must extend to no model of the other seed (see
-// sameLift).
-// CheckSubspecNecessary, asked about every lift candidate, and
-// ExplainComplement's Satisfiable must match a raw-seed solver too.
+// sameLift). ExplainComplement's Satisfiable must match a raw-seed
+// solver too.
 func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 	var sats, unsats int
 	for _, w := range differentialWorkloads(t) {
@@ -161,10 +160,7 @@ func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", router, err)
 				}
-				enc, _, err := e.encodeSeed(ctx, router, ex.Targets)
-				if err != nil {
-					t.Fatal(err)
-				}
+				enc := seedEncoding(t, e, router, ex.Targets)
 				ref := *ex
 				ref.Simplified = enc.Conjunction()
 				got := runLift(e, enc, ex)
@@ -177,7 +173,6 @@ func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 						unsats++
 					}
 				}
-				compareNecessity(t, e, enc, ex)
 				compareComplement(t, e, router)
 			}
 		})
@@ -188,12 +183,12 @@ func TestLiftVerdictsMatchRawSeed(t *testing.T) {
 }
 
 // candidateBlock returns the router's lift candidates that name a
-// candidate route, as one block, with their clause terms.
-func candidateBlock(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explanation) (*spec.Block, []logic.Term) {
+// candidate route of its seed encoding, as one block, with their clause
+// terms over that encoding's paths.
+func candidateBlock(t *testing.T, e *Explainer, enc *synth.Encoding, router string) (*spec.Block, []logic.Term) {
 	t.Helper()
-	router := ex.Router
 	holeNames := map[string]bool{}
-	for n := range ex.HoleVars {
+	for n := range enc.HoleVars {
 		holeNames[n] = true
 	}
 	cands, err := e.liftCandidates(router, enc.PathInfosThrough(router), holeNames)
@@ -210,37 +205,6 @@ func candidateBlock(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explana
 		}
 	}
 	return block, terms
-}
-
-// compareNecessity asks CheckSubspecNecessary about every lift
-// candidate of the router that names a candidate route, and checks each
-// verdict against a raw-seed solver.
-func compareNecessity(t *testing.T, e *Explainer, enc *synth.Encoding, ex *Explanation) {
-	t.Helper()
-	router := ex.Router
-	block, terms := candidateBlock(t, e, enc, ex)
-	if len(block.Reqs) == 0 {
-		return
-	}
-	checks, err := e.CheckSubspecNecessary(router, block)
-	if err != nil {
-		t.Fatalf("%s: CheckSubspecNecessary: %v", router, err)
-	}
-	raw, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, enc.Constraints))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	for i, term := range terms {
-		st, err := raw.Solve(logic.Not(term))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := st == sat.Unsat; checks[i].Necessary != want {
-			t.Errorf("%s: CheckSubspecNecessary says %s necessary=%t, raw seed says %t",
-				router, checks[i].Req, checks[i].Necessary, want)
-		}
-	}
 }
 
 // compareComplement checks ExplainComplement's Satisfiable verdict
@@ -270,10 +234,9 @@ func compareComplement(t *testing.T, e *Explainer, router string) {
 }
 
 // TestSeedSolverTrimMatchesReference is the evidence for trimming the
-// seed solvers (seedConjuncts). Each router's lift, CheckSubspecNecessary
-// over its lift candidates and ExplainComplement run twice: as shipped,
-// and against a reference seed solver that asserts every simplified
-// conjunct. Every necessity query and each lift's vacuity and necessity
+// seed solvers (seedConjuncts). Each router's lift and ExplainComplement
+// run twice: as shipped, and against a reference seed solver that
+// asserts every simplified conjunct. Each lift's vacuity and necessity
 // queries must assume the same terms and return the same verdict, in
 // the same order; the block, the sufficiency verdict and the
 // complement's Satisfiable must match, and each sufficiency witness
@@ -308,29 +271,17 @@ func TestSeedSolverTrimMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", router, err)
 				}
-				enc, _, err := e.encodeSeed(ctx, router, ex.Targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				block, _ := candidateBlock(t, e, enc, ex)
+				enc := seedEncoding(t, e, router, ex.Targets)
 				// runs is one pass over the router's seed solvers: the
-				// lift, the necessity checks and the complement.
+				// lift and the complement.
 				type runs struct {
 					lift      liftRun
-					necessity []solveRecord
 					satisfied bool
 				}
 				run := func(hook func(logic.Term, []logic.Term) []logic.Term) runs {
 					testSeedHook = hook
 					defer func() { testSeedHook = nil }()
 					r := runs{lift: runLift(e, enc, ex)}
-					if len(block.Reqs) > 0 {
-						r.necessity = recordSolves(func() {
-							if _, err := e.CheckSubspecNecessary(router, block); err != nil {
-								t.Fatalf("%s: CheckSubspecNecessary: %v", router, err)
-							}
-						})
-					}
 					if w.name != fabric.name {
 						comp, err := e.ExplainComplement(router)
 						if err != nil {
@@ -342,7 +293,6 @@ func TestSeedSolverTrimMatchesReference(t *testing.T) {
 				}
 				got, want := run(trimmed), run(reference)
 				sameLift(t, router, got.lift, want.lift)
-				sameSolves(t, router+" necessity", got.necessity, want.necessity)
 				if got.satisfied != want.satisfied {
 					t.Errorf("%s: complement Satisfiable=%t, reference %t", router, got.satisfied, want.satisfied)
 				}
@@ -489,10 +439,7 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 	}
 	ctx := context.Background()
 	const router = "R1"
-	enc, _, err := e.encodeSeed(ctx, router, AllTargets(dep[router]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := seedEncoding(t, e, router, AllTargets(dep[router]))
 	simplified := e.Session.Simplify(enc.Conjunction()).Simplified
 
 	before := e.Stats().ProofChecks

@@ -59,42 +59,47 @@ func TestSessionOneBaseEncode(t *testing.T) {
 		t.Errorf("CacheHits = %d after repeat, want %d", st2.CacheHits, st.CacheHits+1)
 	}
 
-	// CheckSubspec builds the same sketch as ExplainAll and must hit
-	// the same cache entry.
+	// CheckSubspec evaluates the clauses on the session base: it
+	// encodes nothing and looks nothing up in the encode cache.
 	ex, err := e.ExplainAll("R1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Subspec != nil && !ex.Subspec.IsEmpty() {
-		before := e.Stats()
-		if _, err := e.CheckSubspec("R1", ex.Subspec); err != nil {
-			t.Fatal(err)
-		}
-		after := e.Stats()
-		if after.Encodes != before.Encodes {
-			t.Errorf("CheckSubspec re-encoded (%d -> %d) instead of hitting the cache", before.Encodes, after.Encodes)
-		}
+	if ex.Subspec.IsEmpty() {
+		t.Fatal("R1's lifted subspec is empty")
+	}
+	before := e.Stats()
+	if _, err := e.CheckSubspec("R1", ex.Subspec); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Stats()
+	if after.BaseEncodes != before.BaseEncodes || after.Encodes != before.Encodes || after.CacheHits != before.CacheHits {
+		t.Errorf("CheckSubspec moved BaseEncodes %d -> %d, Encodes %d -> %d, CacheHits %d -> %d; want none",
+			before.BaseEncodes, after.BaseEncodes, before.Encodes, after.Encodes, before.CacheHits, after.CacheHits)
 	}
 }
 
 // TestSessionBaseContract pins the session's one encode path. Whatever
 // its first query, a session performs exactly one whole-network encode
-// — its recorded base — and every query's encoding splices from it;
+// — its recorded base — and every query's encoding splices from it,
+// while CheckSubspec reads the base itself and derives no encoding;
 // concurrent first queries share one build; an encoder error reaches
 // the query; and a build that failed on its context is retried.
 func TestSessionBaseContract(t *testing.T) {
 	sc := scenarios.Scenario2()
 	dep := synthScenario(t, sc)
 	ctx := context.Background()
+	r1 := &spec.Block{Name: "R1", Reqs: []spec.Requirement{&spec.Forbid{Path: spec.NewPath("R1", "P1")}}}
 
 	for _, q := range []struct {
-		name string
-		run  func(e *Explainer) error
+		name    string
+		run     func(e *Explainer) error
+		derives bool
 	}{
-		{"explain_all", func(e *Explainer) error { _, err := e.ExplainAll("R1"); return err }},
-		{"write_report", func(e *Explainer) error { _, err := e.WriteReport(ctx, io.Discard); return err }},
-		{"complement", func(e *Explainer) error { _, err := e.ExplainComplement("R3"); return err }},
-		{"check_subspec", func(e *Explainer) error { _, err := e.CheckSubspec("R1", &spec.Block{Name: "R1"}); return err }},
+		{"explain_all", func(e *Explainer) error { _, err := e.ExplainAll("R1"); return err }, true},
+		{"write_report", func(e *Explainer) error { _, err := e.WriteReport(ctx, io.Discard); return err }, true},
+		{"complement", func(e *Explainer) error { _, err := e.ExplainComplement("R3"); return err }, true},
+		{"check_subspec", func(e *Explainer) error { _, err := e.CheckSubspec("R1", r1); return err }, false},
 	} {
 		t.Run(q.name, func(t *testing.T) {
 			e := newExplainer(t, sc, dep, nil)
@@ -104,6 +109,12 @@ func TestSessionBaseContract(t *testing.T) {
 			st := e.Stats()
 			if st.BaseEncodes != 1 {
 				t.Errorf("BaseEncodes = %d, want 1", st.BaseEncodes)
+			}
+			if !q.derives {
+				if st.Encodes != 0 {
+					t.Errorf("Encodes = %d, want 0: the query derived an encoding", st.Encodes)
+				}
+				return
 			}
 			if st.Encodes == 0 || st.ScopedGroupsCopied == 0 {
 				t.Errorf("encodes = %d, groups copied = %d: the query did not splice from the base", st.Encodes, st.ScopedGroupsCopied)

@@ -68,9 +68,8 @@ func TestExplainHandWrittenDeployment(t *testing.T) {
 		t.Fatalf("subspec misses the transit block:\n%s", joined)
 	}
 	// And the config validates against its own subspec.
-	good, err := e.SatisfiesSubspec("R1", ex.Subspec)
-	if err != nil || !good {
-		t.Fatalf("hand-written config fails its own subspec: %v", err)
+	if !allHold(t, e, "R1", ex.Subspec) {
+		t.Fatal("hand-written config fails its own subspec")
 	}
 }
 

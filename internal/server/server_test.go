@@ -26,7 +26,14 @@ import (
 // an edited variant for diff requests.
 func problemTexts(t *testing.T) (topo, configs, spc, edited string) {
 	t.Helper()
-	sc := scenarios.Scenario1()
+	return scenarioTexts(t, scenarios.Scenario1())
+}
+
+// scenarioTexts renders a scenario's problem in the wire formats, plus
+// an edited variant (netgen.Perturb, seed 1, one edit) for diff
+// requests.
+func scenarioTexts(t *testing.T, sc *scenarios.Scenario) (topo, configs, spc, edited string) {
+	t.Helper()
 	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -369,16 +376,26 @@ func TestServerHandlerPanicReleasesLease(t *testing.T) {
 
 // TestServerConcurrentMixedTraffic is the -race pin for the serving
 // layer: goroutines hammer one server with mixed explain, diff,
-// repeat (cache-hitting), and pre-cancelled requests. Every 200
-// response must be byte-identical to the single-threaded ground truth,
-// and the pool must return to idle with no leaked leases.
+// repeat (cache-hitting), and pre-cancelled requests for the three
+// scenarios, one more problem than its pool holds. Every 200 response
+// must be byte-identical to the single-threaded ground truth, and the
+// pool must return to idle with no leaked leases.
 func TestServerConcurrentMixedTraffic(t *testing.T) {
-	topo, configs, spc, edited := problemTexts(t)
-	wantBase := wantReport(t, topo, configs, spc)
-	wantEdited := wantReport(t, topo, edited, spc)
+	type problem struct {
+		topo, configs, spc, edited string
+		wantBase, wantEdited       string
+	}
+	var problems []problem
+	for _, sc := range scenarios.All() {
+		topo, configs, spc, edited := scenarioTexts(t, sc)
+		problems = append(problems, problem{topo, configs, spc, edited,
+			wantReport(t, topo, configs, spc), wantReport(t, topo, edited, spc)})
+	}
 	s := New(Options{MaxInflight: 4, PoolSize: 2})
 	h := s.Handler()
 
+	// Goroutine g sends problem g%3 the four request kinds in turn, so
+	// every scenario sees every kind and repeats its base explain.
 	const goroutines = 8
 	const iters = 3
 	var wg sync.WaitGroup
@@ -386,43 +403,44 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			p := problems[g%len(problems)]
 			for i := 0; i < iters; i++ {
 				switch (g + i) % 4 {
 				case 0: // explain base
-					w := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc})
+					w := post(t, h, "/explain", request{Topology: p.topo, Configs: p.configs, Spec: p.spc})
 					if w.Code != http.StatusOK {
 						t.Errorf("g%d i%d explain: %d %s", g, i, w.Code, w.Body.String())
 						return
 					}
 					var resp explainResponse
 					json.Unmarshal(w.Body.Bytes(), &resp)
-					if resp.Report != wantBase {
+					if resp.Report != p.wantBase {
 						t.Errorf("g%d i%d: base report diverged under concurrency", g, i)
 					}
 				case 1: // diff base -> edited
-					w := post(t, h, "/diff", request{Topology: topo, Configs: configs, Spec: spc, EditedConfigs: edited})
+					w := post(t, h, "/diff", request{Topology: p.topo, Configs: p.configs, Spec: p.spc, EditedConfigs: p.edited})
 					if w.Code != http.StatusOK {
 						t.Errorf("g%d i%d diff: %d %s", g, i, w.Code, w.Body.String())
 						return
 					}
 					var resp diffResponse
 					json.Unmarshal(w.Body.Bytes(), &resp)
-					if resp.Report != wantEdited {
+					if resp.Report != p.wantEdited {
 						t.Errorf("g%d i%d: diff report diverged under concurrency", g, i)
 					}
 				case 2: // explain edited
-					w := post(t, h, "/explain", request{Topology: topo, Configs: edited, Spec: spc})
+					w := post(t, h, "/explain", request{Topology: p.topo, Configs: p.edited, Spec: p.spc})
 					if w.Code != http.StatusOK {
 						t.Errorf("g%d i%d explain edited: %d %s", g, i, w.Code, w.Body.String())
 						return
 					}
 					var resp explainResponse
 					json.Unmarshal(w.Body.Bytes(), &resp)
-					if resp.Report != wantEdited {
+					if resp.Report != p.wantEdited {
 						t.Errorf("g%d i%d: edited report diverged under concurrency", g, i)
 					}
 				case 3: // pre-cancelled request: must fail fast, leak nothing
-					body, _ := json.Marshal(request{Topology: topo, Configs: configs, Spec: spc})
+					body, _ := json.Marshal(request{Topology: p.topo, Configs: p.configs, Spec: p.spc})
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
 					r := httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(body)).WithContext(ctx)

@@ -145,6 +145,10 @@ func (b *Base) indexCone() {
 // its symbolized router's cone.
 func (b *Base) Seed() logic.Term { return b.enc.Conjunction() }
 
+// PathInfos lists the base encoding's candidates (Encoding.PathInfos):
+// over the concrete deployment, every edge condition and rank is ground.
+func (b *Base) PathInfos() []PathInfo { return b.enc.PathInfos() }
+
 // Encode encodes the base deployment with each router in overrides
 // configured as overrides says (the routers a query changes, such as
 // the one it symbolizes) against the base's requirements, splicing

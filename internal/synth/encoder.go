@@ -103,8 +103,8 @@ type Encoding struct {
 	// cands is the encoder's candidate graph, read-only once encoded;
 	// PathInfos and PathInfosThrough flatten it on demand.
 	cands map[string]map[string][]*candidate
-	// paths is materialized on first PathInfos call (CheckSubspec needs
-	// it; lifts and unlifted sweeps never pay for it).
+	// paths is materialized on first PathInfos call (CheckSubspec reads
+	// the session base's; lifts and unlifted sweeps never pay for it).
 	pathsOnce sync.Once
 	paths     []PathInfo
 }

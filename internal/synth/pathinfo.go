@@ -37,7 +37,8 @@ func (p PathInfo) Traffic() []string { return reverse(p.Path) }
 // materialized on first call (concurrency-safe) and cached; each call
 // returns its own copy of the list. A router's lift reads
 // PathInfosThrough instead: only user-written clauses, checked by
-// core.CheckSubspec, may name routes that avoid the router.
+// core.CheckSubspec over the session base (Base.PathInfos), may name
+// routes that avoid the router.
 func (enc *Encoding) PathInfos() []PathInfo {
 	enc.pathsOnce.Do(func() { enc.paths = enc.pathInfos("") })
 	return append([]PathInfo(nil), enc.paths...)
