@@ -4,6 +4,7 @@
 //	netexplain -scenario scenario1 -router R1
 //	netexplain -scenario scenario3 -router R2 -req Req1     # per-requirement
 //	netexplain -scenario scenario1 -router R1 -var 'R1_to_P1/100/action'
+//	netexplain -scenario scenario1 -router R1 -validate -configs edited.cfg
 //	netexplain -scenario scenario1 -diff old.cfg new.cfg    # incremental what-if
 //	netexplain -rules                                       # list the 15 rules
 package main
@@ -43,6 +44,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	varSpec := fs.String("var", "", "explain a single field: MAP/SEQ/action | MAP/SEQ/match/I | MAP/SEQ/set/I")
 	noLift := fs.Bool("nolift", false, "skip subspecification lifting (print residual constraints only)")
 	validate := fs.Bool("validate", false, "validate the deployed configuration against the lifted subspecification")
+	configsPath := fs.String("configs", "", "with -validate: validate the deployment in FILE (read as -diff reads its files) against the block lifted from the synthesized one")
 	all := fs.Bool("all", false, "print the explanation report for every configured router")
 	diff := fs.Bool("diff", false, "incremental what-if: takes two positional config files OLD NEW; topology and intent come from -scenario")
 	complement := fs.Bool("complement", false, "explain what the REST of the network must do, holding -router fixed")
@@ -94,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	sc, err := scenarios.ByName(*scenario)
 	if err != nil {
 		return usage(err)
+	}
+	if *configsPath != "" && !*validate {
+		return usage(fmt.Errorf("-configs needs -validate"))
 	}
 	sopts := synth.DefaultOptions()
 	sopts.AllowUnspecified = *interp2
@@ -217,11 +222,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(out, "(necessary; sufficiency not fully verified)")
 		}
 		if *validate && !ex.Subspec.IsEmpty() {
-			checks, err := explainer.CheckSubspecContext(ctx, *router, ex.Subspec)
+			// The block lifted from the synthesized deployment is checked
+			// against the deployment in -configs, when given: an edited
+			// configuration is validated locally, as the paper proposes.
+			checker, what := explainer, "the deployed configuration"
+			if *configsPath != "" {
+				dep, err := readDeployment(*configsPath)
+				if err != nil {
+					return fail(err)
+				}
+				if checker, err = core.NewExplainer(sc.Net, reqs, dep, opts); err != nil {
+					return fail(err)
+				}
+				what = "the configuration in " + *configsPath
+			}
+			checks, err := checker.CheckSubspecContext(ctx, *router, ex.Subspec)
 			if err != nil {
 				return fail(err)
 			}
-			fmt.Fprintf(out, "\nvalidating the deployed configuration against the subspecification:\n%s", core.FormatChecks(checks))
+			fmt.Fprintf(out, "\nvalidating %s against the subspecification:\n%s", what, core.FormatChecks(checks))
 		}
 	}
 	return 0

@@ -63,6 +63,19 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad flag: exit %d, want 2", code)
 	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-configs", "testdata/scenario1_R1_exports_transit.cfg"}, &out, &errOut); code != 2 {
+		t.Fatalf("-configs without -validate: exit %d, want 2", code)
+	}
+
+	// An unreadable -configs file is an operational failure.
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-validate", "-configs", "testdata/missing.cfg"}, &out, &errOut); code != 1 {
+		t.Fatalf("-configs with a missing file: exit %d, want 1", code)
+	}
 }
 
 // TestRunRules pins the one flag that must not touch the pipeline:
@@ -160,7 +173,10 @@ func TestRunAllToFile(t *testing.T) {
 
 // TestRunSingleRouterGoldens pins the single-router modes byte for
 // byte: the complement, -validate (explain, then check the deployed
-// configuration against the lifted block) and a -var explanation.
+// configuration against the lifted block), -validate -configs (check an
+// edited deployment, scenario1 with R1 exporting transit to P1, against
+// the block lifted from the synthesized one: both clauses FAIL) and a
+// -var explanation.
 // A golden is the command's stdout; regenerate one by running the
 // case's arguments, e.g. `go run ./cmd/netexplain -scenario scenario2
 // -router R3 -complement > cmd/netexplain/testdata/complement_scenario2_R3.golden`,
@@ -172,6 +188,7 @@ func TestRunSingleRouterGoldens(t *testing.T) {
 	}{
 		{"complement_scenario2_R3", []string{"-scenario", "scenario2", "-router", "R3", "-complement"}},
 		{"validate_scenario1_R1", []string{"-scenario", "scenario1", "-router", "R1", "-validate"}},
+		{"validate_configs_scenario1_R1_exports_transit", []string{"-scenario", "scenario1", "-router", "R1", "-validate", "-configs", "testdata/scenario1_R1_exports_transit.cfg"}},
 		{"var_scenario1_R1_to_P1_100_action", []string{"-scenario", "scenario1", "-router", "R1", "-var", "R1_to_P1/100/action"}},
 	}
 	for _, c := range cases {

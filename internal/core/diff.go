@@ -58,15 +58,27 @@ func (e *Explainer) ReExplain(delta Delta) (*DiffReport, error) {
 // ReExplainContext applies the delta to the explainer — on return
 // (success or failure past validation) the explainer targets the
 // edited problem — and produces the edited network's report
-// incrementally: it builds the successor session and its base, then
-// writes the report through the report cache the sessions share. A
-// router whose locality key (what its derived encode reads, plus the
-// lift options) is unchanged since some earlier report along the
-// session chain has its section served from the cache; the others are
-// explained afresh. An edit the encoder cannot see leaves every key
-// alone, so nothing is recomputed; an edit at router X changes the
-// key of every router that reads X's config, and X's own only when
-// its symbolized config or vocabulary changes.
+// incrementally: it builds the successor session, then writes the
+// report through the report cache the sessions share. A router whose
+// locality key (what its derived encode reads, plus the lift options)
+// is unchanged since some earlier report along the session chain has
+// its section served from the cache; the others are explained afresh.
+// An edit the encoder cannot see leaves every key alone, so nothing is
+// recomputed; an edit at router X changes the key of every router that
+// reads X's config, and X's own only when its symbolized config or
+// vocabulary changes.
+//
+// The successor's base is built by its first section miss
+// (Session.Encode), so a sweep the cache answers whole — a retune or
+// an undo — encodes nothing. A broken edit still fails as a cold
+// report over it would: an edit the encoder rejects changes what some
+// router's key digests, so that router misses, and its encode builds
+// the base and returns the encoder's error. Every other configured
+// router's key digests the edited router's config whole; the edited
+// router's own digests its symbolized config, which can hide the fault
+// (a match naming an unknown prefix-list is symbolized away), so a
+// deployment of one configured router builds its base after a sweep
+// with no miss.
 //
 // The report is byte-identical to a cold Report over the edited
 // deployment: a section is a function of its key's inputs alone.
@@ -86,26 +98,21 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 		}
 	}
 
-	// The successor's base comes first: an edit that breaks the
-	// deployment fails here, as a cold report over it would, however
-	// many of its sections the cache still holds.
 	newSess := engine.NewSessionFrom(e.Session, e.Reqs, newDep)
-	_, baseErr := newSess.PrepareScoped(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	st := DiffStats{EditedConfigs: config.DiffRouters(e.Deployment, newDep), Routers: len(newDep)}
 	e.Deployment = newDep
 	e.Session = newSess
-	if baseErr != nil {
-		return nil, baseErr
-	}
 
 	before := newSess.ReportCache().Stats()
 	var sb strings.Builder
 	_, recomputed, err := e.writeReportLocked(ctx, &sb)
 	if err != nil {
 		return nil, err
+	}
+	if len(recomputed) == 0 && len(newDep) == 1 {
+		if _, err := newSess.PrepareScoped(ctx); err != nil {
+			return nil, err
+		}
 	}
 	after := newSess.ReportCache().Stats()
 	st.PredictedDirty = recomputed

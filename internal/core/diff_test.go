@@ -150,10 +150,77 @@ func TestReExplainModelInvisibleEditFastPath(t *testing.T) {
 	if dr.Report != want {
 		t.Fatal("fast-path report diverges from a cold report over the edited network")
 	}
-	// The explainer now targets the edited network.
+	// The explainer now targets the edited network, through a successor
+	// session the all-hit sweep left without a base or an encode.
 	if e.Deployment["R2"] != edited["R2"] {
 		t.Fatal("ReExplain did not adopt the edited deployment")
 	}
+	if st := e.Stats(); st.BaseEncodes != 0 || st.Encodes != 0 {
+		t.Fatalf("all-hit sweep: BaseEncodes %d, Encodes %d; want 0, 0", st.BaseEncodes, st.Encodes)
+	}
+}
+
+// TestReExplainBrokenEditFails: an edit the encoder rejects (R1's
+// match names a prefix-list R1 does not define) fails ReExplain as it
+// fails a cold report, although R1's own section key, taken over its
+// symbolized config, does not see the name. With three configured
+// routers R2's and R3's keys see it, so their sections miss and build
+// the base; with R1 alone no section misses, and the base is built
+// after the sweep. Reports are unlifted: R1 alone does not meet the
+// intent, so its lift has no seed model.
+func TestReExplainBrokenEditFails(t *testing.T) {
+	sc := scenarios.Scenario1()
+	dep := synthScenario(t, sc)
+	opts := DefaultOptions()
+	opts.Lift = false
+	for _, tc := range []struct {
+		name string
+		dep  config.Deployment
+	}{
+		{"three routers", dep},
+		{"R1 alone", config.Deployment{"R1": dep["R1"]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := config.Deployment{}
+			for name, c := range tc.dep {
+				broken[name] = c
+			}
+			broken["R1"] = withUnknownPrefixList(t, tc.dep["R1"])
+			if _, err := coldReport(t, sc, broken, nil, opts); err == nil {
+				t.Fatal("a cold report of the broken edit succeeds; the test shows nothing")
+			}
+			e, err := NewExplainer(sc.Net, sc.Requirements(), tc.dep, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Report(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.ReExplain(Delta{Deployment: broken})
+			if err == nil || !strings.Contains(err.Error(), "unknown prefix-list") {
+				t.Fatalf("ReExplain of the broken edit: err = %v, want the encoder's unknown prefix-list", err)
+			}
+		})
+	}
+}
+
+// withUnknownPrefixList returns a copy of c whose first prefix-list
+// match names a list c does not define.
+func withUnknownPrefixList(t *testing.T, c *config.Config) *config.Config {
+	t.Helper()
+	out := c.Clone()
+	for _, name := range out.RouteMapNames() {
+		for _, cl := range out.RouteMaps[name].Clauses {
+			for _, m := range cl.Matches {
+				if m.Kind == config.MatchPrefixList {
+					m.PrefixList = "no_such_list"
+					return out
+				}
+			}
+		}
+	}
+	t.Fatalf("%s has no prefix-list match", c.Router)
+	return nil
 }
 
 // TestReExplainAfterLiftOptionChange: a re-explanation renders under

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -137,16 +138,24 @@ func BenchmarkReExplainSplice(b *testing.B) {
 // written by a fresh explainer each op: the session base, every
 // router's encode and simplification and the root replays are paid
 // every time. Its bytes and allocations per op are what the unlifted
-// scale path spends per report.
+// scale path spends per report; retained-MB/op is what the explainer
+// still holds once the report is written (its session's base, encode
+// cache, normal forms and report sections): the live heap after a
+// collection with the explainer referenced, minus the live heap before
+// it was built, measured with the timer stopped.
 func BenchmarkReportFabricCold(b *testing.B) {
 	w := randomFabric(b, 300, 7, 6)
 	opts := DefaultOptions()
 	opts.Synth = w.synth
 	opts.Lift = false
 	ctx := context.Background()
+	var retained int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
 		e, err := NewExplainer(w.net, w.reqs, w.dep, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -154,7 +163,20 @@ func BenchmarkReportFabricCold(b *testing.B) {
 		if _, err := e.WriteReport(ctx, io.Discard); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		retained += liveHeap() - before
+		runtime.KeepAlive(e)
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(retained)/float64(b.N)/1e6, "retained-MB/op")
+}
+
+// liveHeap collects garbage and returns the bytes of live heap objects.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkReportFabricLiftedCold measures one cold lifted report of

@@ -22,12 +22,17 @@ import (
 // constraint slice (terms are hash-consed, so "the same" is pointer
 // equality), and an encoder derived from the base (Base.Encode)
 // copies those spans verbatim. Only the candidates through the
-// symbolized router (its cone of influence) are re-derived, only their
-// groups re-emitted, and only their prefixes' node maps rebuilt: the
-// candidate work of a derived encode scales with the cone. What stays
-// at network size is the splice itself, one copy of the base's
-// constraint list and one node-map pointer per prefix. Every derived
-// encode encodes the requirements the base was recorded with.
+// symbolized router (its cone of influence) are re-derived and only
+// their groups re-emitted: the candidate work of a derived encode
+// scales with the cone. So does what a derived encoding keeps. Its
+// candidate graph is the base's maps, shared, overlaid with the
+// re-derived groups. Its constraints live only in its interned
+// conjunction, whose argument slice Encoding.Constraints is; the
+// spliced list, the one network-size copy the encode still makes, is
+// garbage once interned. An encode that re-encodes nothing (no
+// override changes a router on a candidate path) makes no copy: it
+// returns the base's list and seed term. Every derived encode encodes
+// the requirements the base was recorded with.
 //
 // A Base is immutable after construction and safe for concurrent use
 // by any number of encoders.
@@ -95,6 +100,7 @@ func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 	if err != nil {
 		return nil, err
 	}
+	enc.intern()
 	b := &Base{
 		net:       net,
 		dep:       dep,
@@ -103,7 +109,7 @@ func NewBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		enc:       enc,
 		selGroups: e.selGroups,
 		reqGroups: e.reqGroups,
-		cands:     e.cands,
+		cands:     e.cands.byPrefix,
 		vocab:     e.voc(),
 		tags:      countTags(dep),
 	}
@@ -140,9 +146,10 @@ func (b *Base) indexCone() {
 	}
 }
 
-// Seed returns the base encoding's conjunction: the seed specification
-// of the concrete deployment, which every derived seed repeats outside
-// its symbolized router's cone.
+// Seed returns the base encoding's conjunction, interned once by
+// NewBase: the seed specification of the concrete deployment, which
+// every derived seed repeats outside its symbolized router's cone and
+// a derived encode that re-encodes nothing returns as its own.
 func (b *Base) Seed() logic.Term { return b.enc.Conjunction() }
 
 // PathInfos lists the base encoding's candidates (Encoding.PathInfos):

@@ -69,6 +69,30 @@ func (c *candidate) fullPassTerm() logic.Term {
 
 func (c *candidate) key() string { return strings.Join(c.path, "_") }
 
+// candGraph is an encoder's candidate graph: byPrefix[prefix][node]
+// lists the node's candidates in discovery (BFS) order. A graph
+// derived from a base (encodeScoped) holds the base's maps, read-only,
+// and over, the groups it re-derived; every reader goes through at,
+// so a derived graph costs its cone, not a copy of the network's.
+type candGraph struct {
+	byPrefix map[string]map[string][]*candidate
+	// over holds the re-derived groups of a derived graph by prefix and
+	// node, overriding byPrefix's; nil when nothing was re-derived. It
+	// adds no prefix or node, so byPrefix's keys are the graph's.
+	over map[string]map[string][]*candidate
+}
+
+// at returns the candidates of the prefix at the node.
+func (g candGraph) at(prefix, node string) []*candidate {
+	if cs, ok := g.over[prefix][node]; ok {
+		return cs
+	}
+	return g.byPrefix[prefix][node]
+}
+
+// nodes returns, sorted, the nodes holding a candidate of the prefix.
+func (g candGraph) nodes(prefix string) []string { return sortedNodes(g.byPrefix[prefix]) }
+
 // EncStats summarizes an encoding, feeding the experiment harness.
 type EncStats struct {
 	Constraints    int
@@ -93,27 +117,50 @@ type EncStats struct {
 // variable inventory needed to decode models and to explain.
 type Encoding struct {
 	// Constraints is the full constraint list; their conjunction is
-	// the paper's "seed specification" shape.
+	// the paper's "seed specification" shape. In a base's encoding and
+	// every encoding derived from one (Base.Encode) the slice is the
+	// argument list of the interned conjunction (Conjunction), shared
+	// with the term table and, where nothing was re-encoded, with the
+	// base: it is read-only, never write to it.
 	Constraints []logic.Term
 	// HoleVars maps hole names to their logic variables.
 	HoleVars map[string]*logic.Var
 	// Stats summarizes encoding size.
 	Stats EncStats
 
+	// seed is the interned conjunction of Constraints, set when a base
+	// or derived encoding is finished (intern); nil on plain encodes.
+	seed logic.Term
 	// cands is the encoder's candidate graph, read-only once encoded;
 	// PathInfos and PathInfosThrough flatten it on demand.
-	cands map[string]map[string][]*candidate
+	cands candGraph
 	// paths is materialized on first PathInfos call (CheckSubspec reads
 	// the session base's; lifts and unlifted sweeps never pay for it).
 	pathsOnce sync.Once
 	paths     []PathInfo
 }
 
-// Conjunction returns the constraints as a single term. The list is
-// passed as it is: interning copies the argument slice of a node it
-// keeps, so the term never aliases Constraints.
+// Conjunction returns the constraints as a single term: for a base's
+// or a derived encoding the node interned when it was finished, whose
+// argument slice Constraints is; for a plain encode the conjunction
+// interned on each call (interning copies the argument slice of a node
+// it keeps, so that term never aliases Constraints).
 func (enc *Encoding) Conjunction() logic.Term {
+	if enc.seed != nil {
+		return enc.seed
+	}
 	return logic.And(enc.Constraints...)
+}
+
+// intern interns the conjunction once and keeps Constraints as the
+// interned node's arguments, pointer-identical element by element, so
+// the list the encoder built is garbage once this returns and the
+// encoding holds its constraints in one place, the term table's.
+func (enc *Encoding) intern() {
+	enc.seed = logic.And(enc.Constraints...)
+	if len(enc.Constraints) > 1 {
+		enc.Constraints = enc.seed.(*logic.Apply).Args
+	}
 }
 
 // Encoder builds constraint encodings. Create with NewEncoder; one
@@ -130,9 +177,8 @@ type Encoder struct {
 	// vocab is settled on first use (see voc).
 	vocab *vocab
 
-	holeVars map[string]*logic.Var
-	// cands[prefix][node] lists candidates in discovery (BFS) order.
-	cands       map[string]map[string][]*candidate
+	holeVars    map[string]*logic.Var
+	cands       candGraph
 	constraints []logic.Term
 	stats       EncStats
 	// selGroups and reqGroups record, in emission order, the constraint
@@ -158,7 +204,7 @@ func NewEncoder(net *topology.Network, sketch config.Deployment, opts Options) *
 		sketch:   sketch,
 		opts:     opts.withDefaults(),
 		holeVars: make(map[string]*logic.Var),
-		cands:    make(map[string]map[string][]*candidate),
+		cands:    candGraph{byPrefix: make(map[string]map[string][]*candidate)},
 	}
 }
 
@@ -377,7 +423,7 @@ func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 		}
 		prefix := origin.Prefix.String()
 		byNode := make(map[string][]*candidate)
-		e.cands[prefix] = byNode
+		e.cands.byPrefix[prefix] = byNode
 
 		root := &candidate{
 			prefix: prefix,
@@ -455,9 +501,8 @@ func contains(path []string, node string) bool {
 // what makes span-copying sound (see Base).
 func (e *Encoder) forEachSelectionGroup(f func(prefix, node string, cands []*candidate)) {
 	for _, prefix := range e.voc().prefixes {
-		byNode := e.cands[prefix]
-		for _, node := range sortedNodes(byNode) {
-			cands := byNode[node]
+		for _, node := range e.cands.nodes(prefix) {
+			cands := e.cands.at(prefix, node)
 			if len(cands) == 1 && cands[0].sel == nil {
 				continue // origin
 			}
@@ -541,8 +586,8 @@ func asPathLen(path []string, net *topology.Network) int {
 func (e *Encoder) encodeForbid(f *spec.Forbid) error {
 	hit := false
 	for _, prefix := range e.voc().prefixes {
-		for _, node := range sortedNodes(e.cands[prefix]) {
-			for _, c := range e.cands[prefix][node] {
+		for _, node := range e.cands.nodes(prefix) {
+			for _, c := range e.cands.at(prefix, node) {
 				if !matchesTraffic(f.Path, c.path) {
 					continue
 				}
@@ -574,7 +619,7 @@ func (e *Encoder) encodeAllow(a *spec.Allow) error {
 	}
 	prefix := origin.Prefix.String()
 	var sels []logic.Term
-	for _, c := range e.cands[prefix][src] {
+	for _, c := range e.cands.at(prefix, src) {
 		if matchesTrafficExact(a.Path, c.path) {
 			sels = append(sels, c.selTerm())
 		}
@@ -604,7 +649,7 @@ func (e *Encoder) encodePreference(p *spec.Preference) error {
 		return fmt.Errorf("synth: preference destination %q does not originate a prefix", dst)
 	}
 	prefix := origin.Prefix.String()
-	atSrc := e.cands[prefix][src]
+	atSrc := e.cands.at(prefix, src)
 	if len(atSrc) == 0 {
 		return fmt.Errorf("synth: no candidate paths from %s to %s", src, dst)
 	}
@@ -754,7 +799,7 @@ func sortedNodes(byNode map[string][]*candidate) []string {
 // the verifier's diagnostics and tests).
 func (e *Encoder) Candidates(prefix, node string) [][]string {
 	var out [][]string
-	for _, c := range e.cands[prefix][node] {
+	for _, c := range e.cands.at(prefix, node) {
 		out = append(out, append([]string(nil), c.path...))
 	}
 	return out

@@ -23,3 +23,22 @@ func BuildVocabSorts(net *topology.Network, sketch config.Deployment) []*logic.S
 	v := buildVocab(net, sketch)
 	return []*logic.Sort{v.commSort, v.ipSort, v.prefixSort, v.nbrSort}
 }
+
+// BaseConstraints returns the base encoding's constraint list.
+func BaseConstraints(b *Base) []logic.Term { return b.enc.Constraints }
+
+// CandidateSnapshot copies the base's candidate graph: by prefix and
+// node, the candidate pointers in order.
+func CandidateSnapshot(b *Base) map[[2]string][]any {
+	out := map[[2]string][]any{}
+	for prefix, byNode := range b.cands {
+		for node, cs := range byNode {
+			g := make([]any, len(cs))
+			for i, c := range cs {
+				g[i] = c
+			}
+			out[[2]string{prefix, node}] = g
+		}
+	}
+	return out
+}

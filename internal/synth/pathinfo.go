@@ -60,16 +60,16 @@ func (enc *Encoding) pathInfos(node string) []PathInfo {
 		c   *candidate
 	}
 	var out []PathInfo
-	prefixes := make([]string, 0, len(enc.cands))
-	for p := range enc.cands {
+	prefixes := make([]string, 0, len(enc.cands.byPrefix))
+	for p := range enc.cands.byPrefix {
 		prefixes = append(prefixes, p)
 	}
 	sort.Strings(prefixes)
 	var all []keyed
 	for _, prefix := range prefixes {
 		all = all[:0]
-		for _, cs := range enc.cands[prefix] {
-			for _, c := range cs {
+		for n := range enc.cands.byPrefix[prefix] {
+			for _, c := range enc.cands.at(prefix, n) {
 				if c.parent != nil && (node == "" || contains(c.path, node)) {
 					all = append(all, keyed{strings.Join(c.path, ","), c})
 				}

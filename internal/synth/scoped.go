@@ -2,7 +2,6 @@ package synth
 
 import (
 	"context"
-	"maps"
 	"slices"
 	"sort"
 
@@ -15,17 +14,19 @@ import (
 const scopedCtxInterval = 256
 
 // encodeScoped is the cone-scoped encode: re-derive the base candidates
-// whose path crosses a dirty router (Base.through lists them), rebuild
-// only the candidate groups and prefixes holding one, then walk the
-// recorded groups in order, copying each run of clean spans in one
-// slice and re-emitting dirty groups. The result is element-wise
-// pointer-identical to the whole-network encode of the same sketch: a
-// shared candidate's terms are the ones the whole-network encode would
-// derive from the same configs (hash-consing makes them the same
-// pointers), re-derived ones run the same edgePass over pointer-
-// identical inputs, and group emission is a deterministic function of
-// the candidates — so everything downstream (simplification, lifting,
-// reports) is byte-identical.
+// whose path crosses a dirty router (Base.through lists them), overlay
+// the base's candidate graph with only the groups holding one, then
+// walk the recorded groups in order, copying each run of clean spans in
+// one slice and re-emitting dirty groups, and intern the conjunction
+// (Encoding.intern), which leaves that slice garbage. An encode that
+// re-encodes no group returns the base's list and seed term instead.
+// The result is element-wise pointer-identical to the whole-network
+// encode of the same sketch: a shared candidate's terms are the ones
+// the whole-network encode would derive from the same configs
+// (hash-consing makes them the same pointers), re-derived ones run the
+// same edgePass over pointer-identical inputs, and group emission is a
+// deterministic function of the candidates — so everything downstream
+// (simplification, lifting, reports) is byte-identical.
 func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 	b := e.base
 	if err := e.declareScopedHoles(); err != nil {
@@ -83,9 +84,7 @@ func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 
 	// dirtyGroup marks the (prefix, router) groups holding a re-derived
 	// candidate: exactly the groups whose constraints must be
-	// re-emitted. Every other group keeps the base's candidate slice,
-	// and every prefix without a dirty group the base's node map, both
-	// read-only.
+	// re-emitted.
 	dirtyGroup := make(map[[2]string]bool)
 	dirtyIdx := make([]int, 0, len(mapped))
 	for bc := range mapped {
@@ -96,22 +95,45 @@ func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 		}
 	}
 	slices.Sort(dirtyIdx)
-	for prefix, byNode := range b.cands {
-		e.cands[prefix] = byNode
+
+	// Enumeration stats transfer from the recording encoder (the BFS is
+	// a function of topology and options alone); every candidate not
+	// re-derived was reused from the base.
+	bs := b.enc.Stats
+	e.stats.Candidates = bs.Candidates
+	e.stats.SelVars = bs.SelVars
+	e.stats.TruncatedPaths = bs.TruncatedPaths
+	e.stats.ReusedCandidates = bs.Candidates - len(mapped)
+
+	e.cands = candGraph{byPrefix: b.cands}
+	if len(dirtyIdx) == 0 {
+		// Nothing to re-encode (a requirement block re-encodes only with
+		// a dirty group): the constraints are the base's, list and seed
+		// term, and only the hole variables are the encode's own.
+		e.constraints = b.enc.Constraints
+		e.stats.ConstraintSize = b.enc.Stats.ConstraintSize
+		e.stats.ScopedGroupsCopied = len(b.selGroups) + len(b.reqs)
+		e.finishStats()
+		enc := e.finishEncoding()
+		enc.seed = b.enc.seed
+		return enc, nil
 	}
-	cloned := make(map[string]bool)
+
+	// The graph is the base's, read-only, with each dirty group
+	// overlaid by its list with the re-derived candidates in place.
+	e.cands.over = make(map[string]map[string][]*candidate)
 	for _, gi := range dirtyIdx {
 		g := b.selGroups[gi]
-		if !cloned[g.prefix] {
-			cloned[g.prefix] = true
-			e.cands[g.prefix] = maps.Clone(e.cands[g.prefix])
-		}
-		byNode := e.cands[g.prefix]
-		list := slices.Clone(byNode[g.node])
+		list := slices.Clone(b.cands[g.prefix][g.node])
 		for i, bc := range list {
 			if nc, ok := mapped[bc]; ok {
 				list[i] = nc
 			}
+		}
+		byNode := e.cands.over[g.prefix]
+		if byNode == nil {
+			byNode = make(map[string][]*candidate)
+			e.cands.over[g.prefix] = byNode
 		}
 		byNode[g.node] = list
 	}
@@ -141,7 +163,7 @@ func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 		copyRun(gi)
 		g := b.selGroups[gi]
 		start := len(e.constraints)
-		e.encodeSelectionGroup(e.cands[g.prefix][g.node])
+		e.encodeSelectionGroup(e.cands.at(g.prefix, g.node))
 		e.closeSpan(start)
 		e.stats.ScopedGroupsEncoded++
 		run = gi + 1
@@ -166,16 +188,10 @@ func (e *Encoder) encodeScoped(ctx context.Context) (*Encoding, error) {
 		e.stats.ScopedGroupsEncoded++
 	}
 
-	// Enumeration stats transfer from the recording encoder (the BFS is
-	// a function of topology and options alone); every candidate not
-	// re-derived was reused from the base.
-	bs := b.enc.Stats
-	e.stats.Candidates = bs.Candidates
-	e.stats.SelVars = bs.SelVars
-	e.stats.TruncatedPaths = bs.TruncatedPaths
-	e.stats.ReusedCandidates = bs.Candidates - len(mapped)
 	e.finishStats()
-	return e.finishEncoding(), nil
+	enc := e.finishEncoding()
+	enc.intern()
+	return enc, nil
 }
 
 // reqNeedsReencode reports whether a requirement's recorded constraint

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/logic"
 	"repro/internal/netgen"
 	"repro/internal/scenarios"
 	"repro/internal/spec"
@@ -25,7 +26,108 @@ import (
 // are hash-consed, so pointer equality is structural equality), the
 // same hole variables, the same path infos (whole-network and through
 // each symbolized router, the latter the order-preserving filter of the
-// former) and the same size stats. The inputs are every router of each
+// former) and the same size stats, on every derived encode of
+// forEachScopedWorkload's workloads.
+func TestScopedEncodeIdentical(t *testing.T) {
+	forEachScopedWorkload(t, func(t *testing.T, w scopedWorkload) {
+		for _, c := range w.cases {
+			checkSpliceMatchesPlain(t, c.label, w.net, c.base, c.over, w.reqs, w.opts)
+		}
+	})
+}
+
+// TestDerivedEncodingHoldsOneCopy pins what a derived encoding keeps,
+// over TestScopedEncodeIdentical's workloads: its constraint list is
+// the argument slice of its interned seed term, one backing array (the
+// base's list is its seed's too); an encode that re-encodes nothing
+// returns the base's seed term and list; and no derived encode writes
+// to the base's candidate maps, which it overlays, or to the base's
+// constraint list, which it shares.
+func TestDerivedEncodingHoldsOneCopy(t *testing.T) {
+	forEachScopedWorkload(t, func(t *testing.T, w scopedWorkload) {
+		type snapshot struct {
+			cands       map[[2]string][]any
+			constraints []logic.Term
+		}
+		before := map[*synth.Base]snapshot{}
+		for _, c := range w.cases {
+			if _, ok := before[c.base]; ok {
+				continue
+			}
+			list := synth.BaseConstraints(c.base)
+			requireSeedArgs(t, "base", list, c.base.Seed())
+			before[c.base] = snapshot{synth.CandidateSnapshot(c.base), slices.Clone(list)}
+		}
+		shared := 0
+		for _, c := range w.cases {
+			enc, err := c.base.Encode(context.Background(), c.over)
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			seed := enc.Conjunction()
+			requireSeedArgs(t, c.label, enc.Constraints, seed)
+			if enc.Stats.ScopedGroupsEncoded > 0 {
+				continue
+			}
+			shared++
+			if seed != c.base.Seed() || !sameArray(enc.Constraints, synth.BaseConstraints(c.base)) {
+				t.Fatalf("%s: an encode that re-encodes nothing does not return the base's seed and list", c.label)
+			}
+		}
+		if shared == 0 {
+			t.Fatal("every encode re-encoded a group; the sharing check shows nothing")
+		}
+		for b, snap := range before {
+			if !slices.Equal(synth.BaseConstraints(b), snap.constraints) {
+				t.Fatal("a derived encode wrote to the base's constraint list")
+			}
+			now := synth.CandidateSnapshot(b)
+			if len(now) != len(snap.cands) {
+				t.Fatalf("the base's candidate groups went from %d to %d", len(snap.cands), len(now))
+			}
+			for g, cs := range snap.cands {
+				if !slices.Equal(now[g], cs) {
+					t.Fatalf("a derived encode changed the base's candidates of %s at %s", g[0], g[1])
+				}
+			}
+		}
+	})
+}
+
+// requireSeedArgs requires the constraint list to be the seed term's
+// argument slice: one backing array.
+func requireSeedArgs(t *testing.T, label string, list []logic.Term, seed logic.Term) {
+	t.Helper()
+	if a, ok := seed.(*logic.Apply); !ok || a.Op != logic.OpAnd || !sameArray(list, a.Args) {
+		t.Fatalf("%s: the constraint list is not its seed term's argument slice", label)
+	}
+}
+
+// sameArray reports whether two slices are the same slice of one
+// backing array.
+func sameArray(a, b []logic.Term) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// scopedCase is one derived encode of the scoped differential: the
+// base it derives from and the overrides, under a label.
+type scopedCase struct {
+	label string
+	base  *synth.Base
+	over  map[string]*config.Config
+}
+
+// scopedWorkload is one deployment of the scoped differential with the
+// derived encodes checked on it.
+type scopedWorkload struct {
+	net   *topology.Network
+	reqs  []spec.Requirement
+	opts  synth.Options
+	cases []scopedCase
+}
+
+// forEachScopedWorkload runs f as a parallel subtest on each workload
+// of the scoped differential. The inputs are every router of each
 // deployment fully symbolized, the scenario routers symbolized back to
 // their synthesis sketch, each scenario router's complement (every
 // other configured router symbolized, N-1 overrides), and every router
@@ -34,42 +136,42 @@ import (
 // overridden together) and from the edited deployment's own base (a
 // what-if successor session), and every router of a deployment in
 // which R1 alone mentions some tags (symbolizing it shrinks the
-// vocabulary).
-func TestScopedEncodeIdentical(t *testing.T) {
+// vocabulary); on four generated fabrics, every router symbolized and
+// every router's complement.
+func forEachScopedWorkload(t *testing.T, f func(t *testing.T, w scopedWorkload)) {
 	for _, sc := range scenarios.All() {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			opts := synth.DefaultOptions()
-			reqs := sc.Requirements()
-			dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, reqs, opts)
-			base := recordBase(t, sc.Net, dep, opts, reqs)
-			check := func(b *synth.Base, label string, over map[string]*config.Config) {
-				t.Helper()
-				checkSpliceMatchesPlain(t, label, sc.Net, b, over, reqs, opts)
+			w := scopedWorkload{net: sc.Net, reqs: sc.Requirements(), opts: synth.DefaultOptions()}
+			dep := synthesize(t, sc.Name, sc.Net, sc.Sketch, w.reqs, w.opts)
+			base := recordBase(t, sc.Net, dep, w.opts, w.reqs)
+			add := func(b *synth.Base, label string, over map[string]*config.Config) {
+				w.cases = append(w.cases, scopedCase{label, b, over})
 			}
 			for label, over := range fullSymbolizations(t, dep) {
-				check(base, label, over)
+				add(base, label, over)
 			}
 			for _, router := range sortedRouters(dep) {
 				if sym, ok := sc.Sketch[router]; ok && !sym.Concrete() {
-					check(base, router+" back to its sketch", map[string]*config.Config{router: sym})
+					add(base, router+" back to its sketch", map[string]*config.Config{router: sym})
 				}
-				check(base, "complement of "+router, complementOverrides(t, dep, router))
+				add(base, "complement of "+router, complementOverrides(t, dep, router))
 			}
 			for seed := int64(1); seed <= 2; seed++ {
 				edited, _ := netgen.Perturb(dep, seed, 2)
-				own := recordBase(t, sc.Net, edited, opts, reqs)
+				own := recordBase(t, sc.Net, edited, w.opts, w.reqs)
 				for label, over := range fullSymbolizations(t, edited) {
 					label = fmt.Sprintf("perturb %d, %s", seed, label)
-					check(base, label+" (unedited base)", withEdits(dep, edited, over))
-					check(own, label+" (own base)", over)
+					add(base, label+" (unedited base)", withEdits(dep, edited, over))
+					add(own, label+" (own base)", over)
 				}
 			}
 			probed := applied(dep, map[string]*config.Config{"R1": withProbeMap(dep["R1"], "777:7", "192.0.2.7")})
-			probedBase := recordBase(t, sc.Net, probed, opts, reqs)
+			probedBase := recordBase(t, sc.Net, probed, w.opts, w.reqs)
 			for label, over := range fullSymbolizations(t, probed) {
-				check(probedBase, "probed, "+label, over)
+				add(probedBase, "probed, "+label, over)
 			}
+			f(t, w)
 		})
 	}
 
@@ -90,18 +192,18 @@ func TestScopedEncodeIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			netgen.Populate(wl)
-			opts := synth.DefaultOptions()
-			opts.MaxPathLen = tc.mpl
-			opts.MaxCandidatesPerNode = 8
-			reqs := wl.Requirements()
-			dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, reqs, opts)
-			base := recordBase(t, wl.Net, dep, opts, reqs)
+			w := scopedWorkload{net: wl.Net, reqs: wl.Requirements(), opts: synth.DefaultOptions()}
+			w.opts.MaxPathLen = tc.mpl
+			w.opts.MaxCandidatesPerNode = 8
+			dep := synthesize(t, wl.Name, wl.Net, wl.Sketch, w.reqs, w.opts)
+			base := recordBase(t, wl.Net, dep, w.opts, w.reqs)
 			for label, over := range fullSymbolizations(t, dep) {
-				checkSpliceMatchesPlain(t, label, wl.Net, base, over, reqs, opts)
+				w.cases = append(w.cases, scopedCase{label, base, over})
 			}
 			for _, router := range sortedRouters(dep) {
-				checkSpliceMatchesPlain(t, "complement of "+router, wl.Net, base, complementOverrides(t, dep, router), reqs, opts)
+				w.cases = append(w.cases, scopedCase{"complement of " + router, base, complementOverrides(t, dep, router)})
 			}
+			f(t, w)
 		})
 	}
 }

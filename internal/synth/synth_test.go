@@ -78,7 +78,7 @@ func TestCandidateCapTruncates(t *testing.T) {
 		t.Fatal("cap of 1 must truncate on the paper topology")
 	}
 	for _, prefix := range e.voc().prefixes {
-		for node, cands := range e.cands[prefix] {
+		for node, cands := range e.cands.byPrefix[prefix] {
 			limit := 1
 			if node == prefixOrigin(net, prefix) {
 				continue
