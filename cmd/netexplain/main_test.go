@@ -141,6 +141,39 @@ func TestRunDiff(t *testing.T) {
 	}
 }
 
+// TestRunDiffNewNextHop pins the locality key's reach for a next-hop
+// edit: in scenario3 only R1 has a next-hop hole, so rewriting R2's
+// concrete next-hop to an address new to the deployment recomputes R1's
+// section alone. R3, whose encoding reads no next-hop address, keeps
+// its key.
+func TestRunDiffNewNextHop(t *testing.T) {
+	sc := scenarios.Scenario3()
+	res, err := synth.Synthesize(sc.Net, sc.Sketch, sc.Requirements(), synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := config.PrintDeployment(res.Deployment)
+	if strings.Count(old, "set next-hop 10.0.0.2\n") != 1 {
+		t.Fatalf("want one next-hop 10.0.0.2 line (R2's):\n%s", old)
+	}
+	dir := t.TempDir()
+	oldPath, newPath := filepath.Join(dir, "old.cfg"), filepath.Join(dir, "new.cfg")
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(old, "set next-hop 10.0.0.2\n", "set next-hop 10.0.0.9\n", 1)
+	if err := os.WriteFile(newPath, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-scenario", "scenario3", "-diff", oldPath, newPath}, &out, &errOut); code != 0 {
+		t.Fatalf("-diff exit %d (stderr: %s)", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "dirty routers:   R1 (1 of 3)\n") {
+		t.Fatalf("want only R1 dirty:\n%s", out.String())
+	}
+}
+
 // TestRunAllToFile pins the -o flag: the streamed -all report lands in
 // the file, byte-identical to the stdout report.
 func TestRunAllToFile(t *testing.T) {

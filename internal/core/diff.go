@@ -68,17 +68,17 @@ func (e *Explainer) ReExplain(delta Delta) (*DiffReport, error) {
 // reads X's config, and X's own only when its symbolized config or
 // vocabulary changes.
 //
-// The successor's base is built by its first section miss
-// (Session.Encode), so a sweep the cache answers whole — a retune or
-// an undo — encodes nothing. A broken edit still fails as a cold
-// report over it would: an edit the encoder rejects changes what some
-// router's key digests, so that router misses, and its encode builds
-// the base and returns the encoder's error. Every other configured
-// router's key digests the edited router's config whole; the edited
-// router's own digests its symbolized config, which can hide the fault
-// (a match naming an unknown prefix-list is symbolized away), so a
-// deployment of one configured router builds its base after a sweep
-// with no miss.
+// The successor's base is built before the report's first byte only
+// when some section misses (or one router is configured), as for every
+// report (writeReportLocked), so a sweep the cache answers whole — a
+// retune or an undo — encodes nothing. A broken edit still fails as a
+// cold report over it would: an edit the encoder rejects changes what
+// some router's key digests, so that router misses, and the base
+// returns the encoder's error. Every other configured router's key
+// digests the edited router's config whole; the edited router's own
+// digests its symbolized config, which can hide the fault (a match
+// naming an unknown prefix-list is symbolized away), which is why a
+// deployment of one configured router always builds its base.
 //
 // The report is byte-identical to a cold Report over the edited
 // deployment: a section is a function of its key's inputs alone.
@@ -108,11 +108,6 @@ func (e *Explainer) ReExplainContext(ctx context.Context, delta Delta) (*DiffRep
 	_, recomputed, err := e.writeReportLocked(ctx, &sb)
 	if err != nil {
 		return nil, err
-	}
-	if len(recomputed) == 0 && len(newDep) == 1 {
-		if _, err := newSess.PrepareScoped(ctx); err != nil {
-			return nil, err
-		}
 	}
 	after := newSess.ReportCache().Stats()
 	st.PredictedDirty = recomputed

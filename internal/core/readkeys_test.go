@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/config"
 	"repro/internal/netgen"
 	"repro/internal/scenarios"
@@ -27,27 +28,34 @@ type keyedDeployment struct {
 type keyedGroup struct {
 	w    differentialWorkload
 	deps []keyedDeployment
+	// retags pairs each deployment with one next-hop line rewritten
+	// (second) with the deployment it rewrote (first), by index.
+	retags [][2]int
 }
 
 // keyedSection is one router's locality key with the derived encoding
 // it stands for.
 type keyedSection struct {
-	key   string
-	enc   *synth.Encoding
-	paths []synth.PathInfo
+	key         string
+	enc         *synth.Encoding
+	paths       []synth.PathInfo
+	nextHopHole bool // the override has a next-hop set line with a hole
 }
 
 // TestReadKeysDifferential checks the locality key against the encodes
 // it stands for. Over deployments of one network — each scenario with
 // its single-edit netgen.Perturb variants (seeds 1–5, plus the first
-// seed giving each edit kind) and next-hop rewrites to an address new
-// to the vocabulary, and whatif-edits' 60-router fabric with a MED
-// line added, retuned and undone — two sections of a router with
-// equal keys must rest on the same derived encoding: element-wise
-// pointer-identical constraint lists, the same hole variables and the
-// same candidate paths through the router. An action flip or a
-// local-preference move at X must change every other router's key and
-// leave X's own. Both equal and unequal pairs must occur.
+// seed giving each edit kind), next-hop and community set lines of the
+// scenario and of each variant rewritten to a tag new to the
+// vocabulary (the first line, then every line), and whatif-edits'
+// 60-router fabric with a MED line added, retuned and undone — two
+// sections of a router with equal keys must rest on the same derived
+// encoding: element-wise pointer-identical constraint lists, the same
+// hole variables and the same candidate paths through the router. An
+// action flip or a local-preference move at X must change every other
+// router's key and leave X's own. A one-line next-hop rewrite must
+// leave the key of every router without a next-hop hole alone. Both
+// equal and unequal pairs must occur.
 func TestReadKeysDifferential(t *testing.T) {
 	var groups []keyedGroup
 	for _, sc := range scenarios.All() {
@@ -63,9 +71,16 @@ func TestReadKeysDifferential(t *testing.T) {
 			kinds[edits[0].Kind] = true
 			g.deps = append(g.deps, keyedDeployment{fmt.Sprintf("perturb%d", seed), edited, &edits[0]})
 		}
-		if one, all := withNewNextHop(dep, 1), withNewNextHop(dep, -1); one != nil {
-			g.deps = append(g.deps, keyedDeployment{"new-nexthop", one, nil},
-				keyedDeployment{"all-new-nexthop", all, nil})
+		for i, d := range slices.Clone(g.deps) {
+			for _, kind := range []config.SetKind{config.SetNextHopIP, config.SetCommunity} {
+				if one := withNewTag(d.dep, kind, 1); one != nil {
+					if kind == config.SetNextHopIP {
+						g.retags = append(g.retags, [2]int{i, len(g.deps)})
+					}
+					g.deps = append(g.deps, keyedDeployment{fmt.Sprintf("%s, new %v", d.name, kind), one, nil},
+						keyedDeployment{fmt.Sprintf("%s, all new %v", d.name, kind), withNewTag(d.dep, kind, -1), nil})
+				}
+			}
 		}
 		groups = append(groups, g)
 	}
@@ -91,7 +106,7 @@ func TestReadKeysDifferential(t *testing.T) {
 	}
 	groups = append(groups, g)
 
-	equal, unequal := 0, 0
+	equal, unequal, narrowed := 0, 0, 0
 	for _, g := range groups {
 		sections := make([]map[string]keyedSection, len(g.deps))
 		for i, d := range g.deps {
@@ -112,6 +127,18 @@ func TestReadKeysDifferential(t *testing.T) {
 				}
 			}
 		}
+		for _, rt := range g.retags {
+			for router := range g.w.dep {
+				a, b := sections[rt[0]][router], sections[rt[1]][router]
+				if a.nextHopHole || b.nextHopHole {
+					continue
+				}
+				if a.key != b.key {
+					t.Errorf("%s %s: %s changed the key of a router with no next-hop hole", g.w.name, router, g.deps[rt[1]].name)
+				}
+				narrowed++
+			}
+		}
 		for i, d := range g.deps {
 			if d.edit == nil || d.edit.Kind != "action-flip" && d.edit.Kind != "pref-change" {
 				continue
@@ -130,17 +157,20 @@ func TestReadKeysDifferential(t *testing.T) {
 	if equal == 0 || unequal == 0 {
 		t.Fatalf("%d equal and %d unequal key pairs; the differential needs both", equal, unequal)
 	}
-	t.Logf("%d equal and %d unequal key pairs", equal, unequal)
+	if narrowed == 0 {
+		t.Fatal("no next-hop rewrite met a router without a next-hop hole")
+	}
+	t.Logf("%d equal and %d unequal key pairs; %d keys a one-line next-hop rewrite left alone", equal, unequal, narrowed)
 }
 
-// withNewNextHop returns a copy of dep whose first n concrete next-hop
-// IP set lines (every one when n < 0), in router and route-map order,
-// rewrite to an address no other config mentions, so it enters the
-// vocabulary of every encoding that keeps one of them concrete; nil
-// when dep has no such line. With one line rewritten, the vocabulary
-// of the edited router's own encoding stays as it was; with two, it
-// grows too, though no config digest tells the two apart.
-func withNewNextHop(dep config.Deployment, n int) config.Deployment {
+// withNewTag returns a copy of dep whose first n concrete set lines of
+// the kind (SetNextHopIP or SetCommunity; every such line when n < 0),
+// in router and route-map order, set a tag no other config mentions,
+// so it enters the vocabulary of every encoding that keeps one of them
+// concrete; nil when dep has no such line. With one line rewritten, the
+// vocabulary of the edited router's own encoding stays as it was; with
+// two, it grows too, though no config digest tells the two apart.
+func withNewTag(dep config.Deployment, kind config.SetKind, n int) config.Deployment {
 	out := config.Deployment{}
 	names := make([]string, 0, len(dep))
 	for name, c := range dep {
@@ -154,8 +184,12 @@ func withNewNextHop(dep config.Deployment, n int) config.Deployment {
 		for _, rm := range c.RouteMapNames() {
 			for _, cl := range c.RouteMaps[rm].Clauses {
 				for _, s := range cl.Sets {
-					if s.Kind == config.SetNextHopIP && s.ParamHole == "" && done != n {
-						s.NextHopIP = "10.0.0.99"
+					if s.Kind == kind && s.ParamHole == "" && done != n {
+						if kind == config.SetNextHopIP {
+							s.NextHopIP = "10.0.0.99"
+						} else {
+							s.Community = bgp.MustCommunity("100:99")
+						}
 						out[name] = c
 						done++
 					}
@@ -195,7 +229,15 @@ func keyedSections(t *testing.T, w differentialWorkload, dep config.Deployment) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[router] = keyedSection{keys.Key(router, override), enc, enc.PathInfosThrough(router)}
+		hole := false
+		for _, rm := range override.RouteMaps {
+			for _, cl := range rm.Clauses {
+				for _, s := range cl.Sets {
+					hole = hole || s.Kind == config.SetNextHopIP && s.ParamHole != ""
+				}
+			}
+		}
+		out[router] = keyedSection{keys.Key(router, override), enc, enc.PathInfosThrough(router), hole}
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/config"
 	"repro/internal/spec"
 	"repro/internal/synth"
 )
@@ -73,8 +74,25 @@ func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error)
 // the ReExplain sweep. Caller holds e.mu (shared or exclusive). Besides the bytes written it returns, in report
 // order, the routers whose sections it rendered: the report cache held
 // every other section under its locality key (see section).
+//
+// Before the first byte it builds the session's base, so a problem the
+// encoder rejects fails with the session's engine.BaseError and
+// nothing written, unless the report cache holds every section and
+// more than one router is configured: then no section reads the base,
+// and a fault in one router's config changes what every other
+// router's key digests, so some section would have missed. With one
+// router the base is built anyway: its own key, taken over its
+// symbolized config, can hide the fault. The lookups that decide this
+// are the sections' own (lookupSections), so none is counted twice.
 func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, []string, error) {
 	routers := e.reportRouters()
+	keys := e.readKeys()
+	looked, missed := e.lookupSections(keys, routers)
+	if missed || len(routers) == 1 {
+		if _, err := e.Session.PrepareScoped(ctx); err != nil {
+			return 0, nil, err
+		}
+	}
 	var n int64
 	write := func(s string) error {
 		m, err := io.WriteString(w, s)
@@ -88,7 +106,6 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 	if len(routers) == 0 {
 		return n, nil, nil
 	}
-	keys := e.readKeys()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -131,7 +148,13 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 					if testBeforeSection != nil {
 						testBeforeSection(routers[i])
 					}
-					d.section, d.recomputed, d.err = e.section(ctx, keys, routers[i])
+					l := looked[i]
+					if l == nil {
+						l, d.err = e.lookupSection(keys, routers[i])
+					}
+					if d.err == nil {
+						d.section, d.recomputed, d.err = e.section(ctx, l)
+					}
 				}()
 				results <- d
 			}
@@ -231,39 +254,75 @@ func (e *Explainer) readKeys() *synth.ReadKeys {
 		fmt.Sprintf("lift %t, proofs %t", e.Opts.Lift, e.Opts.VerifyProofs))
 }
 
-// section returns the router's report section, and whether it had to
-// be rendered. A section is a function of the router's derived
+// sectionLookup is one router's report-cache lookup: the symbolization
+// its section is explained from, the locality key it is cached under,
+// and the cached section if the lookup hit.
+type sectionLookup struct {
+	router   string
+	targets  []Target
+	sym      *config.Config
+	replaced map[string]string
+	key      string
+	cached   string
+	hit      bool
+}
+
+// lookupSection symbolizes the router and looks its section up in the
+// report cache. A section is a function of the router's derived
 // encoding and the lift options alone (reports are byte-identical
 // however they were produced), and the locality key digests exactly
-// what that encoding reads (synth.ReadKeys) plus those options. So the
-// section is served from the report cache whenever its key is there,
-// and otherwise explained from the symbolized config the key was taken
-// from, rendered and stored.
-func (e *Explainer) section(ctx context.Context, keys *synth.ReadKeys, router string) (string, bool, error) {
+// what that encoding reads (synth.ReadKeys) plus those options, so a
+// section cached under the key is the section.
+func (e *Explainer) lookupSection(keys *synth.ReadKeys, router string) (*sectionLookup, error) {
 	if e.Net.Router(router) == nil {
-		return "", true, fmt.Errorf("core: unknown router %q", router)
+		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
 	c := e.Deployment[router]
-	targets := AllTargets(c)
-	sym, replaced, err := e.symbolize(router, targets)
-	if err != nil {
-		return "", true, err
+	l := &sectionLookup{router: router, targets: AllTargets(c)}
+	var err error
+	if l.sym, l.replaced, err = e.symbolize(router, l.targets); err != nil {
+		return nil, err
 	}
-	override := sym
+	override := l.sym
 	if override == nil {
 		override = c
 	}
-	key := keys.Key(router, override)
-	cache := e.Session.ReportCache()
-	if s, ok := cache.Get(key); ok {
-		return s, false, nil
+	l.key = keys.Key(router, override)
+	l.cached, l.hit = e.Session.ReportCache().Get(l.key)
+	return l, nil
+}
+
+// lookupSections looks the routers' sections up in report order until
+// the first that misses or fails; it returns the lookups made (nil for
+// the routers after) and whether the report needs a section rendered.
+func (e *Explainer) lookupSections(keys *synth.ReadKeys, routers []string) ([]*sectionLookup, bool) {
+	looked := make([]*sectionLookup, len(routers))
+	for i, r := range routers {
+		l, err := e.lookupSection(keys, r)
+		if err != nil {
+			return looked, true // the section's worker fails on it again
+		}
+		looked[i] = l
+		if !l.hit {
+			return looked, true
+		}
 	}
-	ex, err := e.explain(ctx, router, targets, sym, replaced)
+	return looked, false
+}
+
+// section returns the looked-up router's report section, and whether it
+// had to be rendered: on a miss it is explained from the symbolized
+// config the key was taken from, rendered and stored.
+func (e *Explainer) section(ctx context.Context, l *sectionLookup) (string, bool, error) {
+	if l.hit {
+		return l.cached, false, nil
+	}
+	ex, err := e.explain(ctx, l.router, l.targets, l.sym, l.replaced)
 	if err != nil {
 		return "", true, err
 	}
-	s := renderSection(router, ex)
-	cache.Put(key, s, int64(len(key)+len(s)))
+	s := renderSection(l.router, ex)
+	e.Session.ReportCache().Put(l.key, s, int64(len(l.key)+len(s)))
 	return s, true, nil
 }
 

@@ -534,6 +534,147 @@ func checkReplayedEdit(t *testing.T, r *rand.Rand) {
 	}
 }
 
+// FuzzReplayRawEdits records a random wide conjunction, with some
+// random terms, duplicates and absorbers mixed in, as the reference and
+// replays an edited copy of its raw operand list (editRaw) against it.
+// The replay must give the pointer and Passes of a full-loop
+// simplification; it may fall back.
+func FuzzReplayRawEdits(f *testing.F) {
+	for seed := int64(0); seed < 32; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		base := randRawConjuncts(r)
+		edited := editRaw(r, base)
+		c := NewCache()
+		_, ref := NewShared(c).Record(logic.And(base...))
+		got := NewShared(c)
+		got.Ref = ref
+		if err := SameAsFullLoop(got, NewShared(NewCache()), logic.And(edited...)); err != nil {
+			t.Fatalf("replayed against %s: %v, on %s", logic.And(base...), err, logic.And(edited...))
+		}
+	})
+}
+
+// randRawConjuncts builds the raw operand list of a base conjunction:
+// randWideConjunction's, with up to two random terms inserted, and a
+// duplicate of a conjunct and an operand of a disjunction (an absorber)
+// each added at a random place with even odds.
+func randRawConjuncts(r *rand.Rand) []logic.Term {
+	args := slices.Clone(randWideConjunction(r).(*logic.Apply).Args)
+	for n := r.Intn(3); n > 0; n-- {
+		args = slices.Insert(args, r.Intn(len(args)+1), randTerm(r, 1+r.Intn(2)))
+	}
+	if r.Intn(2) == 0 {
+		args = slices.Insert(args, r.Intn(len(args)+1), args[r.Intn(len(args))])
+	}
+	if r.Intn(2) == 0 {
+		if a := absorberOf(r, args); a != nil {
+			args = slices.Insert(args, r.Intn(len(args)+1), a)
+		}
+	}
+	return args
+}
+
+// absorberOf returns an operand of a random disjunction among args, nil
+// if there is none.
+func absorberOf(r *rand.Rand, args []logic.Term) logic.Term {
+	var ors []*logic.Apply
+	for _, c := range args {
+		if or, ok := c.(*logic.Apply); ok && or.Op == logic.OpOr {
+			ors = append(ors, or)
+		}
+	}
+	if len(ors) == 0 {
+		return nil
+	}
+	or := ors[r.Intn(len(ors))]
+	return or.Args[r.Intn(len(or.Args))]
+}
+
+// editRaw derives an edited copy of a raw operand list: one to four
+// edits, each replacing, inserting, deleting or moving a run of up to
+// four conjuncts; adding a conjunct that normalizes to true, to false
+// or to a conjunction, a duplicate of a later conjunct, a complement or
+// an absorber; or removing a conjunct that a later one duplicates, or
+// one that is an operand of another (an absorber).
+func editRaw(r *rand.Rand, in []logic.Term) []logic.Term {
+	args := slices.Clone(in)
+	run := func() (int, int) {
+		i := r.Intn(len(args))
+		return i, min(len(args), i+1+r.Intn(4))
+	}
+	fresh := func() []logic.Term {
+		out := make([]logic.Term, 1+r.Intn(4))
+		for i := range out {
+			out[i] = randWideConjunct(r)
+		}
+		return out
+	}
+	lit := func() logic.Term { return wideBools[r.Intn(len(wideBools))] }
+	for n := 1 + r.Intn(4); n > 0; n-- {
+		at := r.Intn(len(args) + 1)
+		switch r.Intn(13) {
+		case 0:
+			i, j := run()
+			args = slices.Replace(args, i, j, fresh()...)
+		case 1:
+			args = slices.Insert(args, at, fresh()...)
+		case 2:
+			if i, j := run(); j-i < len(args) {
+				args = slices.Delete(args, i, j)
+			}
+		case 3:
+			i, j := run()
+			moved := slices.Clone(args[i:j])
+			args = slices.Delete(args, i, j)
+			args = slices.Insert(args, r.Intn(len(args)+1), moved...)
+		case 4:
+			x := lit()
+			args = slices.Insert(args, at, logic.Implies(x, x))
+		case 5:
+			x := lit()
+			args = slices.Insert(args, at, logic.And(x, logic.Not(x)))
+		case 6:
+			args = slices.Insert(args, at, logic.And(randWideConjunct(r), randWideConjunct(r)))
+		case 7:
+			k := r.Intn(len(args))
+			args = slices.Insert(args, r.Intn(k+1), args[k])
+		case 8:
+			args = slices.Insert(args, at, logic.Not(args[r.Intn(len(args))]))
+		case 9:
+			if a := absorberOf(r, args); a != nil {
+				args = slices.Insert(args, at, a)
+			}
+		case 10:
+			if i := firstDuplicated(args); i >= 0 {
+				args = slices.Delete(args, i, i+1)
+			}
+		case 11:
+			if a := absorberOf(r, args); a != nil {
+				if i := slices.Index(args, a); i >= 0 && len(args) > 1 {
+					args = slices.Delete(args, i, i+1)
+				}
+			}
+		default:
+			args[r.Intn(len(args))] = randWideConjunct(r)
+		}
+	}
+	return args
+}
+
+// firstDuplicated returns the first index of args whose conjunct a
+// later one repeats, -1 if none.
+func firstDuplicated(args []logic.Term) int {
+	for i, c := range args {
+		if slices.Contains(args[i+1:], c) {
+			return i
+		}
+	}
+	return -1
+}
+
 // wideBools are the boolean variables of randWideConjunction: enough
 // names for propagation to run several rounds before it collapses.
 var wideBools = func() []*logic.Var {

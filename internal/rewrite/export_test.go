@@ -140,3 +140,12 @@ func referencePropagate(args []logic.Term) ([]logic.Term, bool) {
 	}
 	return out, changed
 }
+
+// CountRawNormalized makes every replayed root add the number of raw
+// conjuncts it normalized to *n, until the returned function restores
+// the previous hook.
+func CountRawNormalized(n *int) (restore func()) {
+	prev := rawStepHook
+	rawStepHook = func(k int) { *n += k }
+	return func() { rawStepHook = prev }
+}

@@ -16,7 +16,8 @@ import (
 // must give the pointer-identical normal form and the same Passes (a
 // replay counts no rule fires). On the two fabrics the replay, not the
 // fallback, must answer every root conjunction that differs from the
-// base seed's.
+// base seed's, and normalize only its fresh raw conjuncts: those the
+// base seed's root does not hold.
 func TestReplayMatchesFullLoop(t *testing.T) {
 	sets := append(scenarioReplaySets(t), netgenReplaySets(t)...)
 	fabrics := map[string]bool{}
@@ -39,16 +40,35 @@ func checkReplay(t *testing.T, set replaySet, noFallback bool) (replays, fallbac
 	t.Helper()
 	rc, fc := rewrite.NewCache(), rewrite.NewCache()
 	_, ref := rewrite.NewShared(rc).Record(set.base)
+	baseRaw := map[logic.Term]bool{}
+	for _, c := range set.base.(*logic.Apply).Args {
+		baseRaw[c] = true
+	}
+	var normalized int
+	defer rewrite.CountRawNormalized(&normalized)()
 	for i, seed := range set.seeds {
 		got, want := rewrite.NewShared(rc), rewrite.NewShared(fc)
 		got.Ref = ref
+		normalized = 0
 		if err := rewrite.SameAsFullLoop(got, want, seed); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		replays += got.Replays
 		fallbacks += got.ReplayFallbacks
-		if noFallback && seed != set.base && got.Replays != 1 {
+		if !noFallback || seed == set.base {
+			continue
+		}
+		if got.Replays != 1 {
 			t.Fatalf("seed %d: root conjunction not replayed (%d fallbacks)", i, got.ReplayFallbacks)
+		}
+		fresh := 0
+		for _, c := range seed.(*logic.Apply).Args {
+			if !baseRaw[c] {
+				fresh++
+			}
+		}
+		if normalized != fresh {
+			t.Fatalf("seed %d: %d raw conjuncts normalized, %d fresh", i, normalized, fresh)
 		}
 	}
 	return replays, fallbacks
@@ -59,8 +79,12 @@ func checkReplay(t *testing.T, set replaySet, noFallback bool) (replays, fallbac
 // differs in value, binder or round; a duplicate whose replacer or
 // partner is gone; a new conjunct that duplicates, complements or
 // absorbs a following one, or is absorbed by one; and an S13 drop whose
-// cause is gone. Each must replay (not fall back) and match the full
-// loop's normal form and Passes.
+// cause is gone. The raw cases edit the raw operand list the way
+// FuzzReplayRawEdits does: a run replaced, inserted, deleted or moved;
+// a conjunct that normalizes to true, to false or to a conjunction; a
+// duplicate of a later conjunct, a complement (of either sign) or an
+// absorber added; a first occurrence or an absorber removed. Each must replay (not fall
+// back) and match the full loop's normal form and Passes.
 func TestReplayDivergenceShapes(t *testing.T) {
 	p, q, r := logic.NewBoolVar("p"), logic.NewBoolVar("q"), logic.NewBoolVar("r")
 	i, j := logic.NewIntVar("i", 0, 3), logic.NewIntVar("j", 0, 3)
@@ -87,6 +111,19 @@ func TestReplayDivergenceShapes(t *testing.T) {
 		{"new-meets-complement", []logic.Term{bind, logic.Not(logic.Or(p, q)), r}, []logic.Term{bind, logic.Not(logic.Or(p, q)), r, imp(bind, logic.Or(p, q))}},
 		{"absorber-gone", []logic.Term{bind, p, imp(bind, logic.Or(p, q)), r}, []logic.Term{bind, imp(bind, logic.Or(p, q)), r}},
 		{"absorbed-kept", []logic.Term{bind, logic.Or(p, jlt), imp(bind, p), r}, []logic.Term{bind, logic.Or(p, jlt), imp(bind2, p), r}},
+		{"raw-replaced-run", []logic.Term{bind, imp(bind, p), imp(p, q), imp(q, jlt), r}, []logic.Term{bind, imp(r, q), imp(q, p), imp(q, jlt), r}},
+		{"raw-inserted-run", []logic.Term{bind, imp(bind, p), imp(p, jlt), r}, []logic.Term{bind, imp(bind, p), q, imp(q, r), imp(p, jlt), r}},
+		{"raw-deleted-run", []logic.Term{bind, imp(bind, p), imp(p, q), imp(q, jlt), r}, []logic.Term{bind, imp(q, jlt), r}},
+		{"raw-moved-run", []logic.Term{bind, imp(bind, p), q, r, imp(p, jlt)}, []logic.Term{q, r, bind, imp(bind, p), imp(p, jlt)}},
+		{"raw-true", []logic.Term{bind, imp(bind, p), r}, []logic.Term{bind, imp(q, q), imp(bind, p), r}},
+		{"raw-false", []logic.Term{bind, imp(bind, p), r}, []logic.Term{bind, imp(bind, p), logic.And(q, logic.Not(q)), r}},
+		{"raw-conjunction", []logic.Term{bind, imp(bind, p), r}, []logic.Term{bind, logic.And(q, imp(bind, jlt)), imp(bind, p), r}},
+		{"raw-dup-of-later", []logic.Term{bind, imp(bind, p), q, r}, []logic.Term{r, bind, imp(bind, p), q, r}},
+		{"raw-complement", []logic.Term{bind, imp(bind, p), q, r}, []logic.Term{bind, imp(bind, p), q, logic.Not(r), r}},
+		{"raw-complemented", []logic.Term{bind, imp(bind, p), logic.Not(q), r}, []logic.Term{bind, imp(bind, p), logic.Not(q), q, r}},
+		{"raw-absorber", []logic.Term{bind, imp(bind, p), logic.Or(q, r), jlt}, []logic.Term{bind, imp(bind, p), r, logic.Or(q, r), jlt}},
+		{"raw-first-removed", []logic.Term{r, bind, imp(bind, p), q, r}, []logic.Term{bind, imp(bind, p), q, r}},
+		{"raw-absorber-removed", []logic.Term{bind, q, imp(bind, p), logic.Or(q, r), jlt}, []logic.Term{bind, imp(bind, p), logic.Or(q, r), jlt}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

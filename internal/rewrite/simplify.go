@@ -40,11 +40,12 @@ type Simplifier struct {
 	// the ablation knob for the experiment that measures how much of
 	// the reduction that single rule carries.
 	DisableEqPropagation bool
-	// Ref, when set, is the recorded root propagation (Record) the
-	// root conjunction of each input replays instead of running S14
-	// itself (see replay.go). Replays and ReplayFallbacks report, for
-	// the last input, whether its root conjunction was answered by the
-	// replay or fell back to the full loop (1 or 0 each).
+	// Ref, when set, is the recorded root conjunction (Record) the root
+	// conjunction of each input replays from its raw conjuncts instead
+	// of normalizing, settling and propagating them all itself (see
+	// replay.go). Replays and ReplayFallbacks report, for the last
+	// input, whether its root conjunction was answered by the replay or
+	// fell back to the full path (1 or 0 each).
 	Ref             *Reference
 	Replays         int
 	ReplayFallbacks int
@@ -67,8 +68,8 @@ type Simplifier struct {
 	stack    []frame
 	inflight map[logic.Term]struct{}
 	// root is the input's root conjunction: the input, then its rebuild
-	// once its conjuncts are normalized. rec records its propagation
-	// during Record.
+	// once its conjuncts are normalized. rec records its first step and
+	// propagation during Record.
 	root logic.Term
 	rec  *Reference
 	// count is set in a counting run only (CountFires).
@@ -237,7 +238,24 @@ func (s *Simplifier) normalize(t logic.Term) (logic.Term, *nfEntry) {
 // rules of a's operator. If normalizing the children changed the node,
 // the rebuilt node is itself normalized (and cached) so every rule
 // only ever sees nodes whose children are in normal form.
+//
+// The raw root, the input's root conjunction before its first step, is
+// the node under the second frame; Record records its first step there,
+// and with Ref set it replays the reference (see replay.go) unless the
+// replay falls back to this path.
 func (s *Simplifier) rewriteNode(a *logic.Apply) logic.Term {
+	if len(s.stack) == 2 && a.Op == logic.OpAnd {
+		switch {
+		case s.rec != nil:
+			s.recordRaw(a)
+		case s.Ref != nil:
+			if out, ok := s.replayRoot(a); ok {
+				s.Replays++
+				return out
+			}
+			s.ReplayFallbacks++
+		}
+	}
 	changed := false
 	args := make([]logic.Term, len(a.Args))
 	for i, c := range a.Args {
@@ -332,25 +350,11 @@ func (s *Simplifier) simplifyAnd(a *logic.Apply) logic.Term {
 	if !ok {
 		return logic.False
 	}
-	var propagated bool
-	switch {
-	case a != s.root:
-		args, propagated, ok = s.propagate(args, nil)
-	case s.rec != nil:
-		args, propagated, ok = s.propagate(args, &recorder{ref: s.rec})
-	case s.Ref != nil:
-		var replayed bool
-		var out []logic.Term
-		if out, propagated, ok, replayed = s.replay(args); replayed {
-			s.Replays++
-			args = out
-		} else {
-			s.ReplayFallbacks++
-			args, propagated, ok = s.propagate(args, nil)
-		}
-	default:
-		args, propagated, ok = s.propagate(args, nil)
+	var rec *recorder
+	if a == s.root && s.rec != nil {
+		rec = &recorder{ref: s.rec}
 	}
+	args, propagated, ok := s.propagate(args, rec)
 	if !ok {
 		return logic.False
 	}

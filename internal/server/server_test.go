@@ -559,15 +559,44 @@ func medRetune(t *testing.T, configs string) (medAdded, medRetuned string) {
 	return withMED(10), withMED(25)
 }
 
+// TestServerRejectedProblem: a problem the encoder rejects (a
+// requirement that traffic reach a router the topology lacks) fails
+// the session's
+// base, which the report builds before its first byte, so /explain
+// answers 400 with the error alone in JSON and in stream mode, and no
+// lease stays held.
+func TestServerRejectedProblem(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	bad := strings.Replace(spc, "!(P1->...->P2)", "+(P1->...->Z9)\n    !(P1->...->P2)", 1)
+	if bad == spc {
+		t.Fatal("the spec has no P1->...->P2 line")
+	}
+	s := New(Options{})
+	h := s.Handler()
+	for _, stream := range []bool{false, true} {
+		w := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: bad, Stream: stream})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("stream %t: status = %d, want 400 (body: %s)", stream, w.Code, w.Body.String())
+		}
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
+			t.Fatalf("stream %t: body is not the error alone (%v): %s", stream, err, w.Body.String())
+		}
+		if g := s.Pool().Gauges(); g.Leased != 0 {
+			t.Fatalf("stream %t: pool leased = %d after the rejected problem, want 0", stream, g.Leased)
+		}
+	}
+}
+
 // TestMetricsCountersSurviveDiff pins the accounting of a /diff, which
 // hands the pooled explainer a successor session: the predecessor's
 // work must stay in /metrics. Across /explain → /diff → /explain, both
 // for a diff that takes the what-if fast path and for one the encoding
 // sees, no engine flow counter may fall, and BaseEncodes must equal the
 // number of sessions built — one per pool miss plus one per diff — less
-// those whose base no query has needed yet: a fast-path diff's
-// successor builds its base at the follow-up /explain, not in the
-// all-hit sweep.
+// those whose base no query has needed: a fast-path diff's successor
+// builds none, in the all-hit sweep or at the follow-up /explain, whose
+// sections all come from the report cache too, so BaseEncodes stays 1.
 func TestMetricsCountersSurviveDiff(t *testing.T) {
 	topo, configs, spc, edited := problemTexts(t)
 	medAdded, medRetuned := medRetune(t, configs)
@@ -633,7 +662,7 @@ func TestMetricsCountersSurviveDiff(t *testing.T) {
 			}
 			check("diff", unbuilt)
 			decodeExplain(t, post(t, h, "/explain", request{Topology: topo, Configs: tc.edited, Spec: spc}))
-			check("explain of the edited problem", 0)
+			check("explain of the edited problem", unbuilt)
 			if g := s.Pool().Gauges(); g.Hits != 2 || g.Misses != 1 {
 				t.Errorf("pool hits/misses = %d/%d, want 2/1 (the diff and the follow-up reuse the warm explainer)", g.Hits, g.Misses)
 			}

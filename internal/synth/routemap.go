@@ -205,11 +205,14 @@ func (e *Encoder) applySetsSymbolic(cl *config.Clause, takes logic.Term, st *rou
 // deployment with one router overridden (Base.Encode) reads, so two
 // such encodes with equal keys are the same encoding, constraint for
 // constraint. It digests every other router's config as appendRead
-// renders it, the override the same way, the vocabulary the encode
-// derives (Base.deriveVocab's adjustment for that one router), and,
-// once per set of keys, the requirements, the options and a caller's
-// salt. The topology is not digested: keys compare only encodes over
-// one network.
+// renders it, the override the same way, the next-hop IP set of the
+// vocabulary the encode derives (Base.deriveVocab's adjustment for
+// that one router) when the override has a next-hop hole, the one
+// reader of that set, and, once per set of keys, the requirements, the
+// options and a caller's salt. The rest of the vocabulary, the
+// community tags, is a function of the configs digested, and concrete
+// next-hop lines are read by nothing else. The topology is not
+// digested: keys compare only encodes over one network.
 //
 // NewReadKeys digests each router once, in one pass over the sorted
 // names, and chains the digests from both ends, so a key leaves out
@@ -221,7 +224,7 @@ type ReadKeys struct {
 	// those of the routers from the i-th on.
 	pre, post [][sha256.Size]byte
 	tags      tagCounts
-	vocab     [sha256.Size]byte // the whole deployment's vocabulary
+	ips       [sha256.Size]byte // the whole deployment's next-hop IP set
 	fixed     [sha256.Size]byte // requirements, options and salt
 }
 
@@ -257,7 +260,7 @@ func NewReadKeys(dep config.Deployment, reqs []spec.Requirement, opts Options, s
 		buf = append(append(buf, digests[i][:]...), k.post[i+1][:]...)
 		k.post[i] = sha256.Sum256(buf)
 	}
-	k.vocab = vocabDigest(positive(k.tags.comms, nil), positive(k.tags.ips, nil))
+	k.ips = ipsDigest(positive(k.tags.ips, nil))
 
 	buf = appendString(buf[:0], fmt.Sprintf("%+v", opts.withDefaults()))
 	for _, r := range reqs {
@@ -273,35 +276,47 @@ func NewReadKeys(dep config.Deployment, reqs []spec.Requirement, opts Options, s
 // it has nothing to symbolize).
 func (k *ReadKeys) Key(router string, override *config.Config) string {
 	i := k.index[router]
-	delta := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
-	delta.add(k.dep[router], -1)
-	delta.add(override, 1)
-	voc := k.vocab
-	if crossesZero(k.tags.comms, delta.comms) || crossesZero(k.tags.ips, delta.ips) {
-		voc = vocabDigest(positive(k.tags.comms, delta.comms), positive(k.tags.ips, delta.ips))
-	}
 	buf := appendRead(make([]byte, 0, 1024), override)
 	over := sha256.Sum256(buf)
 	buf = append(append(buf[:0], k.pre[i][:]...), k.post[i+1][:]...)
 	buf = appendString(buf, router)
-	buf = append(append(append(buf, over[:]...), voc[:]...), k.fixed[:]...)
+	buf = append(append(buf, over[:]...), k.fixed[:]...)
+	// The override's digest holds its holes, so whether the IP set
+	// follows is unambiguous.
+	if nextHopHole(override) {
+		delta := tagCounts{comms: map[bgp.Community]int{}, ips: map[string]int{}}
+		delta.add(k.dep[router], -1)
+		delta.add(override, 1)
+		ips := k.ips
+		if crossesZero(k.tags.ips, delta.ips) {
+			ips = ipsDigest(positive(k.tags.ips, delta.ips))
+		}
+		buf = append(buf, ips[:]...)
+	}
 	sum := sha256.Sum256(buf)
 	return string(sum[:])
 }
 
-// vocabDigest digests a vocabulary's community and next-hop IP sets.
-func vocabDigest(comms []bgp.Community, ips []string) [sha256.Size]byte {
-	names := make([]string, 0, len(comms)+len(ips))
-	for _, c := range comms {
-		names = append(names, "c"+c.String())
+// nextHopHole reports whether c has a next-hop set line with a hole.
+func nextHopHole(c *config.Config) bool {
+	for _, rm := range c.RouteMaps {
+		for _, cl := range rm.Clauses {
+			for _, s := range cl.Sets {
+				if s.Kind == config.SetNextHopIP && s.ParamHole != "" {
+					return true
+				}
+			}
+		}
 	}
-	for _, ip := range ips {
-		names = append(names, "i"+ip)
-	}
-	sort.Strings(names)
+	return false
+}
+
+// ipsDigest digests a next-hop IP set.
+func ipsDigest(ips []string) [sha256.Size]byte {
+	sort.Strings(ips)
 	var buf []byte
-	for _, n := range names {
-		buf = appendString(buf, n)
+	for _, ip := range ips {
+		buf = appendString(buf, ip)
 	}
 	return sha256.Sum256(buf)
 }
@@ -311,9 +326,9 @@ func vocabDigest(comms []bgp.Community, ips []string) [sha256.Size]byte {
 // each field rendered by value, or by hole name when symbolic. The
 // concrete metric and next-hop IP set lines are left out:
 // applySetsSymbolic never reads them, and a next-hop IP reaches the
-// encoding only through the vocabulary, which ReadKeys digests
-// separately. Strings carry their length and numbers a terminator, so
-// the rendering is unambiguous.
+// encoding only through the vocabulary's IP set, which ReadKeys
+// digests separately for a next-hop hole. Strings carry their length
+// and numbers a terminator, so the rendering is unambiguous.
 func appendRead(b []byte, c *config.Config) []byte {
 	b = appendString(b, c.Router)
 	for _, n := range c.Neighbors {
