@@ -1,13 +1,8 @@
 package logic
 
-import "sort"
-
 // This file gives the term table first-class support for canonical flat
-// n-ary AND/OR construction and for set-style membership over a node's
-// children. The rewrite engine's hot loops — complement detection
-// (a & !a), absorption (a & (a|b)), duplicate removal — were O(n²·k)
-// pairwise Equal scans; over canonical terms they reduce to flattening
-// plus hash-sorted set lookups, with every comparison a pointer
+// n-ary AND/OR construction and the variable signatures substitution
+// prunes by. Over canonical terms, duplicate removal is a pointer
 // comparison.
 
 // flatNary flattens one construction of the n-ary operator op (OpAnd
@@ -71,52 +66,6 @@ func FlatAnd(args []Term) (out []Term, actions int, collapsed bool) {
 // FlatOr flattens one disjunction over args (see flatNary).
 func FlatOr(args []Term) (out []Term, actions int, collapsed bool) {
 	return flatNary(OpOr, args)
-}
-
-// TermSet is an immutable membership set over terms, stored as a
-// hash-sorted slice (binary search on the cached structural hash, then
-// a pointer-fast Equal over the — almost always singleton — run of
-// equal hashes). Built once per child set, it turns the rewrite
-// engine's pairwise scans into O(log n) probes.
-type TermSet struct {
-	hs []uint64
-	ts []Term
-}
-
-// NewTermSet builds a set over the given terms. The input slice is not
-// retained.
-func NewTermSet(args []Term) TermSet {
-	s := TermSet{hs: make([]uint64, len(args)), ts: make([]Term, len(args))}
-	copy(s.ts, args)
-	for i, t := range args {
-		s.hs[i] = Hash(t)
-	}
-	sort.Sort(&s)
-	return s
-}
-
-// Len, Less, Swap implement sort.Interface for the construction sort.
-func (s *TermSet) Len() int           { return len(s.hs) }
-func (s *TermSet) Less(i, j int) bool { return s.hs[i] < s.hs[j] }
-func (s *TermSet) Swap(i, j int) {
-	s.hs[i], s.hs[j] = s.hs[j], s.hs[i]
-	s.ts[i], s.ts[j] = s.ts[j], s.ts[i]
-}
-
-// Size returns the number of members.
-func (s TermSet) Size() int { return len(s.ts) }
-
-// Has reports whether t is a member. Over canonical terms every
-// comparison is a pointer comparison.
-func (s TermSet) Has(t Term) bool {
-	h := Hash(t)
-	i := sort.Search(len(s.hs), func(i int) bool { return s.hs[i] >= h })
-	for ; i < len(s.hs) && s.hs[i] == h; i++ {
-		if s.ts[i] == t || Equal(s.ts[i], t) {
-			return true
-		}
-	}
-	return false
 }
 
 // varBit maps a variable name to one bit of the 64-bit variable

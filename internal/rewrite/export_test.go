@@ -71,14 +71,14 @@ func (s *Simplifier) referenceAnd(a *logic.Apply) logic.Term {
 			anyChange = true
 		}
 		args = flat
-		set := logic.NewTermSet(args)
+		idx := indexTerms(args)
 		for _, x := range args {
-			if nx, ok := x.(*logic.Apply); ok && nx.Op == logic.OpNot && set.Has(nx.Args[0]) {
+			if y, ok := negated(x); ok && idx.has(args, y) {
 				s.fired(RuleComplement)
 				return logic.False
 			}
 		}
-		if filtered, fired := absorb(args, set, logic.OpOr); fired {
+		if filtered, fired := absorb(args, idx, logic.OpOr); fired {
 			s.fired(RuleAbsorption)
 			anyChange = true
 			args = filtered

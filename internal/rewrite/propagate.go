@@ -30,21 +30,17 @@ import (
 // (TestSimplifyMatchesReferenceLoop).
 
 // andState is one conjunction's propagation state, kept across its
-// rounds. Slots are stable: a dropped conjunct leaves a nil slot, so
-// the indexes, which name slots, stay valid from round to round.
+// rounds: the conjuncts in their stable slots with the indexes S4, S6
+// and S13 read (slotIndex), and the variable and binding indexes S14
+// reads.
 type andState struct {
-	args []logic.Term // the conjuncts in order; nil marks a dropped one
-	// index maps each live conjunct to its slot; nots maps y to the
-	// slot of the live conjunct !y.
-	index, nots map[logic.Term]int32
+	slotIndex
 	// vars maps a variable name to the slots whose conjunct contained
-	// it when indexed, and ors an operand of a disjunction to the slots
-	// that held a disjunction over it. The lists only grow, so a slot
-	// on one may have changed since; readers re-check. A changed
-	// conjunct keeps a subset of its variables, so its slot's vars
-	// entries still cover it.
+	// it when indexed. The lists only grow, so a slot on one may have
+	// changed since; readers re-check. A changed conjunct keeps a
+	// subset of its variables, so its slot's vars entries still cover
+	// it.
 	vars map[string][]int32
-	ors  map[logic.Term][]int32
 	// bound holds every name a round has bound; fresh lists the bindings
 	// first found in the last round.
 	bound map[string]struct{}
@@ -78,12 +74,10 @@ type target struct {
 // newAndState indexes a settled operand list and queues its bindings.
 func newAndState(args []logic.Term) *andState {
 	st := &andState{
-		index: make(map[logic.Term]int32, len(args)),
-		nots:  map[logic.Term]int32{},
-		vars:  make(map[string][]int32, len(args)),
-		ors:   map[logic.Term][]int32{},
-		bound: map[string]struct{}{},
-		sub:   map[string]logic.Term{},
+		slotIndex: newSlotIndex(len(args)),
+		vars:      make(map[string][]int32, len(args)),
+		bound:     map[string]struct{}{},
+		sub:       map[string]logic.Term{},
 	}
 	st.reset(args)
 	return st
@@ -165,13 +159,10 @@ func (s *Simplifier) propagate(args []logic.Term, rec *recorder) ([]logic.Term, 
 // reset indexes a settled operand list from scratch and queues its
 // bindings: the first binding conjunct of each name not yet bound.
 func (st *andState) reset(args []logic.Term) {
-	st.args = append(st.args[:0], args...)
-	clear(st.index)
-	clear(st.nots)
+	st.slotIndex.reset(len(args))
 	clear(st.vars)
-	clear(st.ors)
 	st.fresh = st.fresh[:0]
-	for i, c := range st.args {
+	for i, c := range args {
 		p := int32(i)
 		st.insert(p, c)
 		st.indexVars(p, c)
@@ -187,32 +178,6 @@ func (st *andState) bind(p int32, c logic.Term) {
 			st.bound[name] = struct{}{}
 			st.fresh = append(st.fresh, binding{name, val, p})
 		}
-	}
-}
-
-// insert places conjunct c in slot p and indexes it for S4, S6 and S13.
-func (st *andState) insert(p int32, c logic.Term) {
-	st.args[p] = c
-	st.index[c] = p
-	if y, ok := negated(c); ok {
-		st.nots[y] = p
-	}
-	if or, ok := c.(*logic.Apply); ok && or.Op == logic.OpOr {
-		for _, o := range or.Args {
-			st.ors[o] = append(st.ors[o], p)
-		}
-	}
-}
-
-// drop empties slot p and unindexes its conjunct.
-func (st *andState) drop(p int32) {
-	c := st.args[p]
-	st.args[p] = nil
-	if st.index[c] == p {
-		delete(st.index, c)
-	}
-	if y, ok := negated(c); ok && st.nots[y] == p {
-		delete(st.nots, y)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -27,20 +26,22 @@ import (
 // the rebuilt root and settling the whole list (S4, S6, S13). The
 // reference records, before round 0, each raw conjunct's normal form
 // as the operands S4 flattens it into, its pass depth, and each
-// operand's fate: the settled slot it takes, or none when it
-// duplicates an earlier operand or S13 absorbs it. A root's raw
-// conjuncts are lined up with the reference's by pointer, in order: a
-// linear scan that, where the two differ, looks the root's conjunct up
-// in an index of the reference's raw conjuncts and resyncs there when
-// the next conjuncts agree too (the reference's conjuncts skipped are
-// gone). A conjunct the reference holds out of line takes its recorded
-// first step but does not follow, and only a fresh conjunct, one the
-// reference does not hold, is normalized. Only the terms a fresh or
-// out-of-line operand holds, or a gone raw conjunct held, can change
-// fate, and S13 fates change only for the reference's disjunctions
-// over a term whose membership changed; these are settled by the
-// rules of settleAll, every other operand keeps its recorded fate, and
-// an operand that keeps a settled slot follows it in the rounds.
+// operand's fate, read off the list settleAll gave the recorded
+// propagation: the first operand holding a term that list kept takes
+// the term's slot, every other operand none (a duplicate, or a
+// disjunction S13 absorbed). A root's raw conjuncts are lined up with
+// the reference's by pointer, in order: a linear scan that, where the
+// two differ, looks the root's conjunct up in an index of the
+// reference's raw conjuncts and resyncs there when the next conjuncts
+// agree too (the reference's conjuncts skipped are gone). A conjunct
+// that does not line up is normalized, whether the reference does not
+// hold it (a fresh conjunct) or holds it only out of line (a cache
+// hit). Only the terms such a local operand holds, or a gone raw
+// conjunct held, can change fate, and S13 fates change only for the
+// reference's disjunctions over a term whose membership changed; these
+// are settled by the rules of settleAll, every other operand keeps its
+// recorded fate, and an operand that keeps a settled slot follows it
+// in the rounds.
 //
 // A slot of the settled list follows the reference until it leaves it;
 // a new slot never follows. A following slot's substitution, normal
@@ -66,10 +67,11 @@ import (
 // the rules may be conservative; they must never let a slot follow
 // whose step differs. The root falls back to the full path (rewriteNode
 // and propagate), after its frame is restored to its state before the
-// replay, when a fresh conjunct's normal form is not its own (the full
-// path would rebuild the root twice), when no settled slot follows,
-// when a recomputed conjunct normalizes to false or to a conjunction
-// in a round (it needs resettle), or when the reference is unusable.
+// replay, when a normalized conjunct's normal form is not its own (the
+// full path would rebuild the root twice), when no settled slot
+// follows, when a recomputed conjunct normalizes to false or to a
+// conjunction in a round (it needs resettle), or when the reference is
+// unusable.
 
 // Reference is one root conjunction's recorded first step and S14
 // propagation, built by Simplifier.Record and replayed by simplifiers
@@ -84,10 +86,10 @@ type Reference struct {
 
 	// The raw step: the root's raw conjuncts (its node's argument
 	// slice), each one's pass depth and its operands
-	// ops[rawOps[j]:rawOps[j+1]]; and indexes of the raw slots by
-	// conjunct (rawAt), of the operands by term (opAt), of the operands
-	// !y by y (opNot), and of the first-occurrence disjunctions by
-	// operand (opOrs).
+	// ops[rawOps[j]:rawOps[j+1]], with their settled slots; and indexes
+	// of the raw slots by conjunct (rawAt), of the operands by term
+	// (opAt), of the operands !y by y (opNot), and of the
+	// first-occurrence disjunctions by operand (opOrs).
 	raw                       []logic.Term
 	rawPasses                 []uint32
 	rawOps                    []int32
@@ -111,7 +113,7 @@ type Reference struct {
 	// y for a term !y, and by every operand of a disjunction.
 	holds               []hold
 	bySlot              []int32
-	byTerm, byNot, byOr multimap
+	byTerm, byNot, byOr termIndex
 	width               int32 // clock ticks per round
 
 	// states recycles replay scratch between the roots replaying the
@@ -125,68 +127,6 @@ type Reference struct {
 type refOp struct {
 	t         logic.Term
 	raw, slot int32
-}
-
-// multimap indexes holds by term: first maps a term to its first entry
-// and each entry chains to the next, so a term costs one map entry.
-type multimap struct {
-	first   map[logic.Term]int32
-	entries []mmEntry
-}
-
-type mmEntry struct{ hold, next int32 }
-
-func newMultimap() multimap { return multimap{first: map[logic.Term]int32{}} }
-
-func (mm *multimap) add(t logic.Term, hold int32) {
-	next, ok := mm.first[t]
-	if !ok {
-		next = -1
-	}
-	mm.first[t] = int32(len(mm.entries))
-	mm.entries = append(mm.entries, mmEntry{hold, next})
-}
-
-// head returns t's first entry, -1 if none; entries[e].next the next.
-func (mm *multimap) head(t logic.Term) int32 {
-	if e, ok := mm.first[t]; ok {
-		return e
-	}
-	return -1
-}
-
-// termIndex lists places (raw slots, operands) by the low half of a
-// term's cached hash and then by place, so the places of one term are
-// adjacent and in order. It holds what a map would in 8 bytes a place,
-// kept for the session's life; a lookup binary-searches, and the
-// caller checks the term at each place, since hashes may collide.
-type termIndex []termPlace
-
-type termPlace struct {
-	h     uint32
-	place int32
-}
-
-func (x *termIndex) add(t logic.Term, place int32) {
-	*x = append(*x, termPlace{uint32(logic.Hash(t)), place})
-}
-
-// sort orders the index once every place is added.
-func (x termIndex) sort() {
-	slices.SortFunc(x, func(a, b termPlace) int {
-		return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.place, b.place))
-	})
-}
-
-// places returns the entries whose hash is t's, in place order.
-func (x termIndex) places(t logic.Term) termIndex {
-	h := uint32(logic.Hash(t))
-	lo, _ := slices.BinarySearchFunc(x, h, func(e termPlace, h uint32) int { return cmp.Compare(e.h, h) })
-	hi := lo
-	for hi < len(x) && x[hi].h == h {
-		hi++
-	}
-	return x[lo:hi]
 }
 
 // refBinding is the binding of a name: the round whose fresh list
@@ -297,8 +237,8 @@ func flatten(dst []logic.Term, t logic.Term) ([]logic.Term, bool) {
 }
 
 // recordRaw records the raw step of the root a: each raw conjunct's
-// first step and the operands settleAll makes of them, with their
-// settled slots. The recording's begin checks those slots against the
+// first step and the operands settleAll makes of them, and indexes
+// them. The recording's begin reads each operand's settled slot off the
 // list settleAll gives propagate.
 func (s *Simplifier) recordRaw(a *logic.Apply) {
 	ref := s.rec
@@ -319,11 +259,6 @@ func (s *Simplifier) recordRaw(a *logic.Apply) {
 	ref.rawOps[n] = int32(len(ops))
 	ref.ops = make([]refOp, len(ops))
 	ref.rawAt, ref.opAt = make(termIndex, 0, n), make(termIndex, 0, len(ops))
-	held := make(map[logic.Term]bool, len(ops)) // true once its first operand is met
-	for _, t := range ops {
-		held[t] = false
-	}
-	slot := int32(0)
 	for j := range n {
 		ref.rawAt.add(a.Args[j], int32(j))
 		for k := ref.rawOps[j]; k < ref.rawOps[j+1]; k++ {
@@ -333,46 +268,20 @@ func (s *Simplifier) recordRaw(a *logic.Apply) {
 			if y, ok := negated(t); ok {
 				ref.opNot.add(y, k)
 			}
-			if held[t] {
-				continue // a duplicate
-			}
-			held[t] = true
-			absorbed := false
-			if or, ok := t.(*logic.Apply); ok && or.Op == logic.OpOr {
-				for _, o := range or.Args {
-					ref.opOrs.add(o, k)
-					_, in := held[o]
-					absorbed = absorbed || in
-				}
-			}
-			if !absorbed {
-				ref.ops[k].slot = slot
-				slot++
+		}
+	}
+	ref.rawAt.sort()
+	ref.opAt.sort()
+	ref.opNot.sort()
+	for k, op := range ref.ops {
+		if or, ok := op.t.(*logic.Apply); ok && or.Op == logic.OpOr && ref.opFirst(op.t) == int32(k) {
+			for _, o := range or.Args {
+				ref.opOrs.add(o, int32(k))
 			}
 		}
 	}
-	for _, x := range []termIndex{ref.rawAt, ref.opAt, ref.opNot, ref.opOrs} {
-		x.sort()
-	}
+	ref.opOrs.sort()
 	ref.raw = a.Args
-}
-
-// settles reports whether the recorded raw step settles to args, the
-// list settleAll gave the recorded propagation.
-func (r *Reference) settles(args []logic.Term) bool {
-	if r.raw == nil {
-		return false
-	}
-	n := 0
-	for _, op := range r.ops {
-		if op.slot >= 0 {
-			if int(op.slot) >= len(args) || args[op.slot] != op.t {
-				return false
-			}
-			n++
-		}
-	}
-	return n == len(args)
 }
 
 // recorder builds a Reference while propagate runs the recorded root.
@@ -382,12 +291,21 @@ type recorder struct {
 	cur  int     // the next target settle reports an outcome for
 }
 
-// begin records the settled operand list once the state indexed it.
+// begin records the settled operand list once the state indexed it,
+// and each raw operand's fate: the first operand holding a settled term
+// takes its slot.
 func (rc *recorder) begin(st *andState) {
 	ref := rc.ref
 	m := len(st.args)
-	if m > 1<<22 || !ref.settles(st.args) {
+	if m > 1<<22 || ref.raw == nil {
 		return // the clock would overflow, or the raw step was not recorded; the reference stays unusable
+	}
+	for p, t := range st.args {
+		k := ref.opFirst(t)
+		if k < 0 {
+			return // no raw operand holds t: the recorded raw step is not this list's
+		}
+		ref.ops[k].slot = int32(p)
 	}
 	ref.args = slices.Clone(st.args)
 	ref.binds = map[string][]int32{}
@@ -514,7 +432,7 @@ func (rc *recorder) finish(fresh []binding) {
 		next[h.slot]++
 	}
 	ref.holds = grouped
-	ref.byTerm, ref.byNot, ref.byOr = newMultimap(), newMultimap(), newMultimap()
+	ref.byTerm = make(termIndex, 0, len(grouped))
 	for i, h := range grouped {
 		ref.byTerm.add(h.t, int32(i))
 		if y, ok := negated(h.t); ok {
@@ -526,6 +444,9 @@ func (rc *recorder) finish(fresh []binding) {
 			}
 		}
 	}
+	ref.byTerm.sort()
+	ref.byNot.sort()
+	ref.byOr.sort()
 }
 
 // Record normalizes t as Simplify does and records the first step and
@@ -558,11 +479,11 @@ type replayState struct {
 	pos  []int32      // the reference slot whose S4 step each slot's follows
 
 	// The raw step's scratch: each raw conjunct's reference raw slot
-	// (-1: fresh; -2-j: out of line, raw slot j holds it), each
-	// reference raw slot's raw conjunct (-1: gone), the gone ones, the
-	// operands of the fresh and out-of-line conjuncts (local operands)
-	// and each term's first, the overridden fates of reference
-	// operands (touched lists them), and the output list.
+	// (-1: it does not line up and is normalized), each reference raw
+	// slot's raw conjunct (-1: gone), the gone ones, the operands of
+	// the normalized conjuncts (local operands) and each term's first,
+	// the overridden fates of reference operands (touched lists them),
+	// and the output list.
 	rawRef, rawMine, gone []int32
 	lops                  []localOp
 	lfirst                map[logic.Term]int32
@@ -571,17 +492,13 @@ type replayState struct {
 	flat, out             []logic.Term
 	moved                 []string
 
-	// comp marks the slots that do not follow the reference; cur holds
-	// their terms (nil once dropped), added the round+1 in which S4
-	// last added them, and idx, nots and ors index the live ones as
-	// andState does.
+	// comp marks the slots that do not follow the reference; live holds
+	// their terms (nil once dropped) and indexes them as andState does,
+	// and added holds the round+1 in which S4 last added them.
 	comp  []bool
-	cur   []logic.Term
+	live  slotIndex
 	added []int32
 	comps []int32
-	idx   map[logic.Term]int32
-	nots  map[logic.Term]int32
-	ors   map[logic.Term][]int32
 
 	// A round's bindings are the reference's except for the names in
 	// diff, which holds this run's binding of each (slot -1: none).
@@ -598,8 +515,8 @@ type replayState struct {
 	orCands []int32
 }
 
-// localOp is an operand of a fresh or out-of-line raw conjunct: its
-// term, its raw conjunct, and whether it takes a settled slot.
+// localOp is an operand of a normalized raw conjunct: its term, its raw
+// conjunct, and whether it takes a settled slot.
 type localOp struct {
 	t    logic.Term
 	raw  int32
@@ -630,8 +547,8 @@ func (s *Simplifier) replayRoot(a *logic.Apply) (logic.Term, bool) {
 	if rs == nil {
 		rs = &replayState{
 			lfirst: map[logic.Term]int32{},
-			idx:    map[logic.Term]int32{}, nots: map[logic.Term]int32{}, ors: map[logic.Term][]int32{},
-			diff: map[string]binding{}, next: map[string]binding{}, rebound: map[string]int32{},
+			live:   newSlotIndex(0),
+			diff:   map[string]binding{}, next: map[string]binding{}, rebound: map[string]int32{},
 			slotSub: map[string]logic.Term{},
 		}
 	}
@@ -681,7 +598,7 @@ func (rs *replayState) root(a *logic.Apply) (logic.Term, bool) {
 	out := rs.out[:0]
 	for i := range rs.args {
 		if rs.comp[i] {
-			if c := rs.cur[i]; c != nil {
+			if c := rs.live.args[i]; c != nil {
 				out = append(out, c)
 			}
 		} else if h := ref.at(rs.bOf[i], tick); h != nil {
@@ -704,23 +621,15 @@ func (rs *replayState) result(a *logic.Apply, list []logic.Term, propagated bool
 // rawStep builds the settled operand list of the root's raw conjuncts
 // args and lines it up with the reference's (bOf, rOf), as the full
 // path's first step and settleAll would settle it. It returns false
-// when a fresh conjunct's first step differs from the full path's, and
-// collapsed when the list collapses to false.
+// when a normalized conjunct's first step differs from the full path's,
+// and collapsed when the list collapses to false.
 func (rs *replayState) rawStep(args []logic.Term) (collapsed, ok bool) {
 	s, ref := rs.s, rs.ref
 	rs.alignRaw(args)
 	normalized := 0
 	for i, j := range rs.rawRef {
-		if j < -1 {
-			j = -2 - j
-		}
 		if j >= 0 {
 			s.fold(ref.rawPasses[j])
-			if rs.rawRef[i] < 0 {
-				for k := ref.rawOps[j]; k < ref.rawOps[j+1]; k++ {
-					rs.local(ref.ops[k].t, i)
-				}
-			}
 			continue
 		}
 		nf, _, ok := s.firstStep(args[i])
@@ -802,7 +711,7 @@ func (rs *replayState) rawStep(args []logic.Term) (collapsed, ok bool) {
 // pointer, in order. Where they differ, it looks the conjunct up in
 // the reference's raw index and resyncs at its next occurrence (see
 // resyncs); the reference's conjuncts skipped are gone. A conjunct the
-// index lacks is fresh; one it holds only elsewhere is out of line.
+// index lacks, or holds only elsewhere, does not line up.
 func (rs *replayState) alignRaw(args []logic.Term) {
 	ref := rs.ref
 	n, m := len(args), len(ref.raw)
@@ -817,13 +726,8 @@ func (rs *replayState) alignRaw(args []logic.Term) {
 	for i, c := range args {
 		k := int32(j)
 		if j >= m || c != ref.raw[j] {
-			first := ref.rawFrom(c, 0)
-			if first < 0 {
-				rs.rawRef[i] = -1
-				continue
-			}
 			if k = ref.rawFrom(c, k); k < 0 || !rs.resyncs(args, i, k) {
-				rs.rawRef[i] = -2 - first
+				rs.rawRef[i] = -1
 				continue
 			}
 			for ; j < int(k); j++ {
@@ -870,7 +774,7 @@ func (r *Reference) opFirst(t logic.Term) int32 {
 	return -1
 }
 
-// local adds an operand of the fresh or out-of-line raw conjunct i.
+// local adds an operand of the normalized raw conjunct i.
 func (rs *replayState) local(t logic.Term, i int) {
 	if _, ok := rs.lfirst[t]; !ok {
 		rs.lfirst[t] = int32(len(rs.lops))
@@ -983,7 +887,8 @@ func (rs *replayState) start() {
 	ref, args := rs.ref, rs.args
 	n := len(args)
 	rs.pos = resize(rs.pos, n)
-	rs.comp, rs.cur, rs.added = resize(rs.comp, n), resize(rs.cur, n), resize(rs.added, n)
+	rs.comp, rs.added = resize(rs.comp, n), resize(rs.added, n)
+	rs.live.reset(n)
 	// The binding names of the slots on either side only are the names
 	// whose first binder may move.
 	moved := rs.moved[:0]
@@ -998,7 +903,7 @@ func (rs *replayState) start() {
 		rs.pos[r] = last
 		rs.comp[r] = true
 		rs.comps = append(rs.comps, r)
-		rs.insert(r, c)
+		rs.live.insert(r, c)
 		if name, _, ok := unitBinding(c); ok {
 			moved = append(moved, name)
 		}
@@ -1073,10 +978,7 @@ func (rs *replayState) release() {
 	clear(rs.flat)
 	clear(rs.args)
 	clear(rs.out)
-	clear(rs.cur)
-	clear(rs.idx)
-	clear(rs.nots)
-	clear(rs.ors)
+	rs.live.reset(0)
 	clear(rs.diff)
 	clear(rs.next)
 	clear(rs.rebound)
@@ -1088,17 +990,6 @@ func (rs *replayState) release() {
 	ref := rs.ref
 	rs.ref = nil
 	ref.states.Put(rs)
-}
-
-// resize returns s with length n, zeroed, reusing its array when it is
-// large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // binding returns this run's round-k binding of name.
@@ -1144,36 +1035,10 @@ func (rs *replayState) leave(r int32, k int, tick int32) {
 	rs.comp[r] = true
 	rs.comps = append(rs.comps, r)
 	if h := rs.ref.at(rs.bOf[r], tick); h != nil {
-		rs.insert(r, h.t)
+		rs.live.insert(r, h.t)
 		if h.added && h.from >= rs.ref.start(k) {
 			rs.added[r] = int32(k) + 1
 		}
-	}
-}
-
-// insert places c in recomputed slot r and indexes it.
-func (rs *replayState) insert(r int32, c logic.Term) {
-	rs.cur[r] = c
-	rs.idx[c] = r
-	if y, ok := negated(c); ok {
-		rs.nots[y] = r
-	}
-	if or, ok := c.(*logic.Apply); ok && or.Op == logic.OpOr {
-		for _, o := range or.Args {
-			rs.ors[o] = append(rs.ors[o], r)
-		}
-	}
-}
-
-// drop empties recomputed slot r.
-func (rs *replayState) drop(r int32) {
-	c := rs.cur[r]
-	rs.cur[r] = nil
-	if rs.idx[c] == r {
-		delete(rs.idx, c)
-	}
-	if y, ok := negated(c); ok && rs.nots[y] == r {
-		delete(rs.nots, y)
 	}
 }
 
@@ -1186,18 +1051,27 @@ func (rs *replayState) following(b int32) (int32, bool) {
 // holder returns the slot holding t at tick, -1 if none, and whether
 // S4 added it in round k.
 func (rs *replayState) holder(t logic.Term, k int, tick int32) (int32, bool) {
-	if r, ok := rs.idx[t]; ok {
+	if r, ok := rs.live.index[t]; ok {
 		return r, rs.added[r] == int32(k)+1
 	}
-	return rs.refHolder(&rs.ref.byTerm, t, k, tick)
+	return rs.refHolder(t, false, k, tick)
 }
 
-// refHolder returns the following slot among the holds mm lists under t
-// live at tick, -1 if none, and whether S4 added it in round k.
-func (rs *replayState) refHolder(mm *multimap, t logic.Term, k int, tick int32) (int32, bool) {
-	for e := mm.head(t); e >= 0; e = mm.entries[e].next {
-		h := &rs.ref.holds[mm.entries[e].hold]
-		if h.from <= tick && tick < h.to {
+// refHolder returns the following slot among the reference's holds of
+// t (of !t when not) live at tick, -1 if none, and whether S4 added it
+// in round k.
+func (rs *replayState) refHolder(t logic.Term, not bool, k int, tick int32) (int32, bool) {
+	x := rs.ref.byTerm
+	if not {
+		x = rs.ref.byNot
+	}
+	for _, e := range x.places(t) {
+		h := &rs.ref.holds[e.place]
+		u := h.t
+		if not {
+			u, _ = negated(u)
+		}
+		if u == t && h.from <= tick && tick < h.to {
 			if r, ok := rs.following(h.slot); ok {
 				return r, h.added && h.from >= rs.ref.start(k)
 			}
@@ -1269,7 +1143,7 @@ func (rs *replayState) substitute(k int) {
 	slices.Sort(rs.comps)
 	rs.targets = rs.targets[:0]
 	for _, p := range rs.comps {
-		c := rs.cur[p]
+		c := rs.live.args[p]
 		if c == nil {
 			continue
 		}
@@ -1318,7 +1192,7 @@ func (rs *replayState) normalize(tb []refTarget) bool {
 // partner, which leaves.
 func (rs *replayState) settle(k int, tb []refTarget) {
 	for _, tg := range rs.targets {
-		rs.drop(tg.slot)
+		rs.live.drop(tg.slot)
 	}
 	for i := range tb {
 		if tb[i].kind != outDupReplaced {
@@ -1348,7 +1222,7 @@ func (rs *replayState) settle(k int, tb []refTarget) {
 		valid := true
 		switch tg.kind {
 		case outAdded:
-			_, dup := rs.idx[tg.out]
+			_, dup := rs.live.index[tg.out]
 			valid = !dup
 		case outDupKept, outDupReplaced:
 			_, valid = rs.following(tg.partner)
@@ -1371,25 +1245,25 @@ func (rs *replayState) collapses(k int, tb []refTarget) bool {
 	for _, i := range rs.follow {
 		x := tb[i].out
 		if y, ok := negated(x); ok {
-			if _, in := rs.idx[y]; in {
+			if _, in := rs.live.index[y]; in {
 				return true
 			}
 		}
-		if _, in := rs.nots[x]; in {
+		if _, in := rs.live.nots[x]; in {
 			return true
 		}
 	}
 	tick := rs.ref.afterS4(k)
 	for _, r := range rs.cadded {
-		x := rs.cur[r]
+		x := rs.live.args[r]
 		if y, ok := negated(x); ok {
 			if h, _ := rs.holder(y, k, tick); h >= 0 {
 				return true
 			}
 		}
-		h, ok := rs.nots[x]
+		h, ok := rs.live.nots[x]
 		if !ok {
-			h, _ = rs.refHolder(&rs.ref.byNot, x, k, tick)
+			h, _ = rs.refHolder(x, true, k, tick)
 		}
 		if h >= 0 {
 			return true
@@ -1423,7 +1297,7 @@ func (rs *replayState) absorb(k int, rr *refRound) {
 		tg := &rr.targets[i]
 		or, isOr := tg.out.(*logic.Apply)
 		if !isOr || or.Op != logic.OpOr {
-			rs.orCands = append(rs.orCands, rs.ors[tg.out]...)
+			rs.orCands = append(rs.orCands, rs.live.ors[tg.out]...)
 			continue
 		}
 		r, ok := rs.following(tg.slot)
@@ -1431,7 +1305,7 @@ func (rs *replayState) absorb(k int, rr *refRound) {
 			continue
 		}
 		for _, o := range or.Args {
-			if _, in := rs.idx[o]; in {
+			if _, in := rs.live.index[o]; in {
 				rs.leave(r, k, tick)
 				rs.orCands = append(rs.orCands, r)
 				break
@@ -1439,15 +1313,15 @@ func (rs *replayState) absorb(k int, rr *refRound) {
 		}
 	}
 	for _, r := range rs.cadded {
-		x := rs.cur[r]
+		x := rs.live.args[r]
 		if isOp(x, logic.OpOr) {
 			rs.orCands = append(rs.orCands, r)
 			continue
 		}
-		rs.orCands = append(rs.orCands, rs.ors[x]...)
-		for e := ref.byOr.head(x); e >= 0; e = ref.byOr.entries[e].next {
-			h := &ref.holds[ref.byOr.entries[e].hold]
-			if h.from <= tick && tick < h.to {
+		rs.orCands = append(rs.orCands, rs.live.ors[x]...)
+		for _, e := range ref.byOr.places(x) {
+			h := &ref.holds[e.place]
+			if h.from <= tick && tick < h.to && slices.Contains(h.t.(*logic.Apply).Args, x) {
 				if q, ok := rs.following(h.slot); ok {
 					rs.leave(q, k, tick)
 					rs.orCands = append(rs.orCands, q)
@@ -1456,14 +1330,14 @@ func (rs *replayState) absorb(k int, rr *refRound) {
 		}
 	}
 	for _, q := range rs.orCands {
-		x := rs.cur[q]
+		x := rs.live.args[q]
 		if x == nil || !isOp(x, logic.OpOr) {
 			continue
 		}
 		qAdded := rs.added[q] == int32(k)+1
 		for _, o := range x.(*logic.Apply).Args {
 			if h, hAdded := rs.holder(o, k, tick); h >= 0 && (qAdded || hAdded) {
-				rs.drop(q)
+				rs.live.drop(q)
 				break
 			}
 		}
@@ -1482,7 +1356,7 @@ func (rs *replayState) rebindNext(k int, rr *refRound) {
 		binders = rr.binders
 	}
 	for _, r := range rs.cadded {
-		if c := rs.cur[r]; c != nil {
+		if c := rs.live.args[r]; c != nil {
 			if name, _, ok := unitBinding(c); ok {
 				rs.next[name] = binding{name, nil, -1}
 			}
@@ -1499,7 +1373,7 @@ func (rs *replayState) rebindNext(k int, rr *refRound) {
 		upTo := func(limit int32) {
 			for ; j < len(rs.cadded) && rs.cadded[j] < limit; j++ {
 				r := rs.cadded[j]
-				if c := rs.cur[r]; c != nil {
+				if c := rs.live.args[r]; c != nil {
 					if name, val, ok := unitBinding(c); ok {
 						rs.bind(binding{name, val, r}, k)
 					}
@@ -1564,7 +1438,7 @@ func (rs *replayState) s4(r int32, t logic.Term, k int) {
 	}
 	q, _ := rs.holder(t, k, rs.ref.lookTick(k, rs.pos[r]))
 	if q < 0 {
-		rs.insert(r, t)
+		rs.live.insert(r, t)
 		rs.added[r] = int32(k) + 1
 		rs.cadded = append(rs.cadded, r)
 		return
@@ -1575,6 +1449,6 @@ func (rs *replayState) s4(r int32, t logic.Term, k int) {
 	if !rs.comp[q] {
 		rs.leave(q, k, rs.ref.lookTick(k, rs.pos[r]))
 	}
-	rs.drop(q)
-	rs.insert(r, t)
+	rs.live.drop(q)
+	rs.live.insert(r, t)
 }

@@ -376,17 +376,17 @@ func (s *Simplifier) settleAll(args []logic.Term) ([]logic.Term, bool, bool) {
 	if collapsed {
 		return nil, true, false
 	}
-	// S6: complement law, one set probe per negated conjunct.
-	set := logic.NewTermSet(flat)
+	// S6: complement law, one index probe per negated conjunct.
+	idx := indexTerms(flat)
 	for _, x := range flat {
-		if nx, ok := x.(*logic.Apply); ok && nx.Op == logic.OpNot && set.Has(nx.Args[0]) {
+		if y, ok := negated(x); ok && idx.has(flat, y) {
 			s.fired(RuleComplement)
 			return nil, true, false
 		}
 	}
 	// S13: absorption — drop any disjunction conjunct containing
 	// another conjunct as a disjunct.
-	if filtered, fired := absorb(flat, set, logic.OpOr); fired {
+	if filtered, fired := absorb(flat, idx, logic.OpOr); fired {
 		s.fired(RuleAbsorption)
 		return filtered, true, true
 	}
@@ -410,15 +410,15 @@ func (s *Simplifier) simplifyOr(a *logic.Apply) logic.Term {
 	}
 	args = flat
 	// S6: complement law.
-	set := logic.NewTermSet(args)
+	idx := indexTerms(args)
 	for _, x := range args {
-		if nx, ok := x.(*logic.Apply); ok && nx.Op == logic.OpNot && set.Has(nx.Args[0]) {
+		if y, ok := negated(x); ok && idx.has(args, y) {
 			s.fired(RuleComplement)
 			return logic.True
 		}
 	}
 	// S13: absorption (dual).
-	if filtered, fired := absorb(args, set, logic.OpAnd); fired {
+	if filtered, fired := absorb(args, idx, logic.OpAnd); fired {
 		s.fired(RuleAbsorption)
 		anyChange = true
 		args = filtered
@@ -445,9 +445,9 @@ func isComplement(x, y logic.Term) bool {
 // contains another member of args among its operands:
 // for And-level (inner = Or):  a & (a | b)  ->  a
 // for Or-level  (inner = And): a | (a & b)  ->  a
-// set must be the membership set of args; each operand check is one
-// probe instead of a scan over args.
-func absorb(args []logic.Term, set logic.TermSet, inner logic.Op) ([]logic.Term, bool) {
+// idx must index args (indexTerms); each operand check is one probe
+// instead of a scan over args.
+func absorb(args []logic.Term, idx termIndex, inner logic.Op) ([]logic.Term, bool) {
 	fired := false
 	out := make([]logic.Term, 0, len(args))
 	for _, cand := range args {
@@ -456,8 +456,8 @@ func absorb(args []logic.Term, set logic.TermSet, inner logic.Op) ([]logic.Term,
 		if ok && app.Op == inner {
 			for _, operand := range app.Args {
 				// operand can never be cand itself (a term cannot
-				// contain itself), so probing the full set is exact.
-				if set.Has(operand) {
+				// contain itself), so probing the whole list is exact.
+				if idx.has(args, operand) {
 					absorbed = true
 					break
 				}

@@ -560,31 +560,36 @@ func medRetune(t *testing.T, configs string) (medAdded, medRetuned string) {
 }
 
 // TestServerRejectedProblem: a problem the encoder rejects (a
-// requirement that traffic reach a router the topology lacks) fails
-// the session's
-// base, which the report builds before its first byte, so /explain
-// answers 400 with the error alone in JSON and in stream mode, and no
-// lease stays held.
+// requirement that names a router the topology lacks, in an allow or
+// in a forbid) fails the session's base, which the report builds
+// before its first byte, so /explain answers 400 with the error alone
+// in JSON and in stream mode, and no lease stays held.
 func TestServerRejectedProblem(t *testing.T) {
 	topo, configs, spc, _ := problemTexts(t)
-	bad := strings.Replace(spc, "!(P1->...->P2)", "+(P1->...->Z9)\n    !(P1->...->P2)", 1)
-	if bad == spc {
-		t.Fatal("the spec has no P1->...->P2 line")
-	}
-	s := New(Options{})
-	h := s.Handler()
-	for _, stream := range []bool{false, true} {
-		w := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: bad, Stream: stream})
-		if w.Code != http.StatusBadRequest {
-			t.Fatalf("stream %t: status = %d, want 400 (body: %s)", stream, w.Code, w.Body.String())
-		}
-		var er errorResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
-			t.Fatalf("stream %t: body is not the error alone (%v): %s", stream, err, w.Body.String())
-		}
-		if g := s.Pool().Gauges(); g.Leased != 0 {
-			t.Fatalf("stream %t: pool leased = %d after the rejected problem, want 0", stream, g.Leased)
-		}
+	for _, tc := range []struct{ name, spec string }{
+		{"allow", strings.Replace(spc, "!(P1->...->P2)", "+(P1->...->Z9)\n    !(P1->...->P2)", 1)},
+		{"forbid", strings.ReplaceAll(spc, "P1", "Z9")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !strings.Contains(tc.spec, "Z9") {
+				t.Fatal("the spec has no P1 to rename")
+			}
+			s := New(Options{})
+			h := s.Handler()
+			for _, stream := range []bool{false, true} {
+				w := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: tc.spec, Stream: stream})
+				if w.Code != http.StatusBadRequest {
+					t.Fatalf("stream %t: status = %d, want 400 (body: %s)", stream, w.Code, w.Body.String())
+				}
+				var er errorResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, "Z9") {
+					t.Fatalf("stream %t: body is not the error alone, naming Z9 (%v): %s", stream, err, w.Body.String())
+				}
+				if g := s.Pool().Gauges(); g.Leased != 0 {
+					t.Fatalf("stream %t: pool leased = %d after the rejected problem, want 0", stream, g.Leased)
+				}
+			}
+		})
 	}
 }
 

@@ -274,18 +274,34 @@ func (e *Encoder) EncodeContext(ctx context.Context, reqs []spec.Requirement) (*
 	return e.finishEncoding(), nil
 }
 
-// encodeRequirement dispatches one requirement to its encoder.
+// encodeRequirement checks that every node the requirement's paths name
+// is in the topology, then dispatches it to its encoder.
 func (e *Encoder) encodeRequirement(r spec.Requirement) error {
+	var paths []spec.Path
+	switch q := r.(type) {
+	case *spec.Forbid:
+		paths = []spec.Path{q.Path}
+	case *spec.Allow:
+		paths = []spec.Path{q.Path}
+	case *spec.Preference:
+		paths = q.Paths
+	default:
+		return fmt.Errorf("synth: unsupported requirement %T", r)
+	}
+	for _, p := range paths {
+		for _, n := range p {
+			if n != spec.Wildcard && e.net.Router(n) == nil {
+				return fmt.Errorf("synth: requirement %s names %q, which is not in the topology", r, n)
+			}
+		}
+	}
 	switch q := r.(type) {
 	case *spec.Forbid:
 		return e.encodeForbid(q)
 	case *spec.Allow:
 		return e.encodeAllow(q)
-	case *spec.Preference:
-		return e.encodePreference(q)
-	default:
-		return fmt.Errorf("synth: unsupported requirement %T", r)
 	}
+	return e.encodePreference(r.(*spec.Preference))
 }
 
 // closeSpan returns the span of the constraints emitted since start,
@@ -582,28 +598,21 @@ func asPathLen(path []string, net *topology.Network) int {
 }
 
 // encodeForbid forbids selecting, anywhere in the network, a route
-// whose traffic path contains the pattern.
+// whose traffic path contains the pattern. A pattern no candidate path
+// matches is vacuously satisfied.
 func (e *Encoder) encodeForbid(f *spec.Forbid) error {
-	hit := false
 	for _, prefix := range e.voc().prefixes {
 		for _, node := range e.cands.nodes(prefix) {
 			for _, c := range e.cands.at(prefix, node) {
 				if !matchesTraffic(f.Path, c.path) {
 					continue
 				}
-				hit = true
 				if c.sel == nil {
 					return fmt.Errorf("synth: forbidden path %s matches an origin announcement", f.Path)
 				}
 				e.assert(logic.Not(c.sel))
 			}
 		}
-	}
-	if !hit {
-		// A forbid that matches no candidate path is vacuously
-		// satisfied; not an error (the topology may simply not allow
-		// it).
-		return nil
 	}
 	return nil
 }

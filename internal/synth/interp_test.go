@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/bgp"
@@ -160,6 +161,34 @@ func TestEncoderRejectsConflictingHoleSorts(t *testing.T) {
 	_, err := NewEncoder(net, config.Deployment{"R1": c}, DefaultOptions()).Encode(nil)
 	if err == nil {
 		t.Fatal("conflicting hole sorts should fail")
+	}
+}
+
+// TestEncodeRejectsUnknownNodes: a requirement whose path names a node
+// the topology lacks fails the encode, whatever its kind, both in
+// synthesis and in a session base over the synthesized deployment, with
+// an error naming the node.
+func TestEncodeRejectsUnknownNodes(t *testing.T) {
+	sc := scenarios.Scenario1()
+	res, err := Synthesize(sc.Net, sc.Sketch, sc.Requirements(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []spec.Requirement{
+		&spec.Forbid{Path: spec.NewPath("Z9", spec.Wildcard, "P2")},
+		&spec.Allow{Path: spec.NewPath("P1", "Z9", spec.Wildcard, "C")},
+		&spec.Preference{Paths: []spec.Path{
+			spec.NewPath("C", "R3", "R1", "P1", spec.Wildcard, "D1"),
+			spec.NewPath("C", "R3", "Z9", "P2", spec.Wildcard, "D1"),
+		}},
+	} {
+		reqs := append(sc.Requirements(), r)
+		if _, err := Synthesize(sc.Net, sc.Sketch, reqs, DefaultOptions()); err == nil || !strings.Contains(err.Error(), `"Z9"`) {
+			t.Errorf("synthesize with %s: error %v, want one naming Z9", r, err)
+		}
+		if _, err := NewBase(context.Background(), sc.Net, res.Deployment, DefaultOptions(), reqs); err == nil || !strings.Contains(err.Error(), `"Z9"`) {
+			t.Errorf("base with %s: error %v, want one naming Z9", r, err)
+		}
 	}
 }
 
