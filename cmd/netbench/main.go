@@ -1,6 +1,8 @@
 // netbench regenerates the paper's evaluation: every figure and
 // quantitative claim, plus the scaling and ablation extensions, as
-// text tables or, with -format json, as JSON.
+// text tables or, with -format json, as JSON. There is no lift table:
+// the lift stage's time, query count and query latencies are netperf
+// paper-cli's core.lift_* metrics (cmd/netperf).
 //
 //	netbench                           # all experiments
 //	netbench -table seed               # one experiment
@@ -33,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all",
-		"experiment to run: seed, simplify, linearity, pervar, figures, interpretation, ablation, rules, complement, rewrite, lift, sat, scale, diff, all")
+		"experiment to run: seed, simplify, linearity, pervar, figures, interpretation, ablation, rules, complement, rewrite, sat, scale, diff, all")
 	quick := fs.Bool("quick", false, "trim the scaling sweep")
 	format := fs.String("format", "text", "output format: text or json")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (e.g. 30s, 5m; 0 = no limit)")
@@ -129,8 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return one(bench.RuleFireTable(ctx))
 	case "complement":
 		return one(bench.ComplementTable(ctx))
-	case "lift":
-		return one(bench.LiftTable(ctx))
 	case "rewrite":
 		return one(bench.RewriteTable(ctx))
 	case "sat":

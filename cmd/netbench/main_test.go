@@ -17,6 +17,17 @@ func TestRunExitCodes(t *testing.T) {
 		t.Fatalf("stderr missing complaint: %q", errOut.String())
 	}
 
+	// The lift-reuse table is gone (netperf paper-cli measures the lift
+	// stage): its name is an unknown table.
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-table", "lift"}, &out, &errOut); code != 2 {
+		t.Fatalf("-table lift: exit %d, want 2 (stderr: %s)", code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-table lift ran an experiment anyway: %q", out.String())
+	}
+
 	out.Reset()
 	errOut.Reset()
 	if code := run([]string{"-format", "yaml", "-table", "seed"}, &out, &errOut); code != 2 {

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"fmt"
-
 	"repro/internal/bgp"
-	"repro/internal/scenarios"
 	"repro/internal/synth"
 	"repro/internal/topology"
 )
@@ -13,17 +10,4 @@ import (
 // network.
 func simulate(net *topology.Network, res *synth.Result) (*bgp.Result, error) {
 	return bgp.Simulate(net, res.Deployment)
-}
-
-// simPath returns C's primary forwarding path to D1.
-func simPath(sc *scenarios.Scenario, res *synth.Result) ([]string, error) {
-	sim, err := bgp.Simulate(sc.Net, res.Deployment)
-	if err != nil {
-		return nil, err
-	}
-	path := sim.ForwardingPath("C", sc.Net.Router("D1").Prefix)
-	if path == nil {
-		return nil, fmt.Errorf("C cannot reach D1 in the failure-free network")
-	}
-	return path, nil
 }

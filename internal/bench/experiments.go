@@ -367,7 +367,7 @@ func All(ctx context.Context, quick bool) ([]*Table, error) {
 	builders := []func(context.Context) (*Table, error){
 		SeedTable, SimplifyTable, LinearityTable, PerVarTable,
 		FigureTable, InterpretationTable, AblationTable, RuleFireTable,
-		ComplementTable, RewriteTable, LiftTable,
+		ComplementTable, RewriteTable,
 		func(ctx context.Context) (*Table, error) { return ScaleTable(ctx, quick) },
 		func(ctx context.Context) (*Table, error) { return DiffTable(ctx, quick) },
 	}

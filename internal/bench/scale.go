@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/netgen"
 	"repro/internal/synth"
 	"repro/internal/verify"
@@ -185,7 +184,7 @@ func runScaleCase(ctx context.Context, cs scaleCase) (ScaleEntry, error) {
 	// Bound the session report cache, which keeps every rendered
 	// section, to 1 MiB: the experiment measures streaming memory, not
 	// retained-section memory.
-	ex.Session.SetCacheLimits(engine.CacheLimits{ReportBytes: 1 << 20})
+	ex.Session.ReportCache().SetMaxCost(1 << 20)
 	cw := &countingWriter{}
 	hw := startHeapWatcher()
 	start = time.Now()

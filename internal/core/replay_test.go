@@ -37,14 +37,13 @@ func TestReportReplaysRootConjunctions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseSeed := base.Seed()
 			seeds := map[logic.Term]bool{}
 			for _, r := range e.reportRouters() {
 				ex, err := e.ExplainAll(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ex.Seed != baseSeed {
+				if ex.Seed != base.Seed() {
 					seeds[ex.Seed] = true
 				}
 			}

@@ -57,9 +57,9 @@ func (e *Explainer) ReportContext(ctx context.Context) (string, error) {
 // A panic in a worker stops the stream the same way, and once every
 // worker has exited it is re-raised on the caller's goroutine, naming
 // the router and carrying the worker's stack. It is not turned into an
-// error: the panic may have left the session half updated (an encode
-// that never finished, say), so the caller must drop the explainer
-// rather than reuse it.
+// error: a panic is a bug that may have left the explainer half
+// updated (a ReExplain has already swapped in its successor session,
+// say), so the caller must drop the explainer rather than reuse it.
 func (e *Explainer) WriteReport(ctx context.Context, w io.Writer) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err // dead on arrival: fail before the first byte

@@ -269,7 +269,7 @@ func TestNewSessionFromInheritsLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := engine.NewSession(sc.Net, sc.Requirements(), res.Deployment, synth.DefaultOptions())
-	s.SetCacheLimits(engine.CacheLimits{ReportBytes: 300})
+	s.ReportCache().SetMaxCost(300)
 	succ := engine.NewSessionFrom(s, sc.Requirements(), res.Deployment)
 	// The shared report cache is the same object, still bounded.
 	rc := succ.ReportCache()

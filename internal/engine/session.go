@@ -24,26 +24,11 @@ import (
 // memory bounded while still reflecting recent behavior.
 const DefaultLiftSampleCap = 1 << 14
 
-// CacheLimits bounds the growable per-session caches. Zero fields mean
-// unlimited (the CLI default, where a session lives for one run); a
-// serving layer that holds sessions for hours sets them. The limits
-// travel with the caches themselves, so successor sessions
-// (NewSessionFrom) inherit them.
-type CacheLimits struct {
-	// ReportBytes caps the cross-deployment report cache (rendered
-	// router sections) by its total byte size, key and text, evicted
-	// least-recently-used. Byte accounting — not entry counting — is
-	// what keeps the sections of wide networks from pinning a server's
-	// heap while thousands of small ones still fit.
-	ReportBytes int64
-}
-
 // Session is the shared state of one deployment's explanation queries:
 // the recorded base encoding of the concrete deployment (built once, by
 // the first query) and a cache of derived encodings keyed by the
 // caller's key for its overrides.
-// A Session is safe for concurrent use; concurrent requests for the
-// same key are coalesced into one encode (single flight).
+// A Session is safe for concurrent use.
 type Session struct {
 	net  *topology.Network
 	reqs []spec.Requirement
@@ -59,11 +44,9 @@ type Session struct {
 	baseMu  sync.Mutex
 	base    *synth.Base
 	baseErr error
-	// baseSeed is the base's seed term, set on first use (baseMu).
-	baseSeed logic.Term
 
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[string]*synth.Encoding
 	stats   Stats
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
@@ -116,12 +99,6 @@ type SimplifyOutcome struct {
 	Passes     int
 }
 
-type entry struct {
-	ready chan struct{} // closed when enc/err are set
-	enc   *synth.Encoding
-	err   error
-}
-
 // NewSession creates a session over a synthesis problem's output. The
 // deployment is the concrete synthesized deployment whose invariant
 // structure the session caches; reqs and opts must match what derived
@@ -132,7 +109,7 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 		reqs:    reqs,
 		dep:     dep,
 		opts:    opts,
-		entries: make(map[string]*entry),
+		entries: make(map[string]*synth.Encoding),
 		nf:      rewrite.NewCache(),
 		ref:     &refSlot{},
 		reports: lru.New[string, string](0, nil),
@@ -143,33 +120,28 @@ func NewSession(net *topology.Network, reqs []spec.Requirement, dep config.Deplo
 // of prev's problem: same topology and encoder options, new
 // requirements and deployment. The successor shares prev's pure
 // cross-deployment state — the normal-form cache with its base-seed
-// reference, and the report cache. Deployment-specific state is NOT
-// shared: the successor records its own base, and its encoding entries
-// start empty, since they assert the predecessor deployment's
-// constraints. The cache limits travel with the shared caches
-// themselves.
+// reference, and the report cache, whose cost cap it keeps.
+// Deployment-specific state is NOT shared: the successor records its
+// own base, and its encoding cache starts empty, since its entries
+// assert the predecessor deployment's constraints.
 func NewSessionFrom(prev *Session, reqs []spec.Requirement, dep config.Deployment) *Session {
 	return &Session{
 		net:     prev.net,
 		reqs:    reqs,
 		dep:     dep,
 		opts:    prev.opts,
-		entries: make(map[string]*entry),
+		entries: make(map[string]*synth.Encoding),
 		nf:      prev.nf,
 		ref:     prev.ref,
 		reports: prev.reports,
 	}
 }
 
-// SetCacheLimits bounds the session's growable caches (see
-// CacheLimits). Call before heavy traffic; the limits apply to every
-// session sharing the caches.
-func (s *Session) SetCacheLimits(l CacheLimits) {
-	s.reports.SetMaxCost(l.ReportBytes)
-}
-
 // ReportCache returns the session's cross-deployment report cache (see
-// Session.reports).
+// Session.reports). It is unbounded until its SetMaxCost is called (the
+// CLI default, where a session lives for one run); a serving layer that
+// holds sessions for hours caps it, and successor sessions share the
+// cap with the cache.
 func (s *Session) ReportCache() *lru.Cache[string, string] { return s.reports }
 
 // NormCache returns the session's shared normal-form cache. Callers
@@ -188,53 +160,34 @@ func (s *Session) NormCache() *rewrite.Cache { return s.nf }
 // session's base (PrepareScoped), which the first call builds, and
 // reads the deployment through the overrides (synth.Base.Encode), so
 // constraint groups the overrides leave alone are copied rather than
-// re-derived and no copy of the deployment is made. Failed encodes are
-// not cached (a query cancelled by its context can be retried), and a
-// waiter whose leader's context ended retries under its own.
+// re-derived and no copy of the deployment is made. A miss encodes
+// outside the lock and the first encoding stored wins, as in the
+// normal-form and report caches: concurrent misses on one key may
+// encode it twice, and each returns the stored encoding. Failed
+// encodes are not cached (a query cancelled by its context can be
+// retried).
 func (s *Session) Encode(ctx context.Context, overrides map[string]*config.Config, key string) (*synth.Encoding, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		e, ok := s.entries[key]
-		if !ok {
-			e = &entry{ready: make(chan struct{})}
-			s.entries[key] = e
-			s.mu.Unlock()
-			if testSingleFlight != nil {
-				testSingleFlight(true)
-			}
-			e.enc, e.err = s.encode(ctx, overrides)
-			if e.err != nil {
-				s.mu.Lock()
-				delete(s.entries, key)
-				s.mu.Unlock()
-			}
-			close(e.ready)
-			return e.enc, e.err
-		}
-		s.mu.Unlock()
-		if testSingleFlight != nil {
-			testSingleFlight(false)
-		}
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if isContextErr(e.err) && ctx.Err() == nil {
-			// The leader's own query ended, not this one: the failed
-			// entry is gone, so the lookup is retried.
-			continue
-		}
-		if e.err == nil {
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.mu.Unlock()
-		}
-		return e.enc, e.err
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	s.mu.Lock()
+	if enc, ok := s.entries[key]; ok {
+		s.stats.CacheHits++
+		s.mu.Unlock()
+		return enc, nil
+	}
+	s.mu.Unlock()
+	enc, err := s.encode(ctx, overrides)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if won, dup := s.entries[key]; dup {
+		return won, nil
+	}
+	s.entries[key] = enc
+	return enc, nil
 }
 
 // BaseError is a session's failure to build its base: the encoder
@@ -244,11 +197,6 @@ type BaseError struct{ Err error }
 
 func (e *BaseError) Error() string { return e.Err.Error() }
 func (e *BaseError) Unwrap() error { return e.Err }
-
-// testSingleFlight, when set by a test, runs as a call to Encode takes
-// its role: as the leader before it encodes (true), or as a waiter
-// before it waits on the leader (false).
-var testSingleFlight func(leader bool)
 
 // isContextErr reports whether err is a context's cancellation or
 // deadline.
@@ -345,14 +293,12 @@ func (s *Session) Simplify(seed logic.Term) SimplifyOutcome {
 // before the base is built.
 func (s *Session) reference() *rewrite.Reference {
 	s.baseMu.Lock()
-	if s.base != nil && s.baseSeed == nil {
-		s.baseSeed = logic.Intern(s.base.Seed())
-	}
-	seed := s.baseSeed
+	base := s.base
 	s.baseMu.Unlock()
-	if seed == nil {
+	if base == nil {
 		return nil
 	}
+	seed := base.Seed()
 	s.ref.mu.Lock()
 	defer s.ref.mu.Unlock()
 	if s.ref.seed != seed {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,76 +59,99 @@ func TestSessionEncodeCaches(t *testing.T) {
 	}
 }
 
-func TestSessionSingleFlight(t *testing.T) {
+// TestSessionEncodeFirstWins runs concurrent misses of one key: each
+// may encode, but every caller gets the encoding stored first (so one
+// seed pointer), a later call is a hit, and a caller whose context is
+// cancelled fails alone.
+func TestSessionEncodeFirstWins(t *testing.T) {
 	s := newSession(t)
 	const n = 8
 	var wg sync.WaitGroup
+	encs := make([]*synth.Encoding, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Encode(context.Background(), nil, "shared")
+			encs[i], errs[i] = s.Encode(context.Background(), nil, "shared")
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	st := s.Stats()
-	if st.BaseEncodes != 1 {
-		t.Errorf("BaseEncodes = %d under concurrency, want 1", st.BaseEncodes)
+	for i, enc := range encs {
+		if enc != encs[0] {
+			t.Fatalf("caller %d got another encoding than caller 0", i)
+		}
 	}
-	if st.Encodes != 1 {
-		t.Errorf("Encodes = %d for one shared key, want 1 (single flight)", st.Encodes)
+	before := s.Stats()
+	if before.BaseEncodes != 1 {
+		t.Errorf("BaseEncodes = %d under concurrency, want 1", before.BaseEncodes)
 	}
-	if st.CacheHits != n-1 {
-		t.Errorf("CacheHits = %d, want %d", st.CacheHits, n-1)
+
+	enc, err := s.Encode(context.Background(), nil, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc != encs[0] {
+		t.Error("a later call got another encoding")
+	}
+	after := s.Stats()
+	if after.CacheHits != before.CacheHits+1 || after.Encodes != before.Encodes {
+		t.Errorf("later call: CacheHits %d -> %d, Encodes %d -> %d; want one more hit and no encode",
+			before.CacheHits, after.CacheHits, before.Encodes, after.Encodes)
+	}
+
+	// A caller cancelled during its encode fails and stores nothing: the
+	// next call of its key encodes.
+	if _, err := s.Encode(&cancelledMidEncode{Context: context.Background()}, nil, "fresh"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("caller cancelled mid-encode: err = %v, want context.Canceled", err)
+	}
+	before = s.Stats()
+	if _, err := s.Encode(context.Background(), nil, "fresh"); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.Encodes != before.Encodes+1 || after.CacheHits != before.CacheHits {
+		t.Errorf("after a failed encode: Encodes %d -> %d, CacheHits %d -> %d; want one more encode and no hit",
+			before.Encodes, after.Encodes, before.CacheHits, after.CacheHits)
+	}
+
+	// A cancelled caller fails alone: a live caller missing the same key
+	// beside it gets the encoding.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var cancelledErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, cancelledErr = s.Encode(cancelled, nil, "third")
+	}()
+	enc, err = s.Encode(context.Background(), nil, "third")
+	wg.Wait()
+	if !errors.Is(cancelledErr, context.Canceled) {
+		t.Errorf("cancelled caller: err = %v, want context.Canceled", cancelledErr)
+	}
+	if err != nil || enc == nil {
+		t.Fatalf("live caller: encoding %v, err %v", enc != nil, err)
 	}
 }
 
-// TestSessionSingleFlightWaiterKeepsItsContext cancels a single-flight
-// leader while a waiter whose own context is live waits on it: the
-// leader fails with its cancellation, and the waiter retries the lookup
-// under its own context and gets the encoding.
-func TestSessionSingleFlightWaiterKeepsItsContext(t *testing.T) {
-	s := newSession(t)
-	leaderCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	leading, waiting := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	engine.SetSingleFlightHook(func(leader bool) {
-		if !leader {
-			close(waiting)
-			return
-		}
-		// The first leader cancels its own query once the waiter waits
-		// on it; the waiter's retry leads the second encode.
-		once.Do(func() {
-			close(leading)
-			<-waiting
-			cancel()
-		})
-	})
-	defer engine.SetSingleFlightHook(nil)
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := s.Encode(leaderCtx, nil, "k")
-		leaderErr <- err
-	}()
-	<-leading
-	enc, err := s.Encode(context.Background(), nil, "k")
-	if err != nil || enc == nil {
-		t.Fatalf("waiter with a live context: encoding %v, err %v", enc != nil, err)
+// cancelledMidEncode is a context whose first Err reads nil and every
+// later one context.Canceled: a query that passes Encode's entry check
+// and is cancelled while it encodes.
+type cancelledMidEncode struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelledMidEncode) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
 	}
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader err = %v, want context.Canceled", err)
-	}
-	if st := s.Stats(); st.Encodes != 1 || st.CacheHits != 0 {
-		t.Errorf("Encodes = %d, CacheHits = %d; want 1, 0 (the waiter encoded after the leader failed)", st.Encodes, st.CacheHits)
-	}
+	return context.Canceled
 }
 
 // TestSessionScopedEncoding checks that every encode of a session

@@ -227,18 +227,3 @@ func Size(t Term) int {
 		return 1
 	}
 }
-
-// Depth returns the height of the term tree (a leaf has depth 1).
-func Depth(t Term) int {
-	a, ok := t.(*Apply)
-	if !ok {
-		return 1
-	}
-	max := 0
-	for _, arg := range a.Args {
-		if d := Depth(arg); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}

@@ -251,9 +251,6 @@ func TestFreeVars(t *testing.T) {
 	if strings.Join(names, ",") != "n,x,y" {
 		t.Fatalf("FreeVarNames = %v", names)
 	}
-	if !ContainsVar(t1, "n") || ContainsVar(t1, "zz") {
-		t.Fatal("ContainsVar mismatch")
-	}
 }
 
 func TestConjuncts(t *testing.T) {
@@ -276,11 +273,8 @@ func TestSizeDepth(t *testing.T) {
 	if got := Size(t1); got != 6 {
 		t.Fatalf("Size = %d, want 6", got)
 	}
-	if got := Depth(t1); got != 4 {
-		t.Fatalf("Depth = %d, want 4", got)
-	}
-	if Size(x) != 1 || Depth(x) != 1 {
-		t.Fatal("leaf size/depth should be 1")
+	if Size(x) != 1 {
+		t.Fatal("leaf size should be 1")
 	}
 }
 
@@ -356,7 +350,7 @@ func TestDedupTerms(t *testing.T) {
 	}
 }
 
-func TestWalkAndMap(t *testing.T) {
+func TestWalk(t *testing.T) {
 	x, y := NewBoolVar("x"), NewBoolVar("y")
 	t1 := And(x, Or(y, Not(x)))
 	count := 0
@@ -373,22 +367,6 @@ func TestWalkAndMap(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("pruned Walk visited %d nodes, want 3", count)
-	}
-	// Map rename x -> z.
-	z := NewBoolVar("z")
-	got := Map(t1, func(u Term) Term {
-		if v, ok := u.(*Var); ok && v.Name == "x" {
-			return z
-		}
-		return u
-	})
-	if got.String() != "z & (y | !z)" {
-		t.Fatalf("Map = %q", got.String())
-	}
-	// Identity map shares structure.
-	same := Map(t1, func(u Term) Term { return u })
-	if same != t1 {
-		t.Fatal("identity Map should return the original term")
 	}
 }
 

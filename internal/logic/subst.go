@@ -199,21 +199,6 @@ func FreeVarNames(t Term) []string {
 	return names
 }
 
-// ContainsVar reports whether the variable named name occurs in t.
-func ContainsVar(t Term, name string) bool {
-	switch n := t.(type) {
-	case *Var:
-		return n.Name == name
-	case *Apply:
-		for _, a := range n.Args {
-			if ContainsVar(a, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Walk visits every node of t in pre-order, calling f. If f returns
 // false the node's children are skipped.
 func Walk(t Term, f func(Term) bool) {
@@ -224,31 +209,5 @@ func Walk(t Term, f func(Term) bool) {
 		for _, arg := range a.Args {
 			Walk(arg, f)
 		}
-	}
-}
-
-// Map rebuilds t bottom-up, applying f to every node after its children
-// have been rebuilt. f receives a node whose children are already
-// mapped and returns its replacement. Map is the workhorse of the
-// rewrite engine.
-func Map(t Term, f func(Term) Term) Term {
-	switch n := t.(type) {
-	case *Apply:
-		changed := false
-		args := make([]Term, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = Map(a, f)
-			if args[i] != a {
-				changed = true
-			}
-		}
-		if changed {
-			// Intern the rebuilt node so f sees a canonical term (and
-			// memoizing callers can key on it by pointer).
-			return f(Intern(&Apply{Op: n.Op, Args: args}))
-		}
-		return f(t)
-	default:
-		return f(t)
 	}
 }

@@ -358,9 +358,33 @@ func (s *refSimplifier) refCmp(a *logic.Apply) logic.Term {
 	return a
 }
 
+// mapTerm rebuilds t bottom-up, applying f to every node after its
+// children have been rebuilt. f receives a node whose children are
+// already mapped and returns its replacement.
+func mapTerm(t logic.Term, f func(logic.Term) logic.Term) logic.Term {
+	n, ok := t.(*logic.Apply)
+	if !ok {
+		return f(t)
+	}
+	changed := false
+	args := make([]logic.Term, len(n.Args))
+	for i, a := range n.Args {
+		args[i] = mapTerm(a, f)
+		if args[i] != a {
+			changed = true
+		}
+	}
+	if !changed {
+		return f(t)
+	}
+	// Intern the rebuilt node so f sees a canonical term (and memoizing
+	// callers can key on it by pointer).
+	return f(logic.Intern(&logic.Apply{Op: n.Op, Args: args}))
+}
+
 func (s *refSimplifier) propagateEqualities(t logic.Term) logic.Term {
 	memo := make(map[logic.Term]logic.Term)
-	return logic.Map(t, func(u logic.Term) logic.Term {
+	return mapTerm(t, func(u logic.Term) logic.Term {
 		a, ok := u.(*logic.Apply)
 		if !ok || a.Op != logic.OpAnd {
 			return u

@@ -17,8 +17,6 @@ func (h *varHeap) less(a, b Var) bool {
 	return (*h.activity)[a] > (*h.activity)[b]
 }
 
-func (h *varHeap) size() int { return len(h.heap) }
-
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
 func (h *varHeap) contains(v Var) bool {

@@ -87,7 +87,7 @@ func FuzzServeQuery(f *testing.F) {
 		default:
 			t.Fatalf("%s answered %d: %s", path, w.Code, w.Body.String())
 		}
-		if g := s.Pool().Gauges(); g.Leased != 0 {
+		if g := s.pool.Gauges(); g.Leased != 0 {
 			t.Fatalf("%s left %d sessions leased", path, g.Leased)
 		}
 		var m Metrics

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -60,10 +59,11 @@ type Options struct {
 	VerifyProofs bool
 }
 
-// sessionLimits bounds every pooled session's report cache. A served
-// session lives for hours, so unlike the CLI's it cannot keep every
-// report section it ever rendered.
-var sessionLimits = engine.CacheLimits{ReportBytes: 64 << 20}
+// sessionReportBytes caps every pooled session's report cache by the
+// bytes of its keys and sections. A served session lives for hours, so
+// unlike the CLI's it cannot keep every report section it ever
+// rendered.
+const sessionReportBytes = 64 << 20
 
 // withDefaults resolves the zero values.
 func (o Options) withDefaults() Options {
@@ -94,8 +94,7 @@ type Server struct {
 	// resp is the content-addressed response cache, one cost unit per
 	// body. With caching disabled nothing is stored in it, so every
 	// lookup still counts its miss.
-	resp     *lru.Cache[string, []byte]
-	inflight atomic.Int64
+	resp *lru.Cache[string, []byte]
 
 	ctrMu sync.Mutex
 	ctr   counters
@@ -122,10 +121,6 @@ func New(opts Options) *Server {
 		resp: lru.New[string, []byte](int64(opts.ResponseCacheSize), nil),
 	}
 }
-
-// Pool exposes the session pool (read-only use: gauges in tests and
-// the load harness).
-func (s *Server) Pool() *engine.SessionPool { return s.pool }
 
 // Handler returns the server's routed handler.
 func (s *Server) Handler() http.Handler {
@@ -322,7 +317,7 @@ func (s *Server) explainerFor(key string, net *topology.Network, dep config.Depl
 		s.pool.Drop(nil)
 		return nil, nil, err
 	}
-	e.Session.SetCacheLimits(sessionLimits)
+	e.Session.ReportCache().SetMaxCost(sessionReportBytes)
 	return &engine.PoolItem{Key: key, Session: e.Session, Value: e}, e, nil
 }
 
@@ -377,11 +372,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 		s.failRequest(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		<-s.sem
-	}()
+	defer func() { <-s.sem }()
 
 	net, dep, sp, err := parseProblem(&req)
 	if err != nil {
@@ -441,21 +432,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, diff bool) {
 	}
 	// The lease is exclusive: the per-request knobs can be set directly.
 	e.Opts.Lift = lift
-
-	// A problem the encoder rejects (an allow toward a router the
-	// topology lacks, say) fails the session's base encode with an
-	// engine.BaseError, answered with a 400 (statusFor). A report
-	// builds the base before its first byte unless the report cache
-	// holds every section; a diff checks it here, before the sweep
-	// retargets the explainer at the edited deployment.
-	if diff {
-		if _, err := e.Session.PrepareScoped(ctx); err != nil {
-			s.pool.Checkin(item)
-			leased = nil
-			s.failRequest(w, statusFor(err), err)
-			return
-		}
-	}
 
 	if stream {
 		sr = &streamRecorder{w: w, cap: streamCacheCap, contentType: contentType}
@@ -649,7 +625,7 @@ func (s *Server) Snapshot() Metrics {
 	m.Server.BadRequests = c.BadRequests
 	m.Server.Errors = c.Errors
 	m.Server.Rejected = c.Rejected
-	m.Server.Inflight = int(s.inflight.Load())
+	m.Server.Inflight = len(s.sem)
 	m.Server.ResponseCacheHits = rc.Hits
 	m.Server.ResponseCacheMisses = rc.Misses
 	m.Server.ResponseCacheEntries = rc.Len

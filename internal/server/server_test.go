@@ -171,7 +171,7 @@ func TestServerLiftSharesPooledSession(t *testing.T) {
 	decodeExplain(t, post(t, h, "/explain", unlifted))
 	w := post(t, h, "/explain", lifted)
 	decodeExplain(t, w)
-	if g := s.Pool().Gauges(); g.Hits != 1 || g.Misses != 1 || g.Idle != 1 {
+	if g := s.pool.Gauges(); g.Hits != 1 || g.Misses != 1 || g.Idle != 1 {
 		t.Fatalf("pool hits/misses/idle = %d/%d/%d, want 1/1/1", g.Hits, g.Misses, g.Idle)
 	}
 	if n := s.Snapshot().Engine.BaseEncodes; n != 1 {
@@ -254,7 +254,7 @@ func TestServerDiffMatchesColdReport(t *testing.T) {
 	if got := decodeExplain(t, w2).Report; got != want {
 		t.Fatal("follow-up explain of the edited problem diverges")
 	}
-	g := s.Pool().Gauges()
+	g := s.pool.Gauges()
 	if g.Hits == 0 {
 		t.Fatalf("follow-up explain missed the session pool: %+v", g)
 	}
@@ -294,7 +294,7 @@ func TestServerBadRequests(t *testing.T) {
 		t.Errorf("BadRequests = %d, want %d", m.Server.BadRequests, len(cases)+1)
 	}
 	// Failed requests leak no leases.
-	if g := s.Pool().Gauges(); g.Leased != 0 {
+	if g := s.pool.Gauges(); g.Leased != 0 {
 		t.Errorf("pool leased = %d after bad requests, want 0", g.Leased)
 	}
 }
@@ -317,7 +317,7 @@ func TestServerDiffRejectsHoles(t *testing.T) {
 			t.Errorf("action %q: status = %d, want 400 (body: %s)", action, w.Code, w.Body.String())
 		}
 	}
-	if g := s.Pool().Gauges(); g.Hits+g.Misses != 0 {
+	if g := s.pool.Gauges(); g.Hits+g.Misses != 0 {
 		t.Errorf("pool hits/misses = %d/%d, want no lease", g.Hits, g.Misses)
 	}
 }
@@ -369,7 +369,7 @@ func TestServerHandlerPanicReleasesLease(t *testing.T) {
 	if got := decodeExplain(t, post(t, h, "/explain", cases[0].req)); got.Report != want {
 		t.Fatal("request after the panics: report differs from the cold ground truth")
 	}
-	if g := s.Pool().Gauges(); g.Leased != 0 || g.Idle != 1 {
+	if g := s.pool.Gauges(); g.Leased != 0 || g.Idle != 1 {
 		t.Fatalf("after a served request leased = %d, idle = %d; want 0, 1", g.Leased, g.Idle)
 	}
 }
@@ -453,12 +453,12 @@ func TestServerConcurrentMixedTraffic(t *testing.T) {
 	}
 	wg.Wait()
 
-	g := s.Pool().Gauges()
+	g := s.pool.Gauges()
 	if g.Leased != 0 {
 		t.Fatalf("pool leased = %d after traffic, want 0 (leaked lease)", g.Leased)
 	}
-	if int64(s.inflight.Load()) != 0 {
-		t.Fatalf("inflight = %d after traffic, want 0", s.inflight.Load())
+	if len(s.sem) != 0 {
+		t.Fatalf("inflight = %d after traffic, want 0", len(s.sem))
 	}
 	m := s.Snapshot()
 	if m.Server.ResponseCacheHits == 0 {
@@ -563,9 +563,10 @@ func medRetune(t *testing.T, configs string) (medAdded, medRetuned string) {
 // requirement that names a router the topology lacks, in an allow or
 // in a forbid) fails the session's base, which the report builds
 // before its first byte, so /explain answers 400 with the error alone
-// in JSON and in stream mode, and no lease stays held.
+// in JSON and in stream mode, and so does a /diff from it, whose base
+// report builds that base; no lease stays held.
 func TestServerRejectedProblem(t *testing.T) {
-	topo, configs, spc, _ := problemTexts(t)
+	topo, configs, spc, edited := problemTexts(t)
 	for _, tc := range []struct{ name, spec string }{
 		{"allow", strings.Replace(spc, "!(P1->...->P2)", "+(P1->...->Z9)\n    !(P1->...->P2)", 1)},
 		{"forbid", strings.ReplaceAll(spc, "P1", "Z9")},
@@ -576,17 +577,24 @@ func TestServerRejectedProblem(t *testing.T) {
 			}
 			s := New(Options{})
 			h := s.Handler()
-			for _, stream := range []bool{false, true} {
-				w := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: tc.spec, Stream: stream})
+			for _, q := range []struct {
+				name, path string
+				req        request
+			}{
+				{"explain", "/explain", request{Topology: topo, Configs: configs, Spec: tc.spec}},
+				{"stream", "/explain", request{Topology: topo, Configs: configs, Spec: tc.spec, Stream: true}},
+				{"diff", "/diff", request{Topology: topo, Configs: configs, Spec: tc.spec, EditedConfigs: edited}},
+			} {
+				w := post(t, h, q.path, q.req)
 				if w.Code != http.StatusBadRequest {
-					t.Fatalf("stream %t: status = %d, want 400 (body: %s)", stream, w.Code, w.Body.String())
+					t.Fatalf("%s: status = %d, want 400 (body: %s)", q.name, w.Code, w.Body.String())
 				}
 				var er errorResponse
 				if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, "Z9") {
-					t.Fatalf("stream %t: body is not the error alone, naming Z9 (%v): %s", stream, err, w.Body.String())
+					t.Fatalf("%s: body is not the error alone, naming Z9 (%v): %s", q.name, err, w.Body.String())
 				}
-				if g := s.Pool().Gauges(); g.Leased != 0 {
-					t.Fatalf("stream %t: pool leased = %d after the rejected problem, want 0", stream, g.Leased)
+				if g := s.pool.Gauges(); g.Leased != 0 {
+					t.Fatalf("%s: pool leased = %d after the rejected problem, want 0", q.name, g.Leased)
 				}
 			}
 		})
@@ -668,7 +676,7 @@ func TestMetricsCountersSurviveDiff(t *testing.T) {
 			check("diff", unbuilt)
 			decodeExplain(t, post(t, h, "/explain", request{Topology: topo, Configs: tc.edited, Spec: spc}))
 			check("explain of the edited problem", unbuilt)
-			if g := s.Pool().Gauges(); g.Hits != 2 || g.Misses != 1 {
+			if g := s.pool.Gauges(); g.Hits != 2 || g.Misses != 1 {
 				t.Errorf("pool hits/misses = %d/%d, want 2/1 (the diff and the follow-up reuse the warm explainer)", g.Hits, g.Misses)
 			}
 		})

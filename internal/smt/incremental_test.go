@@ -63,13 +63,13 @@ func TestSolverStats(t *testing.T) {
 
 func TestCoreEmptyWithoutFailingSolve(t *testing.T) {
 	s := NewSolver()
-	if core := s.Core(); len(core) != 0 {
+	if core := s.sat.Core(); len(core) != 0 {
 		t.Fatalf("Core before any failing solve = %v", core)
 	}
 	n := logic.NewIntVar("n", 0, 3)
 	s.Declare(n)
 	mustSolve(t, s, sat.Sat)
-	if core := s.Core(); len(core) != 0 {
+	if core := s.sat.Core(); len(core) != 0 {
 		t.Fatalf("Core after Sat = %v", core)
 	}
 }

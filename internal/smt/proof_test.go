@@ -47,7 +47,7 @@ func TestCoreDeduplicatesRepeatedAssumptions(t *testing.T) {
 	a := logic.NewBoolVar("a")
 	mustAssert(t, s, logic.Not(a))
 	mustSolve(t, s, sat.Unsat, a, a, a)
-	core := s.Core()
+	core := s.sat.Core()
 	if len(core) != 1 {
 		t.Fatalf("core = %v, want exactly one entry for a repeated assumption", core)
 	}

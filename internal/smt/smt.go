@@ -17,8 +17,9 @@
 //	st, err := s.Solve()         // Sat / Unsat
 //	m, err := s.Model()          // logic.Assignment on Sat
 //
-// Solve accepts assumption terms; when the result is Unsat under
-// assumptions, Core returns an unsatisfiable subset of them.
+// Solve accepts assumption terms, which hold for that solve only; with
+// proof logging on, VerifyLastUnsat checks an Unsat verdict under them
+// against the SAT-level core.
 package smt
 
 import (
@@ -56,9 +57,9 @@ type Solver struct {
 	litTrue  sat.Lit // a literal constrained true
 	litFalse sat.Lit
 
-	// assumption bookkeeping for core extraction.
-	lastAssumed []logic.Term
-	lastLits    []sat.Lit
+	// lastLits holds the last solve's assumption literals (a buffer
+	// reused across solves).
+	lastLits []sat.Lit
 
 	// lastStatus remembers the outcome of the most recent solve so the
 	// proof layer can refuse to "verify" a verdict that never happened.
@@ -253,8 +254,7 @@ func (s *Solver) AssertAll(ts []logic.Term) error {
 }
 
 // Solve decides the asserted constraints under the given assumption
-// terms. On Unsat with assumptions, Core identifies a responsible
-// subset.
+// terms.
 func (s *Solver) Solve(assumptions ...logic.Term) (sat.Status, error) {
 	return s.SolveContext(context.Background(), assumptions...)
 }
@@ -272,12 +272,11 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (s
 		panic("smt: overlapping SolveContext calls on one Solver; a Solver is not concurrency-safe — build one per goroutine")
 	}
 	defer atomic.StoreInt32(&s.busy, 0)
-	s.lastAssumed = assumptions
 	s.lastLits = s.lastLits[:0]
 	// Reset the recorded verdict before anything can fail: an early
 	// error return below must not leave a stale Unsat from a previous
 	// solve paired with the new (inconsistent) assumption state, where
-	// Core()/VerifyLastUnsat would mis-attribute the old verdict.
+	// VerifyLastUnsat would mis-attribute the old verdict.
 	s.lastStatus = sat.Unknown
 	for _, a := range assumptions {
 		if !a.Sort().IsBool() {
@@ -292,29 +291,6 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Term) (s
 	st, err := s.sat.SolveContext(ctx, s.lastLits...)
 	s.lastStatus = st
 	return st, err
-}
-
-// Core returns assumption terms responsible for the last Unsat result,
-// mapped back from the SAT-level core. The result is a subset of the
-// assumptions passed to the failing Solve call, without duplicates:
-// the same term may be passed as an assumption more than once (or two
-// distinct assumption terms may encode to one literal), and a core
-// should name each culprit once.
-func (s *Solver) Core() []logic.Term {
-	core := s.sat.Core()
-	inCore := make(map[sat.Lit]bool, len(core))
-	for _, c := range core {
-		inCore[c] = true
-	}
-	seen := make(map[logic.Term]bool, len(core))
-	var out []logic.Term
-	for i, l := range s.lastLits {
-		if inCore[l] && !seen[s.lastAssumed[i]] {
-			seen[s.lastAssumed[i]] = true
-			out = append(out, s.lastAssumed[i])
-		}
-	}
-	return out
 }
 
 // Model extracts an assignment for every declared variable. Call only

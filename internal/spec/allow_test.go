@@ -24,9 +24,6 @@ Req4 {
 	if len(b.Forbids()) != 1 {
 		t.Fatal("forbid alongside allow lost")
 	}
-	if !allows[0].Mentions("P1") || allows[0].Mentions("R9") {
-		t.Fatal("Allow.Mentions broken")
-	}
 	if allows[0].String() != "+(P1->...->C)" {
 		t.Fatalf("Allow.String = %q", allows[0].String())
 	}

@@ -67,19 +67,6 @@ func (p Path) Last() string {
 	return ""
 }
 
-// Equal reports element-wise equality.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Nodes returns the distinct non-wildcard node names in order of first
 // appearance.
 func (p Path) Nodes() []string {
@@ -99,8 +86,6 @@ func (p Path) Nodes() []string {
 type Requirement interface {
 	// String renders the requirement in surface syntax.
 	String() string
-	// Mentions reports whether the requirement involves the node.
-	Mentions(node string) bool
 
 	isRequirement()
 }
@@ -114,9 +99,6 @@ type Forbid struct {
 // String implements Requirement.
 func (f *Forbid) String() string { return "!(" + f.Path.String() + ")" }
 
-// Mentions implements Requirement.
-func (f *Forbid) Mentions(node string) bool { return pathMentions(f.Path, node) }
-
 func (f *Forbid) isRequirement() {}
 
 // Allow states that traffic from the pattern's first node must reach
@@ -129,9 +111,6 @@ type Allow struct {
 
 // String implements Requirement.
 func (a *Allow) String() string { return "+(" + a.Path.String() + ")" }
-
-// Mentions implements Requirement.
-func (a *Allow) Mentions(node string) bool { return pathMentions(a.Path, node) }
 
 func (a *Allow) isRequirement() {}
 
@@ -151,26 +130,7 @@ func (p *Preference) String() string {
 	return strings.Join(parts, " >> ")
 }
 
-// Mentions implements Requirement.
-func (p *Preference) Mentions(node string) bool {
-	for _, path := range p.Paths {
-		if pathMentions(path, node) {
-			return true
-		}
-	}
-	return false
-}
-
 func (p *Preference) isRequirement() {}
-
-func pathMentions(p Path, node string) bool {
-	for _, e := range p {
-		if e == node {
-			return true
-		}
-	}
-	return false
-}
 
 // Block is one named specification block. For global intents the name
 // is a requirement label ("Req1"); for subspecifications it is the

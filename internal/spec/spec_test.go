@@ -1,6 +1,9 @@
 package spec
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestParseNoTransit(t *testing.T) {
 	src := `
@@ -156,7 +159,7 @@ func TestParsePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Equal(NewPath("P1", Wildcard, "P2")) {
+	if !slices.Equal(p, NewPath("P1", Wildcard, "P2")) {
 		t.Fatalf("path = %v", p)
 	}
 	if _, err := ParsePath("P1"); err == nil {
@@ -215,15 +218,9 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
-func TestRequirementMentions(t *testing.T) {
+func TestRequirementString(t *testing.T) {
 	f := &Forbid{Path: NewPath("P1", Wildcard, "P2")}
-	if !f.Mentions("P1") || f.Mentions("R9") {
-		t.Fatal("Forbid.Mentions broken")
-	}
 	pr := &Preference{Paths: []Path{NewPath("A", "B"), NewPath("A", "C", "B")}}
-	if !pr.Mentions("C") || pr.Mentions("Z") {
-		t.Fatal("Preference.Mentions broken")
-	}
 	if f.String() != "!(P1->...->P2)" {
 		t.Fatalf("Forbid.String = %q", f.String())
 	}

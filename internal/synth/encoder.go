@@ -803,13 +803,3 @@ func sortedNodes(byNode map[string][]*candidate) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Candidates exposes the candidate paths of a prefix at a node (for
-// the verifier's diagnostics and tests).
-func (e *Encoder) Candidates(prefix, node string) [][]string {
-	var out [][]string
-	for _, c := range e.cands.at(prefix, node) {
-		out = append(out, append([]string(nil), c.path...))
-	}
-	return out
-}

@@ -427,7 +427,3 @@ func (e *Encoder) edgePass(u, v string, st *routeState) (logic.Term, *routeState
 	}
 	return pass, cur, nil
 }
-
-// communityVocabulary exposes the encoder's community vocabulary (for
-// tests).
-func (e *Encoder) communityVocabulary() []bgp.Community { return e.voc().communities }

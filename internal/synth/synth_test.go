@@ -41,7 +41,7 @@ func TestCandidateEnumeration(t *testing.T) {
 	}
 	// Candidates for D1's prefix at C: four paths, none through the
 	// stub D1<->other provider (stubs do not transit).
-	paths := e.Candidates("140.0.1.0/24", "C")
+	paths := e.cands.at("140.0.1.0/24", "C")
 	want := map[string]bool{
 		"D1 P1 R1 R3 C":    true,
 		"D1 P1 R1 R2 R3 C": true,
@@ -52,15 +52,15 @@ func TestCandidateEnumeration(t *testing.T) {
 		t.Fatalf("candidates at C = %v", paths)
 	}
 	for _, p := range paths {
-		if !want[strings.Join(p, " ")] {
-			t.Errorf("unexpected candidate %v", p)
+		if !want[strings.Join(p.path, " ")] {
+			t.Errorf("unexpected candidate %v", p.path)
 		}
 	}
 	// The customer's prefix must not propagate through D1 either.
-	for _, p := range e.Candidates("123.0.1.0/20", "P2") {
-		for _, n := range p[1 : len(p)-1] {
+	for _, p := range e.cands.at("123.0.1.0/20", "P2") {
+		for _, n := range p.path[1 : len(p.path)-1] {
 			if n == "D1" || n == "C" {
-				t.Errorf("candidate %v transits a stub", p)
+				t.Errorf("candidate %v transits a stub", p.path)
 			}
 		}
 	}

@@ -218,9 +218,6 @@ func (n *Network) Neighbors(name string) []string {
 	return out
 }
 
-// NumRouters returns the node count.
-func (n *Network) NumRouters() int { return len(n.routers) }
-
 // NumLinks returns the undirected edge count.
 func (n *Network) NumLinks() int {
 	total := 0

@@ -47,8 +47,8 @@ func TestPaperTopology(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n.NumRouters() != 7 {
-		t.Fatalf("NumRouters = %d, want 7", n.NumRouters())
+	if got := len(n.Routers()); got != 7 {
+		t.Fatalf("%d routers, want 7", got)
 	}
 	internals := n.Internals()
 	if len(internals) != 3 {
