@@ -61,8 +61,7 @@ func TestSessionEncodeCaches(t *testing.T) {
 
 // TestSessionEncodeFirstWins runs concurrent misses of one key: each
 // may encode, but every caller gets the encoding stored first (so one
-// seed pointer), a later call is a hit, and a caller whose context is
-// cancelled fails alone.
+// seed pointer), and a later call is a hit.
 func TestSessionEncodeFirstWins(t *testing.T) {
 	s := newSession(t)
 	const n = 8
@@ -104,13 +103,18 @@ func TestSessionEncodeFirstWins(t *testing.T) {
 		t.Errorf("later call: CacheHits %d -> %d, Encodes %d -> %d; want one more hit and no encode",
 			before.CacheHits, after.CacheHits, before.Encodes, after.Encodes)
 	}
+}
 
-	// A caller cancelled during its encode fails and stores nothing: the
-	// next call of its key encodes.
+// TestSessionEncodeCancelledCallerFailsAlone checks that no caller
+// waits on another's encode: a caller cancelled during its encode fails
+// and stores nothing, and a cancelled caller missing a key beside a live
+// one fails alone while the live one gets the encoding.
+func TestSessionEncodeCancelledCallerFailsAlone(t *testing.T) {
+	s := newSession(t)
 	if _, err := s.Encode(&cancelledMidEncode{Context: context.Background()}, nil, "fresh"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("caller cancelled mid-encode: err = %v, want context.Canceled", err)
 	}
-	before = s.Stats()
+	before := s.Stats()
 	if _, err := s.Encode(context.Background(), nil, "fresh"); err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +128,13 @@ func TestSessionEncodeFirstWins(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	var cancelledErr error
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_, cancelledErr = s.Encode(cancelled, nil, "third")
 	}()
-	enc, err = s.Encode(context.Background(), nil, "third")
+	enc, err := s.Encode(context.Background(), nil, "third")
 	wg.Wait()
 	if !errors.Is(cancelledErr, context.Canceled) {
 		t.Errorf("cancelled caller: err = %v, want context.Canceled", cancelledErr)
