@@ -307,7 +307,7 @@ func BenchmarkRewriteFixpoint(b *testing.B) {
 	b.ResetTimer()
 	var out logic.Term
 	for i := 0; i < b.N; i++ {
-		out = rewrite.Simplify(seed)
+		out = rewrite.New().Simplify(seed)
 	}
 	b.StopTimer()
 	if _, ok := logic.FreeVars(out)["x"]; !ok {

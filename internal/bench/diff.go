@@ -9,11 +9,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/netgen"
-	"repro/internal/scenarios"
-	"repro/internal/spec"
-	"repro/internal/synth"
-	"repro/internal/topology"
-	"repro/internal/verify"
 )
 
 // DiffEntry is one (workload, edit-kind) measurement of the incremental
@@ -59,48 +54,6 @@ type DiffEntry struct {
 // metric's value — reuses every section too.
 var diffEditKinds = []string{"action-flip", "pref-change", "med-change", "nexthop-change"}
 
-// diffJob is one workload the diff benchmark measures.
-type diffJob struct {
-	name string
-	net  *topology.Network
-	reqs []spec.Requirement
-	dep  config.Deployment
-	opts core.Options
-}
-
-// diffJobs synthesizes the benchmark workloads: the three seed
-// scenarios always, plus the netgen Grid/FatTree/Random presets unless
-// quick is set.
-func diffJobs(ctx context.Context, quick bool) ([]diffJob, error) {
-	var jobs []diffJob
-	for _, sc := range scenarios.All() {
-		res, err := synthesizeScenario(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, diffJob{sc.Name, sc.Net, sc.Requirements(), res.Deployment, core.DefaultOptions()})
-	}
-	if quick {
-		return jobs, nil
-	}
-	for _, wl := range satWorkloads() {
-		opts := synth.DefaultOptions()
-		opts.MaxPathLen = 7
-		opts.MaxCandidatesPerNode = 8
-		res, err := synth.SynthesizeContext(ctx, wl.Net, wl.Sketch, wl.Requirements(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", wl.Name, err)
-		}
-		if ok, err := verify.SatisfiesContext(ctx, wl.Net, res.Deployment, wl.Requirements()); err != nil || !ok {
-			return nil, fmt.Errorf("%s: synthesized deployment does not verify (%v)", wl.Name, err)
-		}
-		copts := core.DefaultOptions()
-		copts.Synth = opts
-		jobs = append(jobs, diffJob{wl.Name, wl.Net, wl.Requirements(), res.Deployment, copts})
-	}
-	return jobs, nil
-}
-
 // editCandidate is one single-edit variant of a workload's deployment.
 type editCandidate struct {
 	dep  config.Deployment
@@ -137,18 +90,15 @@ func editCandidates(dep config.Deployment, kind string, max int) []editCandidate
 // deployment through the same incremental path, so every measured edit
 // starts from a session warmed on the unedited network.
 func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
-	jobs, err := diffJobs(ctx, quick)
-	if err != nil {
-		return nil, err
-	}
 	var entries []DiffEntry
-	for _, j := range jobs {
-		e, err := core.NewExplainer(j.net, j.reqs, j.dep, j.opts)
+	err := eachWorkload(ctx, quick, func(w *workload) error {
+		dep := w.res.Deployment
+		e, err := core.NewExplainer(w.net, w.reqs, dep, w.opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", j.name, err)
+			return fmt.Errorf("%s: %w", w.name, err)
 		}
 		if _, err := e.ReportContext(ctx); err != nil {
-			return nil, fmt.Errorf("%s: warm report: %w", j.name, err)
+			return fmt.Errorf("%s: warm report: %w", w.name, err)
 		}
 		onBaseline := true
 		// rewarm steers the explainer back to the baseline deployment,
@@ -157,11 +107,11 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 			if onBaseline {
 				return nil
 			}
-			if _, err := e.ReExplainContext(ctx, core.Delta{Deployment: j.dep}); err == nil {
+			if _, err := e.ReExplainContext(ctx, core.Delta{Deployment: dep}); err == nil {
 				onBaseline = true
 				return nil
 			}
-			e, err = core.NewExplainer(j.net, j.reqs, j.dep, j.opts)
+			e, err = core.NewExplainer(w.net, w.reqs, dep, w.opts)
 			if err != nil {
 				return err
 			}
@@ -187,14 +137,14 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 			}
 			incrMS := float64(time.Since(start).Microseconds()) / 1000
 
-			cold, err := core.NewExplainer(j.net, j.reqs, cand.dep, j.opts)
+			cold, err := core.NewExplainer(w.net, w.reqs, cand.dep, w.opts)
 			if err != nil {
-				return false, fmt.Errorf("%s %s: cold explainer: %w", j.name, kind, err)
+				return false, fmt.Errorf("%s %s: cold explainer: %w", w.name, kind, err)
 			}
 			start = time.Now()
 			want, err := cold.ReportContext(ctx)
 			if err != nil {
-				return false, fmt.Errorf("%s %s: cold report: %w", j.name, kind, err)
+				return false, fmt.Errorf("%s %s: cold report: %w", w.name, kind, err)
 			}
 			coldMS := float64(time.Since(start).Microseconds()) / 1000
 
@@ -203,7 +153,7 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 				speedup = coldMS / incrMS
 			}
 			entries = append(entries, DiffEntry{
-				Workload:      j.name,
+				Workload:      w.name,
 				EditKind:      kind,
 				ColdMS:        coldMS,
 				IncrementalMS: incrMS,
@@ -221,13 +171,13 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 		}
 
 		for _, kind := range diffEditKinds {
-			for _, cand := range editCandidates(j.dep, kind, 6) {
+			for _, cand := range editCandidates(dep, kind, 6) {
 				if err := rewarm(); err != nil {
-					return nil, fmt.Errorf("%s: rewarm baseline: %w", j.name, err)
+					return fmt.Errorf("%s: rewarm baseline: %w", w.name, err)
 				}
 				ok, err := measure(kind, cand)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if ok {
 					break
@@ -240,7 +190,7 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 		// link weight"). Synthesized deployments carry no metric lines,
 		// so stage one med-change to introduce the line (that deployment
 		// becomes the warm baseline) and measure retuning the same line.
-		if cands := editCandidates(j.dep, "med-change", 1); len(cands) == 1 {
+		if cands := editCandidates(dep, "med-change", 1); len(cands) == 1 {
 			staged, first := cands[0].dep, cands[0].edit
 			site, _, _ := strings.Cut(first.Detail, ":")
 			for _, cand := range editCandidates(staged, "med-change", 8) {
@@ -252,11 +202,15 @@ func diffEntries(ctx context.Context, quick bool) ([]DiffEntry, error) {
 				}
 				onBaseline = false
 				if _, err := measure("med-retune", cand); err != nil {
-					return nil, err
+					return err
 				}
 				break
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

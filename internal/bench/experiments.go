@@ -282,7 +282,7 @@ func AblationTable(ctx context.Context) (*Table, error) {
 	}
 	run("full (15 rules, fixpoint)", rewrite.New())
 	noEq := rewrite.New()
-	noEq.DisableEqPropagation = true
+	noEq.MaxPasses = 0
 	run("without S14 eq-propagation", noEq)
 	onePass := rewrite.New()
 	onePass.MaxPasses = 1

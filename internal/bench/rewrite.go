@@ -9,8 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/rewrite"
-	"repro/internal/scenarios"
-	"repro/internal/synth"
 )
 
 // RewriteTable measures the memoized one-shot normalizer across the
@@ -28,44 +26,12 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 		Columns: []string{"workload", "routers", "seed-atoms", "simpl-atoms", "max-passes", "rule-fires", "nf-entries", "nf-hit%", "explain-ms"},
 	}
 
-	type job struct {
-		name  string
-		build func() (*core.Explainer, error)
-	}
-	var jobs []job
-	for _, sc := range scenarios.All() {
-		sc := sc
-		jobs = append(jobs, job{name: sc.Name, build: func() (*core.Explainer, error) {
-			res, err := synthesizeScenario(ctx, sc)
-			if err != nil {
-				return nil, err
-			}
-			opts := core.DefaultOptions()
-			opts.Lift = false
-			return core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, opts)
-		}})
-	}
-	for _, wl := range satWorkloads() {
-		wl := wl
-		jobs = append(jobs, job{name: wl.Name, build: func() (*core.Explainer, error) {
-			sopts := synth.DefaultOptions()
-			sopts.MaxPathLen = 7
-			sopts.MaxCandidatesPerNode = 8
-			res, err := synth.SynthesizeContext(ctx, wl.Net, wl.Sketch, wl.Requirements(), sopts)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", wl.Name, err)
-			}
-			opts := core.DefaultOptions()
-			opts.Lift = false
-			opts.Synth = sopts
-			return core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, opts)
-		}})
-	}
-
-	for _, j := range jobs {
-		ex, err := j.build()
+	err := eachWorkload(ctx, false, func(w *workload) error {
+		opts := w.opts
+		opts.Lift = false
+		ex, err := core.NewExplainer(w.net, w.reqs, w.res.Deployment, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		routers := make([]string, 0, len(ex.Deployment))
 		for r := range ex.Deployment {
@@ -79,7 +45,7 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 		for _, r := range routers {
 			e, err := ex.ExplainAllContext(ctx, r)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", j.name, r, err)
+				return fmt.Errorf("%s %s: %w", w.name, r, err)
 			}
 			seedAtoms += e.SeedSize
 			simplAtoms += e.SimplifiedSize
@@ -103,9 +69,13 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 		if lookups := st.NormCacheHits + st.NormCacheMisses; lookups > 0 {
 			hitRate = 100 * float64(st.NormCacheHits) / float64(lookups)
 		}
-		t.AddRow(j.name, len(routers), seedAtoms, simplAtoms, maxPasses, fires,
+		t.AddRow(w.name, len(routers), seedAtoms, simplAtoms, maxPasses, fires,
 			st.NormCacheEntries, fmt.Sprintf("%.1f", hitRate),
 			fmt.Sprintf("%.1f", explainMS))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

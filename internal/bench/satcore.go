@@ -8,7 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/netgen"
 	"repro/internal/scenarios"
+	"repro/internal/spec"
 	"repro/internal/synth"
+	"repro/internal/topology"
 	"repro/internal/verify"
 )
 
@@ -29,54 +31,14 @@ func SatTable(ctx context.Context) (*Table, error) {
 		Columns: []string{"workload", "synth-ms", "synth-conflicts", "synth-restarts", "explain-ms", "solves", "conflicts", "props", "restarts", "reductions", "learnts", "min-lits", "avg-lbd"},
 	}
 
-	type job struct {
-		name string
-		run  func() (*core.Explainer, *synth.Result, float64, error) // explainer, synthesis, synth-ms
-	}
-	var jobs []job
-	for _, sc := range scenarios.All() {
-		sc := sc
-		jobs = append(jobs, job{name: sc.Name, run: func() (*core.Explainer, *synth.Result, float64, error) {
-			start := time.Now()
-			res, err := synthesizeScenario(ctx, sc)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			synthMS := float64(time.Since(start).Microseconds()) / 1000
-			ex, err := core.NewExplainer(sc.Net, sc.Requirements(), res.Deployment, core.DefaultOptions())
-			return ex, res, synthMS, err
-		}})
-	}
-	for _, wl := range satWorkloads() {
-		wl := wl
-		jobs = append(jobs, job{name: wl.Name, run: func() (*core.Explainer, *synth.Result, float64, error) {
-			opts := synth.DefaultOptions()
-			opts.MaxPathLen = 7
-			opts.MaxCandidatesPerNode = 8
-			start := time.Now()
-			res, err := synth.SynthesizeContext(ctx, wl.Net, wl.Sketch, wl.Requirements(), opts)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("%s: %w", wl.Name, err)
-			}
-			synthMS := float64(time.Since(start).Microseconds()) / 1000
-			if ok, err := verify.SatisfiesContext(ctx, wl.Net, res.Deployment, wl.Requirements()); err != nil || !ok {
-				return nil, nil, 0, fmt.Errorf("%s: synthesized deployment does not verify (%v)", wl.Name, err)
-			}
-			copts := core.DefaultOptions()
-			copts.Synth = opts
-			ex, err := core.NewExplainer(wl.Net, wl.Requirements(), res.Deployment, copts)
-			return ex, res, synthMS, err
-		}})
-	}
-
-	for _, j := range jobs {
-		ex, res, synthMS, err := j.run()
+	err := eachWorkload(ctx, false, func(w *workload) error {
+		ex, err := core.NewExplainer(w.net, w.reqs, w.res.Deployment, w.opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		start := time.Now()
 		if _, err := ex.ReportContext(ctx); err != nil {
-			return nil, fmt.Errorf("%s report: %w", j.name, err)
+			return fmt.Errorf("%s report: %w", w.name, err)
 		}
 		explainMS := float64(time.Since(start).Microseconds()) / 1000
 		st := ex.Stats()
@@ -84,14 +46,72 @@ func SatTable(ctx context.Context) (*Table, error) {
 		if st.Learnt > 0 {
 			avgLBD = float64(st.LBDSum) / float64(st.Learnt)
 		}
-		t.AddRow(j.name,
-			fmt.Sprintf("%.1f", synthMS), res.SolverStats.Conflicts, res.SolverStats.Restarts,
+		t.AddRow(w.name,
+			fmt.Sprintf("%.1f", w.synthMS), w.res.SolverStats.Conflicts, w.res.SolverStats.Restarts,
 			fmt.Sprintf("%.1f", explainMS),
 			st.Solves, st.Conflicts, st.Propagations,
 			st.Restarts, st.Reductions, st.Learnt, st.MinimizedLits,
 			fmt.Sprintf("%.2f", avgLBD))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// workload is one of the six synthesized workloads the sat, rewrite and
+// diff tables run: its name, network and requirements, the synthesis
+// result and wall time, and the explainer options (core.DefaultOptions
+// with Synth set to the options the synthesis ran under).
+type workload struct {
+	name    string
+	net     *topology.Network
+	reqs    []spec.Requirement
+	res     *synth.Result
+	synthMS float64
+	opts    core.Options
+}
+
+// eachWorkload synthesizes the three seed scenarios at synth defaults
+// and then, unless quick, the satWorkloads presets at MaxPathLen 7 and
+// MaxCandidatesPerNode 8, checking each preset's deployment against its
+// requirements. It calls f on each workload as soon as it is
+// synthesized and stops at the first error.
+func eachWorkload(ctx context.Context, quick bool, f func(*workload) error) error {
+	for _, sc := range scenarios.All() {
+		start := time.Now()
+		res, err := synthesizeScenario(ctx, sc)
+		if err != nil {
+			return err
+		}
+		synthMS := float64(time.Since(start).Microseconds()) / 1000
+		if err := f(&workload{sc.Name, sc.Net, sc.Requirements(), res, synthMS, core.DefaultOptions()}); err != nil {
+			return err
+		}
+	}
+	if quick {
+		return nil
+	}
+	opts := core.DefaultOptions()
+	opts.Synth.MaxPathLen = 7
+	opts.Synth.MaxCandidatesPerNode = 8
+	for _, wl := range satWorkloads() {
+		reqs := wl.Requirements()
+		start := time.Now()
+		res, err := synth.SynthesizeContext(ctx, wl.Net, wl.Sketch, reqs, opts.Synth)
+		if err != nil {
+			return fmt.Errorf("%s: %w", wl.Name, err)
+		}
+		synthMS := float64(time.Since(start).Microseconds()) / 1000
+		if ok, err := verify.SatisfiesContext(ctx, wl.Net, res.Deployment, reqs); err != nil || !ok {
+			return fmt.Errorf("%s: synthesized deployment does not verify (%v)", wl.Name, err)
+		}
+		if err := f(&workload{wl.Name, wl.Net, reqs, res, synthMS, opts}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // satWorkloads returns the netgen presets the satcore benchmark runs:

@@ -326,11 +326,7 @@ func (ex *Explanation) ResidualText() string {
 		lines[i] = c.String()
 	}
 	sort.Strings(lines)
-	out := lines[0]
-	for _, l := range lines[1:] {
-		out += "\n" + l
-	}
-	return out
+	return strings.Join(lines, "\n")
 }
 
 // Reduction reports the size reduction factor achieved by

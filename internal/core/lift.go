@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -64,7 +65,7 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 	for n := range ex.HoleVars {
 		holeNames[n] = true
 	}
-	holeVars := sortedHoleVars(ex.HoleVars)
+	holeVars := enc.HoleVarsByName()
 
 	cands, err := e.liftCandidates(router, paths, holeNames)
 	if err != nil {
@@ -171,7 +172,8 @@ func (e *Explainer) lift(ctx context.Context, router string, enc *synth.Encoding
 		redundant := false
 		for _, kept := range final {
 			kf, ok := kept.req.(*spec.Forbid)
-			if ok && isPathSuffix(kf.Path, f.Path) {
+			// A forbidden strict suffix already forbids f's path.
+			if ok && len(kf.Path) < len(f.Path) && slices.Equal(f.Path[len(f.Path)-len(kf.Path):], kf.Path) {
 				redundant = true
 				break
 			}
@@ -337,21 +339,6 @@ func preferenceBlocked(p *spec.Preference, forbids []spec.Path) bool {
 		}
 	}
 	return false
-}
-
-// isPathSuffix reports whether short is a suffix of long (strictly
-// shorter).
-func isPathSuffix(short, long spec.Path) bool {
-	if len(short) >= len(long) {
-		return false
-	}
-	off := len(long) - len(short)
-	for i := range short {
-		if long[off+i] != short[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // liftCandidates enumerates candidate subspecification clauses for the

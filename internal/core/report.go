@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/config"
+	"repro/internal/engine"
 	"repro/internal/spec"
 	"repro/internal/synth"
 )
@@ -195,7 +195,7 @@ func (e *Explainer) writeReportLocked(ctx context.Context, w io.Writer) (int64, 
 		// A context error is cancellation fallout, not the cause: note
 		// it by cancelling, but keep the lowest-indexed slot open for a
 		// real failure.
-		if !isContextErr(err) && (failIdx == -1 || i < failIdx) {
+		if !engine.IsContextErr(err) && (failIdx == -1 || i < failIdx) {
 			failIdx, failErr = i, err
 		}
 		cancel()
@@ -342,12 +342,6 @@ type workerPanic struct {
 
 func (p *workerPanic) Error() string {
 	return fmt.Sprintf("core: explaining %s: panic: %v\n\n%s", p.router, p.value, p.stack)
-}
-
-// isContextErr reports whether err is (or wraps) a context
-// cancellation or deadline error.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // reportRouters returns the configured routers in report order.

@@ -219,7 +219,7 @@ func compareComplement(t *testing.T, e *Explainer, router string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, enc.Constraints))
+	raw, release, err := e.buildSolver(seedSolverBuild(enc, enc.Constraints))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,13 +452,13 @@ func TestSeedLinkRejectsUnimpliedSimplified(t *testing.T) {
 		t.Fatalf("linking the real simplified seed checked %d proofs, want 1", got)
 	}
 
-	raw, rawRelease, err := e.buildSolver(seedSolverBuild(enc.HoleVars, enc.Constraints))
+	raw, rawRelease, err := e.buildSolver(seedSolverBuild(enc, enc.Constraints))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rawRelease()
 	var pin logic.Term
-	for _, v := range sortedHoleVars(enc.HoleVars) {
+	for _, v := range enc.HoleVarsByName() {
 		for _, val := range holeValues(v) {
 			eq := logic.Eq(v, val.Term())
 			st, err := raw.Solve(logic.Not(eq))

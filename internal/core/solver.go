@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/logic"
@@ -60,9 +59,9 @@ func (e *Explainer) buildSolver(build func(*smt.Solver) error) (*smt.Solver, fun
 
 // seedSolverBuild declares the hole variables (in sorted order, for
 // deterministic SAT variable numbering) and asserts the seed conjuncts.
-func seedSolverBuild(holes map[string]*logic.Var, conjuncts []logic.Term) func(*smt.Solver) error {
+func seedSolverBuild(enc *synth.Encoding, conjuncts []logic.Term) func(*smt.Solver) error {
 	return func(s *smt.Solver) error {
-		for _, v := range sortedHoleVars(holes) {
+		for _, v := range enc.HoleVarsByName() {
 			if err := s.Declare(v); err != nil {
 				return err
 			}
@@ -94,7 +93,7 @@ func (e *Explainer) buildSeedSolver(ctx context.Context, enc *synth.Encoding, si
 	if testSeedHook != nil {
 		conjuncts = testSeedHook(simplified, conjuncts)
 	}
-	s, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, conjuncts))
+	s, release, err := e.buildSolver(seedSolverBuild(enc, conjuncts))
 	return s, conjuncts, release, err
 }
 
@@ -171,7 +170,7 @@ func literalVar(t logic.Term) *logic.Var {
 // seed implies simplified. A Sat answer means simplification changed
 // the seed's meaning; it is an error, as is a solve that cannot decide.
 func (e *Explainer) checkSeedLink(ctx context.Context, enc *synth.Encoding, simplified logic.Term) error {
-	raw, release, err := e.buildSolver(seedSolverBuild(enc.HoleVars, enc.Constraints))
+	raw, release, err := e.buildSolver(seedSolverBuild(enc, enc.Constraints))
 	if err != nil {
 		return err
 	}
@@ -188,15 +187,6 @@ func (e *Explainer) checkSeedLink(ctx context.Context, enc *synth.Encoding, simp
 	default:
 		return fmt.Errorf("core: linking the simplified seed to the raw seed: solver returned %v", st)
 	}
-}
-
-func sortedHoleVars(m map[string]*logic.Var) []*logic.Var {
-	out := make([]*logic.Var, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // timedSolve runs one SMT query and records its latency.

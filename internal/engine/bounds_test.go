@@ -108,6 +108,39 @@ func TestSessionPoolEviction(t *testing.T) {
 	}
 }
 
+// TestSessionPoolMergedLiftPercentiles pins the pool snapshot's lift
+// percentiles to nearest-rank over the union of an idle and a leased
+// session's sample windows, which neither window's own percentiles
+// give.
+func TestSessionPoolMergedLiftPercentiles(t *testing.T) {
+	ms := func(ns ...int) []time.Duration {
+		out := make([]time.Duration, len(ns))
+		for i, n := range ns {
+			out[i] = time.Duration(n) * time.Millisecond
+		}
+		return out
+	}
+	p := engine.NewSessionPool(2)
+	for k, samples := range map[string][]time.Duration{"idle": ms(3, 1, 2), "leased": ms(10, 7, 9, 8)} {
+		p.Checkout(k)
+		s := newSession(t)
+		s.AddLiftQueries(samples)
+		p.Checkin(&engine.PoolItem{Key: k, Session: s})
+	}
+	item, ok := p.Checkout("leased")
+	if !ok {
+		t.Fatal("key leased missing")
+	}
+	defer p.Checkin(item)
+
+	// The union sorted is 1 2 3 7 8 9 10 ms: nearest rank (n-1)*p/100
+	// picks index 3 for p50 and index 5 for p95.
+	st := p.StatsSnapshot()
+	if st.LiftQueries != 7 || st.LiftP50 != 7*time.Millisecond || st.LiftP95 != 9*time.Millisecond {
+		t.Fatalf("snapshot lift queries/p50/p95 = %d/%v/%v, want 7/7ms/9ms", st.LiftQueries, st.LiftP50, st.LiftP95)
+	}
+}
+
 // TestSessionPoolSnapshotCountsLeased pins that a snapshot taken while
 // a request holds a warm session still counts that session: no counter
 // falls from before the lease to during it, across a Retarget to a

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/lru"
 )
@@ -190,10 +188,6 @@ func (p *SessionPool) StatsSnapshot() Stats {
 			samples = append(samples, s.LiftSamples()...)
 		}
 	}
-	if n := len(samples); n > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		st.LiftP50 = time.Duration(samples[(n-1)*50/100])
-		st.LiftP95 = time.Duration(samples[(n-1)*95/100])
-	}
+	st.setLiftPercentiles(samples)
 	return st
 }

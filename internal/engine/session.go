@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -198,9 +197,9 @@ type BaseError struct{ Err error }
 func (e *BaseError) Error() string { return e.Err.Error() }
 func (e *BaseError) Unwrap() error { return e.Err }
 
-// isContextErr reports whether err is a context's cancellation or
-// deadline.
-func isContextErr(err error) bool {
+// IsContextErr reports whether err is (or wraps) a context's
+// cancellation or deadline.
+func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -243,7 +242,7 @@ func (s *Session) PrepareScoped(ctx context.Context) (*synth.Base, error) {
 	start := time.Now()
 	b, err := synth.NewBase(ctx, s.net, s.dep, s.opts, s.reqs)
 	if err != nil {
-		if isContextErr(err) {
+		if IsContextErr(err) {
 			return nil, err
 		}
 		s.baseErr = &BaseError{err}
@@ -391,11 +390,6 @@ func (s *Session) localStats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.LiftQueries = s.liftAll
-	if n := len(s.liftNS); n > 0 {
-		ns := append([]int64(nil), s.liftNS...)
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		st.LiftP50 = time.Duration(ns[(n-1)*50/100])
-		st.LiftP95 = time.Duration(ns[(n-1)*95/100])
-	}
+	st.setLiftPercentiles(append([]int64(nil), s.liftNS...))
 	return st
 }

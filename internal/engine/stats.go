@@ -14,7 +14,10 @@
 // encodes.
 package engine
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Stats merges the work counters of every layer touched by a session:
 // encoding effort (and how much of it the cache absorbed) plus
@@ -115,6 +118,17 @@ type Stats struct {
 	ProofOps    int
 	ProofLemmas int
 	ProofTime   time.Duration
+}
+
+// setLiftPercentiles sets LiftP50 and LiftP95 to the nearest-rank
+// percentiles of samples (nanoseconds), which it sorts in place; with
+// no samples it leaves them alone.
+func (s *Stats) setLiftPercentiles(samples []int64) {
+	if n := len(samples); n > 0 {
+		slices.Sort(samples)
+		s.LiftP50 = time.Duration(samples[(n-1)*50/100])
+		s.LiftP95 = time.Duration(samples[(n-1)*95/100])
+	}
 }
 
 // Add folds o into s for cross-session aggregation (a session pool

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/scenarios"
 	"repro/internal/spec"
 	"repro/internal/topology"
 )
@@ -56,48 +57,6 @@ func exportTemplate(router, peer string) *config.RouteMap {
 	}
 }
 
-func taggerTemplate(router, peer string) *config.RouteMap {
-	base := fmt.Sprintf("%s_from_%s", router, peer)
-	return &config.RouteMap{
-		Name: base,
-		Clauses: []*config.Clause{
-			{
-				Seq:    10,
-				Action: config.Permit,
-				Sets: []*config.Set{
-					{Kind: config.SetCommunity, ParamHole: base + "_10_tag"},
-				},
-			},
-		},
-	}
-}
-
-func selectorTemplate(router, peer string) *config.RouteMap {
-	base := fmt.Sprintf("%s_from_%s", router, peer)
-	return &config.RouteMap{
-		Name: base,
-		Clauses: []*config.Clause{
-			{
-				Seq:        10,
-				ActionHole: base + "_10_action",
-				Matches: []*config.Match{
-					{Kind: config.MatchCommunity, ValueHole: base + "_10_match"},
-				},
-				Sets: []*config.Set{
-					{Kind: config.SetLocalPref, ParamHole: base + "_10_lp"},
-				},
-			},
-			{
-				Seq:        100,
-				ActionHole: base + "_100_action",
-				Sets: []*config.Set{
-					{Kind: config.SetLocalPref, ParamHole: base + "_100_lp"},
-				},
-			},
-		},
-	}
-}
-
 // NoTransit builds the paper's Req1 intent over any topology carrying
 // the standard C/P1/P2/D1 externals, with export templates at every
 // provider-adjacent internal router.
@@ -134,8 +93,9 @@ Req1 {
 }
 
 // WithPreference extends a workload with the paper's Req2 intent —
-// prefer reaching D1 through P1 over P2 — adding tagger templates at
-// the provider-adjacent routers and selector templates at the
+// prefer reaching D1 through P1 over P2 — adding the scenarios' tagger
+// templates (scenarios.TaggerSketch) at the provider-adjacent routers
+// and selector templates (scenarios.SelectorSketch) at the
 // customer-adjacent router.
 func WithPreference(w *Workload) (*Workload, error) {
 	s2, err := spec.Parse(`
@@ -159,7 +119,7 @@ Req2 {
 	for _, provider := range []string{"P1", "P2"} {
 		for _, r := range internalNeighbors(w.Net, provider) {
 			c := ensure(r)
-			rm := taggerTemplate(r, provider)
+			rm := scenarios.TaggerSketch(r, provider)
 			c.AddRouteMap(rm)
 			if n := c.Neighbor(provider); n != nil {
 				n.ImportMap = rm.Name
@@ -174,7 +134,7 @@ Req2 {
 	for _, r := range internalNeighbors(w.Net, "C") {
 		c := ensure(r)
 		for _, nb := range internalNeighbors(w.Net, r) {
-			rm := selectorTemplate(r, nb)
+			rm := scenarios.SelectorSketch(r, nb)
 			c.AddRouteMap(rm)
 			c.AddNeighbor(nb, rm.Name, "")
 		}

@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/config"
@@ -90,6 +91,23 @@ func TestWithPreferenceAddsTemplates(t *testing.T) {
 	p1r := wl.Sketch["R2_1"]
 	if p1r == nil || len(p1r.RouteMapNames()) < 2 {
 		t.Fatalf("provider-adjacent router lacks templates: %v", p1r.RouteMapNames())
+	}
+}
+
+// TestWithPreferenceSketchGolden pins every line of a preference
+// workload's sketch: the tagger and selector templates WithPreference
+// adds beside NoTransit's export templates.
+func TestWithPreferenceSketchGolden(t *testing.T) {
+	wl, err := Grid(3, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/grid_3x2_pref.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := config.PrintDeployment(wl.Sketch); got != string(want) {
+		t.Fatalf("Grid(3, 2, true) sketch differs from testdata/grid_3x2_pref.golden:\n%s", got)
 	}
 }
 

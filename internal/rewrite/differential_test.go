@@ -913,9 +913,8 @@ func TestSharedCacheDeterministicDiagnostics(t *testing.T) {
 	}
 }
 
-// TestPrivateCachePerConfig checks that flipping the ablation knobs
-// does not replay normal forms computed under a different
-// configuration.
+// TestPrivateCachePerConfig checks that changing MaxPasses does not
+// replay normal forms computed under a different bound.
 func TestPrivateCachePerConfig(t *testing.T) {
 	x := logic.NewIntVar("x", 0, 9)
 	in := logic.And(logic.Eq(x, logic.NewInt(3)), logic.Lt(x, logic.NewInt(5)))
@@ -925,7 +924,7 @@ func TestPrivateCachePerConfig(t *testing.T) {
 	if got := s.Simplify(in); got.String() != "x = 3" || s.Passes != 2 {
 		t.Fatalf("default config: got %s in %d passes, want x = 3 in 2 (one S14 round)", got, s.Passes)
 	}
-	s.DisableEqPropagation = true
+	s.MaxPasses = 0
 	got := s.Simplify(in)
 	if got.String() != "x = 3 & x < 5" || s.Passes != 1 {
 		t.Fatalf("ablated config answered from default-config cache: %s in %d passes", got, s.Passes)
@@ -934,7 +933,7 @@ func TestPrivateCachePerConfig(t *testing.T) {
 		t.Fatal("ablated config ran on the shared default-config cache")
 	}
 	// And back: the shared cache still answers the default config.
-	s.DisableEqPropagation = false
+	s.MaxPasses = DefaultMaxPasses
 	if got := s.Simplify(in); got.String() != "x = 3" {
 		t.Fatalf("default config after flip-back: got %s", got)
 	}

@@ -83,7 +83,7 @@ func (s *Simplifier) referenceAnd(a *logic.Apply) logic.Term {
 			anyChange = true
 			args = filtered
 		}
-		if s.DisableEqPropagation || round >= s.MaxPasses {
+		if round >= s.MaxPasses {
 			break
 		}
 		subArgs, changed := referencePropagate(args)

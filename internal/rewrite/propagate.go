@@ -88,7 +88,7 @@ func newAndState(args []logic.Term) *andState {
 // propagation changed anything, and false if the conjunction collapsed
 // to false. With rec set it records the propagation (see replay.go).
 func (s *Simplifier) propagate(args []logic.Term, rec *recorder) ([]logic.Term, bool, bool) {
-	if s.DisableEqPropagation || s.MaxPasses <= 0 {
+	if s.MaxPasses <= 0 {
 		return args, false, true
 	}
 	// Most conjunctions bind nothing; they need no state. A recording

@@ -60,14 +60,14 @@ func TestEqPropagationThroughIte(t *testing.T) {
 	}
 }
 
-func TestDisableEqPropagation(t *testing.T) {
+func TestZeroMaxPassesDisablesS14(t *testing.T) {
 	x := logic.NewIntVar("x", 0, 9)
 	in := logic.And(
 		logic.Eq(x, logic.NewInt(3)),
 		logic.Lt(x, logic.NewInt(5)),
 	)
 	s := New()
-	s.DisableEqPropagation = true
+	s.MaxPasses = 0
 	got := s.Simplify(in)
 	if !strings.Contains(got.String(), "x < 5") {
 		t.Fatalf("S14 disabled but propagation still happened: %s", got)

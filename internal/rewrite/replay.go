@@ -539,7 +539,7 @@ var rawStepHook func(normalized int)
 // must fall back to the full path; the root's frame is then restored.
 func (s *Simplifier) replayRoot(a *logic.Apply) (logic.Term, bool) {
 	ref := s.Ref
-	if !ref.usable || ref.cache != s.cache || ref.maxPasses != s.MaxPasses || s.DisableEqPropagation {
+	if !ref.usable || ref.cache != s.cache || ref.maxPasses != s.MaxPasses {
 		return nil, false
 	}
 	saved := s.stack[len(s.stack)-1]

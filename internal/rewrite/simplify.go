@@ -20,7 +20,8 @@ const DefaultMaxPasses = 64
 // persists. Each Simplify call reports Passes, read in one lookup from
 // the root entry's memoized pass depth (see nfEntry). Rule fires are
 // not counted on the way: only a counting run (CountFires), which the
-// diagnostics that print them call, counts them.
+// diagnostics that print them call, counts them. MaxPasses 0 turns rule
+// S14 off; every other rule always runs.
 type Simplifier struct {
 	// MaxPasses bounds the number of equality-propagation rounds run
 	// at any single conjunction (each round substitutes the unit
@@ -28,7 +29,9 @@ type Simplifier struct {
 	// The default of 64 is far above what any seed specification in
 	// the experiments needs; the bound exists so a hypothetical
 	// non-terminating rule interaction degrades to a sound non-minimal
-	// result instead of a hang.
+	// result instead of a hang. 0 turns rule S14 (equality
+	// propagation) off, the ablation that measures how much of the
+	// reduction that single rule carries.
 	MaxPasses int
 	// Passes reports 1 + the maximum number of equality-propagation
 	// rounds any conjunction in the last input needed — the depth of
@@ -36,10 +39,6 @@ type Simplifier struct {
 	// global passes. It is memoized per cache entry, so it does not
 	// depend on cache warmth.
 	Passes int
-	// DisableEqPropagation turns off rule S14 (equality propagation),
-	// the ablation knob for the experiment that measures how much of
-	// the reduction that single rule carries.
-	DisableEqPropagation bool
 	// Ref, when set, is the recorded root conjunction (Record) the root
 	// conjunction of each input replays from its raw conjuncts instead
 	// of normalizing, settling and propagating them all itself (see
@@ -51,14 +50,14 @@ type Simplifier struct {
 	ReplayFallbacks int
 
 	// sharedCache, when non-nil, is an externally owned cache (for
-	// example engine.Session's) consulted for default-configuration
-	// runs. priv is the lazily built private cache used otherwise;
-	// privCfg records the configuration its entries were computed
-	// under, so flipping MaxPasses or DisableEqPropagation between
-	// calls discards it instead of replaying stale results.
+	// example engine.Session's) consulted for runs at
+	// DefaultMaxPasses. priv is the lazily built private cache used
+	// otherwise; privPasses records the MaxPasses its entries were
+	// computed under, so changing MaxPasses between calls discards it
+	// instead of replaying stale results.
 	sharedCache *Cache
 	priv        *Cache
-	privCfg     simpConfig
+	privPasses  int
 
 	// Per-run state: the cache in use, the stack of frames collecting
 	// the rounds and pass depth of the entries being computed (top
@@ -92,15 +91,6 @@ type fireCount struct {
 	rounds uint32
 }
 
-// simpConfig identifies the rewriting function a cache's entries were
-// computed under; caches must not be shared across configurations.
-type simpConfig struct {
-	maxPasses int
-	noEqProp  bool
-}
-
-var defaultConfig = simpConfig{maxPasses: DefaultMaxPasses}
-
 // New creates a Simplifier with default settings and a private
 // normal-form cache that persists across its Simplify calls.
 func New() *Simplifier {
@@ -115,9 +105,6 @@ func New() *Simplifier {
 func NewShared(c *Cache) *Simplifier {
 	return &Simplifier{MaxPasses: DefaultMaxPasses, sharedCache: c}
 }
-
-// Simplify is a convenience wrapper using a fresh Simplifier.
-func Simplify(t logic.Term) logic.Term { return New().Simplify(t) }
 
 // CountFires normalizes t in a counting run: cold, on a fresh private
 // cache of the default configuration, with no reference attached. It
@@ -146,12 +133,11 @@ func countFires(t logic.Term, andRule func(*Simplifier, *logic.Apply) logic.Term
 // preserved (normalization never reorders what it keeps, so reports
 // print identically whether a result was computed or recalled).
 func (s *Simplifier) Simplify(t logic.Term) logic.Term {
-	cfg := simpConfig{maxPasses: s.MaxPasses, noEqProp: s.DisableEqPropagation}
-	if s.sharedCache != nil && cfg == defaultConfig {
+	if s.sharedCache != nil && s.MaxPasses == DefaultMaxPasses {
 		s.cache = s.sharedCache
 	} else {
-		if s.priv == nil || s.privCfg != cfg {
-			s.priv, s.privCfg = NewCache(), cfg
+		if s.priv == nil || s.privPasses != s.MaxPasses {
+			s.priv, s.privPasses = NewCache(), s.MaxPasses
 		}
 		s.cache = s.priv
 	}

@@ -12,6 +12,9 @@ import (
 
 var actSort = logic.NewEnumSort("Act", "permit", "deny")
 
+// Simplify normalizes t on a fresh Simplifier.
+func Simplify(t logic.Term) logic.Term { return New().Simplify(t) }
+
 func simp(t *testing.T, in logic.Term) logic.Term {
 	t.Helper()
 	return Simplify(in)

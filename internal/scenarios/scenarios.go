@@ -64,9 +64,9 @@ func exportSketch(router, peer string) *config.RouteMap {
 	}
 }
 
-// taggerSketch builds the import template at router from peer that
+// TaggerSketch builds the import template at router from peer that
 // tags incoming routes with a symbolic community.
-func taggerSketch(router, peer string) *config.RouteMap {
+func TaggerSketch(router, peer string) *config.RouteMap {
 	base := fmt.Sprintf("%s_from_%s", router, peer)
 	return &config.RouteMap{
 		Name: base,
@@ -82,10 +82,10 @@ func taggerSketch(router, peer string) *config.RouteMap {
 	}
 }
 
-// selectorSketch builds the import template at router from peer that
+// SelectorSketch builds the import template at router from peer that
 // matches a symbolic community, decides symbolically, and assigns a
 // symbolic local preference, with a symbolic catch-all.
-func selectorSketch(router, peer string) *config.RouteMap {
+func SelectorSketch(router, peer string) *config.RouteMap {
 	base := fmt.Sprintf("%s_from_%s", router, peer)
 	return &config.RouteMap{
 		Name: base,
@@ -153,16 +153,16 @@ func Scenario2() *Scenario {
 	net := topology.Paper()
 
 	r1 := config.New("R1")
-	r1.AddRouteMap(taggerSketch("R1", "P1"))
+	r1.AddRouteMap(TaggerSketch("R1", "P1"))
 	r1.AddNeighbor("P1", "R1_from_P1", "")
 
 	r2 := config.New("R2")
-	r2.AddRouteMap(taggerSketch("R2", "P2"))
+	r2.AddRouteMap(TaggerSketch("R2", "P2"))
 	r2.AddNeighbor("P2", "R2_from_P2", "")
 
 	r3 := config.New("R3")
-	r3.AddRouteMap(selectorSketch("R3", "R1"))
-	r3.AddRouteMap(selectorSketch("R3", "R2"))
+	r3.AddRouteMap(SelectorSketch("R3", "R1"))
+	r3.AddRouteMap(SelectorSketch("R3", "R2"))
 	r3.AddNeighbor("R1", "R3_from_R1", "")
 	r3.AddNeighbor("R2", "R3_from_R2", "")
 
@@ -191,17 +191,17 @@ func Scenario3() *Scenario {
 
 	r1 := config.New("R1")
 	r1.AddRouteMap(exportSketch("R1", "P1"))
-	r1.AddRouteMap(taggerSketch("R1", "P1"))
+	r1.AddRouteMap(TaggerSketch("R1", "P1"))
 	r1.AddNeighbor("P1", "R1_from_P1", "R1_to_P1")
 
 	r2 := config.New("R2")
 	r2.AddRouteMap(exportSketch("R2", "P2"))
-	r2.AddRouteMap(taggerSketch("R2", "P2"))
+	r2.AddRouteMap(TaggerSketch("R2", "P2"))
 	r2.AddNeighbor("P2", "R2_from_P2", "R2_to_P2")
 
 	r3 := config.New("R3")
-	r3.AddRouteMap(selectorSketch("R3", "R1"))
-	r3.AddRouteMap(selectorSketch("R3", "R2"))
+	r3.AddRouteMap(SelectorSketch("R3", "R1"))
+	r3.AddRouteMap(SelectorSketch("R3", "R2"))
 	r3.AddNeighbor("R1", "R3_from_R1", "")
 	r3.AddNeighbor("R2", "R3_from_R2", "")
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -152,6 +153,21 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	}
 	if m.Engine.Encodes == 0 || m.Engine.Solves == 0 {
 		t.Fatalf("engine stats empty after serving: %+v", m.Engine)
+	}
+}
+
+// TestServerClampsHugeTimeout requires a timeout_ms too large to
+// convert to a Duration to be clamped to the server's limit, not to
+// wrap around into an expired deadline.
+func TestServerClampsHugeTimeout(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	want := wantReport(t, topo, configs, spc)
+	w := post(t, New(Options{}).Handler(), "/explain", request{Topology: topo, Configs: configs, Spec: spc, TimeoutMS: math.MaxInt64})
+	if w.Code != http.StatusOK {
+		t.Fatalf("timeout_ms=MaxInt64: status %d (%s), want 200", w.Code, w.Body.String())
+	}
+	if got := decodeExplain(t, w).Report; got != want {
+		t.Fatalf("timeout_ms=MaxInt64: served report diverges from direct core report\n%s", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/sat"
@@ -320,12 +321,7 @@ func (s *Solver) mergedValueList(sort *logic.Sort, guards map[int64][]sat.Lit) (
 	for v := range guards {
 		vals = append(vals, v)
 	}
-	// insertion sort (n small, avoids importing sort for int64 pre-1.21 style)
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	slices.Sort(vals)
 	lits := make([]sat.Lit, len(vals))
 	for i, v := range vals {
 		lits[i] = s.orLit(guards[v])

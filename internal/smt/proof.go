@@ -14,7 +14,7 @@ package smt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/drat"
@@ -112,8 +112,12 @@ func (s *Solver) VerifyLastUnsat() (ProofReport, error) {
 		for i, l := range core {
 			clause[i] = dimacsLit(l.Neg())
 		}
+		// Compared as literal sets; both slices are this call's own.
 		last, okLast := s.lastLearn(tr)
-		if !okLast || !sameLitSet(last, clause) {
+		slices.Sort(last)
+		slices.Sort(clause)
+		last, clause = slices.Compact(last), slices.Compact(clause)
+		if !okLast || !slices.Equal(last, clause) {
 			return rep, fmt.Errorf("smt: terminal lemma %v does not match the negated core %v", last, clause)
 		}
 	}
@@ -131,34 +135,4 @@ func (s *Solver) lastLearn(tr *sat.Trace) ([]int, bool) {
 		}
 	}
 	return nil, false
-}
-
-// sameLitSet reports whether two clauses hold the same literal set.
-func sameLitSet(a, b []int) bool {
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	as = dedupSorted(as)
-	bs = dedupSorted(bs)
-	if len(as) != len(bs) {
-		return false
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i > 0 && xs[i-1] == x {
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -150,6 +151,18 @@ func (enc *Encoding) Conjunction() logic.Term {
 		return enc.seed
 	}
 	return logic.And(enc.Constraints...)
+}
+
+// HoleVarsByName returns the hole variables sorted by name, the order
+// every solver over the encoding declares them in, which fixes its SAT
+// variable numbering.
+func (enc *Encoding) HoleVarsByName() []*logic.Var {
+	out := make([]*logic.Var, 0, len(enc.HoleVars))
+	for _, v := range enc.HoleVars {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // intern interns the conjunction once and keeps Constraints as the
@@ -465,7 +478,7 @@ func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 				continue
 			}
 			for _, nb := range e.net.Neighbors(cur.node()) {
-				if contains(cur.path, nb) {
+				if slices.Contains(cur.path, nb) {
 					continue
 				}
 				if e.opts.MaxCandidatesPerNode > 0 && len(byNode[nb]) >= e.opts.MaxCandidatesPerNode {
@@ -500,15 +513,6 @@ func (e *Encoder) enumerateCandidates(ctx context.Context) error {
 // ctxCheckInterval is how many BFS pops pass between context checks
 // during candidate enumeration.
 const ctxCheckInterval = 64
-
-func contains(path []string, node string) bool {
-	for _, n := range path {
-		if n == node {
-			return true
-		}
-	}
-	return false
-}
 
 // forEachSelectionGroup visits every non-origin (prefix, router)
 // candidate group in the canonical emission order: vocabulary prefix
@@ -555,35 +559,35 @@ func (e *Encoder) encodeSelectionGroup(cands []*candidate) {
 			}
 			e.assert(logic.Implies(
 				logic.And(sels[i], avails[j]),
-				betterOrEqual(ci, cj, e.net),
+				preferred(ci.path, ci.state.lp, cj.path, cj.state.lp, e.net),
 			))
 		}
 	}
 }
 
-// betterOrEqual encodes "ci is at least as preferred as cj" under the
-// decision process: strictly higher local-pref rank wins; at equal
+// preferred encodes "the route along pi, with local-pref rank term
+// lpi, is at least as preferred as the route along pj, with lpj" under
+// the decision process: strictly higher local-pref rank wins; at equal
 // rank the concrete tie-break (AS-path length, then hop count, then
-// lexicographic path) decides.
-func betterOrEqual(ci, cj *candidate, net *topology.Network) logic.Term {
-	if tieBreakWins(ci, cj, net) {
-		return logic.Ge(ci.state.lp, cj.state.lp)
+// lexicographic path; bgp.Better below the local-pref step, minus MED,
+// which the encoding does not model) decides, so the rank need only be
+// at least equal when the tie-break favors pi. Both paths end at the
+// node where the routes compete.
+func preferred(pi []string, lpi logic.Term, pj []string, lpj logic.Term, net *topology.Network) logic.Term {
+	ai, aj := asPathLen(pi, net), asPathLen(pj, net)
+	var favorsI bool // the concrete tie-break ranks pi first
+	switch {
+	case ai != aj:
+		favorsI = ai < aj
+	case len(pi) != len(pj):
+		favorsI = len(pi) < len(pj)
+	default:
+		favorsI = strings.Join(pi, ",") < strings.Join(pj, ",")
 	}
-	return logic.Gt(ci.state.lp, cj.state.lp)
-}
-
-// tieBreakWins decides the concrete tie-break between two candidate
-// paths (mirrors bgp.Better below the local-pref step, minus MED,
-// which the encoding does not model).
-func tieBreakWins(ci, cj *candidate, net *topology.Network) bool {
-	ai, aj := asPathLen(ci.path, net), asPathLen(cj.path, net)
-	if ai != aj {
-		return ai < aj
+	if favorsI {
+		return logic.Ge(lpi, lpj)
 	}
-	if len(ci.path) != len(cj.path) {
-		return len(ci.path) < len(cj.path)
-	}
-	return strings.Join(ci.path, ",") < strings.Join(cj.path, ",")
+	return logic.Gt(lpi, lpj)
 }
 
 // asPathLen counts AS-level hops of a propagation path.
@@ -781,7 +785,7 @@ func (e *Encoder) assertPreferredAtDivergence(hi, lo *candidate) {
 	if chi == nil || clo == nil || chi == clo {
 		return
 	}
-	e.assert(betterOrEqual(chi, clo, e.net))
+	e.assert(preferred(chi.path, chi.state.lp, clo.path, clo.state.lp, e.net))
 }
 
 // candidateAt finds the candidate for the propagation-path prefix of c

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,7 +71,7 @@ func (enc *Encoding) pathInfos(node string) []PathInfo {
 		all = all[:0]
 		for n := range enc.cands.byPrefix[prefix] {
 			for _, c := range enc.cands.at(prefix, n) {
-				if c.parent != nil && (node == "" || contains(c.path, node)) {
+				if c.parent != nil && (node == "" || slices.Contains(c.path, node)) {
 					all = append(all, keyed{strings.Join(c.path, ","), c})
 				}
 			}
@@ -100,24 +101,9 @@ func (enc *Encoding) pathInfos(node string) []PathInfo {
 }
 
 // PreferredTerm builds the condition under which route a is at least
-// as preferred as route b at their (shared) final node: strictly
-// higher local-pref rank, or at least equal when the concrete
-// tie-break already favors a. Both paths must end at the same node and
-// concern the same prefix.
+// as preferred as route b at their (shared) final node, the encoder's
+// own decision-process term (see preferred). Both paths must end at the
+// same node and concern the same prefix.
 func PreferredTerm(a, b PathInfo, net *topology.Network) logic.Term {
-	if tieWins(a.Path, b.Path, net) {
-		return logic.Ge(a.LP, b.LP)
-	}
-	return logic.Gt(a.LP, b.LP)
-}
-
-func tieWins(pi, pj []string, net *topology.Network) bool {
-	ai, aj := asPathLen(pi, net), asPathLen(pj, net)
-	if ai != aj {
-		return ai < aj
-	}
-	if len(pi) != len(pj) {
-		return len(pi) < len(pj)
-	}
-	return strings.Join(pi, ",") < strings.Join(pj, ",")
+	return preferred(a.Path, a.LP, b.Path, b.LP, net)
 }

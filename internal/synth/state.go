@@ -29,7 +29,6 @@ type vocab struct {
 
 	prefixes    []string // sorted prefix strings
 	communities []bgp.Community
-	ips         []string
 }
 
 // actionPermit and actionDeny are the two constants of the action
@@ -87,7 +86,6 @@ func (v *vocab) setCommunities(comms []bgp.Community) {
 // sort.
 func (v *vocab) setIPs(ips []string) {
 	sort.Strings(ips)
-	v.ips = ips
 	v.ipSort = logic.NewEnumSort("NextHopIP", ips...)
 }
 

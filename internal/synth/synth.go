@@ -44,7 +44,7 @@ func SynthesizeContext(ctx context.Context, net *topology.Network, sketch config
 		return nil, err
 	}
 	solver := smt.NewSolver()
-	for _, v := range sortedVars(enc.HoleVars) {
+	for _, v := range enc.HoleVarsByName() {
 		if err := solver.Declare(v); err != nil {
 			return nil, err
 		}
@@ -73,24 +73,6 @@ func SynthesizeContext(ctx context.Context, net *topology.Network, sketch config
 		Encoding:    enc,
 		SolverStats: solver.Stats(),
 	}, nil
-}
-
-func sortedVars(m map[string]*logic.Var) []*logic.Var {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	// insertion sort to keep imports lean
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := make([]*logic.Var, len(names))
-	for i, n := range names {
-		out[i] = m[n]
-	}
-	return out
 }
 
 // Decode fills every hole of the sketch from a model, returning a
